@@ -7,16 +7,48 @@ use crate::protocol::{
     request_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest, CreateSpec, JobDeliver,
     JobRequest, JobSupply, MachineInfo, MachineManifest, OpenInfo,
 };
-use bridge_efs::RetryPolicy;
+use bridge_efs::{RetryPolicy, RpcClient, RpcProtocol};
 use bytes::Bytes;
-use parsim::{Ctx, ProcId, SimTime};
+use parsim::{Ctx, ProcId};
+
+/// The Bridge request/reply protocol as the at-least-once engine sees it.
+#[derive(Debug)]
+struct BridgeRpc;
+
+impl RpcProtocol for BridgeRpc {
+    type Cmd = BridgeCmd;
+    type Request = BridgeRequest;
+    type Reply = BridgeReply;
+    type Data = BridgeData;
+    type Error = BridgeError;
+
+    fn name(cmd: &BridgeCmd) -> &'static str {
+        cmd.name()
+    }
+    fn wire_size(cmd: &BridgeCmd) -> usize {
+        request_wire_size(cmd)
+    }
+    fn request(id: u64, cmd: BridgeCmd) -> BridgeRequest {
+        BridgeRequest { id, cmd }
+    }
+    fn reply_id(reply: &BridgeReply) -> u64 {
+        reply.id
+    }
+    fn result(reply: BridgeReply) -> Result<BridgeData, BridgeError> {
+        reply.result
+    }
+    fn timed_out(attempts: u32) -> BridgeError {
+        BridgeError::TimedOut { attempts }
+    }
+}
 
 /// A typed client for the Bridge Server.
 ///
-/// Wraps the raw [`BridgeRequest`]/[`BridgeReply`] protocol: requests carry
-/// fresh ids (drawn from the owning process's [`Ctx::unique_id`] stream, so
-/// ids never collide across client instances in one process) and replies
-/// are matched by id (other traffic is stashed by the underlying selective
+/// Wraps the raw [`BridgeRequest`]/[`BridgeReply`] protocol over the same
+/// [`RpcClient`] engine the LFS client uses: requests carry fresh ids
+/// (drawn from the owning process's [`Ctx::unique_id`] stream, so ids
+/// never collide across client instances in one process) and replies are
+/// matched by id (other traffic is stashed by the underlying selective
 /// receive).
 ///
 /// With a [`RetryPolicy`] installed ([`with_retry`](BridgeClient::with_retry)),
@@ -31,15 +63,7 @@ use parsim::{Ctx, ProcId, SimTime};
 #[derive(Debug)]
 pub struct BridgeClient {
     server: ProcId,
-    retry: RetryPolicy,
-    /// Commands sent but not yet waited on, kept only when retries are
-    /// enabled so `wait` can resend them. Host-side bookkeeping: recording
-    /// a command has no effect on virtual time.
-    pending: Vec<(u64, BridgeCmd)>,
-    /// Send time and command name per in-flight request, kept only while
-    /// tracing so the reply can close a `client.rpc` span. Host-side
-    /// bookkeeping: has no effect on virtual time.
-    sent: Vec<(u64, SimTime, &'static str)>,
+    rpc: RpcClient<BridgeRpc>,
 }
 
 impl BridgeClient {
@@ -53,9 +77,7 @@ impl BridgeClient {
     pub fn with_retry(server: ProcId, retry: RetryPolicy) -> Self {
         BridgeClient {
             server,
-            retry,
-            pending: Vec::new(),
-            sent: Vec::new(),
+            rpc: RpcClient::with_retry(retry),
         }
     }
 
@@ -66,41 +88,12 @@ impl BridgeClient {
 
     /// The client's retry policy.
     pub fn retry(&self) -> RetryPolicy {
-        self.retry
+        self.rpc.retry()
     }
 
     /// Sends `cmd` and returns its request id (for pipelining).
     pub fn send(&mut self, ctx: &mut Ctx, cmd: BridgeCmd) -> u64 {
-        let id = ctx.unique_id();
-        let bytes = request_wire_size(&cmd);
-        if self.retry.is_enabled() {
-            self.pending.push((id, cmd.clone()));
-        }
-        if ctx.trace_enabled() {
-            self.sent.push((id, ctx.now(), cmd.name()));
-        }
-        ctx.send_sized_cloneable(self.server, BridgeRequest { id, cmd }, bytes);
-        id
-    }
-
-    /// Closes the `client.rpc` span opened by [`send`](Self::send) once the
-    /// reply for `id` is in hand. No-op when the send was not traced.
-    fn trace_reply(&mut self, ctx: &mut Ctx, id: u64, ok: bool) {
-        if let Some(slot) = self.sent.iter().position(|(s, _, _)| *s == id) {
-            let (_, t0, name) = self.sent.swap_remove(slot);
-            if ctx.trace_enabled() {
-                ctx.trace_span(
-                    "client",
-                    &format!("client.{name}"),
-                    t0,
-                    &[
-                        ("id", id),
-                        ("server", self.server.index() as u64),
-                        ("ok", u64::from(ok)),
-                    ],
-                );
-            }
-        }
+        self.rpc.send(ctx, self.server, cmd)
     }
 
     /// Waits for the reply to a previously sent request, resending it on
@@ -112,22 +105,7 @@ impl BridgeClient {
     /// [`BridgeError::TimedOut`] when the retry budget is spent without a
     /// reply.
     pub fn wait(&mut self, ctx: &mut Ctx, id: u64) -> Result<BridgeData, BridgeError> {
-        let server = self.server;
-        match self.pending.iter().position(|(p, _)| *p == id) {
-            Some(slot) => {
-                let (_, cmd) = self.pending.swap_remove(slot);
-                self.wait_retrying(ctx, id, &cmd)
-            }
-            None => {
-                let env = ctx.recv_where(|e| {
-                    e.from() == server
-                        && e.downcast_ref::<BridgeReply>().is_some_and(|r| r.id == id)
-                });
-                let result = env.downcast::<BridgeReply>().expect("matched type").result;
-                self.trace_reply(ctx, id, result.is_ok());
-                result
-            }
-        }
+        self.rpc.wait(ctx, self.server, id)
     }
 
     /// Round trip: send `cmd` and wait for its reply, resending on
@@ -139,89 +117,7 @@ impl BridgeClient {
     /// [`BridgeError::TimedOut`] when the retry budget is spent without a
     /// reply.
     pub fn call(&mut self, ctx: &mut Ctx, cmd: BridgeCmd) -> Result<BridgeData, BridgeError> {
-        let id = self.send(ctx, cmd);
-        self.wait(ctx, id)
-    }
-
-    /// The retry loop behind [`wait`](Self::wait) and
-    /// [`call`](Self::call): the first attempt is already on the wire.
-    fn wait_retrying(
-        &mut self,
-        ctx: &mut Ctx,
-        id: u64,
-        cmd: &BridgeCmd,
-    ) -> Result<BridgeData, BridgeError> {
-        let server = self.server;
-        let bytes = request_wire_size(cmd);
-        let t0 = ctx.now();
-        let mut attempt = 1u32;
-        loop {
-            let reply = ctx.recv_where_timeout(
-                |e| {
-                    e.from() == server
-                        && e.downcast_ref::<BridgeReply>().is_some_and(|r| r.id == id)
-                },
-                self.retry.wait_for(attempt - 1),
-            );
-            match reply {
-                Some(env) => {
-                    // The network may duplicate replies and earlier
-                    // attempts may still produce replays: purge any copy
-                    // the selective receive already stashed so they cannot
-                    // pile up.
-                    ctx.discard_stashed(|e| {
-                        e.from() == server
-                            && e.downcast_ref::<BridgeReply>().is_some_and(|r| r.id == id)
-                    });
-                    if attempt > 1 && ctx.trace_enabled() {
-                        let latency = ctx.now().duration_since(t0);
-                        ctx.trace_instant(
-                            "retry",
-                            "retry.recovered",
-                            &[
-                                ("id", id),
-                                ("attempts", u64::from(attempt)),
-                                ("latency_nanos", latency.as_nanos()),
-                            ],
-                        );
-                    }
-                    let result = env.downcast::<BridgeReply>().expect("matched type").result;
-                    self.trace_reply(ctx, id, result.is_ok());
-                    return result;
-                }
-                None if attempt >= self.retry.budget => {
-                    if ctx.trace_enabled() {
-                        ctx.trace_instant(
-                            "retry",
-                            "retry.exhausted",
-                            &[("id", id), ("attempts", u64::from(attempt))],
-                        );
-                    }
-                    // No reply ever arrived: drop the span bookkeeping so
-                    // a later id reuse cannot pair with this send.
-                    self.sent.retain(|(s, _, _)| *s != id);
-                    return Err(BridgeError::TimedOut { attempts: attempt });
-                }
-                None => {
-                    if ctx.trace_enabled() {
-                        ctx.trace_instant(
-                            "retry",
-                            "retry.resend",
-                            &[("id", id), ("attempt", u64::from(attempt))],
-                        );
-                    }
-                    ctx.send_sized_cloneable(
-                        server,
-                        BridgeRequest {
-                            id,
-                            cmd: cmd.clone(),
-                        },
-                        bytes,
-                    );
-                    attempt += 1;
-                }
-            }
-        }
+        self.rpc.call(ctx, self.server, cmd)
     }
 
     /// Creates a file.

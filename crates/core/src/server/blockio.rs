@@ -1,0 +1,270 @@
+//! Block I/O: the one pipelined read primitive and the one pipelined
+//! write primitive every data path of the server goes through. Both take
+//! a list of machine pointers into one constituent LFS file (a single
+//! block is a list of one) and group it into per-LFS runs of at most
+//! `depth` consecutive locals. At depth 1 — `BatchPolicy::Off`, and every
+//! inherently single-block access — a run is one `Read`/`Write`; at depth
+//! `d > 1` it is one `ReadRun`/`WriteRun`.
+
+use super::Server;
+use crate::error::BridgeError;
+use crate::header::{decode_payload, BridgeHeader, GlobalPtr};
+use crate::ids::{BridgeFileId, LfsIndex};
+use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp};
+use bytes::Bytes;
+use parsim::Ctx;
+use simdisk::BlockAddr;
+use std::collections::HashMap;
+
+/// What an access addresses: a constituent LFS file of a Bridge file,
+/// and whether it rides (and refreshes) that file's disk-address hints.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Target {
+    pub file: BridgeFileId,
+    pub lfs_file: LfsFileId,
+    hinted: bool,
+}
+
+impl Target {
+    /// A file's own data blocks as the naive and job views reach them.
+    pub fn hinted(file: BridgeFileId, lfs_file: LfsFileId) -> Self {
+        Target {
+            file,
+            lfs_file,
+            hinted: true,
+        }
+    }
+
+    /// Companions, stripe peers and repair traffic: no hint either way.
+    pub fn raw(file: BridgeFileId, lfs_file: LfsFileId) -> Self {
+        Target {
+            file,
+            lfs_file,
+            hinted: false,
+        }
+    }
+}
+
+/// A planned run: blocks on one LFS with consecutive local numbers.
+struct RunPlan {
+    lfs: LfsIndex,
+    first: u32,
+    /// Indexes into the planned list, in visit order: the first member,
+    /// then the rest (so a run of one allocates nothing).
+    head: usize,
+    tail: Vec<usize>,
+    /// The run's request id once it is on the wire.
+    id: u64,
+}
+
+impl RunPlan {
+    fn len(&self) -> usize {
+        1 + self.tail.len()
+    }
+
+    fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.head).chain(self.tail.iter().copied())
+    }
+}
+
+/// Groups located blocks into per-LFS runs of consecutive locals, at most
+/// `depth` long, preserving each LFS's visit order. Strict placements
+/// hand consecutive locals to each node, so a window of consecutive
+/// globals collapses to one run per LFS; at depth 1 every block is its
+/// own run, in list order.
+fn plan_runs(ptrs: impl Iterator<Item = GlobalPtr>, depth: u32) -> Vec<RunPlan> {
+    let mut runs: Vec<RunPlan> = Vec::new();
+    let mut open: HashMap<LfsIndex, usize> = HashMap::new();
+    for (i, ptr) in ptrs.enumerate() {
+        let extend = open.get(&ptr.lfs).copied().filter(|&r| {
+            runs[r].first + runs[r].len() as u32 == ptr.local && (runs[r].len() as u32) < depth
+        });
+        match extend {
+            Some(r) => runs[r].tail.push(i),
+            None => {
+                if depth > 1 {
+                    open.insert(ptr.lfs, runs.len());
+                }
+                runs.push(RunPlan {
+                    lfs: ptr.lfs,
+                    first: ptr.local,
+                    head: i,
+                    tail: Vec::new(),
+                    id: 0,
+                });
+            }
+        }
+    }
+    runs
+}
+
+type LfsResult = Result<LfsData, EfsError>;
+/// One block's raw payload, or the error that failed its run.
+pub(super) type BlockResult = Result<Bytes, EfsError>;
+
+/// The one Bridge-header check: `payload` must be block `block` of `file`.
+pub(super) fn check_header(
+    file: BridgeFileId,
+    block: u64,
+    payload: &Bytes,
+) -> Result<(BridgeHeader, Bytes), BridgeError> {
+    let (header, body) = decode_payload(payload)?;
+    if header.file != file || header.global_block != block {
+        return Err(BridgeError::Corrupt(format!(
+            "expected {file} block {block}, found {} block {}",
+            header.file, header.global_block
+        )));
+    }
+    Ok((header, body))
+}
+
+impl Server {
+    /// The pipeline under both primitives: plan `ptrs` into runs, then —
+    /// wave by wave — send every run's `op` and hand each reply to `reply`
+    /// in send order. At depth 1 a wave is the prototype's lock step ("the
+    /// server will perform groups of p disk accesses in parallel"); batched
+    /// runs all go out at once.
+    fn pipeline(
+        &mut self,
+        ctx: &mut Ctx,
+        to: Target,
+        ptrs: impl Iterator<Item = GlobalPtr>,
+        depth: u32,
+        op: impl Fn(&RunPlan, Option<BlockAddr>) -> LfsOp,
+        mut reply: impl FnMut(&mut Server, &mut Ctx, &RunPlan, LfsResult) -> Result<(), BridgeError>,
+    ) -> Result<(), BridgeError> {
+        let mut runs = plan_runs(ptrs, depth);
+        let width = match depth {
+            1 => self.files[&to.file].placement.breadth() as usize,
+            _ => runs.len().max(1),
+        };
+        for wave in runs.chunks_mut(width) {
+            for run in wave.iter_mut() {
+                let hints = &self.files[&to.file].hints;
+                let hint = to.hinted.then(|| hints[run.lfs.index()]).flatten();
+                run.id = self.client.send(ctx, self.lfs_proc(run.lfs), op(run, hint));
+            }
+            for run in wave.iter() {
+                let result = self.client.wait(ctx, self.lfs_proc(run.lfs), run.id);
+                reply(self, ctx, run, result)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The one hint update: where `lfs` last touched the file.
+    fn note_hint(&mut self, to: Target, lfs: LfsIndex, addr: BlockAddr) {
+        if to.hinted {
+            self.file_mut(to.file).hints[lfs.index()] = Some(addr);
+        }
+    }
+
+    /// Reads the blocks of `from` at `ptrs` (machine pointers) and hands
+    /// each [`BlockResult`] to `sink` as its reply is processed, tagged
+    /// with its index in `ptrs`. The sink may itself do I/O (degraded
+    /// recovery, job delivery); only a protocol violation or the sink's
+    /// own error aborts the read.
+    pub(super) fn read_blocks(
+        &mut self,
+        ctx: &mut Ctx,
+        from: Target,
+        ptrs: &[GlobalPtr],
+        depth: u32,
+        mut sink: impl FnMut(&mut Server, &mut Ctx, usize, BlockResult) -> Result<(), BridgeError>,
+    ) -> Result<(), BridgeError> {
+        let file = from.lfs_file;
+        let op = |run: &RunPlan, hint| match depth {
+            1 => LfsOp::Read {
+                file,
+                block: run.first,
+                hint,
+            },
+            _ => LfsOp::ReadRun {
+                file,
+                first: run.first,
+                count: run.len() as u32,
+                hint,
+            },
+        };
+        let ptrs = ptrs.iter().copied();
+        self.pipeline(ctx, from, ptrs, depth, op, |server, ctx, run, result| {
+            let blocks = match result {
+                Err(e) => {
+                    return run
+                        .members()
+                        .try_for_each(|i| sink(server, ctx, i, Err(e.clone())));
+                }
+                Ok(data) if depth == 1 => {
+                    let (payload, addr) = data.into_block()?;
+                    server.note_hint(from, run.lfs, addr);
+                    return sink(server, ctx, run.head, Ok(payload));
+                }
+                Ok(data) => data.into_run()?,
+            };
+            if blocks.len() != run.len() {
+                return Err(BridgeError::Corrupt(format!(
+                    "run of {} blocks answered with {}",
+                    run.len(),
+                    blocks.len()
+                )));
+            }
+            for (i, (payload, addr)) in run.members().zip(blocks) {
+                server.note_hint(from, run.lfs, addr);
+                sink(server, ctx, i, Ok(payload))?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Reads one block of `from`, returning its raw payload.
+    pub(super) fn read_one(
+        &mut self,
+        ctx: &mut Ctx,
+        from: Target,
+        ptr: GlobalPtr,
+    ) -> Result<Bytes, BridgeError> {
+        let mut out = None;
+        self.read_blocks(ctx, from, &[ptr], 1, |_, _, _, payload| {
+            out = Some(payload);
+            Ok(())
+        })?;
+        Ok(out.expect("one block, one reply")?)
+    }
+
+    /// Writes `blocks` (machine pointer and encoded payload each) to
+    /// `to`. The first failed run aborts the write.
+    pub(super) fn write_blocks(
+        &mut self,
+        ctx: &mut Ctx,
+        to: Target,
+        blocks: &[(GlobalPtr, Bytes)],
+        depth: u32,
+    ) -> Result<(), BridgeError> {
+        let file = to.lfs_file;
+        let op = |run: &RunPlan, hint| match depth {
+            1 => LfsOp::Write {
+                file,
+                block: run.first,
+                data: blocks[run.head].1.clone(),
+                hint,
+            },
+            _ => LfsOp::WriteRun {
+                file,
+                first: run.first,
+                data: run.members().map(|i| blocks[i].1.clone()).collect(),
+                hint,
+            },
+        };
+        let ptrs = blocks.iter().map(|b| b.0);
+        self.pipeline(ctx, to, ptrs, depth, op, |server, _, run, result| {
+            let landed = match depth {
+                1 => Some(result?.into_written()?),
+                _ => result?.into_written_run()?.last().copied(),
+            };
+            if let Some(addr) = landed {
+                server.note_hint(to, run.lfs, addr);
+            }
+            Ok(())
+        })
+    }
+}

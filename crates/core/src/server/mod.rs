@@ -1,0 +1,392 @@
+//! The Bridge Server process.
+//!
+//! "The Bridge Server is the interface between the Bridge file system and
+//! user programs. Its function is to glue the local file systems together
+//! into a single logical structure. In our implementation the Bridge
+//! Server is a single centralized process" — as here. It owns the Bridge
+//! directory (file id → constituent LFS files, placement, size), enforces
+//! the monitor discipline around Create/Delete/Open, forwards naive
+//! requests to the right LFS with disk-address hints, and runs
+//! parallel-open jobs in lock-step waves of `p`.
+//!
+//! One module per stage a request passes through — `directory`,
+//! `blockio`, `redundancy`, `txn`, `cursor`, `rebuild`, plus `agent` — and
+//! one path per job: DESIGN.md §3 has the module map and the mode table.
+
+mod agent;
+mod blockio;
+mod cursor;
+mod directory;
+mod rebuild;
+mod redundancy;
+mod txn;
+
+pub use agent::spawn_bridge_agent;
+
+use crate::error::BridgeError;
+use crate::ids::{BridgeFileId, JobId, LfsIndex};
+use crate::placement::PlacementKind;
+use crate::protocol::{
+    reply_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest, MachineInfo,
+    MachineManifest, ManifestEntry,
+};
+use crate::redundancy::Redundancy;
+use crate::txlog::TxLog;
+use bridge_efs::{Admission, DedupWindow, EfsError, LfsClient, LfsData, LfsOp, RetryPolicy};
+use bridge_trace::{HealthSnapshot, TelemetryRegistry};
+use cursor::{Cursor, Job, PendingAppends};
+use directory::FileMeta;
+use parsim::{Ctx, NodeId, ProcId, SimDuration, Simulation};
+use simdisk::SchedPolicy;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// Tuning knobs for the Bridge Server.
+///
+/// The two `create_*` costs model the serial initiation and completion
+/// handling the paper blames for Create's `145 + 17.5p` ms profile:
+/// "initiation and termination are sequential, leading to an almost linear
+/// increase in overhead for additional processors".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BridgeServerConfig {
+    /// CPU time charged to accept and decode any request.
+    pub cpu_per_request: SimDuration,
+    /// Serial CPU time to initiate one LFS operation during Create.
+    pub create_init_cpu: SimDuration,
+    /// Serial CPU time to process one LFS completion during Create.
+    pub create_ack_cpu: SimDuration,
+    /// Rotate the start node of successive round-robin files so block 0
+    /// does not always hit LFS 0.
+    pub rotate_start: bool,
+    /// How Create reaches the LFS instances: the prototype's sequential
+    /// initiation (Table 2's `145 + 17.5p`), or the paper's suggested
+    /// "embedded binary tree" of per-node agents.
+    pub create_fanout: CreateFanout,
+    /// Scatter-gather batching of the server's LFS traffic.
+    pub batch: BatchPolicy,
+    /// Timeout/retry policy for the server's (and agents') internal LFS
+    /// clients. [`RetryPolicy::none`] — the default — waits indefinitely,
+    /// the pre-retry behaviour; under a fault plan that drops server↔LFS
+    /// traffic, install [`RetryPolicy::standard`].
+    pub lfs_retry: RetryPolicy,
+    /// Redundancy applied to files whose [`CreateSpec`](crate::CreateSpec) asks for
+    /// [`Redundancy::None`] (the spec default) — the machine-wide mode
+    /// installed by [`BridgeConfig::with_redundancy`](crate::BridgeConfig::with_redundancy).
+    pub default_redundancy: Redundancy,
+}
+
+/// Scatter-gather batching policy for server ↔ LFS traffic.
+///
+/// `Off` (the default) reproduces the prototype exactly: one LFS message
+/// per block. `Runs(d)` lets sequential reads/appends, parallel-open
+/// rounds and rebuilds pool up to `d` consecutive blocks per LFS into a
+/// single `ReadRun`/`WriteRun` message, cutting both message counts and
+/// per-request CPU charges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BatchPolicy {
+    /// One LFS message per block (the prototype's behaviour).
+    #[default]
+    Off,
+    /// Pool up to this many consecutive blocks per LFS message.
+    Runs(u32),
+}
+
+impl BatchPolicy {
+    /// Maximum blocks per LFS message under this policy.
+    pub fn depth(self) -> u32 {
+        match self {
+            BatchPolicy::Off => 1,
+            BatchPolicy::Runs(d) => d.max(1),
+        }
+    }
+}
+
+/// Create's fan-out topology (see [`BridgeServerConfig::create_fanout`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CreateFanout {
+    /// The server initiates each LFS create itself, serially.
+    #[default]
+    Serial,
+    /// Per-node agents relay the create down a binary tree.
+    Tree,
+}
+
+impl Default for BridgeServerConfig {
+    fn default() -> Self {
+        BridgeServerConfig {
+            cpu_per_request: SimDuration::from_millis(1),
+            create_init_cpu: SimDuration::from_millis(9),
+            create_ack_cpu: SimDuration::from_millis(8),
+            rotate_start: true,
+            create_fanout: CreateFanout::Serial,
+            batch: BatchPolicy::Off,
+            lfs_retry: RetryPolicy::none(),
+            default_redundancy: Redundancy::None,
+        }
+    }
+}
+
+struct Server {
+    lfs: Vec<(ProcId, NodeId)>,
+    /// Per-node fan-out agents (parallel to `lfs`); empty when the machine
+    /// was built without them.
+    agents: Vec<ProcId>,
+    my_node: NodeId,
+    config: BridgeServerConfig,
+    /// The request-scheduling policy the machine's LFS instances run
+    /// (reported via `GetInfo`).
+    sched: SchedPolicy,
+    files: HashMap<BridgeFileId, FileMeta>,
+    cursors: HashMap<(ProcId, BridgeFileId), Cursor>,
+    jobs: HashMap<JobId, Job>,
+    next_file: u32,
+    next_job: u64,
+    next_start: u32,
+    next_fanout: u64,
+    pending: Option<PendingAppends>,
+    client: LfsClient,
+    /// The presumed-abort decision log; `Some` switches every
+    /// multi-instance mutation (Create, Delete/DeleteMany) onto the
+    /// two-phase commit path.
+    txlog: Option<TxLog>,
+    /// Next transaction id. Monotonic across the server's life — a
+    /// modeling shortcut: the real coordinator would recover the high
+    /// txn from its log, and [`TxLog::reseat`] shows where it would.
+    next_txn: u64,
+    /// The machine's live-telemetry registry (`None` = unarmed). Counter
+    /// updates are host-side only and never touch virtual time.
+    telemetry: Option<Arc<TelemetryRegistry>>,
+}
+
+/// Spawns the Bridge Server on `node`, gluing together the given LFS
+/// server processes. `agents` are the per-node fan-out agents (one per
+/// LFS, or empty to force serial creates). `txlog` is the coordinator's
+/// presumed-abort decision log; passing `Some` routes every
+/// multi-instance mutation through two-phase commit over the per-LFS
+/// WALs (which every instance must then run). Returns the server's
+/// process id.
+#[allow(clippy::too_many_arguments)]
+pub fn spawn_bridge_server(
+    sim: &mut Simulation,
+    node: NodeId,
+    name: impl Into<String>,
+    lfs: Vec<(ProcId, NodeId)>,
+    agents: Vec<ProcId>,
+    config: BridgeServerConfig,
+    sched: SchedPolicy,
+    txlog: Option<TxLog>,
+    telemetry: Option<Arc<TelemetryRegistry>>,
+) -> ProcId {
+    assert!(!lfs.is_empty(), "a Bridge machine needs at least one LFS");
+    assert!(
+        agents.is_empty() || agents.len() == lfs.len(),
+        "agents must be one per LFS (or absent)"
+    );
+    sim.spawn(node, name, move |ctx| {
+        let mut server = Server {
+            lfs,
+            agents,
+            my_node: ctx.node(),
+            config,
+            sched,
+            files: HashMap::new(),
+            cursors: HashMap::new(),
+            jobs: HashMap::new(),
+            next_file: 1,
+            next_job: 1,
+            next_start: 0,
+            next_fanout: 1,
+            pending: None,
+            client: LfsClient::with_retry(config.lfs_retry),
+            txlog,
+            next_txn: 1,
+            telemetry,
+        };
+        // Duplicate suppression for retransmitted requests: the server is
+        // single-threaded (one dispatch at a time), so a retransmit either
+        // finds its original's cached reply here or — having been stashed
+        // during the original's dispatch — finds it on the next loop turn.
+        let mut dedup: DedupWindow<BridgeReply> = DedupWindow::standard();
+        loop {
+            let env = ctx.recv_where(|e| e.is::<BridgeRequest>());
+            let from = env.from();
+            let req = env.downcast::<BridgeRequest>().expect("matched type");
+            ctx.delay(server.config.cpu_per_request);
+            let reply = match dedup.admit(from, req.id) {
+                Admission::New => {
+                    let cmd_name = req.cmd.name();
+                    let t0 = ctx.now();
+                    let result = server.dispatch(ctx, from, req.cmd);
+                    if ctx.trace_enabled() {
+                        ctx.trace_span(
+                            "bridge",
+                            cmd_name,
+                            t0,
+                            &[
+                                ("ok", u64::from(result.is_ok())),
+                                ("id", req.id),
+                                ("client", from.index() as u64),
+                            ],
+                        );
+                    }
+                    let reply = BridgeReply { id: req.id, result };
+                    dedup.complete(from, req.id, ctx.now(), reply.clone());
+                    if let Some(reg) = &server.telemetry {
+                        reg.server().note_request(dedup.len() as u64);
+                    }
+                    reply
+                }
+                // Single-threaded service means an admitted id is always
+                // completed before the next request is received.
+                Admission::InFlight => unreachable!("request completed before the next receive"),
+                Admission::Replay(reply) => {
+                    // Already executed: resend the recorded outcome rather
+                    // than re-running a possibly non-idempotent command.
+                    if let Some(reg) = &server.telemetry {
+                        reg.server().note_replay();
+                    }
+                    if ctx.trace_enabled() {
+                        ctx.trace_instant("retry", "retry.replay", &[("id", req.id)]);
+                    }
+                    reply
+                }
+            };
+            let bytes = reply_wire_size(&reply);
+            ctx.send_sized_cloneable(from, reply, bytes);
+        }
+    })
+}
+
+impl Server {
+    fn breadth(&self) -> u32 {
+        self.lfs.len() as u32
+    }
+
+    fn lfs_proc(&self, machine_index: LfsIndex) -> ProcId {
+        self.lfs[machine_index.index()].0
+    }
+
+    /// Maximum blocks per LFS message under the machine's batch policy.
+    fn depth(&self) -> u32 {
+        self.config.batch.depth()
+    }
+
+    fn meta(&mut self, file: BridgeFileId) -> Result<&mut FileMeta, BridgeError> {
+        self.files
+            .get_mut(&file)
+            .ok_or(BridgeError::UnknownFile(file))
+    }
+
+    /// The directory record of a file the caller has already validated.
+    fn file_mut(&mut self, file: BridgeFileId) -> &mut FileMeta {
+        self.files.get_mut(&file).expect("exists")
+    }
+
+    fn dispatch(
+        &mut self,
+        ctx: &mut Ctx,
+        from: ProcId,
+        cmd: BridgeCmd,
+    ) -> Result<BridgeData, BridgeError> {
+        // Buffered appends survive only an unbroken train of SeqWrites to
+        // the same file; anything else sees fully flushed state.
+        let buffering = matches!(
+            (&cmd, &self.pending),
+            (BridgeCmd::SeqWrite { file, .. }, Some(p)) if *file == p.file
+        );
+        if !buffering {
+            self.flush_appends(ctx)?;
+        }
+        match cmd {
+            BridgeCmd::Create(spec) => self.create(ctx, spec),
+            BridgeCmd::Delete { file } => self.delete(ctx, vec![file]),
+            BridgeCmd::DeleteMany { files } => self.delete(ctx, files),
+            BridgeCmd::Open { file } => self.open(ctx, from, file),
+            BridgeCmd::SeqRead { file } => self.seq_read(ctx, from, file),
+            BridgeCmd::SeqWrite { file, data } => self.seq_write(ctx, file, data),
+            BridgeCmd::RandRead { file, block } => self.rand_read(ctx, file, block),
+            BridgeCmd::RandWrite { file, block, data } => self.rand_write(ctx, file, block, &data),
+            BridgeCmd::ParallelOpen { file, workers } => self.parallel_open(from, file, workers),
+            BridgeCmd::JobRead { job } => self.job_read(ctx, from, job),
+            BridgeCmd::JobWrite { job } => self.job_write(ctx, from, job),
+            BridgeCmd::JobClose { job } => self.job_close(from, job),
+            BridgeCmd::Rebuild { file } => self.rebuild_range(ctx, file, 0, u64::MAX),
+            BridgeCmd::RebuildRange { file, first, count } => {
+                self.rebuild_range(ctx, file, first, count)
+            }
+            BridgeCmd::GetInfo => Ok(BridgeData::Info(MachineInfo {
+                breadth: self.breadth(),
+                lfs: self.lfs.clone(),
+                server_node: self.my_node,
+                sched: self.sched,
+            })),
+            BridgeCmd::GetHealth => Ok(BridgeData::Health(Box::new(self.health_snapshot(ctx)))),
+            BridgeCmd::GetManifest => Ok(BridgeData::Manifest(self.manifest())),
+        }
+    }
+
+    /// Assembles the in-band health snapshot. Refreshes the gauges only
+    /// the server can compute (lost-column count from the per-LFS
+    /// media-lost mirrors, its LFS client's retransmit total) before
+    /// delegating to the registry. Unarmed machines answer an empty
+    /// snapshot rather than an error, so polling tools need no mode flag.
+    fn health_snapshot(&self, ctx: &Ctx) -> HealthSnapshot {
+        let Some(reg) = &self.telemetry else {
+            return HealthSnapshot::empty(ctx.now());
+        };
+        let lost = (0..reg.breadth())
+            .filter(|&i| reg.lfs(i).snapshot().media_lost)
+            .count() as u64;
+        reg.server().set_columns_lost(lost);
+        reg.server().set_lfs_resends(self.client.resends());
+        reg.snapshot(ctx.now(), None)
+    }
+
+    /// The directory as [`ManifestEntry`] claims plus the decision log's
+    /// history, for `pfsck`'s machine-wide pass.
+    fn manifest(&self) -> MachineManifest {
+        let mut files: Vec<ManifestEntry> = self
+            .files
+            .iter()
+            .map(|(&file, meta)| ManifestEntry {
+                file,
+                lfs_file: meta.lfs_file,
+                companion: meta.companion(),
+                redundancy: meta.redundancy,
+                size: meta.size,
+                start: match meta.placement.kind() {
+                    PlacementKind::RoundRobin { start } => start,
+                    _ => 0,
+                },
+                nodes: meta.nodes.clone(),
+            })
+            .collect();
+        files.sort_by_key(|e| e.file);
+        MachineManifest {
+            breadth: self.breadth(),
+            files,
+            decisions: self
+                .txlog
+                .as_ref()
+                .map(|log| log.decisions())
+                .unwrap_or_default(),
+        }
+    }
+
+    /// Pipelines one LFS op per (proc, op) pair and collects results in
+    /// order: the server "starts all the LFS operations before waiting for
+    /// them".
+    fn call_many(
+        &mut self,
+        ctx: &mut Ctx,
+        calls: Vec<(ProcId, LfsOp)>,
+    ) -> Vec<Result<LfsData, EfsError>> {
+        let ids: Vec<(ProcId, u64)> = calls
+            .into_iter()
+            .map(|(proc, op)| (proc, self.client.send(ctx, proc, op)))
+            .collect();
+        ids.into_iter()
+            .map(|(proc, id)| self.client.wait(ctx, proc, id))
+            .collect()
+    }
+}

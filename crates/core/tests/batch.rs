@@ -8,6 +8,7 @@ use bridge_core::{
     BatchPolicy, BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, JobWorker,
     Redundancy,
 };
+use bridge_trace::TraceCollector;
 use parsim::{Ctx, ProcId};
 use proptest::prelude::*;
 use std::sync::mpsc;
@@ -272,7 +273,10 @@ fn batched_job_writes_land_identically() {
 fn batched_reads_recover_from_a_failed_node() {
     for redundancy in [Redundancy::Mirror, Redundancy::parity()] {
         for batch in [BatchPolicy::Off, BatchPolicy::Runs(8)] {
-            let (mut sim, machine) = BridgeMachine::build(&config(4, batch));
+            let collector = TraceCollector::install();
+            let mut config = config(4, batch);
+            config.tracer = Some(collector.as_tracer());
+            let (mut sim, machine) = BridgeMachine::build(&config);
             let server = machine.server;
             let victim = machine.lfs[1];
             sim.block_on(machine.frontend, "app", move |ctx| {
@@ -292,6 +296,23 @@ fn batched_reads_recover_from_a_failed_node() {
                     );
                 }
             });
+            // The dead node is asked for its primaries once per run — five
+            // single-block runs unbatched, one run per read-ahead window
+            // of 8 batched — and never again block by block (a lost
+            // block's mirror copy, stripe peers and parity all live on
+            // other nodes).
+            let knocks = collector
+                .snapshot()
+                .spans_in("client")
+                .filter(|s| s.pid == server.index() && s.name.starts_with("client.lfs.read"))
+                .filter(|s| s.arg("server") == Some(victim.index() as u64))
+                .filter(|s| s.arg("ok") == Some(0))
+                .count();
+            let expected = match batch {
+                BatchPolicy::Off => 5,
+                BatchPolicy::Runs(_) => 3,
+            };
+            assert_eq!(knocks, expected, "{redundancy:?} {batch:?}");
         }
     }
 }

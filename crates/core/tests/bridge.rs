@@ -5,7 +5,7 @@ use bridge_core::{
     BridgeClient, BridgeConfig, BridgeError, BridgeMachine, CreateSpec, JobWorker, PlacementKind,
     PlacementSpec, BRIDGE_DATA,
 };
-use bridge_efs::{LfsClient, LfsData, LfsOp};
+use bridge_efs::{EfsError, LfsClient, LfsData, LfsOp};
 use parsim::SimDuration;
 
 fn record(tag: u32, block: u64) -> Vec<u8> {
@@ -173,6 +173,30 @@ fn errors_surface_to_clients() {
             bridge.parallel_open(ctx, file, vec![]),
             Err(BridgeError::EmptyWorkerList)
         ));
+    });
+}
+
+/// Opening an unprotected file around a dead node must say the node is
+/// dead — the caller can wait and retry that — not that the file is
+/// corrupt.
+#[test]
+fn open_reports_the_lfs_error_not_corruption() {
+    let (mut sim, machine) = BridgeMachine::build(&BridgeConfig::instant(3));
+    let server = machine.server;
+    let victim = machine.lfs[1];
+    sim.block_on(machine.frontend, "app", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let file = bridge.create(ctx, CreateSpec::default()).unwrap();
+        for b in 0..6u64 {
+            bridge.seq_write(ctx, file, record(8, b)).unwrap();
+        }
+        bridge_efs::set_failed(ctx, victim, true);
+        assert_eq!(
+            bridge.open(ctx, file).unwrap_err(),
+            BridgeError::Lfs(EfsError::NodeFailed)
+        );
+        bridge_efs::set_failed(ctx, victim, false);
+        assert_eq!(bridge.open(ctx, file).unwrap().size, 6);
     });
 }
 

@@ -58,6 +58,16 @@ pub enum EfsError {
     },
 }
 
+impl EfsError {
+    /// Is this "the column is gone" — its node failed, its disk was
+    /// lost, or a freshly formatted spare doesn't hold the file yet?
+    /// Redundant paths degrade through these; everything else is a real
+    /// error.
+    pub fn column_lost(&self) -> bool {
+        matches!(self, EfsError::NodeFailed | EfsError::UnknownFile(_))
+    }
+}
+
 impl fmt::Display for EfsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -56,11 +56,13 @@ pub use layout::{
     decode_block, decode_header, encode_block, encode_free_block, is_free_block, EfsHeader,
     LfsFileId, BLOCK_MAGIC, BLOCK_SIZE, EFS_HEADER_SIZE, EFS_PAYLOAD, FREE_MAGIC,
 };
-pub use retry::{Admission, DedupWindow, RetryPolicy, DEDUP_RETENTION, DEDUP_WINDOW};
+pub use retry::{
+    Admission, DedupWindow, RetryPolicy, RpcClient, RpcProtocol, DEDUP_RETENTION, DEDUP_WINDOW,
+};
 pub use server::{
     install_spare, reply_wire_size, request_wire_size, serve, set_failed, spawn_lfs,
     spawn_lfs_sched, LfsClient, LfsData, LfsFailAck, LfsFailControl, LfsOp, LfsReply, LfsRequest,
-    LfsSpareAck, LfsSpareControl,
+    LfsRpc, LfsSpareAck, LfsSpareControl,
 };
 pub use wal::{
     PrepareIntent, RecoveredOp, RecoveredReply, WalConfig, WAL_BLOCK_PAYLOAD, WAL_HEADER_SIZE,

@@ -7,7 +7,9 @@
 //! * **Client:** every call carries a per-process unique id; if no reply
 //!   arrives within a timeout the client resends the *same id* with
 //!   capped exponential backoff, up to a retry budget
-//!   ([`RetryPolicy`]).
+//!   ([`RetryPolicy`]). One engine, [`RpcClient`], runs this for every
+//!   protocol in the machine ([`RpcProtocol`]); the LFS and Bridge
+//!   clients are typed faces on it.
 //! * **Server:** a [`DedupWindow`] remembers, per client, which ids are
 //!   in flight and a ring of recently completed replies. A retransmit of
 //!   an in-flight request is dropped (the original's reply will serve);
@@ -18,8 +20,9 @@
 //! Everything runs on virtual time, so timeouts and backoff are exactly
 //! reproducible.
 
-use parsim::{ProcId, SimDuration, SimTime};
+use parsim::{Ctx, ProcId, SimDuration, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt;
 
 /// Client-side timeout/retry policy for request/reply calls.
 ///
@@ -75,6 +78,242 @@ impl RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy::none()
+    }
+}
+
+/// A request/reply protocol [`RpcClient`] can drive: how a command
+/// becomes a wire request, and how a wire reply is matched and opened.
+pub trait RpcProtocol {
+    /// What the caller asks for (cloned only to be resent).
+    type Cmd: Clone + fmt::Debug;
+    /// The wire request carrying an id and a command.
+    type Request: Clone + Send + 'static;
+    /// The wire reply echoing the id.
+    type Reply: 'static;
+    /// A successful reply's payload.
+    type Data;
+    /// The protocol's error type.
+    type Error;
+
+    /// Stable span name of `cmd`; the engine traces `client.<name>`.
+    fn name(cmd: &Self::Cmd) -> &'static str;
+    /// Wire size charged for a request carrying `cmd`.
+    fn wire_size(cmd: &Self::Cmd) -> usize;
+    /// Wraps `cmd` under request id `id`.
+    fn request(id: u64, cmd: Self::Cmd) -> Self::Request;
+    /// The request id `reply` answers.
+    fn reply_id(reply: &Self::Reply) -> u64;
+    /// Opens a reply.
+    fn result(reply: Self::Reply) -> Result<Self::Data, Self::Error>;
+    /// The error for a retry budget spent after `attempts` sends.
+    fn timed_out(attempts: u32) -> Self::Error;
+}
+
+/// Matches the reply from `server` that answers request `id`.
+fn answers<P: RpcProtocol>(server: ProcId, id: u64) -> impl Fn(&parsim::Envelope) -> bool + Copy {
+    move |e| {
+        e.from() == server
+            && e.downcast_ref::<P::Reply>()
+                .is_some_and(|r| P::reply_id(r) == id)
+    }
+}
+
+/// The at-least-once client engine: send under a fresh id, trace a
+/// `client.rpc` span, wait for the matching reply, resend the same id
+/// with backoff on timeout, forget. Request ids come from the owning
+/// process's [`Ctx::unique_id`] stream, so they never collide across
+/// client instances in one process — which is what the server-side
+/// [`DedupWindow`] keys on.
+#[derive(Debug)]
+pub struct RpcClient<P: RpcProtocol> {
+    retry: RetryPolicy,
+    /// Commands sent but not yet waited on, kept only when retries are
+    /// enabled so `wait` can resend them. Host-side bookkeeping: recording
+    /// a command has no effect on virtual time.
+    pending: Vec<(u64, P::Cmd)>,
+    /// Send time, server, and command name per in-flight request, kept
+    /// only while tracing so the reply can close a `client.rpc` span.
+    /// Host-side bookkeeping: has no effect on virtual time.
+    sent: Vec<(u64, SimTime, ProcId, &'static str)>,
+    /// Timed-out requests retransmitted so far (telemetry's retry-storm
+    /// gauge). Host-side bookkeeping: has no effect on virtual time.
+    resends: u64,
+}
+
+impl<P: RpcProtocol> Default for RpcClient<P> {
+    fn default() -> Self {
+        Self::with_retry(RetryPolicy::none())
+    }
+}
+
+impl<P: RpcProtocol> RpcClient<P> {
+    /// Creates a client that waits indefinitely for replies (no retries).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Creates a client whose calls time out and resend per `retry`.
+    pub fn with_retry(retry: RetryPolicy) -> Self {
+        RpcClient {
+            retry,
+            pending: Vec::new(),
+            sent: Vec::new(),
+            resends: 0,
+        }
+    }
+
+    /// The client's retry policy.
+    pub fn retry(&self) -> RetryPolicy {
+        self.retry
+    }
+
+    /// Timed-out requests this client has retransmitted so far.
+    pub fn resends(&self) -> u64 {
+        self.resends
+    }
+
+    /// Sends `cmd` to `server` and returns the request id.
+    pub fn send(&mut self, ctx: &mut Ctx, server: ProcId, cmd: P::Cmd) -> u64 {
+        let id = ctx.unique_id();
+        let bytes = P::wire_size(&cmd);
+        if self.retry.is_enabled() {
+            self.pending.push((id, cmd.clone()));
+        }
+        if ctx.trace_enabled() {
+            self.sent.push((id, ctx.now(), server, P::name(&cmd)));
+        }
+        ctx.send_sized_cloneable(server, P::request(id, cmd), bytes);
+        id
+    }
+
+    /// Round trip: [`send`](Self::send) then [`wait`](Self::wait).
+    ///
+    /// # Errors
+    ///
+    /// As [`wait`](Self::wait).
+    pub fn call(
+        &mut self,
+        ctx: &mut Ctx,
+        server: ProcId,
+        cmd: P::Cmd,
+    ) -> Result<P::Data, P::Error> {
+        let id = self.send(ctx, server, cmd);
+        self.wait(ctx, server, id)
+    }
+
+    /// Abandons an in-flight request: drops the retry and tracing
+    /// bookkeeping for `id` without waiting for its reply.
+    pub fn forget(&mut self, id: u64) {
+        self.pending.retain(|(p, _)| *p != id);
+        self.sent.retain(|(s, _, _, _)| *s != id);
+    }
+
+    /// Waits for the reply to `id` from `server`, resending the request on
+    /// timeout when the client has a retry policy.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the server-side error, or returns
+    /// [`RpcProtocol::timed_out`] when the retry budget is spent without
+    /// a reply.
+    pub fn wait(&mut self, ctx: &mut Ctx, server: ProcId, id: u64) -> Result<P::Data, P::Error> {
+        match self.pending.iter().position(|(p, _)| *p == id) {
+            Some(slot) => {
+                let (_, cmd) = self.pending.swap_remove(slot);
+                self.wait_retrying(ctx, server, id, &cmd)
+            }
+            None => {
+                let env = ctx.recv_where(answers::<P>(server, id));
+                self.open(ctx, id, env)
+            }
+        }
+    }
+
+    /// The retry loop behind [`wait`](Self::wait): the first attempt is
+    /// already on the wire; each timeout resends the same id, backing off,
+    /// until the budget is spent.
+    fn wait_retrying(
+        &mut self,
+        ctx: &mut Ctx,
+        server: ProcId,
+        id: u64,
+        cmd: &P::Cmd,
+    ) -> Result<P::Data, P::Error> {
+        let answers = answers::<P>(server, id);
+        let bytes = P::wire_size(cmd);
+        let t0 = ctx.now();
+        let mut attempt = 1u32;
+        loop {
+            match ctx.recv_where_timeout(answers, self.retry.wait_for(attempt - 1)) {
+                Some(env) => {
+                    // The network may duplicate replies and earlier
+                    // attempts may still produce replays: drop any copy
+                    // that already got stashed so they cannot pile up.
+                    ctx.discard_stashed(answers);
+                    if attempt > 1 && ctx.trace_enabled() {
+                        let latency = ctx.now().duration_since(t0);
+                        ctx.trace_instant(
+                            "retry",
+                            "retry.recovered",
+                            &[
+                                ("id", id),
+                                ("attempts", u64::from(attempt)),
+                                ("latency_nanos", latency.as_nanos()),
+                            ],
+                        );
+                    }
+                    return self.open(ctx, id, env);
+                }
+                None if attempt >= self.retry.budget => {
+                    if ctx.trace_enabled() {
+                        ctx.trace_instant(
+                            "retry",
+                            "retry.exhausted",
+                            &[("id", id), ("attempts", u64::from(attempt))],
+                        );
+                    }
+                    // No reply ever arrived: drop the span bookkeeping so
+                    // a later id reuse cannot pair with this send.
+                    self.sent.retain(|(s, _, _, _)| *s != id);
+                    return Err(P::timed_out(attempt));
+                }
+                None => {
+                    self.resends += 1;
+                    if ctx.trace_enabled() {
+                        ctx.trace_instant(
+                            "retry",
+                            "retry.resend",
+                            &[("id", id), ("attempt", u64::from(attempt))],
+                        );
+                    }
+                    ctx.send_sized_cloneable(server, P::request(id, cmd.clone()), bytes);
+                    attempt += 1;
+                }
+            }
+        }
+    }
+
+    /// Opens the reply for `id` and closes the `client.rpc` span its send
+    /// opened (a no-op when the send was not traced).
+    fn open(&mut self, ctx: &mut Ctx, id: u64, env: parsim::Envelope) -> Result<P::Data, P::Error> {
+        let reply = env.downcast::<P::Reply>().expect("matched by type");
+        let result = P::result(reply);
+        if let Some(slot) = self.sent.iter().position(|(s, _, _, _)| *s == id) {
+            let (_, t0, server, name) = self.sent.swap_remove(slot);
+            if ctx.trace_enabled() {
+                ctx.trace_span(
+                    "client",
+                    &format!("client.{name}"),
+                    t0,
+                    &[
+                        ("id", id),
+                        ("server", server.index() as u64),
+                        ("ok", u64::from(result.is_ok())),
+                    ],
+                );
+            }
+        }
+        result
     }
 }
 

@@ -9,7 +9,7 @@
 use crate::error::EfsError;
 use crate::fs::{Efs, FileInfo, FsckReport};
 use crate::layout::{LfsFileId, BLOCK_SIZE};
-use crate::retry::{Admission, DedupWindow, RetryPolicy};
+use crate::retry::{Admission, DedupWindow, RpcClient, RpcProtocol};
 use crate::wal::{PrepareIntent, RecoveredReply};
 use bridge_trace::HealthEvent;
 use bytes::Bytes;
@@ -242,6 +242,51 @@ pub enum LfsData {
     },
     /// GetTelemetry completed: the instance's live telemetry snapshot.
     Telemetry(Box<bridge_trace::LfsTelemetry>),
+}
+
+impl LfsData {
+    /// The payload and disk address of a `Read` reply.
+    ///
+    /// # Errors
+    ///
+    /// [`EfsError::Corrupt`] when the reply is of any other kind — a
+    /// protocol violation, shared by the three accessors below.
+    pub fn into_block(self) -> Result<(Bytes, BlockAddr), EfsError> {
+        match self {
+            LfsData::Block { data, addr } => Ok((data, addr)),
+            other => Err(other.unexpected("Block")),
+        }
+    }
+
+    /// Where a `Write` landed.
+    pub fn into_written(self) -> Result<BlockAddr, EfsError> {
+        match self {
+            LfsData::Written { addr } => Ok(addr),
+            other => Err(other.unexpected("Written")),
+        }
+    }
+
+    /// The payloads and disk addresses of a `ReadRun` reply, in run order.
+    pub fn into_run(self) -> Result<Vec<(Bytes, BlockAddr)>, EfsError> {
+        match self {
+            LfsData::Run { blocks } => Ok(blocks),
+            other => Err(other.unexpected("Run")),
+        }
+    }
+
+    /// Where each block of a `WriteRun` landed, in run order.
+    pub fn into_written_run(self) -> Result<Vec<BlockAddr>, EfsError> {
+        match self {
+            LfsData::WrittenRun { addrs } => Ok(addrs),
+            other => Err(other.unexpected("WrittenRun")),
+        }
+    }
+
+    fn unexpected(&self, wanted: &str) -> EfsError {
+        EfsError::Corrupt(format!(
+            "unexpected LFS reply: wanted {wanted}, got {self:?}"
+        ))
+    }
 }
 
 /// Fault-injection control for an LFS server process (experiments only):
@@ -898,218 +943,40 @@ pub fn reply_wire_size(reply: &LfsReply) -> usize {
     }
 }
 
+/// The LFS request/reply protocol as the at-least-once engine sees it.
+#[derive(Debug)]
+pub struct LfsRpc;
+
+impl RpcProtocol for LfsRpc {
+    type Cmd = LfsOp;
+    type Request = LfsRequest;
+    type Reply = LfsReply;
+    type Data = LfsData;
+    type Error = EfsError;
+
+    fn name(op: &LfsOp) -> &'static str {
+        op.name()
+    }
+    fn wire_size(op: &LfsOp) -> usize {
+        request_wire_size(op)
+    }
+    fn request(id: u64, op: LfsOp) -> LfsRequest {
+        LfsRequest { id, op }
+    }
+    fn reply_id(reply: &LfsReply) -> u64 {
+        reply.id
+    }
+    fn result(reply: LfsReply) -> Result<LfsData, EfsError> {
+        reply.result
+    }
+    fn timed_out(attempts: u32) -> EfsError {
+        EfsError::TimedOut { attempts }
+    }
+}
+
 /// Client-side helper for talking to LFS servers from inside a simulated
-/// process: sends requests (optionally pipelined) and matches replies by
-/// id, stashing unrelated traffic via [`Ctx::recv_where`].
-///
-/// Request ids come from the owning process's [`Ctx::unique_id`] stream,
-/// so ids never collide across client instances in one process — which is
-/// what the server's dedup window keys on.
-///
-/// With a [`RetryPolicy`] installed ([`with_retry`](LfsClient::with_retry)),
-/// [`call`](LfsClient::call) times out, resends the *same* request id with
-/// capped exponential backoff, and gives up with [`EfsError::TimedOut`]
-/// once the budget is spent. The pipelined [`send`](LfsClient::send) /
-/// [`wait`](LfsClient::wait) pair retries too: `send` records the op so
-/// `wait` can resend it (without a policy it waits indefinitely).
-#[derive(Debug, Default)]
-pub struct LfsClient {
-    retry: RetryPolicy,
-    /// Ops sent but not yet waited on, kept only when retries are enabled
-    /// so `wait` can resend them. Host-side bookkeeping: recording an op
-    /// has no effect on virtual time.
-    pending: Vec<(u64, LfsOp)>,
-    /// Send time, server, and op name per in-flight request, kept only
-    /// while tracing so the reply can close a `client.rpc` span.
-    /// Host-side bookkeeping: has no effect on virtual time.
-    sent: Vec<(u64, SimTime, ProcId, &'static str)>,
-    /// Timed-out requests retransmitted so far (telemetry's retry-storm
-    /// gauge). Host-side bookkeeping: has no effect on virtual time.
-    resends: u64,
-}
-
-impl LfsClient {
-    /// Creates a client that waits indefinitely for replies (no retries).
-    pub fn new() -> Self {
-        Self::with_retry(RetryPolicy::none())
-    }
-
-    /// Creates a client whose calls time out and resend per `retry`.
-    pub fn with_retry(retry: RetryPolicy) -> Self {
-        LfsClient {
-            retry,
-            pending: Vec::new(),
-            sent: Vec::new(),
-            resends: 0,
-        }
-    }
-
-    /// The client's retry policy.
-    pub fn retry(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Timed-out requests this client has retransmitted so far.
-    pub fn resends(&self) -> u64 {
-        self.resends
-    }
-
-    /// Sends `op` to `server` and returns the request id.
-    pub fn send(&mut self, ctx: &mut Ctx, server: ProcId, op: LfsOp) -> u64 {
-        let id = ctx.unique_id();
-        let bytes = request_wire_size(&op);
-        if self.retry.is_enabled() {
-            self.pending.push((id, op.clone()));
-        }
-        if ctx.trace_enabled() {
-            self.sent.push((id, ctx.now(), server, op.name()));
-        }
-        ctx.send_sized_cloneable(server, LfsRequest { id, op }, bytes);
-        id
-    }
-
-    /// Closes the `client.rpc` span opened by [`send`](Self::send) once the
-    /// reply for `id` is in hand. No-op when the send was not traced.
-    fn trace_reply(&mut self, ctx: &mut Ctx, id: u64, ok: bool) {
-        if let Some(slot) = self.sent.iter().position(|(s, _, _, _)| *s == id) {
-            let (_, t0, server, name) = self.sent.swap_remove(slot);
-            if ctx.trace_enabled() {
-                ctx.trace_span(
-                    "client",
-                    &format!("client.{name}"),
-                    t0,
-                    &[
-                        ("id", id),
-                        ("server", server.index() as u64),
-                        ("ok", u64::from(ok)),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Waits for the reply to `id` from `server`, resending the request on
-    /// timeout when the client has a retry policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the server-side [`EfsError`], or returns
-    /// [`EfsError::TimedOut`] when the retry budget is spent without a
-    /// reply.
-    pub fn wait(&mut self, ctx: &mut Ctx, server: ProcId, id: u64) -> Result<LfsData, EfsError> {
-        match self.pending.iter().position(|(p, _)| *p == id) {
-            Some(slot) => {
-                let (_, op) = self.pending.swap_remove(slot);
-                self.wait_retrying(ctx, server, id, &op)
-            }
-            None => {
-                let env = ctx.recv_where(|e| {
-                    e.from() == server && e.downcast_ref::<LfsReply>().is_some_and(|r| r.id == id)
-                });
-                let result = env
-                    .downcast::<LfsReply>()
-                    .expect("predicate guarantees type")
-                    .result;
-                self.trace_reply(ctx, id, result.is_ok());
-                result
-            }
-        }
-    }
-
-    /// Abandons an in-flight request: drops the retry and tracing
-    /// bookkeeping for `id` without waiting for its reply. The 2PC
-    /// coordinator uses this after a crash for prepares whose acks died
-    /// with it — recovery re-drives the transaction under fresh ids, so
-    /// the old replies (if any straggle in) are simply stale traffic.
-    pub fn forget(&mut self, id: u64) {
-        self.pending.retain(|(p, _)| *p != id);
-        self.sent.retain(|(s, _, _, _)| *s != id);
-    }
-
-    /// Round trip: send and wait, resending on timeout when the client
-    /// has a retry policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the server-side [`EfsError`], or returns
-    /// [`EfsError::TimedOut`] when the retry budget is spent without a
-    /// reply.
-    pub fn call(&mut self, ctx: &mut Ctx, server: ProcId, op: LfsOp) -> Result<LfsData, EfsError> {
-        let id = self.send(ctx, server, op);
-        self.wait(ctx, server, id)
-    }
-
-    /// The retry loop behind [`wait`](Self::wait) and
-    /// [`call`](Self::call): the first attempt is already on the wire.
-    fn wait_retrying(
-        &mut self,
-        ctx: &mut Ctx,
-        server: ProcId,
-        id: u64,
-        op: &LfsOp,
-    ) -> Result<LfsData, EfsError> {
-        let bytes = request_wire_size(op);
-        let t0 = ctx.now();
-        let mut attempt = 1u32;
-        loop {
-            let reply = ctx.recv_where_timeout(
-                |e| e.from() == server && e.downcast_ref::<LfsReply>().is_some_and(|r| r.id == id),
-                self.retry.wait_for(attempt - 1),
-            );
-            match reply {
-                Some(env) => {
-                    // The network may duplicate replies and earlier
-                    // attempts may still produce replays: drop any copy
-                    // that already got stashed so they cannot pile up.
-                    ctx.discard_stashed(|e| {
-                        e.from() == server
-                            && e.downcast_ref::<LfsReply>().is_some_and(|r| r.id == id)
-                    });
-                    if attempt > 1 && ctx.trace_enabled() {
-                        let latency = ctx.now().duration_since(t0);
-                        ctx.trace_instant(
-                            "retry",
-                            "retry.recovered",
-                            &[
-                                ("id", id),
-                                ("attempts", u64::from(attempt)),
-                                ("latency_nanos", latency.as_nanos()),
-                            ],
-                        );
-                    }
-                    let result = env
-                        .downcast::<LfsReply>()
-                        .expect("predicate guarantees type")
-                        .result;
-                    self.trace_reply(ctx, id, result.is_ok());
-                    return result;
-                }
-                None if attempt >= self.retry.budget => {
-                    if ctx.trace_enabled() {
-                        ctx.trace_instant(
-                            "retry",
-                            "retry.exhausted",
-                            &[("id", id), ("attempts", u64::from(attempt))],
-                        );
-                    }
-                    // No reply ever arrived: drop the span bookkeeping so
-                    // a later id reuse cannot pair with this send.
-                    self.sent.retain(|(s, _, _, _)| *s != id);
-                    return Err(EfsError::TimedOut { attempts: attempt });
-                }
-                None => {
-                    self.resends += 1;
-                    if ctx.trace_enabled() {
-                        ctx.trace_instant(
-                            "retry",
-                            "retry.resend",
-                            &[("id", id), ("attempt", u64::from(attempt))],
-                        );
-                    }
-                    ctx.send_sized_cloneable(server, LfsRequest { id, op: op.clone() }, bytes);
-                    attempt += 1;
-                }
-            }
-        }
-    }
-}
+/// process: [`RpcClient`] speaking the LFS protocol. `send`/`wait`/`call`
+/// take an [`LfsOp`] and the server's process id and answer
+/// `Result<LfsData, EfsError>`; with a [`RetryPolicy`](crate::RetryPolicy) installed a spent
+/// budget surfaces as [`EfsError::TimedOut`].
+pub type LfsClient = RpcClient<LfsRpc>;

@@ -11,7 +11,7 @@
 
 use crate::error::ToolError;
 use bridge_core::{decode_payload, encode_payload, BatchPolicy, BridgeHeader};
-use bridge_efs::{LfsClient, LfsData, LfsFileId, LfsOp};
+use bridge_efs::{LfsClient, LfsFileId, LfsOp};
 use bytes::Bytes;
 use parsim::{Ctx, ProcId};
 use simdisk::BlockAddr;
@@ -94,37 +94,32 @@ impl ColumnReader {
                     &[("blocks", u64::from(count))],
                 );
             }
-            return match reply {
-                LfsData::Run { blocks } if blocks.len() == count as usize => {
-                    self.hint = blocks.last().map(|b| b.1);
-                    self.prefetched = blocks.into_iter().map(|(data, _)| data).collect();
-                    self.next += 1;
-                    Ok(self.prefetched.pop_front())
-                }
-                other => Err(ToolError::Protocol(format!(
-                    "unexpected LFS run reply {other:?}"
-                ))),
-            };
-        }
-        let reply = client.call(
-            ctx,
-            self.lfs,
-            LfsOp::Read {
-                file: self.file,
-                block: self.next,
-                hint: self.hint,
-            },
-        )?;
-        match reply {
-            LfsData::Block { data, addr } => {
-                self.hint = Some(addr);
-                self.next += 1;
-                Ok(Some(data))
+            let blocks = reply.into_run()?;
+            if blocks.len() != count as usize {
+                return Err(ToolError::Protocol(format!(
+                    "run of {count} blocks answered with {}",
+                    blocks.len()
+                )));
             }
-            other => Err(ToolError::Protocol(format!(
-                "unexpected LFS reply {other:?}"
-            ))),
+            self.hint = blocks.last().map(|b| b.1);
+            self.prefetched = blocks.into_iter().map(|(data, _)| data).collect();
+            self.next += 1;
+            return Ok(self.prefetched.pop_front());
         }
+        let (data, addr) = client
+            .call(
+                ctx,
+                self.lfs,
+                LfsOp::Read {
+                    file: self.file,
+                    block: self.next,
+                    hint: self.hint,
+                },
+            )?
+            .into_block()?;
+        self.hint = Some(addr);
+        self.next += 1;
+        Ok(Some(data))
     }
 
     /// Reads and decodes the next Bridge block: `(header, 960-byte data)`.
@@ -211,26 +206,21 @@ impl ColumnWriter {
             }
             return Ok(());
         }
-        let reply = client.call(
-            ctx,
-            self.lfs,
-            LfsOp::Write {
-                file: self.file,
-                block: self.next,
-                data: payload,
-                hint: self.hint,
-            },
-        )?;
-        match reply {
-            LfsData::Written { addr } => {
-                self.hint = Some(addr);
-                self.next += 1;
-                Ok(())
-            }
-            other => Err(ToolError::Protocol(format!(
-                "unexpected LFS reply {other:?}"
-            ))),
-        }
+        let addr = client
+            .call(
+                ctx,
+                self.lfs,
+                LfsOp::Write {
+                    file: self.file,
+                    block: self.next,
+                    data: payload,
+                    hint: self.hint,
+                },
+            )?
+            .into_written()?;
+        self.hint = Some(addr);
+        self.next += 1;
+        Ok(())
     }
 
     /// Ships any buffered appends as one [`LfsOp::WriteRun`]. A no-op when
@@ -260,15 +250,8 @@ impl ColumnWriter {
         if ctx.trace_enabled() {
             ctx.trace_span("tool", "tool.write_batch", t0, &[("blocks", blocks)]);
         }
-        match reply {
-            LfsData::WrittenRun { addrs } => {
-                self.hint = addrs.last().copied();
-                Ok(())
-            }
-            other => Err(ToolError::Protocol(format!(
-                "unexpected LFS run reply {other:?}"
-            ))),
-        }
+        self.hint = reply.into_written_run()?.last().copied();
+        Ok(())
     }
 
     /// Encodes and appends one Bridge block.

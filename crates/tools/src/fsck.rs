@@ -561,13 +561,8 @@ fn read_payload(
             hint: None,
         },
     ) {
-        Ok(LfsData::Block { data, .. }) => Ok(Some(data)),
-        Ok(other) => Err(ToolError::Protocol(format!(
-            "unexpected Read reply: {other:?}"
-        ))),
-        Err(bridge_efs::EfsError::NodeFailed) | Err(bridge_efs::EfsError::UnknownFile(_)) => {
-            Ok(None)
-        }
+        Ok(reply) => Ok(Some(reply.into_block()?.0)),
+        Err(e) if e.column_lost() => Ok(None),
         Err(e) => Err(ToolError::Lfs(e)),
     }
 }
@@ -593,9 +588,7 @@ fn write_payload(
         },
     ) {
         Ok(_) => Ok(true),
-        Err(bridge_efs::EfsError::NodeFailed) | Err(bridge_efs::EfsError::UnknownFile(_)) => {
-            Ok(false)
-        }
+        Err(e) if e.column_lost() => Ok(false),
         Err(e) => Err(ToolError::Lfs(e)),
     }
 }
