@@ -14,7 +14,7 @@
 //! Measured twice:
 //!
 //! * **create/delete churn** — a single client creating and deleting
-//!   mirrored files as fast as the server answers. The worst case: the
+//!   files as fast as the server answers. The worst case: the
 //!   op *is* the commit, so the prepare round and both decision-log
 //!   writes land on the latency path of every request. Recorded, not
 //!   gated — this prices the protocol itself.
@@ -22,12 +22,14 @@
 //!   instances while a churn client creates and deletes through the
 //!   server. The realistic mix: appends never touch the coordinator,
 //!   and the participants' prepare records ride the same group commits
-//!   as the append intents. Gated at ≤ 1.15x over the WAL machine.
+//!   as the append intents. Gated at ≤ 1.15x over the WAL machine. The
+//!   churn client's share shrinks with `BRIDGE_SCALE` like the writers'
+//!   does, so the quick run gates the same mix the full run reports.
 
 use bridge_bench::report::{secs, Table};
 use bridge_bench::results::{emit, Metric};
 use bridge_bench::{file_blocks, records_per_second};
-use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, Redundancy};
+use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec};
 use bridge_efs::{LfsClient, LfsFileId, LfsOp};
 use bridge_tools::{run_workers, ToolOptions, WorkerSpec};
 use bytes::Bytes;
@@ -45,20 +47,21 @@ fn stream_blocks() -> u64 {
     file_blocks() / 32
 }
 
-/// One create/delete cycle: a mirrored file (every instance holds a
-/// column, so the mutation is machine-wide) with two appended blocks
-/// (the delete frees something on every node).
+/// Create+delete cycles the churn client runs beside the writers: one
+/// per 13 blocks a writer streams, at every scale (24 at full scale).
+fn mix_churn_ops() -> u64 {
+    (CHURN_OPS / bridge_bench::scale()).max(1)
+}
+
+/// One create/delete cycle: a file interleaved over every instance (so
+/// Create and Delete are machine-wide mutations) with one appended block
+/// per instance (so the delete frees something on every node). The file
+/// is unprotected on purpose: a mirrored or parity file's *appends* are
+/// 2PC transactions of their own on the 2PC machine (A15 prices those),
+/// and this bench prices Create and Delete.
 fn churn_cycle(ctx: &mut parsim::Ctx, bridge: &mut BridgeClient) {
-    let file = bridge
-        .create(
-            ctx,
-            CreateSpec {
-                redundancy: Redundancy::Mirror,
-                ..CreateSpec::default()
-            },
-        )
-        .expect("create");
-    for b in 0..2 {
+    let file = bridge.create(ctx, CreateSpec::default()).expect("create");
+    for b in 0..u64::from(BREADTH) {
         bridge
             .seq_write(ctx, file, vec![0x2C; 256])
             .map(|n| assert_eq!(n, b))
@@ -143,10 +146,10 @@ fn measure(two_pc: bool) -> Run {
             name: "churn".into(),
             run: Box::new(move |c| {
                 let mut bridge = BridgeClient::new(server);
-                for _ in 0..CHURN_OPS {
+                for _ in 0..mix_churn_ops() {
                     churn_cycle(c, &mut bridge);
                 }
-                Ok(CHURN_OPS)
+                Ok(mix_churn_ops())
             }),
         });
         let t0 = ctx.now();
@@ -154,7 +157,7 @@ fn measure(two_pc: bool) -> Run {
         let concurrent = ctx.now() - t0;
         assert_eq!(
             done.iter().sum::<u64>(),
-            WRITERS as u64 * stream_blocks() + CHURN_OPS
+            WRITERS as u64 * stream_blocks() + mix_churn_ops()
         );
 
         Run { churn, concurrent }

@@ -12,9 +12,8 @@ use crate::header::{decode_payload, BridgeHeader, GlobalPtr};
 use crate::ids::{BridgeFileId, LfsIndex};
 use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp};
 use bytes::Bytes;
-use parsim::Ctx;
+use parsim::{Ctx, FixedMap};
 use simdisk::BlockAddr;
-use std::collections::HashMap;
 
 /// What an access addresses: a constituent LFS file of a Bridge file,
 /// and whether it rides (and refreshes) that file's disk-address hints.
@@ -74,7 +73,7 @@ impl RunPlan {
 /// own run, in list order.
 fn plan_runs(ptrs: impl Iterator<Item = GlobalPtr>, depth: u32) -> Vec<RunPlan> {
     let mut runs: Vec<RunPlan> = Vec::new();
-    let mut open: HashMap<LfsIndex, usize> = HashMap::new();
+    let mut open: FixedMap<LfsIndex, usize> = FixedMap::default();
     for (i, ptr) in ptrs.enumerate() {
         let extend = open.get(&ptr.lfs).copied().filter(|&r| {
             runs[r].first + runs[r].len() as u32 == ptr.local && (runs[r].len() as u32) < depth

@@ -36,9 +36,8 @@ use bridge_efs::{Admission, DedupWindow, EfsError, LfsClient, LfsData, LfsOp, Re
 use bridge_trace::{HealthSnapshot, TelemetryRegistry};
 use cursor::{Cursor, Job, PendingAppends};
 use directory::FileMeta;
-use parsim::{Ctx, NodeId, ProcId, SimDuration, Simulation};
+use parsim::{Ctx, FixedMap, NodeId, ProcId, SimDuration, Simulation};
 use simdisk::SchedPolicy;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Tuning knobs for the Bridge Server.
@@ -136,9 +135,9 @@ struct Server {
     /// The request-scheduling policy the machine's LFS instances run
     /// (reported via `GetInfo`).
     sched: SchedPolicy,
-    files: HashMap<BridgeFileId, FileMeta>,
-    cursors: HashMap<(ProcId, BridgeFileId), Cursor>,
-    jobs: HashMap<JobId, Job>,
+    files: FixedMap<BridgeFileId, FileMeta>,
+    cursors: FixedMap<(ProcId, BridgeFileId), Cursor>,
+    jobs: FixedMap<JobId, Job>,
     next_file: u32,
     next_job: u64,
     next_start: u32,
@@ -189,9 +188,9 @@ pub fn spawn_bridge_server(
             my_node: ctx.node(),
             config,
             sched,
-            files: HashMap::new(),
-            cursors: HashMap::new(),
-            jobs: HashMap::new(),
+            files: FixedMap::default(),
+            cursors: FixedMap::default(),
+            jobs: FixedMap::default(),
             next_file: 1,
             next_job: 1,
             next_start: 0,

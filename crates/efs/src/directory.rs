@@ -14,7 +14,6 @@ use crate::layout::{LfsFileId, BLOCK_SIZE};
 use bytes::{Buf, BufMut};
 use parsim::Ctx;
 use simdisk::{BlockAddr, BlockDevice};
-use std::collections::HashMap;
 
 /// Directory entry: where a file starts and ends, and how big it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,8 +82,10 @@ pub(crate) struct Directory {
     start: u32,
     /// Number of bucket blocks.
     buckets: u32,
-    cache: HashMap<u32, Bucket>,
-    dirty: HashMap<u32, bool>,
+    /// Buckets read so far, indexed by bucket number.
+    cache: Vec<Option<Bucket>>,
+    /// Which cached buckets differ from their disk image.
+    dirty: Vec<bool>,
 }
 
 impl Directory {
@@ -93,8 +94,8 @@ impl Directory {
         Directory {
             start,
             buckets,
-            cache: HashMap::new(),
-            dirty: HashMap::new(),
+            cache: vec![None; buckets as usize],
+            dirty: vec![false; buckets as usize],
         }
     }
 
@@ -118,7 +119,7 @@ impl Directory {
         bucket: u32,
     ) -> Result<Vec<DirEntry>, EfsError> {
         self.load(ctx, disk, bucket)?;
-        Ok(self.cache[&bucket].entries.clone())
+        Ok(self.cached(bucket).entries.clone())
     }
 
     /// Formats the bucket region with empty buckets (raw, untimed).
@@ -138,6 +139,18 @@ impl Directory {
         BlockAddr::new(self.start + bucket)
     }
 
+    /// A bucket some `load` has already brought in.
+    fn cached(&self, bucket: u32) -> &Bucket {
+        self.cache[bucket as usize].as_ref().expect("bucket loaded")
+    }
+
+    /// Dirty bucket numbers, ascending.
+    fn dirty_buckets(&self) -> Vec<u32> {
+        (0..self.buckets)
+            .filter(|&b| self.dirty[b as usize])
+            .collect()
+    }
+
     /// Loads (and caches) a bucket, charging disk time on a cold read.
     fn load(
         &mut self,
@@ -145,11 +158,11 @@ impl Directory {
         disk: &mut dyn BlockDevice,
         bucket: u32,
     ) -> Result<(), EfsError> {
-        if self.cache.contains_key(&bucket) {
+        if self.cache[bucket as usize].is_some() {
             return Ok(());
         }
         let bytes = disk.read(ctx, self.addr_of_bucket(bucket))?;
-        self.cache.insert(bucket, Bucket::decode(&bytes)?);
+        self.cache[bucket as usize] = Some(Bucket::decode(&bytes)?);
         Ok(())
     }
 
@@ -159,9 +172,9 @@ impl Directory {
         disk: &mut dyn BlockDevice,
         bucket: u32,
     ) -> Result<(), EfsError> {
-        let bytes = self.cache[&bucket].encode();
+        let bytes = self.cached(bucket).encode();
         disk.write(ctx, self.addr_of_bucket(bucket), &bytes)?;
-        self.dirty.insert(bucket, false);
+        self.dirty[bucket as usize] = false;
         Ok(())
     }
 
@@ -174,7 +187,8 @@ impl Directory {
     ) -> Result<Option<DirEntry>, EfsError> {
         let bucket = self.bucket_of(file);
         self.load(ctx, disk, bucket)?;
-        Ok(self.cache[&bucket]
+        Ok(self
+            .cached(bucket)
             .entries
             .iter()
             .copied()
@@ -194,7 +208,7 @@ impl Directory {
     ) -> Result<(), EfsError> {
         let bucket = self.bucket_of(entry.file);
         self.load(ctx, disk, bucket)?;
-        let b = self.cache.get_mut(&bucket).expect("just loaded");
+        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
         if b.entries.iter().any(|e| e.file == entry.file) {
             return Err(EfsError::FileExists(entry.file));
         }
@@ -218,7 +232,7 @@ impl Directory {
     ) -> Result<DirEntry, EfsError> {
         let bucket = self.bucket_of(file);
         self.load(ctx, disk, bucket)?;
-        let b = self.cache.get_mut(&bucket).expect("just loaded");
+        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
         let pos = b
             .entries
             .iter()
@@ -244,14 +258,14 @@ impl Directory {
     ) -> Result<(), EfsError> {
         let bucket = self.bucket_of(entry.file);
         self.load(ctx, disk, bucket)?;
-        let b = self.cache.get_mut(&bucket).expect("just loaded");
+        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
         let slot = b
             .entries
             .iter_mut()
             .find(|e| e.file == entry.file)
             .ok_or(EfsError::UnknownFile(entry.file))?;
         *slot = entry;
-        self.dirty.insert(bucket, true);
+        self.dirty[bucket as usize] = true;
         Ok(())
     }
 
@@ -270,7 +284,7 @@ impl Directory {
     ) -> Result<(), EfsError> {
         let bucket = self.bucket_of(entry.file);
         self.load(ctx, disk, bucket)?;
-        let b = self.cache.get_mut(&bucket).expect("just loaded");
+        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
         if b.entries.iter().any(|e| e.file == entry.file) {
             return Err(EfsError::FileExists(entry.file));
         }
@@ -278,7 +292,7 @@ impl Directory {
             return Err(EfsError::DirectoryFull { bucket });
         }
         b.entries.push(entry);
-        self.dirty.insert(bucket, true);
+        self.dirty[bucket as usize] = true;
         Ok(())
     }
 
@@ -296,27 +310,27 @@ impl Directory {
     ) -> Result<DirEntry, EfsError> {
         let bucket = self.bucket_of(file);
         self.load(ctx, disk, bucket)?;
-        let b = self.cache.get_mut(&bucket).expect("just loaded");
+        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
         let pos = b
             .entries
             .iter()
             .position(|e| e.file == file)
             .ok_or(EfsError::UnknownFile(file))?;
         let entry = b.entries.remove(pos);
-        self.dirty.insert(bucket, true);
+        self.dirty[bucket as usize] = true;
         Ok(entry)
     }
 
     /// Loads a bucket from the raw disk image (untimed; recovery/fsck).
     fn load_raw(&mut self, disk: &dyn BlockDevice, bucket: u32) -> Result<(), EfsError> {
-        if self.cache.contains_key(&bucket) {
+        if self.cache[bucket as usize].is_some() {
             return Ok(());
         }
         let decoded = match disk.read_raw(self.addr_of_bucket(bucket)) {
             Some(bytes) => Bucket::decode(bytes)?,
             None => Bucket::default(),
         };
-        self.cache.insert(bucket, decoded);
+        self.cache[bucket as usize] = Some(decoded);
         Ok(())
     }
 
@@ -334,7 +348,7 @@ impl Directory {
     ) -> Result<(), EfsError> {
         let bucket = self.bucket_of(entry.file);
         self.load_raw(disk, bucket)?;
-        let b = self.cache.get_mut(&bucket).expect("just loaded");
+        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
         match b.entries.iter_mut().find(|e| e.file == entry.file) {
             Some(slot) => *slot = entry,
             None => {
@@ -344,7 +358,7 @@ impl Directory {
                 b.entries.push(entry);
             }
         }
-        self.dirty.insert(bucket, true);
+        self.dirty[bucket as usize] = true;
         Ok(())
     }
 
@@ -362,7 +376,7 @@ impl Directory {
     ) -> Result<Option<DirEntry>, EfsError> {
         let bucket = self.bucket_of(file);
         self.load_raw(disk, bucket)?;
-        let b = self.cache.get(&bucket).expect("just loaded");
+        let b = self.cached(bucket);
         Ok(b.entries.iter().find(|e| e.file == file).copied())
     }
 
@@ -379,10 +393,10 @@ impl Directory {
     ) -> Result<(), EfsError> {
         let bucket = self.bucket_of(file);
         self.load_raw(disk, bucket)?;
-        let b = self.cache.get_mut(&bucket).expect("just loaded");
+        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
         if let Some(pos) = b.entries.iter().position(|e| e.file == file) {
             b.entries.remove(pos);
-            self.dirty.insert(bucket, true);
+            self.dirty[bucket as usize] = true;
         }
         Ok(())
     }
@@ -390,16 +404,10 @@ impl Directory {
     /// Writes every dirty cached bucket to the raw disk image (untimed;
     /// end of recovery, before the fresh checkpoint record).
     pub(crate) fn flush_raw(&mut self, disk: &mut dyn BlockDevice) {
-        let mut dirty: Vec<u32> = self
-            .dirty
-            .iter()
-            .filter_map(|(&b, &d)| d.then_some(b))
-            .collect();
-        dirty.sort_unstable();
-        for bucket in dirty {
-            let bytes = self.cache[&bucket].encode();
+        for bucket in self.dirty_buckets() {
+            let bytes = self.cached(bucket).encode();
             disk.write_raw(self.addr_of_bucket(bucket), &bytes);
-            self.dirty.insert(bucket, false);
+            self.dirty[bucket as usize] = false;
         }
     }
 
@@ -409,13 +417,7 @@ impl Directory {
         ctx: &mut Ctx,
         disk: &mut dyn BlockDevice,
     ) -> Result<(), EfsError> {
-        let mut dirty: Vec<u32> = self
-            .dirty
-            .iter()
-            .filter_map(|(&b, &d)| d.then_some(b))
-            .collect();
-        dirty.sort_unstable();
-        for bucket in dirty {
+        for bucket in self.dirty_buckets() {
             self.store(ctx, disk, bucket)?;
         }
         Ok(())
@@ -427,7 +429,7 @@ impl Directory {
         let mut out = Vec::new();
         for b in 0..self.buckets {
             // Prefer the cached (possibly dirty) view over the disk image.
-            if let Some(bucket) = self.cache.get(&b) {
+            if let Some(bucket) = &self.cache[b as usize] {
                 out.extend(bucket.entries.iter().copied());
             } else if let Some(bytes) = disk.read_raw(self.addr_of_bucket(b)) {
                 out.extend(Bucket::decode(bytes)?.entries);

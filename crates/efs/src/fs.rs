@@ -18,9 +18,9 @@ use crate::layout::{
 use crate::wal::{scan_and_resume, PrepareIntent, RecoveredOp, Wal, WalConfig, WalRecord};
 use bridge_trace::{FsGauges, LfsCounters, LfsTelemetry, TelemetryRegistry};
 use bytes::{Buf, BufMut, Bytes};
-use parsim::{Ctx, SimDuration};
+use parsim::{Ctx, FixedMap, SimDuration};
 use simdisk::{BlockAddr, BlockDevice, SimDisk};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const SUPERBLOCK_MAGIC: u32 = 0xB21D_6EF5;
@@ -134,7 +134,7 @@ pub struct Efs<D: BlockDevice = SimDisk> {
     /// Maintained by create/append/delete and rebuilt from raw chain
     /// walks at mount/recovery; this is what makes Delete O(1) in disk
     /// operations — the addresses to free are already known.
-    chains: HashMap<LfsFileId, Vec<BlockAddr>>,
+    chains: FixedMap<LfsFileId, Vec<BlockAddr>>,
     /// (client process index, request id) of the request being served,
     /// echoed into WAL records so recovery can reconstruct the reply.
     req: (u32, u64),
@@ -142,7 +142,7 @@ pub struct Efs<D: BlockDevice = SimDisk> {
     /// yet seen a decision for. While any are pending, checkpoints are
     /// deferred — a checkpoint persists in-memory state, and tentative
     /// effects must stay revocable until the coordinator decides.
-    prepared: HashMap<u64, PreparedTxn>,
+    prepared: FixedMap<u64, PreparedTxn>,
     /// Live-telemetry handle (`None` = unarmed, the fast path). Updating
     /// counters is host-side only — arming telemetry never touches
     /// virtual time.
@@ -259,9 +259,9 @@ impl<D: BlockDevice> Efs<D> {
             wal_start: layout.wal_start,
             wal_blocks: layout.wal_blocks,
             wal,
-            chains: HashMap::new(),
+            chains: FixedMap::default(),
             req: (0, 0),
-            prepared: HashMap::new(),
+            prepared: FixedMap::default(),
             telemetry: None,
         };
         efs.write_bitmap_raw();
@@ -338,9 +338,9 @@ impl<D: BlockDevice> Efs<D> {
             wal_start,
             wal_blocks,
             wal: None,
-            chains: HashMap::new(),
+            chains: FixedMap::default(),
             req: (0, 0),
-            prepared: HashMap::new(),
+            prepared: FixedMap::default(),
             telemetry: None,
             disk,
             config,
@@ -1128,7 +1128,7 @@ impl<D: BlockDevice> Efs<D> {
         };
         let capacity = self.disk.capacity_blocks();
         let mut rebuilt = BlockAllocator::new(self.data_start, capacity);
-        let mut chains: HashMap<LfsFileId, Vec<BlockAddr>> = HashMap::new();
+        let mut chains: FixedMap<LfsFileId, Vec<BlockAddr>> = FixedMap::default();
         for entry in entries {
             report.files += 1;
             let chain = chains.entry(entry.file).or_default();
@@ -1205,7 +1205,7 @@ impl<D: BlockDevice> Efs<D> {
         let t0 = ctx.now();
         let capacity = self.disk.capacity_blocks();
         let mut rebuilt = BlockAllocator::new(self.data_start, capacity);
-        let mut chains: HashMap<LfsFileId, Vec<BlockAddr>> = HashMap::new();
+        let mut chains: FixedMap<LfsFileId, Vec<BlockAddr>> = FixedMap::default();
         // (entry, new size, new last) truncations and outright drops,
         // applied after the scan so bucket iteration stays stable.
         let mut truncate: Vec<(DirEntry, u32, BlockAddr)> = Vec::new();
@@ -1431,7 +1431,7 @@ impl<D: BlockDevice> Efs<D> {
         let (dir_start, dir_buckets) = self.dir.region();
         self.dir = Directory::new(dir_start, dir_buckets);
         self.req = (0, 0);
-        self.prepared = HashMap::new();
+        self.prepared = FixedMap::default();
         // Each recovered op is tagged with its Prepare txn (None for
         // ordinary records) so in-doubt prepares can be dropped from the
         // dedup re-seed at the end: their effects are rolled back, and a
@@ -1802,7 +1802,7 @@ impl<D: BlockDevice> Efs<D> {
     fn rebuild_from_directory(&mut self) {
         let capacity = self.disk.capacity_blocks();
         let mut alloc = BlockAllocator::new(self.data_start, capacity);
-        let mut chains = HashMap::new();
+        let mut chains = FixedMap::default();
         if let Ok(entries) = self.dir.scan_raw(&self.disk) {
             for entry in entries {
                 let chain = self.walk_chain_raw(&entry);
@@ -1819,7 +1819,7 @@ impl<D: BlockDevice> Efs<D> {
     /// Rebuilds only the chain shadow (non-WAL mount: the allocator comes
     /// from the persisted bitmap, exactly as before).
     fn rebuild_chains_raw(&mut self) {
-        let mut chains = HashMap::new();
+        let mut chains = FixedMap::default();
         if let Ok(entries) = self.dir.scan_raw(&self.disk) {
             for entry in entries {
                 chains.insert(entry.file, self.walk_chain_raw(&entry));

@@ -20,8 +20,8 @@
 //! Everything runs on virtual time, so timeouts and backoff are exactly
 //! reproducible.
 
-use parsim::{Ctx, ProcId, SimDuration, SimTime};
-use std::collections::{HashMap, HashSet, VecDeque};
+use parsim::{Ctx, FixedMap, ProcId, SimDuration, SimTime};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Client-side timeout/retry policy for request/reply calls.
@@ -354,12 +354,51 @@ pub enum Admission<R> {
 /// virtual time, so a retransmit or network duplicate still in flight
 /// (delays are bounded by the fault plan) always finds its cached reply,
 /// however quickly the client churns through calls.
+///
+/// Ids are also monotone per client process, so a first transmission
+/// carries an id above everything the client has completed: `admit` looks
+/// at the ring only for ids at or below the client's high-water mark, and
+/// the common path is one map lookup.
 #[derive(Debug)]
 pub struct DedupWindow<R> {
     cap: usize,
     retention: SimDuration,
-    in_flight: HashSet<(ProcId, u64)>,
-    done: HashMap<ProcId, VecDeque<(u64, SimTime, R)>>,
+    clients: FixedMap<ProcId, ClientWindow<R>>,
+}
+
+/// One client's share of a [`DedupWindow`].
+#[derive(Debug)]
+struct ClientWindow<R> {
+    /// Ids admitted and not yet completed or forgotten (a handful at most:
+    /// the client's pipelining depth toward this server).
+    in_flight: Vec<u64>,
+    /// Completed replies, oldest first.
+    done: VecDeque<(u64, SimTime, R)>,
+    /// Highest id ever pushed onto `done`; no larger id can be in it.
+    high_water: u64,
+}
+
+impl<R> Default for ClientWindow<R> {
+    fn default() -> Self {
+        ClientWindow {
+            in_flight: Vec::new(),
+            done: VecDeque::new(),
+            high_water: 0,
+        }
+    }
+}
+
+impl<R> ClientWindow<R> {
+    fn clear_in_flight(&mut self, id: u64) {
+        if let Some(pos) = self.in_flight.iter().position(|&f| f == id) {
+            self.in_flight.swap_remove(pos);
+        }
+    }
+
+    fn push_done(&mut self, id: u64, now: SimTime, reply: R) {
+        self.high_water = self.high_water.max(id);
+        self.done.push_back((id, now, reply));
+    }
 }
 
 impl<R: Clone> DedupWindow<R> {
@@ -369,8 +408,7 @@ impl<R: Clone> DedupWindow<R> {
         DedupWindow {
             cap,
             retention,
-            in_flight: HashSet::new(),
-            done: HashMap::new(),
+            clients: FixedMap::default(),
         }
     }
 
@@ -382,14 +420,16 @@ impl<R: Clone> DedupWindow<R> {
 
     /// Classifies an arriving request and, if new, marks it in flight.
     pub fn admit(&mut self, client: ProcId, id: u64) -> Admission<R> {
-        if let Some(ring) = self.done.get(&client) {
-            if let Some((_, _, reply)) = ring.iter().find(|(done_id, _, _)| *done_id == id) {
+        let window = self.clients.entry(client).or_default();
+        if id <= window.high_water {
+            if let Some((_, _, reply)) = window.done.iter().find(|(done_id, _, _)| *done_id == id) {
                 return Admission::Replay(reply.clone());
             }
         }
-        if !self.in_flight.insert((client, id)) {
+        if window.in_flight.contains(&id) {
             return Admission::InFlight;
         }
+        window.in_flight.push(id);
         Admission::New
     }
 
@@ -397,13 +437,13 @@ impl<R: Clone> DedupWindow<R> {
     /// `now` is the completion's virtual time, used for age-based
     /// eviction.
     pub fn complete(&mut self, client: ProcId, id: u64, now: SimTime, reply: R) {
-        self.in_flight.remove(&(client, id));
-        let ring = self.done.entry(client).or_default();
-        ring.push_back((id, now, reply));
-        while ring.len() > self.cap {
-            match ring.front() {
+        let window = self.clients.entry(client).or_default();
+        window.clear_in_flight(id);
+        window.push_done(id, now, reply);
+        while window.done.len() > self.cap {
+            match window.done.front() {
                 Some(&(_, done_at, _)) if now.duration_since(done_at) > self.retention => {
-                    ring.pop_front();
+                    window.done.pop_front();
                 }
                 _ => break,
             }
@@ -417,29 +457,34 @@ impl<R: Clone> DedupWindow<R> {
     /// recovered state. Idempotent per id; any stale in-flight mark for
     /// the id is cleared.
     pub fn restore(&mut self, client: ProcId, id: u64, now: SimTime, reply: R) {
-        self.in_flight.remove(&(client, id));
-        let ring = self.done.entry(client).or_default();
-        if ring.iter().any(|(done_id, _, _)| *done_id == id) {
+        let window = self.clients.entry(client).or_default();
+        window.clear_in_flight(id);
+        if window.done.iter().any(|(done_id, _, _)| *done_id == id) {
             return;
         }
-        ring.push_back((id, now, reply));
+        window.push_done(id, now, reply);
     }
 
     /// Forgets an admitted request that was discarded without executing
     /// (fail-stop drain), so a later retransmit runs it fresh.
     pub fn forget(&mut self, client: ProcId, id: u64) {
-        self.in_flight.remove(&(client, id));
+        if let Some(window) = self.clients.get_mut(&client) {
+            window.clear_in_flight(id);
+        }
     }
 
     /// Requests currently marked in flight (tests, debugging).
     pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.clients.values().map(|w| w.in_flight.len()).sum()
     }
 
     /// Total entries held: in-flight marks plus cached replies across all
     /// clients — the occupancy gauge telemetry reports.
     pub fn len(&self) -> usize {
-        self.in_flight.len() + self.done.values().map(VecDeque::len).sum::<usize>()
+        self.clients
+            .values()
+            .map(|w| w.in_flight.len() + w.done.len())
+            .sum()
     }
 
     /// True when the window holds nothing.
@@ -451,6 +496,8 @@ impl<R: Clone> DedupWindow<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
 
     fn pid(n: usize) -> ProcId {
         ProcId::from_index(n)
@@ -525,5 +572,171 @@ mod tests {
         assert_eq!(w.admit(pid(1), 5), Admission::New);
         w.forget(pid(1), 5);
         assert_eq!(w.admit(pid(1), 5), Admission::New);
+    }
+    /// The reference: the window as it stood before the per-client
+    /// high-water mark — a global in-flight set, and a reply ring that
+    /// every `admit` scans.
+    struct RingModel {
+        cap: usize,
+        retention: SimDuration,
+        in_flight: HashSet<(ProcId, u64)>,
+        done: HashMap<ProcId, VecDeque<(u64, SimTime, u64)>>,
+    }
+
+    impl RingModel {
+        fn admit(&mut self, client: ProcId, id: u64) -> Admission<u64> {
+            if let Some(ring) = self.done.get(&client) {
+                if let Some(&(_, _, reply)) = ring.iter().find(|(done_id, _, _)| *done_id == id) {
+                    return Admission::Replay(reply);
+                }
+            }
+            if !self.in_flight.insert((client, id)) {
+                return Admission::InFlight;
+            }
+            Admission::New
+        }
+
+        fn complete(&mut self, client: ProcId, id: u64, now: SimTime, reply: u64) {
+            self.in_flight.remove(&(client, id));
+            let ring = self.done.entry(client).or_default();
+            ring.push_back((id, now, reply));
+            while ring.len() > self.cap {
+                match ring.front() {
+                    Some(&(_, done_at, _)) if now.duration_since(done_at) > self.retention => {
+                        ring.pop_front();
+                    }
+                    _ => break,
+                }
+            }
+        }
+
+        fn restore(&mut self, client: ProcId, id: u64, now: SimTime, reply: u64) {
+            self.in_flight.remove(&(client, id));
+            let ring = self.done.entry(client).or_default();
+            if !ring.iter().any(|(done_id, _, _)| *done_id == id) {
+                ring.push_back((id, now, reply));
+            }
+        }
+
+        fn forget(&mut self, client: ProcId, id: u64) {
+            self.in_flight.remove(&(client, id));
+        }
+
+        fn len(&self) -> usize {
+            self.in_flight.len() + self.done.values().map(VecDeque::len).sum::<usize>()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum WindowOp {
+        /// A first transmission: the client's next fresh id.
+        AdmitFresh,
+        /// A retransmit or late duplicate of an id already issued, chosen
+        /// by position — often far below the high-water mark.
+        AdmitOld(usize),
+        /// Completes an in-flight id chosen by position (so completions
+        /// run out of order).
+        Complete(usize),
+        Forget(usize),
+        /// Recovery re-seeding an id already issued.
+        Restore(usize),
+        /// Lets virtual time pass.
+        Tick(u64),
+    }
+
+    fn window_op() -> impl Strategy<Value = WindowOp> {
+        prop_oneof![
+            // Two arms of eight: fresh ids are the common case.
+            (0u8..1).prop_map(|_| WindowOp::AdmitFresh),
+            (0u8..1).prop_map(|_| WindowOp::AdmitFresh),
+            (0usize..64).prop_map(WindowOp::AdmitOld),
+            (0usize..8).prop_map(WindowOp::Complete),
+            (0usize..8).prop_map(WindowOp::Complete),
+            (0usize..8).prop_map(WindowOp::Forget),
+            (0usize..64).prop_map(WindowOp::Restore),
+            (0u64..40).prop_map(WindowOp::Tick),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Same admissions and the same occupancy as the ring model under
+        /// random interleavings from two clients: out-of-order completion,
+        /// replays below the high-water mark, ids evicted by the
+        /// `cap`/`retention` rule running fresh, forget and restore.
+        #[test]
+        fn window_matches_ring_model(
+            cap in 1usize..5,
+            retention_ms in 0u64..30,
+            ops in proptest::collection::vec((0usize..2, window_op()), 1..300),
+        ) {
+            let retention = SimDuration::from_millis(retention_ms);
+            let mut window: DedupWindow<u64> = DedupWindow::new(cap, retention);
+            let mut model = RingModel {
+                cap,
+                retention,
+                in_flight: HashSet::new(),
+                done: HashMap::new(),
+            };
+            let mut now = 0u64;
+            // Per client: every id issued so far (monotone, as
+            // `Ctx::unique_id` hands them out) and those now in flight.
+            let mut issued: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+            let mut open: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+            for (c, op) in ops {
+                let client = pid(c + 1);
+                let pick = |list: &[u64], n: usize| (!list.is_empty()).then(|| list[n % list.len()]);
+                match op {
+                    WindowOp::AdmitFresh => {
+                        let id = issued[c].len() as u64 + 1;
+                        issued[c].push(id);
+                        open[c].push(id);
+                        prop_assert_eq!(window.admit(client, id), Admission::New);
+                        prop_assert_eq!(model.admit(client, id), Admission::New);
+                    }
+                    WindowOp::AdmitOld(n) => {
+                        if let Some(id) = pick(&issued[c], n) {
+                            let verdict = window.admit(client, id);
+                            prop_assert_eq!(&verdict, &model.admit(client, id));
+                            if verdict == Admission::New && !open[c].contains(&id) {
+                                open[c].push(id);
+                            }
+                        }
+                    }
+                    WindowOp::Complete(n) => {
+                        if let Some(id) = pick(&open[c], n) {
+                            open[c].retain(|&o| o != id);
+                            window.complete(client, id, at(now), id * 10);
+                            model.complete(client, id, at(now), id * 10);
+                        }
+                    }
+                    WindowOp::Forget(n) => {
+                        if let Some(id) = pick(&open[c], n) {
+                            open[c].retain(|&o| o != id);
+                            window.forget(client, id);
+                            model.forget(client, id);
+                        }
+                    }
+                    WindowOp::Restore(n) => {
+                        if let Some(id) = pick(&issued[c], n) {
+                            open[c].retain(|&o| o != id);
+                            window.restore(client, id, at(now), id * 10 + 1);
+                            model.restore(client, id, at(now), id * 10 + 1);
+                        }
+                    }
+                    WindowOp::Tick(ms) => now += ms,
+                }
+                prop_assert_eq!(window.len(), model.len());
+                prop_assert_eq!(window.in_flight(), model.in_flight.len());
+            }
+            // Closing sweep: every id ever issued gets the model's verdict,
+            // evicted ones (New), cached ones (Replay) and open ones alike.
+            for (c, ids) in issued.iter().enumerate() {
+                for &id in ids {
+                    prop_assert_eq!(window.admit(pid(c + 1), id), model.admit(pid(c + 1), id));
+                }
+            }
+        }
     }
 }

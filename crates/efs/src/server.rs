@@ -13,9 +13,9 @@ use crate::retry::{Admission, DedupWindow, RpcClient, RpcProtocol};
 use crate::wal::{PrepareIntent, RecoveredReply};
 use bridge_trace::HealthEvent;
 use bytes::Bytes;
-use parsim::{Ctx, ProcId, SimDuration, SimTime, Simulation};
+use parsim::{Ctx, FixedMap, ProcId, SimDuration, SimTime, Simulation};
 use simdisk::{BlockAddr, BlockDevice, RequestQueue, SchedConfig};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A request to an LFS server process.
 #[derive(Debug, Clone)]
@@ -375,6 +375,8 @@ struct Queued {
     req: LfsRequest,
     from: ProcId,
     delivered_at: SimTime,
+    /// Already handed to the policy queue.
+    offered: bool,
 }
 
 /// Pending-request bookkeeping for a scheduled LFS server.
@@ -387,13 +389,17 @@ struct Queued {
 /// the order it issued them.
 struct SchedState {
     sched: RequestQueue<u64>,
-    /// Every admitted, not-yet-serviced request by server sequence number.
-    queued: HashMap<u64, Queued>,
-    /// Per-client arrival order: (seq, target file; `None` = barrier).
-    lanes: HashMap<ProcId, VecDeque<(u64, Option<LfsFileId>)>>,
-    /// Sequence numbers currently offered to the policy queue.
-    in_sched: HashSet<u64>,
-    next_seq: u64,
+    /// Every admitted, not-yet-serviced request, indexed by
+    /// `seq - window_base`; `None` once served. Sequence numbers are dense
+    /// and requests leave in roughly arrival order, so the window stays as
+    /// short as the queue is deep.
+    window: VecDeque<Option<Queued>>,
+    window_base: u64,
+    /// Live entries in `window`.
+    pending: usize,
+    /// Per-client arrival order: (seq, target file; `None` = barrier). A
+    /// drained lane keeps its (empty) queue for the client's next request.
+    lanes: FixedMap<ProcId, VecDeque<(u64, Option<LfsFileId>)>>,
     /// Scratch for per-op service times within one batch, flushed to the
     /// telemetry registry at batch end (kept here so the armed hot path
     /// never allocates).
@@ -404,31 +410,29 @@ impl SchedState {
     fn new(config: SchedConfig) -> Self {
         SchedState {
             sched: RequestQueue::new(config),
-            queued: HashMap::new(),
-            lanes: HashMap::new(),
-            in_sched: HashSet::new(),
-            next_seq: 0,
+            window: VecDeque::new(),
+            window_base: 0,
+            pending: 0,
+            lanes: FixedMap::default(),
             served_scratch: Vec::new(),
         }
     }
 
     fn has_work(&self) -> bool {
-        !self.queued.is_empty()
+        self.pending > 0
     }
 
     /// Admits one request and refreshes its client's schedulable prefix.
     fn admit<D: BlockDevice>(&mut self, efs: &Efs<D>, req: LfsRequest, from: ProcId, at: SimTime) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.window_base + self.window.len() as u64;
         let key = req.op.file();
-        self.queued.insert(
-            seq,
-            Queued {
-                req,
-                from,
-                delivered_at: at,
-            },
-        );
+        self.window.push_back(Some(Queued {
+            req,
+            from,
+            delivered_at: at,
+            offered: false,
+        }));
+        self.pending += 1;
         self.lanes.entry(from).or_default().push_back((seq, key));
         self.offer_lane(efs, from);
     }
@@ -439,30 +443,27 @@ impl SchedState {
         let Some(lane) = self.lanes.get(&client) else {
             return;
         };
-        let mut offer = Vec::new();
-        let mut seen = HashSet::new();
         for (i, &(seq, key)) in lane.iter().enumerate() {
-            match key {
-                None => {
-                    // A barrier is schedulable only once it is the oldest
-                    // pending op of its client, and blocks everything
-                    // behind it.
-                    if i == 0 {
-                        offer.push(seq);
-                    }
-                    break;
-                }
-                Some(file) => {
-                    if seen.insert(file) {
-                        offer.push(seq);
-                    }
+            let schedulable = match key {
+                // A barrier is schedulable only once it is the oldest
+                // pending op of its client, and blocks everything behind
+                // it.
+                None => i == 0,
+                // Lanes are a few entries long: looking back beats keeping
+                // a set of the files seen.
+                Some(file) => !lane.iter().take(i).any(|&(_, k)| k == Some(file)),
+            };
+            if schedulable {
+                let q = self.window[(seq - self.window_base) as usize]
+                    .as_mut()
+                    .expect("lane entries are queued");
+                if !q.offered {
+                    q.offered = true;
+                    self.sched.push(track_hint(efs, &q.req.op), seq);
                 }
             }
-        }
-        for seq in offer {
-            if self.in_sched.insert(seq) {
-                let track = track_hint(efs, &self.queued[&seq].req.op);
-                self.sched.push(track, seq);
+            if key.is_none() {
+                break;
             }
         }
     }
@@ -470,32 +471,30 @@ impl SchedState {
     /// Removes and returns the request the policy serves next.
     fn take_next<D: BlockDevice>(&mut self, efs: &Efs<D>) -> Option<Queued> {
         let (_, seq) = self.sched.pop(efs.disk().head_track())?;
-        self.in_sched.remove(&seq);
-        let q = self.queued.remove(&seq).expect("scheduled request queued");
+        let q = self.window[(seq - self.window_base) as usize]
+            .take()
+            .expect("scheduled request queued");
+        self.pending -= 1;
+        while let Some(None) = self.window.front() {
+            self.window.pop_front();
+            self.window_base += 1;
+        }
         let lane = self.lanes.get_mut(&q.from).expect("lane exists");
         let pos = lane
             .iter()
             .position(|&(s, _)| s == seq)
             .expect("request in its lane");
         lane.remove(pos);
-        if lane.is_empty() {
-            self.lanes.remove(&q.from);
-        }
         Some(q)
     }
 
     /// Drains every pending request in arrival order (fail-stop flush).
     fn drain_all(&mut self) -> Vec<Queued> {
-        let mut seqs: Vec<u64> = self.queued.keys().copied().collect();
-        seqs.sort_unstable();
-        let drained = seqs
-            .into_iter()
-            .map(|s| self.queued.remove(&s).expect("key listed"))
-            .collect();
+        self.window_base += self.window.len() as u64;
+        self.pending = 0;
         self.lanes.clear();
-        self.in_sched.clear();
         while self.sched.pop(0).is_some() {}
-        drained
+        self.window.drain(..).flatten().collect()
     }
 }
 
@@ -715,7 +714,7 @@ fn service_batch<D: BlockDevice>(
     let mut replies: Vec<(ProcId, LfsReply)> = Vec::new();
     for _ in 0..width {
         // Queue depth at service start, this request included.
-        let depth = state.queued.len() as u64;
+        let depth = state.pending as u64;
         let Some(q) = state.take_next(efs) else {
             break;
         };
@@ -770,7 +769,7 @@ fn service_batch<D: BlockDevice>(
     }
     if let Some(t) = efs.telemetry() {
         t.counters
-            .flush_batch(&served, wait_nanos, depth_peak, state.queued.len() as u64);
+            .flush_batch(&served, wait_nanos, depth_peak, state.pending as u64);
     }
     state.served_scratch = served;
     efs.publish_telemetry();

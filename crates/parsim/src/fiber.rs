@@ -21,7 +21,7 @@
 //! only via raw pointers so no Rust reference is ever live on both sides
 //! of a switch.
 
-use crate::process::{Resume, Syscall};
+use crate::process::{Post, Resume, Syscall};
 use std::alloc::{alloc, dealloc, Layout};
 
 /// Whether this target has a fiber context-switch implementation.
@@ -47,6 +47,10 @@ pub(crate) struct TransferCell {
     pub(crate) resume: Option<Resume>,
     /// Fiber → scheduler payload, set just before switching out.
     pub(crate) syscall: Option<Syscall>,
+    /// Messages the fiber has posted since it was last switched in, in
+    /// post order. The scheduler takes them on every switch out, before
+    /// it looks at `syscall`.
+    posts: Vec<Post>,
     /// Saved scheduler stack pointer while the fiber runs.
     sched_sp: usize,
     /// Saved fiber stack pointer while the fiber is suspended (the
@@ -117,6 +121,7 @@ impl Fiber {
             let cell = Box::into_raw(Box::new(TransferCell {
                 resume: None,
                 syscall: None,
+                posts: Vec::new(),
                 sched_sp: 0,
                 fiber_sp: 0,
             }));
@@ -153,6 +158,16 @@ impl Fiber {
         };
         self.check_canary();
         (syscall, finished)
+    }
+
+    /// Moves the posts the fiber buffered during its last run into `out`
+    /// (which must be empty; its allocation goes back to the cell for the
+    /// next run).
+    pub(crate) fn take_posts(&mut self, out: &mut Vec<Post>) {
+        debug_assert!(out.is_empty());
+        // SAFETY: the cell is alive, and the fiber is suspended (or
+        // finished), so nothing else touches the cell.
+        unsafe { std::mem::swap(&mut (*self.cell).posts, out) }
     }
 
     /// Panics if the process overran its fiber stack.
@@ -203,6 +218,17 @@ pub(crate) unsafe fn yield_syscall(cell: *mut TransferCell, sc: Syscall) -> Resu
             .take()
             .expect("scheduler switched in without a resume")
     }
+}
+
+/// Fiber side of a post: queues it for the scheduler without switching.
+///
+/// # Safety
+///
+/// Must be called from code running *on* the fiber that owns `cell`.
+pub(crate) unsafe fn buffer_post(cell: *mut TransferCell, post: Post) {
+    // SAFETY: per the contract, we are the running fiber, so the
+    // scheduler is parked and nothing else touches the cell.
+    unsafe { (*cell).posts.push(post) }
 }
 
 /// Takes the initial `Resume` (placed by the scheduler before the first

@@ -56,6 +56,7 @@
 mod envelope;
 mod fault;
 mod fiber;
+mod hash;
 mod process;
 mod scheduler;
 mod time;
@@ -67,6 +68,7 @@ pub use fault::{
     mix64, splitmix64, BlockFaultRule, CrashAt, DiskFaults, DiskLost, FaultPlan, MsgFaults, Outage,
     OutageKind, SERVER_DISK,
 };
+pub use hash::{FixedHasher, FixedMap, FixedSet, FixedState};
 pub use process::{Ctx, ProcFn, ProcId};
 pub use scheduler::{Engine, RunStats, SimConfig, Simulation};
 pub use time::{SimDuration, SimTime};

@@ -55,26 +55,28 @@ pub(crate) enum Resume {
     Timeout { now: SimTime },
     /// Reply to a `Spawn` syscall: the child's id.
     Spawned(ProcId),
-    /// Fiber engine only: acknowledges a fire-and-forget syscall (the
-    /// threaded engine lets the process run ahead instead).
-    Continue,
     /// The simulation is being torn down; unwind.
     Shutdown,
 }
 
+/// A fire-and-forget message post.
+pub(crate) struct Post {
+    /// Destination process.
+    pub(crate) dst: ProcId,
+    /// Type-erased message payload.
+    pub(crate) payload: Box<dyn Any + Send>,
+    /// Payload size charged to the latency model.
+    pub(crate) bytes: usize,
+    /// Present for cloneable sends; lets the fault layer duplicate.
+    pub(crate) cloner: Option<PayloadCloner>,
+}
+
 /// Process → scheduler requests.
 pub(crate) enum Syscall {
-    /// Fire-and-forget message post; the process keeps running.
-    Post {
-        /// Destination process.
-        dst: ProcId,
-        /// Type-erased message payload.
-        payload: Box<dyn Any + Send>,
-        /// Payload size charged to the latency model.
-        bytes: usize,
-        /// Present for cloneable sends; lets the fault layer duplicate.
-        cloner: Option<PayloadCloner>,
-    },
+    /// Threaded engine only: a post, sent while the process runs ahead.
+    /// Fibers buffer their posts in the transfer cell instead and hand
+    /// them over with the next blocking syscall.
+    Post(Post),
     /// Create a new process; the scheduler replies with
     /// [`Resume::Spawned`].
     Spawn {
@@ -236,27 +238,23 @@ impl Ctx {
         }
     }
 
-    /// Issues a fire-and-forget syscall. On the threaded engine the
-    /// process keeps running while the scheduler services it; on the
-    /// fiber engine the scheduler services it synchronously and
-    /// acknowledges with [`Resume::Continue`].
-    fn post(&mut self, sc: Syscall) {
+    /// Posts a message without giving up control. On the threaded engine
+    /// the process keeps running while the scheduler services the post; on
+    /// the fiber engine the post waits in the transfer cell until the
+    /// process next switches out, and the scheduler services the buffered
+    /// posts, in order, ahead of that syscall. The virtual clock cannot
+    /// move while the process runs, so both see the same `now`.
+    fn post(&mut self, post: Post) {
         match &self.port {
             Port::Thread { syscall_tx, .. } => {
                 // A send can only fail if the scheduler is gone, in which
                 // case the simulation is being torn down.
-                if syscall_tx.send((self.pid, sc)).is_err() {
+                if syscall_tx.send((self.pid, Syscall::Post(post))).is_err() {
                     std::panic::panic_any(ShutdownSignal);
                 }
             }
-            Port::Fiber { cell } => {
-                // SAFETY: we are running on the fiber that owns `cell`.
-                match unsafe { fiber::yield_syscall(*cell, sc) } {
-                    Resume::Continue => {}
-                    Resume::Shutdown => std::panic::panic_any(ShutdownSignal),
-                    _ => unreachable!("fire-and-forget syscall resumed with a payload"),
-                }
-            }
+            // SAFETY: we are running on the fiber that owns `cell`.
+            Port::Fiber { cell } => unsafe { fiber::buffer_post(*cell, post) },
         }
     }
 
@@ -358,7 +356,7 @@ impl Ctx {
     /// latencies are equal; the scheduler breaks virtual-time ties in post
     /// order.
     pub fn send_sized<M: Send + 'static>(&mut self, dst: ProcId, msg: M, bytes: usize) {
-        self.post(Syscall::Post {
+        self.post(Post {
             dst,
             payload: Box::new(msg),
             bytes,
@@ -378,7 +376,7 @@ impl Ctx {
         msg: M,
         bytes: usize,
     ) {
-        self.post(Syscall::Post {
+        self.post(Post {
             dst,
             payload: Box::new(msg),
             bytes,

@@ -10,7 +10,8 @@
 //!
 //! * **Run-to-completion** (default): each process runs on a stackful
 //!   fiber on the scheduler's own thread; a dispatch is two register-window
-//!   swaps ([`crate::fiber`]).
+//!   swaps ([`crate::fiber`]), and only blocking syscalls switch — posts
+//!   ride along with the next one.
 //! * **Threaded** (compatibility tier): each process is an OS thread that
 //!   parks on a scheduler-owned [`ResumeSlot`] mailbox; a dispatch is two
 //!   OS context switches.
@@ -22,7 +23,7 @@
 use crate::envelope::Envelope;
 use crate::fault::{FaultPlan, FaultState, MsgFate, OutageKind};
 use crate::fiber;
-use crate::process::{Ctx, ProcFn, ProcId, Resume, ResumeSlot, ShutdownSignal, Syscall};
+use crate::process::{Ctx, Post, ProcFn, ProcId, Resume, ResumeSlot, ShutdownSignal, Syscall};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LatencyModel, NodeId, UniformLatency};
 use crate::trace::{nop_tracer, TracerHandle};
@@ -284,6 +285,10 @@ pub struct Simulation {
     /// Virtual-time sampler (see [`Simulation::set_sampler`]). `None`
     /// keeps the hot loop's fast path untouched.
     sampler: Option<SamplerSlot>,
+    /// Fiber engine: the posts taken from the running fiber's transfer
+    /// cell while they are serviced (empty between dispatches; kept for
+    /// its allocation).
+    posted: Vec<Post>,
 }
 
 /// The observer callback behind [`Simulation::set_sampler`].
@@ -354,6 +359,7 @@ impl Simulation {
             ready_run: 0,
             last_event_time: None,
             sampler: None,
+            posted: Vec::new(),
         }
     }
 
@@ -754,12 +760,12 @@ impl Simulation {
     /// Hands `r` to the process (if any is due) and returns the next
     /// syscall it issues: a fiber switch pair under run-to-completion, a
     /// resume-slot put plus a channel receive under the threaded engine
-    /// (where fire-and-forget posts need no resume at all — the process
-    /// runs ahead).
+    /// (where a post needs no resume at all — the process runs ahead).
     fn deliver(&mut self, pid: ProcId, r: Option<Resume>) -> Syscall {
         let resume = match &mut self.procs[pid.index()].body {
             Body::Fiber(fib) => {
-                let (sc, finished) = fib.resume(r.unwrap_or(Resume::Continue));
+                let r = r.expect("a fiber only switches out to block, and every block is resumed");
+                let (sc, finished) = fib.resume(r);
                 debug_assert_eq!(
                     finished,
                     matches!(sc, Syscall::Exit { .. }),
@@ -783,6 +789,116 @@ impl Simulation {
         sc
     }
 
+    /// Fiber engine: services, in post order, the posts `pid` buffered
+    /// during the run it just switched out of. Each counts as a syscall,
+    /// as it does when the threaded engine receives it over the channel.
+    /// Nothing else ran and the clock did not move since the first of
+    /// them was posted, so event sequence numbers, flow ids and fault
+    /// draws come out exactly as if each had been serviced on the spot.
+    fn service_buffered_posts(&mut self, pid: ProcId) {
+        let Body::Fiber(fib) = &mut self.procs[pid.index()].body else {
+            return;
+        };
+        let mut posted = std::mem::take(&mut self.posted);
+        fib.take_posts(&mut posted);
+        for post in posted.drain(..) {
+            self.stats.syscalls += 1;
+            self.service_post(pid, post);
+        }
+        self.posted = posted;
+    }
+
+    /// Puts one posted message on the interconnect: charges the latency
+    /// model, draws its fate from the fault plan, and queues the delivery.
+    fn service_post(&mut self, pid: ProcId, post: Post) {
+        let Post {
+            dst,
+            payload,
+            bytes,
+            cloner,
+        } = post;
+        assert!(
+            dst.index() < self.procs.len(),
+            "message to unknown process {dst}"
+        );
+        self.stats.bytes_sent += bytes as u64;
+        let lat = self.latency.latency(
+            self.procs[pid.index()].node,
+            self.procs[dst.index()].node,
+            bytes,
+        );
+        let flow = self.flow_seq;
+        self.flow_seq += 1;
+        if self.tracer.enabled() {
+            self.tracer.flow_send(flow, pid, dst, self.now, bytes);
+        }
+        let mut env = Envelope {
+            from: pid,
+            sent_at: self.now,
+            delivered_at: self.now + lat,
+            payload,
+            flow,
+            cloner,
+        };
+        // One fate draw per post, even when it resolves to a plain
+        // delivery, so the fault stream is a function of the post
+        // sequence alone.
+        let fate = match self.faults.as_mut() {
+            Some(f) => f.next_fate(),
+            None => MsgFate::Deliver,
+        };
+        match fate {
+            MsgFate::Deliver => {
+                self.push_event(self.now + lat, EventKind::Deliver { dst, env });
+            }
+            MsgFate::Drop => {
+                if self.tracer.enabled() {
+                    self.tracer.instant(
+                        pid,
+                        "fault",
+                        "fault.msg_drop",
+                        self.now,
+                        &[("dst", u64::from(dst.0))],
+                    );
+                }
+                // The envelope falls on the floor: the flow's send was
+                // traced, its delivery never happens.
+            }
+            MsgFate::Duplicate => {
+                let copy = env.duplicate();
+                self.push_event(self.now + lat, EventKind::Deliver { dst, env });
+                if let Some(mut copy) = copy {
+                    copy.flow = self.flow_seq;
+                    self.flow_seq += 1;
+                    if self.tracer.enabled() {
+                        self.tracer.flow_send(copy.flow, pid, dst, self.now, 0);
+                        self.tracer.instant(
+                            pid,
+                            "fault",
+                            "fault.msg_dup",
+                            self.now,
+                            &[("dst", u64::from(dst.0))],
+                        );
+                    }
+                    self.push_event(self.now + lat, EventKind::Deliver { dst, env: copy });
+                }
+            }
+            MsgFate::Delay(extra) => {
+                env.delivered_at = self.now + lat + extra;
+                if self.tracer.enabled() {
+                    self.tracer.instant(
+                        pid,
+                        "fault",
+                        "fault.msg_delay",
+                        self.now,
+                        &[("extra_nanos", extra.as_nanos())],
+                    );
+                }
+                self.push_event(self.now + lat + extra, EventKind::Deliver { dst, env });
+            }
+        }
+    }
+
     /// Transfers control to `pid` carrying `first` (a start, message, or
     /// timer wake-up) and services its syscalls until it blocks or exits.
     fn dispatch(&mut self, pid: ProcId, first: Resume) {
@@ -800,101 +916,10 @@ impl Simulation {
         let mut carry = Some(first);
         loop {
             let sc = self.deliver(pid, carry.take());
+            self.service_buffered_posts(pid);
             self.stats.syscalls += 1;
             match sc {
-                Syscall::Post {
-                    dst,
-                    payload,
-                    bytes,
-                    cloner,
-                } => {
-                    assert!(
-                        dst.index() < self.procs.len(),
-                        "message to unknown process {dst}"
-                    );
-                    self.stats.bytes_sent += bytes as u64;
-                    let lat = self.latency.latency(
-                        self.procs[pid.index()].node,
-                        self.procs[dst.index()].node,
-                        bytes,
-                    );
-                    let flow = self.flow_seq;
-                    self.flow_seq += 1;
-                    if self.tracer.enabled() {
-                        self.tracer.flow_send(flow, pid, dst, self.now, bytes);
-                    }
-                    let mut env = Envelope {
-                        from: pid,
-                        sent_at: self.now,
-                        delivered_at: self.now + lat,
-                        payload,
-                        flow,
-                        cloner,
-                    };
-                    // One fate draw per post, even when it resolves to a
-                    // plain delivery, so the fault stream is a function of
-                    // the post sequence alone.
-                    let fate = match self.faults.as_mut() {
-                        Some(f) => f.next_fate(),
-                        None => MsgFate::Deliver,
-                    };
-                    match fate {
-                        MsgFate::Deliver => {
-                            self.push_event(self.now + lat, EventKind::Deliver { dst, env });
-                        }
-                        MsgFate::Drop => {
-                            if self.tracer.enabled() {
-                                self.tracer.instant(
-                                    pid,
-                                    "fault",
-                                    "fault.msg_drop",
-                                    self.now,
-                                    &[("dst", u64::from(dst.0))],
-                                );
-                            }
-                            // The envelope falls on the floor: the flow's
-                            // send was traced, its delivery never happens.
-                        }
-                        MsgFate::Duplicate => {
-                            let copy = env.duplicate();
-                            self.push_event(self.now + lat, EventKind::Deliver { dst, env });
-                            if let Some(mut copy) = copy {
-                                copy.flow = self.flow_seq;
-                                self.flow_seq += 1;
-                                if self.tracer.enabled() {
-                                    self.tracer.flow_send(copy.flow, pid, dst, self.now, 0);
-                                    self.tracer.instant(
-                                        pid,
-                                        "fault",
-                                        "fault.msg_dup",
-                                        self.now,
-                                        &[("dst", u64::from(dst.0))],
-                                    );
-                                }
-                                self.push_event(
-                                    self.now + lat,
-                                    EventKind::Deliver { dst, env: copy },
-                                );
-                            }
-                        }
-                        MsgFate::Delay(extra) => {
-                            env.delivered_at = self.now + lat + extra;
-                            if self.tracer.enabled() {
-                                self.tracer.instant(
-                                    pid,
-                                    "fault",
-                                    "fault.msg_delay",
-                                    self.now,
-                                    &[("extra_nanos", extra.as_nanos())],
-                                );
-                            }
-                            self.push_event(
-                                self.now + lat + extra,
-                                EventKind::Deliver { dst, env },
-                            );
-                        }
-                    }
-                }
+                Syscall::Post(post) => self.service_post(pid, post),
                 Syscall::Spawn { node, name, f } => {
                     let child = self.spawn_boxed(node, name, f);
                     // Spawn edges carry a flow so the trace's causality
@@ -997,21 +1022,12 @@ impl Drop for Simulation {
                 Body::Thread { resume, .. } => resume.put(Resume::Shutdown),
                 Body::Fiber(fib) => {
                     // Unwind the parked process on its own stack; its
-                    // final switch hands back the Exit syscall.
-                    let mut r = Resume::Shutdown;
-                    loop {
-                        let (sc, finished) = fib.resume(r);
-                        if finished {
-                            break;
-                        }
-                        // Only reachable if a destructor issued a syscall
-                        // mid-unwind: acknowledge posts (the message goes
-                        // nowhere), re-shutdown anything blocking.
-                        r = match sc {
-                            Syscall::Post { .. } => Resume::Continue,
-                            _ => Resume::Shutdown,
-                        };
-                    }
+                    // final switch hands back the Exit syscall. A
+                    // destructor that blocks mid-unwind is shut down
+                    // again; one that posts only adds to the cell's
+                    // buffer, which is freed with the fiber (the message
+                    // goes nowhere).
+                    while !fib.resume(Resume::Shutdown).1 {}
                 }
                 Body::Pending { .. } | Body::Done => {}
             }

@@ -26,11 +26,6 @@ pub mod transforms {
     use super::BlockTransform;
     use std::sync::Arc;
 
-    /// The plain copy: leave every byte alone.
-    pub fn identity() -> BlockTransform {
-        Arc::new(|_| {})
-    }
-
     /// Byte-for-byte character translation through a 256-entry table.
     pub fn translate(table: [u8; 256]) -> BlockTransform {
         Arc::new(move |data| {
@@ -117,7 +112,7 @@ pub fn copy(
     src: BridgeFileId,
     opts: &ToolOptions,
 ) -> Result<(BridgeFileId, CopyStats), ToolError> {
-    copy_with(ctx, bridge, src, transforms::identity(), opts)
+    copy_filtered(ctx, bridge, src, None, opts)
 }
 
 /// [`copy`] with a transformation applied to every block's data — "any
@@ -131,6 +126,19 @@ pub fn copy_with(
     bridge: &mut BridgeClient,
     src: BridgeFileId,
     transform: BlockTransform,
+    opts: &ToolOptions,
+) -> Result<(BridgeFileId, CopyStats), ToolError> {
+    copy_filtered(ctx, bridge, src, Some(transform), opts)
+}
+
+/// The ecopy driver. `None` is the plain copy: each block's data goes from
+/// the read reply into the write request as it arrived, and only a filter
+/// pays for a buffer it may scribble on.
+fn copy_filtered(
+    ctx: &mut Ctx,
+    bridge: &mut BridgeClient,
+    src: BridgeFileId,
+    transform: Option<BlockTransform>,
     opts: &ToolOptions,
 ) -> Result<(BridgeFileId, CopyStats), ToolError> {
     let t0 = ctx.now();
@@ -167,7 +175,7 @@ fn copy_chunked(
     ctx: &mut Ctx,
     bridge: &mut BridgeClient,
     open: bridge_core::OpenInfo,
-    transform: BlockTransform,
+    transform: Option<BlockTransform>,
     opts: &ToolOptions,
     t0: parsim::SimTime,
     breadth: u64,
@@ -195,7 +203,7 @@ fn run_ecopy(
     bridge: &mut BridgeClient,
     open: bridge_core::OpenInfo,
     dst: BridgeFileId,
-    transform: BlockTransform,
+    transform: Option<BlockTransform>,
     opts: &ToolOptions,
     t0: parsim::SimTime,
 ) -> Result<(BridgeFileId, CopyStats), ToolError> {
@@ -216,7 +224,7 @@ fn run_ecopy(
             let src_file = open.lfs_file;
             let dst_file = dst_open.lfs_file;
             let local_size = src_slice.local_size;
-            let transform = Arc::clone(&transform);
+            let transform = transform.clone();
             WorkerSpec {
                 node: src_slice.node,
                 name: format!("ecopy{i}"),
@@ -234,9 +242,14 @@ fn run_ecopy(
                         // name the owning file (for integrity checks), so
                         // ecopy relabels that one field.
                         header.file = dst;
-                        let mut data = data.to_vec();
-                        transform(&mut data);
-                        writer.append_block(c, &mut client, &header, &data)?;
+                        match &transform {
+                            None => writer.append_block(c, &mut client, &header, &data)?,
+                            Some(transform) => {
+                                let mut data = data.to_vec();
+                                transform(&mut data);
+                                writer.append_block(c, &mut client, &header, &data)?;
+                            }
+                        }
                     }
                     writer.flush(c, &mut client)?;
                     if c.trace_enabled() {

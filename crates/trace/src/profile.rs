@@ -25,7 +25,7 @@
 
 use crate::collect::{SpanEvent, TraceData};
 use crate::json::write_str;
-use std::collections::{HashMap, HashSet};
+use parsim::{FixedMap, FixedSet};
 use std::fmt::Write as _;
 
 /// Maximum recursion depth when a service span's interior contains nested
@@ -240,41 +240,175 @@ impl Profile {
 /// One contiguous piece of an op's timeline.
 type Seg = (u64, u64, Category);
 
+/// One process's spans sorted by `(start, emission index)`, with a
+/// max-`end` tournament tree over that order, so the spans overlapping a
+/// window are enumerated without touching the rest.
+struct SpanIndex {
+    /// Span indices into [`TraceData::spans`].
+    order: Vec<usize>,
+    /// `starts[k]` is the start of span `order[k]`.
+    starts: Vec<u64>,
+    /// Implicit binary tree over `order` padded to a power of two: node
+    /// `n` holds the largest `end` below it, the leaves sit at
+    /// `tree.len() / 2 ..`.
+    tree: Vec<u64>,
+}
+
+impl SpanIndex {
+    fn build(mut order: Vec<usize>, spans: &[SpanEvent]) -> Self {
+        order.sort_by_key(|&i| (spans[i].start, i));
+        let starts = order.iter().map(|&i| spans[i].start.as_nanos()).collect();
+        let leaves = order.len().next_power_of_two();
+        let mut tree = vec![0u64; 2 * leaves];
+        for (k, &i) in order.iter().enumerate() {
+            tree[leaves + k] = spans[i].end.as_nanos();
+        }
+        for n in (1..leaves).rev() {
+            tree[n] = tree[2 * n].max(tree[2 * n + 1]);
+        }
+        SpanIndex {
+            order,
+            starts,
+            tree,
+        }
+    }
+
+    /// The spans starting within `[lo, hi]`, in `(start, index)` order.
+    fn starting_within(&self, lo: u64, hi: u64) -> &[usize] {
+        let from = self.starts.partition_point(|&s| s < lo);
+        let to = self.starts.partition_point(|&s| s <= hi);
+        &self.order[from..to.max(from)]
+    }
+
+    /// The spans with `start < b` and `end > a`, in `(start, index)` order.
+    fn overlapping(&self, a: u64, b: u64) -> Vec<usize> {
+        let limit = self.starts.partition_point(|&s| s < b);
+        let mut out = Vec::new();
+        if limit > 0 {
+            self.collect_ending_after(1, 0, self.tree.len() / 2, limit, a, &mut out);
+        }
+        out
+    }
+
+    /// Pushes `order[k]` for every `k < limit` under `node` (which covers
+    /// positions `lo..hi`) whose span ends after `a`, left to right.
+    fn collect_ending_after(
+        &self,
+        node: usize,
+        lo: usize,
+        hi: usize,
+        limit: usize,
+        a: u64,
+        out: &mut Vec<usize>,
+    ) {
+        if lo >= limit || self.tree[node] <= a {
+            return;
+        }
+        if hi - lo == 1 {
+            out.push(self.order[lo]);
+            return;
+        }
+        let mid = lo + (hi - lo) / 2;
+        self.collect_ending_after(2 * node, lo, mid, limit, a, out);
+        self.collect_ending_after(2 * node + 1, mid, hi, limit, a, out);
+    }
+}
+
+/// One process's scheduler run intervals, indexed both ways the
+/// critical-path walk asks about them.
+struct RunIndex {
+    /// `(start, end)`, sorted.
+    by_start: Vec<(u64, u64)>,
+    /// `max_end[k]` is the largest `end` among `by_start[..=k]`.
+    max_end: Vec<u64>,
+    /// `(end, start)`, sorted.
+    by_end: Vec<(u64, u64)>,
+}
+
+impl RunIndex {
+    fn build(mut by_start: Vec<(u64, u64)>) -> Self {
+        by_start.sort_unstable();
+        let mut max_end = Vec::with_capacity(by_start.len());
+        let mut high = 0u64;
+        for &(_, e) in &by_start {
+            high = high.max(e);
+            max_end.push(high);
+        }
+        let mut by_end: Vec<(u64, u64)> = by_start.iter().map(|&(s, e)| (e, s)).collect();
+        by_end.sort_unstable();
+        RunIndex {
+            by_start,
+            max_end,
+            by_end,
+        }
+    }
+
+    /// The earliest-starting interval with `start <= t <= end`.
+    fn covering(&self, t: u64) -> Option<(u64, u64)> {
+        // The first position whose running maximum reaches `t` is itself
+        // an interval ending at or after `t`, and no earlier one does.
+        let k = self.max_end.partition_point(|&e| e < t);
+        self.by_start.get(k).copied().filter(|&(s, _)| s <= t)
+    }
+
+    /// The latest `end <= t` among intervals with `start < t`.
+    fn end_before(&self, t: u64) -> Option<u64> {
+        let upto = self.by_end.partition_point(|&(e, _)| e <= t);
+        // Only an empty interval sitting exactly at `t` can end by `t`
+        // without starting before it; those sort last and are skipped.
+        self.by_end[..upto]
+            .iter()
+            .rev()
+            .find(|&&(_, s)| s < t)
+            .map(|&(e, _)| e)
+    }
+}
+
 /// Prebuilt lookup tables over one trace.
 struct Stitcher<'a> {
     data: &'a TraceData,
     /// `(server pid, request id, client pid)` → `lfs.queue_wait` span.
-    queue_waits: HashMap<(usize, u64, usize), usize>,
-    /// Per-pid emission-ordered `lfs` service spans (non-queue-wait).
-    lfs_services: HashMap<usize, Vec<usize>>,
+    queue_waits: FixedMap<(usize, u64, usize), usize>,
+    /// `(server pid, request id)` → emission-ordered `lfs` service spans
+    /// (non-queue-wait) carrying that id.
+    lfs_services: FixedMap<(usize, u64), Vec<usize>>,
     /// `(server pid, request id, client pid)` → `bridge` service span.
-    bridge_services: HashMap<(usize, u64, usize), usize>,
-    /// Per-pid `disk` + `client` spans, sorted by start (children for
-    /// interior painting).
-    children: HashMap<usize, Vec<usize>>,
+    bridge_services: FixedMap<(usize, u64, usize), usize>,
+    /// Per-pid `disk` + `client` spans (children for interior painting).
+    children: FixedMap<usize, SpanIndex>,
     /// `(from pid, to pid)` → delivery times, sorted.
-    recvs: HashMap<(usize, usize), Vec<u64>>,
+    recvs: FixedMap<(usize, usize), Vec<u64>>,
+    /// `(to pid, delivery time)` → deliveries, as indices into
+    /// [`TraceData::flows`] in emission order.
+    deliveries: FixedMap<(usize, u64), Vec<usize>>,
+    /// Flow id → its (first) send, as an index into [`TraceData::flows`].
+    sends: FixedMap<u64, usize>,
     /// `(client pid, request id)` → `retry.resend` times, sorted.
-    resends: HashMap<(usize, u64), Vec<u64>>,
-    /// Per-pid non-scheduler spans sorted by start (critical-path paint).
-    app_spans: HashMap<usize, Vec<usize>>,
-    /// Per-pid scheduler run intervals `(start, end)`, sorted by start.
-    runs: HashMap<usize, Vec<(u64, u64)>>,
+    resends: FixedMap<(usize, u64), Vec<u64>>,
+    /// Per-pid non-scheduler spans (critical-path paint).
+    app_spans: FixedMap<usize, SpanIndex>,
+    /// Per-pid scheduler run intervals.
+    runs: FixedMap<usize, RunIndex>,
 }
 
 impl<'a> Stitcher<'a> {
     fn build(data: &'a TraceData) -> Self {
         let mut s = Stitcher {
             data,
-            queue_waits: HashMap::new(),
-            lfs_services: HashMap::new(),
-            bridge_services: HashMap::new(),
-            children: HashMap::new(),
-            recvs: HashMap::new(),
-            resends: HashMap::new(),
-            app_spans: HashMap::new(),
-            runs: HashMap::new(),
+            queue_waits: FixedMap::default(),
+            lfs_services: FixedMap::default(),
+            bridge_services: FixedMap::default(),
+            children: FixedMap::default(),
+            recvs: FixedMap::default(),
+            deliveries: FixedMap::default(),
+            sends: FixedMap::default(),
+            resends: FixedMap::default(),
+            app_spans: FixedMap::default(),
+            runs: FixedMap::default(),
         };
+        let mut children: FixedMap<usize, Vec<usize>> = FixedMap::default();
+        let mut app_spans: FixedMap<usize, Vec<usize>> = FixedMap::default();
+        let mut runs: FixedMap<usize, Vec<(u64, u64)>> = FixedMap::default();
         for (idx, span) in data.spans.iter().enumerate() {
             match span.cat {
                 "lfs" if span.name == "lfs.queue_wait" => {
@@ -285,7 +419,9 @@ impl<'a> Stitcher<'a> {
                     }
                 }
                 "lfs" => {
-                    s.lfs_services.entry(span.pid).or_default().push(idx);
+                    if let Some(id) = span.arg("id") {
+                        s.lfs_services.entry((span.pid, id)).or_default().push(idx);
+                    }
                 }
                 "bridge" => {
                     if let (Some(id), Some(client)) = (span.arg("id"), span.arg("client")) {
@@ -297,24 +433,29 @@ impl<'a> Stitcher<'a> {
                 _ => {}
             }
             match span.cat {
-                "disk" | "client" => s.children.entry(span.pid).or_default().push(idx),
+                "disk" | "client" => children.entry(span.pid).or_default().push(idx),
                 _ => {}
             }
             if span.cat == "sched" && span.name == "run" {
-                s.runs
-                    .entry(span.pid)
+                runs.entry(span.pid)
                     .or_default()
                     .push((span.start.as_nanos(), span.end.as_nanos()));
             } else {
-                s.app_spans.entry(span.pid).or_default().push(idx);
+                app_spans.entry(span.pid).or_default().push(idx);
             }
         }
-        for f in &data.flows {
-            if !f.send {
+        for (idx, f) in data.flows.iter().enumerate() {
+            if f.send {
+                s.sends.entry(f.id).or_insert(idx);
+            } else {
                 s.recvs
                     .entry((f.from, f.to))
                     .or_default()
                     .push(f.at.as_nanos());
+                s.deliveries
+                    .entry((f.to, f.at.as_nanos()))
+                    .or_default()
+                    .push(idx);
             }
         }
         for i in &data.instants {
@@ -333,18 +474,18 @@ impl<'a> Stitcher<'a> {
         for times in s.resends.values_mut() {
             times.sort_unstable();
         }
-        let by_start = |spans: &[SpanEvent], list: &mut Vec<usize>| {
-            list.sort_by_key(|&i| (spans[i].start, i));
+        let index = |lists: FixedMap<usize, Vec<usize>>| {
+            lists
+                .into_iter()
+                .map(|(pid, list)| (pid, SpanIndex::build(list, &data.spans)))
+                .collect()
         };
-        for list in s.children.values_mut() {
-            by_start(&data.spans, list);
-        }
-        for list in s.app_spans.values_mut() {
-            by_start(&data.spans, list);
-        }
-        for list in s.runs.values_mut() {
-            list.sort_unstable();
-        }
+        s.children = index(children);
+        s.app_spans = index(app_spans);
+        s.runs = runs
+            .into_iter()
+            .map(|(pid, list)| (pid, RunIndex::build(list)))
+            .collect();
         s
     }
 
@@ -360,11 +501,10 @@ impl<'a> Stitcher<'a> {
             // The queue-wait span is emitted at service start, the service
             // span at service end: the request's service span is the first
             // service span emitted after its queue-wait with a matching id.
-            let svc = self.lfs_services.get(&server).and_then(|list| {
-                list.iter()
-                    .copied()
-                    .find(|&i| i > qw && self.data.spans[i].arg("id") == Some(id))
-            });
+            let svc = self
+                .lfs_services
+                .get(&(server, id))
+                .and_then(|list| list.get(list.partition_point(|&i| i <= qw)).copied());
             return Some(ServiceRef::Lfs { qw, svc });
         }
         if let Some(&svc) = self.bridge_services.get(&(server, id, span.pid)) {
@@ -466,18 +606,17 @@ impl<'a> Stitcher<'a> {
         }
         let pid = self.data.spans[parent].pid;
         // Children: disk and client spans on the server pid fully inside
-        // the window (the parent span itself is excluded by category).
+        // the window (the parent span itself is excluded by category). One
+        // that ends by `b` also starts by `b`.
         let kids: Vec<usize> = self
             .children
             .get(&pid)
-            .map(|list| {
-                list.iter()
+            .map(|index| {
+                index
+                    .starting_within(a, b)
+                    .iter()
                     .copied()
-                    .filter(|&i| {
-                        i != parent
-                            && self.data.spans[i].start.as_nanos() >= a
-                            && self.data.spans[i].end.as_nanos() <= b
-                    })
+                    .filter(|&i| i != parent && self.data.spans[i].end.as_nanos() <= b)
                     .collect()
             })
             .unwrap_or_default();
@@ -559,13 +698,7 @@ impl<'a> Stitcher<'a> {
             bd.add(default, b - a);
             return;
         };
-        let live: Vec<usize> = spans
-            .iter()
-            .copied()
-            .filter(|&i| {
-                self.data.spans[i].start.as_nanos() < b && self.data.spans[i].end.as_nanos() > a
-            })
-            .collect();
+        let live = spans.overlapping(a, b);
         if live.is_empty() {
             bd.add(default, b - a);
             return;
@@ -605,21 +738,31 @@ impl<'a> Stitcher<'a> {
     /// *ends* at `t` when two touch there (a send or block at `t` belongs
     /// to the interval that led up to it).
     fn run_covering(&self, pid: usize, t: u64) -> Option<(u64, u64)> {
-        let runs = self.runs.get(&pid)?;
-        runs.iter()
-            .copied()
-            .filter(|&(s, e)| s <= t && e >= t)
-            .min_by_key(|&(s, _)| s)
+        self.runs.get(&pid)?.covering(t)
     }
 
-    /// The latest run interval on `pid` ending at or before `t`,
-    /// excluding the one starting exactly at `t`.
-    fn run_before(&self, pid: usize, t: u64) -> Option<(u64, u64)> {
-        let runs = self.runs.get(&pid)?;
-        runs.iter()
-            .copied()
-            .filter(|&(s, e)| e <= t && s < t)
-            .max_by_key(|&(_, e)| e)
+    /// The end of the latest run interval on `pid` ending at or before
+    /// `t`, excluding the one starting exactly at `t`.
+    fn run_end_before(&self, pid: usize, t: u64) -> Option<u64> {
+        self.runs.get(&pid)?.end_before(t)
+    }
+
+    /// The message (or spawn) whose delivery to `pid` at `t` the walk has
+    /// not crossed yet: `(flow id, sender, send time)`.
+    fn waking_flow(
+        &self,
+        pid: usize,
+        t: u64,
+        visited: &FixedSet<u64>,
+    ) -> Option<(u64, usize, u64)> {
+        self.deliveries.get(&(pid, t))?.iter().find_map(|&d| {
+            let id = self.data.flows[d].id;
+            if visited.contains(&id) {
+                return None;
+            }
+            let send = &self.data.flows[*self.sends.get(&id)?];
+            (send.at.as_nanos() <= t).then_some((id, send.from, send.at.as_nanos()))
+        })
     }
 }
 
@@ -679,7 +822,7 @@ pub fn profile(data: &TraceData) -> Profile {
     let stitcher = Stitcher::build(data);
     // Server pids: anything that emitted service spans. Client spans on
     // those pids are nested RPCs, already attributed inside their parent.
-    let server_pids: HashSet<usize> = data
+    let server_pids: FixedSet<usize> = data
         .spans
         .iter()
         .filter(|s| s.cat == "bridge" || s.cat == "lfs")
@@ -725,21 +868,19 @@ pub fn profile(data: &TraceData) -> Profile {
 /// walk cannot reach is reported untraced, so the total is always exactly
 /// the makespan.
 fn critical_path(stitcher: &Stitcher<'_>) -> CriticalPath {
-    let mut end: Option<(usize, u64)> = None;
-    for (&pid, runs) in &stitcher.runs {
-        for &(_, e) in runs {
-            if end.is_none_or(|(_, cur)| e > cur) {
-                end = Some((pid, e));
-            }
-        }
-    }
-    let Some((mut pid, mut t)) = end else {
+    // The run that ends last; the lowest pid when several end together.
+    let end = stitcher
+        .runs
+        .iter()
+        .filter_map(|(&pid, runs)| Some((runs.by_end.last()?.0, std::cmp::Reverse(pid))))
+        .max();
+    let Some((mut t, std::cmp::Reverse(mut pid))) = end else {
         return CriticalPath::default();
     };
     let makespan = t;
     let mut bd = Breakdown::default();
     let mut hops = 0usize;
-    let mut visited_flows: HashSet<u64> = HashSet::new();
+    let mut visited_flows: FixedSet<u64> = FixedSet::default();
     // Zero-latency message cycles at one timestamp cannot loop forever:
     // each flow edge is crossed at most once, and every other step moves
     // strictly backward. The cap is belt and braces.
@@ -751,8 +892,8 @@ fn critical_path(stitcher: &Stitcher<'_>) -> CriticalPath {
         let Some((rs, _)) = stitcher.run_covering(pid, t) else {
             // A gap (e.g. the walk landed between runs): skip back to the
             // previous run, charging the unexplained gap.
-            match stitcher.run_before(pid, t) {
-                Some((_, prev_end)) => {
+            match stitcher.run_end_before(pid, t) {
+                Some(prev_end) => {
                     bd.add(Category::Untraced, t - prev_end);
                     t = prev_end;
                     continue;
@@ -767,18 +908,7 @@ fn critical_path(stitcher: &Stitcher<'_>) -> CriticalPath {
         }
         // Why did this run start? A message (or spawn) delivered exactly
         // at its start is the cause; follow it back to the sender.
-        let edge = stitcher.data.flows.iter().find_map(|f| {
-            if f.send || f.to != pid || f.at.as_nanos() != t || visited_flows.contains(&f.id) {
-                return None;
-            }
-            let send = stitcher
-                .data
-                .flows
-                .iter()
-                .find(|g| g.send && g.id == f.id)?;
-            (send.at.as_nanos() <= t).then_some((f.id, send.from, send.at.as_nanos()))
-        });
-        match edge {
+        match stitcher.waking_flow(pid, t, &visited_flows) {
             Some((flow, from, sent)) => {
                 visited_flows.insert(flow);
                 bd.add(Category::Interconnect, t - sent);
@@ -786,10 +916,10 @@ fn critical_path(stitcher: &Stitcher<'_>) -> CriticalPath {
                 pid = from;
                 t = sent;
             }
-            None => match stitcher.run_before(pid, t) {
+            None => match stitcher.run_end_before(pid, t) {
                 // No flow: the process woke itself (a retry timeout or a
                 // delay that outlived its run interval).
-                Some((_, prev_end)) => {
+                Some(prev_end) => {
                     bd.add(Category::RetryBackoff, t - prev_end);
                     t = prev_end;
                 }
