@@ -1,0 +1,397 @@
+//! The presumed-abort participant rule, driven on `Efs` directly (standard
+//! WAL, no server): every intent crossed with every history a participant
+//! can live through — prepared and decided, decided without a prepare,
+//! decided twice, crashed in doubt and re-driven, crashed after the
+//! decision. Each case is checked against a plain model of the directory
+//! and, at the end, against its own crashed-and-recovered twin: what the
+//! live 2PC path leaves behind and what recovery rebuilds from the log
+//! must be the same file system.
+
+use bridge_efs::{
+    Efs, EfsConfig, FileInfo, LfsFileId, PrepareIntent, RecoveredOp, RecoveredReply, WalConfig,
+    EFS_PAYLOAD,
+};
+use bytes::Bytes;
+use parsim::{Ctx, SimConfig, Simulation};
+use simdisk::{DiskGeometry, DiskProfile, SimDisk};
+use std::collections::BTreeMap;
+
+/// Three blocks before the transaction.
+const A: LfsFileId = LfsFileId(1);
+/// Two blocks before the transaction.
+const B: LfsFileId = LfsFileId(2);
+/// Named by the delete intent, never created.
+const ABSENT: LfsFileId = LfsFileId(99);
+const NEW: [LfsFileId; 2] = [LfsFileId(10), LfsFileId(11)];
+
+const TXN: u64 = 7;
+/// Request ids: the base files' operations count up from 1, the
+/// transaction's own start here.
+const PREPARE_ID: u64 = 100;
+const DECIDE_ID: u64 = 200;
+
+fn config() -> EfsConfig {
+    EfsConfig {
+        wal: WalConfig::standard(),
+        ..EfsConfig::default()
+    }
+}
+
+fn block(tag: u8) -> Vec<u8> {
+    let mut p = vec![tag; EFS_PAYLOAD];
+    p[0] = !tag;
+    p
+}
+
+/// File → block payloads: what the directory and the chains should hold.
+type Model = BTreeMap<u32, Vec<Vec<u8>>>;
+
+fn base_model() -> Model {
+    let mut m = Model::new();
+    m.insert(A.0, (0..3).map(|b| block(0x10 + b)).collect());
+    m.insert(B.0, (0..2).map(|b| block(0x20 + b)).collect());
+    m
+}
+
+fn intents() -> Vec<(&'static str, PrepareIntent)> {
+    vec![
+        ("create", PrepareIntent::CreateFiles(NEW.to_vec())),
+        ("delete", PrepareIntent::DeleteFiles(vec![A, ABSENT])),
+        (
+            "overwrite",
+            PrepareIntent::WriteBlock {
+                file: B,
+                block_no: 0,
+                payload: Bytes::from(block(0xAA)),
+            },
+        ),
+        (
+            "append",
+            PrepareIntent::WriteBlock {
+                file: B,
+                block_no: 2,
+                payload: Bytes::from(block(0xBB)),
+            },
+        ),
+    ]
+}
+
+/// Blocks a commit of `intent` frees from `model` right now (what a
+/// prepare promises and a committing decide reports).
+fn would_free(model: &Model, intent: &PrepareIntent) -> u32 {
+    match intent {
+        PrepareIntent::DeleteFiles(files) => files
+            .iter()
+            .filter_map(|f| model.get(&f.0))
+            .map(|blocks| blocks.len() as u32)
+            .sum(),
+        _ => 0,
+    }
+}
+
+/// A committed decision applied to the model — idempotently, as the
+/// participant must: whatever is missing is created, whatever is still
+/// there is deleted, an append already in place is an overwrite.
+fn commit_in_model(model: &mut Model, intent: &PrepareIntent) {
+    match intent {
+        PrepareIntent::CreateFiles(files) => {
+            for f in files {
+                model.entry(f.0).or_default();
+            }
+        }
+        PrepareIntent::DeleteFiles(files) => {
+            for f in files {
+                model.remove(&f.0);
+            }
+        }
+        PrepareIntent::WriteBlock {
+            file,
+            block_no,
+            payload,
+        } => {
+            let blocks = model.get_mut(&file.0).expect("written file exists");
+            if (*block_no as usize) < blocks.len() {
+                blocks[*block_no as usize] = payload.to_vec();
+            } else {
+                blocks.push(payload.to_vec());
+            }
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Step {
+    Prepare,
+    Decide {
+        commit: bool,
+    },
+    /// The server's group commit: everything logged so far is durable.
+    Commit,
+    /// The node dies and comes back through recovery.
+    Crash,
+}
+
+const COMMIT: Step = Step::Decide { commit: true };
+const ABORT: Step = Step::Decide { commit: false };
+
+fn histories() -> Vec<(&'static str, Vec<Step>)> {
+    use Step::*;
+    vec![
+        ("prepare, commit", vec![Prepare, COMMIT]),
+        ("prepare, abort", vec![Prepare, ABORT]),
+        ("commit unprepared", vec![COMMIT]),
+        ("abort unprepared", vec![ABORT]),
+        ("commit delivered twice", vec![Prepare, COMMIT, COMMIT]),
+        ("abort delivered twice", vec![Prepare, ABORT, ABORT]),
+        (
+            "crash in doubt, commit re-driven",
+            vec![Prepare, Commit, Crash, COMMIT],
+        ),
+        (
+            "crash in doubt, abort re-driven",
+            vec![Prepare, Commit, Crash, ABORT],
+        ),
+        ("commit, then crash", vec![Prepare, COMMIT, Commit, Crash]),
+        ("abort, then crash", vec![Prepare, ABORT, Commit, Crash]),
+    ]
+}
+
+/// The reply recovery reconstructs for the dedup window, reduced to what
+/// the participant rule determines.
+#[derive(Debug, Clone, PartialEq)]
+enum Reply {
+    Done,
+    Written,
+    Freed(u32),
+    Prepared(u32),
+}
+
+fn reply_shape(op: &RecoveredOp) -> Reply {
+    match &op.reply {
+        RecoveredReply::Done => Reply::Done,
+        RecoveredReply::Written(_) | RecoveredReply::WrittenRun(_) => Reply::Written,
+        RecoveredReply::Freed(n) => Reply::Freed(*n),
+        RecoveredReply::Prepared(freed) => Reply::Prepared(*freed),
+    }
+}
+
+/// The transaction's own operations among what recovery returned, in log
+/// order.
+fn txn_ops(ops: &[RecoveredOp]) -> Vec<(u64, Reply)> {
+    ops.iter()
+        .filter(|op| op.id >= PREPARE_ID)
+        .map(|op| (op.id, reply_shape(op)))
+        .collect()
+}
+
+/// Kills the node and brings it back: `recover` is what the LFS server
+/// runs on its instance after a crash fault (it discards every in-memory
+/// structure) and hands back the operations the dedup window is re-seeded
+/// with; the remount then crosses the other way in — `Efs::mount` of a
+/// WAL disk goes through the same recovery.
+fn crash(efs: Efs) -> (Efs, Vec<RecoveredOp>) {
+    let mut efs = efs;
+    let ops = efs.recover().expect("recover");
+    let efs = Efs::mount(efs.into_disk(), config()).expect("remount");
+    (efs, ops)
+}
+
+/// Everything a client, the coordinator or an operator can see of one
+/// instance.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    files: Vec<FileInfo>,
+    free: u32,
+    contents: Vec<(u32, Vec<Bytes>)>,
+    fsck_files: u32,
+    fsck_blocks: u32,
+}
+
+fn observe(ctx: &mut Ctx, efs: &mut Efs, what: &str) -> Observed {
+    let files = efs.list_files_raw().expect("list");
+    let free = efs.free_blocks();
+    let contents = files
+        .iter()
+        .map(|info| {
+            let blocks = (0..info.size)
+                .map(|b| efs.read(ctx, info.file, b, None).expect("read").0)
+                .collect();
+            (info.file.0, blocks)
+        })
+        .collect();
+    let report = efs.fsck();
+    assert!(
+        report.errors.is_empty(),
+        "{what}: fsck: {:?}",
+        report.errors
+    );
+    assert_eq!(
+        efs.free_blocks(),
+        free,
+        "{what}: the allocator disagrees with reachability"
+    );
+    Observed {
+        files,
+        free,
+        contents,
+        fsck_files: report.files,
+        fsck_blocks: report.blocks,
+    }
+}
+
+fn assert_matches_model(seen: &Observed, model: &Model, free_when_empty: u32, what: &str) {
+    let sizes: Vec<(u32, u32)> = seen.files.iter().map(|i| (i.file.0, i.size)).collect();
+    let want_sizes: Vec<(u32, u32)> = model.iter().map(|(&f, b)| (f, b.len() as u32)).collect();
+    assert_eq!(sizes, want_sizes, "{what}: directory");
+    for ((file, got), want) in seen.contents.iter().zip(model.values()) {
+        let got: Vec<&[u8]> = got.iter().map(|b| &b[..]).collect();
+        let want: Vec<&[u8]> = want.iter().map(|b| &b[..]).collect();
+        assert_eq!(got, want, "{what}: contents of file {file}");
+    }
+    let blocks: u32 = model.values().map(|b| b.len() as u32).sum();
+    assert_eq!(seen.free, free_when_empty - blocks, "{what}: free blocks");
+    assert_eq!(seen.fsck_files, model.len() as u32, "{what}: fsck files");
+    assert_eq!(seen.fsck_blocks, blocks, "{what}: fsck blocks");
+}
+
+fn run_case(ctx: &mut Ctx, intent_name: &str, intent: &PrepareIntent, name: &str, steps: &[Step]) {
+    let what = format!("{intent_name} / {name}");
+    let geometry = DiskGeometry {
+        block_size: 1024,
+        blocks_per_track: 8,
+        tracks: 128,
+    };
+    let mut efs = Efs::format(SimDisk::new(geometry, DiskProfile::instant()), config());
+    let free_when_empty = efs.free_blocks();
+
+    // The files the transaction finds, durable and checkpointed.
+    let mut model = base_model();
+    let mut id = 0;
+    for (&file, blocks) in &model {
+        id += 1;
+        efs.begin_request(1, id);
+        efs.create(ctx, LfsFileId(file)).expect("create");
+        for (b, payload) in blocks.iter().enumerate() {
+            id += 1;
+            efs.begin_request(1, id);
+            efs.write(ctx, LfsFileId(file), b as u32, payload, None)
+                .expect("write");
+        }
+    }
+    efs.sync(ctx).expect("sync");
+
+    // What the log should hand the dedup window at the next recovery.
+    let mut logged: Vec<(u64, Reply)> = Vec::new();
+    let mut in_doubt = false;
+    let mut decides = 0;
+    for (i, &step) in steps.iter().enumerate() {
+        let at = format!("{what}, step {i} ({step:?})");
+        match step {
+            Step::Prepare => {
+                efs.begin_request(1, PREPARE_ID);
+                let freed = efs.prepare(ctx, TXN, intent.clone()).expect("prepare");
+                assert_eq!(freed, would_free(&model, intent), "{at}: promised");
+                logged.push((PREPARE_ID, Reply::Prepared(freed)));
+                in_doubt = true;
+            }
+            Step::Decide { commit } => {
+                let id = DECIDE_ID + decides;
+                decides += 1;
+                efs.begin_request(1, id);
+                let want = if commit {
+                    let n = would_free(&model, intent);
+                    commit_in_model(&mut model, intent);
+                    n
+                } else {
+                    0
+                };
+                let freed = efs
+                    .decide(ctx, TXN, commit, intent.clone())
+                    .expect("decide");
+                assert_eq!(freed, want, "{at}: freed");
+                if commit && matches!(intent, PrepareIntent::WriteBlock { .. }) {
+                    // The committed write goes through the normal write
+                    // path, which logs its own record under the same id.
+                    logged.push((id, Reply::Written));
+                }
+                logged.push((id, Reply::Freed(freed)));
+                in_doubt = false;
+            }
+            Step::Commit => efs.commit(ctx).expect("commit"),
+            Step::Crash => {
+                let (back, ops) = crash(efs);
+                efs = back;
+                // An in-doubt prepare is rolled back and must not be
+                // replayed to a retransmitting coordinator as a yes-vote.
+                let want: Vec<_> = logged
+                    .iter()
+                    .filter(|(id, _)| !(in_doubt && *id == PREPARE_ID))
+                    .cloned()
+                    .collect();
+                assert_eq!(txn_ops(&ops), want, "{at}: recovered ops");
+                in_doubt = false;
+            }
+        }
+    }
+
+    let live = observe(ctx, &mut efs, &what);
+    assert_matches_model(&live, &model, free_when_empty, &what);
+
+    // The twin: the same history, then a crash. Addresses included, it is
+    // the same file system.
+    efs.commit(ctx).expect("commit");
+    let (mut twin, ops) = crash(efs);
+    assert_eq!(txn_ops(&ops), logged, "{what}: twin's recovered ops");
+    let recovered = observe(ctx, &mut twin, &format!("{what} (twin)"));
+    assert_eq!(recovered, live, "{what}: twin differs");
+}
+
+#[test]
+fn every_intent_through_every_history() {
+    let mut sim = Simulation::new(SimConfig::default());
+    let node = sim.add_node("n");
+    sim.block_on(node, "driver", |ctx| {
+        for (intent_name, intent) in intents() {
+            for (name, steps) in histories() {
+                run_case(ctx, intent_name, &intent, name, &steps);
+            }
+        }
+    });
+}
+
+/// A create intent that cannot apply votes no and leaves nothing behind:
+/// the files it did insert before hitting the existing one are gone
+/// again, live and after a crash.
+#[test]
+fn a_refused_create_leaves_no_trace() {
+    let mut sim = Simulation::new(SimConfig::default());
+    let node = sim.add_node("n");
+    sim.block_on(node, "driver", |ctx| {
+        let geometry = DiskGeometry {
+            block_size: 1024,
+            blocks_per_track: 8,
+            tracks: 128,
+        };
+        let mut efs = Efs::format(SimDisk::new(geometry, DiskProfile::instant()), config());
+        efs.create(ctx, A).expect("create");
+        efs.sync(ctx).expect("sync");
+        let intent = PrepareIntent::CreateFiles(vec![NEW[0], A, NEW[1]]);
+        let err = efs.prepare(ctx, TXN, intent).expect_err("A exists");
+        assert_eq!(err, bridge_efs::EfsError::FileExists(A));
+        let names = |efs: &Efs| -> Vec<u32> {
+            let files = efs.list_files_raw().expect("list");
+            files.iter().map(|i| i.file.0).collect()
+        };
+        assert_eq!(names(&efs), vec![A.0]);
+        // Nothing is pending or in doubt: the next checkpoint is free to
+        // run, and the txn id can be prepared afresh.
+        efs.commit(ctx).expect("commit");
+        efs.prepare(ctx, TXN, PrepareIntent::CreateFiles(NEW.to_vec()))
+            .expect("fresh prepare");
+        efs.decide(ctx, TXN, false, PrepareIntent::CreateFiles(NEW.to_vec()))
+            .expect("abort");
+        efs.commit(ctx).expect("commit");
+        let (efs, _) = crash(efs);
+        assert_eq!(names(&efs), vec![A.0]);
+    });
+}
