@@ -1,0 +1,20 @@
+#!/bin/sh
+# Lines of Rust under each crate's src/, as a markdown table.
+#   raw  = every line
+#   code = non-blank lines that are not `//` comments, counted up to a
+#          file's first `#[cfg(test)]` (inline test modules excluded)
+# No gate and no threshold: each PR leaves its count beside the
+# bridgebench ledger so line targets in ROADMAP.md are read, not argued.
+set -eu
+cd "$(dirname "$0")/../.."
+echo "| crate | raw | code |"
+echo "|---|---:|---:|"
+for src in crates/*/src; do
+    find "$src" -name '*.rs' -exec awk '
+        FNR == 1 { tests = 0 }
+        { raw++ }
+        /#\[cfg\(test\)\]/ { tests = 1 }
+        !tests && !/^[[:space:]]*($|\/\/)/ { code++ }
+        END { printf "%d %d\n", raw, code }' {} + |
+        { read -r raw code; echo "| $(basename "$(dirname "$src")") | $raw | $code |"; }
+done

@@ -3,11 +3,12 @@
 //! A simple next-fit bitmap allocator. The cursor keeps sequential appends
 //! on consecutive disk addresses, which is what lets the track buffer make
 //! sequential reads cheap. The bitmap itself is memory-resident and
-//! persisted to the reserved bitmap region on [`sync`](crate::Efs::sync);
-//! the linked block structure on disk remains the recovery source of truth
-//! (every live block names its file, every freed block carries a
-//! tombstone), mirroring the resiliency-oriented design EFS inherited from
-//! Cronus.
+//! persisted to the reserved bitmap region on [`sync`](crate::Efs::sync)
+//! and at every checkpoint; the linked block structure on disk remains the
+//! recovery source of truth — every live block names its file and its
+//! position, and recovery rebuilds the bitmap from what the directory can
+//! reach. A freed block is simply no longer reachable: nothing is written
+//! to it.
 
 use simdisk::BlockAddr;
 

@@ -4,10 +4,12 @@
 //! A pointer to the first block of a file can be found in the file's EFS
 //! directory entry." Buckets are whole disk blocks in a reserved region;
 //! each holds up to 63 fixed-size entries. Buckets are cached in memory
-//! once read; membership changes (create/delete) are written through, while
-//! size/tail updates from appends are written back on
-//! [`sync`](crate::Efs::sync) — EFS's linked blocks, not the directory, are
-//! the authoritative record of file contents.
+//! once read. The directory owns its durability: without a write-ahead log
+//! a membership change (create/delete) is written through, with one it
+//! waits for the next checkpoint like everything else — the logged intent
+//! is what makes it durable. Size/tail updates from appends are always
+//! written back later ([`sync`](crate::Efs::sync)); EFS's linked blocks,
+//! not the directory, are the authoritative record of file contents.
 
 use crate::error::EfsError;
 use crate::layout::{LfsFileId, BLOCK_SIZE};
@@ -26,6 +28,28 @@ pub struct DirEntry {
     pub last: BlockAddr,
     /// File size in blocks.
     pub size: u32,
+}
+
+impl DirEntry {
+    /// The entry of a file that holds no blocks yet.
+    pub fn empty(file: LfsFileId) -> Self {
+        DirEntry {
+            file,
+            first: BlockAddr::new(0),
+            last: BlockAddr::new(0),
+            size: 0,
+        }
+    }
+}
+
+/// How an access reaches the disk: by a timed operation on the caller's
+/// virtual clock, or straight at the raw image (recovery, re-driven
+/// decisions, offline checks). A bucket first touched raw costs nothing,
+/// then or later.
+#[derive(Debug)]
+pub(crate) enum Via<'a> {
+    Timed(&'a mut Ctx),
+    Raw,
 }
 
 const ENTRY_SIZE: usize = 16;
@@ -73,6 +97,29 @@ impl Bucket {
         }
         Ok(Bucket { entries })
     }
+
+    fn find(&self, file: LfsFileId) -> Option<DirEntry> {
+        self.entries.iter().copied().find(|e| e.file == file)
+    }
+
+    fn remove(&mut self, file: LfsFileId) -> Option<DirEntry> {
+        let pos = self.entries.iter().position(|e| e.file == file)?;
+        Some(self.entries.remove(pos))
+    }
+
+    /// Replaces the file's entry, or adds it: `Some(true)` when added (a
+    /// membership change), `None` when there is no room to.
+    fn upsert(&mut self, entry: DirEntry) -> Option<bool> {
+        if let Some(slot) = self.entries.iter_mut().find(|e| e.file == entry.file) {
+            *slot = entry;
+            return Some(false);
+        }
+        if self.entries.len() >= BUCKET_CAPACITY {
+            return None;
+        }
+        self.entries.push(entry);
+        Some(true)
+    }
 }
 
 /// Memory-cached view of the on-disk directory region.
@@ -82,6 +129,9 @@ pub(crate) struct Directory {
     start: u32,
     /// Number of bucket blocks.
     buckets: u32,
+    /// Membership changes wait for the checkpoint (the disk carries a
+    /// write-ahead log) instead of being written through.
+    deferred: bool,
     /// Buckets read so far, indexed by bucket number.
     cache: Vec<Option<Bucket>>,
     /// Which cached buckets differ from their disk image.
@@ -89,44 +139,22 @@ pub(crate) struct Directory {
 }
 
 impl Directory {
-    pub(crate) fn new(start: u32, buckets: u32) -> Self {
+    pub(crate) fn new(start: u32, buckets: u32, deferred: bool) -> Self {
         assert!(buckets > 0, "directory needs at least one bucket");
         Directory {
             start,
             buckets,
+            deferred,
             cache: vec![None; buckets as usize],
             dirty: vec![false; buckets as usize],
         }
-    }
-
-    /// The bucket region as `(start block, bucket count)` — what a fresh
-    /// [`Directory::new`] needs to re-cover the same region after a crash.
-    pub(crate) fn region(&self) -> (u32, u32) {
-        (self.start, self.buckets)
-    }
-
-    /// Number of bucket blocks.
-    pub(crate) fn bucket_count(&self) -> u32 {
-        self.buckets
-    }
-
-    /// Loads bucket `bucket` (timed when cold, cached when warm) and
-    /// returns its entries — the fsck scan's unit of pipelining.
-    pub(crate) fn load_bucket(
-        &mut self,
-        ctx: &mut Ctx,
-        disk: &mut dyn BlockDevice,
-        bucket: u32,
-    ) -> Result<Vec<DirEntry>, EfsError> {
-        self.load(ctx, disk, bucket)?;
-        Ok(self.cached(bucket).entries.clone())
     }
 
     /// Formats the bucket region with empty buckets (raw, untimed).
     pub(crate) fn format(&self, disk: &mut dyn BlockDevice) {
         let empty = Bucket::default().encode();
         for b in 0..self.buckets {
-            disk.write_raw(BlockAddr::new(self.start + b), &empty);
+            disk.write_raw(self.addr_of_bucket(b), &empty);
         }
     }
 
@@ -139,292 +167,174 @@ impl Directory {
         BlockAddr::new(self.start + bucket)
     }
 
-    /// A bucket some `load` has already brought in.
-    fn cached(&self, bucket: u32) -> &Bucket {
-        self.cache[bucket as usize].as_ref().expect("bucket loaded")
-    }
-
-    /// Dirty bucket numbers, ascending.
-    fn dirty_buckets(&self) -> Vec<u32> {
-        (0..self.buckets)
-            .filter(|&b| self.dirty[b as usize])
-            .collect()
-    }
-
-    /// Loads (and caches) a bucket, charging disk time on a cold read.
+    /// The one bucket access: the cached bucket, read in first if this is
+    /// its first touch — a timed read, or the raw image (where a block
+    /// never written is an empty bucket).
     fn load(
         &mut self,
-        ctx: &mut Ctx,
+        via: &mut Via<'_>,
         disk: &mut dyn BlockDevice,
         bucket: u32,
-    ) -> Result<(), EfsError> {
-        if self.cache[bucket as usize].is_some() {
-            return Ok(());
+    ) -> Result<&mut Bucket, EfsError> {
+        let addr = self.addr_of_bucket(bucket);
+        let slot = &mut self.cache[bucket as usize];
+        match slot {
+            Some(cached) => Ok(cached),
+            None => Ok(slot.insert(match via {
+                Via::Timed(ctx) => Bucket::decode(&disk.read(ctx, addr)?)?,
+                Via::Raw => match disk.read_raw(addr) {
+                    Some(bytes) => Bucket::decode(bytes)?,
+                    None => Bucket::default(),
+                },
+            })),
         }
-        let bytes = disk.read(ctx, self.addr_of_bucket(bucket))?;
-        self.cache[bucket as usize] = Some(Bucket::decode(&bytes)?);
-        Ok(())
     }
 
+    /// Writes a cached bucket home.
     fn store(
         &mut self,
-        ctx: &mut Ctx,
+        via: &mut Via<'_>,
         disk: &mut dyn BlockDevice,
         bucket: u32,
     ) -> Result<(), EfsError> {
-        let bytes = self.cached(bucket).encode();
-        disk.write(ctx, self.addr_of_bucket(bucket), &bytes)?;
+        if let Some(cached) = &self.cache[bucket as usize] {
+            let (addr, bytes) = (self.addr_of_bucket(bucket), cached.encode());
+            match via {
+                Via::Timed(ctx) => disk.write(ctx, addr, &bytes)?,
+                Via::Raw => disk.write_raw(addr, &bytes),
+            }
+        }
         self.dirty[bucket as usize] = false;
         Ok(())
     }
 
-    /// Looks up a file's entry.
-    pub(crate) fn lookup(
+    /// Settles a change to `bucket`. A membership change made through a
+    /// timed access goes home at once unless durability is deferred to
+    /// the checkpoint; everything else — size/tail updates, and whatever
+    /// a raw access changed — waits, dirty, for [`Directory::write_back`].
+    fn settle(
         &mut self,
-        ctx: &mut Ctx,
+        via: &mut Via<'_>,
+        disk: &mut dyn BlockDevice,
+        bucket: u32,
+        membership: bool,
+    ) -> Result<(), EfsError> {
+        if membership && !self.deferred && matches!(via, Via::Timed(_)) {
+            return self.store(via, disk, bucket);
+        }
+        self.dirty[bucket as usize] = true;
+        Ok(())
+    }
+
+    /// Looks up a file's entry.
+    pub(crate) fn find(
+        &mut self,
+        via: &mut Via<'_>,
         disk: &mut dyn BlockDevice,
         file: LfsFileId,
     ) -> Result<Option<DirEntry>, EfsError> {
         let bucket = self.bucket_of(file);
-        self.load(ctx, disk, bucket)?;
-        Ok(self
-            .cached(bucket)
-            .entries
-            .iter()
-            .copied()
-            .find(|e| e.file == file))
+        Ok(self.load(via, disk, bucket)?.find(file))
     }
 
-    /// Adds a new entry (write-through).
+    /// The entries of bucket `bucket` — the fsck scan's unit of
+    /// pipelining.
+    pub(crate) fn entries(
+        &mut self,
+        via: &mut Via<'_>,
+        disk: &mut dyn BlockDevice,
+        bucket: u32,
+    ) -> Result<Vec<DirEntry>, EfsError> {
+        Ok(self.load(via, disk, bucket)?.entries.clone())
+    }
+
+    /// Adds a new file's entry.
     ///
     /// # Errors
     ///
     /// [`EfsError::FileExists`] or [`EfsError::DirectoryFull`].
     pub(crate) fn insert(
         &mut self,
-        ctx: &mut Ctx,
+        via: &mut Via<'_>,
         disk: &mut dyn BlockDevice,
         entry: DirEntry,
     ) -> Result<(), EfsError> {
         let bucket = self.bucket_of(entry.file);
-        self.load(ctx, disk, bucket)?;
-        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
-        if b.entries.iter().any(|e| e.file == entry.file) {
+        if self.load(via, disk, bucket)?.find(entry.file).is_some() {
             return Err(EfsError::FileExists(entry.file));
         }
-        if b.entries.len() >= BUCKET_CAPACITY {
-            return Err(EfsError::DirectoryFull { bucket });
-        }
-        b.entries.push(entry);
-        self.store(ctx, disk, bucket)
+        self.upsert(via, disk, entry)
     }
 
-    /// Removes a file's entry (write-through).
+    /// Sets a file's entry to an absolute state, adding it if absent —
+    /// idempotent, so replaying a logged record twice is harmless. Appends
+    /// come through here too: replacing an entry only dirties its bucket,
+    /// so a sequential write costs block I/O only, as in the paper's EFS.
     ///
     /// # Errors
     ///
-    /// [`EfsError::UnknownFile`] if absent.
+    /// [`EfsError::DirectoryFull`] if a fresh entry cannot fit.
+    pub(crate) fn upsert(
+        &mut self,
+        via: &mut Via<'_>,
+        disk: &mut dyn BlockDevice,
+        entry: DirEntry,
+    ) -> Result<(), EfsError> {
+        let bucket = self.bucket_of(entry.file);
+        let added = self
+            .load(via, disk, bucket)?
+            .upsert(entry)
+            .ok_or(EfsError::DirectoryFull { bucket })?;
+        self.settle(via, disk, bucket, added)
+    }
+
+    /// Removes a file's entry if present, returning it.
     pub(crate) fn remove(
         &mut self,
-        ctx: &mut Ctx,
+        via: &mut Via<'_>,
         disk: &mut dyn BlockDevice,
-        file: LfsFileId,
-    ) -> Result<DirEntry, EfsError> {
-        let bucket = self.bucket_of(file);
-        self.load(ctx, disk, bucket)?;
-        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
-        let pos = b
-            .entries
-            .iter()
-            .position(|e| e.file == file)
-            .ok_or(EfsError::UnknownFile(file))?;
-        let entry = b.entries.remove(pos);
-        self.store(ctx, disk, bucket)?;
-        Ok(entry)
-    }
-
-    /// Updates an existing entry in memory, marking the bucket dirty for a
-    /// later [`Directory::sync`]. Appends hit this path, so a sequential
-    /// write costs block I/O only, as in the paper's EFS.
-    ///
-    /// # Errors
-    ///
-    /// [`EfsError::UnknownFile`] if absent.
-    pub(crate) fn update(
-        &mut self,
-        ctx: &mut Ctx,
-        disk: &mut dyn BlockDevice,
-        entry: DirEntry,
-    ) -> Result<(), EfsError> {
-        let bucket = self.bucket_of(entry.file);
-        self.load(ctx, disk, bucket)?;
-        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
-        let slot = b
-            .entries
-            .iter_mut()
-            .find(|e| e.file == entry.file)
-            .ok_or(EfsError::UnknownFile(entry.file))?;
-        *slot = entry;
-        self.dirty[bucket as usize] = true;
-        Ok(())
-    }
-
-    /// Adds a new entry in memory only, marking the bucket dirty (WAL
-    /// mode: membership is made durable by the log record at commit and
-    /// the bucket itself at the next checkpoint).
-    ///
-    /// # Errors
-    ///
-    /// [`EfsError::FileExists`] or [`EfsError::DirectoryFull`].
-    pub(crate) fn insert_deferred(
-        &mut self,
-        ctx: &mut Ctx,
-        disk: &mut dyn BlockDevice,
-        entry: DirEntry,
-    ) -> Result<(), EfsError> {
-        let bucket = self.bucket_of(entry.file);
-        self.load(ctx, disk, bucket)?;
-        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
-        if b.entries.iter().any(|e| e.file == entry.file) {
-            return Err(EfsError::FileExists(entry.file));
-        }
-        if b.entries.len() >= BUCKET_CAPACITY {
-            return Err(EfsError::DirectoryFull { bucket });
-        }
-        b.entries.push(entry);
-        self.dirty[bucket as usize] = true;
-        Ok(())
-    }
-
-    /// Removes a file's entry in memory only, marking the bucket dirty
-    /// (WAL mode counterpart of [`Directory::remove`]).
-    ///
-    /// # Errors
-    ///
-    /// [`EfsError::UnknownFile`] if absent.
-    pub(crate) fn remove_deferred(
-        &mut self,
-        ctx: &mut Ctx,
-        disk: &mut dyn BlockDevice,
-        file: LfsFileId,
-    ) -> Result<DirEntry, EfsError> {
-        let bucket = self.bucket_of(file);
-        self.load(ctx, disk, bucket)?;
-        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
-        let pos = b
-            .entries
-            .iter()
-            .position(|e| e.file == file)
-            .ok_or(EfsError::UnknownFile(file))?;
-        let entry = b.entries.remove(pos);
-        self.dirty[bucket as usize] = true;
-        Ok(entry)
-    }
-
-    /// Loads a bucket from the raw disk image (untimed; recovery/fsck).
-    fn load_raw(&mut self, disk: &dyn BlockDevice, bucket: u32) -> Result<(), EfsError> {
-        if self.cache[bucket as usize].is_some() {
-            return Ok(());
-        }
-        let decoded = match disk.read_raw(self.addr_of_bucket(bucket)) {
-            Some(bytes) => Bucket::decode(bytes)?,
-            None => Bucket::default(),
-        };
-        self.cache[bucket as usize] = Some(decoded);
-        Ok(())
-    }
-
-    /// Upserts an entry to an absolute state (untimed; recovery replay —
-    /// idempotent, so replaying a record twice is harmless).
-    ///
-    /// # Errors
-    ///
-    /// [`EfsError::Corrupt`] if the bucket fails to decode,
-    /// [`EfsError::DirectoryFull`] if a fresh entry cannot fit.
-    pub(crate) fn set_absolute(
-        &mut self,
-        disk: &dyn BlockDevice,
-        entry: DirEntry,
-    ) -> Result<(), EfsError> {
-        let bucket = self.bucket_of(entry.file);
-        self.load_raw(disk, bucket)?;
-        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
-        match b.entries.iter_mut().find(|e| e.file == entry.file) {
-            Some(slot) => *slot = entry,
-            None => {
-                if b.entries.len() >= BUCKET_CAPACITY {
-                    return Err(EfsError::DirectoryFull { bucket });
-                }
-                b.entries.push(entry);
-            }
-        }
-        self.dirty[bucket as usize] = true;
-        Ok(())
-    }
-
-    /// Looks up an entry without charging time (recovery replay: a
-    /// prepared delete being re-applied needs the entry it is about to
-    /// remove so a presumed abort can restore it).
-    ///
-    /// # Errors
-    ///
-    /// [`EfsError::Corrupt`] if the bucket fails to decode.
-    pub(crate) fn lookup_absolute(
-        &mut self,
-        disk: &dyn BlockDevice,
         file: LfsFileId,
     ) -> Result<Option<DirEntry>, EfsError> {
         let bucket = self.bucket_of(file);
-        self.load_raw(disk, bucket)?;
-        let b = self.cached(bucket);
-        Ok(b.entries.iter().find(|e| e.file == file).copied())
+        let removed = self.load(via, disk, bucket)?.remove(file);
+        if removed.is_some() {
+            self.settle(via, disk, bucket, true)?;
+        }
+        Ok(removed)
     }
 
-    /// Removes an entry if present (untimed; recovery replay —
-    /// idempotent).
-    ///
-    /// # Errors
-    ///
-    /// [`EfsError::Corrupt`] if the bucket fails to decode.
-    pub(crate) fn remove_absolute(
+    /// Writes every dirty bucket home, in bucket order (timed: sync and
+    /// checkpoint; raw: the end of recovery).
+    pub(crate) fn write_back(
         &mut self,
-        disk: &dyn BlockDevice,
-        file: LfsFileId,
+        via: &mut Via<'_>,
+        disk: &mut dyn BlockDevice,
     ) -> Result<(), EfsError> {
-        let bucket = self.bucket_of(file);
-        self.load_raw(disk, bucket)?;
-        let b = self.cache[bucket as usize].as_mut().expect("just loaded");
-        if let Some(pos) = b.entries.iter().position(|e| e.file == file) {
-            b.entries.remove(pos);
-            self.dirty[bucket as usize] = true;
+        for bucket in 0..self.buckets {
+            if self.dirty[bucket as usize] {
+                self.store(via, disk, bucket)?;
+            }
         }
         Ok(())
     }
 
-    /// Writes every dirty cached bucket to the raw disk image (untimed;
-    /// end of recovery, before the fresh checkpoint record).
-    pub(crate) fn flush_raw(&mut self, disk: &mut dyn BlockDevice) {
-        for bucket in self.dirty_buckets() {
-            let bytes = self.cached(bucket).encode();
-            disk.write_raw(self.addr_of_bucket(bucket), &bytes);
-            self.dirty[bucket as usize] = false;
-        }
-    }
-
-    /// Writes back all dirty buckets.
-    pub(crate) fn sync(
+    /// Writes `file`'s bucket home now if it is dirty, whatever the
+    /// durability mode.
+    pub(crate) fn persist(
         &mut self,
         ctx: &mut Ctx,
         disk: &mut dyn BlockDevice,
+        file: LfsFileId,
     ) -> Result<(), EfsError> {
-        for bucket in self.dirty_buckets() {
-            self.store(ctx, disk, bucket)?;
+        let bucket = self.bucket_of(file);
+        if self.dirty[bucket as usize] {
+            self.store(&mut Via::Timed(ctx), disk, bucket)?;
         }
         Ok(())
     }
 
-    /// All files present, by scanning every bucket (untimed raw reads;
-    /// debugging/test aid).
+    /// All files present, by scanning every bucket (untimed raw reads
+    /// that cache nothing, so a cold bucket stays cold).
     pub(crate) fn scan_raw(&self, disk: &dyn BlockDevice) -> Result<Vec<DirEntry>, EfsError> {
         let mut out = Vec::new();
         for b in 0..self.buckets {
@@ -447,13 +357,14 @@ mod tests {
     use simdisk::{DiskGeometry, DiskProfile, SimDisk};
 
     fn with_dir<R: Send + 'static>(
+        deferred: bool,
         f: impl FnOnce(&mut Ctx, &mut SimDisk, &mut Directory) -> R + Send + 'static,
     ) -> R {
         let mut sim = Simulation::new(SimConfig::default());
         let node = sim.add_node("n");
         sim.block_on(node, "dir", move |ctx| {
             let mut disk = SimDisk::new(DiskGeometry::default(), DiskProfile::instant());
-            let mut dir = Directory::new(1, 32);
+            let mut dir = Directory::new(1, 32, deferred);
             dir.format(&mut disk);
             f(ctx, &mut disk, &mut dir)
         })
@@ -468,28 +379,44 @@ mod tests {
         }
     }
 
+    /// What a fresh directory over the same disk image finds for `file`.
+    fn on_disk(ctx: &mut Ctx, disk: &mut SimDisk, file: u32) -> Option<DirEntry> {
+        Directory::new(1, 32, false)
+            .find(&mut Via::Timed(ctx), disk, LfsFileId(file))
+            .unwrap()
+    }
+
     #[test]
     fn insert_lookup_remove() {
-        with_dir(|ctx, disk, dir| {
-            dir.insert(ctx, disk, entry(1, 5)).unwrap();
-            dir.insert(ctx, disk, entry(2, 9)).unwrap();
+        with_dir(false, |ctx, disk, dir| {
+            dir.insert(&mut Via::Timed(ctx), disk, entry(1, 5)).unwrap();
+            dir.insert(&mut Via::Timed(ctx), disk, entry(2, 9)).unwrap();
             assert_eq!(
-                dir.lookup(ctx, disk, LfsFileId(1)).unwrap(),
+                dir.find(&mut Via::Timed(ctx), disk, LfsFileId(1)).unwrap(),
                 Some(entry(1, 5))
             );
-            assert_eq!(dir.lookup(ctx, disk, LfsFileId(3)).unwrap(), None);
-            let removed = dir.remove(ctx, disk, LfsFileId(1)).unwrap();
-            assert_eq!(removed, entry(1, 5));
-            assert_eq!(dir.lookup(ctx, disk, LfsFileId(1)).unwrap(), None);
+            assert_eq!(
+                dir.find(&mut Via::Timed(ctx), disk, LfsFileId(3)).unwrap(),
+                None
+            );
+            let removed = dir
+                .remove(&mut Via::Timed(ctx), disk, LfsFileId(1))
+                .unwrap();
+            assert_eq!(removed, Some(entry(1, 5)));
+            assert_eq!(
+                dir.find(&mut Via::Timed(ctx), disk, LfsFileId(1)).unwrap(),
+                None
+            );
         });
     }
 
     #[test]
     fn duplicate_create_rejected() {
-        with_dir(|ctx, disk, dir| {
-            dir.insert(ctx, disk, entry(1, 0)).unwrap();
+        with_dir(false, |ctx, disk, dir| {
+            dir.insert(&mut Via::Timed(ctx), disk, entry(1, 0)).unwrap();
             assert_eq!(
-                dir.insert(ctx, disk, entry(1, 0)).unwrap_err(),
+                dir.insert(&mut Via::Timed(ctx), disk, entry(1, 0))
+                    .unwrap_err(),
                 EfsError::FileExists(LfsFileId(1))
             );
         });
@@ -497,49 +424,97 @@ mod tests {
 
     #[test]
     fn remove_missing_rejected() {
-        with_dir(|ctx, disk, dir| {
+        with_dir(false, |ctx, disk, dir| {
+            let writes = disk.stats().writes;
             assert_eq!(
-                dir.remove(ctx, disk, LfsFileId(9)).unwrap_err(),
-                EfsError::UnknownFile(LfsFileId(9))
+                dir.remove(&mut Via::Timed(ctx), disk, LfsFileId(9)),
+                Ok(None)
+            );
+            assert_eq!(
+                disk.stats().writes,
+                writes,
+                "nothing changed, nothing written"
             );
         });
     }
 
     #[test]
     fn membership_survives_cache_drop_but_updates_need_sync() {
-        with_dir(|ctx, disk, dir| {
-            dir.insert(ctx, disk, entry(1, 0)).unwrap();
-            let mut updated = entry(1, 0);
-            updated.size = 42;
-            dir.update(ctx, disk, updated).unwrap();
+        with_dir(false, |ctx, disk, dir| {
+            dir.insert(&mut Via::Timed(ctx), disk, entry(1, 0)).unwrap();
+            dir.upsert(&mut Via::Timed(ctx), disk, entry(1, 42))
+                .unwrap();
 
             // A fresh directory reading the same disk: insert was written
             // through, the size update was not.
-            let mut fresh = Directory::new(1, 32);
-            let e = fresh.lookup(ctx, disk, LfsFileId(1)).unwrap().unwrap();
-            assert_eq!(e.size, 0, "update not yet synced");
+            assert_eq!(on_disk(ctx, disk, 1).unwrap().size, 0, "not yet synced");
 
-            dir.sync(ctx, disk).unwrap();
-            let mut fresh2 = Directory::new(1, 32);
-            let e = fresh2.lookup(ctx, disk, LfsFileId(1)).unwrap().unwrap();
-            assert_eq!(e.size, 42, "sync persisted the update");
+            dir.write_back(&mut Via::Timed(ctx), disk).unwrap();
+            assert_eq!(on_disk(ctx, disk, 1).unwrap().size, 42, "synced");
+        });
+    }
+
+    #[test]
+    fn deferred_membership_waits_for_write_back() {
+        with_dir(true, |ctx, disk, dir| {
+            dir.insert(&mut Via::Timed(ctx), disk, entry(1, 0)).unwrap();
+            dir.insert(&mut Via::Timed(ctx), disk, entry(2, 0)).unwrap();
+            assert_eq!(
+                on_disk(ctx, disk, 1),
+                None,
+                "the log, not the bucket, holds it"
+            );
+
+            // One bucket can be sent home ahead of the rest.
+            dir.persist(ctx, disk, LfsFileId(1)).unwrap();
+            assert_eq!(on_disk(ctx, disk, 1), Some(entry(1, 0)));
+            assert_eq!(on_disk(ctx, disk, 2), None);
+
+            dir.remove(&mut Via::Timed(ctx), disk, LfsFileId(1))
+                .unwrap();
+            assert_eq!(
+                on_disk(ctx, disk, 1),
+                Some(entry(1, 0)),
+                "removal deferred too"
+            );
+            dir.write_back(&mut Via::Timed(ctx), disk).unwrap();
+            assert_eq!(on_disk(ctx, disk, 1), None);
+            assert_eq!(on_disk(ctx, disk, 2), Some(entry(2, 0)));
+        });
+    }
+
+    #[test]
+    fn raw_access_is_free_and_never_written_through() {
+        let mut sim = Simulation::new(SimConfig::default());
+        let node = sim.add_node("n");
+        sim.block_on(node, "dir", |ctx| {
+            let mut disk = SimDisk::new(DiskGeometry::default(), DiskProfile::wren());
+            let mut dir = Directory::new(1, 32, false);
+            dir.format(&mut disk);
+            let t0 = ctx.now();
+            dir.upsert(&mut Via::Raw, &mut disk, entry(1, 3)).unwrap();
+            assert_eq!(dir.remove(&mut Via::Raw, &mut disk, LfsFileId(7)), Ok(None));
+            // The bucket a raw access loaded stays warm for timed ones.
+            let found = dir.find(&mut Via::Timed(ctx), &mut disk, LfsFileId(1));
+            assert_eq!(found, Ok(Some(entry(1, 3))));
+            assert_eq!(ctx.now(), t0, "no virtual time passed");
+            assert_eq!(on_disk(ctx, &mut disk, 1), None, "waits for write_back");
+            dir.write_back(&mut Via::Raw, &mut disk).unwrap();
+            assert_eq!(on_disk(ctx, &mut disk, 1), Some(entry(1, 3)));
         });
     }
 
     #[test]
     fn bucket_overflow_reported() {
-        with_dir(|ctx, disk, dir| {
-            // Fill one specific bucket by brute force.
+        with_dir(false, |ctx, disk, dir| {
+            // Fill the bucket of file 0 by brute force: keep inserting
+            // files that hash to it.
             let mut inserted = 0;
             let mut f = 0u32;
-            let target = {
-                // find the bucket of file 0 and keep inserting files that
-                // hash to it
-                dir.bucket_of(LfsFileId(0))
-            };
+            let target = dir.bucket_of(LfsFileId(0));
             loop {
                 if dir.bucket_of(LfsFileId(f)) == target {
-                    match dir.insert(ctx, disk, entry(f, 0)) {
+                    match dir.insert(&mut Via::Timed(ctx), disk, entry(f, 0)) {
                         Ok(()) => inserted += 1,
                         Err(EfsError::DirectoryFull { bucket }) => {
                             assert_eq!(bucket, target);
@@ -556,9 +531,9 @@ mod tests {
 
     #[test]
     fn scan_raw_sees_cached_and_disk_state() {
-        with_dir(|ctx, disk, dir| {
-            dir.insert(ctx, disk, entry(3, 1)).unwrap();
-            dir.insert(ctx, disk, entry(1, 2)).unwrap();
+        with_dir(false, |ctx, disk, dir| {
+            dir.insert(&mut Via::Timed(ctx), disk, entry(3, 1)).unwrap();
+            dir.insert(&mut Via::Timed(ctx), disk, entry(1, 2)).unwrap();
             let all = dir.scan_raw(disk).unwrap();
             assert_eq!(
                 all.iter().map(|e| e.file.0).collect::<Vec<_>>(),
@@ -574,12 +549,14 @@ mod tests {
         let node = sim.add_node("n");
         let (cold, warm) = sim.block_on(node, "dir", |ctx| {
             let mut disk = SimDisk::new(DiskGeometry::default(), DiskProfile::wren());
-            let mut dir = Directory::new(1, 32);
+            let mut dir = Directory::new(1, 32, false);
             dir.format(&mut disk);
             let t0 = ctx.now();
-            dir.lookup(ctx, &mut disk, LfsFileId(5)).unwrap();
+            dir.find(&mut Via::Timed(ctx), &mut disk, LfsFileId(5))
+                .unwrap();
             let t1 = ctx.now();
-            dir.lookup(ctx, &mut disk, LfsFileId(5)).unwrap();
+            dir.find(&mut Via::Timed(ctx), &mut disk, LfsFileId(5))
+                .unwrap();
             let t2 = ctx.now();
             (t1 - t0, t2 - t1)
         });

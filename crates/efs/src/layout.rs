@@ -21,9 +21,6 @@ pub const EFS_PAYLOAD: usize = BLOCK_SIZE - EFS_HEADER_SIZE;
 
 /// Magic tag of a live data block.
 pub const BLOCK_MAGIC: u32 = 0xEF5_B10C;
-/// Magic tag written when a block is explicitly freed (a remnant of the
-/// Cronus resiliency code that makes Delete walk the whole file).
-pub const FREE_MAGIC: u32 = 0xDEAD_F2EE;
 
 /// The numeric name of a local (EFS) file. "File names are numbers that
 /// are used to hash into a directory."
@@ -92,7 +89,7 @@ pub fn encode_block(header: &EfsHeader, payload: &[u8]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`EfsError::Corrupt`] if the block is not a live data block
-/// (wrong magic, freed, or bad checksum) or is the wrong length.
+/// (wrong magic or bad checksum) or is the wrong length.
 pub fn decode_header(bytes: &[u8]) -> Result<EfsHeader, EfsError> {
     if bytes.len() != BLOCK_SIZE {
         return Err(EfsError::Corrupt(format!(
@@ -102,9 +99,6 @@ pub fn decode_header(bytes: &[u8]) -> Result<EfsHeader, EfsError> {
     }
     let mut buf = bytes;
     let magic = buf.get_u32_le();
-    if magic == FREE_MAGIC {
-        return Err(EfsError::Corrupt("block is freed".to_string()));
-    }
     if magic != BLOCK_MAGIC {
         return Err(EfsError::Corrupt(format!("bad block magic {magic:#x}")));
     }
@@ -130,23 +124,10 @@ pub fn decode_header(bytes: &[u8]) -> Result<EfsHeader, EfsError> {
 /// # Errors
 ///
 /// Returns [`EfsError::Corrupt`] if the block is not a live data block
-/// (wrong magic, freed, or bad checksum) or is the wrong length.
+/// (wrong magic or bad checksum) or is the wrong length.
 pub fn decode_block(bytes: &Bytes) -> Result<(EfsHeader, Bytes), EfsError> {
     let header = decode_header(bytes)?;
     Ok((header, bytes.slice(EFS_HEADER_SIZE..BLOCK_SIZE)))
-}
-
-/// Encodes the tombstone written over a freed block.
-pub fn encode_free_block() -> Vec<u8> {
-    let mut buf = Vec::with_capacity(BLOCK_SIZE);
-    buf.put_u32_le(FREE_MAGIC);
-    buf.resize(BLOCK_SIZE, 0);
-    buf
-}
-
-/// True if the raw block bytes carry the freed-block tombstone.
-pub fn is_free_block(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && (&bytes[..4]).get_u32_le() == FREE_MAGIC
 }
 
 #[cfg(test)]
@@ -207,16 +188,15 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "got: {err}");
     }
 
+    /// Nothing has written the freed-block tombstone since the sequential
+    /// delete was retired; media that still carries one is simply not a
+    /// live block.
     #[test]
-    fn freed_block_is_recognized() {
-        let free = encode_free_block();
-        assert!(is_free_block(&free));
-        assert!(matches!(
-            decode_block(&Bytes::from(free)),
-            Err(EfsError::Corrupt(_))
-        ));
-        let live = encode_block(&sample_header(), b"x");
-        assert!(!is_free_block(&live));
+    fn retired_tombstone_is_a_bad_magic() {
+        let mut tombstone = vec![0u8; BLOCK_SIZE];
+        tombstone[..4].copy_from_slice(&0xDEAD_F2EEu32.to_le_bytes());
+        let err = decode_block(&Bytes::from(tombstone)).unwrap_err();
+        assert!(err.to_string().contains("bad block magic"), "got: {err}");
     }
 
     #[test]

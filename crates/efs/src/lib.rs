@@ -53,8 +53,8 @@ pub use directory::{DirEntry, BUCKET_CAPACITY};
 pub use error::EfsError;
 pub use fs::{CorruptionKind, Efs, EfsConfig, EfsStats, EfsTelemetry, FileInfo, FsckReport};
 pub use layout::{
-    decode_block, decode_header, encode_block, encode_free_block, is_free_block, EfsHeader,
-    LfsFileId, BLOCK_MAGIC, BLOCK_SIZE, EFS_HEADER_SIZE, EFS_PAYLOAD, FREE_MAGIC,
+    decode_block, decode_header, encode_block, EfsHeader, LfsFileId, BLOCK_MAGIC, BLOCK_SIZE,
+    EFS_HEADER_SIZE, EFS_PAYLOAD,
 };
 pub use retry::{
     Admission, DedupWindow, RetryPolicy, RpcClient, RpcProtocol, DEDUP_RETENTION, DEDUP_WINDOW,
@@ -65,6 +65,5 @@ pub use server::{
     LfsRpc, LfsSpareAck, LfsSpareControl,
 };
 pub use wal::{
-    PrepareIntent, RecoveredOp, RecoveredReply, WalConfig, WAL_BLOCK_PAYLOAD, WAL_HEADER_SIZE,
-    WAL_MAGIC,
+    PrepareIntent, RecoveredOp, WalConfig, WAL_BLOCK_PAYLOAD, WAL_HEADER_SIZE, WAL_MAGIC,
 };

@@ -10,7 +10,7 @@ use crate::error::EfsError;
 use crate::fs::{Efs, FileInfo, FsckReport};
 use crate::layout::{LfsFileId, BLOCK_SIZE};
 use crate::retry::{Admission, DedupWindow, RpcClient, RpcProtocol};
-use crate::wal::{PrepareIntent, RecoveredReply};
+use crate::wal::PrepareIntent;
 use bridge_trace::HealthEvent;
 use bytes::Bytes;
 use parsim::{Ctx, FixedMap, ProcId, SimDuration, SimTime, Simulation};
@@ -34,7 +34,7 @@ pub enum LfsOp {
         /// Numeric file name.
         file: LfsFileId,
     },
-    /// Delete a file, freeing its blocks one by one.
+    /// Delete a file: its blocks return to the allocator in one step.
     Delete {
         /// Numeric file name.
         file: LfsFileId,
@@ -608,12 +608,7 @@ pub fn spawn_lfs_sched<D: BlockDevice + 'static>(
                         // these ids must run fresh after a revive.
                         for q in state.drain_all() {
                             dedup.forget(q.from, q.req.id);
-                            let reply = LfsReply {
-                                id: q.req.id,
-                                result: Err(EfsError::NodeFailed),
-                            };
-                            let bytes = reply_wire_size(&reply);
-                            ctx.send_sized_cloneable(q.from, reply, bytes);
+                            refuse(ctx, q.from, q.req.id);
                         }
                     }
                     ctx.send_sized(from, LfsFailAck { failed }, 16);
@@ -646,12 +641,7 @@ pub fn spawn_lfs_sched<D: BlockDevice + 'static>(
             match env.downcast::<LfsRequest>() {
                 Ok(req) => {
                     if failed || efs.media_lost() {
-                        let reply = LfsReply {
-                            id: req.id,
-                            result: Err(EfsError::NodeFailed),
-                        };
-                        let bytes = reply_wire_size(&reply);
-                        ctx.send_sized_cloneable(from, reply, bytes);
+                        refuse(ctx, from, req.id);
                     } else {
                         match dedup.admit(from, req.id) {
                             Admission::New => state.admit(&efs, req, from, delivered_at),
@@ -683,6 +673,17 @@ pub fn spawn_lfs_sched<D: BlockDevice + 'static>(
             }
         }
     })
+}
+
+/// Answers request `id` of client `to` with [`EfsError::NodeFailed`]: the
+/// node is failed, or its medium lost, and nothing executed.
+fn refuse(ctx: &mut Ctx, to: ProcId, id: u64) {
+    let reply = LfsReply {
+        id,
+        result: Err(EfsError::NodeFailed),
+    };
+    let bytes = reply_wire_size(&reply);
+    ctx.send_sized_cloneable(to, reply, bytes);
 }
 
 /// Serves one scheduler batch: up to [`Efs::group_commit_width`]
@@ -792,12 +793,7 @@ fn media_lost_drain(ctx: &mut Ctx, state: &mut SchedState, dedup: &mut DedupWind
     }
     for q in state.drain_all() {
         dedup.forget(q.from, q.req.id);
-        let reply = LfsReply {
-            id: q.req.id,
-            result: Err(EfsError::NodeFailed),
-        };
-        let bytes = reply_wire_size(&reply);
-        ctx.send_sized_cloneable(q.from, reply, bytes);
+        refuse(ctx, q.from, q.req.id);
     }
 }
 
@@ -841,14 +837,8 @@ fn crash_recover<D: BlockDevice>(
     *dedup = DedupWindow::standard();
     for op in recovered {
         let client = ProcId::from_index(op.client as usize);
-        let result = Ok(match op.reply {
-            RecoveredReply::Done => LfsData::Done,
-            RecoveredReply::Written(addr) => LfsData::Written { addr },
-            RecoveredReply::WrittenRun(addrs) => LfsData::WrittenRun { addrs },
-            RecoveredReply::Freed(freed) => LfsData::Freed(freed),
-            RecoveredReply::Prepared(freed) => LfsData::Prepared { freed },
-        });
-        dedup.restore(client, op.id, ctx.now(), LfsReply { id: op.id, result });
+        let (id, result) = (op.id, Ok(op.reply));
+        dedup.restore(client, id, ctx.now(), LfsReply { id, result });
     }
     if ctx.trace_enabled() {
         ctx.trace_instant("lfs", "lfs.recover", &[("records", records)]);

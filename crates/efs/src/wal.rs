@@ -49,6 +49,7 @@
 
 use crate::error::EfsError;
 use crate::layout::{LfsFileId, BLOCK_SIZE};
+use crate::server::LfsData;
 use bytes::{Buf, BufMut};
 use parsim::{mix64, Ctx};
 use simdisk::{BlockAddr, BlockDevice};
@@ -322,23 +323,7 @@ pub struct RecoveredOp {
     /// Request id.
     pub id: u64,
     /// The reply the original execution produced.
-    pub reply: RecoveredReply,
-}
-
-/// Reply shape carried by a [`RecoveredOp`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoveredReply {
-    /// Create completed.
-    Done,
-    /// Write completed at this address.
-    Written(BlockAddr),
-    /// WriteRun completed at these addresses.
-    WrittenRun(Vec<BlockAddr>),
-    /// Delete completed, freeing this many blocks.
-    Freed(u32),
-    /// Prepare completed: this participant voted yes, with this many
-    /// blocks to free at commit.
-    Prepared(u32),
+    pub reply: LfsData,
 }
 
 impl WalRecord {
@@ -512,50 +497,42 @@ impl WalRecord {
 
     /// The recovered-reply view of an op record (`None` for checkpoints).
     pub(crate) fn recovered(&self) -> Option<RecoveredOp> {
-        match self {
-            WalRecord::Create { client, id, .. } => Some(RecoveredOp {
-                client: *client,
-                id: *id,
-                reply: RecoveredReply::Done,
-            }),
+        let (client, id, reply) = match self {
+            WalRecord::Create { client, id, .. } => (client, id, LfsData::Done),
             WalRecord::SetChain {
                 client,
                 id,
                 run,
                 addrs,
                 ..
-            } => Some(RecoveredOp {
-                client: *client,
-                id: *id,
-                reply: if *run {
-                    RecoveredReply::WrittenRun(addrs.clone())
+            } => {
+                let reply = if *run {
+                    LfsData::WrittenRun {
+                        addrs: addrs.clone(),
+                    }
                 } else {
-                    RecoveredReply::Written(*addrs.first()?)
-                },
-            }),
+                    LfsData::Written {
+                        addr: *addrs.first()?,
+                    }
+                };
+                (client, id, reply)
+            }
             WalRecord::Delete {
                 client, id, freed, ..
-            } => Some(RecoveredOp {
-                client: *client,
-                id: *id,
-                reply: RecoveredReply::Freed(*freed),
-            }),
-            WalRecord::Checkpoint => None,
+            }
+            | WalRecord::Decide {
+                client, id, freed, ..
+            } => (client, id, LfsData::Freed(*freed)),
+            WalRecord::Checkpoint => return None,
             WalRecord::Prepare {
                 client, id, freed, ..
-            } => Some(RecoveredOp {
-                client: *client,
-                id: *id,
-                reply: RecoveredReply::Prepared(*freed),
-            }),
-            WalRecord::Decide {
-                client, id, freed, ..
-            } => Some(RecoveredOp {
-                client: *client,
-                id: *id,
-                reply: RecoveredReply::Freed(*freed),
-            }),
-        }
+            } => (client, id, LfsData::Prepared { freed: *freed }),
+        };
+        Some(RecoveredOp {
+            client: *client,
+            id: *id,
+            reply,
+        })
     }
 
     /// The transaction id of a [`WalRecord::Prepare`], for the recovery
@@ -998,19 +975,18 @@ mod tests {
     #[test]
     fn recovered_reply_shapes_match_records() {
         let recs = sample_records();
-        assert_eq!(recs[0].recovered().unwrap().reply, RecoveredReply::Done);
+        assert_eq!(recs[0].recovered().unwrap().reply, LfsData::Done);
         assert_eq!(
             recs[1].recovered().unwrap().reply,
-            RecoveredReply::WrittenRun(vec![
-                BlockAddr::new(700),
-                BlockAddr::new(701),
-                BlockAddr::new(702),
-            ])
+            LfsData::WrittenRun {
+                addrs: vec![
+                    BlockAddr::new(700),
+                    BlockAddr::new(701),
+                    BlockAddr::new(702),
+                ]
+            }
         );
-        assert_eq!(
-            recs[2].recovered().unwrap().reply,
-            RecoveredReply::Freed(12)
-        );
+        assert_eq!(recs[2].recovered().unwrap().reply, LfsData::Freed(12));
         assert_eq!(WalRecord::Checkpoint.recovered(), None);
     }
 }

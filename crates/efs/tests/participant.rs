@@ -8,7 +8,7 @@
 //! must be the same file system.
 
 use bridge_efs::{
-    Efs, EfsConfig, FileInfo, LfsFileId, PrepareIntent, RecoveredOp, RecoveredReply, WalConfig,
+    Efs, EfsConfig, FileInfo, LfsData, LfsFileId, PrepareIntent, RecoveredOp, WalConfig,
     EFS_PAYLOAD,
 };
 use bytes::Bytes;
@@ -168,10 +168,11 @@ enum Reply {
 
 fn reply_shape(op: &RecoveredOp) -> Reply {
     match &op.reply {
-        RecoveredReply::Done => Reply::Done,
-        RecoveredReply::Written(_) | RecoveredReply::WrittenRun(_) => Reply::Written,
-        RecoveredReply::Freed(n) => Reply::Freed(*n),
-        RecoveredReply::Prepared(freed) => Reply::Prepared(*freed),
+        LfsData::Done => Reply::Done,
+        LfsData::Written { .. } | LfsData::WrittenRun { .. } => Reply::Written,
+        LfsData::Freed(n) => Reply::Freed(*n),
+        LfsData::Prepared { freed } => Reply::Prepared(*freed),
+        other => panic!("recovery reconstructed a reply no logged record has: {other:?}"),
     }
 }
 

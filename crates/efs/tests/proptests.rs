@@ -2,7 +2,7 @@
 //! arbitrary operation sequences, and its on-disk structure stays
 //! consistent (fsck-clean) at every quiescent point.
 
-use bridge_efs::{Efs, EfsConfig, EfsError, LfsFileId, EFS_PAYLOAD};
+use bridge_efs::{CorruptionKind, Efs, EfsConfig, EfsError, LfsFileId, EFS_PAYLOAD};
 use parsim::{Ctx, SimConfig, Simulation};
 use proptest::prelude::*;
 use simdisk::{DiskGeometry, DiskProfile, SimDisk};
@@ -56,7 +56,9 @@ fn payload(byte: u8) -> Vec<u8> {
     vec![byte; 100]
 }
 
-fn run_ops(ops: Vec<Op>) {
+/// Runs `ops` against a fresh instance and the model side by side, then
+/// hands both to `check`.
+fn run_ops(ops: Vec<Op>, check: impl FnOnce(&mut Ctx, &mut Efs, &Model) + Send + 'static) {
     let mut sim = Simulation::new(SimConfig::default());
     let node = sim.add_node("n");
     sim.block_on(node, "driver", move |ctx: &mut Ctx| {
@@ -146,20 +148,61 @@ fn run_ops(ops: Vec<Op>) {
             }
         }
 
-        // Final full cross-check and structural fsck.
-        let expected_files = model.files.len() as u32;
-        let expected_blocks: u32 = model.files.values().map(|b| b.len() as u32).sum();
-        for (&f, blocks) in &model.files {
-            for (i, want) in blocks.iter().enumerate() {
-                let (got, _) = efs.read(ctx, LfsFileId(f), i as u32, None).unwrap();
-                assert_eq!(&got, want, "file {f} block {i}");
-            }
-        }
-        let report = efs.fsck();
-        assert_eq!(report.files, expected_files);
-        assert_eq!(report.blocks, expected_blocks);
-        assert!(report.errors.is_empty(), "fsck errors: {:?}", report.errors);
+        check(ctx, &mut efs, &model);
     });
+}
+
+/// Final full cross-check and structural fsck.
+fn check_against_model(ctx: &mut Ctx, efs: &mut Efs, model: &Model) {
+    let expected_files = model.files.len() as u32;
+    let expected_blocks: u32 = model.files.values().map(|b| b.len() as u32).sum();
+    for (&f, blocks) in &model.files {
+        for (i, want) in blocks.iter().enumerate() {
+            let (got, _) = efs.read(ctx, LfsFileId(f), i as u32, None).unwrap();
+            assert_eq!(&got, want, "file {f} block {i}");
+        }
+    }
+    let report = efs.fsck();
+    assert_eq!(report.files, expected_files);
+    assert_eq!(report.blocks, expected_blocks);
+    assert!(report.errors.is_empty(), "fsck errors: {:?}", report.errors);
+}
+
+/// The offline and the online check read chains through one walker, from
+/// opposite sides (raw image, timed reads): on the same instance they
+/// must count the same files and blocks and find the same number of
+/// problems. The raw check goes first: it also rebuilds the allocator
+/// from reachability, which leaves the allocator cross-check — the one
+/// pass only the timed check has — nothing to add.
+fn checks_agree(ctx: &mut Ctx, efs: &mut Efs, what: &str) -> usize {
+    let raw = efs.fsck();
+    let timed = efs.fsck_timed(ctx, false);
+    assert_eq!(
+        (raw.files, raw.blocks, raw.errors.len()),
+        (timed.files, timed.blocks, timed.errors.len()),
+        "{what}: raw found {:?}, timed found {:?}",
+        raw.errors,
+        timed.errors
+    );
+    raw.errors.len()
+}
+
+fn checks_agree_through_corruption(ctx: &mut Ctx, efs: &mut Efs, _: &Model) {
+    assert_eq!(checks_agree(ctx, efs, "clean"), 0);
+    // Planted one on top of the other; an instance may have no target
+    // for a kind (a torn tail needs a file of two blocks).
+    let mut planted = 0;
+    for kind in [
+        CorruptionKind::TornTail,
+        CorruptionKind::OrphanBlock,
+        CorruptionKind::DanglingEntry,
+    ] {
+        let Some(what) = efs.seed_corruption(kind) else {
+            continue;
+        };
+        planted += usize::from(kind != CorruptionKind::OrphanBlock);
+        assert_eq!(checks_agree(ctx, efs, &what), planted, "after {what}");
+    }
 }
 
 proptest! {
@@ -170,7 +213,12 @@ proptest! {
 
     #[test]
     fn efs_matches_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        run_ops(ops);
+        run_ops(ops, check_against_model);
+    }
+
+    #[test]
+    fn fsck_and_fsck_timed_agree(ops in proptest::collection::vec(op_strategy(), 1..120)) {
+        run_ops(ops, checks_agree_through_corruption);
     }
 
     #[test]

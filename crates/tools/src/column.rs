@@ -3,11 +3,13 @@
 //! every tool: "a lengthy series of interactions between the subprocesses
 //! and the instances of LFS".
 //!
-//! With [`BatchPolicy::Runs`] both directions run-batch: the reader
-//! prefetches up to `depth` consecutive local blocks per
-//! [`LfsOp::ReadRun`] and the writer buffers appends until it can issue
-//! one [`LfsOp::WriteRun`], turning `depth` request/reply pairs into one.
-//! [`BatchPolicy::Off`] keeps the block-at-a-time protocol of the paper.
+//! Both directions move `depth` blocks per round trip through one path:
+//! the reader refills a prefetch queue, the writer buffers appends until
+//! it holds a full run. With [`BatchPolicy::Runs`] a round trip is one
+//! [`LfsOp::ReadRun`] / [`LfsOp::WriteRun`], turning `depth` request/reply
+//! pairs into one; [`BatchPolicy::Off`] is depth 1, where it is the
+//! [`LfsOp::Read`] / [`LfsOp::Write`] of the paper's block-at-a-time
+//! protocol.
 
 use crate::error::ToolError;
 use bridge_core::{decode_payload, encode_payload, BatchPolicy, BridgeHeader};
@@ -66,60 +68,62 @@ impl ColumnReader {
         ctx: &mut Ctx,
         client: &mut LfsClient,
     ) -> Result<Option<Bytes>, ToolError> {
-        if let Some(payload) = self.prefetched.pop_front() {
-            self.next += 1;
-            return Ok(Some(payload));
-        }
-        if self.next >= self.size {
-            return Ok(None);
-        }
-        if self.depth > 1 {
-            let count = self.depth.min(self.size - self.next);
-            let t0 = ctx.now();
-            let reply = client.call(
-                ctx,
-                self.lfs,
-                LfsOp::ReadRun {
-                    file: self.file,
-                    first: self.next,
-                    count,
-                    hint: self.hint,
-                },
-            )?;
-            if ctx.trace_enabled() {
-                ctx.trace_span(
-                    "tool",
-                    "tool.read_batch",
-                    t0,
-                    &[("blocks", u64::from(count))],
-                );
-            }
-            let blocks = reply.into_run()?;
-            if blocks.len() != count as usize {
-                return Err(ToolError::Protocol(format!(
-                    "run of {count} blocks answered with {}",
-                    blocks.len()
-                )));
-            }
-            self.hint = blocks.last().map(|b| b.1);
-            self.prefetched = blocks.into_iter().map(|(data, _)| data).collect();
-            self.next += 1;
-            return Ok(self.prefetched.pop_front());
-        }
-        let (data, addr) = client
-            .call(
-                ctx,
-                self.lfs,
-                LfsOp::Read {
-                    file: self.file,
-                    block: self.next,
-                    hint: self.hint,
-                },
-            )?
-            .into_block()?;
-        self.hint = Some(addr);
+        let payload = match self.prefetched.pop_front() {
+            Some(payload) => payload,
+            None if self.next >= self.size => return Ok(None),
+            None => self.fetch(ctx, client)?,
+        };
         self.next += 1;
-        Ok(Some(data))
+        Ok(Some(payload))
+    }
+
+    /// One round trip for the next `depth` blocks (fewer at the end of the
+    /// column): a [`LfsOp::Read`] at depth 1 — the paper's block-at-a-time
+    /// protocol — and a [`LfsOp::ReadRun`] at any other depth, however
+    /// short the run. Returns the first block; the rest wait in
+    /// `prefetched`.
+    fn fetch(&mut self, ctx: &mut Ctx, client: &mut LfsClient) -> Result<Bytes, ToolError> {
+        let (file, first, hint) = (self.file, self.next, self.hint);
+        if self.depth == 1 {
+            let op = LfsOp::Read {
+                file,
+                block: first,
+                hint,
+            };
+            let (data, addr) = client.call(ctx, self.lfs, op)?.into_block()?;
+            self.hint = Some(addr);
+            return Ok(data);
+        }
+        let count = self.depth.min(self.size - first);
+        let t0 = ctx.now();
+        let op = LfsOp::ReadRun {
+            file,
+            first,
+            count,
+            hint,
+        };
+        let reply = client.call(ctx, self.lfs, op)?;
+        if ctx.trace_enabled() {
+            ctx.trace_span(
+                "tool",
+                "tool.read_batch",
+                t0,
+                &[("blocks", u64::from(count))],
+            );
+        }
+        let blocks = reply.into_run()?;
+        if blocks.len() != count as usize {
+            return Err(ToolError::Protocol(format!(
+                "run of {count} blocks answered with {}",
+                blocks.len()
+            )));
+        }
+        self.hint = blocks.last().map(|b| b.1);
+        // Collected in place: the queue takes over the reply's buffer.
+        self.prefetched = blocks.into_iter().map(|(data, _)| data).collect();
+        self.prefetched
+            .pop_front()
+            .ok_or_else(|| ToolError::Protocol("empty run".into()))
     }
 
     /// Reads and decodes the next Bridge block: `(header, 960-byte data)`.
@@ -197,56 +201,50 @@ impl ColumnWriter {
         client: &mut LfsClient,
         payload: impl Into<Bytes>,
     ) -> Result<(), ToolError> {
-        let payload = payload.into();
-        if self.depth > 1 {
-            self.pending.push(payload);
-            self.next += 1;
-            if self.pending.len() as u32 >= self.depth {
-                self.flush(ctx, client)?;
-            }
-            return Ok(());
-        }
-        let addr = client
-            .call(
-                ctx,
-                self.lfs,
-                LfsOp::Write {
-                    file: self.file,
-                    block: self.next,
-                    data: payload,
-                    hint: self.hint,
-                },
-            )?
-            .into_written()?;
-        self.hint = Some(addr);
+        self.pending.push(payload.into());
         self.next += 1;
+        if self.pending.len() as u32 >= self.depth {
+            self.flush(ctx, client)?;
+        }
         Ok(())
     }
 
-    /// Ships any buffered appends as one [`LfsOp::WriteRun`]. A no-op when
-    /// nothing is pending (in particular with batching off).
+    /// Ships any buffered appends in one round trip: a [`LfsOp::Write`] at
+    /// depth 1 (where each append flushes at once), a [`LfsOp::WriteRun`]
+    /// at any other depth. A no-op when nothing is pending.
     ///
     /// # Errors
     ///
     /// Propagates LFS errors.
     pub fn flush(&mut self, ctx: &mut Ctx, client: &mut LfsClient) -> Result<(), ToolError> {
+        let (file, hint) = (self.file, self.hint);
+        let first = self.next - self.pending.len() as u32;
+        if self.depth == 1 {
+            let Some(data) = self.pending.pop() else {
+                return Ok(());
+            };
+            let op = LfsOp::Write {
+                file,
+                block: first,
+                data,
+                hint,
+            };
+            self.hint = Some(client.call(ctx, self.lfs, op)?.into_written()?);
+            return Ok(());
+        }
         if self.pending.is_empty() {
             return Ok(());
         }
         let data = std::mem::take(&mut self.pending);
-        let first = self.next - data.len() as u32;
         let blocks = data.len() as u64;
         let t0 = ctx.now();
-        let reply = client.call(
-            ctx,
-            self.lfs,
-            LfsOp::WriteRun {
-                file: self.file,
-                first,
-                data,
-                hint: self.hint,
-            },
-        )?;
+        let op = LfsOp::WriteRun {
+            file,
+            first,
+            data,
+            hint,
+        };
+        let reply = client.call(ctx, self.lfs, op)?;
         if ctx.trace_enabled() {
             ctx.trace_span("tool", "tool.write_batch", t0, &[("blocks", blocks)]);
         }
