@@ -232,6 +232,7 @@ pub fn spawn_bridge_server(
                     dedup.complete(from, req.id, ctx.now(), reply.clone());
                     if let Some(reg) = &server.telemetry {
                         reg.server().note_request(dedup.len() as u64);
+                        reg.server().set_lfs_resends(server.client.resends());
                     }
                     reply
                 }
@@ -324,19 +325,15 @@ impl Server {
         }
     }
 
-    /// Assembles the in-band health snapshot. Refreshes the gauges only
-    /// the server can compute (lost-column count from the per-LFS
-    /// media-lost mirrors, its LFS client's retransmit total) before
-    /// delegating to the registry. Unarmed machines answer an empty
-    /// snapshot rather than an error, so polling tools need no mode flag.
+    /// Assembles the in-band health snapshot. The retransmit total is
+    /// published after every dispatch; it is refreshed here for the
+    /// resends of the append flush this very dispatch may have run.
+    /// Unarmed machines answer an empty snapshot rather than an error,
+    /// so polling tools need no mode flag.
     fn health_snapshot(&self, ctx: &Ctx) -> HealthSnapshot {
         let Some(reg) = &self.telemetry else {
             return HealthSnapshot::empty(ctx.now());
         };
-        let lost = (0..reg.breadth())
-            .filter(|&i| reg.lfs(i).snapshot().media_lost)
-            .count() as u64;
-        reg.server().set_columns_lost(lost);
         reg.server().set_lfs_resends(self.client.resends());
         reg.snapshot(ctx.now(), None)
     }

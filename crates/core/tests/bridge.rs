@@ -2,11 +2,13 @@
 //! parallel-open view, placements, disordered files, and the tool path.
 
 use bridge_core::{
-    BridgeClient, BridgeConfig, BridgeError, BridgeMachine, CreateSpec, JobWorker, PlacementKind,
-    PlacementSpec, BRIDGE_DATA,
+    BridgeClient, BridgeConfig, BridgeError, BridgeMachine, CreateSpec, FaultPlan, HealthSnapshot,
+    JobWorker, MsgFaults, PlacementKind, PlacementSpec, BRIDGE_DATA,
 };
 use bridge_efs::{EfsError, LfsClient, LfsData, LfsOp};
 use parsim::SimDuration;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn record(tag: u32, block: u64) -> Vec<u8> {
     let mut data = vec![0u8; 64];
@@ -605,4 +607,68 @@ fn naive_interface_is_breadth_agnostic() {
             assert_eq!(bridge.seq_read(ctx, file).unwrap(), None);
         });
     }
+}
+
+/// The server's retransmit count must reach an observer that never asks
+/// for it: the sampler and a host-side `registry.snapshot` read the same
+/// `lfs_resends` a closing `GetHealth` reports, and the retry-storm rule
+/// fires in exactly the sampled frames at or past its threshold.
+#[test]
+fn out_of_band_observers_see_lfs_resends() {
+    let config = BridgeConfig::paper(4).with_faults(FaultPlan {
+        seed: 0x5707,
+        msg: MsgFaults {
+            drop_per_mille: 150,
+            max_consecutive_drops: 4,
+            ..MsgFaults::default()
+        },
+        ..FaultPlan::none()
+    });
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let registry = machine.telemetry.clone().expect("paper machines are armed");
+    let storm = registry.watchdog().retry_storm_resends;
+    let frames: Rc<RefCell<Vec<HealthSnapshot>>> = Rc::default();
+    {
+        let (frames, registry) = (Rc::clone(&frames), registry.clone());
+        sim.set_sampler(SimDuration::from_millis(100), move |at, stats| {
+            frames
+                .borrow_mut()
+                .push(registry.snapshot(at, Some(*stats)));
+        });
+    }
+    let (server, retry) = (machine.server, config.server.lfs_retry);
+    sim.block_on(machine.frontend, "app", move |ctx| {
+        let mut bridge = BridgeClient::with_retry(server, retry);
+        let file = bridge.create(ctx, CreateSpec::default()).unwrap();
+        for b in 0..48u64 {
+            bridge.seq_write(ctx, file, record(16, b)).unwrap();
+        }
+        bridge.open(ctx, file).unwrap();
+        while bridge.seq_read(ctx, file).unwrap().is_some() {}
+    });
+    sim.clear_sampler();
+    let seen = registry.snapshot(sim.now(), None);
+    assert!(
+        seen.server.lfs_resends >= storm,
+        "the drop plan forced {} retransmits, under the storm threshold",
+        seen.server.lfs_resends
+    );
+    let stormy = |h: &HealthSnapshot| h.alerts.iter().any(|a| a.rule.name() == "retry-storm");
+    let frames = frames.take();
+    assert!(frames.iter().any(|f| !stormy(f)), "the run starts calm");
+    for f in frames.iter().chain([&seen]) {
+        assert_eq!(
+            stormy(f),
+            f.server.lfs_resends >= storm,
+            "frame at {}",
+            f.at
+        );
+    }
+
+    let closing = sim.block_on(machine.frontend, "closing", move |ctx| {
+        BridgeClient::with_retry(server, retry)
+            .get_health(ctx)
+            .unwrap()
+    });
+    assert_eq!(closing.server.lfs_resends, seen.server.lfs_resends);
 }

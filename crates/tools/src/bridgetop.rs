@@ -125,13 +125,6 @@ pub fn run_scenario(opts: &TopOptions) -> Vec<HealthSnapshot> {
     {
         let frames = Rc::clone(&frames);
         sim.set_sampler(opts.interval, move |at, stats| {
-            // The columns-lost gauge is normally refreshed by the server
-            // when it answers `GetHealth`; a host-side poll derives it
-            // the same way so sampled frames agree with in-band ones.
-            let lost = (0..registry.breadth())
-                .filter(|&i| registry.lfs(i).snapshot().media_lost)
-                .count() as u64;
-            registry.server().set_columns_lost(lost);
             frames
                 .borrow_mut()
                 .push(registry.snapshot(at, Some(*stats)));

@@ -321,7 +321,7 @@ const FAULTED: Pinned = Pinned {
         txns_in_doubt: 0,
         degraded_reads: 16,
         columns_lost: 0,
-        lfs_resends: 0,
+        lfs_resends: 6,
         rebuilds_started: 1,
         rebuilds_done: 1,
         rebuild_done_blocks: 64,
@@ -496,8 +496,8 @@ const FAULTED: Pinned = Pinned {
         (845, "degraded-service,stalled-rebuild"),
         (851, ""),
     ],
-    resends_arc: &[],
-    render_hash: 0x1c66575d36428821,
+    resends_arc: &[(99, 1), (163, 2), (179, 3), (267, 4), (433, 5), (457, 6)],
+    render_hash: 0x3bc762d074b2e01f,
     frame_hashes: &[
         0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x7db6984a, 0x1a94ea36,
         0x2832e65d, 0x17da69d6, 0xd3df1e58, 0x5927871f, 0x5649d326, 0x5486819d, 0x0a448a4a,

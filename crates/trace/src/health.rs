@@ -309,7 +309,6 @@ pub struct ServerCounters {
     txns_aborted: AtomicU64,
     txns_in_doubt: AtomicU64,
     degraded_reads: AtomicU64,
-    columns_lost: AtomicU64,
     lfs_resends: AtomicU64,
     rebuilds_started: AtomicU64,
     rebuilds_done: AtomicU64,
@@ -356,11 +355,6 @@ impl ServerCounters {
         add(&self.degraded_reads, 1);
     }
 
-    /// Publishes how many LFS columns the server currently sees lost.
-    pub fn set_columns_lost(&self, n: u64) {
-        put(&self.columns_lost, n);
-    }
-
     /// Publishes the server's cumulative request-retransmit count.
     pub fn set_lfs_resends(&self, n: u64) {
         put(&self.lfs_resends, n);
@@ -396,7 +390,7 @@ impl ServerCounters {
             txns_aborted: get(&self.txns_aborted),
             txns_in_doubt: get(&self.txns_in_doubt),
             degraded_reads: get(&self.degraded_reads),
-            columns_lost: get(&self.columns_lost),
+            columns_lost: 0,
             lfs_resends: get(&self.lfs_resends),
             rebuilds_started: get(&self.rebuilds_started),
             rebuilds_done: get(&self.rebuilds_done),
@@ -806,7 +800,10 @@ impl TelemetryRegistry {
     /// in-band `GetHealth` reply does not).
     pub fn snapshot(&self, at: SimTime, kernel: Option<RunStats>) -> HealthSnapshot {
         let lfs: Vec<LfsTelemetry> = self.lfs.iter().map(|l| l.snapshot()).collect();
-        let server = self.server.snapshot();
+        let server = ServerTelemetry {
+            columns_lost: lfs.iter().filter(|l| l.media_lost).count() as u64,
+            ..self.server.snapshot()
+        };
         let events = self.journal.entries();
         let mut service = Histogram::default();
         for l in &lfs {
