@@ -138,10 +138,7 @@ fn parse_metrics(value: &Json, origin: &Path) -> Result<Vec<Metric>, String> {
             .get("name")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("{}: metric without name", origin.display()))?;
-        let value = m
-            .get("value")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{}: metric {name} without value", origin.display()))?;
+        let value = m.num("value", format_args!("{}: metric {name}", origin.display()))?;
         let better = m.get("better").and_then(Json::as_str).unwrap_or("higher");
         metrics.push(Metric {
             name: name.to_string(),

@@ -9,37 +9,15 @@ use crate::redundancy::Redundancy;
 use crate::server::{spawn_bridge_agent, spawn_bridge_server, BridgeServerConfig};
 use crate::txlog::TxLog;
 use bridge_efs::{spawn_lfs_sched, Efs, EfsConfig, RetryPolicy};
-use bridge_trace::{DiskCounters, TelemetryRegistry};
+use bridge_trace::TelemetryRegistry;
 use parsim::{
     Engine, FaultPlan, NodeId, ProcId, SimConfig, SimDuration, Simulation, TracerHandle,
     UniformLatency, SERVER_DISK,
 };
 use simdisk::{
-    CrashSchedule, DiskFaultState, DiskGeometry, DiskProfile, DiskStats, DiskTelemetrySink,
-    LossSchedule, SchedConfig, SimDisk,
+    CrashSchedule, DiskFaultState, DiskGeometry, DiskProfile, LossSchedule, SchedConfig, SimDisk,
 };
 use std::sync::Arc;
-
-/// Adapter carrying a disk's idempotent counter stores into the
-/// telemetry registry's per-instance mirror (`simdisk` stays
-/// dependency-free; the machine builder closes the loop).
-#[derive(Debug)]
-struct DiskCountersSink(Arc<DiskCounters>);
-
-impl DiskTelemetrySink for DiskCountersSink {
-    fn record(&self, stats: &DiskStats, lost: bool) {
-        self.0.store_stats(
-            stats.reads,
-            stats.writes,
-            stats.buffer_hits,
-            stats.track_loads,
-            stats.head_travel,
-            stats.transient_faults,
-            stats.busy.as_nanos(),
-        );
-        self.0.set_lost(lost);
-    }
-}
 
 /// Everything needed to stand up a Bridge machine.
 #[derive(Debug, Clone)]
@@ -91,7 +69,7 @@ pub struct BridgeConfig {
     /// participants' PREPARE records live there — so enable via
     /// [`BridgeConfig::with_2pc`].
     pub two_pc: bool,
-    /// Arm the live telemetry registry ([`TelemetryRegistry`]): lock-free
+    /// Arm the live telemetry registry ([`TelemetryRegistry`]): the
     /// counters every layer updates in place, pollable mid-run via
     /// [`BridgeCmd::GetHealth`](crate::BridgeCmd::GetHealth). On by
     /// default — updating counters is host-side work only, so an armed
@@ -285,10 +263,6 @@ impl BridgeMachine {
             ));
             disk.schedule_crashes(CrashSchedule::from_plan(&config.faults.crashes, i));
             disk.schedule_loss(LossSchedule::from_plan(&config.faults.losses, i));
-            if let Some(reg) = &telemetry {
-                let mirror = Arc::clone(reg.lfs(i as usize).disk());
-                disk.set_telemetry_sink(Arc::new(DiskCountersSink(mirror)));
-            }
             let mut efs = Efs::format(disk, config.efs);
             if let Some(reg) = &telemetry {
                 efs.set_telemetry(Arc::clone(reg), i);

@@ -33,7 +33,7 @@ use crate::protocol::{
 use crate::redundancy::Redundancy;
 use crate::txlog::TxLog;
 use bridge_efs::{Admission, DedupWindow, EfsError, LfsClient, LfsData, LfsOp, RetryPolicy};
-use bridge_trace::{HealthSnapshot, TelemetryRegistry};
+use bridge_trace::{HealthEvent, HealthSnapshot, ServerTelemetry, TelemetryRegistry};
 use cursor::{Cursor, Job, PendingAppends};
 use directory::FileMeta;
 use parsim::{Ctx, FixedMap, NodeId, ProcId, SimDuration, Simulation};
@@ -230,10 +230,7 @@ pub fn spawn_bridge_server(
                     }
                     let reply = BridgeReply { id: req.id, result };
                     dedup.complete(from, req.id, ctx.now(), reply.clone());
-                    if let Some(reg) = &server.telemetry {
-                        reg.server().note_request(dedup.len() as u64);
-                        reg.server().set_lfs_resends(server.client.resends());
-                    }
+                    server.tally(|s| s.note_request(dedup.len() as u64, server.client.resends()));
                     reply
                 }
                 // Single-threaded service means an admitted id is always
@@ -242,9 +239,7 @@ pub fn spawn_bridge_server(
                 Admission::Replay(reply) => {
                     // Already executed: resend the recorded outcome rather
                     // than re-running a possibly non-idempotent command.
-                    if let Some(reg) = &server.telemetry {
-                        reg.server().note_replay();
-                    }
+                    server.tally(|s| s.replays += 1);
                     if ctx.trace_enabled() {
                         ctx.trace_instant("retry", "retry.replay", &[("id", req.id)]);
                     }
@@ -258,6 +253,20 @@ pub fn spawn_bridge_server(
 }
 
 impl Server {
+    /// Runs `update` on the server's telemetry under its lock; `None`
+    /// (and nothing run) on an unarmed machine. Host-side only — never
+    /// touches virtual time.
+    fn tally<R>(&self, update: impl FnOnce(&mut ServerTelemetry) -> R) -> Option<R> {
+        self.telemetry.as_ref().map(|reg| update(&mut reg.server()))
+    }
+
+    /// Appends `event` to the machine's health journal, if armed.
+    fn journal(&self, ctx: &Ctx, event: HealthEvent) {
+        if let Some(reg) = &self.telemetry {
+            reg.record_event(ctx.now(), event);
+        }
+    }
+
     fn breadth(&self) -> u32 {
         self.lfs.len() as u32
     }
@@ -331,11 +340,11 @@ impl Server {
     /// Unarmed machines answer an empty snapshot rather than an error,
     /// so polling tools need no mode flag.
     fn health_snapshot(&self, ctx: &Ctx) -> HealthSnapshot {
-        let Some(reg) = &self.telemetry else {
-            return HealthSnapshot::empty(ctx.now());
-        };
-        reg.server().set_lfs_resends(self.client.resends());
-        reg.snapshot(ctx.now(), None)
+        self.tally(|s| s.lfs_resends = self.client.resends());
+        match &self.telemetry {
+            Some(reg) => reg.snapshot(ctx.now(), None),
+            None => HealthSnapshot::empty(ctx.now()),
+        }
     }
 
     /// The directory as [`ManifestEntry`] claims plus the decision log's

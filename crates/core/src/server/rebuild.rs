@@ -40,17 +40,15 @@ impl Server {
         }
         let first = first.min(size);
         let end = first.saturating_add(count).min(size);
-        if let Some(reg) = &self.telemetry {
-            if first == 0 {
-                reg.server().note_rebuild_start(size);
-                reg.record_event(
-                    ctx.now(),
-                    HealthEvent::RebuildStart {
-                        file: u64::from(file.0),
-                        total: size,
-                    },
-                );
-            }
+        if first == 0 {
+            self.tally(|s| s.note_rebuild_start(size));
+            self.journal(
+                ctx,
+                HealthEvent::RebuildStart {
+                    file: u64::from(file.0),
+                    total: size,
+                },
+            );
         }
         // A freshly installed spare holds no files at all: recreate this
         // file's columns there before repairing, so the repair writes
@@ -120,27 +118,25 @@ impl Server {
                     self.refresh(ctx, Target::raw(file, parity_file), m, expected.into())?;
             }
         }
-        if let Some(reg) = &self.telemetry {
-            reg.server().note_rebuild_progress(end, size);
-            reg.record_event(
-                ctx.now(),
-                HealthEvent::RebuildChunk {
+        self.tally(|s| s.note_rebuild_progress(end, size));
+        self.journal(
+            ctx,
+            HealthEvent::RebuildChunk {
+                file: u64::from(file.0),
+                chunk: first,
+                done: end,
+                total: size,
+            },
+        );
+        if end >= size {
+            self.tally(|s| s.rebuilds_done += 1);
+            self.journal(
+                ctx,
+                HealthEvent::RebuildDone {
                     file: u64::from(file.0),
-                    chunk: first,
-                    done: end,
                     total: size,
                 },
             );
-            if end >= size {
-                reg.server().note_rebuild_done();
-                reg.record_event(
-                    ctx.now(),
-                    HealthEvent::RebuildDone {
-                        file: u64::from(file.0),
-                        total: size,
-                    },
-                );
-            }
         }
         if ctx.trace_enabled() {
             ctx.trace_instant(

@@ -57,19 +57,16 @@ impl Server {
         block: u64,
     ) -> Result<Bytes, BridgeError> {
         let lost = self.file_mut(file).locate(block)?.lfs;
-        if let Some(reg) = &self.telemetry {
-            // Journal only the onset — the first degraded read — so a
-            // long outage cannot flood the event ring.
-            if reg.server().snapshot().degraded_reads == 0 {
-                reg.record_event(
-                    ctx.now(),
-                    HealthEvent::DegradedOnset {
-                        lfs: lost.0,
-                        file: u64::from(file.0),
-                    },
-                );
-            }
-            reg.server().note_degraded_read();
+        // Journal only the onset — the first degraded read — so a long
+        // outage cannot flood the event ring.
+        if self.tally(|s| s.note_degraded_read()) == Some(true) {
+            self.journal(
+                ctx,
+                HealthEvent::DegradedOnset {
+                    lfs: lost.0,
+                    file: u64::from(file.0),
+                },
+            );
         }
         if ctx.trace_enabled() {
             ctx.trace_instant(

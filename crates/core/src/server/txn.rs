@@ -114,9 +114,7 @@ impl Server {
         'retry: loop {
             let txn = self.next_txn;
             self.next_txn += 1;
-            if let Some(reg) = &self.telemetry {
-                reg.server().note_txn_begun();
-            }
+            self.tally(|s| s.note_txn_begun());
             // Phase 1: pipeline a PREPARE to every participant.
             let mut pending = Vec::with_capacity(participants.len());
             for p in participants {
@@ -141,9 +139,7 @@ impl Server {
             txlog.begin(ctx, txn, participants);
             if txlog.crash_down().is_some() {
                 let committed = self.server_crash_recover(ctx, txn, &pending)?;
-                if let Some(reg) = &self.telemetry {
-                    reg.server().note_txn_decided(committed);
-                }
+                self.tally(|s| s.note_txn_decided(committed));
                 if committed {
                     // The redo path cannot recount votes; report every
                     // column landed — the logged decision repairs any
@@ -177,9 +173,7 @@ impl Server {
                 // Presumed abort: no log write. Participants that never
                 // prepared (the vetoer included) apply the abort intent
                 // idempotently as a no-op.
-                if let Some(reg) = &self.telemetry {
-                    reg.server().note_txn_decided(false);
-                }
+                self.tally(|s| s.note_txn_decided(false));
                 self.decide_all(ctx, txn, false, participants)?;
                 return Err(BridgeError::Lfs(e));
             }
@@ -189,9 +183,7 @@ impl Server {
             if txlog.crash_down().is_some() && !self.server_crash_recover(ctx, txn, &[])? {
                 unreachable!("a forced COMMIT record cannot be lost");
             }
-            if let Some(reg) = &self.telemetry {
-                reg.server().note_txn_decided(true);
-            }
+            self.tally(|s| s.note_txn_decided(true));
             // Phase 2: fan the decision out.
             return self
                 .decide_all(ctx, txn, true, participants)
@@ -293,23 +285,19 @@ impl Server {
             // ask) keeps the client-visible retry path simple: by the
             // time the operation re-executes, every column is rolled
             // back and acknowledged.
-            if let Some(reg) = &self.telemetry {
-                reg.record_event(ctx.now(), HealthEvent::TxnInDoubt { txn: d.txn });
-            }
+            self.journal(ctx, HealthEvent::TxnInDoubt { txn: d.txn });
             if ctx.trace_enabled() {
                 ctx.trace_instant("2pc", "2pc.presume_abort", &[("txn", d.txn)]);
             }
             let resolved = d.txn;
             self.decide_all(ctx, resolved, false, &d.participants)?;
-            if let Some(reg) = &self.telemetry {
-                reg.record_event(
-                    ctx.now(),
-                    HealthEvent::TxnResolved {
-                        txn: resolved,
-                        committed: false,
-                    },
-                );
-            }
+            self.journal(
+                ctx,
+                HealthEvent::TxnResolved {
+                    txn: resolved,
+                    committed: false,
+                },
+            );
         }
         Ok(self.txlog.as_ref().expect("checked").is_committed(txn))
     }

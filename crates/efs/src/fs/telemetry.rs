@@ -2,21 +2,25 @@
 //! shared registry, and the point-in-time snapshot `GetTelemetry` serves.
 
 use super::Efs;
-use bridge_trace::{FsGauges, LfsCounters, LfsTelemetry, TelemetryRegistry};
+use bridge_trace::{DiskTelemetry, LfsTelemetry, TelemetryRegistry};
 use simdisk::BlockDevice;
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 /// This instance's handle into the machine's shared telemetry registry:
-/// the registry itself (journal events), the instance's column index, and
-/// its live counters.
+/// the registry itself (journal events) and the instance's column index.
 #[derive(Debug, Clone)]
 pub struct EfsTelemetry {
     /// The machine-wide registry; typed journal events go here.
     pub registry: Arc<TelemetryRegistry>,
     /// This instance's column index in the registry.
     pub index: u32,
-    /// This instance's live counters.
-    pub counters: Arc<LfsCounters>,
+}
+
+impl EfsTelemetry {
+    /// This instance's counters in the registry, locked for one update.
+    pub fn counters(&self) -> MutexGuard<'_, LfsTelemetry> {
+        self.registry.lfs(self.index as usize)
+    }
 }
 
 impl<D: BlockDevice> Efs<D> {
@@ -24,12 +28,7 @@ impl<D: BlockDevice> Efs<D> {
     /// machine-wide `registry` under column `index`. Observation-only —
     /// counter updates are host-side and never touch virtual time.
     pub fn set_telemetry(&mut self, registry: Arc<TelemetryRegistry>, index: u32) {
-        let counters = registry.lfs(index as usize);
-        self.telemetry = Some(EfsTelemetry {
-            registry,
-            index,
-            counters,
-        });
+        self.telemetry = Some(EfsTelemetry { registry, index });
         self.publish_telemetry();
     }
 
@@ -38,55 +37,50 @@ impl<D: BlockDevice> Efs<D> {
         self.telemetry.as_ref()
     }
 
-    /// The current file-system gauges: WAL ring, group-commit width, free
-    /// space, media state.
-    fn gauges(&self) -> FsGauges {
-        let (wal_commits, wal_checkpoints) = self.wal_counters();
+    /// Copies the current gauges into `t`: the WAL ring, group-commit
+    /// width, free space and media state from this instance's accessors,
+    /// and the disk section straight from the device's own
+    /// [`DiskStats`](simdisk::DiskStats), so it reconciles exactly.
+    fn fill_gauges(&self, t: &mut LfsTelemetry) {
+        let d = self.disk.stats();
+        t.disk = DiskTelemetry {
+            reads: d.reads,
+            writes: d.writes,
+            buffer_hits: d.buffer_hits,
+            track_loads: d.track_loads,
+            head_travel: d.head_travel,
+            transient_faults: d.transient_faults,
+            busy_nanos: d.busy.as_nanos(),
+            lost: self.media_lost(),
+        };
+        (t.wal_commits, t.wal_checkpoints) = self.wal_counters();
         let (used, capacity) = self.wal_ring_usage();
-        FsGauges {
-            wal_enabled: self.wal_enabled(),
-            wal_commits,
-            wal_checkpoints,
-            wal_ring_used: u64::from(used),
-            wal_ring_capacity: u64::from(capacity),
-            group_commit_width: u64::from(self.group_commit_width()),
-            free_blocks: u64::from(self.free_blocks()),
-            media_lost: self.media_lost(),
-            crash_down: self.crash_down().is_some(),
-        }
+        t.wal_enabled = self.wal_enabled();
+        t.wal_ring_used = u64::from(used);
+        t.wal_ring_capacity = u64::from(capacity);
+        t.group_commit_width = u64::from(self.group_commit_width());
+        t.free_blocks = u64::from(self.free_blocks());
+        t.media_lost = self.media_lost();
+        t.crash_down = self.crash_down().is_some();
     }
 
-    /// Publishes the current gauges into the telemetry counters. No-op
-    /// when unarmed.
+    /// Publishes the current gauges into the registry — after every
+    /// service batch, recovery and spare install. No-op when unarmed.
     pub fn publish_telemetry(&self) {
         if let Some(t) = &self.telemetry {
-            t.counters.publish_fs(self.gauges());
+            self.fill_gauges(&mut t.counters());
         }
     }
 
-    /// A complete point-in-time [`LfsTelemetry`] for this instance. The
-    /// disk section is read straight from the device's own
-    /// [`DiskStats`](simdisk::DiskStats) so the snapshot reconciles
-    /// exactly, even mid-operation. Returns gauges-from-accessors with
-    /// zeroed counters when telemetry is unarmed.
+    /// A complete point-in-time [`LfsTelemetry`] for this instance: the
+    /// registry's scheduler counters (zeroes when unarmed) under gauges
+    /// read this instant, even mid-operation.
     pub fn telemetry_snapshot(&self) -> LfsTelemetry {
-        let snapshot = |counters: &LfsCounters| {
-            counters.publish_fs(self.gauges());
-            counters.snapshot()
-        };
         let mut snap = match &self.telemetry {
-            Some(t) => snapshot(&t.counters),
-            None => snapshot(&LfsCounters::default()),
+            Some(t) => t.counters().clone(),
+            None => LfsTelemetry::default(),
         };
-        let d = self.disk.stats();
-        snap.disk.reads = d.reads;
-        snap.disk.writes = d.writes;
-        snap.disk.buffer_hits = d.buffer_hits;
-        snap.disk.track_loads = d.track_loads;
-        snap.disk.head_travel = d.head_travel;
-        snap.disk.transient_faults = d.transient_faults;
-        snap.disk.busy_nanos = d.busy.as_nanos();
-        snap.disk.lost = self.media_lost();
+        self.fill_gauges(&mut snap);
         snap
     }
 }

@@ -769,7 +769,7 @@ fn service_batch<D: BlockDevice>(
         return true;
     }
     if let Some(t) = efs.telemetry() {
-        t.counters
+        t.counters()
             .flush_batch(&served, wait_nanos, depth_peak, state.pending as u64);
     }
     state.served_scratch = served;

@@ -45,7 +45,6 @@ use parsim::{mix64, splitmix64, Ctx, SimDuration};
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 /// Maximum failed attempts the simulated device driver absorbs per request
 /// before giving up with [`DiskError::Transient`]. Fault plans whose
@@ -472,18 +471,6 @@ pub struct DiskStats {
     pub busy: SimDuration,
 }
 
-/// Observer for one disk's live counters. The telemetry layer implements
-/// this; `simdisk` defines only the trait and stays dependency-free. The
-/// disk stores its own [`DiskStats`] through the sink at the end of every
-/// timed operation and at loss transitions — idempotent stores of the
-/// device's own counters, so the observer's view at quiescence equals
-/// [`SimDisk::stats`] exactly, and recording is observation-only (no
-/// virtual time, no scheduling change).
-pub trait DiskTelemetrySink: Send + Sync {
-    /// Stores the disk's current counters and permanent-loss flag.
-    fn record(&self, stats: &DiskStats, lost: bool);
-}
-
 /// A block storage device usable by a local file system: fixed-size
 /// blocks, timed reads/writes that charge the owning process's virtual
 /// clock, and untimed raw access for formatting and inspection.
@@ -652,8 +639,6 @@ pub struct SimDisk {
     /// by [`SimDisk::revive`]; a lost disk can only be replaced.
     lost: bool,
     stats: DiskStats,
-    /// Live-counter observer (`None` = no publishing, the fast path).
-    telemetry: Option<Arc<dyn DiskTelemetrySink>>,
 }
 
 impl SimDisk {
@@ -675,21 +660,6 @@ impl SimDisk {
             loss: None,
             lost: false,
             stats: DiskStats::default(),
-            telemetry: None,
-        }
-    }
-
-    /// Attaches a live-counter observer: the disk stores its [`DiskStats`]
-    /// through it after every timed operation (see [`DiskTelemetrySink`]).
-    pub fn set_telemetry_sink(&mut self, sink: Arc<dyn DiskTelemetrySink>) {
-        self.telemetry = Some(sink);
-        self.publish();
-    }
-
-    /// Stores the current counters into the attached sink, if any.
-    fn publish(&self) {
-        if let Some(sink) = &self.telemetry {
-            sink.record(&self.stats, self.lost);
         }
     }
 
@@ -1071,7 +1041,6 @@ impl SimDisk {
                 ],
             );
         }
-        self.publish();
         match &self.blocks[idx] {
             Some(data) => Ok(data.clone()),
             None => Err(DiskError::Unwritten { addr }),
@@ -1136,7 +1105,6 @@ impl SimDisk {
                 ],
             );
         }
-        self.publish();
         idxs.iter()
             .zip(addrs)
             .map(|(&idx, &addr)| {
@@ -1216,7 +1184,6 @@ impl SimDisk {
                     // the run never reached media. The node is dead — no
                     // time is charged because no one is left to wait.
                     self.note_write_loss();
-                    self.publish();
                     return Err(DiskError::Crashed);
                 }
                 if self.note_write_loss() {
@@ -1224,7 +1191,6 @@ impl SimDisk {
                     if ctx.trace_enabled() {
                         ctx.trace_instant("fault", "fault.disk_lost", &[]);
                     }
-                    self.publish();
                     return Err(DiskError::Lost);
                 }
             }
@@ -1246,7 +1212,6 @@ impl SimDisk {
                 ],
             );
         }
-        self.publish();
         Ok(())
     }
 
@@ -1301,7 +1266,6 @@ impl SimDisk {
         if self.note_write_loss() && ctx.trace_enabled() {
             ctx.trace_instant("fault", "fault.disk_lost", &[]);
         }
-        self.publish();
         Ok(())
     }
 
@@ -1390,13 +1354,7 @@ impl BlockDevice for SimDisk {
     }
 
     fn spare(&self) -> Option<Self> {
-        let mut fresh = SimDisk::new(self.geometry, self.profile);
-        // The observer watches the drive bay, not the medium: a racked-in
-        // spare keeps reporting through the lost disk's sink (and resets
-        // the observed counters to the fresh device's zeros).
-        fresh.telemetry = self.telemetry.clone();
-        fresh.publish();
-        Some(fresh)
+        Some(SimDisk::new(self.geometry, self.profile))
     }
 
     fn read_raw(&self, addr: BlockAddr) -> Option<&[u8]> {

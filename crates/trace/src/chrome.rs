@@ -178,12 +178,6 @@ pub struct ChromeSummary {
     pub span_counts: BTreeMap<String, u64>,
 }
 
-fn num_field(ev: &Json, key: &str, i: usize) -> Result<f64, String> {
-    ev.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("event {i}: missing numeric \"{key}\""))
-}
-
 /// Checks that `src` is a loadable Chrome trace: it parses as JSON, has a
 /// `traceEvents` array, every `"X"` event carries numeric `ts`/`dur`,
 /// spans on each (pid, tid) lane nest properly, and every pid referenced
@@ -209,6 +203,7 @@ pub fn validate_chrome_trace(src: &str) -> Result<ChromeSummary, String> {
     let mut flows = 0usize;
 
     for (i, ev) in events.iter().enumerate() {
+        let num = |key| ev.num(key, format_args!("event {i}"));
         let ph = ev
             .get("ph")
             .and_then(Json::as_str)
@@ -217,16 +212,16 @@ pub fn validate_chrome_trace(src: &str) -> Result<ChromeSummary, String> {
             "M" => {
                 let name = ev.get("name").and_then(Json::as_str).unwrap_or("");
                 if name == "process_name" {
-                    let pid = num_field(ev, "pid", i)? as u64;
+                    let pid = num("pid")? as u64;
                     named_pids.insert(pid);
                 }
             }
             "X" => {
                 spans += 1;
-                let pid = num_field(ev, "pid", i)? as u64;
-                let tid = num_field(ev, "tid", i)? as u64;
-                let ts = num_field(ev, "ts", i)?;
-                let dur = num_field(ev, "dur", i)?;
+                let pid = num("pid")? as u64;
+                let tid = num("tid")? as u64;
+                let ts = num("ts")?;
+                let dur = num("dur")?;
                 if !(ts >= 0.0 && dur >= 0.0) {
                     return Err(format!("event {i}: negative ts/dur"));
                 }
@@ -245,13 +240,11 @@ pub fn validate_chrome_trace(src: &str) -> Result<ChromeSummary, String> {
             }
             "s" | "f" => {
                 flows += 1;
-                num_field(ev, "ts", i)?;
-                ev.get("id")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("event {i}: flow without id"))?;
+                num("ts")?;
+                num("id")?;
             }
             "i" => {
-                num_field(ev, "ts", i)?;
+                num("ts")?;
             }
             other => return Err(format!("event {i}: unknown ph \"{other}\"")),
         }

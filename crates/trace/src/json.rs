@@ -57,6 +57,18 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The numeric member `key` of this object.
+    ///
+    /// # Errors
+    ///
+    /// Names `origin` (where in the document this object sits) and the
+    /// key when the member is missing or not a number.
+    pub fn num(&self, key: &str, origin: impl std::fmt::Display) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("{origin}: missing numeric {key:?}"))
+    }
 }
 
 /// Appends `s` to `out` as a JSON string literal (quotes and escapes).

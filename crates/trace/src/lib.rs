@@ -62,8 +62,8 @@ pub use chrome::{chrome_trace_json, validate_chrome_trace, ChromeSummary};
 pub use collect::{FlowEvent, InstantEvent, ProcMeta, SpanEvent, TraceCollector, TraceData};
 pub use health::{
     render_snapshot, snapshot_to_json, snapshots_to_json, validate_health_json, Alert, AlertRule,
-    DiskCounters, DiskTelemetry, FsGauges, HealthEvent, HealthSnapshot, JournalEntry, LfsCounters,
-    LfsTelemetry, ServerCounters, ServerTelemetry, TelemetryRegistry, WatchdogConfig,
+    DiskTelemetry, HealthEvent, HealthSnapshot, JournalEntry, LfsTelemetry, ServerTelemetry,
+    TelemetryRegistry, WatchdogConfig,
 };
 pub use metrics::{DiskUtilization, Histogram, Metrics, QueueMetrics, RetryMetrics};
 pub use profile::{

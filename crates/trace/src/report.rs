@@ -103,9 +103,9 @@ impl ProfileReport {
 /// A description of the first structural or arithmetic problem.
 pub fn validate_profile_json(src: &str) -> Result<(), String> {
     let doc = parse(src)?;
-    let makespan = num(&doc, "makespan_nanos")?;
+    let makespan = doc.num("makespan_nanos", "profile")? as u64;
     let cp = doc.get("critical_path").ok_or("missing critical_path")?;
-    let cp_total = num(cp, "total_nanos")?;
+    let cp_total = cp.num("total_nanos", "critical_path")? as u64;
     if cp_total != makespan {
         return Err(format!(
             "critical path total {cp_total} != makespan {makespan}"
@@ -119,7 +119,7 @@ pub fn validate_profile_json(src: &str) -> Result<(), String> {
         .and_then(Json::as_arr)
         .ok_or("missing ops array")?;
     for (i, op) in ops.iter().enumerate() {
-        let latency = num(op, "latency_nanos")?;
+        let latency = op.num("latency_nanos", format_args!("op {i}"))? as u64;
         let sum = category_sum(op)?;
         if sum != latency {
             return Err(format!(
@@ -129,13 +129,6 @@ pub fn validate_profile_json(src: &str) -> Result<(), String> {
     }
     doc.get("series").ok_or("missing series")?;
     Ok(())
-}
-
-fn num(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .map(|f| f as u64)
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
 }
 
 fn category_sum(v: &Json) -> Result<u64, String> {
