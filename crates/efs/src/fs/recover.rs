@@ -13,7 +13,7 @@ use crate::error::EfsError;
 use crate::wal::{scan_and_resume, RecoveredOp, WalRecord};
 use parsim::FixedMap;
 use simdisk::BlockDevice;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 impl<D: BlockDevice> Efs<D> {
     /// Brings the instance back after its node's crash fault: revives the
@@ -49,11 +49,17 @@ impl<D: BlockDevice> Efs<D> {
             self.config.wal.group_commit,
         );
         // Each recovered op is tagged with its Prepare txn (None for
-        // ordinary records) so in-doubt prepares can be dropped from the
+        // ordinary records) so undecided prepares can be dropped from the
         // dedup re-seed at the end: their effects are rolled back, and a
         // coordinator retransmit must re-execute, not replay a stale
         // "prepared" acknowledgement.
         let mut recovered: Vec<(Option<u64>, RecoveredOp)> = Vec::new();
+        // Every transaction with a Decide anywhere in the scanned ring,
+        // at or below the checkpoint included: a Prepare this recovery
+        // rolls back sits below the checkpoint it stamps, so at the
+        // *next* recovery only the missing Decide tells it from a
+        // settled one.
+        let mut decided = BTreeSet::new();
         // Machine-wide transactions whose Prepare replayed but whose
         // Decide has not (yet) been seen, with the directory entries the
         // tentative apply displaced. BTree order keeps the presumed-
@@ -66,6 +72,9 @@ impl<D: BlockDevice> Efs<D> {
             for record in records {
                 if let Some(op) = record.recovered() {
                     recovered.push((record.prepare_txn(), op));
+                }
+                if let WalRecord::Decide { txn, .. } = record {
+                    decided.insert(*txn);
                 }
                 if *lsn <= ckpt {
                     continue;
@@ -126,8 +135,7 @@ impl<D: BlockDevice> Efs<D> {
                 }
             }
         }
-        // Presumed abort: any Prepare still undecided rolls back, and its
-        // recovered op is dropped from the dedup re-seed.
+        // Presumed abort: any Prepare still undecided rolls back.
         for (intent, displaced) in in_doubt.values() {
             self.undo_intent(intent, displaced)?;
         }
@@ -138,7 +146,7 @@ impl<D: BlockDevice> Efs<D> {
         self.wal = Some(wal);
         Ok(recovered
             .into_iter()
-            .filter(|(txn, _)| txn.is_none_or(|t| !in_doubt.contains_key(&t)))
+            .filter(|(txn, _)| txn.is_none_or(|t| decided.contains(&t)))
             .map(|(_, op)| op)
             .collect())
     }

@@ -151,6 +151,9 @@ fn histories() -> Vec<(&'static str, Vec<Step>)> {
             "crash in doubt, abort re-driven",
             vec![Prepare, Commit, Crash, ABORT],
         ),
+        // The first recovery's checkpoint leaves the rolled-back Prepare
+        // below it: the second must still not take it for decided.
+        ("crash in doubt, twice", vec![Prepare, Commit, Crash, Crash]),
         ("commit, then crash", vec![Prepare, COMMIT, Commit, Crash]),
         ("abort, then crash", vec![Prepare, ABORT, Commit, Crash]),
     ]
@@ -281,9 +284,16 @@ fn run_case(ctx: &mut Ctx, intent_name: &str, intent: &PrepareIntent, name: &str
     }
     efs.sync(ctx).expect("sync");
 
-    // What the log should hand the dedup window at the next recovery.
+    // What the log should hand the dedup window at the next recovery —
+    // less the prepare for as long as no decision has been logged: it is
+    // rolled back, and must not be replayed to a retransmitting
+    // coordinator as a yes-vote, however many recoveries later.
     let mut logged: Vec<(u64, Reply)> = Vec::new();
     let mut in_doubt = false;
+    let reseeded = |logged: &[(u64, Reply)], in_doubt: bool| -> Vec<(u64, Reply)> {
+        let keep = |(id, _): &&(u64, Reply)| !(in_doubt && *id == PREPARE_ID);
+        logged.iter().filter(keep).cloned().collect()
+    };
     let mut decides = 0;
     for (i, &step) in steps.iter().enumerate() {
         let at = format!("{what}, step {i} ({step:?})");
@@ -322,15 +332,8 @@ fn run_case(ctx: &mut Ctx, intent_name: &str, intent: &PrepareIntent, name: &str
             Step::Crash => {
                 let (back, ops) = crash(efs);
                 efs = back;
-                // An in-doubt prepare is rolled back and must not be
-                // replayed to a retransmitting coordinator as a yes-vote.
-                let want: Vec<_> = logged
-                    .iter()
-                    .filter(|(id, _)| !(in_doubt && *id == PREPARE_ID))
-                    .cloned()
-                    .collect();
+                let want = reseeded(&logged, in_doubt);
                 assert_eq!(txn_ops(&ops), want, "{at}: recovered ops");
-                in_doubt = false;
             }
         }
     }
@@ -342,7 +345,8 @@ fn run_case(ctx: &mut Ctx, intent_name: &str, intent: &PrepareIntent, name: &str
     // the same file system.
     efs.commit(ctx).expect("commit");
     let (mut twin, ops) = crash(efs);
-    assert_eq!(txn_ops(&ops), logged, "{what}: twin's recovered ops");
+    let want = reseeded(&logged, in_doubt);
+    assert_eq!(txn_ops(&ops), want, "{what}: twin's recovered ops");
     let recovered = observe(ctx, &mut twin, &format!("{what} (twin)"));
     assert_eq!(recovered, live, "{what}: twin differs");
 }
