@@ -1,5 +1,5 @@
 //! Ablation A16 — what always-on telemetry costs: the live health
-//! registry (lock-free counters, per-op latency histogram, event
+//! registry (per-instance counters, per-op latency histogram, event
 //! journal) armed but never polled, against the same machine with the
 //! registry disarmed (p = 4, Wren disks, WAL + 2PC + parity — every
 //! counter family in the hot path).

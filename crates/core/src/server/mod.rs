@@ -340,9 +340,11 @@ impl Server {
     /// Unarmed machines answer an empty snapshot rather than an error,
     /// so polling tools need no mode flag.
     fn health_snapshot(&self, ctx: &Ctx) -> HealthSnapshot {
-        self.tally(|s| s.lfs_resends = self.client.resends());
         match &self.telemetry {
-            Some(reg) => reg.snapshot(ctx.now(), None),
+            Some(reg) => {
+                reg.server().lfs_resends = self.client.resends();
+                reg.snapshot(ctx.now(), None)
+            }
             None => HealthSnapshot::empty(ctx.now()),
         }
     }
