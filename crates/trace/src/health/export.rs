@@ -247,9 +247,9 @@ fn write_obj<T>(out: &mut String, t: &T, table: Table<T>) {
 fn check_members<T>(obj: &Json, table: Table<T>, origin: &str) -> Result<(), String> {
     for (key, get) in table {
         match (get, obj.get(key)) {
-            (Num(_), Some(Json::Num(_))) | (Flag(_), Some(Json::Bool(_))) => {}
-            (Num(_), _) => return Err(format!("{origin}: missing numeric {key:?}")),
+            (Flag(_), Some(Json::Bool(_))) => {}
             (Flag(_), _) => return Err(format!("{origin}: missing boolean {key:?}")),
+            (Num(_), _) => drop(obj.num(key, origin)?),
         }
     }
     Ok(())
