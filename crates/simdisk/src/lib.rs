@@ -956,17 +956,17 @@ impl SimDisk {
     fn fault_penalty(
         &mut self,
         ctx: &mut Ctx,
-        addrs: &[BlockAddr],
+        addrs: impl Iterator<Item = BlockAddr> + Clone,
     ) -> Result<SimDuration, DiskError> {
-        let failures = match self.faults.as_mut() {
-            None => 0,
-            Some(f) => f.failures_for(addrs.iter().copied()),
+        // No fault state, or no block for a fault to hit: nothing to pay.
+        let (Some(faults), Some(addr)) = (self.faults.as_mut(), addrs.clone().next()) else {
+            return Ok(SimDuration::ZERO);
         };
+        let failures = faults.failures_for(addrs);
         if failures == 0 {
             return Ok(SimDuration::ZERO);
         }
         self.stats.transient_faults += u64::from(failures);
-        let addr = addrs[0];
         if ctx.trace_enabled() {
             ctx.trace_instant(
                 "fault",
@@ -1003,7 +1003,7 @@ impl SimDisk {
     pub fn read(&mut self, ctx: &mut Ctx, addr: BlockAddr) -> Result<Bytes, DiskError> {
         self.check_alive()?;
         let idx = self.check_addr(addr)?;
-        let extra = self.fault_penalty(ctx, &[addr])?;
+        let extra = self.fault_penalty(ctx, std::iter::once(addr))?;
         let track = self.geometry.track_of(addr);
         self.stats.reads += 1;
         let t0 = ctx.now();
@@ -1063,11 +1063,10 @@ impl SimDisk {
         addrs: &[BlockAddr],
     ) -> Result<Vec<Bytes>, DiskError> {
         self.check_alive()?;
-        let mut idxs = Vec::with_capacity(addrs.len());
         for &addr in addrs {
-            idxs.push(self.check_addr(addr)?);
+            self.check_addr(addr)?;
         }
-        let mut position = self.fault_penalty(ctx, addrs)?;
+        let mut position = self.fault_penalty(ctx, addrs.iter().copied())?;
         let mut transfer = SimDuration::ZERO;
         let mut run_loads = 0u64;
         let mut run_hits = 0u64;
@@ -1105,14 +1104,12 @@ impl SimDisk {
                 ],
             );
         }
-        idxs.iter()
-            .zip(addrs)
-            .map(|(&idx, &addr)| {
-                self.blocks[idx]
-                    .clone()
-                    .ok_or(DiskError::Unwritten { addr })
-            })
-            .collect()
+        let mut out = Vec::with_capacity(addrs.len());
+        for &addr in addrs {
+            let data = self.blocks[addr.0 as usize].clone();
+            out.push(data.ok_or(DiskError::Unwritten { addr })?);
+        }
+        Ok(out)
     }
 
     /// Writes a run of blocks as one device request: the controller sorts
@@ -1154,28 +1151,24 @@ impl SimDisk {
             }
             return Ok(());
         }
-        let extra = self.fault_penalty(ctx, &writes.iter().map(|(a, _)| *a).collect::<Vec<_>>())?;
-        // Group the run per track, first-seen order, keeping each track's
-        // blocks in caller order.
-        let mut track_order: Vec<u32> = Vec::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (i, (addr, _)) in writes.iter().enumerate() {
-            let track = self.geometry.track_of(*addr);
-            match track_order.iter().position(|&t| t == track) {
-                Some(g) => groups[g].push(i),
-                None => {
-                    track_order.push(track);
-                    groups.push(vec![i]);
-                }
-            }
-        }
-        let mut position = extra;
+        let geometry = self.geometry;
+        let track_of = |w: &(BlockAddr, Bytes)| geometry.track_of(w.0);
+        let mut position = self.fault_penalty(ctx, writes.iter().map(|w| w.0))?;
         let mut transfer = SimDuration::ZERO;
-        for (group, &track) in groups.iter().zip(&track_order) {
+        let mut tracks = 0u64;
+        // One pass over the run per distinct track, in first-appearance
+        // order, each pass taking that track's blocks in caller order. A
+        // block whose track an earlier block named was serviced by that
+        // block's pass (looking back finds a sequential neighbour at once).
+        for (i, first) in writes.iter().enumerate() {
+            let track = track_of(first);
+            if writes[..i].iter().rev().any(|w| track_of(w) == track) {
+                continue;
+            }
+            tracks += 1;
             position += self.seek_to(track);
-            transfer += self.profile.transfer_per_block * group.len() as u64;
-            for &i in group {
-                let (addr, data) = &writes[i];
+            for (addr, data) in writes[i..].iter().filter(|w| track_of(w) == track) {
+                transfer += self.profile.transfer_per_block;
                 self.stats.writes += 1;
                 self.blocks[addr.0 as usize] = Some(data.clone());
                 self.buffer_note_write(*addr);
@@ -1205,7 +1198,7 @@ impl SimDisk {
                 t0,
                 &[
                     ("blocks", writes.len() as u64),
-                    ("tracks", groups.len() as u64),
+                    ("tracks", tracks),
                     ("busy", total.as_nanos()),
                     ("position", position.as_nanos()),
                     ("transfer", transfer.as_nanos()),
@@ -1230,7 +1223,7 @@ impl SimDisk {
                 required: self.geometry.block_size,
             });
         }
-        let extra = self.fault_penalty(ctx, &[addr])?;
+        let extra = self.fault_penalty(ctx, std::iter::once(addr))?;
         self.stats.writes += 1;
         let position = extra + self.seek_to(self.geometry.track_of(addr));
         let d = position + self.profile.transfer_per_block;
