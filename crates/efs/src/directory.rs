@@ -13,7 +13,7 @@
 
 use crate::error::EfsError;
 use crate::layout::{LfsFileId, BLOCK_SIZE};
-use bytes::{Buf, BufMut};
+use bytes::{Buf, BufMut, Bytes};
 use parsim::Ctx;
 use simdisk::{BlockAddr, BlockDevice};
 
@@ -190,19 +190,15 @@ impl Directory {
         }
     }
 
-    /// Writes a cached bucket home.
+    /// Writes a cached bucket home now (timed).
     fn store(
         &mut self,
-        via: &mut Via<'_>,
+        ctx: &mut Ctx,
         disk: &mut dyn BlockDevice,
         bucket: u32,
     ) -> Result<(), EfsError> {
         if let Some(cached) = &self.cache[bucket as usize] {
-            let (addr, bytes) = (self.addr_of_bucket(bucket), cached.encode());
-            match via {
-                Via::Timed(ctx) => disk.write(ctx, addr, &bytes)?,
-                Via::Raw => disk.write_raw(addr, &bytes),
-            }
+            disk.write(ctx, self.addr_of_bucket(bucket), &cached.encode())?;
         }
         self.dirty[bucket as usize] = false;
         Ok(())
@@ -211,7 +207,8 @@ impl Directory {
     /// Settles a change to `bucket`. A membership change made through a
     /// timed access goes home at once unless durability is deferred to
     /// the checkpoint; everything else — size/tail updates, and whatever
-    /// a raw access changed — waits, dirty, for [`Directory::write_back`].
+    /// a raw access changed — waits, dirty, for the next write-back
+    /// ([`Directory::dirty_images`]).
     fn settle(
         &mut self,
         via: &mut Via<'_>,
@@ -219,11 +216,13 @@ impl Directory {
         bucket: u32,
         membership: bool,
     ) -> Result<(), EfsError> {
-        if membership && !self.deferred && matches!(via, Via::Timed(_)) {
-            return self.store(via, disk, bucket);
+        match via {
+            Via::Timed(ctx) if membership && !self.deferred => self.store(ctx, disk, bucket),
+            _ => {
+                self.dirty[bucket as usize] = true;
+                Ok(())
+            }
         }
-        self.dirty[bucket as usize] = true;
-        Ok(())
     }
 
     /// Looks up a file's entry.
@@ -303,19 +302,23 @@ impl Directory {
         Ok(removed)
     }
 
-    /// Writes every dirty bucket home, in bucket order (timed: sync and
-    /// checkpoint; raw: the end of recovery).
-    pub(crate) fn write_back(
-        &mut self,
-        via: &mut Via<'_>,
-        disk: &mut dyn BlockDevice,
-    ) -> Result<(), EfsError> {
-        for bucket in 0..self.buckets {
-            if self.dirty[bucket as usize] {
-                self.store(via, disk, bucket)?;
-            }
-        }
-        Ok(())
+    /// The home address and image of every dirty bucket, in bucket order:
+    /// what a write-back must send home (sync and checkpoint as part of
+    /// one device run, the end of recovery raw) before it calls
+    /// [`Directory::mark_clean`].
+    pub(crate) fn dirty_images(&self) -> Vec<(BlockAddr, Bytes)> {
+        let dirty = (0..self.buckets).filter(|&b| self.dirty[b as usize]);
+        dirty
+            .filter_map(|b| {
+                let cached = self.cache[b as usize].as_ref()?;
+                Some((self.addr_of_bucket(b), cached.encode().into()))
+            })
+            .collect()
+    }
+
+    /// Every image [`Directory::dirty_images`] named is home.
+    pub(crate) fn mark_clean(&mut self) {
+        self.dirty.fill(false);
     }
 
     /// Writes `file`'s bucket home now if it is dirty, whatever the
@@ -328,7 +331,7 @@ impl Directory {
     ) -> Result<(), EfsError> {
         let bucket = self.bucket_of(file);
         if self.dirty[bucket as usize] {
-            self.store(&mut Via::Timed(ctx), disk, bucket)?;
+            self.store(ctx, disk, bucket)?;
         }
         Ok(())
     }
@@ -377,6 +380,15 @@ mod tests {
             last: BlockAddr::new(200 + file),
             size,
         }
+    }
+
+    /// Sends every dirty bucket home, as sync, checkpoint and the end of
+    /// recovery do.
+    fn write_back(dir: &mut Directory, disk: &mut SimDisk) {
+        for (addr, image) in dir.dirty_images() {
+            disk.write_raw(addr, &image);
+        }
+        dir.mark_clean();
     }
 
     /// What a fresh directory over the same disk image finds for `file`.
@@ -449,7 +461,7 @@ mod tests {
             // through, the size update was not.
             assert_eq!(on_disk(ctx, disk, 1).unwrap().size, 0, "not yet synced");
 
-            dir.write_back(&mut Via::Timed(ctx), disk).unwrap();
+            write_back(dir, disk);
             assert_eq!(on_disk(ctx, disk, 1).unwrap().size, 42, "synced");
         });
     }
@@ -477,7 +489,7 @@ mod tests {
                 Some(entry(1, 0)),
                 "removal deferred too"
             );
-            dir.write_back(&mut Via::Timed(ctx), disk).unwrap();
+            write_back(dir, disk);
             assert_eq!(on_disk(ctx, disk, 1), None);
             assert_eq!(on_disk(ctx, disk, 2), Some(entry(2, 0)));
         });
@@ -498,8 +510,8 @@ mod tests {
             let found = dir.find(&mut Via::Timed(ctx), &mut disk, LfsFileId(1));
             assert_eq!(found, Ok(Some(entry(1, 3))));
             assert_eq!(ctx.now(), t0, "no virtual time passed");
-            assert_eq!(on_disk(ctx, &mut disk, 1), None, "waits for write_back");
-            dir.write_back(&mut Via::Raw, &mut disk).unwrap();
+            assert_eq!(on_disk(ctx, &mut disk, 1), None, "waits for the write-back");
+            write_back(&mut dir, &mut disk);
             assert_eq!(on_disk(ctx, &mut disk, 1), Some(entry(1, 3)));
         });
     }

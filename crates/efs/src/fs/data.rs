@@ -77,6 +77,20 @@ impl<D: BlockDevice> Efs<D> {
         hint: Option<BlockAddr>,
     ) -> Result<BlockAddr, EfsError> {
         self.charge_cpu(ctx);
+        self.write_logged(ctx, file, block_no, payload, hint)
+    }
+
+    /// [`Efs::write`] without the request's CPU charge, for a request
+    /// that has already paid it: the committing decide of a `WriteBlock`
+    /// intent. One CPU charge per request.
+    pub(super) fn write_logged(
+        &mut self,
+        ctx: &mut Ctx,
+        file: LfsFileId,
+        block_no: u32,
+        payload: &[u8],
+        hint: Option<BlockAddr>,
+    ) -> Result<BlockAddr, EfsError> {
         if payload.len() > EFS_PAYLOAD {
             return Err(EfsError::PayloadTooLarge {
                 provided: payload.len(),

@@ -30,7 +30,7 @@ use crate::directory::{DirEntry, Directory, Via};
 use crate::error::EfsError;
 use crate::layout::LfsFileId;
 use crate::wal::{Wal, WalConfig, WalRecord};
-use bytes::{Buf, BufMut};
+use bytes::{Buf, BufMut, Bytes};
 use parsim::{Ctx, FixedMap, SimDuration};
 use simdisk::{BlockAddr, BlockDevice, SimDisk};
 use txn::PreparedTxn;
@@ -234,13 +234,13 @@ impl Layout {
         self,
         bitmap: &[u8],
         block_size: usize,
-    ) -> impl Iterator<Item = (BlockAddr, Vec<u8>)> + '_ {
+    ) -> impl Iterator<Item = (BlockAddr, Bytes)> + '_ {
         (0..self.bitmap_blocks).map(move |i| {
             let start = (i as usize * block_size).min(bitmap.len());
             let end = (start + block_size).min(bitmap.len());
             let mut chunk = bitmap[start..end].to_vec();
             chunk.resize(block_size, 0);
-            (BlockAddr::new(self.bitmap_start + i), chunk)
+            (BlockAddr::new(self.bitmap_start + i), chunk.into())
         })
     }
 
@@ -284,7 +284,8 @@ impl<D: BlockDevice> Efs<D> {
             dir,
             wal,
         };
-        efs.write_bitmap_raw();
+        efs.write_home(&mut Via::Raw)
+            .expect("raw writes cannot fail");
         efs
     }
 
@@ -427,45 +428,59 @@ impl<D: BlockDevice> Efs<D> {
         Ok(())
     }
 
-    /// Makes every pending intent record durable (group commit): writes
-    /// the batch into the log ring, flushes the device, and — only once
-    /// nothing is pending — checkpoints if half the ring is live. The
-    /// server calls this before acknowledging any mutating operation; a
-    /// no-op without a WAL.
+    /// Makes every pending intent record durable (group commit) — one
+    /// device run into the log ring and a flush — and then, with nothing
+    /// pending any more, checkpoints if half the ring is live. Nothing
+    /// may be acknowledged before the first half returns; the server runs
+    /// the two halves itself ([`Efs::commit_log`], then its replies, then
+    /// [`Efs::checkpoint_if_due`]). A no-op without a WAL.
     ///
     /// # Errors
     ///
     /// Propagates device errors ([`simdisk::DiskError::Crashed`] when the
     /// node died mid-commit).
     pub fn commit(&mut self, ctx: &mut Ctx) -> Result<(), EfsError> {
-        let Some(wal) = self.wal.as_mut() else {
+        self.commit_log(ctx)?;
+        self.checkpoint_if_due(ctx).map(drop)
+    }
+
+    /// The durability half of [`Efs::commit`]: once this returns, every
+    /// operation served so far survives a crash and may be acknowledged.
+    pub(crate) fn commit_log(&mut self, ctx: &mut Ctx) -> Result<(), EfsError> {
+        let Some(wal) = self.wal.as_mut().filter(|wal| wal.has_pending()) else {
             return Ok(());
         };
-        if wal.has_pending() {
-            let t0 = ctx.now();
-            let records = wal.commit(ctx, &mut self.disk)?;
-            if ctx.trace_enabled() {
-                ctx.trace_span("wal", "wal.commit", t0, &[("records", records as u64)]);
-            }
-        }
-        if self.prepared.is_empty() && wal.needs_checkpoint() {
-            self.checkpoint(ctx)?;
+        let t0 = ctx.now();
+        let records = wal.commit(ctx, &mut self.disk)?;
+        if ctx.trace_enabled() {
+            ctx.trace_span("wal", "wal.commit", t0, &[("records", records as u64)]);
         }
         Ok(())
     }
 
+    /// The housekeeping half of [`Efs::commit`]: a checkpoint once half
+    /// the ring is live, which only bounds the ring — the records it
+    /// retires are already durable, so it may run after they were
+    /// acknowledged. Deferred while any transaction is in doubt (see
+    /// [`Efs::sync`]). Returns whether a checkpoint ran.
+    pub(crate) fn checkpoint_if_due(&mut self, ctx: &mut Ctx) -> Result<bool, EfsError> {
+        let due =
+            self.prepared.is_empty() && self.wal.as_ref().is_some_and(|wal| wal.needs_checkpoint());
+        if due {
+            self.checkpoint(ctx)?;
+        }
+        Ok(due)
+    }
+
     /// Persists directory + bitmap and, with a WAL, stamps a checkpoint
-    /// record. Must only run with no records pending (commit ordering
+    /// record — home first, as one device run, and only then the record,
+    /// so a crash inside the first leaves the previous checkpoint in
+    /// force. Must only run with no records pending (commit ordering
     /// rule): a checkpoint persists in-memory effects, which must all be
     /// of committed operations.
     fn checkpoint(&mut self, ctx: &mut Ctx) -> Result<(), EfsError> {
         let t0 = ctx.now();
-        self.dir.write_back(&mut Via::Timed(ctx), &mut self.disk)?;
-        let bitmap = self.alloc.to_bytes();
-        let block_size = self.disk.geometry().block_size;
-        for (addr, chunk) in self.layout.bitmap_chunks(&bitmap, block_size) {
-            self.disk.write(ctx, addr, &chunk)?;
-        }
+        self.write_home(&mut Via::Timed(ctx))?;
         if let Some(wal) = self.wal.as_mut() {
             wal.checkpoint(ctx, &mut self.disk)?;
             if ctx.trace_enabled() {
@@ -475,14 +490,24 @@ impl<D: BlockDevice> Efs<D> {
         Ok(())
     }
 
-    /// Writes the allocation bitmap into the raw image (format and the
-    /// end of recovery).
-    fn write_bitmap_raw(&mut self) {
+    /// Sends the dirty directory buckets and the allocation bitmap home:
+    /// as one device run (sync, checkpoint), or straight into the raw
+    /// image (format and the end of recovery).
+    fn write_home(&mut self, via: &mut Via<'_>) -> Result<(), EfsError> {
+        let mut home = self.dir.dirty_images();
         let bitmap = self.alloc.to_bytes();
         let block_size = self.disk.geometry().block_size;
-        for (addr, chunk) in self.layout.bitmap_chunks(&bitmap, block_size) {
-            self.disk.write_raw(addr, &chunk);
+        home.extend(self.layout.bitmap_chunks(&bitmap, block_size));
+        match via {
+            Via::Timed(ctx) => self.disk.write_many(ctx, &home)?,
+            Via::Raw => {
+                for (addr, image) in &home {
+                    self.disk.write_raw(*addr, image);
+                }
+            }
         }
+        self.dir.mark_clean();
+        Ok(())
     }
 
     /// Tags the requesting `(client process index, request id)` so the

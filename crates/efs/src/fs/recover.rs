@@ -140,8 +140,7 @@ impl<D: BlockDevice> Efs<D> {
             self.undo_intent(intent, displaced)?;
         }
         self.fsck();
-        self.dir.write_back(&mut Via::Raw, &mut self.disk)?;
-        self.write_bitmap_raw();
+        self.write_home(&mut Via::Raw)?;
         wal.append_checkpoint_raw(&mut self.disk);
         self.wal = Some(wal);
         Ok(recovered

@@ -314,7 +314,8 @@ impl<D: BlockDevice> Efs<D> {
         }
         match &intent {
             // The normal (ordered-journaling) write path, which also logs
-            // the SetChain record replay needs. It *is* the idempotent
+            // the SetChain record replay needs — minus its CPU charge,
+            // which this request paid on entry. It *is* the idempotent
             // apply: re-driven after this participant's presumed-abort
             // rollback, or delivered twice, an already-applied append
             // shows up as an in-range overwrite of identical bytes.
@@ -323,7 +324,7 @@ impl<D: BlockDevice> Efs<D> {
                 block_no,
                 payload,
             } if commit => {
-                self.write(ctx, *file, *block_no, payload, None)?;
+                self.write_logged(ctx, *file, *block_no, payload, None)?;
             }
             _ => {}
         }

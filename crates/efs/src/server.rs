@@ -687,11 +687,14 @@ fn refuse(ctx: &mut Ctx, to: ProcId, id: u64) {
 }
 
 /// Serves one scheduler batch: up to [`Efs::group_commit_width`]
-/// requests back-to-back, one group commit, then the acknowledgements.
-/// Nothing is acknowledged before its intent records are durable — the
-/// WAL's commit-before-ack rule. Without a WAL the width is 1 and the
-/// commit is a no-op, so the cycle is exactly the pre-WAL
-/// serve-then-reply, bit for bit.
+/// requests back-to-back, one group commit, then the acknowledgements,
+/// then the checkpoint if the batch made one due. Nothing is acknowledged
+/// before its intent records are durable — the WAL's commit-before-ack
+/// rule — and nothing waits for the checkpoint, which only bounds the
+/// ring: a crash inside it replays the acknowledged records from the
+/// previous one. The next batch does wait; the server is one process.
+/// Without a WAL the width is 1 and both halves are no-ops, so the cycle
+/// is exactly the pre-WAL serve-then-reply, bit for bit.
 ///
 /// Returns `true` when the node's crash fault fired mid-batch: the
 /// caller must run [`crash_recover`]. Nothing unacknowledged survives —
@@ -705,6 +708,7 @@ fn service_batch<D: BlockDevice>(
 ) -> bool {
     let width = efs.group_commit_width().max(1);
     let armed = efs.telemetry().is_some();
+    let dead = |efs: &Efs<D>| efs.crash_down().is_some() || efs.media_lost();
     // Per-op measurements accumulate in plain locals and flush to the
     // registry once per batch, so arming telemetry adds no per-op
     // atomics or locks to this loop.
@@ -744,7 +748,7 @@ fn service_batch<D: BlockDevice>(
         if armed {
             served.push(ctx.now().saturating_duration_since(service_from).as_nanos());
         }
-        if efs.crash_down().is_some() || efs.media_lost() {
+        if dead(efs) {
             // The node died mid-operation: the op is not acknowledged
             // (its record may or may not have committed — recovery and
             // the dedup re-seed decide), and neither is anything
@@ -761,7 +765,7 @@ fn service_batch<D: BlockDevice>(
         // (client, file) chain — possibly into this same batch.
         state.offer_lane(efs, from);
     }
-    if efs.commit(ctx).is_err() || efs.crash_down().is_some() || efs.media_lost() {
+    if efs.commit_log(ctx).is_err() || dead(efs) {
         for (client, r) in &replies {
             dedup.forget(*client, r.id);
         }
@@ -779,7 +783,14 @@ fn service_batch<D: BlockDevice>(
         let bytes = reply_wire_size(&reply);
         ctx.send_sized_cloneable(from, reply, bytes);
     }
-    false
+    match efs.checkpoint_if_due(ctx) {
+        Ok(false) => false,
+        Ok(true) if !dead(efs) => {
+            efs.publish_telemetry();
+            false
+        }
+        _ => true,
+    }
 }
 
 /// One-time transition into the media-lost state: every queued request

@@ -9,8 +9,10 @@
 //!   ([`Wal::log`]); the server acknowledges nothing until
 //!   [`Efs::commit`](crate::Efs::commit) has made the batch durable.
 //! * A *commit* encodes the pending records into one batch (one LSN,
-//!   one or more log blocks), writes the blocks into the ring and
-//!   flushes the device. EFS uses *ordered journaling*: data-block
+//!   one or more log blocks), writes the blocks into the ring as one
+//!   device run — the log is sequential, so a batch pays one positioning
+//!   per track it touches, not one per block — and flushes the device.
+//!   EFS uses *ordered journaling*: data-block
 //!   payloads go to their home locations before commit, so records only
 //!   carry metadata intent (directory entries, allocation effects) plus
 //!   enough to reconstruct the client reply.
@@ -38,11 +40,13 @@
 //! ## Checkpoints and ring space
 //!
 //! A checkpoint persists the deferred directory buckets and the
-//! allocation bitmap, then appends a [`WalRecord::Checkpoint`] batch.
-//! Commit never runs a checkpoint while uncommitted records are pending
-//! (the checkpoint would persist their in-memory effects before their
-//! intent is durable), so [`Efs::commit`](crate::Efs::commit) always
-//! writes the pending batch *first* and checkpoints after. Records since
+//! allocation bitmap (one device run), then appends a
+//! [`WalRecord::Checkpoint`] batch (a second). Commit never runs a
+//! checkpoint while uncommitted records are pending (the checkpoint
+//! would persist their in-memory effects before their intent is
+//! durable), so [`Efs::commit`](crate::Efs::commit) always writes the
+//! pending batch *first* and checkpoints after — and since the batch is
+//! durable by then, the server acknowledges it in between. Records since
 //! the last durable checkpoint are never overwritten: the checkpoint
 //! policy fires once half the ring is live, and commit asserts the
 //! invariant.
@@ -50,7 +54,7 @@
 use crate::error::EfsError;
 use crate::layout::{LfsFileId, BLOCK_SIZE};
 use crate::server::LfsData;
-use bytes::{Buf, BufMut};
+use bytes::{Buf, BufMut, Bytes};
 use parsim::{mix64, Ctx};
 use simdisk::{BlockAddr, BlockDevice};
 use std::collections::BTreeMap;
@@ -558,7 +562,7 @@ fn wal_checksum(lsn: u64, seq: u32, total: u32, payload: &[u8]) -> u64 {
 
 /// Encodes one batch: the records' concatenated payload split across
 /// self-describing log blocks.
-fn encode_batch(lsn: u64, records: &[WalRecord]) -> Vec<Vec<u8>> {
+fn encode_batch(lsn: u64, records: &[WalRecord]) -> Vec<Bytes> {
     let mut payload = Vec::new();
     payload.put_u32_le(records.len() as u32);
     for r in records {
@@ -580,7 +584,7 @@ fn encode_batch(lsn: u64, records: &[WalRecord]) -> Vec<Vec<u8>> {
         block.put_u64_le(wal_checksum(lsn, seq as u32, total as u32, chunk));
         block.put_slice(chunk);
         block.resize(BLOCK_SIZE, 0);
-        blocks.push(block);
+        blocks.push(block.into());
     }
     blocks
 }
@@ -748,10 +752,22 @@ impl Wal {
         BlockAddr::new(self.start + slot % self.blocks)
     }
 
-    /// Writes the pending batch into the ring (timed) and flushes. Returns
-    /// the number of records committed. The caller checkpoints afterwards
-    /// if [`Wal::needs_checkpoint`] — never before, so a checkpoint can
-    /// never persist in-memory effects of uncommitted records.
+    /// Gives `batch` the next ring slots, in order: the device run that
+    /// carries it into the log.
+    fn place(&mut self, batch: Vec<Bytes>) -> Vec<(BlockAddr, Bytes)> {
+        let run = batch.into_iter().map(|block| {
+            let addr = self.slot_addr(self.next_slot);
+            self.next_slot = (self.next_slot + 1) % self.blocks;
+            (addr, block)
+        });
+        run.collect()
+    }
+
+    /// Writes the pending batch into the ring as one device run (timed)
+    /// and flushes. Returns the number of records committed. The caller
+    /// checkpoints afterwards if [`Wal::needs_checkpoint`] — never before,
+    /// so a checkpoint can never persist in-memory effects of uncommitted
+    /// records.
     pub(crate) fn commit<D: BlockDevice>(
         &mut self,
         ctx: &mut Ctx,
@@ -766,12 +782,9 @@ impl Wal {
             self.since_ckpt + batch.len() as u32 <= self.blocks,
             "wal batch would overwrite records since the last checkpoint"
         );
-        for block in &batch {
-            let addr = self.slot_addr(self.next_slot);
-            disk.write(ctx, addr, block)?;
-            self.next_slot = (self.next_slot + 1) % self.blocks;
-            self.since_ckpt += 1;
-        }
+        self.since_ckpt += batch.len() as u32;
+        let run = self.place(batch);
+        disk.write_many(ctx, &run)?;
         disk.flush(ctx)?;
         self.next_lsn += 1;
         self.commits += 1;
@@ -789,6 +802,20 @@ impl Wal {
         (self.since_ckpt.min(self.blocks), self.blocks)
     }
 
+    /// The next checkpoint batch, placed in the ring.
+    fn checkpoint_run(&mut self) -> Vec<(BlockAddr, Bytes)> {
+        assert!(self.pending.is_empty(), "checkpoint with records pending");
+        let batch = encode_batch(self.next_lsn, &[WalRecord::Checkpoint]);
+        self.place(batch)
+    }
+
+    /// The checkpoint batch of `blocks` blocks is durable: nothing before
+    /// it is live any more.
+    fn stamped(&mut self, blocks: usize) {
+        self.next_lsn += 1;
+        self.since_ckpt = blocks as u32;
+    }
+
     /// Appends and flushes a checkpoint batch (timed). The caller must
     /// have already persisted the directory and bitmap, and there must be
     /// no pending records.
@@ -797,31 +824,21 @@ impl Wal {
         ctx: &mut Ctx,
         disk: &mut D,
     ) -> Result<(), EfsError> {
-        assert!(self.pending.is_empty(), "checkpoint with records pending");
-        let batch = encode_batch(self.next_lsn, &[WalRecord::Checkpoint]);
-        for block in &batch {
-            let addr = self.slot_addr(self.next_slot);
-            disk.write(ctx, addr, block)?;
-            self.next_slot = (self.next_slot + 1) % self.blocks;
-        }
+        let run = self.checkpoint_run();
+        disk.write_many(ctx, &run)?;
         disk.flush(ctx)?;
-        self.next_lsn += 1;
-        self.since_ckpt = batch.len() as u32;
+        self.stamped(run.len());
         self.checkpoints += 1;
         Ok(())
     }
 
     /// Raw (untimed) checkpoint append, for format and end-of-recovery.
     pub(crate) fn append_checkpoint_raw<D: BlockDevice>(&mut self, disk: &mut D) {
-        assert!(self.pending.is_empty(), "checkpoint with records pending");
-        let batch = encode_batch(self.next_lsn, &[WalRecord::Checkpoint]);
-        for block in &batch {
-            let addr = self.slot_addr(self.next_slot);
-            disk.write_raw(addr, block);
-            self.next_slot = (self.next_slot + 1) % self.blocks;
+        let run = self.checkpoint_run();
+        for (addr, block) in &run {
+            disk.write_raw(*addr, block);
         }
-        self.next_lsn += 1;
-        self.since_ckpt = batch.len() as u32;
+        self.stamped(run.len());
     }
 }
 
@@ -946,6 +963,90 @@ mod tests {
         assert!(scan_batches(&torn, 10, 8).is_empty(), "torn batch dropped");
     }
 
+    /// A ring on a Wren disk, one process driving it: `f` gets the clock,
+    /// the disk and the freshly formatted log (slot 0 holds format's
+    /// checkpoint).
+    fn on_wren_ring<R: Send + 'static>(
+        start: u32,
+        blocks: u32,
+        f: impl FnOnce(&mut Ctx, &mut simdisk::SimDisk, &mut Wal) -> R + Send + 'static,
+    ) -> R {
+        use simdisk::{DiskGeometry, DiskProfile, SimDisk};
+        let mut sim = parsim::Simulation::new(parsim::SimConfig::default());
+        let node = sim.add_node("n");
+        sim.block_on(node, "log", move |ctx| {
+            let mut disk = SimDisk::new(DiskGeometry::default(), DiskProfile::wren());
+            let mut wal = Wal::format(&mut disk, start, blocks, 1);
+            f(ctx, &mut disk, &mut wal)
+        })
+    }
+
+    /// A record that fills `blocks` log blocks on its own.
+    fn record_of(blocks: usize) -> WalRecord {
+        let addrs = (blocks - 1) * WAL_BLOCK_PAYLOAD / 4 + 8;
+        let addrs: Vec<BlockAddr> = (0..addrs as u32).map(BlockAddr::new).collect();
+        let record = WalRecord::SetChain {
+            client: 1,
+            id: 2,
+            file: LfsFileId(3),
+            first: addrs[0],
+            last: addrs[addrs.len() - 1],
+            size: addrs.len() as u32,
+            run: true,
+            addrs,
+        };
+        assert_eq!(encode_batch(1, std::slice::from_ref(&record)).len(), blocks);
+        record
+    }
+
+    /// Commits one `blocks`-block batch; returns the virtual milliseconds
+    /// it took and the elementary writes the disk counted.
+    fn commit_of(
+        ctx: &mut Ctx,
+        disk: &mut simdisk::SimDisk,
+        wal: &mut Wal,
+        blocks: usize,
+    ) -> (u64, u64) {
+        let (t0, w0) = (ctx.now(), disk.stats().writes);
+        wal.log(record_of(blocks));
+        assert_eq!(wal.commit(ctx, disk).unwrap(), 1);
+        let ms = (ctx.now() - t0).as_nanos() / 1_000_000;
+        (ms, disk.stats().writes - w0)
+    }
+
+    #[test]
+    fn a_batch_on_one_track_pays_one_positioning() {
+        // Track-aligned ring, 8 blocks a track: slots 1..=7 share slot
+        // 0's track.
+        on_wren_ring(16, 16, |ctx, disk, wal| {
+            for k in [1usize, 2, 4] {
+                let (ms, writes) = commit_of(ctx, disk, wal, k);
+                assert_eq!(ms, 15 + k as u64, "{k} blocks: 15 ms + 1 ms a block");
+                assert_eq!(writes, k as u64, "{k} blocks: one elementary write each");
+            }
+        });
+    }
+
+    #[test]
+    fn a_batch_pays_one_positioning_per_distinct_track() {
+        on_wren_ring(16, 16, |ctx, disk, wal| {
+            // Slots 1..=5, then 6, 7 | 8: the batch crosses into the
+            // ring's second track.
+            assert_eq!(commit_of(ctx, disk, wal, 5), (20, 5));
+            assert_eq!(commit_of(ctx, disk, wal, 3), (33, 3), "two tracks");
+            // A checkpoint (slot 9) frees the ring; slots 10..=14 bring
+            // the cursor to the last slot.
+            wal.checkpoint(ctx, disk).unwrap();
+            assert_eq!(commit_of(ctx, disk, wal, 5), (20, 5));
+            // Slots 15 | 0, 1: the batch wraps onto the first track.
+            assert_eq!(commit_of(ctx, disk, wal, 3), (33, 3), "wrapped");
+            // The scan reassembles the wrapped batch (LSN 6); the first
+            // one (LSN 2, below the checkpoint) lost a slot to it.
+            let lsns: Vec<u64> = scan_batches(&*disk, 16, 16).into_keys().collect();
+            assert_eq!(lsns, [3, 4, 5, 6]);
+        });
+    }
+
     #[test]
     fn write_block_intent_round_trips() {
         let intent = PrepareIntent::WriteBlock {
@@ -965,7 +1066,7 @@ mod tests {
     #[test]
     fn corrupted_block_fails_its_checksum() {
         let blocks = encode_batch(3, &sample_records());
-        let mut bad = blocks[0].clone();
+        let mut bad = blocks[0].to_vec();
         bad[40] ^= 0x01;
         assert!(decode_wal_block(&bad).is_none());
         // And garbage is rejected outright.
