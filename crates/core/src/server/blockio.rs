@@ -1,10 +1,11 @@
 //! Block I/O: the one pipelined read primitive and the one pipelined
 //! write primitive every data path of the server goes through. Both take
-//! a list of machine pointers into one constituent LFS file (a single
-//! block is a list of one) and group it into per-LFS runs of at most
-//! `depth` consecutive locals. At depth 1 — `BatchPolicy::Off`, and every
-//! inherently single-block access — a run is one `Read`/`Write`; at depth
-//! `d > 1` it is one `ReadRun`/`WriteRun`.
+//! a list of machine pointers into constituent LFS files — one file for
+//! every caller but the parity read-modify-write, whose two old blocks
+//! live in two — (a single block is a list of one) and group it into
+//! per-LFS runs of at most `depth` consecutive locals. At depth 1 —
+//! `BatchPolicy::Off`, and every inherently single-block access — a run
+//! is one `Read`/`Write`; at depth `d > 1` it is one `ReadRun`/`WriteRun`.
 
 use super::Server;
 use crate::error::BridgeError;
@@ -44,8 +45,10 @@ impl Target {
     }
 }
 
-/// A planned run: blocks on one LFS with consecutive local numbers.
+/// A planned run: blocks of one constituent file on one LFS with
+/// consecutive local numbers.
 struct RunPlan {
+    to: Target,
     lfs: LfsIndex,
     first: u32,
     /// Indexes into the planned list, in visit order: the first member,
@@ -71,12 +74,14 @@ impl RunPlan {
 /// hand consecutive locals to each node, so a window of consecutive
 /// globals collapses to one run per LFS; at depth 1 every block is its
 /// own run, in list order.
-fn plan_runs(ptrs: impl Iterator<Item = GlobalPtr>, depth: u32) -> Vec<RunPlan> {
+fn plan_runs(blocks: impl Iterator<Item = (Target, GlobalPtr)>, depth: u32) -> Vec<RunPlan> {
     let mut runs: Vec<RunPlan> = Vec::new();
     let mut open: FixedMap<LfsIndex, usize> = FixedMap::default();
-    for (i, ptr) in ptrs.enumerate() {
+    for (i, (to, ptr)) in blocks.enumerate() {
         let extend = open.get(&ptr.lfs).copied().filter(|&r| {
-            runs[r].first + runs[r].len() as u32 == ptr.local && (runs[r].len() as u32) < depth
+            runs[r].to.lfs_file == to.lfs_file
+                && runs[r].first + runs[r].len() as u32 == ptr.local
+                && (runs[r].len() as u32) < depth
         });
         match extend {
             Some(r) => runs[r].tail.push(i),
@@ -85,6 +90,7 @@ fn plan_runs(ptrs: impl Iterator<Item = GlobalPtr>, depth: u32) -> Vec<RunPlan> 
                     open.insert(ptr.lfs, runs.len());
                 }
                 runs.push(RunPlan {
+                    to,
                     lfs: ptr.lfs,
                     first: ptr.local,
                     head: i,
@@ -118,29 +124,28 @@ pub(super) fn check_header(
 }
 
 impl Server {
-    /// The pipeline under both primitives: plan `ptrs` into runs, then —
-    /// wave by wave — send every run's `op` and hand each reply to `reply`
-    /// in send order. At depth 1 a wave is the prototype's lock step ("the
-    /// server will perform groups of p disk accesses in parallel"); batched
-    /// runs all go out at once.
+    /// The pipeline under both primitives: plan `blocks` (all of one
+    /// Bridge file) into runs, then — wave by wave — send every run's `op`
+    /// and hand each reply to `reply` in send order. At depth 1 a wave is
+    /// the prototype's lock step ("the server will perform groups of p
+    /// disk accesses in parallel"); batched runs all go out at once.
     fn pipeline(
         &mut self,
         ctx: &mut Ctx,
-        to: Target,
-        ptrs: impl Iterator<Item = GlobalPtr>,
+        blocks: impl Iterator<Item = (Target, GlobalPtr)>,
         depth: u32,
         op: impl Fn(&RunPlan, Option<BlockAddr>) -> LfsOp,
         mut reply: impl FnMut(&mut Server, &mut Ctx, &RunPlan, LfsResult) -> Result<(), BridgeError>,
     ) -> Result<(), BridgeError> {
-        let mut runs = plan_runs(ptrs, depth);
-        let width = match depth {
-            1 => self.files[&to.file].placement.breadth() as usize,
+        let mut runs = plan_runs(blocks, depth);
+        let width = match (depth, runs.first()) {
+            (1, Some(run)) => self.files[&run.to.file].placement.breadth() as usize,
             _ => runs.len().max(1),
         };
         for wave in runs.chunks_mut(width) {
             for run in wave.iter_mut() {
-                let hints = &self.files[&to.file].hints;
-                let hint = to.hinted.then(|| hints[run.lfs.index()]).flatten();
+                let hints = &self.files[&run.to.file].hints;
+                let hint = run.to.hinted.then(|| hints[run.lfs.index()]).flatten();
                 run.id = self.client.send(ctx, self.lfs_proc(run.lfs), op(run, hint));
             }
             for run in wave.iter() {
@@ -169,24 +174,34 @@ impl Server {
         from: Target,
         ptrs: &[GlobalPtr],
         depth: u32,
+        sink: impl FnMut(&mut Server, &mut Ctx, usize, BlockResult) -> Result<(), BridgeError>,
+    ) -> Result<(), BridgeError> {
+        self.read_each(ctx, ptrs.iter().map(|&ptr| (from, ptr)), depth, sink)
+    }
+
+    /// [`Server::read_blocks`] over blocks that each name their own
+    /// constituent file.
+    fn read_each(
+        &mut self,
+        ctx: &mut Ctx,
+        blocks: impl Iterator<Item = (Target, GlobalPtr)>,
+        depth: u32,
         mut sink: impl FnMut(&mut Server, &mut Ctx, usize, BlockResult) -> Result<(), BridgeError>,
     ) -> Result<(), BridgeError> {
-        let file = from.lfs_file;
         let op = |run: &RunPlan, hint| match depth {
             1 => LfsOp::Read {
-                file,
+                file: run.to.lfs_file,
                 block: run.first,
                 hint,
             },
             _ => LfsOp::ReadRun {
-                file,
+                file: run.to.lfs_file,
                 first: run.first,
                 count: run.len() as u32,
                 hint,
             },
         };
-        let ptrs = ptrs.iter().copied();
-        self.pipeline(ctx, from, ptrs, depth, op, |server, ctx, run, result| {
+        self.pipeline(ctx, blocks, depth, op, |server, ctx, run, result| {
             let blocks = match result {
                 Err(e) => {
                     return run
@@ -195,7 +210,7 @@ impl Server {
                 }
                 Ok(data) if depth == 1 => {
                     let (payload, addr) = data.into_block()?;
-                    server.note_hint(from, run.lfs, addr);
+                    server.note_hint(run.to, run.lfs, addr);
                     return sink(server, ctx, run.head, Ok(payload));
                 }
                 Ok(data) => data.into_run()?,
@@ -208,7 +223,7 @@ impl Server {
                 )));
             }
             for (i, (payload, addr)) in run.members().zip(blocks) {
-                server.note_hint(from, run.lfs, addr);
+                server.note_hint(run.to, run.lfs, addr);
                 sink(server, ctx, i, Ok(payload))?;
             }
             Ok(())
@@ -222,12 +237,24 @@ impl Server {
         from: Target,
         ptr: GlobalPtr,
     ) -> Result<Bytes, BridgeError> {
-        let mut out = None;
-        self.read_blocks(ctx, from, &[ptr], 1, |_, _, _, payload| {
-            out = Some(payload);
+        let [payload] = self.read_together(ctx, [(from, ptr)])?;
+        Ok(payload?)
+    }
+
+    /// Reads one block from each of `N` constituent files of one Bridge
+    /// file, every request in flight before the first reply is awaited:
+    /// blocks on different nodes cost one round trip, not `N`.
+    pub(super) fn read_together<const N: usize>(
+        &mut self,
+        ctx: &mut Ctx,
+        blocks: [(Target, GlobalPtr); N],
+    ) -> Result<[BlockResult; N], BridgeError> {
+        let mut out = [const { None }; N];
+        self.read_each(ctx, blocks.into_iter(), 1, |_, _, i, payload| {
+            out[i] = Some(payload);
             Ok(())
         })?;
-        Ok(out.expect("one block, one reply")?)
+        Ok(out.map(|payload| payload.expect("one block, one reply")))
     }
 
     /// Writes `blocks` (machine pointer and encoded payload each) to
@@ -254,8 +281,8 @@ impl Server {
                 hint,
             },
         };
-        let ptrs = blocks.iter().map(|b| b.0);
-        self.pipeline(ctx, to, ptrs, depth, op, |server, _, run, result| {
+        let ptrs = blocks.iter().map(|b| (to, b.0));
+        self.pipeline(ctx, ptrs, depth, op, |server, _, run, result| {
             let landed = match depth {
                 1 => Some(result?.into_written()?),
                 _ => result?.into_written_run()?.last().copied(),

@@ -130,7 +130,20 @@ impl Server {
     ) -> Result<Bytes, BridgeError> {
         let meta = self.file_mut(file);
         let (ptr, data_file) = (meta.locate(block)?, meta.lfs_file);
-        match self.read_one(ctx, Target::raw(file, data_file), ptr) {
+        let read = self.read_one(ctx, Target::raw(file, data_file), ptr);
+        self.or_reconstruct(ctx, file, block, read)
+    }
+
+    /// What a read of data block `block` answered, or — its column gone —
+    /// what the stripe's parity and peers say it holds.
+    fn or_reconstruct(
+        &mut self,
+        ctx: &mut Ctx,
+        file: BridgeFileId,
+        block: u64,
+        read: Result<Bytes, BridgeError>,
+    ) -> Result<Bytes, BridgeError> {
+        match read {
             Err(BridgeError::Lfs(e)) if e.column_lost() => {
                 self.reconstruct_payload(ctx, file, block)
             }
@@ -181,10 +194,12 @@ impl Server {
     /// The parity column of a write of `payload` at `block`: the stripe's
     /// parity block XOR-updated for the new data — the classic small-write
     /// read-modify-write — or `None` when the parity column is gone (the
-    /// data lands degraded; a rebuild recomputes the parity later). The
-    /// reads happen before any column is written: the single-threaded
-    /// server is the only writer, so the values read cannot go stale, and
-    /// an aborted commit leaves them valid for the retry.
+    /// data lands degraded; a rebuild recomputes the parity later). An
+    /// overwrite's two old blocks, parity and data, sit on different
+    /// nodes and are read together. The reads happen before any column
+    /// is written: the single-threaded server is the only writer, so the
+    /// values read cannot go stale, and an aborted commit leaves them
+    /// valid for the retry.
     fn plan_parity(
         &mut self,
         ctx: &mut Ctx,
@@ -197,24 +212,32 @@ impl Server {
         let (parity_file, ptr) = meta.parity_ptr(layout.stripe_of(block));
         let target = Target::raw(file, parity_file);
         let overwrite = block < meta.size;
-        let parity = if !overwrite && block.is_multiple_of(layout.stripe_width()) {
+        if !overwrite && block.is_multiple_of(layout.stripe_width()) {
             // First member of a fresh stripe: parity = payload.
-            payload.clone()
+            return Ok(Some((target, ptr, payload.clone())));
+        }
+        let (old_parity, old_data) = if overwrite {
+            let data_ptr = meta.to_machine(layout.locate(block));
+            let data = (Target::raw(file, meta.lfs_file), data_ptr);
+            let [parity, data] = self.read_together(ctx, [(target, ptr), data])?;
+            (parity, Some(data))
         } else {
-            let mut acc = match self.read_one(ctx, target, ptr) {
-                Ok(p) => p.to_vec(),
-                Err(BridgeError::Lfs(e)) if e.column_lost() => return Ok(None),
-                Err(e) => return Err(e),
-            };
-            if overwrite {
-                // parity ^= old ^ new (old reconstructed if the data
-                // column itself is lost).
-                xor_into(&mut acc, &self.data_payload(ctx, file, block)?);
-            }
-            xor_into(&mut acc, payload);
-            acc.into()
+            let [parity] = self.read_together(ctx, [(target, ptr)])?;
+            (parity, None)
         };
-        Ok(Some((target, ptr, parity)))
+        let mut acc = match old_parity {
+            Ok(p) => p.to_vec(),
+            Err(e) if e.column_lost() => return Ok(None),
+            Err(e) => return Err(BridgeError::Lfs(e)),
+        };
+        if let Some(read) = old_data {
+            // parity ^= old ^ new (old reconstructed if the data column
+            // itself is lost).
+            let old = self.or_reconstruct(ctx, file, block, read.map_err(BridgeError::Lfs))?;
+            xor_into(&mut acc, &old);
+        }
+        xor_into(&mut acc, payload);
+        Ok(Some((target, ptr, acc.into())))
     }
 
     /// Commits one redundant write's columns — the single place that

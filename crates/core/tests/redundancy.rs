@@ -306,3 +306,91 @@ fn parallel_open_reads_survive_failure() {
         assert_eq!(total, blocks as usize);
     });
 }
+
+/// The small-write read-modify-write reads its two old blocks — the
+/// stripe's parity and the data block, on different nodes — together:
+/// both requests are in service at the same virtual instant.
+#[test]
+fn parity_overwrite_reads_its_two_old_blocks_together() {
+    let collector = bridge_trace::TraceCollector::install();
+    let mut config = BridgeConfig::paper(4);
+    config.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let server = machine.server;
+    let (from, to) = sim.block_on(machine.frontend, "app", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let file = write_redundant(ctx, &mut bridge, Redundancy::parity(), 8);
+        let from = ctx.now();
+        bridge.rand_write(ctx, file, 5, record(99, 5)).unwrap();
+        (from, ctx.now())
+    });
+    let data = collector.take();
+    let reads: Vec<_> = data
+        .spans
+        .iter()
+        .filter(|s| s.name == "lfs.read" && s.start >= from && s.end <= to)
+        .collect();
+    assert_eq!(reads.len(), 2, "old parity and old data");
+    assert_ne!(reads[0].pid, reads[1].pid, "on different nodes");
+    assert_eq!(reads[0].start, reads[1].start, "in flight together");
+}
+
+/// One parity overwrite with the named columns of its stripe failed, as
+/// a client sees it: the write's result, then every block read back with
+/// the columns still down — `n` the new record, `o` the old one, `E` an
+/// error.
+fn degraded_overwrite_transcript(lose_parity: bool, lose_data: bool) -> [String; 2] {
+    const BLOCKS: u64 = 13;
+    const TARGET: u64 = 4;
+    let (mut sim, machine) = BridgeMachine::build(&BridgeConfig::instant(4));
+    let server = machine.server;
+    sim.block_on(machine.frontend, "app", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let parity = Redundancy::parity();
+        let file = write_redundant(ctx, &mut bridge, parity, BLOCKS);
+        let info = bridge.open(ctx, file).unwrap();
+        let Redundancy::Parity { group } = info.redundancy else {
+            panic!("a parity file");
+        };
+        let layout = bridge_core::ParityLayout::grouped(info.nodes.len() as u32, group);
+        let parity_node = layout.parity_position(layout.stripe_of(TARGET));
+        let data_node = layout.data_position(TARGET);
+        assert_ne!(parity_node, data_node);
+        let lost: Vec<ProcId> = [(lose_parity, parity_node), (lose_data, data_node)]
+            .into_iter()
+            .filter(|&(lose, _)| lose)
+            .map(|(_, node)| info.nodes[node as usize].proc)
+            .collect();
+        for node in lost {
+            fail_node(ctx, node, true);
+        }
+        let written = bridge.rand_write(ctx, file, TARGET, record(99, TARGET));
+        let read_back = (0..BLOCKS).map(|b| match bridge.rand_read(ctx, file, b) {
+            Ok(d) if d[..96] == record(99, b)[..] => 'n',
+            Ok(d) if d[..96] == record(parity.tag(), b)[..] => 'o',
+            Ok(_) => '?',
+            Err(_) => 'E',
+        });
+        [format!("{written:?}"), read_back.collect()]
+    })
+}
+
+/// The overlapped reads keep the column-lost fallbacks of the serial
+/// ones: each degraded variant tells a client exactly what it did on
+/// the commit before the reads were overlapped (where these transcripts
+/// were recorded).
+#[test]
+fn degraded_parity_overwrites_keep_their_transcripts() {
+    let landed = ["Ok(())", "oooonoooooooo"];
+    assert_eq!(degraded_overwrite_transcript(false, false), landed);
+    // Parity column lost: the data lands alone.
+    assert_eq!(degraded_overwrite_transcript(true, false), landed);
+    // Data column lost: the parity absorbs the write (old data
+    // reconstructed), and a degraded read finds the new record in it.
+    assert_eq!(degraded_overwrite_transcript(false, true), landed);
+    // Both reads come back `NodeFailed`: the write lands nowhere.
+    assert_eq!(
+        degraded_overwrite_transcript(true, true),
+        ["Err(Lfs(NodeFailed))", "EEooEooEooEEo"]
+    );
+}
