@@ -312,16 +312,16 @@ fn control_scenario_frames_are_pinned() {
 const FAULTED: Pinned = Pinned {
     server: ServerTelemetry {
         ops: 206,
-        replays: 18,
+        replays: 9,
         dedup_occupancy: 72,
-        dedup_peak: 84,
+        dedup_peak: 89,
         txns_begun: 65,
         txns_committed: 65,
         txns_aborted: 0,
         txns_in_doubt: 0,
         degraded_reads: 16,
         columns_lost: 0,
-        lfs_resends: 6,
+        lfs_resends: 1,
         rebuilds_started: 1,
         rebuilds_done: 1,
         rebuild_done_blocks: 64,
@@ -336,7 +336,7 @@ const FAULTED: Pinned = Pinned {
                 track_loads: 61,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 5189000000,
+                busy_nanos: 3929000000,
                 lost: false,
             },
             wal_enabled: true,
@@ -355,9 +355,9 @@ const FAULTED: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 2,
             queue_waits: 203,
-            queue_wait_nanos: 40000000,
+            queue_wait_nanos: 99181800,
             service_count: 203,
-            service_p99_ns: 67108864,
+            service_p99_ns: 62914560,
         },
         LfsRow {
             disk: DiskTelemetry {
@@ -398,7 +398,7 @@ const FAULTED: Pinned = Pinned {
                 track_loads: 58,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 4703000000,
+                busy_nanos: 3623000000,
                 lost: false,
             },
             wal_enabled: true,
@@ -417,9 +417,9 @@ const FAULTED: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 2,
             queue_waits: 194,
-            queue_wait_nanos: 40000000,
+            queue_wait_nanos: 108590900,
             service_count: 194,
-            service_p99_ns: 67108864,
+            service_p99_ns: 62914560,
         },
         LfsRow {
             disk: DiskTelemetry {
@@ -429,7 +429,7 @@ const FAULTED: Pinned = Pinned {
                 track_loads: 58,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 4703000000,
+                busy_nanos: 3623000000,
                 lost: false,
             },
             wal_enabled: true,
@@ -448,23 +448,23 @@ const FAULTED: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 2,
             queue_waits: 194,
-            queue_wait_nanos: 40000000,
+            queue_wait_nanos: 108590900,
             service_count: 194,
-            service_p99_ns: 67108864,
+            service_p99_ns: 62914560,
         },
     ],
     events_dropped: 0,
     kernel: RunStats {
-        events: 5063,
-        messages: 1989,
+        events: 4627,
+        messages: 1961,
         spawned: 10,
-        bytes_sent: 839890,
+        bytes_sent: 833443,
         queue_high_water: 10,
-        dispatches: 5063,
-        syscalls: 7052,
-        wakes_elided: 1021,
+        dispatches: 4627,
+        syscalls: 6588,
+        wakes_elided: 1003,
         ready_peak: 12,
-        end_time: SimTime::from_nanos(17981012700),
+        end_time: SimTime::from_nanos(14843229400),
     },
     events: &[
         "disk.lost",
@@ -482,152 +482,130 @@ const FAULTED: Pinned = Pinned {
         "rebuild.done",
     ],
     alert_arc: &[
-        (90, "degraded-service"),
-        (647, ""),
-        (648, "degraded-service"),
-        (694, "degraded-service,stalled-rebuild"),
-        (696, "degraded-service"),
-        (721, "degraded-service,stalled-rebuild"),
-        (726, "degraded-service"),
-        (770, "degraded-service,stalled-rebuild"),
-        (772, "degraded-service"),
-        (797, "degraded-service,stalled-rebuild"),
-        (802, "degraded-service"),
-        (845, "degraded-service,stalled-rebuild"),
-        (851, ""),
+        (71, "degraded-service"),
+        (490, ""),
+        (491, "degraded-service"),
+        (537, "degraded-service,stalled-rebuild"),
+        (539, "degraded-service"),
+        (564, "degraded-service,stalled-rebuild"),
+        (569, "degraded-service"),
+        (613, "degraded-service,stalled-rebuild"),
+        (615, "degraded-service"),
+        (640, "degraded-service,stalled-rebuild"),
+        (645, "degraded-service"),
+        (689, "degraded-service,stalled-rebuild"),
+        (694, ""),
     ],
-    resends_arc: &[(99, 1), (163, 2), (179, 3), (267, 4), (433, 5), (457, 6)],
-    render_hash: 0x3bc762d074b2e01f,
+    resends_arc: &[(81, 1)],
+    render_hash: 0xfa9ef65146b3ef2f,
     frame_hashes: &[
         0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x7db6984a, 0x1a94ea36,
-        0x2832e65d, 0x17da69d6, 0xd3df1e58, 0x5927871f, 0x5649d326, 0x5486819d, 0x0a448a4a,
-        0x243b76f3, 0xb807d8de, 0x47a44bdb, 0x489c23f7, 0xd8f934f1, 0x5e5132a5, 0x3db47e24,
-        0x4d35eb9e, 0x704b63a3, 0x5290ac85, 0x53acbaee, 0xa09312a0, 0x599e5bec, 0xc049e0e4,
-        0x5f641e2b, 0xd052bc6f, 0xd7aec07d, 0x4ab40332, 0x3df7dd8e, 0xa8cfc5e2, 0xe299ad97,
-        0xcef537de, 0x4904a220, 0x90e119de, 0x60c99069, 0xe8dddeee, 0x0f97ca0b, 0x7d4bc978,
-        0x53be8705, 0x625ddf0a, 0x38fbc501, 0x629f8aa4, 0x74a620a6, 0xb52627af, 0x2db4b357,
-        0x4b25022d, 0x4d4067d6, 0x7b3e68a8, 0x48ae8710, 0x829cf282, 0x14abf33d, 0x9b1d6c9b,
-        0x48339f35, 0x63fb8f93, 0x0f15551a, 0x29690f07, 0x91705d5b, 0xaaba35e6, 0x8ffd4f77,
-        0x4c839127, 0x1ad0d9b3, 0xb7ac216c, 0x35cdb89e, 0x1adbe111, 0xfa47365a, 0xa98ba3fd,
-        0xdeef689d, 0x64836de8, 0xc457ceee, 0x22b82b81, 0x256ca5ff, 0xe85680b3, 0xf0ee7bac,
-        0xacb8292a, 0xec179e70, 0x5baaa24e, 0x06555bf9, 0xa410abb7, 0x2386ebda, 0xf420a141,
-        0xd9812f52, 0xacb6bd1d, 0x5dd42f40, 0x2f207284, 0x8ea5ef6c, 0xc6c00697, 0xa468a8f4,
-        0x2acbd25b, 0x6b8851c5, 0x4c8c97da, 0x3a1042ef, 0xe41da954, 0x791c0829, 0x967c63aa,
-        0xf8faa2df, 0xcb5fe909, 0x741a989b, 0x9983583f, 0x2a4db1f2, 0x4a5a8cb6, 0x330d0b4f,
-        0x1803ca41, 0x652eaa60, 0xc53b8e5a, 0x696b52cb, 0xe3d41477, 0xb2e075f0, 0x1f938367,
-        0x322d40de, 0xd2bd20aa, 0x6849bfbe, 0x944057b1, 0xa612f7fe, 0x093abadc, 0xcd1fac22,
-        0x923c05a4, 0x2808a63b, 0xb6c82700, 0xa134a2c6, 0xf8d58b2c, 0x741193a5, 0x43b28f16,
-        0x7dfb0e65, 0x99d7544f, 0x2b8074d8, 0xa7af8479, 0x45b1c73b, 0x6ea42882, 0xcf51f522,
-        0x43fc21b7, 0x305b2a36, 0xd63b7d9e, 0xb84cd881, 0xc3e32a1b, 0x17f989a7, 0xfd3d7523,
-        0xd88f93fa, 0x5d6a5ad6, 0x26af2ecc, 0x9101612f, 0x885a7e91, 0x237b677b, 0x4bb577c7,
-        0xaeb68382, 0x65be8758, 0x3b6772f6, 0xe46cbe56, 0x00f08e3b, 0xd6d0a42b, 0xd5b8a362,
-        0x9c7207f3, 0xa3ba227e, 0xa3a88ea2, 0x8074def3, 0x73b4076d, 0x561050b1, 0x84eb9bd7,
-        0x8d7bbc31, 0x37cd8452, 0xb695c40e, 0x9cf90960, 0x4a257f94, 0x47e5e7b5, 0x0ec205e0,
-        0xacd78bb7, 0x0336210e, 0xe7ba594d, 0x35b1fd65, 0x0eb26efe, 0x8cb7951f, 0x73f07780,
-        0x32057f26, 0x5b138d08, 0x300205e3, 0x645b344d, 0xb93d4047, 0xd8c41094, 0x1a529904,
-        0x6140623d, 0xb4c4ed50, 0x1e504b5b, 0x4f416c90, 0x7112e15e, 0x959f7773, 0x371e2b81,
-        0x79f5c414, 0xa20123eb, 0xf169cdab, 0xc5517648, 0x7a75b7fc, 0xb3da00a1, 0xe2896798,
-        0x069f7f3f, 0x78195731, 0x90871901, 0xee29b093, 0x0546cbfe, 0xfced1771, 0x1a8ca2f1,
-        0xfd3e1bb9, 0x56c9bca7, 0xc8869f16, 0x203fdd0c, 0xb4112409, 0x27f6ea62, 0xe0d14f97,
-        0x4aaa9ac0, 0x91b02f1e, 0x1e6c452b, 0x10dde586, 0x781cb4eb, 0x792e2733, 0x3fd858fc,
-        0x4233ad82, 0xf500c334, 0xa07ab0d0, 0x96a117d9, 0xa320cba2, 0x9ecd014e, 0x303eb2ef,
-        0xeb4d1697, 0x3ad5ff9a, 0x59b7e449, 0x48c1e639, 0x84367372, 0x6b0c32de, 0xc40002a3,
-        0xfb2c165d, 0x163e492a, 0xec530946, 0xb1a03270, 0x9c6fdb92, 0x12507d9e, 0xb97016d3,
-        0x18ccbaa7, 0x13225963, 0xb64c21a2, 0xd4d3a58c, 0x77ea9855, 0x938bfe7e, 0x408f36a0,
-        0x8087656f, 0x39cf64a5, 0x2817a825, 0x4cac402d, 0xe624df0d, 0x70881127, 0x035a62e2,
-        0x3cbb795e, 0x00e310b1, 0x8eb9c92d, 0xf9040bb4, 0xadf62619, 0x15e65d0c, 0xd2a27293,
-        0x808cb9b2, 0xdcea46a2, 0x8b43ec70, 0x836a42ab, 0x5100a037, 0xee1a8739, 0xcf8fbf19,
-        0x59b2e57d, 0x2136d994, 0xd9fa2f5a, 0xf88b9af9, 0x2bf5a711, 0x48ee8247, 0x166328d0,
-        0x4917308b, 0x4979c690, 0xfa4b758c, 0x3657e055, 0x3edf442b, 0x755422a2, 0x501a81bb,
-        0x5d988253, 0xe66eac14, 0x830ce649, 0x08f927e8, 0xd1833bc3, 0xd8bbe7a2, 0x4edc075a,
-        0x3761ca87, 0xe3a5ce0f, 0x77bea8ae, 0xba3fd5da, 0x540d372d, 0x3bb577fd, 0x76c13fbd,
-        0x04a8cc4e, 0xd4abfa2c, 0x32cc944c, 0xf725b4a3, 0x61951e5a, 0xcfd195ab, 0x157551d9,
-        0x3589ab2f, 0xe640179e, 0x130608d4, 0x0013ec78, 0x04e48b8f, 0x381cb66a, 0xc9f530d1,
-        0xb0601f0a, 0xaf246b1f, 0x07cc18a2, 0xe8f9b104, 0x352e32ff, 0x297b87f9, 0x18e82a16,
-        0x9562f928, 0x7857e9ad, 0xf0a6500a, 0x98997447, 0x89145bec, 0x50c90fec, 0xc7366f01,
-        0xb3c79791, 0x65f24922, 0xe5181159, 0x256e2503, 0x957ceab8, 0xaef6dda3, 0xa6af2ced,
-        0x6d41cd13, 0x93d1ea08, 0x46d9e2d6, 0x03874edb, 0x5d40d3fe, 0xfc3877ee, 0x9befea11,
-        0x49d0b6a0, 0xf558cf96, 0x88b43906, 0x45e5a46d, 0x5539d6e6, 0xe03d5820, 0x267ccac8,
-        0x4be4657b, 0x799fd821, 0xf2651f36, 0x952d5153, 0xe36bb028, 0x19a4285a, 0x8ae42263,
-        0x360d2e31, 0x0eba144e, 0x5b5486a7, 0x393ff93b, 0xc1f2efcb, 0xad3f4c41, 0x532f23e0,
-        0x3590be17, 0xb7a5246c, 0x45296698, 0xa99b4874, 0x9c1880a7, 0x8232ba2a, 0x85cdd469,
-        0x65d5d781, 0x774f09b8, 0x718eb8de, 0xe981fac2, 0xf192f8a8, 0x9a6b3d16, 0x077316bf,
-        0xec35b695, 0x515aa394, 0x3606bb9c, 0x6d78a691, 0xa54d3948, 0x258b4fd1, 0x15d54a64,
-        0xa0c52fae, 0x932bad74, 0x03e73223, 0x4ff46926, 0x175047ef, 0x3ae880f7, 0x2b46f59a,
-        0xb46111bf, 0x56e7e789, 0xfbf389b4, 0xd51ca71c, 0xf35dbe87, 0xcbad0c39, 0x9b6847fd,
-        0xfd7dd034, 0x1cbc8703, 0x236587c5, 0x048cc184, 0xe0834ae8, 0xd5c5dabb, 0x9f3ce3ea,
-        0x573ebbfa, 0x40ab40a0, 0xbc412f73, 0x462a3b31, 0xc03f8dad, 0x09f6dfc6, 0x30f88ae4,
-        0xd36bfdc8, 0x5646935e, 0x2d064343, 0xe2c808fb, 0x67d0456a, 0x16c38de9, 0xb7fc5ebc,
-        0x55a9eff7, 0x20f1f3ab, 0x9e558b01, 0x2b021b4c, 0x2d876efa, 0xaa7e4ee7, 0x9264e53f,
-        0x00646ecf, 0x9b7eda0f, 0xb23d69e2, 0x56731cf8, 0x252aa996, 0xeae8a360, 0x2a8d9eb8,
-        0x2b6c7fb7, 0x1efc2add, 0xe8a40b4f, 0x3ec060c6, 0x58427398, 0x0fe93c02, 0x4caddcd3,
-        0x0ab4e294, 0x77fbc992, 0x7b88830d, 0xe1429749, 0x8ff89bfc, 0xd7882737, 0xfb09f825,
-        0x92b59a7f, 0xd1d99448, 0xa9f6ac98, 0x4603b0ca, 0xb72f982e, 0x74627209, 0x3e87321a,
-        0xb55f9501, 0xcb018615, 0x0c303cad, 0xbd4a6f24, 0x719c21d4, 0x646ccdf6, 0x8d2d015d,
-        0x1a01fed6, 0x7c2c1361, 0x7ae1d9de, 0x3dd7953d, 0x24a9a5b8, 0x68519976, 0x7bb9a35a,
-        0x4f16e723, 0xb71a6f61, 0xa20b6674, 0xdce4d31e, 0x5199bf56, 0x74247b83, 0x5831e2a8,
-        0x96f89462, 0xb4f59d5f, 0xa554ab96, 0xde981a1a, 0x777e24c2, 0x371e507c, 0x2c58a063,
-        0x062ff7ea, 0x0192da31, 0x5e004fbf, 0xb21b1a3b, 0x85dcd182, 0x119f13fa, 0xdf5f471c,
-        0xfdd63d5f, 0xd70cf65c, 0x95258f52, 0x1be56695, 0x2a8885a7, 0xd101222f, 0x4afe1624,
-        0xf537a0e6, 0x41362d4f, 0xa3ed2303, 0xeb9937c6, 0x78d72f17, 0x65ca27d9, 0x0892aa33,
-        0xa0a7b71e, 0xf04751f7, 0x33e9a5ba, 0x84b9a04a, 0x7ba07dd6, 0xb9c77a66, 0x4bf160c7,
-        0xd30252c9, 0x723f802c, 0x2e427326, 0x59d9aeea, 0xd9fa1510, 0x764c92ac, 0xdeec0cc8,
-        0x4e56ff5d, 0xbbce4f0a, 0x66f81429, 0x96ed46f6, 0x5b77d02b, 0x2ff04f11, 0x1a670405,
-        0xbdf8a7ea, 0xd688528d, 0xaa21f883, 0xc39ecc1c, 0x9a70de5e, 0xb7943f90, 0xe0c0a198,
-        0xfaf823fa, 0x5963dc0f, 0x16ee181c, 0x24f48e15, 0xc4e0d286, 0x54bc4f96, 0xb30c2bd2,
-        0x2ee10228, 0x408ca6a3, 0xf97da275, 0xd02f038f, 0x141f40b5, 0x4c066ad7, 0x6cd37f18,
-        0xa3a006c1, 0x4bfb6c73, 0x8bdaef69, 0x749c83fe, 0xfd0b58fa, 0xd3c9d762, 0xd72c1495,
-        0x151ce84d, 0x2438f202, 0x11a3a617, 0x7da2b8fb, 0x99d888df, 0x294ecc5c, 0x3644146b,
-        0xe90e0a96, 0xa7a070a6, 0x98ccd02c, 0x680c4597, 0x1cfb436f, 0x6b4f9ea2, 0xabd2de54,
-        0x39868aeb, 0xfdd13c4a, 0xcd5c1192, 0x5ba35011, 0xaf4d39dd, 0x5d51611d, 0x5c125923,
-        0xc0195ec6, 0x1b56a0eb, 0x38874ec4, 0x968eb6e6, 0x7eed7ac9, 0x8a69ab32, 0x859c6272,
-        0xcb18e3e2, 0xf5f97512, 0x59c32486, 0x2588a2d9, 0x44bc8b92, 0x40e10a51, 0x904dc212,
-        0x847d1daf, 0xcfc65c38, 0x65b6dc6e, 0x1e68d10b, 0xec587f4e, 0x85475aab, 0xc2131949,
-        0xe53455e2, 0x8272420d, 0x48415785, 0xec1ea56e, 0x0f4eede6, 0x609d2644, 0xf2b84f56,
-        0xb9f6e6e6, 0xcb94dab1, 0x53716c85, 0x6ba34612, 0xed4e2729, 0x11dc8210, 0x0688f9f3,
-        0x6decadbb, 0x243da70d, 0x7fd080d6, 0x5495aec0, 0x3d7c0837, 0x7f9790a1, 0x94aa41d1,
-        0xdb7c86a4, 0x1b51dbb9, 0x5abdd3c6, 0x5a1d7a25, 0xbb2a8f21, 0x23d47d4d, 0x6908fe15,
-        0x14d609d1, 0x42050985, 0x4bdd5637, 0x6b777cb8, 0x57a4239b, 0xa66a73b4, 0x02a9d8b5,
-        0x56e433fb, 0x739a8286, 0x847346b2, 0x1c5e9093, 0x12b7968c, 0x75970ee4, 0x759802f4,
-        0x8c6a270d, 0xd86982a8, 0x86381518, 0x8f05915f, 0x260f51c8, 0x326f7faa, 0x2d9d903d,
-        0xc2cf685c, 0x481d4b31, 0x5a495663, 0xe499432c, 0x719d6a7e, 0x9681a261, 0xab48a931,
-        0x6602f72e, 0x277bbff6, 0x46496ec1, 0xbf4c6f0c, 0x020166aa, 0x5b592e2c, 0xb525f197,
-        0x35812ff7, 0xd98cf585, 0xfdbfe0a3, 0xfb4d5b28, 0x06f0eb00, 0x3179517a, 0xe6d587c9,
-        0x0979ea63, 0x2677e931, 0x569abd0a, 0xc8c36fb3, 0xd5d78ac5, 0x6576c3fe, 0x36c87da7,
-        0x5963d6b2, 0xb9d0f269, 0x1d71cf2f, 0xf55646e5, 0xa5ff2a64, 0xf9828ccb, 0x777b0451,
-        0xfee9932e, 0x57c29fc3, 0x4f3605e2, 0xfd1a0833, 0xc103d797, 0x5bae6a6b, 0xca220793,
-        0xb00da5f0, 0x5e8beb2d, 0xe0688a62, 0xee27d708, 0x233080b6, 0xe27b10e8, 0xba8acf67,
-        0x677189ca, 0x2c1d764c, 0x2fc82b5a, 0x298dced9, 0xc3e446c9, 0x7d4e5f77, 0x287d3bc8,
-        0xc2641300, 0x6d8bb8d3, 0xf7f1843e, 0x386baada, 0xd518e336, 0x75122601, 0x6d7e6e6c,
-        0x4521de91, 0xa92b1c3c, 0x204b10a4, 0x7b5d9ae8, 0x5e08ba80, 0x079d170d, 0xeaaf7fa2,
-        0x30517a89, 0x8199a10d, 0x29a96384, 0x531aa268, 0x940a53fc, 0x5c18b758, 0x34c23769,
-        0xa9863c57, 0x0bb68323, 0x6f0855c0, 0xa49d2dd0, 0xae70569e, 0x7197c1b6, 0x7f8fc62c,
-        0x523836a8, 0xf40f591a, 0x6f07cbee, 0xcbb233fd, 0xf5a20307, 0x9f4e60c4, 0x3e509ce4,
-        0x49c95fa4, 0xa1440e08, 0xcb08e98b, 0xdf9c59ed, 0xeba60096, 0x8d2449d0, 0x5a139f37,
-        0xab7a8f15, 0x69638b94, 0x634f3db4, 0xe0d7e78a, 0x4f178e6e, 0xbed0f031, 0x9382b589,
-        0xbd28b74f, 0xebd50968, 0x464c5b70, 0xb4c599db, 0xe8361274, 0xb2472803, 0x3d29b44d,
-        0x6d1d7e9a, 0x410c2b49, 0xa93c7c9a, 0x60b7c057, 0x1873713e, 0x8665a122, 0x1fbcf564,
-        0x4680eb6d, 0x7e376ee9, 0x15710a3e, 0xdb5ac682, 0x14fdef57, 0x4d253237, 0xe0154206,
-        0x2754d689, 0x1675b784, 0x9ffe38de, 0x290c9e16, 0x1b8631cc, 0x2b515b35, 0x31d0e65d,
-        0x5d409cba, 0x45b19ec6, 0x6097ba10, 0x75faf63d, 0x3d7bbfa9, 0x43c358d7, 0xcd69732f,
-        0x1b83c1f9, 0x251ea57d, 0xd389a411, 0x9cf17966, 0x22d73910, 0x834c1282, 0xc4673735,
-        0xd5aad23d, 0xdb8dcc66, 0x524d4899, 0xb5279427, 0x317edbb3, 0x4704e497, 0x8d857a11,
-        0xeca7a148, 0x95d02a03, 0x01e4c818, 0xdf1bd322, 0x40475e01, 0xa36df86c, 0x3562570a,
-        0x3f7e6299, 0x632e5fa4, 0x76f2b8c7, 0x92d45095, 0xdd3fa6dd, 0x2db93311, 0xac098492,
-        0x1ae376ab, 0x7edd5383, 0x857d1c40, 0x2bb20d70, 0xa427fc31, 0xa9ed8938, 0xf8fd97f5,
-        0x6f0a26ae, 0xa2894c79, 0x18491702, 0x4133991f, 0x2176cec9, 0xf80089e3, 0x46d5cd36,
-        0xcdcf3bba, 0x5769497e, 0x4a5261a4, 0xcb4b7327, 0xcb27da0a, 0x452f1568, 0xf1c184e2,
-        0x87f72e47, 0x8831e1e6, 0x58af277d, 0x81042329, 0xda9604ce, 0x180203c3, 0x78344af2,
-        0xd7121efd, 0xd30081d8, 0x1a263ca3, 0xd1ee0c7b, 0xa1d0752b, 0xe9a5a634, 0x94cb50d8,
-        0x0b0bfcc7, 0x307c4fbc, 0x06b9f7bc, 0x99ec005e, 0x92ddb207, 0x31db1106, 0x025c6124,
-        0xce90e6aa, 0x0d8b2a7d, 0xf12507b8, 0xc0490f5d, 0x3ad36796, 0x4eb955c2, 0xb8612951,
-        0xef36acd5, 0x320f70ea, 0x80639f4b, 0x19653a0b, 0x5486097d, 0x8fd260c3, 0xe88ad87e,
-        0xd5d466d1, 0x30b9ceb7, 0x5a1cc107, 0xc4e7b64d, 0x8f9661f1, 0x8303cd98, 0x138dce38,
-        0x656ffb91, 0x181e4884, 0x0d2aecf0, 0xde6231bb, 0xe5016671, 0x374b5d35, 0x44fe0a54,
-        0x94368e5e, 0x8cd417af, 0xd62cf284, 0x2adfb7c2, 0x237156f6, 0xf78d5644, 0xbdd095fa,
-        0x54094be0, 0xce4c657b, 0xdb6a1422, 0xd7faa3b7, 0x98f39164, 0xb23e1325, 0x8d88251a,
-        0xae958737, 0xf228dfdd, 0xe9f77384, 0x6d9dc786, 0x5e664214, 0x2cced883, 0x770949fa,
-        0x4823a64f, 0xae35951a, 0x0bedc009, 0x37597c18,
+        0x7aa4dd97, 0x0783cb97, 0xbc4f712e, 0xae526f74, 0x31005981, 0x3a112f44, 0xf4418afc,
+        0xe24809fd, 0xb2f1f177, 0x8ba3b95e, 0x18f382a1, 0xf5ac3836, 0xe270167e, 0x7435a0da,
+        0x1274e471, 0x5a9dae40, 0xc29ab647, 0x52edfe69, 0x11a7e8ea, 0x9b9083b3, 0x6db66405,
+        0x204ccace, 0x31d57115, 0xe3c5ae24, 0x63e3fd8b, 0xea10b203, 0xccde785d, 0x6d5a24b7,
+        0x2623dfe8, 0xd9f4ea54, 0xcfd4c763, 0x88839953, 0x454ff3f5, 0x09ceeb1c, 0x717a9b2c,
+        0x4c6e8d17, 0x67e92c1c, 0xdd6d376a, 0x8b62b194, 0x95a2692d, 0x7fd0fa08, 0xc8905c02,
+        0x95e27a94, 0x60c971b5, 0x4c4eb657, 0x85677a88, 0x9f339527, 0x4e57cda0, 0x71f888b5,
+        0x2868de48, 0xe7076d92, 0x8b8bc7f0, 0x699edff9, 0x4f3e2fd3, 0xe68b1695, 0x40bf1d0e,
+        0xe91d41cb, 0x922c88ba, 0x8ffd7622, 0xcb2c83b9, 0x6b7446e1, 0x66269ec3, 0xef3f8aa9,
+        0x2c955709, 0xe6a23f4c, 0xa8534fb5, 0xf1fa0295, 0x4dd41703, 0x155940a6, 0x78011761,
+        0x8b826e44, 0xc71db82b, 0x7a992daf, 0x21dc18a2, 0x232f47ba, 0x78fc30b4, 0x53a20eea,
+        0xada9a8e8, 0x1e1c4cf4, 0xcc5a785f, 0xface85c9, 0xc7a9fcff, 0x7b28250a, 0x0b631da5,
+        0xcf6a945c, 0x2cd34c43, 0xb7124554, 0x33115f52, 0x369e0e4b, 0x12de5c32, 0xdce6dc40,
+        0xc574fbda, 0xf30e8ba3, 0xc2f691f4, 0xb9eedba0, 0x3561a5ed, 0x325b1c0e, 0xf47d9beb,
+        0x29340060, 0x41b40c2d, 0x739f6704, 0xfe3b87d7, 0xfbbcd56f, 0x125be3ad, 0xc7676261,
+        0x62fded6f, 0x58eddabd, 0xc0f6bd4c, 0xdb8f4847, 0xbfc86f60, 0x05fec94f, 0x95b2be6d,
+        0x0ac1fea7, 0x20ec0b71, 0x5f3507d1, 0xb3861e35, 0xceee8547, 0x73f4ec99, 0xbe26c4b7,
+        0x7ba5d698, 0xb1bb4dca, 0xfd577a07, 0xa93ee99b, 0x88e8a958, 0xb395cf96, 0x5d2b95a3,
+        0xb49b8eeb, 0xd1e4977c, 0x8f394830, 0xd3296873, 0xec95edfa, 0x0278ae3c, 0x2111a1a2,
+        0xdff5b93d, 0x8edfe1f2, 0xeaf6af6c, 0xbcad63ea, 0xb5b80be6, 0xeb138420, 0xa7b1fbfb,
+        0x374bf4e6, 0x300ef260, 0xa6fea12f, 0x650a4219, 0x66e801a5, 0xfe692b36, 0x26c19ca3,
+        0x6f5f9df6, 0x90e53c39, 0x48126b78, 0x59fdb9df, 0x5608475b, 0x875cb38b, 0xd2785995,
+        0x1a2f87c7, 0x4b380e0c, 0x931b01c6, 0x86eca518, 0x2c464507, 0x0ac4942b, 0x5e361054,
+        0x6b77e294, 0xd177e81f, 0x052c45f6, 0xc9d93600, 0xf7d365f6, 0xcffca298, 0x0fcdf780,
+        0x3e791ee6, 0x25d05ba1, 0x85bffaf0, 0xb2a64f6a, 0xfe61dd4b, 0xecb0c0e6, 0xce2a84a2,
+        0xf9433472, 0xca5c29bc, 0x53debffa, 0x737d622e, 0xce4a3e79, 0x903b520c, 0x663e16b4,
+        0x682667ec, 0x2726f332, 0xbe0fdd39, 0x958ab794, 0xfb465448, 0x20011380, 0x665269f2,
+        0x97ebb358, 0xc728bb9c, 0x30e448d2, 0xd18a9d3b, 0x28655542, 0x41a89703, 0x364a7b2a,
+        0x412392e2, 0xc007ecc9, 0x3792ea23, 0xf5b6fd98, 0x32ab2f06, 0xb10ca2d6, 0x9b8c9868,
+        0x8db1dcfd, 0x1137e78c, 0xbf26b218, 0xeece9416, 0x94e294f5, 0x567e28ad, 0xf0b96eed,
+        0x294a37eb, 0x2c6e53d6, 0x49fef99a, 0x7cf491be, 0xe6be735f, 0x03231369, 0xa8af5e9e,
+        0x7d036364, 0x4043ca84, 0x6a3a234b, 0xbb36b619, 0x19f13499, 0x1e520b54, 0x231a6419,
+        0xc1c923bf, 0xc1f6f058, 0x8c905ccc, 0xb9fd3645, 0xcb326d4d, 0x60872446, 0x2b52a0b2,
+        0x76149490, 0xb0effa29, 0xe4be70f1, 0x1def8488, 0xce36bc49, 0xd8f70c8e, 0x616cc31d,
+        0x6cbbcafa, 0xec79f39a, 0x6d7d7ff5, 0xc9033304, 0x1347c43b, 0xb955b8fa, 0x57b1f1db,
+        0xaaf58199, 0x612f3f4e, 0x3df401b0, 0xc17ec7aa, 0x170a45fa, 0x4327edab, 0x0e4c7a81,
+        0xcc88dfc9, 0x532c0147, 0x5fe13dd1, 0x73cfa8f5, 0xc2925bf8, 0x2fe1d3b6, 0xec7d05f2,
+        0xf26ec87d, 0x74ff3048, 0x76ce8321, 0x3d50c196, 0xa4de1ce9, 0xb6a246ba, 0xe912d694,
+        0x4ba7e57d, 0x5a975b1d, 0x89266471, 0x91729ca0, 0x1208d8cb, 0xeaaf55cf, 0x9e9c229b,
+        0x7fc48933, 0x7dfdae9b, 0xcb90f031, 0x019616ac, 0xe842d6fb, 0x4633eac1, 0xd1544bcc,
+        0xa689995e, 0x256c28f4, 0xca28dbbb, 0x71400b62, 0x6df91ac2, 0x1ffd4a96, 0x612d2313,
+        0xf715569e, 0x24106e8e, 0x6de3a93b, 0x80473e10, 0xf4d60bee, 0xf64a823f, 0x8a09baa0,
+        0x3318b159, 0x0d4a2030, 0x523e2109, 0x65a1bf68, 0x07137e9e, 0xf20df8d3, 0x301d0ff9,
+        0x479229b7, 0x284a9c5e, 0x9c2afb5e, 0x0355b039, 0x5119a15b, 0xe0fd7c1f, 0x11dca770,
+        0xc6f9f597, 0xe006afb7, 0xdd73fdc0, 0x48bfbb32, 0x32d0c7f7, 0x11c059d2, 0xf75cce17,
+        0xbd38e550, 0x53d5d54e, 0x7ec6b86f, 0x39d2fdba, 0x9d9d2658, 0x8e16d7fd, 0x91b2df21,
+        0xa33f9b09, 0x0fdfde04, 0xc42961d6, 0xe81338aa, 0x0b66b708, 0x4b2f41b0, 0x7effed20,
+        0x01716616, 0xf4391dec, 0x56e1e24f, 0x7afede84, 0x76b9222f, 0x35e128ac, 0x5e012ac2,
+        0xc4adce79, 0xabe0c7ce, 0x9ce4599c, 0x9b0cf5ba, 0x8d23fd94, 0xcdb348d1, 0x6caa86b4,
+        0x8f2de6c3, 0x4f67b953, 0x21ea0287, 0xf1e89c07, 0x97e5e101, 0x4b53a472, 0xba7c6b44,
+        0x4c148faa, 0xc6054016, 0xa88ab8ad, 0x9848701c, 0xba2b6357, 0x0462af87, 0x0dd2162b,
+        0xd960ca99, 0x6f4b6d19, 0xb7475787, 0x9a68595b, 0x8ad42c4c, 0xd27a97ed, 0x2bec3081,
+        0x2b052a15, 0xe3b6e3ac, 0xbb2a1fc3, 0x9f87d2e0, 0x19548edb, 0x16508f0a, 0x70cafa60,
+        0x87ae86db, 0xc0d82173, 0xf1db20c0, 0xf208c03f, 0x2fdabe6d, 0x42d1580f, 0x03dd25c7,
+        0xe14a8986, 0x8fc6e6af, 0x6a7e291d, 0xa2bf04c9, 0x5c27541d, 0x1d9c3bfb, 0xa636741c,
+        0x01448148, 0x301b8f63, 0x0b71fc70, 0xcc8ab192, 0x4bcf4db5, 0x6dfd62a5, 0xda59e791,
+        0x370c2636, 0xf9a2686e, 0x5f5fe824, 0x14ac8403, 0xb565e33f, 0x98478caa, 0x4f61bdc4,
+        0x189de935, 0x0b2d86f3, 0x58ce529a, 0x4a072b77, 0x114b3815, 0x5f2d2fe4, 0xbc72826f,
+        0x21cfefe0, 0x26ceb9b0, 0xf9fec5ce, 0x61f2051c, 0xbabf5059, 0xb5a5e2ef, 0xf1f4cba5,
+        0xb39f98a7, 0xbdb0f563, 0x9a70c711, 0x6a78724b, 0x4f98c991, 0x1c626cb9, 0x1cd8a970,
+        0x2c78b187, 0xd40b22d7, 0x58a1a04b, 0x0ace86d8, 0x4e431ab6, 0x51e66b5b, 0x49c79efc,
+        0x50ec493f, 0xaaa4a730, 0xab29316a, 0xf5ae0a3d, 0x088e12e4, 0x302f1b22, 0x253391c9,
+        0x9e05312a, 0xa8c5d543, 0x54c88753, 0x570cd05b, 0x7295bb7d, 0x19d7039f, 0xe5c00df7,
+        0x24ceee81, 0x6119c200, 0xbd9be354, 0x6831f13d, 0xc54ce969, 0xe98d7e71, 0xe0bdc369,
+        0x71ed8c4c, 0x4aa9bdcf, 0x91d9fdb6, 0xa810ff3c, 0xff746f04, 0x3be6c0a2, 0xb8849725,
+        0x1b7cb887, 0xf4b8a523, 0x087f4381, 0x80080d9d, 0x00dbfa98, 0x6a623c2e, 0x01a6f476,
+        0x176a9e9a, 0x1b01cde5, 0xa25a53ba, 0x636f7e7b, 0x0efcb44a, 0x7d022316, 0x11a1d365,
+        0x072ed9ed, 0x9174950f, 0x92a4e93a, 0x510cd9f8, 0x4f27fa89, 0xbb65ee90, 0x35751fa3,
+        0x399edb38, 0x9b1db290, 0xa6561925, 0x5e505555, 0x97e4ec05, 0x246167df, 0x2ff96979,
+        0x9b70672e, 0xaa638ba1, 0x2b23f5dc, 0xf22e6f1f, 0x1b2d64d7, 0xcfb80041, 0xe244d3d8,
+        0xd3742335, 0x93967707, 0x009cc9f0, 0x69dc43dd, 0x2c897865, 0x683dbb20, 0xf5306837,
+        0x6ef92906, 0xd89c5568, 0xea191787, 0xff6b341f, 0xf24cc0c4, 0x3f834562, 0x68c5a64d,
+        0x7263b9f0, 0xfd9119b4, 0x2f31c9e2, 0xead6218b, 0x75591dba, 0x27afae9a, 0x2f12faa9,
+        0x46eda959, 0x9130080f, 0x50b36e05, 0xbc2248bf, 0x4a656fdf, 0xd98f2a0a, 0x75f3c994,
+        0xe7475147, 0xbfc823b8, 0x78595430, 0x48fc1d30, 0xa71e5fa9, 0x00920ead, 0xa379ea54,
+        0x8351e75b, 0x7b306aef, 0x7d2aa873, 0x8bff6ab4, 0x959e16ff, 0xccfd3dcd, 0x9927fdcf,
+        0x890221a6, 0x7e66b80f, 0xf28beb19, 0x679ef247, 0x625e0be1, 0x7b6b933f, 0x1fb6b961,
+        0xdbe21c77, 0xf3df6a13, 0x05cd5d5e, 0x21aadb19, 0x082f217f, 0xf579f750, 0xb5acddbb,
+        0x3ca7e2d6, 0xd2ad31f1, 0xe43efb4c, 0xdded8bf8, 0xa75f0ca6, 0xafafe181, 0x21fcc8f6,
+        0x1dea1da4, 0x64b9c72e, 0xa17057dc, 0x386a93f7, 0x7f3795f6, 0xe3728c10, 0x998701c5,
+        0x2a884d96, 0x27396e9a, 0xd473d6dc, 0x62b0da9d, 0xf43de6f8, 0xd2fe5aee, 0x7f562540,
+        0x7bde51dc, 0x8199c095, 0x5c0f991a, 0x8a2db0a2, 0x1d278388, 0x31323bba, 0x4ba0b39d,
+        0x3b481b3c, 0x4feca7b4, 0x7447b85b, 0x354bcf3a, 0x9bf310ab, 0x6b73210d, 0xd255ce15,
+        0x2e33ca6e, 0x90c63a2d, 0x05e5c6bd, 0x128ab63a, 0x1a56baa3, 0x074dc483, 0x20595502,
+        0xae3afe01, 0x6fe73869, 0xbecad4cb, 0xd29475bc, 0x7f37aa36, 0xc0f975af, 0x697bc6ae,
+        0x690d170d, 0x1b81fa77, 0xf0805a74, 0xaeaa6caa, 0x56c9ba20, 0x9fd731f9, 0xa98c801d,
+        0xbe04deb6, 0xd96e5e4b, 0xf60e2bb4, 0x809007eb, 0x4eec18ea, 0xfc93f25b, 0x2fec2f4c,
+        0x8583d397, 0xe689cdee, 0x388c80cf, 0xab2ef402, 0x171753c2, 0x665c7ebd, 0x64f9230a,
+        0xb7390acb, 0xd27c077a, 0xab40a2a1, 0x8f7673f1, 0x139b9604, 0x78cd12d2, 0x768c127c,
+        0xe6e50640, 0x66cffbb1, 0x903ee702, 0x06524b16, 0xada71ab2, 0xfd858060, 0x03fcadd0,
+        0x33a979dd, 0xb2cf31d8, 0xc2358f9b, 0xe44b324f, 0x760567e5, 0x00645461, 0x4e17163a,
+        0xc5e15f8a, 0x133afb2b, 0x2cb35340, 0x3ec1aa47, 0xeefe3e35, 0xbc7d93df, 0xe239076a,
+        0x18422d18, 0x32c1526a, 0xc5aa2f99, 0x27e9fcfb, 0xabcabe91, 0x5a39117c, 0xa3195cd7,
+        0x1592bc6e, 0x6ef7e7cf, 0x54d2fcf7, 0xf33806a0, 0xd91e23f9, 0xef9d32a8, 0x4b59e80b,
+        0x84e13b0d, 0xcc47414a, 0x814f4c25, 0xcdf78c6d, 0x6573f629, 0x5837636d, 0x7afdc348,
+        0xb45092f1, 0x675c0fc1, 0x2ccd03a2, 0x37122d53, 0x9909b137, 0xf578913c, 0xe110476d,
+        0x5b55d0e1, 0xd2072fa5, 0x6875c59d, 0x92562b7f, 0xbac5d7fd, 0x78d48e3f, 0x88de4ab3,
+        0xf66e3e23, 0xb7243901, 0xa2266e32, 0x7c13d983, 0x45cfc909, 0x1a3a2475, 0xb3b6e0ef,
+        0x54f9426b, 0x9b6f9f33, 0x406bc42e, 0xb598ce19, 0xde502b3e, 0x20ea0a59, 0x33970a3a,
+        0x146dc8e3, 0x1da77665, 0xc510c31f, 0xd28ded93, 0xc4d0e138, 0x217da302, 0x69faa587,
+        0x246a7169, 0x274b5b4e, 0x4d84f23b, 0x9b8ed3ad, 0x84f7f55b, 0x5b49100a, 0x563b9ea9,
+        0x874c7438, 0xb88de9c6, 0xc7ba16d0, 0x377962fb, 0x828ecaf6, 0xa3657053, 0x99db86a4,
+        0x3885c96c, 0xc1d09f9c, 0xcd93966c, 0x56937fa7, 0x6ff20927, 0x28b2fbab, 0x7605f990,
+        0x8a82edb8, 0xbb25afad, 0x98322617, 0x70a944b8, 0x5eaf4c8e, 0x289700b7, 0xa29dc07f,
+        0x72101ca5, 0x3e8a828f, 0xca1829ac, 0x8aa19196, 0xfcdc4cd8, 0xa3a817a1, 0xc324536c,
+        0xd33165ce,
     ],
 };
 
@@ -635,8 +613,8 @@ const CONTROL: Pinned = Pinned {
     server: ServerTelemetry {
         ops: 197,
         replays: 0,
-        dedup_occupancy: 143,
-        dedup_peak: 143,
+        dedup_occupancy: 146,
+        dedup_peak: 146,
         txns_begun: 65,
         txns_committed: 65,
         txns_aborted: 0,
@@ -658,7 +636,7 @@ const CONTROL: Pinned = Pinned {
                 track_loads: 45,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 4767000000,
+                busy_nanos: 3507000000,
                 lost: false,
             },
             wal_enabled: true,
@@ -677,9 +655,9 @@ const CONTROL: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 1,
             queue_waits: 116,
-            queue_wait_nanos: 0,
+            queue_wait_nanos: 59181800,
             service_count: 116,
-            service_p99_ns: 67108864,
+            service_p99_ns: 62914560,
         },
         LfsRow {
             disk: DiskTelemetry {
@@ -689,7 +667,7 @@ const CONTROL: Pinned = Pinned {
                 track_loads: 43,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 4561000000,
+                busy_nanos: 3361000000,
                 lost: false,
             },
             wal_enabled: true,
@@ -708,9 +686,9 @@ const CONTROL: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 1,
             queue_waits: 110,
-            queue_wait_nanos: 0,
+            queue_wait_nanos: 137182900,
             service_count: 110,
-            service_p99_ns: 67108864,
+            service_p99_ns: 62914560,
         },
         LfsRow {
             disk: DiskTelemetry {
@@ -720,7 +698,7 @@ const CONTROL: Pinned = Pinned {
                 track_loads: 42,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 4282000000,
+                busy_nanos: 3202000000,
                 lost: false,
             },
             wal_enabled: true,
@@ -739,9 +717,9 @@ const CONTROL: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 1,
             queue_waits: 108,
-            queue_wait_nanos: 0,
+            queue_wait_nanos: 29590900,
             service_count: 108,
-            service_p99_ns: 67108864,
+            service_p99_ns: 62914560,
         },
         LfsRow {
             disk: DiskTelemetry {
@@ -751,7 +729,7 @@ const CONTROL: Pinned = Pinned {
                 track_loads: 42,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 4282000000,
+                busy_nanos: 3202000000,
                 lost: false,
             },
             wal_enabled: true,
@@ -770,134 +748,109 @@ const CONTROL: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 1,
             queue_waits: 108,
-            queue_wait_nanos: 0,
+            queue_wait_nanos: 68590900,
             service_count: 108,
-            service_p99_ns: 67108864,
+            service_p99_ns: 62914560,
         },
     ],
     events_dropped: 0,
     kernel: RunStats {
-        events: 3753,
+        events: 3257,
         messages: 1278,
         spawned: 10,
         bytes_sent: 602504,
         queue_high_water: 10,
-        dispatches: 3753,
-        syscalls: 5031,
+        dispatches: 3257,
+        syscalls: 4535,
         wakes_elided: 0,
         ready_peak: 10,
-        end_time: SimTime::from_nanos(14822990100),
+        end_time: SimTime::from_nanos(11238536600),
     },
     events: &[],
     alert_arc: &[],
     resends_arc: &[],
-    render_hash: 0xec1c635ad40ce047,
+    render_hash: 0xd1c792117870caf0,
     frame_hashes: &[
         0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x7db6984a, 0x1a94ea36,
-        0x2832e65d, 0x17da69d6, 0xd3df1e58, 0x5927871f, 0x5649d326, 0xcadb1859, 0x446ba191,
-        0xc52b48e2, 0x4b14821a, 0x13b8fefd, 0xa4b24cee, 0x1a3e016f, 0xb66cd2ef, 0x4795b3e4,
-        0x4b7782fe, 0x757643d0, 0x3ef895ad, 0xe3c77bf4, 0x2855c3ed, 0xe6e94d8b, 0x1ec6a0e9,
-        0x3e91fa5a, 0xa3cffa8b, 0xcc642d10, 0xe564a3ff, 0x198f9678, 0xd48ad9da, 0x297a9778,
-        0x77aaf328, 0x0fb14f58, 0x0478aa92, 0x5f951b07, 0x60465d8f, 0xefcad64e, 0x4cb2be78,
-        0x054da68a, 0x4e83a923, 0xc75c90de, 0xbf2c972b, 0xfbfe20b0, 0x7c6f842b, 0x575f54d9,
-        0x1ec87947, 0x8c57d3d4, 0x0566c109, 0xa70e7d2d, 0x5112b282, 0x883a1aef, 0x22f2f122,
-        0x77803f6b, 0x0a881002, 0x0cd80577, 0x04732a02, 0xf8ec3af2, 0x0cf736b8, 0xb946b308,
-        0xec5d78a4, 0x9fbaf395, 0x84af7728, 0x4464cde2, 0x11ab892b, 0x1886d1ee, 0x5eef28a8,
-        0xfc364dbb, 0x0cf2fddf, 0xcac47357, 0x0f0ab406, 0xd72909c6, 0x846a40ef, 0xc709e0cc,
-        0xb36cfc82, 0x130b24da, 0x10da5ce5, 0x88389435, 0x64e2eb1c, 0x1a8c2b59, 0x081d447a,
-        0x68006798, 0x9d6fd107, 0x940b062c, 0xe3483ee0, 0xdf7f37ab, 0x6a529342, 0xa1ab6086,
-        0x482f8129, 0x8bffbff2, 0xb797f0a3, 0xeeb4f775, 0xa58c912e, 0x9d3ff3cf, 0x0e23d092,
-        0x9d29bacf, 0xffce2295, 0x18b0febd, 0xde6fe699, 0xbb50b5b8, 0xe78e96d7, 0x4d9bac2f,
-        0xe8483201, 0xb8612ef0, 0x798ba7ea, 0xedf0037c, 0x494c825a, 0x946643ac, 0x36b51a5f,
-        0x10ffd909, 0x0bf50fa4, 0x5779c064, 0x51c218d8, 0xfa37a2e0, 0xe2fbae08, 0x7fb199f4,
-        0x305285ff, 0x68899f01, 0x0796c962, 0xd27c2cfa, 0x5dd42564, 0x868b50ba, 0x2a90e90c,
-        0x11777843, 0x6478f651, 0x318dcb43, 0x5d77f6e5, 0xdde33cf4, 0x953438bc, 0xa05efee5,
-        0xac0ff4aa, 0x2fa1c5dd, 0x8714932a, 0xc33bf2ef, 0x379e6db6, 0x026180b1, 0x1f55f2b7,
-        0x982cc371, 0x5171ffc5, 0x3f94dd9d, 0xccc79071, 0xea0937d5, 0x1cf79059, 0x1d90c768,
-        0x94178d71, 0x0183c7eb, 0x18ae672c, 0x5fdb95e5, 0x13409924, 0xd56cb9bd, 0xa235f98d,
-        0x468128a2, 0x66124beb, 0xc50dd2f7, 0xee93fb24, 0x5b46de20, 0x5dcc5ea9, 0x0e38872b,
-        0x34437597, 0x24f4fdd6, 0x0cd88500, 0xa71a0005, 0x38a65951, 0x925a52f5, 0x0f31170a,
-        0x9ba0f5b5, 0xe9d90a8d, 0x1d81dece, 0x780dac1b, 0x6c23b97b, 0x13c4d105, 0xec80ccdd,
-        0x3b896d8f, 0xe59b6b10, 0x51171ac9, 0x4eb51505, 0xab111d55, 0xe32916cd, 0x00dd4095,
-        0x2b601ef7, 0x49fa0170, 0x3cfd3c49, 0x2202b1b1, 0x35264c19, 0x8ab90b41, 0x0d43ee56,
-        0x25284b76, 0x6c034d07, 0x6e1aa49c, 0xdb82921c, 0x9a7958c2, 0x4f49e5d4, 0x98e522ad,
-        0x3f94bf06, 0x4b00dbd9, 0x0d4d66e1, 0x1e7712fd, 0xeee1c477, 0x454eb2d2, 0xc244f230,
-        0x75855efc, 0xc3c26a30, 0x506297fb, 0x03e214c5, 0xd8c82005, 0x5ad872c0, 0x0f87e8e2,
-        0x7bb41ccf, 0x6a9615d5, 0x4268fcbf, 0xd5847385, 0x65001451, 0xf4424ad8, 0xeddef9c9,
-        0xe7520287, 0xddc9eff9, 0x36101ad2, 0x30407d67, 0x372bae8f, 0xb72dfa75, 0xc45ec2d9,
-        0xa040d592, 0xdd89b72c, 0x9750c2d7, 0x9e8dd61c, 0xdc596978, 0xd2369460, 0xc5e72c61,
-        0xdf99bb4b, 0x65676c03, 0xba9b3bad, 0x9d13f2e3, 0x0c3a3902, 0x7d5fcf01, 0x37885fbb,
-        0x6e6881cb, 0xca5ea17f, 0xbe73c7a6, 0x48a04cef, 0x40b115ac, 0x183888c3, 0xfc0f59bd,
-        0xb1943766, 0x139bf5cc, 0xa5d320c8, 0x69a630a4, 0xfac8b7a8, 0x8304d148, 0x8e5c5923,
-        0xa6e31a20, 0xd8be8180, 0x48102515, 0xe3a05166, 0x0b482f00, 0x156ff46a, 0x7be07d93,
-        0xf8503ff1, 0x63066652, 0xb2bf79e9, 0x65a72a02, 0x5e0b69dd, 0x44ebf024, 0x58809d8e,
-        0x231400ab, 0x96af55b1, 0x792c7dae, 0xe88a99ea, 0x5355277a, 0xb34d8725, 0x7cc4d407,
-        0xe0193259, 0xc8de4998, 0x928698c3, 0xfb398ab2, 0x6a0198e3, 0x3a415caf, 0x4fc265d3,
-        0xd3d93e3c, 0x79c06133, 0x264bd7c4, 0x4ca8df69, 0x3d78cde2, 0x78ce9290, 0x69914036,
-        0x9cad492f, 0x8eadb194, 0xa753173b, 0x1b39c806, 0x901547ca, 0xb3c7411f, 0x42ff0098,
-        0xc18445e8, 0xbf50847b, 0x016ffab5, 0x7099ba56, 0xe9a0913a, 0x16562cb8, 0xcc83ccde,
-        0x52f15631, 0xbd83c212, 0xd3c5976a, 0x451a909c, 0xc985deb0, 0xca98cdc8, 0xa9aabc58,
-        0x769924a4, 0x8f2640fc, 0x1c3f6971, 0xfe2f5fe4, 0xb8d92976, 0xbad2ff9b, 0xe2919c25,
-        0xffd66069, 0x21439e6e, 0x2cf551c3, 0x43d3cf7d, 0x86793d7f, 0xa7188ad8, 0x5a000827,
-        0x90687103, 0x73a361a9, 0x0ba2913a, 0x7d124a7d, 0x5eaf4a6b, 0xd157d2f2, 0x49207595,
-        0xe1d40168, 0x98c44429, 0x0588d37b, 0xae43663d, 0xbfb5a88f, 0x781ffd76, 0xd47b69bc,
-        0xd0f889b5, 0x428a82ae, 0x49334e5e, 0x42a9de12, 0xaba180d4, 0xa8b2e201, 0x7b380477,
-        0xcd59f98a, 0xb635a71e, 0x59e86a1f, 0x6936e4da, 0x50e70173, 0xf223ad9d, 0xfa3925c5,
-        0x7bd51bea, 0x12a2287c, 0xd076fc30, 0x693c4d2d, 0xf36c48a1, 0x47862177, 0x22886de6,
-        0x58c0f01a, 0x6915b35d, 0x1a3488fd, 0x3bfa1780, 0x0066fc9f, 0x7eeb3e63, 0xc97859d9,
-        0x452a76b8, 0xa201705f, 0x26922296, 0x34aa5bba, 0x8efd6cb5, 0x4c020fa3, 0x87f2e3de,
-        0xb0456a84, 0xcdbb0cf8, 0xdb49d056, 0x2cccb353, 0x508a3af8, 0xa8c38cd1, 0x150a73ba,
-        0x0462674c, 0x23e8c7ba, 0x27c59c07, 0xb23798e0, 0x4b2dca60, 0x70317d16, 0x012a1627,
-        0x3d477f68, 0xa1481c21, 0xaec8c57b, 0xff3a256a, 0x3aa81299, 0x78d87b06, 0x255392b3,
-        0x5d75bccb, 0xfc2fa87f, 0x1ed26a3a, 0xe836ef77, 0xb1442b85, 0xf1f3d4ba, 0x94bb0feb,
-        0x0638d208, 0xcf524aab, 0x75eda273, 0xe5d8bda2, 0x114d48dd, 0x07ce433e, 0x8a73e6e8,
-        0xbffa024d, 0x5609e6dd, 0xde92b03d, 0x4e21932e, 0x7a900001, 0x64e7b9e6, 0x0490b3c8,
-        0x52d60ab5, 0xb5b3e5c6, 0x0f407d7b, 0xa4e9f22f, 0xee02d1ff, 0xf3bda921, 0x8cf19d1e,
-        0xb66fbda2, 0xcf3246a9, 0x97fa117b, 0xa5cee6ab, 0xcf0807c6, 0x8a24c71b, 0x5d6d781b,
-        0xcfedefa6, 0xf88c5502, 0x8d37dfdd, 0xbd5d5105, 0x7c5ed70a, 0x7383e70a, 0x4242d7db,
-        0x1adf2bf0, 0x2b513275, 0x9cea26de, 0x49a3ec49, 0x28a38faa, 0x1d0975e1, 0x3e82ee3f,
-        0x9a12711a, 0x3522c4cd, 0x0a18db97, 0xced1f91c, 0xc63d69d6, 0xe485881d, 0xa6382676,
-        0x4feb9df5, 0x7ae87e2f, 0x6920b778, 0x87114b94, 0x6a2d2584, 0x2b94980a, 0x06eea57f,
-        0xcbe664ca, 0xaf578c4b, 0x5a1fa652, 0x3cc3e132, 0xf782d831, 0x04a70aeb, 0x4b41468e,
-        0x5deaee04, 0xcc4b8b7c, 0x59c7f78b, 0x5dd42dc2, 0xabee1270, 0x5f17dc7b, 0xecd20d23,
-        0x8a00e991, 0xaf479d14, 0xc554860b, 0x6ece1df8, 0xeea5c010, 0x89fc6e44, 0xee6c08b9,
-        0x4d72795f, 0x08499d9f, 0x573f8997, 0xdb30d460, 0x204ddbc8, 0xe16ade93, 0x8bef5a69,
-        0x3a42cdd0, 0x2f9dadb4, 0xb23ce076, 0x4ab7d8b7, 0xee31efb9, 0x9f816c43, 0xd124e463,
-        0xf6b5f209, 0x52d20b55, 0x96d784ca, 0xda361fad, 0x8c80bfb2, 0xb54baf50, 0x077e8688,
-        0xb92e3cff, 0xb8833930, 0x41fb7fd5, 0xdf498dea, 0xe2cf6a80, 0x75467238, 0x4b7ec183,
-        0xe38729e9, 0x6f32356d, 0xa3faf5e8, 0x89eeeb71, 0x9d912692, 0xffbacb43, 0x7e382394,
-        0x3ebc7f4f, 0x1d329a0b, 0xcfdbf4ea, 0x48942736, 0xb4041bc8, 0x743a1622, 0x5fe841a1,
-        0xfbae648d, 0x3fefb79d, 0xe11c894b, 0xe964ceab, 0xe320f503, 0x1886bde4, 0x3ab7d9bc,
-        0xfcbafc6d, 0x48d2e0ea, 0x062269ef, 0x98220cd5, 0xb4530d64, 0xca5218ad, 0x9a912db6,
-        0x3b93c3eb, 0xe5fea18c, 0x807ae9c4, 0x7362af56, 0x3f0bad89, 0x1a087ccf, 0x8e4361d2,
-        0x5022d40e, 0x09ce8c4a, 0x000478eb, 0x216afb48, 0x813f03de, 0x4af69560, 0xf5ffb3c6,
-        0x00b0eaa1, 0x5de7b54c, 0xe5233812, 0x24a7937b, 0x0e451e8b, 0xc521af02, 0x7b4a508e,
-        0xbe73b750, 0x870ed0cf, 0x166f4092, 0x9a530f9c, 0x7736bc0c, 0x6f71e701, 0xc98fb0e3,
-        0x3e86602c, 0xb5250b7e, 0xa6d4c314, 0x0e2fe5fb, 0xcf8ce1cc, 0xb4a8be57, 0x1d7caf1e,
-        0x06aab8dd, 0xc5d88787, 0x7026308d, 0x45efe25f, 0xda3884fa, 0xe2f2f550, 0x9a26b162,
-        0x00e64486, 0x966d2bd6, 0x99c28bfb, 0xcf898855, 0xf8b7d86e, 0x87b74b83, 0x9ef68d6e,
-        0x728b6493, 0x337d6575, 0xa905fcb0, 0x3bc855e1, 0x8d4b3239, 0x5dde1276, 0x5b0371b5,
-        0xeb68b0a9, 0xd4354a8a, 0x87d082c0, 0x7df8168a, 0x1179c795, 0xac9fa2a1, 0xc62ab95c,
-        0xd851f0ac, 0xe44045dd, 0x9d169381, 0x63dae914, 0x87685070, 0x149cc14f, 0x3a8238e9,
-        0x09337e22, 0x06dcc888, 0xb04ec0bd, 0x2ad1f50f, 0x67caab34, 0xedf142e9, 0xc041a2eb,
-        0xf133f938, 0xcc75ae65, 0xa8fd9eec, 0xafbe2a7c, 0xaa584dfe, 0xa6f75385, 0x650f9434,
-        0xbd23fda8, 0xbb4e6841, 0x5615b9a5, 0x425f2267, 0xf88aa333, 0xb8d3ca53, 0x3d4b6154,
-        0x5da0c61b, 0x13aa3089, 0x70de61c5, 0xa8f5623e, 0x92940882, 0x016a33e1, 0xff3f6594,
-        0x9ddfa252, 0xdccb0153, 0xe19855cf, 0xf51e3ae1, 0x2a29c3e3, 0x83aebd05, 0xbe01d486,
-        0x2a269c7e, 0x8234ec9b, 0x5c5d52ad, 0xb1ae78c5, 0x72df3f0a, 0x1a7e30ff, 0x9f058139,
-        0xaf2982c2, 0xedae5f11, 0x010d4ad6, 0xffccda2d, 0xba599cae, 0xebf51282, 0xe20a46c2,
-        0x7fd64fdd, 0x54958184, 0x4c957b2c, 0x4fa3d628, 0x0d09ca2d, 0x124edace, 0xa77d2718,
-        0xa0133f5a, 0x628413cd, 0xda8fc28b, 0xa92d3975, 0x73cdf371, 0xe8af1a38, 0x06b114fa,
-        0x8f62a1ea, 0x0cf8a5be, 0x09ea57e5, 0x0d2edc68, 0xe1342350, 0xef8ccd00, 0x6670de8d,
-        0x3e9ccddd, 0xc0538c8c, 0x76cd6339, 0xe52b5222, 0xaecced3a, 0xe7cac54e, 0x59482fbd,
-        0xd2cfad73, 0x6635c0c8, 0xf0daf0f9, 0x9fd64032, 0x9c6620df, 0x05d7fb42, 0xa7f96e6b,
-        0x2819958e, 0xcf16a859, 0x89134781, 0xc69dc8bc, 0xdbaa9342, 0x72006f98, 0xf470bb97,
-        0x4c080155, 0x7b07d910, 0x5ee401db, 0x8b6c23b3, 0xfe1b2353, 0x58876e0f, 0x9de046c9,
-        0x8c8d9314, 0x6058b5fa, 0x05b6dc1a, 0xfb5f111f, 0x2cd9c301, 0x43f6c7da, 0x9457b896,
-        0xa2f0c4e1, 0xb61f4d66, 0xa282a7dd, 0x14f79206, 0x97836a36, 0x014127f1, 0xfd05e21f,
-        0x23232137, 0xeb31aeab, 0xddb92d01, 0xbb9f3b97, 0xed947a92, 0xf503ef6d, 0x837b181b,
-        0x929c731b, 0x1871e073, 0x5251fa78, 0x8405ad72, 0x071cda34, 0x70358b2b, 0x52d0203c,
-        0x4dcebc85, 0x53d7354e, 0xc26ab437, 0xc44de63b, 0x791e3f35, 0x6b86c440, 0x8cd92a7f,
-        0x50de3dde, 0x6eb87156, 0x69acdcd7, 0x2f5e5f73, 0x5edb2aef, 0x30822d59, 0x2d0379f2,
+        0x7aa4dd97, 0x0783cb97, 0xbc4f712e, 0xae526f74, 0x31005981, 0x43f44e1a, 0xac87bd42,
+        0xa8d8c66a, 0xa3a7adef, 0xf8f7be98, 0xbf3521e9, 0x12fdd364, 0x4759db99, 0x00280e28,
+        0xd33055b9, 0xaf679803, 0x524d1988, 0x089e815c, 0xf9445366, 0x1b875859, 0x4ef79fa9,
+        0x57d62b5e, 0x346cc48c, 0xd040b1e7, 0xee041a07, 0xe2f7f343, 0xfdf77460, 0x8dd9171f,
+        0x72a778bb, 0xead89d8f, 0x75986a7c, 0x14f29218, 0x49bafce6, 0xc61c573a, 0xc8361f05,
+        0x042e3e83, 0x900ab950, 0x7d13d32e, 0x8e27cf82, 0x8f9123d3, 0xca5f36b7, 0x99290fb9,
+        0x58cda0bb, 0x6cef3724, 0x9288e08a, 0x75a2aa58, 0xf276404b, 0xb2abf593, 0xbfb73b00,
+        0xb4edcc63, 0xaf81d5e5, 0xbcf04cca, 0x68aee55f, 0xe9e42b08, 0x4fb37685, 0x15eada01,
+        0xa0398db5, 0xafa44127, 0x633c4106, 0xe6af59af, 0x8718ec24, 0xe46da5c1, 0xb5051b59,
+        0x268a0ab7, 0xecc8fe3b, 0x6ed76711, 0x6e12e88d, 0x1b1e9f37, 0x2d892299, 0xe03500c5,
+        0xd03535a6, 0xfd349c00, 0x66263380, 0x608c928c, 0x66372ba4, 0x622fa377, 0x29ac7251,
+        0x5a0ee301, 0x9374d90d, 0x7fb63580, 0x16d27cb6, 0x36bf51b5, 0x93c94bbc, 0x65c38819,
+        0xdd892923, 0x06d06fad, 0x9dfb28d3, 0x5a6509e8, 0x4578c6e1, 0xc567c3a2, 0x54593d07,
+        0x78da355b, 0x1ef844d7, 0x197074d1, 0xdefcb4fa, 0xa99bb502, 0x9902380c, 0x1121de69,
+        0xeb342162, 0x87709fe3, 0xec02fb42, 0x87b62574, 0x7239eecd, 0xd42a5ebc, 0x9733587f,
+        0xc2004f22, 0xeb246b63, 0x44c8f5cb, 0x50e33129, 0x32457b70, 0xb27305a9, 0x6e178b4f,
+        0xc5c87239, 0x91a8c257, 0x062d7984, 0x5e390b12, 0x93d5d494, 0x108127b4, 0x5fa57957,
+        0x525d3a1e, 0xeb034274, 0x0df5c4d0, 0x8fbb35b1, 0x645926bf, 0x6369ccf3, 0x5afbc867,
+        0x9b21b19f, 0xcbeea13d, 0xa86f26b5, 0x38cba735, 0xdd665131, 0x897def20, 0x96bf85a1,
+        0xbf87987d, 0x5391c0ae, 0xd4dab917, 0x0e7df564, 0x7b6069a3, 0x87049266, 0x83f9c3c2,
+        0xe53294d8, 0x6a494f41, 0x3e10c7a5, 0x4dde0d66, 0xe490ed44, 0x9956ae5d, 0x9c1bed5a,
+        0xb3966ba9, 0x8e79c1fc, 0x08799993, 0x2647dfde, 0x95121e35, 0xda0f9352, 0x6abb7049,
+        0x731a0905, 0xb6858dfc, 0x73ce7f7a, 0xb7e1811d, 0x89ec6600, 0x64f62a9d, 0x566d730e,
+        0x2843dfc5, 0xfd01b6b0, 0xd33b2c51, 0x30311215, 0x71ff8f83, 0x382d3705, 0x0bfde968,
+        0x6a839412, 0x51aca26e, 0x79259233, 0xb81c3f7d, 0x91441248, 0x4a24e453, 0x67ea1031,
+        0xed1ea02b, 0xbbe32b85, 0xf932c579, 0x92556c3b, 0x743e18b4, 0x719c7483, 0x4c76ad36,
+        0xe3888209, 0x478deabc, 0x38a26f24, 0xecb4665d, 0xe508a0bf, 0xd7c3cda1, 0x72c36d4e,
+        0x0824efc1, 0xa15062b8, 0xab757715, 0x240247e4, 0x98b8c9f9, 0x79f87d16, 0x42fdf51c,
+        0xbc65c182, 0x359d1dcf, 0xe718a822, 0x7465102d, 0xf09b03a5, 0x5e9ed7da, 0x20a6574f,
+        0xf3c30ef5, 0x3fd589e5, 0x247f2bd6, 0x089f3486, 0x55c5ab2f, 0x6ff9f23d, 0x5cd6f176,
+        0x96282d3d, 0x898fccb0, 0xff2b60e2, 0xad8ed215, 0xead93f17, 0x78c66e60, 0xb4269f5d,
+        0xb0581efa, 0xbb0310e6, 0x0742df9e, 0xdf6f73e0, 0x4b2d5cce, 0xc1213130, 0xbbfccbc5,
+        0xfb138e28, 0x2a8b904e, 0x7c078b75, 0x389b3645, 0x84c7da7d, 0x5ed7f4d1, 0x99fbab0f,
+        0x6876e324, 0x78075392, 0xf2f82e4b, 0x1473fd7e, 0xd3b77cd7, 0xa56b6d4f, 0x3e7f3769,
+        0x53079cfe, 0xda30508c, 0x87a7fe49, 0x6c016b36, 0xe9fedd14, 0x7f5288a4, 0xd023ad0f,
+        0x4bf8985c, 0xf788d0f3, 0xc2e2b75c, 0x2190e9d5, 0xc09a0349, 0x481fe047, 0x485a6fe6,
+        0x5ce271c3, 0x308508a9, 0x6e7a6ad7, 0x4f8da425, 0x5c208290, 0x24944b40, 0xaac0d048,
+        0x2aac57ff, 0xdeed60ad, 0x813c4ddd, 0x47e8f732, 0x9e05727b, 0xa898ee4b, 0x72cb5fe3,
+        0xf69e099a, 0x6aa24e12, 0xed69a145, 0xececc878, 0x310c2ef8, 0xfb58f98b, 0x27813ef6,
+        0x8db7ecb8, 0x4b45627d, 0x26805082, 0xc4a82c43, 0xbff5b813, 0x02d69c5b, 0x57b211dc,
+        0xfc99688b, 0x3a49734e, 0x9a11a36c, 0x34602663, 0x100f107f, 0x188ed908, 0xb26cfec9,
+        0x9b3efe29, 0x3e1ff947, 0x416d6589, 0x267f0a8e, 0x5d5eef50, 0x3b796613, 0x9b6e2113,
+        0x1e641522, 0x92283aa1, 0x24f9b2fd, 0xfd642e3e, 0xa2fb8452, 0xbb4a1124, 0x5a2407e9,
+        0x188a0ef0, 0x4ed875cf, 0x8cd70c2b, 0xaac2ed67, 0x8ad2f159, 0x6b255a84, 0x15f6a91b,
+        0x91e08a62, 0x10d36164, 0xde987f1a, 0x75ccc72b, 0x82ce14f1, 0x6f4b1fbc, 0xe838901b,
+        0x4685b3be, 0xd1d7ee60, 0x36c24d18, 0x5367c1b2, 0xc41a5da0, 0x47c9f398, 0x9d623554,
+        0xa428bc31, 0x550c1362, 0xd504f5ea, 0xd28755b3, 0x4267e9a5, 0xa5ea6a5a, 0xf4f5b58b,
+        0xeb192c59, 0xf7c318d4, 0x25467a98, 0xaa4da1cc, 0xdf7ebb4d, 0xe4b2a6dd, 0x86043d06,
+        0x927769a6, 0xef2f3291, 0x0007ddc6, 0x6113bd8e, 0x3e2389d1, 0xeed5c5c4, 0x04cdd446,
+        0xa661e48d, 0x20995bc8, 0xa1224e1f, 0x52b56e30, 0xe5ad1e1c, 0xc3f1946f, 0xf9ed76be,
+        0x7ae7d896, 0x773f63c0, 0x575bf7f7, 0x4cf5cf0d, 0xa726227a, 0xe7192fb8, 0x9c1ff125,
+        0x8fff68bd, 0x1869cf27, 0x36380209, 0xb15e7763, 0x72bffb3b, 0xe8f23cea, 0x0126fbee,
+        0x3a501f40, 0x31d0edec, 0x5492844c, 0x98fb3409, 0x990b47c6, 0x807b3100, 0x3cac0bfc,
+        0x2fb4a6d9, 0xa5a369ad, 0x0fded7f3, 0x15e52074, 0xc97069da, 0xc13b3a81, 0x37f3b16c,
+        0xf0e5dbf0, 0xbe0d64d7, 0xe0d5c1e2, 0xe1d29b55, 0xcb056623, 0x1031b4ac, 0x761446f5,
+        0xae99530a, 0x0e6f87eb, 0x2d809c32, 0x8f3f8c34, 0xb356d3cb, 0x07d6503b, 0xfdc96994,
+        0x14966842, 0x72a64535, 0xe41be58a, 0x0e1df94c, 0x86d82402, 0x12e632e0, 0xa3ef8b9a,
+        0x1b3e753d, 0x698c7d41, 0x1dafe0f1, 0x06023b1e, 0x11b48e0f, 0xaf26f2b6, 0x5e5fdf6a,
+        0x5ad56b07, 0xd45cc62f, 0x7ad62882, 0x6039c4c3, 0xd0e6e9e9, 0x7a7e0966, 0x9110c34c,
+        0xdfa8e10b, 0xbbbd85f9, 0x19b5e228, 0x8c590a45, 0xf602015e, 0x43557f8c, 0x2420357d,
+        0x82a956f4, 0x3c221975, 0x06a0a90a, 0x95cd856f, 0xdc4ecb16, 0x24bfa1fa, 0x33a985e8,
+        0x3fb95431, 0xbb914b70, 0xbed90ec7, 0x85567df2, 0x37d88ab4, 0xca79d957, 0xc3994ade,
+        0x84d314a2, 0xcf0e3c80, 0x27122d50, 0xe288cc43, 0x4fcba976, 0x3cbb9892, 0x24a57908,
+        0x24e2d86f, 0x1e7a68ec, 0x165e5a83, 0x50cc538c, 0x0352bee6, 0x219bbb3f, 0x4a4eff85,
+        0xfac42fe6, 0xb3fae48c, 0x3b3bf816, 0x8563dcee, 0x697015ef, 0x0d034a23, 0x7e669bb7,
+        0x84321bce, 0xfde86acf, 0xe64c03c2, 0xda114000, 0x1c746a9d, 0x0e17742a, 0x02496e82,
+        0x6f7c0afb, 0x8b946454, 0xd6804414, 0xcb9527ca, 0xf365f215, 0x29daad61, 0xad584bfe,
+        0x14214ebe, 0xf95badcc, 0xb78ffb6f, 0x5c49b59b, 0x9693216f, 0x6fbe42fe, 0xb9043cd4,
+        0xab262a40, 0xfc408dc4, 0xb24cd09f, 0x1da56932, 0xe2fc1e37, 0xd2c8fb33, 0x2b8f74cd,
+        0xc4803700, 0x6bce3a82, 0xee448d32, 0x927c8e58, 0xbeca076c, 0x331726ab, 0x4bf6bc8a,
+        0xc26c95e3, 0x65e414d5, 0x22152c5c, 0xed15a89a, 0x6354a323, 0xb72d4c9d, 0x533708af,
+        0x29a0f150, 0x8c4a8b2d, 0xd2c020fc, 0xdd6f1b83, 0x7eb8a837, 0xa02a3b94, 0xb7d11c24,
+        0xf2680b24, 0x16142c41, 0x4d41845a, 0x22cc07ae, 0x3c2b9cf4, 0xc4b9be2e, 0xda11f45d,
+        0xd4f167dd, 0xcf1fda07, 0xa4fe408a, 0x4616c4b7, 0xea816d82, 0xfffa06f7, 0x600b43ac,
+        0x8c9ec687, 0x230a815e, 0x170d5094, 0x855ddf5d, 0x005ee937, 0x07d22b41, 0xd5afd5cb,
+        0x70048e02, 0xc3a6bea0, 0xa2813cd9, 0x4ca3cc49, 0xd3d86bc0, 0xfe241b72, 0x9481d5f8,
+        0x51ae2b6e, 0xad06b474, 0x75c31e32, 0xc460720c, 0xcef3ecbd, 0x8eefab77, 0x0e013536,
+        0x5ce6e8a7, 0xe2ab8b13, 0x08c447cb, 0xe34e6fcc, 0x71aafbb7, 0xee124858, 0x9c7858fc,
+        0x0a0ccb26, 0x19852bee, 0xb337cf13, 0x1954bb27, 0xdec2141d, 0xba49cc65, 0xd9e1388b,
+        0x0b061bb7, 0xae9c0941,
     ],
 };
