@@ -432,8 +432,8 @@ impl<D: BlockDevice> Efs<D> {
     /// device run into the log ring and a flush — and then, with nothing
     /// pending any more, checkpoints if half the ring is live. Nothing
     /// may be acknowledged before the first half returns; the server runs
-    /// the two halves itself ([`Efs::commit_log`], then its replies, then
-    /// [`Efs::checkpoint_if_due`]). A no-op without a WAL.
+    /// the two halves itself (`commit_log`, then its replies, then
+    /// `checkpoint_if_due`). A no-op without a WAL.
     ///
     /// # Errors
     ///

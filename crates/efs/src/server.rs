@@ -783,14 +783,16 @@ fn service_batch<D: BlockDevice>(
         let bytes = reply_wire_size(&reply);
         ctx.send_sized_cloneable(from, reply, bytes);
     }
-    match efs.checkpoint_if_due(ctx) {
-        Ok(false) => false,
-        Ok(true) if !dead(efs) => {
-            efs.publish_telemetry();
-            false
-        }
-        _ => true,
+    let checkpointed = efs.checkpoint_if_due(ctx);
+    if checkpointed.is_err() || dead(efs) {
+        return true;
     }
+    if checkpointed == Ok(true) {
+        // The ring gauge and the disk's counters moved after the batch
+        // was published; an idle node would show them stale for good.
+        efs.publish_telemetry();
+    }
+    false
 }
 
 /// One-time transition into the media-lost state: every queued request
