@@ -1,0 +1,235 @@
+//! Anatomy of the small-mutation path: one create, append, `rand_read`,
+//! `rand_write` and delete on the 2PC + parity machine (`churn_p8`'s
+//! configuration) under a trace collector. For each op it prints the
+//! timeline of every non-`sched` span that started while the client was
+//! waiting for it, and the number of disk positionings those spans paid —
+//! the quantity a Wren disk charges for.
+//!
+//! Run with: `cargo run --release --example op_anatomy [out.txt]` (the
+//! report also goes to standard output). Exits nonzero if
+//!
+//! * a parity `rand_write` no checkpoint landed on takes more than 110
+//!   virtual ms, plus one positioning for every track boundary one of its
+//!   log batches crossed, or
+//! * any `wal.commit` span holds more than one disk span, or one that is
+//!   not a `disk.write_run` paying exactly one positioning per distinct
+//!   track: a commit is one device run.
+
+use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, Redundancy};
+use bridge_trace::{SpanEvent, TraceCollector, TraceData};
+use parsim::{Ctx, SimTime};
+use simdisk::DiskProfile;
+use std::fmt::Write as _;
+use std::process::ExitCode;
+
+const P: u32 = 8;
+/// Blocks appended before the profiled ops: two full parity stripes and
+/// a ragged third, so the profiled append joins an open stripe.
+const PRELOAD: u64 = 17;
+/// The virtual-time budget of a checkpoint-free parity `rand_write`
+/// whose log batches each stayed on one track.
+const RAND_WRITE_BUDGET_MS: f64 = 110.0;
+
+fn record(block: u64) -> Vec<u8> {
+    format!("anatomy record {block:06}").into_bytes()
+}
+
+/// One profiled client call: its name and the client's clock around it.
+struct Op {
+    name: &'static str,
+    from: SimTime,
+    to: SimTime,
+}
+
+fn main() -> ExitCode {
+    let collector = TraceCollector::install();
+    let mut config = BridgeConfig::paper(P)
+        .with_2pc()
+        .with_redundancy(Redundancy::parity());
+    config.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let server = machine.server;
+
+    let ops = sim.block_on(machine.frontend, "anatomy", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let mut ops = Vec::new();
+        let file = timed(ctx, &mut ops, "create", |ctx| {
+            bridge.create(ctx, CreateSpec::default()).expect("create")
+        });
+        for b in 0..PRELOAD {
+            bridge.seq_write(ctx, file, record(b)).expect("preload");
+        }
+        timed(ctx, &mut ops, "append", |ctx| {
+            bridge
+                .seq_write(ctx, file, record(PRELOAD))
+                .expect("append");
+        });
+        timed(ctx, &mut ops, "rand_read", |ctx| {
+            let data = bridge.rand_read(ctx, file, 3).expect("rand_read");
+            assert_eq!(&data[..record(3).len()], &record(3)[..]);
+        });
+        // Several overwrites on different columns: each is reported, and
+        // the budget is held against those no checkpoint landed on.
+        for block in [3u64, 4, 5, 6] {
+            timed(ctx, &mut ops, "rand_write", |ctx| {
+                bridge
+                    .rand_write(ctx, file, block, record(100 + block))
+                    .expect("rand_write");
+            });
+        }
+        timed(ctx, &mut ops, "delete", |ctx| {
+            bridge.delete(ctx, file).expect("delete");
+        });
+        ops
+    });
+
+    let data = collector.take();
+    let positioning = DiskProfile::wren().positioning.as_nanos();
+    let mut report = String::new();
+    let mut failures = Vec::new();
+    let mut checked_rand_write = false;
+
+    for op in &ops {
+        let spans = spans_started_in(&data, op.from, op.to);
+        let positionings: u64 = spans
+            .iter()
+            .filter(|s| s.cat == "disk")
+            .map(|s| s.arg("position").unwrap_or(0) / positioning)
+            .sum();
+        let checkpointed = spans.iter().any(|s| s.name == "wal.checkpoint");
+        let ms = millis(op.to.as_nanos() - op.from.as_nanos());
+        let _ = writeln!(
+            report,
+            "== {} — {ms:.1} virtual ms, {positionings} positionings{}",
+            op.name,
+            if checkpointed {
+                ", a checkpoint started inside it"
+            } else {
+                ""
+            }
+        );
+        for s in &spans {
+            let _ = writeln!(
+                report,
+                "  {:>8.1} +{:>6.1} ms  {:<8} {:<22} {}",
+                millis(s.start.as_nanos() - op.from.as_nanos()),
+                millis(s.dur_nanos()),
+                data.proc_name(s.pid),
+                s.name,
+                disk_detail(s, positioning),
+            );
+        }
+        if op.name == "rand_write" && !checkpointed {
+            checked_rand_write = true;
+            // A log batch that crosses a track boundary owes a second
+            // positioning; the ring is not track-aligned, so some do.
+            let crossings: u64 = spans
+                .iter()
+                .filter(|s| s.name == "disk.write_run")
+                .map(|s| s.arg("tracks").unwrap_or(1) - 1)
+                .sum();
+            let budget = RAND_WRITE_BUDGET_MS + millis(crossings * positioning);
+            if ms > budget {
+                failures.push(format!(
+                    "checkpoint-free parity rand_write took {ms:.1} virtual ms \
+                     (budget {budget} ms, {crossings} track crossings)"
+                ));
+            }
+        }
+    }
+    if !checked_rand_write {
+        failures.push("every profiled rand_write had a checkpoint land on it".to_string());
+    }
+
+    let commits: Vec<&SpanEvent> = data
+        .spans
+        .iter()
+        .filter(|s| s.name == "wal.commit")
+        .collect();
+    for commit in &commits {
+        let inside: Vec<&SpanEvent> = data
+            .spans_in("disk")
+            .filter(|d| d.pid == commit.pid && d.start >= commit.start && d.end <= commit.end)
+            .collect();
+        let one_run = matches!(inside.as_slice(), [run] if run.name == "disk.write_run"
+            && run.arg("position") == run.arg("tracks").map(|t| t * positioning));
+        if !one_run {
+            failures.push(format!(
+                "wal.commit on {} at {:.1} ms is not one device run: {:?}",
+                data.proc_name(commit.pid),
+                millis(commit.start.as_nanos()),
+                inside.iter().map(|d| d.name.as_str()).collect::<Vec<_>>()
+            ));
+        }
+    }
+    let _ = writeln!(
+        report,
+        "{} wal.commit spans checked: each one device run",
+        commits.len()
+    );
+
+    print!("{report}");
+    if let Some(out) = std::env::args().nth(1) {
+        if let Some(parent) = std::path::Path::new(&out).parent() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+        if let Err(e) = std::fs::write(&out, &report) {
+            eprintln!("FAIL: cannot write {out}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    for f in failures.iter().take(8) {
+        eprintln!("FAIL: {f}");
+    }
+    if failures.len() > 8 {
+        eprintln!("FAIL: … and {} more", failures.len() - 8);
+    }
+    if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Runs one client call, noting the client's clock around it.
+fn timed<R>(
+    ctx: &mut Ctx,
+    ops: &mut Vec<Op>,
+    name: &'static str,
+    call: impl FnOnce(&mut Ctx) -> R,
+) -> R {
+    let from = ctx.now();
+    let out = call(ctx);
+    let to = ctx.now();
+    ops.push(Op { name, from, to });
+    out
+}
+
+fn millis(nanos: u64) -> f64 {
+    nanos as f64 / 1e6
+}
+
+/// Every non-`sched` span that started while the client waited for the
+/// op, in start order (a checkpoint acknowledged-before may still be
+/// running when the window closes; it is reported where it started).
+fn spans_started_in(data: &TraceData, from: SimTime, to: SimTime) -> Vec<&SpanEvent> {
+    let mut spans: Vec<&SpanEvent> = data
+        .spans
+        .iter()
+        .filter(|s| s.cat != "sched" && s.start >= from && s.start < to)
+        .collect();
+    spans.sort_by_key(|s| (s.start, std::cmp::Reverse(s.end)));
+    spans
+}
+
+/// What a disk span paid: positionings and blocks transferred.
+fn disk_detail(s: &SpanEvent, positioning: u64) -> String {
+    if s.cat != "disk" {
+        return String::new();
+    }
+    format!(
+        "{} positioning(s), {:.0} ms transfer",
+        s.arg("position").unwrap_or(0) / positioning,
+        millis(s.arg("transfer").unwrap_or(0))
+    )
+}
