@@ -1,8 +1,8 @@
 //! Block I/O: the one pipelined read primitive and the one pipelined
 //! write primitive every data path of the server goes through. Both take
-//! a list of machine pointers into constituent LFS files — one file for
-//! every caller but the parity read-modify-write, whose two old blocks
-//! live in two — (a single block is a list of one) and group it into
+//! a list of machine pointers into a constituent LFS file (a single block
+//! is a list of one; a read names the file per block, since the parity
+//! read-modify-write's two old blocks live in two) and group it into
 //! per-LFS runs of at most `depth` consecutive locals. At depth 1 —
 //! `BatchPolicy::Off`, and every inherently single-block access — a run
 //! is one `Read`/`Write`; at depth `d > 1` it is one `ReadRun`/`WriteRun`.
@@ -163,25 +163,13 @@ impl Server {
         }
     }
 
-    /// Reads the blocks of `from` at `ptrs` (machine pointers) and hands
-    /// each [`BlockResult`] to `sink` as its reply is processed, tagged
-    /// with its index in `ptrs`. The sink may itself do I/O (degraded
-    /// recovery, job delivery); only a protocol violation or the sink's
-    /// own error aborts the read.
+    /// Reads `blocks` — each a constituent file and a machine pointer into
+    /// it, all of one Bridge file — and hands each [`BlockResult`] to
+    /// `sink` as its reply is processed, tagged with its index in
+    /// `blocks`. The sink may itself do I/O (degraded recovery, job
+    /// delivery); only a protocol violation or the sink's own error aborts
+    /// the read.
     pub(super) fn read_blocks(
-        &mut self,
-        ctx: &mut Ctx,
-        from: Target,
-        ptrs: &[GlobalPtr],
-        depth: u32,
-        sink: impl FnMut(&mut Server, &mut Ctx, usize, BlockResult) -> Result<(), BridgeError>,
-    ) -> Result<(), BridgeError> {
-        self.read_each(ctx, ptrs.iter().map(|&ptr| (from, ptr)), depth, sink)
-    }
-
-    /// [`Server::read_blocks`] over blocks that each name their own
-    /// constituent file.
-    fn read_each(
         &mut self,
         ctx: &mut Ctx,
         blocks: impl Iterator<Item = (Target, GlobalPtr)>,
@@ -250,7 +238,7 @@ impl Server {
         blocks: [(Target, GlobalPtr); N],
     ) -> Result<[BlockResult; N], BridgeError> {
         let mut out = [const { None }; N];
-        self.read_each(ctx, blocks.into_iter(), 1, |_, _, i, payload| {
+        self.read_blocks(ctx, blocks.into_iter(), 1, |_, _, i, payload| {
             out[i] = Some(payload);
             Ok(())
         })?;

@@ -66,7 +66,8 @@ impl Server {
         let mut prefetched: HashMap<u64, Bytes> = HashMap::new();
         let depth = self.depth();
         if depth > 1 {
-            self.read_blocks(ctx, data, &ptrs, depth, |_, _, i, payload| {
+            let blocks = ptrs.iter().map(|&ptr| (data, ptr));
+            self.read_blocks(ctx, blocks, depth, |_, _, i, payload| {
                 if let Ok(p) = payload {
                     prefetched.insert(first + i as u64, p);
                 }

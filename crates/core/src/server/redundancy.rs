@@ -36,7 +36,8 @@ impl Server {
         let ptrs = (first..first + count)
             .map(|block| meta.locate(block))
             .collect::<Result<Vec<_>, _>>()?;
-        self.read_blocks(ctx, target, &ptrs, depth, |server, ctx, i, payload| {
+        let blocks = ptrs.into_iter().map(|ptr| (target, ptr));
+        self.read_blocks(ctx, blocks, depth, |server, ctx, i, payload| {
             let block = first + i as u64;
             let payload = match payload {
                 Ok(p) => p,
