@@ -426,6 +426,70 @@ mod tests {
         });
     }
 
+    /// What a one-block decision record costs on the Wren profile — the
+    /// clock and the device's write count after each forced write — and
+    /// which write a `CrashAt` ordinal kills the coordinator on, pinned
+    /// from the tree whose decision log framed its own blocks.
+    #[test]
+    fn one_block_records_keep_their_cost_and_crash_ordinals() {
+        use parsim::CrashAt;
+        use simdisk::CrashSchedule;
+        // Forces BEGIN 1, COMMIT 1, BEGIN 2, COMMIT 2 until the device
+        // dies; returns (virtual ns, writes counted) after each force and
+        // the records a recovery scan finds.
+        fn drive(kill_after: u64) -> (Vec<(u64, u64)>, Vec<TxRecord>) {
+            let mut sim = Simulation::new(SimConfig::default());
+            let node = sim.add_node("srv");
+            sim.block_on(node, "coord", move |ctx| {
+                let mut disk = SimDisk::new(TxLog::geometry(), DiskProfile::wren());
+                disk.schedule_crashes(CrashSchedule::from_plan(
+                    &[CrashAt {
+                        disk: 0,
+                        after_writes: kill_after,
+                        down: SimDuration::from_millis(5),
+                    }],
+                    0,
+                ));
+                let mut log = TxLog::format(disk);
+                let mut forced = Vec::new();
+                for step in 0..4u64 {
+                    let txn = 1 + step / 2;
+                    if step % 2 == 0 {
+                        log.begin(ctx, txn, &parts(&[0, 1, 2]));
+                    } else {
+                        log.commit(ctx, txn);
+                    }
+                    forced.push((ctx.now().as_nanos(), log.disk_mut().stats().writes));
+                    if log.crash_down().is_some() {
+                        break;
+                    }
+                }
+                log.revive();
+                log.reseat();
+                (forced, log.scan())
+            })
+        }
+        let (clean, records) = drive(0);
+        assert_eq!(
+            clean,
+            [
+                (16_000_000, 1),
+                (32_000_000, 2),
+                (48_000_000, 3),
+                (64_000_000, 4)
+            ],
+            "fault-free: 16 virtual ms and one elementary write a record"
+        );
+        assert_eq!(records.len(), 4);
+        for kill_after in 1..=4usize {
+            let (forced, records) = drive(kill_after as u64);
+            assert_eq!(forced.len(), kill_after, "dies on that force");
+            assert_eq!(forced[..kill_after - 1], clean[..kill_after - 1]);
+            assert_eq!(forced[kill_after - 1].1, kill_after as u64);
+            assert_eq!(records.len(), kill_after, "the killing write is durable");
+        }
+    }
+
     #[test]
     fn corrupt_slot_is_skipped() {
         with_log(|ctx, log| {

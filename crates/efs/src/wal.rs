@@ -1047,6 +1047,77 @@ mod tests {
         });
     }
 
+    /// The ring region's bytes, the clock and the write count after a
+    /// fixed history — a one-block batch, a three-block batch, a
+    /// checkpoint, and a three-block batch that wraps — pinned from the
+    /// tree before the frame-and-ring mechanism moved out of this file.
+    /// The log's on-disk format and the writes it issues are not allowed
+    /// to move.
+    #[test]
+    fn ring_bytes_clock_and_writes_are_pinned() {
+        use simdisk::{DiskGeometry, DiskProfile, SimDisk};
+        let wide = |id: u64| {
+            let addrs: Vec<BlockAddr> = (0..500).map(|a| BlockAddr::new(a * 3 + 1)).collect();
+            WalRecord::SetChain {
+                client: 2,
+                id,
+                file: LfsFileId(11),
+                first: addrs[0],
+                last: addrs[addrs.len() - 1],
+                size: addrs.len() as u32,
+                run: false,
+                addrs,
+            }
+        };
+        let mut sim = parsim::Simulation::new(parsim::SimConfig::default());
+        let node = sim.add_node("n");
+        let (digest, nanos, writes) = sim.block_on(node, "log", move |ctx| {
+            let mut disk = SimDisk::new(DiskGeometry::default(), DiskProfile::wren());
+            // Slot 0 holds format's checkpoint.
+            let mut wal = Wal::format(&mut disk, 16, 8, 1);
+            for record in sample_records() {
+                wal.log(record);
+            }
+            wal.log(WalRecord::Prepare {
+                client: 5,
+                id: 6,
+                txn: 7,
+                intent: PrepareIntent::DeleteFiles(vec![LfsFileId(1), LfsFileId(2)]),
+                freed: 8,
+            });
+            wal.log(WalRecord::Decide {
+                client: 5,
+                id: 9,
+                txn: 7,
+                commit: true,
+                intent: PrepareIntent::WriteBlock {
+                    file: LfsFileId(4),
+                    block_no: 3,
+                    payload: bytes::Bytes::from_static(b"decided payload"),
+                },
+                freed: 0,
+            });
+            assert_eq!(wal.commit(ctx, &mut disk).unwrap(), 5); // slot 1
+            wal.log(wide(20));
+            assert_eq!(wal.commit(ctx, &mut disk).unwrap(), 1); // slots 2, 3, 4
+            wal.checkpoint(ctx, &mut disk).unwrap(); // slot 5
+            wal.log(wide(21));
+            assert_eq!(wal.commit(ctx, &mut disk).unwrap(), 1); // slots 6, 7 | 0
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            for slot in 16..24 {
+                for &byte in disk.read_raw(BlockAddr::new(slot)).expect("slot written") {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            (digest, ctx.now().as_nanos(), disk.stats().writes)
+        });
+        assert_eq!(
+            (digest, nanos, writes),
+            (0x6f82_133f_a630_3a39, 68_000_000, 8),
+            "the LFS log's bytes, virtual time or write count moved"
+        );
+    }
+
     #[test]
     fn write_block_intent_round_trips() {
         let intent = PrepareIntent::WriteBlock {
