@@ -45,8 +45,8 @@ mod directory;
 mod error;
 mod fs;
 mod layout;
+mod lfs;
 mod retry;
-mod server;
 mod wal;
 
 pub use directory::{DirEntry, BUCKET_CAPACITY};
@@ -56,13 +56,13 @@ pub use layout::{
     decode_block, decode_header, encode_block, EfsHeader, LfsFileId, BLOCK_MAGIC, BLOCK_SIZE,
     EFS_HEADER_SIZE, EFS_PAYLOAD,
 };
-pub use retry::{
-    Admission, DedupWindow, RetryPolicy, RpcClient, RpcProtocol, DEDUP_RETENTION, DEDUP_WINDOW,
-};
-pub use server::{
+pub use lfs::{
     install_spare, reply_wire_size, request_wire_size, serve, set_failed, spawn_lfs,
     spawn_lfs_sched, LfsClient, LfsData, LfsFailAck, LfsFailControl, LfsOp, LfsReply, LfsRequest,
     LfsRpc, LfsSpareAck, LfsSpareControl,
+};
+pub use retry::{
+    Admission, DedupWindow, RetryPolicy, RpcClient, RpcProtocol, DEDUP_RETENTION, DEDUP_WINDOW,
 };
 pub use wal::{
     PrepareIntent, RecoveredOp, WalConfig, WAL_BLOCK_PAYLOAD, WAL_HEADER_SIZE, WAL_MAGIC,

@@ -53,7 +53,7 @@
 
 use crate::error::EfsError;
 use crate::layout::{LfsFileId, BLOCK_SIZE};
-use crate::server::LfsData;
+use crate::lfs::LfsData;
 use bytes::{Buf, BufMut, Bytes};
 use parsim::{mix64, Ctx};
 use simdisk::{BlockAddr, BlockDevice};
