@@ -55,6 +55,16 @@ pub enum BridgeError {
         /// Why not.
         why: &'static str,
     },
+    /// A machine-wide transaction names more participants (or doomed
+    /// files) than the coordinator's decision log can record: its BEGIN
+    /// must fit in the log ring beside its COMMIT. Refused before anything
+    /// is sent, so the directory and every LFS are as they were.
+    TxnTooLarge {
+        /// Log frames the BEGIN record needs.
+        frames: u32,
+        /// Frames in the decision-log ring.
+        ring: u32,
+    },
     /// An on-disk Bridge structure failed validation.
     Corrupt(String),
     /// An error from a local file system.
@@ -97,6 +107,10 @@ impl fmt::Display for BridgeError {
             BridgeError::RedundancyUnsupported { why } => {
                 write!(f, "redundancy unavailable: {why}")
             }
+            BridgeError::TxnTooLarge { frames, ring } => write!(
+                f,
+                "transaction needs {frames} decision-log frames beside its COMMIT; the ring has {ring}"
+            ),
             BridgeError::Corrupt(why) => write!(f, "corrupt Bridge structure: {why}"),
             BridgeError::Lfs(e) => write!(f, "local file system error: {e}"),
             BridgeError::TimedOut { attempts } => {

@@ -36,7 +36,7 @@ use bridge_efs::{Admission, DedupWindow, EfsError, LfsClient, LfsData, LfsOp, Re
 use bridge_trace::{HealthEvent, HealthSnapshot, ServerTelemetry, TelemetryRegistry};
 use cursor::{Cursor, Job, PendingAppends};
 use directory::FileMeta;
-use parsim::{Ctx, FixedMap, NodeId, ProcId, SimDuration, Simulation};
+use parsim::{Ctx, FixedMap, NodeId, ProcId, SimDuration, Simulation, TraceArg};
 use simdisk::SchedPolicy;
 use std::sync::Arc;
 
@@ -260,8 +260,31 @@ impl Server {
         self.telemetry.as_ref().map(|reg| update(&mut reg.server()))
     }
 
-    /// Appends `event` to the machine's health journal, if armed.
+    /// States a health event once: appended to the machine's journal, if
+    /// armed, and — where the trace names the same fact — emitted as the
+    /// trace instant made from the same value (`only_traced` adds what
+    /// the journal does not keep), so the two cannot drift.
     fn journal(&self, ctx: &Ctx, event: HealthEvent) {
+        self.journal_and_trace(ctx, event, &[]);
+    }
+
+    /// [`Server::journal`] with arguments only the trace instant carries.
+    fn journal_and_trace(&self, ctx: &Ctx, event: HealthEvent, only_traced: &[TraceArg]) {
+        if ctx.trace_enabled() {
+            match event {
+                HealthEvent::TxnInDoubt { txn } => {
+                    ctx.trace_instant("2pc", "2pc.presume_abort", &[("txn", txn)])
+                }
+                HealthEvent::RebuildChunk {
+                    file, done, total, ..
+                } => {
+                    let mut args = vec![("file", file), ("done", done), ("total", total)];
+                    args.extend_from_slice(only_traced);
+                    ctx.trace_instant("redundancy", "redundancy.rebuild_progress", &args)
+                }
+                _ => {}
+            }
+        }
         if let Some(reg) = &self.telemetry {
             reg.record_event(ctx.now(), event);
         }

@@ -120,7 +120,7 @@ impl Server {
             }
         }
         self.tally(|s| s.note_rebuild_progress(end, size));
-        self.journal(
+        self.journal_and_trace(
             ctx,
             HealthEvent::RebuildChunk {
                 file: u64::from(file.0),
@@ -128,6 +128,7 @@ impl Server {
                 done: end,
                 total: size,
             },
+            &[("repaired", repaired)],
         );
         if end >= size {
             self.tally(|s| s.rebuilds_done += 1);
@@ -137,18 +138,6 @@ impl Server {
                     file: u64::from(file.0),
                     total: size,
                 },
-            );
-        }
-        if ctx.trace_enabled() {
-            ctx.trace_instant(
-                "redundancy",
-                "redundancy.rebuild_progress",
-                &[
-                    ("file", u64::from(file.0)),
-                    ("done", end),
-                    ("total", size),
-                    ("repaired", repaired),
-                ],
             );
         }
         Ok(BridgeData::Rebuilt { repaired })

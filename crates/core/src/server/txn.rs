@@ -111,6 +111,10 @@ impl Server {
         tolerant: &[bool],
         create_costs: bool,
     ) -> Result<(u64, u32), BridgeError> {
+        // A BEGIN the log ring cannot hold beside its COMMIT is refused
+        // here, before any PREPARE is sent.
+        let txlog = self.txlog.as_ref().expect("run_2pc requires a log");
+        txlog.admit(participants)?;
         'retry: loop {
             let txn = self.next_txn;
             self.next_txn += 1;
@@ -135,7 +139,7 @@ impl Server {
             // Force BEGIN while the prepares are in flight, so a kill on
             // this write leaves exactly the in-doubt window the protocol
             // must survive: durable PREPAREs, no decision.
-            let txlog = self.txlog.as_mut().expect("run_2pc requires a log");
+            let txlog = self.txlog.as_mut().expect("checked");
             txlog.begin(ctx, txn, participants);
             if txlog.crash_down().is_some() {
                 let committed = self.server_crash_recover(ctx, txn, &pending)?;
@@ -248,7 +252,8 @@ impl Server {
     /// with the old incarnation), revives the log, and applies presumed
     /// abort: the at-most-one in-doubt transaction — the serial
     /// coordinator never overlaps two — is aborted at the participants
-    /// named by its own BEGIN record. Returns whether `txn` has a
+    /// named by its own BEGIN record, and `txn` itself at every node if
+    /// the kill tore its BEGIN. Returns whether `txn` has a
     /// durable COMMIT, i.e. whether the caller must redo phase 2 instead
     /// of re-executing.
     fn server_crash_recover(
@@ -279,26 +284,37 @@ impl Server {
         let txlog = self.txlog.as_mut().expect("checked");
         txlog.revive();
         txlog.reseat();
-        if let Some(d) = txlog.in_doubt() {
+        let committed = txlog.is_committed(txn);
+        let in_doubt = txlog.in_doubt();
+        // A kill inside a BEGIN of several frames leaves a torn record,
+        // which the scan drops: PREPAREs for `txn` are out, and the log
+        // names neither it nor its participants. No decision on record
+        // is still abort; with no list to go by, every node is told, and
+        // the abort carries an empty intent — a participant that holds
+        // the PREPARE undoes its own, the rest have nothing to undo.
+        let torn = !committed && in_doubt.as_ref().is_none_or(|d| d.txn != txn);
+        let everyone = (0..self.breadth()).map(|node| TxParticipant {
+            node,
+            intent: PrepareIntent::CreateFiles(Vec::new()),
+        });
+        let unlogged = torn.then(|| (txn, everyone.collect()));
+        let logged = in_doubt.map(|d| (d.txn, d.participants));
+        for (doubted, participants) in logged.into_iter().chain(unlogged) {
             // Presumed abort: no decision on record means abort. Driving
             // the rollback now (rather than waiting for participants to
             // ask) keeps the client-visible retry path simple: by the
             // time the operation re-executes, every column is rolled
             // back and acknowledged.
-            self.journal(ctx, HealthEvent::TxnInDoubt { txn: d.txn });
-            if ctx.trace_enabled() {
-                ctx.trace_instant("2pc", "2pc.presume_abort", &[("txn", d.txn)]);
-            }
-            let resolved = d.txn;
-            self.decide_all(ctx, resolved, false, &d.participants)?;
+            self.journal(ctx, HealthEvent::TxnInDoubt { txn: doubted });
+            self.decide_all(ctx, doubted, false, &participants)?;
             self.journal(
                 ctx,
                 HealthEvent::TxnResolved {
-                    txn: resolved,
+                    txn: doubted,
                     committed: false,
                 },
             );
         }
-        Ok(self.txlog.as_ref().expect("checked").is_committed(txn))
+        Ok(committed)
     }
 }

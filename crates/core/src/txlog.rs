@@ -2,11 +2,10 @@
 //!
 //! Presumed-abort two-phase commit needs exactly one piece of durable
 //! coordinator state: the *decision*. This module gives the Bridge server a
-//! tiny write-ahead ring on its own node's disk holding two single-block
-//! record kinds:
+//! tiny write-ahead ring on its own node's disk holding two record kinds:
 //!
-//! * **BEGIN** — written *after* every participant has acknowledged its
-//!   durable PREPARE, *before* the coordinator treats the transaction as
+//! * **BEGIN** — written *after* every participant has been sent its
+//!   PREPARE, *before* the coordinator treats the transaction as
 //!   committed. It names the transaction and every participant (node index
 //!   plus the exact [`PrepareIntent`] sent to it), so recovery can drive
 //!   phase 2 from the log alone.
@@ -22,15 +21,27 @@
 //! history to `pfsck` so the machine-wide pass can resolve orphaned columns
 //! the same way a recovering participant would.
 //!
-//! Records are one block each (the ring is small — two writes per Create or
-//! Delete — and block-granular writes make the "Nth elementary write"
-//! crash-sweep arithmetic exact: a machine-wide op is exactly writes
-//! `2k−1` and `2k`). The ring wraps; old decisions are overwritten once the
-//! ring cycles, which is fine because a decision is only needed while some
-//! participant may still be in doubt, i.e. within one coordinator round
-//! trip of the COMMIT.
+//! The log is the same frame-and-ring mechanism the per-LFS write-ahead
+//! logs run on ([`bridge_efs::ring`]), with its records through the same
+//! field codec ([`bridge_efs::codec`]); what is this log's own is the
+//! two records and the policy. A record is one forced device run of as
+//! many frames as it needs — one for a COMMIT and for the BEGIN of any
+//! machine up to ~300 nodes wide, so a machine-wide op is exactly writes
+//! `2k−1` and `2k` there and the "Nth elementary write" crash-sweep
+//! arithmetic stays exact. The ring *overwrites its oldest record*: a
+//! decision is only needed while some participant may still be in doubt,
+//! i.e. within one coordinator round trip of the COMMIT, so nothing is
+//! ever checkpointed. The one rule on top ([`TxLog::admit`]): a BEGIN must
+//! fit in the ring beside its own COMMIT, or the COMMIT would tear the
+//! BEGIN it decides; a transaction wider than that is refused before
+//! anything is sent. A crash inside a multi-frame BEGIN leaves a torn
+//! record the scan drops — no BEGIN at all, which presumed abort reads as
+//! it reads everything else it cannot find: abort.
 
-use bridge_efs::PrepareIntent;
+use crate::error::BridgeError;
+use bridge_efs::codec::{Reader, Writer};
+use bridge_efs::ring::{self, Ring};
+use bridge_efs::{EfsError, PrepareIntent};
 use parsim::{Ctx, SimDuration};
 use simdisk::{BlockAddr, DiskGeometry, DiskProfile, SimDisk};
 
@@ -39,10 +50,6 @@ pub const TXLOG_MAGIC: u32 = 0x7C10_B21D;
 
 const KIND_BEGIN: u8 = 1;
 const KIND_COMMIT: u8 = 2;
-
-/// Fixed-size header of a decision-log block: magic, checksum, kind, txn,
-/// payload length.
-const HEADER: usize = 4 + 4 + 1 + 8 + 4;
 
 /// One participant of a logged transaction: which LFS instance, and the
 /// prepare intent the coordinator sent it.
@@ -83,38 +90,63 @@ pub struct LoggedDecision {
     pub participants: Vec<TxParticipant>,
 }
 
-/// FNV-1a over the record body (everything after the checksum field).
-fn checksum(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+/// A record's payload: its kind, its transaction and — for a BEGIN —
+/// the participants, borrowed (the coordinator logs the participants it
+/// is about to drive, without cloning them).
+fn encode(kind: u8, txn: u64, participants: &[TxParticipant]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(16 + 16 * participants.len());
+    let mut w = Writer::new(&mut payload);
+    w.u8(kind).u64(txn);
+    if kind == KIND_BEGIN {
+        w.list(participants, |w, p| {
+            w.u32(p.node);
+            p.intent.encode(w);
+        });
     }
-    h
+    payload
 }
 
-/// The coordinator's presumed-abort decision log: a block ring on a small
-/// dedicated [`SimDisk`] colocated with the Bridge server.
+impl TxRecord {
+    /// Inverse of [`encode`].
+    fn decode(payload: &[u8]) -> Result<TxRecord, EfsError> {
+        let mut r = Reader::new(payload, "decision record");
+        let (kind, txn) = (r.u8()?, r.u64()?);
+        match kind {
+            KIND_COMMIT => Ok(TxRecord::Commit { txn }),
+            KIND_BEGIN => {
+                let participants = r.list(|r| {
+                    Ok(TxParticipant {
+                        node: r.u32()?,
+                        intent: PrepareIntent::decode(r)?,
+                    })
+                })?;
+                Ok(TxRecord::Begin { txn, participants })
+            }
+            k => Err(r.corrupt(format_args!("unknown kind {k}"))),
+        }
+    }
+}
+
+/// The coordinator's presumed-abort decision log: a frame ring over the
+/// whole of a small dedicated [`SimDisk`] colocated with the Bridge
+/// server, overwriting its oldest record.
 #[derive(Debug)]
 pub struct TxLog {
     disk: SimDisk,
-    /// Next ring slot to write (block index).
-    next_slot: u32,
-    /// Monotonic rank stamped into each record's payload tail so a scan
-    /// can order ring slots after wraparound.
-    next_rank: u64,
+    ring: Ring,
 }
 
 impl TxLog {
     /// The geometry of the coordinator's log device: eight four-kilobyte
-    /// blocks on a single track — two machine-wide mutations of history,
-    /// which is more than the one in-doubt transaction presumed abort
-    /// ever needs, while keeping the server-kill crash sweep short. The
-    /// blocks are four kilobytes (not the data disks' one) because a
-    /// redundant write's BEGIN carries the full [`PrepareIntent::WriteBlock`]
-    /// payload for each participant: redo after a coordinator crash must
-    /// be able to re-drive the commit to a participant whose own recovery
-    /// already presumed-abort-rolled-back its prepare.
+    /// blocks on a single track — two machine-wide mutations of history
+    /// on an ordinary machine, which is more than the one in-doubt
+    /// transaction presumed abort ever needs, while keeping the
+    /// server-kill crash sweep short. The blocks are four kilobytes (not
+    /// the data disks' one) because a redundant write's BEGIN carries the
+    /// full [`PrepareIntent::WriteBlock`] payload for each participant:
+    /// redo after a coordinator crash must be able to re-drive the commit
+    /// to a participant whose own recovery already presumed-abort-rolled-
+    /// back its prepare.
     pub fn geometry() -> DiskGeometry {
         DiskGeometry {
             block_size: 4096,
@@ -128,11 +160,13 @@ impl TxLog {
         for b in 0..disk.capacity_blocks() {
             disk.clear_raw(BlockAddr::new(b));
         }
-        TxLog {
-            disk,
-            next_slot: 0,
-            next_rank: 1,
-        }
+        let ring = Ring::new(
+            TXLOG_MAGIC,
+            0,
+            disk.capacity_blocks(),
+            disk.geometry().block_size,
+        );
+        TxLog { disk, ring }
     }
 
     /// The disk's timing profile, exposed for tests.
@@ -140,59 +174,49 @@ impl TxLog {
         self.disk.profile()
     }
 
-    fn slots(&self) -> u32 {
-        self.disk.capacity_blocks()
+    /// Frames one record into the next ring slots and forces it as one
+    /// device run. Errors from the device are deliberately *not*
+    /// surfaced: under a crash kill the triggering write is durable
+    /// before the disk goes dead, so the caller must consult
+    /// [`TxLog::crash_down`] — not the write result — to learn whether
+    /// the server survived.
+    fn append(&mut self, ctx: &mut Ctx, payload: &[u8]) {
+        let _ = ring::force(ctx, &mut self.disk, &self.ring.frame(payload));
     }
 
-    /// Serializes and writes one record into the next ring slot, then
-    /// flushes. Errors from the device are deliberately *not* surfaced:
-    /// under a crash kill the triggering write is durable before the disk
-    /// goes dead, so the caller must consult [`TxLog::crash_down`] — not
-    /// the write result — to learn whether the server survived.
-    fn append(&mut self, ctx: &mut Ctx, kind: u8, txn: u64, payload: &[u8]) {
-        let block_size = self.disk.geometry().block_size;
-        let mut body = Vec::with_capacity(HEADER + payload.len() + 8);
-        body.push(kind);
-        body.extend_from_slice(&txn.to_le_bytes());
-        body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        body.extend_from_slice(payload);
-        body.extend_from_slice(&self.next_rank.to_le_bytes());
-        assert!(
-            8 + body.len() <= block_size,
-            "decision record ({} bytes) exceeds one log block ({} bytes): \
-             machine breadth too large for the coordinator log format",
-            8 + body.len(),
-            block_size
-        );
-        let mut block = Vec::with_capacity(block_size);
-        block.extend_from_slice(&TXLOG_MAGIC.to_le_bytes());
-        block.extend_from_slice(&checksum(&body).to_le_bytes());
-        block.extend_from_slice(&body);
-        block.resize(block_size, 0);
-        let slot = self.next_slot;
-        self.next_slot = (self.next_slot + 1) % self.slots();
-        self.next_rank += 1;
-        let _ = self.disk.write(ctx, BlockAddr::new(slot), &block);
-        let _ = self.disk.flush(ctx);
-    }
-
-    /// Logs that every participant of `txn` holds a durable PREPARE.
-    /// Check [`TxLog::crash_down`] afterwards — the record may be the
-    /// write the crash schedule kills the server on.
-    pub fn begin(&mut self, ctx: &mut Ctx, txn: u64, participants: &[TxParticipant]) {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(participants.len() as u32).to_le_bytes());
-        for p in participants {
-            payload.extend_from_slice(&p.node.to_le_bytes());
-            p.intent.encode(&mut payload);
+    /// The breadth rule: a BEGIN naming `participants` must fit in the
+    /// ring beside its own COMMIT (one frame), or the COMMIT would
+    /// overwrite the head of the BEGIN it decides. Checked before any
+    /// PREPARE is sent, so a refusal leaves every participant untouched.
+    ///
+    /// # Errors
+    ///
+    /// [`BridgeError::TxnTooLarge`] with the frames the BEGIN needs.
+    pub fn admit(&self, participants: &[TxParticipant]) -> Result<(), BridgeError> {
+        let frames = self
+            .ring
+            .frames_for(encode(KIND_BEGIN, 0, participants).len()) as u32;
+        if frames < self.ring.slots() {
+            Ok(())
+        } else {
+            Err(BridgeError::TxnTooLarge {
+                frames,
+                ring: self.ring.slots(),
+            })
         }
-        self.append(ctx, KIND_BEGIN, txn, &payload);
+    }
+
+    /// Logs that every participant of `txn` has been sent its PREPARE.
+    /// Check [`TxLog::crash_down`] afterwards — any of the record's
+    /// frames may be the write the crash schedule kills the server on.
+    pub fn begin(&mut self, ctx: &mut Ctx, txn: u64, participants: &[TxParticipant]) {
+        self.append(ctx, &encode(KIND_BEGIN, txn, participants));
     }
 
     /// Logs the commit point for `txn`. Check [`TxLog::crash_down`]
     /// afterwards, exactly as for [`TxLog::begin`].
     pub fn commit(&mut self, ctx: &mut Ctx, txn: u64) {
-        self.append(ctx, KIND_COMMIT, txn, &[]);
+        self.append(ctx, &encode(KIND_COMMIT, txn, &[]));
     }
 
     /// `Some(down)` while the log device is dead under a crash kill: the
@@ -207,81 +231,20 @@ impl TxLog {
         self.disk.revive();
     }
 
-    /// Decodes one ring slot, returning `(rank, record)`, or `None` for
-    /// blank/foreign/corrupt slots (a torn decision write never happens —
-    /// records are single-block — but a freshly formatted ring is blank).
-    fn decode_slot(&self, slot: u32) -> Option<(u64, TxRecord)> {
-        let raw = self.disk.read_raw(BlockAddr::new(slot))?;
-        if raw.len() < HEADER + 8 || u32::from_le_bytes(raw[0..4].try_into().ok()?) != TXLOG_MAGIC {
-            return None;
-        }
-        let stored = u32::from_le_bytes(raw[4..8].try_into().ok()?);
-        let kind = raw[8];
-        let txn = u64::from_le_bytes(raw[9..17].try_into().ok()?);
-        let len = u32::from_le_bytes(raw[17..21].try_into().ok()?) as usize;
-        if HEADER + len + 8 > raw.len() {
-            return None;
-        }
-        let body_end = HEADER + len + 8;
-        if checksum(&raw[8..body_end]) != stored {
-            return None;
-        }
-        let rank = u64::from_le_bytes(raw[body_end - 8..body_end].try_into().ok()?);
-        let payload = &raw[HEADER..HEADER + len];
-        let record = match kind {
-            KIND_COMMIT => TxRecord::Commit { txn },
-            KIND_BEGIN => {
-                let mut buf = payload;
-                if buf.len() < 4 {
-                    return None;
-                }
-                let count = u32::from_le_bytes(buf[0..4].try_into().ok()?);
-                buf = &buf[4..];
-                let mut participants = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    if buf.len() < 4 {
-                        return None;
-                    }
-                    let node = u32::from_le_bytes(buf[0..4].try_into().ok()?);
-                    buf = &buf[4..];
-                    let intent = PrepareIntent::decode(&mut buf).ok()?;
-                    participants.push(TxParticipant { node, intent });
-                }
-                TxRecord::Begin { txn, participants }
-            }
-            _ => return None,
-        };
-        Some((rank, record))
-    }
-
-    /// Reads the whole ring from raw media, in rank (append) order. Used
-    /// by crash recovery and by [`TxLog::decisions`]; untimed, like every
-    /// recovery read.
+    /// Reads the whole ring from raw media, in append order. Used by
+    /// crash recovery and by [`TxLog::decisions`]; untimed, like every
+    /// recovery read. A torn or corrupt record is dropped.
     pub fn scan(&self) -> Vec<TxRecord> {
-        let mut found: Vec<(u64, TxRecord)> = (0..self.slots())
-            .filter_map(|s| self.decode_slot(s))
-            .collect();
-        found.sort_by_key(|&(rank, _)| rank);
-        found.into_iter().map(|(_, r)| r).collect()
+        let records = self.ring.scan(&self.disk).into_values();
+        records
+            .filter_map(|payload| TxRecord::decode(&payload).ok())
+            .collect()
     }
 
-    /// Re-seats the append cursor after a crash: the next write goes to
-    /// the slot after the highest-ranked surviving record, and ranks
-    /// continue past it, so post-recovery appends never reuse a rank.
+    /// Re-seats the append cursor after a crash: the next record goes
+    /// after the newest surviving frame and is numbered past it.
     pub fn reseat(&mut self) {
-        let best = (0..self.slots())
-            .filter_map(|s| self.decode_slot(s).map(|(rank, _)| (rank, s)))
-            .max_by_key(|&(rank, _)| rank);
-        match best {
-            None => {
-                self.next_slot = 0;
-                self.next_rank = 1;
-            }
-            Some((rank, slot)) => {
-                self.next_slot = (slot + 1) % self.slots();
-                self.next_rank = rank + 1;
-            }
-        }
+        self.ring.resume(&self.disk);
     }
 
     /// The decision history surviving in the ring, oldest first: each
@@ -418,11 +381,9 @@ mod tests {
             let recs = log.scan();
             assert_eq!(recs.len(), 8, "ring keeps the last 8 records");
             assert_eq!(recs.last(), Some(&TxRecord::Commit { txn: 6 }));
-            let slot_before = log.next_slot;
-            let rank_before = log.next_rank;
+            let before = (log.ring.next_slot(), log.ring.next_stamp());
             log.reseat();
-            assert_eq!(log.next_slot, slot_before);
-            assert_eq!(log.next_rank, rank_before);
+            assert_eq!((log.ring.next_slot(), log.ring.next_stamp()), before);
         });
     }
 
@@ -498,7 +459,7 @@ mod tests {
             // Flip a byte in slot 0 (the BEGIN) past the header.
             let raw = log.disk_mut().read_raw(BlockAddr::new(0)).unwrap().to_vec();
             let mut bad = raw.clone();
-            bad[HEADER + 1] ^= 0xFF;
+            bad[ring::FRAME_HEADER + 1] ^= 0xFF;
             log.disk_mut().write_raw(BlockAddr::new(0), &bad);
             let recs = log.scan();
             assert_eq!(recs, vec![TxRecord::Commit { txn: 1 }]);

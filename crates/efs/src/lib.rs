@@ -41,12 +41,14 @@
 
 mod alloc;
 mod cache;
+pub mod codec;
 mod directory;
 mod error;
 mod fs;
 mod layout;
 mod lfs;
 mod retry;
+pub mod ring;
 mod wal;
 
 pub use directory::{DirEntry, BUCKET_CAPACITY};

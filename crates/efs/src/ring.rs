@@ -1,0 +1,239 @@
+//! The frame-and-ring mechanism under both logs.
+//!
+//! A log is a ring of device blocks. An append *frames* one payload —
+//! whatever its owner encoded — into as many self-describing blocks as
+//! it needs and places them in the next slots, wrapping at the end; the
+//! owner writes them as one device run. Every frame starts with a
+//! 32-byte header:
+//!
+//! ```text
+//! magic: u32  stamp: u64  seq: u32  total: u32  len: u32  checksum: u64
+//! ```
+//!
+//! `stamp` is the batch's number — one more than the batch before it —
+//! so a scan can order slots after any number of wrap-arounds; `seq` of
+//! `total` places the frame in its batch; `len` payload bytes follow the
+//! header, and `checksum` mixes the stamp, the position and those bytes.
+//! A frame therefore stands or falls on its own, and a batch is valid
+//! exactly when all `total` of its frames are: the torn tail a crash
+//! leaves mid-run, a flipped bit, a slot an older batch still half
+//! occupies — each is unambiguously not a batch.
+//!
+//! What a ring does *not* decide is when a slot may be reused. The LFS
+//! write-ahead log ([`crate::WalConfig`]) never overwrites a record
+//! newer than its last checkpoint; the coordinator's decision log
+//! overwrites the oldest and refuses a transaction too wide to fit.
+//! Both are policy, stated by the owner on top of [`Ring::frames_for`].
+
+use crate::codec::{Reader, Writer};
+use bytes::Bytes;
+use parsim::{mix64, Ctx};
+use simdisk::{BlockAddr, BlockDevice, DiskError};
+use std::collections::BTreeMap;
+
+/// Bytes of header in front of every frame's payload.
+pub const FRAME_HEADER: usize = 32;
+
+/// One ring of frames on a block device: where it lies, and the stamp
+/// and slot its next batch takes.
+#[derive(Debug, Clone)]
+pub struct Ring {
+    magic: u32,
+    start: u32,
+    slots: u32,
+    block_size: usize,
+    next_stamp: u64,
+    next_slot: u32,
+}
+
+/// A decoded frame, borrowing its payload from the medium.
+struct Frame<'a> {
+    stamp: u64,
+    seq: u32,
+    total: u32,
+    chunk: &'a [u8],
+}
+
+/// Mixes a frame's stamp, position and payload into its checksum.
+fn checksum(stamp: u64, seq: u32, total: u32, chunk: &[u8]) -> u64 {
+    let mut acc = mix64(stamp, u64::from(seq) << 32 | u64::from(total));
+    for piece in chunk.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..piece.len()].copy_from_slice(piece);
+        acc = mix64(acc, u64::from_le_bytes(word));
+    }
+    acc
+}
+
+impl Ring {
+    /// An empty ring of `slots` blocks of `block_size` bytes starting at
+    /// device block `start`; its frames carry `magic`, so two logs never
+    /// read each other's blocks as their own.
+    pub fn new(magic: u32, start: u32, slots: u32, block_size: usize) -> Ring {
+        Ring {
+            magic,
+            start,
+            slots,
+            block_size,
+            next_stamp: 1,
+            next_slot: 0,
+        }
+    }
+
+    /// Ring length in blocks.
+    pub fn slots(&self) -> u32 {
+        self.slots
+    }
+
+    /// The stamp the next batch carries.
+    pub fn next_stamp(&self) -> u64 {
+        self.next_stamp
+    }
+
+    /// The ring offset the next frame lands in.
+    pub fn next_slot(&self) -> u32 {
+        self.next_slot
+    }
+
+    /// Frames a payload of `len` bytes takes (an empty one still takes
+    /// one: the batch has to exist).
+    pub fn frames_for(&self, len: usize) -> usize {
+        len.div_ceil(self.block_size - FRAME_HEADER).max(1)
+    }
+
+    fn addr(&self, slot: u32) -> BlockAddr {
+        BlockAddr::new(self.start + slot)
+    }
+
+    /// The one place a frame header is written.
+    fn encode(&self, seq: u32, total: u32, chunk: &[u8]) -> Bytes {
+        let mut block = Vec::with_capacity(self.block_size);
+        Writer::new(&mut block)
+            .u32(self.magic)
+            .u64(self.next_stamp)
+            .u32(seq)
+            .u32(total)
+            .u32(chunk.len() as u32)
+            .u64(checksum(self.next_stamp, seq, total, chunk))
+            .raw(chunk);
+        block.resize(self.block_size, 0);
+        block.into()
+    }
+
+    /// The one place a frame header is read: `None` for a blank,
+    /// foreign, garbled or checksum-failing block.
+    fn decode<'a>(&self, block: &'a [u8]) -> Option<Frame<'a>> {
+        if block.len() != self.block_size {
+            return None;
+        }
+        let mut r = Reader::new(block, "log frame");
+        if r.u32().ok()? != self.magic {
+            return None;
+        }
+        let (stamp, seq, total) = (r.u64().ok()?, r.u32().ok()?, r.u32().ok()?);
+        let (len, sum) = (r.u32().ok()? as usize, r.u64().ok()?);
+        let chunk = r.raw(len).ok()?;
+        (seq < total && checksum(stamp, seq, total, chunk) == sum).then_some(Frame {
+            stamp,
+            seq,
+            total,
+            chunk,
+        })
+    }
+
+    /// Frames `payload` as the next batch and gives its frames the next
+    /// slots, in order: the device run that carries it into the log.
+    /// The owner's policy has already made sure the batch fits.
+    pub fn frame(&mut self, payload: &[u8]) -> Vec<(BlockAddr, Bytes)> {
+        let total = self.frames_for(payload.len());
+        debug_assert!(total <= self.slots as usize, "batch longer than its ring");
+        let mut chunks = payload.chunks(self.block_size - FRAME_HEADER);
+        let run = (0..total).map(|seq| {
+            let chunk = chunks.next().unwrap_or(&[]);
+            let placed = (
+                self.addr(self.next_slot),
+                self.encode(seq as u32, total as u32, chunk),
+            );
+            self.next_slot = (self.next_slot + 1) % self.slots;
+            placed
+        });
+        let run = run.collect();
+        self.next_stamp += 1;
+        run
+    }
+
+    /// Every complete, checksum-valid batch on the medium, by stamp, and
+    /// the `(stamp, seq)` and slot of the newest valid frame — complete
+    /// batch or torn tail alike.
+    #[allow(clippy::type_complexity)]
+    fn read<D: BlockDevice>(
+        &self,
+        disk: &D,
+    ) -> (BTreeMap<u64, Vec<u8>>, Option<((u64, u32), u32)>) {
+        let mut groups: BTreeMap<u64, Vec<Frame<'_>>> = BTreeMap::new();
+        let mut newest = None;
+        for slot in 0..self.slots {
+            let Some(frame) = disk.read_raw(self.addr(slot)).and_then(|b| self.decode(b)) else {
+                continue;
+            };
+            let rank = (frame.stamp, frame.seq);
+            if newest.is_none_or(|(best, _)| rank >= best) {
+                newest = Some((rank, slot));
+            }
+            groups.entry(frame.stamp).or_default().push(frame);
+        }
+        let whole = groups.into_iter().filter_map(|(stamp, mut frames)| {
+            frames.sort_by_key(|f| f.seq);
+            let total = frames[0].total;
+            let complete = frames.len() == total as usize
+                && frames
+                    .iter()
+                    .enumerate()
+                    .all(|(i, f)| f.seq as usize == i && f.total == total);
+            complete.then(|| {
+                (
+                    stamp,
+                    frames.iter().flat_map(|f| f.chunk).copied().collect(),
+                )
+            })
+        });
+        (whole.collect(), newest)
+    }
+
+    /// Every complete batch's payload, in stamp order, from raw media
+    /// (untimed, like every recovery read). Torn and corrupt batches are
+    /// dropped.
+    pub fn scan<D: BlockDevice>(&self, disk: &D) -> BTreeMap<u64, Vec<u8>> {
+        self.read(disk).0
+    }
+
+    /// [`Ring::scan`], and re-seats the cursor for appending: the next
+    /// batch goes in the slot after the newest valid frame and takes the
+    /// stamp after it — past a torn tail as well as past a whole batch,
+    /// so nothing the scan validated is clobbered and no stamp is used
+    /// twice. A blank ring restarts at slot 0, stamp 1.
+    pub fn resume<D: BlockDevice>(&mut self, disk: &D) -> BTreeMap<u64, Vec<u8>> {
+        let (batches, newest) = self.read(disk);
+        (self.next_stamp, self.next_slot) = match newest {
+            Some(((stamp, _), slot)) => (stamp + 1, (slot + 1) % self.slots),
+            None => (1, 0),
+        };
+        batches
+    }
+}
+
+/// Writes `run` as one device run and forces it: the elementary writes
+/// of one append, paying one positioning per track the run touches.
+///
+/// # Errors
+///
+/// Whatever the device reports — among them [`DiskError::Crashed`] when
+/// a scheduled kill tore the run at one of its blocks.
+pub fn force<D: BlockDevice>(
+    ctx: &mut Ctx,
+    disk: &mut D,
+    run: &[(BlockAddr, Bytes)],
+) -> Result<(), DiskError> {
+    disk.write_many(ctx, run)?;
+    disk.flush(ctx)
+}

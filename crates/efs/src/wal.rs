@@ -24,18 +24,14 @@
 //!
 //! ## Batch encoding
 //!
-//! Every log block is self-describing, so a batch may wrap around the
-//! ring with no physical contiguity requirement. Each block starts with
-//! a 32-byte header:
-//!
-//! ```text
-//! magic: u32  lsn: u64  seq: u32  total: u32  len: u32  checksum: u64
-//! ```
-//!
-//! The scan groups blocks by LSN, requires the complete `0..total`
-//! sequence with consistent `total`, reassembles the payload, and
-//! verifies each block's checksum. A batch missing any block — the torn
-//! tail a crash mid-commit leaves — is unambiguously invalid.
+//! A batch is one payload — a record count, then the records, each a
+//! tag byte and its fields through the one field codec
+//! ([`crate::codec`]) — framed into the ring ([`crate::ring`]) under
+//! the batch's LSN. Frames are self-describing, so a batch may wrap
+//! around the ring with no physical contiguity requirement, and a batch
+//! missing any frame — the torn tail a crash mid-commit leaves — is
+//! unambiguously invalid. A batch whose frames all check out but whose
+//! records do not decode is dropped the same way.
 //!
 //! ## Checkpoints and ring space
 //!
@@ -51,19 +47,21 @@
 //! policy fires once half the ring is live, and commit asserts the
 //! invariant.
 
+use crate::codec::{Reader, Writer};
 use crate::error::EfsError;
 use crate::layout::{LfsFileId, BLOCK_SIZE};
 use crate::lfs::LfsData;
-use bytes::{Buf, BufMut, Bytes};
-use parsim::{mix64, Ctx};
+use crate::ring::{self, Ring, FRAME_HEADER};
+use bytes::Bytes;
+use parsim::Ctx;
 use simdisk::{BlockAddr, BlockDevice};
 use std::collections::BTreeMap;
 
 /// Magic tag at the front of every WAL block.
 pub const WAL_MAGIC: u32 = 0x3A11_06ED;
 
-/// Per-block WAL header bytes (magic, lsn, seq, total, len, checksum).
-pub const WAL_HEADER_SIZE: usize = 32;
+/// Per-block WAL header bytes (the ring's frame header).
+pub const WAL_HEADER_SIZE: usize = FRAME_HEADER;
 
 /// Record payload bytes that fit in one log block.
 pub const WAL_BLOCK_PAYLOAD: usize = BLOCK_SIZE - WAL_HEADER_SIZE;
@@ -160,82 +158,41 @@ impl PrepareIntent {
         }
     }
 
-    /// Serializes the intent (kind byte, count, file ids). Public so the
-    /// coordinator's decision log can embed intents in its BEGIN records
-    /// with the exact same wire format the participant WALs use.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    /// Serializes the intent: a kind byte, then the file list or the
+    /// block write. Public so the coordinator's decision log embeds
+    /// intents in its BEGIN records in the exact format the participant
+    /// WALs use.
+    pub fn encode(&self, w: &mut Writer<'_>) {
+        let files = |w: &mut Writer<'_>, f: &LfsFileId| {
+            w.u32(f.0);
+        };
         match self {
-            PrepareIntent::CreateFiles(f) | PrepareIntent::DeleteFiles(f) => {
-                let kind = match self {
-                    PrepareIntent::CreateFiles(_) => 0u8,
-                    _ => 1u8,
-                };
-                buf.put_u8(kind);
-                buf.put_u32_le(f.len() as u32);
-                for file in f {
-                    buf.put_u32_le(file.0);
-                }
-            }
+            PrepareIntent::CreateFiles(f) => w.u8(0).list(f, files),
+            PrepareIntent::DeleteFiles(f) => w.u8(1).list(f, files),
             PrepareIntent::WriteBlock {
                 file,
                 block_no,
                 payload,
-            } => {
-                buf.put_u8(2);
-                buf.put_u32_le(file.0);
-                buf.put_u32_le(*block_no);
-                buf.put_u32_le(payload.len() as u32);
-                buf.put_slice(payload);
-            }
-        }
+            } => w.u8(2).u32(file.0).u32(*block_no).bytes(payload),
+        };
     }
 
-    /// Inverse of [`PrepareIntent::encode`], consuming from `buf`.
+    /// Inverse of [`PrepareIntent::encode`].
     ///
     /// # Errors
     ///
     /// [`EfsError::Corrupt`] on truncation or an unknown kind byte.
-    pub fn decode(buf: &mut &[u8]) -> Result<PrepareIntent, EfsError> {
-        let corrupt = |why: &str| EfsError::Corrupt(format!("wal intent: {why}"));
-        if buf.is_empty() {
-            return Err(corrupt("truncated"));
-        }
-        let kind = buf.get_u8();
-        match kind {
-            0 | 1 => {
-                if buf.len() < 4 {
-                    return Err(corrupt("truncated"));
-                }
-                let n = buf.get_u32_le() as usize;
-                if buf.len() < n.saturating_mul(4) {
-                    return Err(corrupt("truncated"));
-                }
-                let files = (0..n).map(|_| LfsFileId(buf.get_u32_le())).collect();
-                if kind == 0 {
-                    Ok(PrepareIntent::CreateFiles(files))
-                } else {
-                    Ok(PrepareIntent::DeleteFiles(files))
-                }
-            }
-            2 => {
-                if buf.len() < 12 {
-                    return Err(corrupt("truncated"));
-                }
-                let file = LfsFileId(buf.get_u32_le());
-                let block_no = buf.get_u32_le();
-                let len = buf.get_u32_le() as usize;
-                if buf.len() < len {
-                    return Err(corrupt("truncated"));
-                }
-                let payload = bytes::Bytes::copy_from_slice(&buf[..len]);
-                *buf = &buf[len..];
-                Ok(PrepareIntent::WriteBlock {
-                    file,
-                    block_no,
-                    payload,
-                })
-            }
-            k => Err(corrupt(&format!("unknown intent kind {k}"))),
+    pub fn decode(r: &mut Reader<'_>) -> Result<PrepareIntent, EfsError> {
+        let files = |r: &mut Reader<'_>| r.list(|r| r.u32().map(LfsFileId));
+        match r.u8()? {
+            0 => files(r).map(PrepareIntent::CreateFiles),
+            1 => files(r).map(PrepareIntent::DeleteFiles),
+            2 => Ok(PrepareIntent::WriteBlock {
+                file: LfsFileId(r.u32()?),
+                block_no: r.u32()?,
+                payload: Bytes::copy_from_slice(r.bytes()?),
+            }),
+            k => Err(r.corrupt(format_args!("unknown intent kind {k}"))),
         }
     }
 }
@@ -331,13 +288,13 @@ pub struct RecoveredOp {
 }
 
 impl WalRecord {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, w: &mut Writer<'_>) {
+        let addr = |w: &mut Writer<'_>, a: &BlockAddr| {
+            w.u32(a.index());
+        };
         match self {
             WalRecord::Create { client, id, file } => {
-                buf.put_u8(1);
-                buf.put_u32_le(*client);
-                buf.put_u64_le(*id);
-                buf.put_u32_le(file.0);
+                w.u8(1).u32(*client).u64(*id).u32(file.0);
             }
             WalRecord::SetChain {
                 client,
@@ -349,18 +306,9 @@ impl WalRecord {
                 run,
                 addrs,
             } => {
-                buf.put_u8(2);
-                buf.put_u32_le(*client);
-                buf.put_u64_le(*id);
-                buf.put_u32_le(file.0);
-                buf.put_u32_le(first.index());
-                buf.put_u32_le(last.index());
-                buf.put_u32_le(*size);
-                buf.put_u8(u8::from(*run));
-                buf.put_u32_le(addrs.len() as u32);
-                for a in addrs {
-                    buf.put_u32_le(a.index());
-                }
+                w.u8(2).u32(*client).u64(*id).u32(file.0);
+                w.u32(first.index()).u32(last.index()).u32(*size);
+                w.u8(u8::from(*run)).list(addrs, addr);
             }
             WalRecord::Delete {
                 client,
@@ -368,13 +316,11 @@ impl WalRecord {
                 file,
                 freed,
             } => {
-                buf.put_u8(3);
-                buf.put_u32_le(*client);
-                buf.put_u64_le(*id);
-                buf.put_u32_le(file.0);
-                buf.put_u32_le(*freed);
+                w.u8(3).u32(*client).u64(*id).u32(file.0).u32(*freed);
             }
-            WalRecord::Checkpoint => buf.put_u8(4),
+            WalRecord::Checkpoint => {
+                w.u8(4);
+            }
             WalRecord::Prepare {
                 client,
                 id,
@@ -382,12 +328,8 @@ impl WalRecord {
                 intent,
                 freed,
             } => {
-                buf.put_u8(5);
-                buf.put_u32_le(*client);
-                buf.put_u64_le(*id);
-                buf.put_u64_le(*txn);
-                buf.put_u32_le(*freed);
-                intent.encode(buf);
+                w.u8(5).u32(*client).u64(*id).u64(*txn).u32(*freed);
+                intent.encode(w);
             }
             WalRecord::Decide {
                 client,
@@ -397,79 +339,44 @@ impl WalRecord {
                 intent,
                 freed,
             } => {
-                buf.put_u8(6);
-                buf.put_u32_le(*client);
-                buf.put_u64_le(*id);
-                buf.put_u64_le(*txn);
-                buf.put_u8(u8::from(*commit));
-                buf.put_u32_le(*freed);
-                intent.encode(buf);
+                w.u8(6).u32(*client).u64(*id).u64(*txn);
+                w.u8(u8::from(*commit)).u32(*freed);
+                intent.encode(w);
             }
         }
     }
 
-    fn decode(buf: &mut &[u8]) -> Result<WalRecord, EfsError> {
-        let corrupt = |why: &str| EfsError::Corrupt(format!("wal record: {why}"));
-        if buf.is_empty() {
-            return Err(corrupt("truncated"));
+    fn decode(r: &mut Reader<'_>) -> Result<WalRecord, EfsError> {
+        let tag = r.u8()?;
+        if tag == 4 {
+            return Ok(WalRecord::Checkpoint);
         }
-        let tag = buf.get_u8();
-        let need = |buf: &&[u8], n: usize| {
-            if buf.len() < n {
-                Err(corrupt("truncated"))
-            } else {
-                Ok(())
-            }
-        };
+        let (client, id) = (r.u32()?, r.u64()?);
         match tag {
-            1 => {
-                need(buf, 16)?;
-                Ok(WalRecord::Create {
-                    client: buf.get_u32_le(),
-                    id: buf.get_u64_le(),
-                    file: LfsFileId(buf.get_u32_le()),
-                })
-            }
-            2 => {
-                need(buf, 33)?;
-                let client = buf.get_u32_le();
-                let id = buf.get_u64_le();
-                let file = LfsFileId(buf.get_u32_le());
-                let first = BlockAddr::new(buf.get_u32_le());
-                let last = BlockAddr::new(buf.get_u32_le());
-                let size = buf.get_u32_le();
-                let run = buf.get_u8() != 0;
-                let n = buf.get_u32_le() as usize;
-                need(buf, n.saturating_mul(4))?;
-                let addrs = (0..n).map(|_| BlockAddr::new(buf.get_u32_le())).collect();
-                Ok(WalRecord::SetChain {
-                    client,
-                    id,
-                    file,
-                    first,
-                    last,
-                    size,
-                    run,
-                    addrs,
-                })
-            }
-            3 => {
-                need(buf, 20)?;
-                Ok(WalRecord::Delete {
-                    client: buf.get_u32_le(),
-                    id: buf.get_u64_le(),
-                    file: LfsFileId(buf.get_u32_le()),
-                    freed: buf.get_u32_le(),
-                })
-            }
-            4 => Ok(WalRecord::Checkpoint),
+            1 => Ok(WalRecord::Create {
+                client,
+                id,
+                file: LfsFileId(r.u32()?),
+            }),
+            2 => Ok(WalRecord::SetChain {
+                client,
+                id,
+                file: LfsFileId(r.u32()?),
+                first: BlockAddr::new(r.u32()?),
+                last: BlockAddr::new(r.u32()?),
+                size: r.u32()?,
+                run: r.u8()? != 0,
+                addrs: r.list(|r| r.u32().map(BlockAddr::new))?,
+            }),
+            3 => Ok(WalRecord::Delete {
+                client,
+                id,
+                file: LfsFileId(r.u32()?),
+                freed: r.u32()?,
+            }),
             5 => {
-                need(buf, 24)?;
-                let client = buf.get_u32_le();
-                let id = buf.get_u64_le();
-                let txn = buf.get_u64_le();
-                let freed = buf.get_u32_le();
-                let intent = PrepareIntent::decode(buf)?;
+                let (txn, freed) = (r.u64()?, r.u32()?);
+                let intent = PrepareIntent::decode(r)?;
                 Ok(WalRecord::Prepare {
                     client,
                     id,
@@ -479,13 +386,8 @@ impl WalRecord {
                 })
             }
             6 => {
-                need(buf, 25)?;
-                let client = buf.get_u32_le();
-                let id = buf.get_u64_le();
-                let txn = buf.get_u64_le();
-                let commit = buf.get_u8() != 0;
-                let freed = buf.get_u32_le();
-                let intent = PrepareIntent::decode(buf)?;
+                let (txn, commit, freed) = (r.u64()?, r.u8()? != 0, r.u32()?);
+                let intent = PrepareIntent::decode(r)?;
                 Ok(WalRecord::Decide {
                     client,
                     id,
@@ -495,7 +397,7 @@ impl WalRecord {
                     freed,
                 })
             }
-            t => Err(corrupt(&format!("unknown tag {t}"))),
+            t => Err(r.corrupt(format_args!("unknown tag {t}"))),
         }
     }
 
@@ -549,143 +451,35 @@ impl WalRecord {
     }
 }
 
-/// Mixes the block header fields and payload into the per-block checksum.
-fn wal_checksum(lsn: u64, seq: u32, total: u32, payload: &[u8]) -> u64 {
-    let mut acc = mix64(lsn, u64::from(seq) << 32 | u64::from(total));
-    for chunk in payload.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        acc = mix64(acc, u64::from_le_bytes(word));
-    }
-    acc
-}
-
-/// Encodes one batch: the records' concatenated payload split across
-/// self-describing log blocks.
-fn encode_batch(lsn: u64, records: &[WalRecord]) -> Vec<Bytes> {
+/// One batch's payload: the record count, then the records.
+fn encode_batch(records: &[WalRecord]) -> Vec<u8> {
     let mut payload = Vec::new();
-    payload.put_u32_le(records.len() as u32);
-    for r in records {
-        r.encode(&mut payload);
-    }
-    let total = payload.len().div_ceil(WAL_BLOCK_PAYLOAD).max(1);
-    assert!(total <= u32::MAX as usize, "wal batch too large");
-    let mut blocks = Vec::with_capacity(total);
-    for seq in 0..total {
-        let start = seq * WAL_BLOCK_PAYLOAD;
-        let end = (start + WAL_BLOCK_PAYLOAD).min(payload.len());
-        let chunk = &payload[start..end];
-        let mut block = Vec::with_capacity(BLOCK_SIZE);
-        block.put_u32_le(WAL_MAGIC);
-        block.put_u64_le(lsn);
-        block.put_u32_le(seq as u32);
-        block.put_u32_le(total as u32);
-        block.put_u32_le(chunk.len() as u32);
-        block.put_u64_le(wal_checksum(lsn, seq as u32, total as u32, chunk));
-        block.put_slice(chunk);
-        block.resize(BLOCK_SIZE, 0);
-        blocks.push(block.into());
-    }
-    blocks
+    Writer::new(&mut payload).list(records, |w, r| r.encode(w));
+    payload
 }
 
-/// One decoded block, pre-grouping.
-struct ScannedBlock {
-    seq: u32,
-    total: u32,
-    payload: Vec<u8>,
+/// Inverse of [`encode_batch`].
+fn decode_batch(payload: &[u8]) -> Result<Vec<WalRecord>, EfsError> {
+    Reader::new(payload, "wal record").list(WalRecord::decode)
 }
 
-fn decode_wal_block(bytes: &[u8]) -> Option<(u64, ScannedBlock)> {
-    if bytes.len() != BLOCK_SIZE {
-        return None;
-    }
-    let mut buf = bytes;
-    if buf.get_u32_le() != WAL_MAGIC {
-        return None;
-    }
-    let lsn = buf.get_u64_le();
-    let seq = buf.get_u32_le();
-    let total = buf.get_u32_le();
-    let len = buf.get_u32_le() as usize;
-    let checksum = buf.get_u64_le();
-    if total == 0 || seq >= total || len > WAL_BLOCK_PAYLOAD || len > buf.len() {
-        return None;
-    }
-    let payload = &buf[..len];
-    if wal_checksum(lsn, seq, total, payload) != checksum {
-        return None;
-    }
-    Some((
-        lsn,
-        ScannedBlock {
-            seq,
-            total,
-            payload: payload.to_vec(),
-        },
-    ))
+/// All complete batches the ring scan found whose records decode, by LSN.
+fn decode_batches(payloads: BTreeMap<u64, Vec<u8>>) -> BTreeMap<u64, Vec<WalRecord>> {
+    let decoded = payloads
+        .into_iter()
+        .filter_map(|(lsn, payload)| Some((lsn, decode_batch(&payload).ok()?)));
+    decoded.collect()
 }
 
-/// All complete, checksum-valid batches in the ring, by LSN. Torn batches
-/// (missing blocks, inconsistent totals, bad checksums) are dropped.
-pub(crate) fn scan_batches<D: BlockDevice>(
-    disk: &D,
-    start: u32,
-    blocks: u32,
-) -> BTreeMap<u64, Vec<WalRecord>> {
-    let mut groups: BTreeMap<u64, Vec<ScannedBlock>> = BTreeMap::new();
-    for i in 0..blocks {
-        let Some(bytes) = disk.read_raw(BlockAddr::new(start + i)) else {
-            continue;
-        };
-        if let Some((lsn, block)) = decode_wal_block(bytes) {
-            groups.entry(lsn).or_default().push(block);
-        }
-    }
-    let mut batches = BTreeMap::new();
-    'group: for (lsn, mut group) in groups {
-        let total = group[0].total;
-        if group.len() != total as usize || group.iter().any(|b| b.total != total) {
-            continue;
-        }
-        group.sort_by_key(|b| b.seq);
-        let mut payload = Vec::new();
-        for (i, b) in group.iter().enumerate() {
-            if b.seq as usize != i {
-                continue 'group;
-            }
-            payload.extend_from_slice(&b.payload);
-        }
-        let mut buf = payload.as_slice();
-        if buf.len() < 4 {
-            continue;
-        }
-        let count = buf.get_u32_le();
-        let mut records = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            match WalRecord::decode(&mut buf) {
-                Ok(r) => records.push(r),
-                Err(_) => continue 'group,
-            }
-        }
-        batches.insert(lsn, records);
-    }
-    batches
-}
-
-/// Live WAL state for one mounted instance.
+/// Live WAL state for one mounted instance: the ring, the records not
+/// yet committed, and the checkpoint policy that decides when a slot may
+/// be reused.
 #[derive(Debug)]
 pub(crate) struct Wal {
-    /// First block of the log region.
-    pub(crate) start: u32,
-    /// Ring length in blocks.
-    pub(crate) blocks: u32,
+    /// The log region; a batch's stamp is its LSN.
+    ring: Ring,
     /// Group-commit width for the owning server.
     pub(crate) group_commit: u32,
-    /// LSN the next batch will carry.
-    next_lsn: u64,
-    /// Ring offset the next block lands in.
-    next_slot: u32,
     /// Ring blocks written since (and including) the last durable
     /// checkpoint batch. Records in this span must never be overwritten.
     since_ckpt: u32,
@@ -698,6 +492,18 @@ pub(crate) struct Wal {
 }
 
 impl Wal {
+    /// The log over `ring`, nothing pending and nothing live.
+    fn over(ring: Ring, group_commit: u32) -> Wal {
+        Wal {
+            ring,
+            group_commit: group_commit.max(1),
+            since_ckpt: 0,
+            pending: Vec::new(),
+            commits: 0,
+            checkpoints: 0,
+        }
+    }
+
     /// A fresh ring: format writes an initial checkpoint batch (raw) so
     /// recovery of an untouched file system finds a well-formed log.
     pub(crate) fn format<D: BlockDevice>(
@@ -707,35 +513,12 @@ impl Wal {
         group_commit: u32,
     ) -> Wal {
         assert!(blocks >= 4, "wal ring needs at least 4 blocks");
-        let mut wal = Wal {
-            start,
-            blocks,
-            group_commit: group_commit.max(1),
-            next_lsn: 1,
-            next_slot: 0,
-            since_ckpt: 0,
-            pending: Vec::new(),
-            commits: 0,
-            checkpoints: 0,
-        };
+        let mut wal = Wal::over(
+            Ring::new(WAL_MAGIC, start, blocks, BLOCK_SIZE),
+            group_commit,
+        );
         wal.append_checkpoint_raw(disk);
         wal
-    }
-
-    /// Re-attaches to a scanned ring: `max_lsn` is the newest valid batch
-    /// and `next_slot` where the scan's write cursor should resume.
-    fn resume(start: u32, blocks: u32, group_commit: u32, next_lsn: u64, next_slot: u32) -> Wal {
-        Wal {
-            start,
-            blocks,
-            group_commit: group_commit.max(1),
-            next_lsn,
-            next_slot,
-            since_ckpt: 0,
-            pending: Vec::new(),
-            commits: 0,
-            checkpoints: 0,
-        }
     }
 
     /// Queues a record for the next commit.
@@ -746,21 +529,6 @@ impl Wal {
     /// Records awaiting commit.
     pub(crate) fn has_pending(&self) -> bool {
         !self.pending.is_empty()
-    }
-
-    fn slot_addr(&self, slot: u32) -> BlockAddr {
-        BlockAddr::new(self.start + slot % self.blocks)
-    }
-
-    /// Gives `batch` the next ring slots, in order: the device run that
-    /// carries it into the log.
-    fn place(&mut self, batch: Vec<Bytes>) -> Vec<(BlockAddr, Bytes)> {
-        let run = batch.into_iter().map(|block| {
-            let addr = self.slot_addr(self.next_slot);
-            self.next_slot = (self.next_slot + 1) % self.blocks;
-            (addr, block)
-        });
-        run.collect()
     }
 
     /// Writes the pending batch into the ring as one device run (timed)
@@ -777,43 +545,35 @@ impl Wal {
             return Ok(0);
         }
         let records = std::mem::take(&mut self.pending);
-        let batch = encode_batch(self.next_lsn, &records);
+        let payload = encode_batch(&records);
+        self.since_ckpt += self.ring.frames_for(payload.len()) as u32;
         assert!(
-            self.since_ckpt + batch.len() as u32 <= self.blocks,
+            self.since_ckpt <= self.ring.slots(),
             "wal batch would overwrite records since the last checkpoint"
         );
-        self.since_ckpt += batch.len() as u32;
-        let run = self.place(batch);
-        disk.write_many(ctx, &run)?;
-        disk.flush(ctx)?;
-        self.next_lsn += 1;
+        ring::force(ctx, disk, &self.ring.frame(&payload))?;
         self.commits += 1;
         Ok(records.len())
     }
 
     /// True once half the ring is live since the last checkpoint.
     pub(crate) fn needs_checkpoint(&self) -> bool {
-        self.since_ckpt >= self.blocks / 2
+        self.since_ckpt >= self.ring.slots() / 2
     }
 
     /// `(ring blocks live since the last durable checkpoint, ring
     /// capacity)` — the occupancy gauge telemetry reports.
     pub(crate) fn ring_usage(&self) -> (u32, u32) {
-        (self.since_ckpt.min(self.blocks), self.blocks)
+        (self.since_ckpt.min(self.ring.slots()), self.ring.slots())
     }
 
-    /// The next checkpoint batch, placed in the ring.
+    /// The next checkpoint batch, placed in the ring; once it is durable
+    /// nothing before it is live any more.
     fn checkpoint_run(&mut self) -> Vec<(BlockAddr, Bytes)> {
         assert!(self.pending.is_empty(), "checkpoint with records pending");
-        let batch = encode_batch(self.next_lsn, &[WalRecord::Checkpoint]);
-        self.place(batch)
-    }
-
-    /// The checkpoint batch of `blocks` blocks is durable: nothing before
-    /// it is live any more.
-    fn stamped(&mut self, blocks: usize) {
-        self.next_lsn += 1;
-        self.since_ckpt = blocks as u32;
+        let run = self.ring.frame(&encode_batch(&[WalRecord::Checkpoint]));
+        self.since_ckpt = run.len() as u32;
+        run
     }
 
     /// Appends and flushes a checkpoint batch (timed). The caller must
@@ -824,60 +584,38 @@ impl Wal {
         ctx: &mut Ctx,
         disk: &mut D,
     ) -> Result<(), EfsError> {
-        let run = self.checkpoint_run();
-        disk.write_many(ctx, &run)?;
-        disk.flush(ctx)?;
-        self.stamped(run.len());
+        ring::force(ctx, disk, &self.checkpoint_run())?;
         self.checkpoints += 1;
         Ok(())
     }
 
     /// Raw (untimed) checkpoint append, for format and end-of-recovery.
     pub(crate) fn append_checkpoint_raw<D: BlockDevice>(&mut self, disk: &mut D) {
-        let run = self.checkpoint_run();
-        for (addr, block) in &run {
+        for (addr, block) in &self.checkpoint_run() {
             disk.write_raw(*addr, block);
         }
-        self.stamped(run.len());
     }
 }
 
 /// Scans the ring and rebuilds the write cursor: returns the WAL, the
 /// newest checkpoint LSN (0 if none survived), and every valid batch.
+/// Recovery appends a fresh checkpoint immediately, in the slot after the
+/// newest valid frame, so nothing the scan validated is clobbered.
 pub(crate) fn scan_and_resume<D: BlockDevice>(
     disk: &D,
     start: u32,
     blocks: u32,
     group_commit: u32,
 ) -> (Wal, u64, BTreeMap<u64, Vec<WalRecord>>) {
-    let batches = scan_batches(disk, start, blocks);
-    let max_lsn = batches.keys().next_back().copied().unwrap_or(0);
+    let mut ring = Ring::new(WAL_MAGIC, start, blocks, BLOCK_SIZE);
+    let batches = decode_batches(ring.resume(disk));
     let checkpoint_lsn = batches
         .iter()
         .filter(|(_, recs)| recs.contains(&WalRecord::Checkpoint))
         .map(|(&lsn, _)| lsn)
         .next_back()
         .unwrap_or(0);
-    // Resume writing after the newest valid block of the newest batch.
-    // Recovery appends a fresh checkpoint immediately, so the exact slot
-    // only has to avoid clobbering batches the scan just validated; we
-    // find the slot holding the newest batch's last block and continue
-    // from there.
-    let mut next_slot = 0;
-    let mut best = 0u64;
-    for i in 0..blocks {
-        if let Some(bytes) = disk.read_raw(BlockAddr::new(start + i)) {
-            if let Some((lsn, block)) = decode_wal_block(bytes) {
-                let rank = lsn << 32 | u64::from(block.seq);
-                if rank >= best {
-                    best = rank;
-                    next_slot = (i + 1) % blocks;
-                }
-            }
-        }
-    }
-    let wal = Wal::resume(start, blocks, group_commit, max_lsn + 1, next_slot);
-    (wal, checkpoint_lsn, batches)
+    (Wal::over(ring, group_commit), checkpoint_lsn, batches)
 }
 
 #[cfg(test)]
@@ -914,19 +652,38 @@ mod tests {
         ]
     }
 
+    /// The ring the tests frame into: 8 slots from block 10.
+    fn test_ring() -> Ring {
+        Ring::new(WAL_MAGIC, 10, 8, BLOCK_SIZE)
+    }
+
+    /// An instant disk holding `frames`, as raw blocks.
+    fn disk_holding(frames: &[(BlockAddr, Bytes)]) -> simdisk::SimDisk {
+        use simdisk::{DiskGeometry, DiskProfile, SimDisk};
+        let mut disk = SimDisk::new(DiskGeometry::default(), DiskProfile::instant());
+        for (addr, frame) in frames {
+            disk.write_raw(*addr, frame);
+        }
+        disk
+    }
+
+    /// Every complete batch in the ring at `start`, decoded, by LSN.
+    fn scan_batches<D: BlockDevice>(
+        disk: &D,
+        start: u32,
+        blocks: u32,
+    ) -> BTreeMap<u64, Vec<WalRecord>> {
+        decode_batches(Ring::new(WAL_MAGIC, start, blocks, BLOCK_SIZE).scan(disk))
+    }
+
     #[test]
     fn records_round_trip_through_a_batch() {
         let records = sample_records();
-        let blocks = encode_batch(42, &records);
-        assert_eq!(blocks.len(), 1, "small batch fits one block");
-        let (lsn, scanned) = decode_wal_block(&blocks[0]).expect("valid block");
-        assert_eq!(lsn, 42);
-        let mut buf = scanned.payload.as_slice();
-        let count = buf.get_u32_le();
-        let decoded: Vec<WalRecord> = (0..count)
-            .map(|_| WalRecord::decode(&mut buf).unwrap())
-            .collect();
-        assert_eq!(decoded, records);
+        let frames = test_ring().frame(&encode_batch(&records));
+        assert_eq!(frames.len(), 1, "small batch fits one block");
+        let scanned = scan_batches(&disk_holding(&frames), 10, 8);
+        assert_eq!(scanned.len(), 1);
+        assert_eq!(scanned[&1], records, "the first batch carries LSN 1");
     }
 
     #[test]
@@ -943,23 +700,15 @@ mod tests {
             run: true,
             addrs: addrs.clone(),
         }];
-        let blocks = encode_batch(7, &records);
-        assert!(blocks.len() >= 3, "batch spans blocks: {}", blocks.len());
+        let frames = test_ring().frame(&encode_batch(&records));
+        assert!(frames.len() >= 3, "batch spans blocks: {}", frames.len());
 
-        use simdisk::{DiskGeometry, DiskProfile, SimDisk};
-        let mut disk = SimDisk::new(DiskGeometry::default(), DiskProfile::instant());
-        for (i, b) in blocks.iter().enumerate() {
-            disk.write_raw(BlockAddr::new(10 + i as u32), b);
-        }
-        let complete = scan_batches(&disk, 10, 8);
+        let complete = scan_batches(&disk_holding(&frames), 10, 8);
         assert_eq!(complete.len(), 1);
-        assert_eq!(complete[&7], records);
+        assert_eq!(complete[&1], records);
 
         // Tear the tail: drop the last block of the batch.
-        let mut torn = SimDisk::new(DiskGeometry::default(), DiskProfile::instant());
-        for (i, b) in blocks.iter().enumerate().take(blocks.len() - 1) {
-            torn.write_raw(BlockAddr::new(10 + i as u32), b);
-        }
+        let torn = disk_holding(&frames[..frames.len() - 1]);
         assert!(scan_batches(&torn, 10, 8).is_empty(), "torn batch dropped");
     }
 
@@ -995,7 +744,8 @@ mod tests {
             run: true,
             addrs,
         };
-        assert_eq!(encode_batch(1, std::slice::from_ref(&record)).len(), blocks);
+        let payload = encode_batch(std::slice::from_ref(&record));
+        assert_eq!(test_ring().frames_for(payload.len()), blocks);
         record
     }
 
@@ -1126,22 +876,26 @@ mod tests {
             payload: bytes::Bytes::from_static(b"parity column"),
         };
         let mut buf = Vec::new();
-        intent.encode(&mut buf);
+        intent.encode(&mut Writer::new(&mut buf));
         assert_eq!(buf.len(), intent.wire_size());
-        let mut slice = buf.as_slice();
-        assert_eq!(PrepareIntent::decode(&mut slice).unwrap(), intent);
-        assert!(slice.is_empty());
+        let mut r = Reader::new(&buf, "intent");
+        assert_eq!(PrepareIntent::decode(&mut r).unwrap(), intent);
+        assert!(r.is_empty());
         assert_eq!(intent.files(), &[LfsFileId(7)]);
     }
 
     #[test]
     fn corrupted_block_fails_its_checksum() {
-        let blocks = encode_batch(3, &sample_records());
-        let mut bad = blocks[0].to_vec();
+        let frames = test_ring().frame(&encode_batch(&sample_records()));
+        let (addr, good) = &frames[0];
+        assert_eq!(scan_batches(&disk_holding(&frames), 10, 8).len(), 1);
+        let mut bad = good.to_vec();
         bad[40] ^= 0x01;
-        assert!(decode_wal_block(&bad).is_none());
+        let flipped = disk_holding(&[(*addr, bad.into())]);
+        assert!(scan_batches(&flipped, 10, 8).is_empty());
         // And garbage is rejected outright.
-        assert!(decode_wal_block(&[0u8; BLOCK_SIZE]).is_none());
+        let blank = disk_holding(&[(*addr, vec![0u8; BLOCK_SIZE].into())]);
+        assert!(scan_batches(&blank, 10, 8).is_empty());
     }
 
     #[test]
