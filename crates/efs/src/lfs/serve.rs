@@ -71,12 +71,7 @@ pub fn spawn_lfs_sched<D: BlockDevice + 'static>(
                             // queued fails over to the surviving group
                             // members, and so does all later traffic
                             // until a spare is racked in.
-                            if let Some(t) = efs.telemetry() {
-                                t.registry.record_event(
-                                    ctx.now(),
-                                    HealthEvent::DiskLost { lfs: t.index },
-                                );
-                            }
+                            announce(ctx, &efs, |lfs| HealthEvent::DiskLost { lfs });
                             efs.publish_telemetry();
                             media_lost_drain(ctx, &mut state, &mut dedup);
                         } else {
@@ -115,15 +110,7 @@ pub fn spawn_lfs_sched<D: BlockDevice + 'static>(
                         // The instance is factory-fresh: no request ever
                         // executed on it, so the dedup window restarts.
                         dedup = DedupWindow::standard();
-                        if let Some(t) = efs.telemetry() {
-                            t.registry.record_event(
-                                ctx.now(),
-                                HealthEvent::SpareInstalled { lfs: t.index },
-                            );
-                        }
-                        if ctx.trace_enabled() {
-                            ctx.trace_instant("lfs", "lfs.spare_installed", &[]);
-                        }
+                        announce(ctx, &efs, |lfs| HealthEvent::SpareInstalled { lfs });
                     }
                     ctx.send_sized(from, LfsSpareAck { installed }, 16);
                     continue;
@@ -165,6 +152,29 @@ pub fn spawn_lfs_sched<D: BlockDevice + 'static>(
             }
         }
     })
+}
+
+/// States a health event once: the trace instant (when tracing) and the
+/// journal entry (when telemetry is armed, which is also what knows the
+/// instance's index) are made from the same value, so they cannot drift.
+fn announce<D: BlockDevice>(ctx: &Ctx, efs: &Efs<D>, event: impl FnOnce(u32) -> HealthEvent) {
+    let telemetry = efs.telemetry();
+    let event = event(telemetry.map_or(0, |t| t.index));
+    if ctx.trace_enabled() {
+        match event {
+            HealthEvent::NodeCrash { down_nanos, .. } => {
+                ctx.trace_instant("lfs", "lfs.crash", &[("down_nanos", down_nanos)])
+            }
+            HealthEvent::DiskLost { .. } => ctx.trace_instant("lfs", "lfs.media_lost", &[]),
+            HealthEvent::SpareInstalled { .. } => {
+                ctx.trace_instant("lfs", "lfs.spare_installed", &[])
+            }
+            _ => {}
+        }
+    }
+    if let Some(t) = telemetry {
+        t.registry.record_event(ctx.now(), event);
+    }
 }
 
 /// Answers request `id` of client `to` with [`EfsError::NodeFailed`]: the
@@ -293,9 +303,6 @@ fn service_batch<D: BlockDevice>(
 /// of retrying into a void. Later requests are refused at admission
 /// until an [`LfsSpareControl`] racks in a fresh medium.
 fn media_lost_drain(ctx: &mut Ctx, state: &mut SchedState, dedup: &mut DedupWindow<LfsReply>) {
-    if ctx.trace_enabled() {
-        ctx.trace_instant("lfs", "lfs.media_lost", &[]);
-    }
     for q in state.drain_all() {
         dedup.forget(q.from, q.req.id);
         refuse(ctx, q.from, q.req.id);
@@ -319,19 +326,9 @@ fn crash_recover<D: BlockDevice>(
     for q in state.drain_all() {
         dedup.forget(q.from, q.req.id);
     }
-    if let Some(t) = efs.telemetry() {
-        t.registry.record_event(
-            ctx.now(),
-            HealthEvent::NodeCrash {
-                lfs: t.index,
-                down_nanos: down.as_nanos(),
-            },
-        );
-    }
+    let down_nanos = down.as_nanos();
+    announce(ctx, efs, |lfs| HealthEvent::NodeCrash { lfs, down_nanos });
     efs.publish_telemetry();
-    if ctx.trace_enabled() {
-        ctx.trace_instant("lfs", "lfs.crash", &[("down_nanos", down.as_nanos())]);
-    }
     ctx.delay(down);
     // Messages delivered while the node was dead are lost.
     while ctx.recv_timeout(SimDuration::ZERO).is_some() {}
