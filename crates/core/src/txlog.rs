@@ -39,11 +39,11 @@
 //! it reads everything else it cannot find: abort.
 
 use crate::error::BridgeError;
-use bridge_efs::codec::{Reader, Writer};
+use bridge_efs::codec::{Reader, Wire, Writer};
 use bridge_efs::ring::{self, Ring};
 use bridge_efs::{EfsError, PrepareIntent};
 use parsim::{Ctx, SimDuration};
-use simdisk::{BlockAddr, DiskGeometry, DiskProfile, SimDisk};
+use simdisk::{BlockAddr, DiskGeometry, SimDisk};
 
 /// Magic stamped on every decision-log block.
 pub const TXLOG_MAGIC: u32 = 0x7C10_B21D;
@@ -96,32 +96,35 @@ pub struct LoggedDecision {
 fn encode(kind: u8, txn: u64, participants: &[TxParticipant]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(16 + 16 * participants.len());
     let mut w = Writer::new(&mut payload);
-    w.u8(kind).u64(txn);
+    w.put(&kind).put(&txn);
     if kind == KIND_BEGIN {
-        w.list(participants, |w, p| {
-            w.u32(p.node);
-            p.intent.encode(w);
-        });
+        w.list(participants);
     }
     payload
+}
+
+impl Wire for TxParticipant {
+    fn put(&self, w: &mut Writer<'_>) {
+        w.put(&self.node).put(&self.intent);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, EfsError> {
+        Ok(TxParticipant {
+            node: r.get()?,
+            intent: r.get()?,
+        })
+    }
 }
 
 impl TxRecord {
     /// Inverse of [`encode`].
     fn decode(payload: &[u8]) -> Result<TxRecord, EfsError> {
         let mut r = Reader::new(payload, "decision record");
-        let (kind, txn) = (r.u8()?, r.u64()?);
+        let (kind, txn): (u8, u64) = (r.get()?, r.get()?);
         match kind {
             KIND_COMMIT => Ok(TxRecord::Commit { txn }),
-            KIND_BEGIN => {
-                let participants = r.list(|r| {
-                    Ok(TxParticipant {
-                        node: r.u32()?,
-                        intent: PrepareIntent::decode(r)?,
-                    })
-                })?;
-                Ok(TxRecord::Begin { txn, participants })
-            }
+            KIND_BEGIN => r
+                .get()
+                .map(|participants| TxRecord::Begin { txn, participants }),
             k => Err(r.corrupt(format_args!("unknown kind {k}"))),
         }
     }
@@ -167,11 +170,6 @@ impl TxLog {
             disk.geometry().block_size,
         );
         TxLog { disk, ring }
-    }
-
-    /// The disk's timing profile, exposed for tests.
-    pub fn profile(&self) -> DiskProfile {
-        self.disk.profile()
     }
 
     /// Frames one record into the next ring slots and forces it as one
@@ -298,6 +296,7 @@ mod tests {
     use super::*;
     use bridge_efs::LfsFileId;
     use parsim::{SimConfig, Simulation};
+    use simdisk::DiskProfile;
 
     fn with_log<R: Send + 'static>(
         f: impl FnOnce(&mut Ctx, &mut TxLog) -> R + Send + 'static,
@@ -381,9 +380,9 @@ mod tests {
             let recs = log.scan();
             assert_eq!(recs.len(), 8, "ring keeps the last 8 records");
             assert_eq!(recs.last(), Some(&TxRecord::Commit { txn: 6 }));
-            let before = (log.ring.next_slot(), log.ring.next_stamp());
+            let before = log.ring.clone();
             log.reseat();
-            assert_eq!((log.ring.next_slot(), log.ring.next_stamp()), before);
+            assert_eq!(log.ring, before, "same slot, same stamp");
         });
     }
 
@@ -448,6 +447,30 @@ mod tests {
             assert_eq!(forced[..kill_after - 1], clean[..kill_after - 1]);
             assert_eq!(forced[kill_after - 1].1, kill_after as u64);
             assert_eq!(records.len(), kill_after, "the killing write is durable");
+        }
+    }
+
+    #[test]
+    fn a_record_truncated_at_any_byte_is_corrupt() {
+        let mut participants = parts(&[0, 5]);
+        participants[1].intent = PrepareIntent::WriteBlock {
+            file: LfsFileId(9),
+            block_no: 2,
+            payload: bytes::Bytes::from_static(b"column"),
+        };
+        let begin = encode(KIND_BEGIN, 77, &participants);
+        let commit = encode(KIND_COMMIT, 77, &[]);
+        let txn = 77;
+        assert_eq!(
+            TxRecord::decode(&begin),
+            Ok(TxRecord::Begin { txn, participants })
+        );
+        assert_eq!(TxRecord::decode(&commit), Ok(TxRecord::Commit { txn }));
+        for bytes in [begin, commit] {
+            for cut in 0..bytes.len() {
+                let read = TxRecord::decode(&bytes[..cut]);
+                assert!(matches!(read, Err(EfsError::Corrupt(_))), "cut at {cut}");
+            }
         }
     }
 

@@ -1,24 +1,33 @@
 //! The one field codec under every log record.
 //!
-//! Both logs — the per-LFS write-ahead log and the coordinator's
-//! decision log — and the frame header they share ([`crate::ring`]) are
-//! sequences of little-endian fields. A record states its layout once
-//! per direction as a chain of [`Writer`] calls and the matching chain
-//! of [`Reader`] calls; every read is checked, so a truncated or
-//! garbled record is an [`EfsError::Corrupt`] the scan can drop, never
-//! a length the caller had to count by hand in front of a panicking
-//! accessor.
+//! Both logs' records and the frame header they share ([`crate::ring`])
+//! are sequences of little-endian fields. A type states its layout once,
+//! as a [`Wire`] impl (or a row of the crate's `wire_enum!` table),
+//! and every read is checked: a truncated or garbled record is an
+//! [`EfsError::Corrupt`] the scan can drop, never a length counted by
+//! hand in front of a panicking accessor.
 //!
-//! | field   | bytes                                   |
-//! |---------|-----------------------------------------|
-//! | `u8`    | 1                                       |
-//! | `u32`   | 4, little-endian                        |
-//! | `u64`   | 8, little-endian                        |
-//! | `bytes` | `u32` length, then that many bytes      |
-//! | `list`  | `u32` count, then that many items       |
-//! | `raw`   | exactly the bytes given, no length      |
+//! | type            | bytes                                  |
+//! |-----------------|----------------------------------------|
+//! | `u8` `u32` `u64`| 1, 4, 8, little-endian                 |
+//! | `bool`          | one byte, zero or not                  |
+//! | `Bytes`         | `u32` length, then that many bytes     |
+//! | `Vec<T>`        | `u32` count, then that many `T`        |
 
 use crate::error::EfsError;
+use bytes::Bytes;
+
+/// A value with one wire layout, written and read by the same impl.
+pub trait Wire: Sized {
+    /// Appends the value.
+    fn put(&self, w: &mut Writer<'_>);
+    /// Consumes the value.
+    ///
+    /// # Errors
+    ///
+    /// [`EfsError::Corrupt`] when the bytes run out or make no sense.
+    fn get(r: &mut Reader<'_>) -> Result<Self, EfsError>;
+}
 
 /// Appends fields to a byte vector.
 #[derive(Debug)]
@@ -30,34 +39,16 @@ impl<'a> Writer<'a> {
         Writer(buf)
     }
 
-    /// One byte.
-    pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.0.push(v);
+    /// One value in its wire layout.
+    pub fn put(&mut self, v: &impl Wire) -> &mut Self {
+        v.put(self);
         self
     }
 
-    /// A little-endian `u32`.
-    pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.raw(&v.to_le_bytes())
-    }
-
-    /// A little-endian `u64`.
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.raw(&v.to_le_bytes())
-    }
-
-    /// A `u32` length, then the bytes.
-    pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
-        self.u32(v.len() as u32).raw(v)
-    }
-
-    /// A `u32` count, then each item as `each` writes it.
-    pub fn list<T>(&mut self, items: &[T], mut each: impl FnMut(&mut Self, &T)) -> &mut Self {
-        self.u32(items.len() as u32);
-        for item in items {
-            each(self, item);
-        }
-        self
+    /// A `u32` count, then each item ([`Vec`]'s layout, from a slice).
+    pub fn list(&mut self, items: &[impl Wire]) -> &mut Self {
+        self.put(&(items.len() as u32));
+        items.iter().fold(self, |w, item| w.put(item))
     }
 
     /// Exactly these bytes, with no length in front.
@@ -86,6 +77,11 @@ impl<'a> Reader<'a> {
         EfsError::Corrupt(format!("{}: {why}", self.what))
     }
 
+    /// One value in its wire layout.
+    pub fn get<T: Wire>(&mut self) -> Result<T, EfsError> {
+        T::get(self)
+    }
+
     /// Exactly `n` bytes.
     pub fn raw(&mut self, n: usize) -> Result<&'a [u8], EfsError> {
         if self.buf.len() < n {
@@ -96,93 +92,82 @@ impl<'a> Reader<'a> {
         Ok(front)
     }
 
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], EfsError> {
-        let mut out = [0; N];
-        out.copy_from_slice(self.raw(N)?);
-        Ok(out)
-    }
-
-    /// One byte.
-    pub fn u8(&mut self) -> Result<u8, EfsError> {
-        Ok(self.array::<1>()?[0])
-    }
-
-    /// A little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, EfsError> {
-        self.array().map(u32::from_le_bytes)
-    }
-
-    /// A little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, EfsError> {
-        self.array().map(u64::from_le_bytes)
-    }
-
-    /// A `u32` length, then that many bytes.
-    pub fn bytes(&mut self) -> Result<&'a [u8], EfsError> {
-        let len = self.u32()? as usize;
-        self.raw(len)
-    }
-
-    /// A `u32` count, then that many items as `each` reads them.
-    pub fn list<T>(
-        &mut self,
-        mut each: impl FnMut(&mut Self) -> Result<T, EfsError>,
-    ) -> Result<Vec<T>, EfsError> {
-        let count = self.u32()? as usize;
-        // An item is at least a byte: a count the buffer cannot hold is
-        // a lie, caught by the first short read, not by the allocator.
-        let mut items = Vec::with_capacity(count.min(self.buf.len()));
-        for _ in 0..count {
-            items.push(each(self)?);
-        }
-        Ok(items)
-    }
-
     /// Whether every byte has been consumed.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fields_round_trip_and_truncation_is_corrupt_at_every_offset() {
-        let mut buf = Vec::new();
-        Writer::new(&mut buf)
-            .u8(7)
-            .u32(0xdead_beef)
-            .u64(0x0123_4567_89ab_cdef)
-            .bytes(b"payload")
-            .list(&[3u32, 5, 8], |w, &v| {
-                w.u32(v);
-            })
-            .raw(b"tail");
-        let read = |buf: &[u8]| -> Result<(), EfsError> {
-            let mut r = Reader::new(buf, "sample");
-            assert_eq!(r.u8()?, 7);
-            assert_eq!(r.u32()?, 0xdead_beef);
-            assert_eq!(r.u64()?, 0x0123_4567_89ab_cdef);
-            assert_eq!(r.bytes()?, b"payload");
-            assert_eq!(r.list(|r| r.u32())?, [3, 5, 8]);
-            assert_eq!(r.raw(4)?, b"tail");
-            assert!(r.is_empty());
-            Ok(())
-        };
-        read(&buf).unwrap();
-        for cut in 0..buf.len() {
-            let err = read(&buf[..cut]).unwrap_err();
-            assert_eq!(err, EfsError::Corrupt("sample: truncated".into()), "{cut}");
+macro_rules! wire_int {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            fn put(&self, w: &mut Writer<'_>) {
+                w.raw(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, EfsError> {
+                let mut bytes = [0; size_of::<$int>()];
+                bytes.copy_from_slice(r.raw(size_of::<$int>())?);
+                Ok(<$int>::from_le_bytes(bytes))
+            }
         }
-    }
+    )*};
+}
+wire_int!(u8, u32, u64);
 
-    #[test]
-    fn an_absurd_count_is_corrupt_not_an_allocation() {
-        let mut buf = Vec::new();
-        Writer::new(&mut buf).u32(u32::MAX).u32(1);
-        let mut r = Reader::new(&buf, "list");
-        assert!(matches!(r.list(|r| r.u64()), Err(EfsError::Corrupt(_))));
+impl Wire for bool {
+    fn put(&self, w: &mut Writer<'_>) {
+        w.put(&u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, EfsError> {
+        Ok(r.get::<u8>()? != 0)
     }
 }
+
+impl Wire for Bytes {
+    fn put(&self, w: &mut Writer<'_>) {
+        w.put(&(self.len() as u32)).raw(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, EfsError> {
+        let len = r.get::<u32>()? as usize;
+        r.raw(len).map(Bytes::copy_from_slice)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer<'_>) {
+        w.list(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, EfsError> {
+        let count = r.get::<u32>()? as usize;
+        // An item is at least a byte: a count the buffer cannot hold is
+        // a lie, caught by the first short read, not by the allocator.
+        let mut items = Vec::with_capacity(count.min(r.buf.len()));
+        for _ in 0..count {
+            items.push(r.get()?);
+        }
+        Ok(items)
+    }
+}
+
+/// States an enum's wire layout once for both directions: per variant,
+/// its tag byte and its fields in wire order.
+macro_rules! wire_enum {
+    ($ty:ident { $($tag:literal => $variant:ident { $($field:ident),* }),+ $(,)? }) => {
+        impl $crate::codec::Wire for $ty {
+            fn put(&self, w: &mut $crate::codec::Writer<'_>) {
+                match self {$(
+                    $ty::$variant { $($field),* } => {
+                        w.put(&($tag as u8))$(.put($field))*;
+                    }
+                )+}
+            }
+            fn get(r: &mut $crate::codec::Reader<'_>) -> Result<Self, $crate::EfsError> {
+                match r.get::<u8>()? {
+                    $($tag => Ok($ty::$variant { $($field: r.get()?),* }),)+
+                    tag => Err(r.corrupt(format_args!("unknown tag {tag}"))),
+                }
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;

@@ -66,6 +66,4 @@ pub use lfs::{
 pub use retry::{
     Admission, DedupWindow, RetryPolicy, RpcClient, RpcProtocol, DEDUP_RETENTION, DEDUP_WINDOW,
 };
-pub use wal::{
-    PrepareIntent, RecoveredOp, WalConfig, WAL_BLOCK_PAYLOAD, WAL_HEADER_SIZE, WAL_MAGIC,
-};
+pub use wal::{PrepareIntent, RecoveredOp, WalConfig, WAL_MAGIC};

@@ -36,7 +36,7 @@ pub const FRAME_HEADER: usize = 32;
 
 /// One ring of frames on a block device: where it lies, and the stamp
 /// and slot its next batch takes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ring {
     magic: u32,
     start: u32,
@@ -85,16 +85,6 @@ impl Ring {
         self.slots
     }
 
-    /// The stamp the next batch carries.
-    pub fn next_stamp(&self) -> u64 {
-        self.next_stamp
-    }
-
-    /// The ring offset the next frame lands in.
-    pub fn next_slot(&self) -> u32 {
-        self.next_slot
-    }
-
     /// Frames a payload of `len` bytes takes (an empty one still takes
     /// one: the batch has to exist).
     pub fn frames_for(&self, len: usize) -> usize {
@@ -109,12 +99,12 @@ impl Ring {
     fn encode(&self, seq: u32, total: u32, chunk: &[u8]) -> Bytes {
         let mut block = Vec::with_capacity(self.block_size);
         Writer::new(&mut block)
-            .u32(self.magic)
-            .u64(self.next_stamp)
-            .u32(seq)
-            .u32(total)
-            .u32(chunk.len() as u32)
-            .u64(checksum(self.next_stamp, seq, total, chunk))
+            .put(&self.magic)
+            .put(&self.next_stamp)
+            .put(&seq)
+            .put(&total)
+            .put(&(chunk.len() as u32))
+            .put(&checksum(self.next_stamp, seq, total, chunk))
             .raw(chunk);
         block.resize(self.block_size, 0);
         block.into()
@@ -127,12 +117,12 @@ impl Ring {
             return None;
         }
         let mut r = Reader::new(block, "log frame");
-        if r.u32().ok()? != self.magic {
+        if r.get::<u32>().ok()? != self.magic {
             return None;
         }
-        let (stamp, seq, total) = (r.u64().ok()?, r.u32().ok()?, r.u32().ok()?);
-        let (len, sum) = (r.u32().ok()? as usize, r.u64().ok()?);
-        let chunk = r.raw(len).ok()?;
+        let (stamp, seq, total): (u64, u32, u32) = (r.get().ok()?, r.get().ok()?, r.get().ok()?);
+        let (len, sum): (u32, u64) = (r.get().ok()?, r.get().ok()?);
+        let chunk = r.raw(len as usize).ok()?;
         (seq < total && checksum(stamp, seq, total, chunk) == sum).then_some(Frame {
             stamp,
             seq,
@@ -162,23 +152,29 @@ impl Ring {
         run
     }
 
-    /// Every complete, checksum-valid batch on the medium, by stamp, and
-    /// the `(stamp, seq)` and slot of the newest valid frame — complete
-    /// batch or torn tail alike.
-    #[allow(clippy::type_complexity)]
-    fn read<D: BlockDevice>(
-        &self,
-        disk: &D,
-    ) -> (BTreeMap<u64, Vec<u8>>, Option<((u64, u32), u32)>) {
+    /// Every complete batch's payload, in stamp order, from raw media
+    /// (untimed, like every recovery read). Torn and corrupt batches are
+    /// dropped.
+    pub fn scan<D: BlockDevice>(&self, disk: &D) -> BTreeMap<u64, Vec<u8>> {
+        self.clone().resume(disk)
+    }
+
+    /// [`Ring::scan`], and re-seats the cursor for appending: the next
+    /// batch goes in the slot after the newest valid frame and takes the
+    /// stamp after it — past a torn tail as well as past a whole batch,
+    /// so nothing the scan validated is clobbered and no stamp is used
+    /// twice. A blank ring restarts at slot 0, stamp 1.
+    pub fn resume<D: BlockDevice>(&mut self, disk: &D) -> BTreeMap<u64, Vec<u8>> {
         let mut groups: BTreeMap<u64, Vec<Frame<'_>>> = BTreeMap::new();
-        let mut newest = None;
+        let mut newest = (0, 0);
+        (self.next_stamp, self.next_slot) = (1, 0);
         for slot in 0..self.slots {
             let Some(frame) = disk.read_raw(self.addr(slot)).and_then(|b| self.decode(b)) else {
                 continue;
             };
-            let rank = (frame.stamp, frame.seq);
-            if newest.is_none_or(|(best, _)| rank >= best) {
-                newest = Some((rank, slot));
+            if (frame.stamp, frame.seq) >= newest {
+                newest = (frame.stamp, frame.seq);
+                (self.next_stamp, self.next_slot) = (frame.stamp + 1, (slot + 1) % self.slots);
             }
             groups.entry(frame.stamp).or_default().push(frame);
         }
@@ -197,28 +193,7 @@ impl Ring {
                 )
             })
         });
-        (whole.collect(), newest)
-    }
-
-    /// Every complete batch's payload, in stamp order, from raw media
-    /// (untimed, like every recovery read). Torn and corrupt batches are
-    /// dropped.
-    pub fn scan<D: BlockDevice>(&self, disk: &D) -> BTreeMap<u64, Vec<u8>> {
-        self.read(disk).0
-    }
-
-    /// [`Ring::scan`], and re-seats the cursor for appending: the next
-    /// batch goes in the slot after the newest valid frame and takes the
-    /// stamp after it — past a torn tail as well as past a whole batch,
-    /// so nothing the scan validated is clobbered and no stamp is used
-    /// twice. A blank ring restarts at slot 0, stamp 1.
-    pub fn resume<D: BlockDevice>(&mut self, disk: &D) -> BTreeMap<u64, Vec<u8>> {
-        let (batches, newest) = self.read(disk);
-        (self.next_stamp, self.next_slot) = match newest {
-            Some(((stamp, _), slot)) => (stamp + 1, (slot + 1) % self.slots),
-            None => (1, 0),
-        };
-        batches
+        whole.collect()
     }
 }
 

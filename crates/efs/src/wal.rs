@@ -47,11 +47,11 @@
 //! policy fires once half the ring is live, and commit asserts the
 //! invariant.
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{wire_enum, Reader, Wire, Writer};
 use crate::error::EfsError;
 use crate::layout::{LfsFileId, BLOCK_SIZE};
 use crate::lfs::LfsData;
-use crate::ring::{self, Ring, FRAME_HEADER};
+use crate::ring::{self, Ring};
 use bytes::Bytes;
 use parsim::Ctx;
 use simdisk::{BlockAddr, BlockDevice};
@@ -59,12 +59,6 @@ use std::collections::BTreeMap;
 
 /// Magic tag at the front of every WAL block.
 pub const WAL_MAGIC: u32 = 0x3A11_06ED;
-
-/// Per-block WAL header bytes (the ring's frame header).
-pub const WAL_HEADER_SIZE: usize = FRAME_HEADER;
-
-/// Record payload bytes that fit in one log block.
-pub const WAL_BLOCK_PAYLOAD: usize = BLOCK_SIZE - WAL_HEADER_SIZE;
 
 /// WAL tuning knobs for one EFS instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,43 +151,53 @@ impl PrepareIntent {
             PrepareIntent::WriteBlock { payload, .. } => 13 + payload.len(),
         }
     }
+}
 
-    /// Serializes the intent: a kind byte, then the file list or the
-    /// block write. Public so the coordinator's decision log embeds
-    /// intents in its BEGIN records in the exact format the participant
-    /// WALs use.
-    pub fn encode(&self, w: &mut Writer<'_>) {
-        let files = |w: &mut Writer<'_>, f: &LfsFileId| {
-            w.u32(f.0);
-        };
+/// A kind byte, then the file list or the block write. The coordinator's
+/// decision log embeds intents in its BEGIN records through this same
+/// impl, so both logs hold them in one format.
+impl Wire for PrepareIntent {
+    fn put(&self, w: &mut Writer<'_>) {
         match self {
-            PrepareIntent::CreateFiles(f) => w.u8(0).list(f, files),
-            PrepareIntent::DeleteFiles(f) => w.u8(1).list(f, files),
+            PrepareIntent::CreateFiles(files) => w.put(&0u8).put(files),
+            PrepareIntent::DeleteFiles(files) => w.put(&1u8).put(files),
             PrepareIntent::WriteBlock {
                 file,
                 block_no,
                 payload,
-            } => w.u8(2).u32(file.0).u32(*block_no).bytes(payload),
+            } => w.put(&2u8).put(file).put(block_no).put(payload),
         };
     }
 
-    /// Inverse of [`PrepareIntent::encode`].
-    ///
-    /// # Errors
-    ///
-    /// [`EfsError::Corrupt`] on truncation or an unknown kind byte.
-    pub fn decode(r: &mut Reader<'_>) -> Result<PrepareIntent, EfsError> {
-        let files = |r: &mut Reader<'_>| r.list(|r| r.u32().map(LfsFileId));
-        match r.u8()? {
-            0 => files(r).map(PrepareIntent::CreateFiles),
-            1 => files(r).map(PrepareIntent::DeleteFiles),
+    fn get(r: &mut Reader<'_>) -> Result<Self, EfsError> {
+        match r.get::<u8>()? {
+            0 => r.get().map(PrepareIntent::CreateFiles),
+            1 => r.get().map(PrepareIntent::DeleteFiles),
             2 => Ok(PrepareIntent::WriteBlock {
-                file: LfsFileId(r.u32()?),
-                block_no: r.u32()?,
-                payload: Bytes::copy_from_slice(r.bytes()?),
+                file: r.get()?,
+                block_no: r.get()?,
+                payload: r.get()?,
             }),
-            k => Err(r.corrupt(format_args!("unknown intent kind {k}"))),
+            kind => Err(r.corrupt(format_args!("unknown intent kind {kind}"))),
         }
+    }
+}
+
+impl Wire for LfsFileId {
+    fn put(&self, w: &mut Writer<'_>) {
+        w.put(&self.0);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, EfsError> {
+        r.get().map(LfsFileId)
+    }
+}
+
+impl Wire for BlockAddr {
+    fn put(&self, w: &mut Writer<'_>) {
+        w.put(&self.index());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, EfsError> {
+        r.get().map(BlockAddr::new)
     }
 }
 
@@ -287,120 +291,17 @@ pub struct RecoveredOp {
     pub reply: LfsData,
 }
 
+// The records' wire layouts: tag byte, then the fields in this order.
+wire_enum!(WalRecord {
+    1 => Create { client, id, file },
+    2 => SetChain { client, id, file, first, last, size, run, addrs },
+    3 => Delete { client, id, file, freed },
+    4 => Checkpoint {},
+    5 => Prepare { client, id, txn, freed, intent },
+    6 => Decide { client, id, txn, commit, freed, intent },
+});
+
 impl WalRecord {
-    fn encode(&self, w: &mut Writer<'_>) {
-        let addr = |w: &mut Writer<'_>, a: &BlockAddr| {
-            w.u32(a.index());
-        };
-        match self {
-            WalRecord::Create { client, id, file } => {
-                w.u8(1).u32(*client).u64(*id).u32(file.0);
-            }
-            WalRecord::SetChain {
-                client,
-                id,
-                file,
-                first,
-                last,
-                size,
-                run,
-                addrs,
-            } => {
-                w.u8(2).u32(*client).u64(*id).u32(file.0);
-                w.u32(first.index()).u32(last.index()).u32(*size);
-                w.u8(u8::from(*run)).list(addrs, addr);
-            }
-            WalRecord::Delete {
-                client,
-                id,
-                file,
-                freed,
-            } => {
-                w.u8(3).u32(*client).u64(*id).u32(file.0).u32(*freed);
-            }
-            WalRecord::Checkpoint => {
-                w.u8(4);
-            }
-            WalRecord::Prepare {
-                client,
-                id,
-                txn,
-                intent,
-                freed,
-            } => {
-                w.u8(5).u32(*client).u64(*id).u64(*txn).u32(*freed);
-                intent.encode(w);
-            }
-            WalRecord::Decide {
-                client,
-                id,
-                txn,
-                commit,
-                intent,
-                freed,
-            } => {
-                w.u8(6).u32(*client).u64(*id).u64(*txn);
-                w.u8(u8::from(*commit)).u32(*freed);
-                intent.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<WalRecord, EfsError> {
-        let tag = r.u8()?;
-        if tag == 4 {
-            return Ok(WalRecord::Checkpoint);
-        }
-        let (client, id) = (r.u32()?, r.u64()?);
-        match tag {
-            1 => Ok(WalRecord::Create {
-                client,
-                id,
-                file: LfsFileId(r.u32()?),
-            }),
-            2 => Ok(WalRecord::SetChain {
-                client,
-                id,
-                file: LfsFileId(r.u32()?),
-                first: BlockAddr::new(r.u32()?),
-                last: BlockAddr::new(r.u32()?),
-                size: r.u32()?,
-                run: r.u8()? != 0,
-                addrs: r.list(|r| r.u32().map(BlockAddr::new))?,
-            }),
-            3 => Ok(WalRecord::Delete {
-                client,
-                id,
-                file: LfsFileId(r.u32()?),
-                freed: r.u32()?,
-            }),
-            5 => {
-                let (txn, freed) = (r.u64()?, r.u32()?);
-                let intent = PrepareIntent::decode(r)?;
-                Ok(WalRecord::Prepare {
-                    client,
-                    id,
-                    txn,
-                    intent,
-                    freed,
-                })
-            }
-            6 => {
-                let (txn, commit, freed) = (r.u64()?, r.u8()? != 0, r.u32()?);
-                let intent = PrepareIntent::decode(r)?;
-                Ok(WalRecord::Decide {
-                    client,
-                    id,
-                    txn,
-                    commit,
-                    intent,
-                    freed,
-                })
-            }
-            t => Err(r.corrupt(format_args!("unknown tag {t}"))),
-        }
-    }
-
     /// The recovered-reply view of an op record (`None` for checkpoints).
     pub(crate) fn recovered(&self) -> Option<RecoveredOp> {
         let (client, id, reply) = match self {
@@ -454,20 +355,17 @@ impl WalRecord {
 /// One batch's payload: the record count, then the records.
 fn encode_batch(records: &[WalRecord]) -> Vec<u8> {
     let mut payload = Vec::new();
-    Writer::new(&mut payload).list(records, |w, r| r.encode(w));
+    Writer::new(&mut payload).list(records);
     payload
 }
 
-/// Inverse of [`encode_batch`].
-fn decode_batch(payload: &[u8]) -> Result<Vec<WalRecord>, EfsError> {
-    Reader::new(payload, "wal record").list(WalRecord::decode)
-}
-
-/// All complete batches the ring scan found whose records decode, by LSN.
+/// All complete batches the ring scan found whose records decode
+/// (the inverse of [`encode_batch`]), by LSN.
 fn decode_batches(payloads: BTreeMap<u64, Vec<u8>>) -> BTreeMap<u64, Vec<WalRecord>> {
-    let decoded = payloads
-        .into_iter()
-        .filter_map(|(lsn, payload)| Some((lsn, decode_batch(&payload).ok()?)));
+    let decoded = payloads.into_iter().filter_map(|(lsn, payload)| {
+        let records = Reader::new(&payload, "wal record").get().ok()?;
+        Some((lsn, records))
+    });
     decoded.collect()
 }
 
@@ -732,7 +630,7 @@ mod tests {
 
     /// A record that fills `blocks` log blocks on its own.
     fn record_of(blocks: usize) -> WalRecord {
-        let addrs = (blocks - 1) * WAL_BLOCK_PAYLOAD / 4 + 8;
+        let addrs = (blocks - 1) * (BLOCK_SIZE - crate::ring::FRAME_HEADER) / 4 + 8;
         let addrs: Vec<BlockAddr> = (0..addrs as u32).map(BlockAddr::new).collect();
         let record = WalRecord::SetChain {
             client: 1,
@@ -876,10 +774,10 @@ mod tests {
             payload: bytes::Bytes::from_static(b"parity column"),
         };
         let mut buf = Vec::new();
-        intent.encode(&mut Writer::new(&mut buf));
+        Writer::new(&mut buf).put(&intent);
         assert_eq!(buf.len(), intent.wire_size());
         let mut r = Reader::new(&buf, "intent");
-        assert_eq!(PrepareIntent::decode(&mut r).unwrap(), intent);
+        assert_eq!(r.get::<PrepareIntent>().unwrap(), intent);
         assert!(r.is_empty());
         assert_eq!(intent.files(), &[LfsFileId(7)]);
     }
@@ -896,6 +794,37 @@ mod tests {
         // And garbage is rejected outright.
         let blank = disk_holding(&[(*addr, vec![0u8; BLOCK_SIZE].into())]);
         assert!(scan_batches(&blank, 10, 8).is_empty());
+    }
+
+    #[test]
+    fn a_record_truncated_at_any_byte_is_corrupt() {
+        let intent = PrepareIntent::CreateFiles(vec![LfsFileId(4), LfsFileId(5)]);
+        let mut records = sample_records();
+        records.push(WalRecord::Checkpoint);
+        records.push(WalRecord::Prepare {
+            client: 1,
+            id: 2,
+            txn: 3,
+            intent: intent.clone(),
+            freed: 0,
+        });
+        records.push(WalRecord::Decide {
+            client: 1,
+            id: 4,
+            txn: 3,
+            commit: false,
+            intent,
+            freed: 0,
+        });
+        for record in records {
+            let mut bytes = Vec::new();
+            Writer::new(&mut bytes).put(&record);
+            let read = |bytes| Reader::new(bytes, "wal record").get::<WalRecord>();
+            assert_eq!(read(&bytes), Ok(record));
+            for cut in 0..bytes.len() {
+                assert!(matches!(read(&bytes[..cut]), Err(EfsError::Corrupt(_))));
+            }
+        }
     }
 
     #[test]

@@ -316,6 +316,75 @@ fn server_kill_sweep_is_not_inert() {
     );
 }
 
+/// The same sweep where a decision record spans log frames: at p = 512
+/// a Create's BEGIN names 512 participants and takes two frames, so the
+/// coordinator's write ordinals are BEGIN·1, BEGIN·2, COMMIT — and a
+/// kill on the first leaves a *torn* BEGIN, a record the log scan drops
+/// while 512 participants hold its PREPAREs. Every cut must leave all of
+/// the create or none of it: the transcript (file id, appends, read-back,
+/// the closing machine-wide pfsck) is the fault-free one.
+#[test]
+fn server_kill_at_every_frame_of_a_wide_begin_preserves_atomicity() {
+    const WIDE: u32 = 512;
+    fn wide_create(crashes: Vec<CrashAt>) -> Vec<String> {
+        let plan = FaultPlan {
+            seed: 0x0C4A_0007,
+            crashes,
+            ..FaultPlan::none()
+        };
+        let config = BridgeConfig::instant(WIDE).with_2pc().with_faults(plan);
+        let (mut sim, machine) = BridgeMachine::build(&config);
+        let server = machine.server;
+        let pairs: Vec<(ProcId, NodeId)> = machine
+            .lfs
+            .iter()
+            .copied()
+            .zip(machine.lfs_nodes.iter().copied())
+            .collect();
+        let retry = config.server.lfs_retry;
+        sim.block_on(machine.frontend, "wide-client", move |ctx| {
+            let mut bridge = BridgeClient::with_retry(server, retry);
+            let file = bridge.create(ctx, CreateSpec::default()).expect("create");
+            let mut log = vec![format!("create -> {file:?}")];
+            for i in 0..3 {
+                let n = bridge
+                    .seq_write(ctx, file, content(0xB1, i))
+                    .expect("append");
+                log.push(format!("append[{i}] -> {n}"));
+            }
+            let info = bridge.open(ctx, file).expect("open");
+            let mut line = format!("read size={}:", info.size);
+            while let Some(block) = bridge.seq_read(ctx, file).expect("seq read") {
+                write!(line, " {:016x}", fnv(&block)).unwrap();
+            }
+            log.push(line);
+            let options = FsckOptions {
+                retry,
+                server: Some(server),
+                ..FsckOptions::default()
+            };
+            let verdict = pfsck(ctx, &pairs, &options).expect("pfsck");
+            log.push(format!(
+                "pfsck clean={} repaired={} errors={:?}",
+                verdict.clean(),
+                verdict.repaired,
+                verdict.errors(),
+            ));
+            log
+        })
+    }
+    let baseline = wide_create(Vec::new());
+    assert!(baseline.last().unwrap().starts_with("pfsck clean=true"));
+    for k in 1..=3 {
+        let crashed = wide_create(vec![CrashAt {
+            disk: SERVER_DISK,
+            after_writes: k,
+            down: SimDuration::from_millis(300),
+        }]);
+        assert_eq!(crashed, baseline, "server write {k}/3 of the wide create");
+    }
+}
+
 /// The participant side: on the 2PC machine, kill each LFS node after
 /// every elementary write of its disk — now including the PREPARE records
 /// (a node dies holding a tentative intent whose vote never leaves) and
