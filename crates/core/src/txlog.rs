@@ -90,17 +90,14 @@ pub struct LoggedDecision {
     pub participants: Vec<TxParticipant>,
 }
 
-/// A record's payload: its kind, its transaction and — for a BEGIN —
-/// the participants, borrowed (the coordinator logs the participants it
-/// is about to drive, without cloning them).
-fn encode(kind: u8, txn: u64, participants: &[TxParticipant]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(16 + 16 * participants.len());
-    let mut w = Writer::new(&mut payload);
+/// A record's layout: its kind, its transaction and — for a BEGIN — the
+/// participants, borrowed (the coordinator logs the participants it is
+/// about to drive, without cloning them).
+fn put_record(w: &mut Writer<'_>, kind: u8, txn: u64, participants: &[TxParticipant]) {
     w.put(&kind).put(&txn);
     if kind == KIND_BEGIN {
         w.list(participants);
     }
-    payload
 }
 
 impl Wire for TxParticipant {
@@ -116,7 +113,7 @@ impl Wire for TxParticipant {
 }
 
 impl TxRecord {
-    /// Inverse of [`encode`].
+    /// Inverse of [`put_record`].
     fn decode(payload: &[u8]) -> Result<TxRecord, EfsError> {
         let mut r = Reader::new(payload, "decision record");
         let (kind, txn): (u8, u64) = (r.get()?, r.get()?);
@@ -178,8 +175,9 @@ impl TxLog {
     /// before the disk goes dead, so the caller must consult
     /// [`TxLog::crash_down`] — not the write result — to learn whether
     /// the server survived.
-    fn append(&mut self, ctx: &mut Ctx, payload: &[u8]) {
-        let _ = ring::force(ctx, &mut self.disk, &self.ring.frame(payload));
+    fn append(&mut self, ctx: &mut Ctx, kind: u8, txn: u64, participants: &[TxParticipant]) {
+        let payload = Writer::encode(|w| put_record(w, kind, txn, participants));
+        let _ = ring::force(ctx, &mut self.disk, &self.ring.frame(&payload));
     }
 
     /// The breadth rule: a BEGIN naming `participants` must fit in the
@@ -191,9 +189,8 @@ impl TxLog {
     ///
     /// [`BridgeError::TxnTooLarge`] with the frames the BEGIN needs.
     pub fn admit(&self, participants: &[TxParticipant]) -> Result<(), BridgeError> {
-        let frames = self
-            .ring
-            .frames_for(encode(KIND_BEGIN, 0, participants).len()) as u32;
+        let len = Writer::measure(|w| put_record(w, KIND_BEGIN, 0, participants));
+        let frames = self.ring.frames_for(len) as u32;
         if frames < self.ring.slots() {
             Ok(())
         } else {
@@ -208,13 +205,13 @@ impl TxLog {
     /// Check [`TxLog::crash_down`] afterwards — any of the record's
     /// frames may be the write the crash schedule kills the server on.
     pub fn begin(&mut self, ctx: &mut Ctx, txn: u64, participants: &[TxParticipant]) {
-        self.append(ctx, &encode(KIND_BEGIN, txn, participants));
+        self.append(ctx, KIND_BEGIN, txn, participants);
     }
 
     /// Logs the commit point for `txn`. Check [`TxLog::crash_down`]
     /// afterwards, exactly as for [`TxLog::begin`].
     pub fn commit(&mut self, ctx: &mut Ctx, txn: u64) {
-        self.append(ctx, &encode(KIND_COMMIT, txn, &[]));
+        self.append(ctx, KIND_COMMIT, txn, &[]);
     }
 
     /// `Some(down)` while the log device is dead under a crash kill: the
@@ -458,8 +455,8 @@ mod tests {
             block_no: 2,
             payload: bytes::Bytes::from_static(b"column"),
         };
-        let begin = encode(KIND_BEGIN, 77, &participants);
-        let commit = encode(KIND_COMMIT, 77, &[]);
+        let begin = Writer::encode(|w| put_record(w, KIND_BEGIN, 77, &participants));
+        let commit = Writer::encode(|w| put_record(w, KIND_COMMIT, 77, &[]));
         let txn = 77;
         assert_eq!(
             TxRecord::decode(&begin),

@@ -29,14 +29,35 @@ pub trait Wire: Sized {
     fn get(r: &mut Reader<'_>) -> Result<Self, EfsError>;
 }
 
-/// Appends fields to a byte vector.
+/// Appends fields to a byte vector — or, with no vector, only counts
+/// them, so a size is read off the layout instead of restated beside it.
 #[derive(Debug)]
-pub struct Writer<'a>(&'a mut Vec<u8>);
+pub struct Writer<'a> {
+    buf: Option<&'a mut Vec<u8>>,
+    len: usize,
+}
 
 impl<'a> Writer<'a> {
     /// A writer appending to `buf`.
     pub fn new(buf: &'a mut Vec<u8>) -> Self {
-        Writer(buf)
+        Writer {
+            buf: Some(buf),
+            len: 0,
+        }
+    }
+
+    /// The bytes `fill` would write, without writing (or copying) them.
+    pub fn measure(fill: impl FnOnce(&mut Writer<'_>)) -> usize {
+        let mut w = Writer { buf: None, len: 0 };
+        fill(&mut w);
+        w.len
+    }
+
+    /// What `fill` writes, in a vector allocated once at that size.
+    pub fn encode(fill: impl Fn(&mut Writer<'_>)) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(Writer::measure(&fill));
+        fill(&mut Writer::new(&mut buf));
+        buf
     }
 
     /// One value in its wire layout.
@@ -53,7 +74,10 @@ impl<'a> Writer<'a> {
 
     /// Exactly these bytes, with no length in front.
     pub fn raw(&mut self, v: &[u8]) -> &mut Self {
-        self.0.extend_from_slice(v);
+        self.len += v.len();
+        if let Some(buf) = &mut self.buf {
+            buf.extend_from_slice(v);
+        }
         self
     }
 }

@@ -146,10 +146,9 @@ impl PrepareIntent {
     /// Encoded size in bytes, which doubles as the simulated wire size of
     /// a request carrying this intent.
     pub fn wire_size(&self) -> usize {
-        match self {
-            PrepareIntent::CreateFiles(f) | PrepareIntent::DeleteFiles(f) => 5 + f.len() * 4,
-            PrepareIntent::WriteBlock { payload, .. } => 13 + payload.len(),
-        }
+        Writer::measure(|w| {
+            w.put(self);
+        })
     }
 }
 
@@ -354,9 +353,9 @@ impl WalRecord {
 
 /// One batch's payload: the record count, then the records.
 fn encode_batch(records: &[WalRecord]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    Writer::new(&mut payload).list(records);
-    payload
+    Writer::encode(|w| {
+        w.list(records);
+    })
 }
 
 /// All complete batches the ring scan found whose records decode
