@@ -21,22 +21,19 @@
 //! history to `pfsck` so the machine-wide pass can resolve orphaned columns
 //! the same way a recovering participant would.
 //!
-//! The log is the same frame-and-ring mechanism the per-LFS write-ahead
-//! logs run on ([`bridge_efs::ring`]), with its records through the same
-//! field codec ([`bridge_efs::codec`]); what is this log's own is the
-//! two records and the policy. A record is one forced device run of as
-//! many frames as it needs — one for a COMMIT and for the BEGIN of any
-//! machine up to ~300 nodes wide, so a machine-wide op is exactly writes
-//! `2k−1` and `2k` there and the "Nth elementary write" crash-sweep
-//! arithmetic stays exact. The ring *overwrites its oldest record*: a
-//! decision is only needed while some participant may still be in doubt,
-//! i.e. within one coordinator round trip of the COMMIT, so nothing is
-//! ever checkpointed. The one rule on top ([`TxLog::admit`]): a BEGIN must
-//! fit in the ring beside its own COMMIT, or the COMMIT would tear the
-//! BEGIN it decides; a transaction wider than that is refused before
-//! anything is sent. A crash inside a multi-frame BEGIN leaves a torn
-//! record the scan drops — no BEGIN at all, which presumed abort reads as
-//! it reads everything else it cannot find: abort.
+//! The log is the frame-and-ring mechanism the per-LFS write-ahead logs
+//! run on ([`bridge_efs::ring`]), its records laid out by the same field
+//! codec ([`bridge_efs::codec`]); what is this log's own is the two
+//! records and the policy. A record is one forced device run of as many
+//! frames as it needs — one for a COMMIT and for the BEGIN of any machine
+//! up to ~240 nodes wide, where a machine-wide op is exactly writes
+//! `2k−1` and `2k` and the "Nth elementary write" crash-sweep arithmetic
+//! stays exact. The ring *overwrites its oldest record*: a decision is
+//! only needed within one coordinator round trip of the COMMIT, so
+//! nothing is checkpointed. The one rule on top is [`TxLog::admit`]. A
+//! crash inside a multi-frame BEGIN leaves a torn record the scan drops —
+//! no BEGIN at all, which presumed abort reads as it reads everything
+//! else it cannot find.
 
 use crate::error::BridgeError;
 use bridge_efs::codec::{Reader, Wire, Writer};
@@ -190,14 +187,11 @@ impl TxLog {
     /// [`BridgeError::TxnTooLarge`] with the frames the BEGIN needs.
     pub fn admit(&self, participants: &[TxParticipant]) -> Result<(), BridgeError> {
         let len = Writer::measure(|w| put_record(w, KIND_BEGIN, 0, participants));
-        let frames = self.ring.frames_for(len) as u32;
-        if frames < self.ring.slots() {
+        let (frames, ring) = (self.ring.frames_for(len) as u32, self.ring.slots());
+        if frames < ring {
             Ok(())
         } else {
-            Err(BridgeError::TxnTooLarge {
-                frames,
-                ring: self.ring.slots(),
-            })
+            Err(BridgeError::TxnTooLarge { frames, ring })
         }
     }
 

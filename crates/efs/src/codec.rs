@@ -115,11 +115,6 @@ impl<'a> Reader<'a> {
         self.buf = rest;
         Ok(front)
     }
-
-    /// Whether every byte has been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
 macro_rules! wire_int {

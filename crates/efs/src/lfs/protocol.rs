@@ -9,6 +9,8 @@ use crate::wal::PrepareIntent;
 use bytes::Bytes;
 use parsim::{Ctx, ProcId};
 use simdisk::BlockAddr;
+#[cfg(doc)]
+use {crate::fs::Efs, simdisk::BlockDevice};
 
 /// A request to an LFS server process.
 #[derive(Debug, Clone)]

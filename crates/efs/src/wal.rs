@@ -777,7 +777,7 @@ mod tests {
         assert_eq!(buf.len(), intent.wire_size());
         let mut r = Reader::new(&buf, "intent");
         assert_eq!(r.get::<PrepareIntent>().unwrap(), intent);
-        assert!(r.is_empty());
+        assert!(r.raw(1).is_err(), "every byte consumed");
         assert_eq!(intent.files(), &[LfsFileId(7)]);
     }
 

@@ -112,7 +112,7 @@ fn truncation_is_corrupt<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
     Writer::new(&mut bytes).put(value);
     let mut whole = Reader::new(&bytes, "sample");
     assert_eq!(&whole.get::<T>().unwrap(), value);
-    assert!(whole.is_empty());
+    assert!(whole.raw(1).is_err(), "every byte consumed");
     for cut in 0..bytes.len() {
         let err = Reader::new(&bytes[..cut], "sample").get::<T>().unwrap_err();
         assert_eq!(err, EfsError::Corrupt("sample: truncated".into()), "{cut}");
