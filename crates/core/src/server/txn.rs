@@ -293,13 +293,18 @@ impl Server {
         // the abort carries an empty intent — a participant that holds
         // the PREPARE undoes its own, the rest have nothing to undo.
         let torn = !committed && in_doubt.as_ref().is_none_or(|d| d.txn != txn);
-        let everyone = (0..self.breadth()).map(|node| TxParticipant {
-            node,
-            intent: PrepareIntent::CreateFiles(Vec::new()),
-        });
-        let unlogged = torn.then(|| (txn, everyone.collect()));
-        let logged = in_doubt.map(|d| (d.txn, d.participants));
-        for (doubted, participants) in logged.into_iter().chain(unlogged) {
+        let mut doubted: Vec<_> = in_doubt
+            .map(|d| (d.txn, d.participants))
+            .into_iter()
+            .collect();
+        if torn {
+            let everyone = (0..self.breadth()).map(|node| TxParticipant {
+                node,
+                intent: PrepareIntent::CreateFiles(Vec::new()),
+            });
+            doubted.push((txn, everyone.collect()));
+        }
+        for (doubted, participants) in doubted {
             // Presumed abort: no decision on record means abort. Driving
             // the rollback now (rather than waiting for participants to
             // ask) keeps the client-visible retry path simple: by the

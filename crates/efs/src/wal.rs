@@ -442,13 +442,13 @@ impl Wal {
             return Ok(0);
         }
         let records = std::mem::take(&mut self.pending);
-        let payload = encode_batch(&records);
-        self.since_ckpt += self.ring.frames_for(payload.len()) as u32;
+        let run = self.ring.frame(&encode_batch(&records));
+        self.since_ckpt += run.len() as u32;
         assert!(
             self.since_ckpt <= self.ring.slots(),
             "wal batch would overwrite records since the last checkpoint"
         );
-        ring::force(ctx, disk, &self.ring.frame(&payload))?;
+        ring::force(ctx, disk, &run)?;
         self.commits += 1;
         Ok(records.len())
     }
