@@ -30,8 +30,8 @@
 
 use bridge_bench::report::{count, secs, Table};
 use bridge_bench::results::{emit, Metric};
-use bridge_bench::{paper_machine_on, write_workload, SCALE_PROCESSORS};
-use bridge_core::BridgeClient;
+use bridge_bench::{write_workload, SCALE_PROCESSORS};
+use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine};
 use bridge_tools::{copy, ToolOptions};
 use parsim::{Engine, ProcId, RunStats, SimConfig, SimDuration, Simulation};
 use std::time::Instant;
@@ -71,12 +71,13 @@ impl Row {
     }
 }
 
-/// Write-then-copy of [`BLOCKS`] records on the paper machine at breadth
-/// `p`, pinned to `engine`, with host wall-clock split into machine
-/// build and run phases.
+/// Write-then-copy of [`BLOCKS`] records on the stock machine
+/// ([`BridgeConfig::paper`], Create fanned out through the agents) at
+/// breadth `p`, pinned to `engine`, with host wall-clock split into
+/// machine build and run phases.
 fn run_copy(p: u32, engine: Engine) -> Row {
     let t0 = Instant::now();
-    let (mut sim, machine) = paper_machine_on(p, engine);
+    let (mut sim, machine) = BridgeMachine::build(&BridgeConfig::paper(p).with_engine(engine));
     let build_wall = t0.elapsed().as_secs_f64();
     let server = machine.server;
     let t0 = Instant::now();

@@ -7,20 +7,25 @@
 //! 1. **Create**: "the initiation and termination are sequential, leading
 //!    to an almost linear increase in overhead for additional processors.
 //!    Performance could be improved somewhat by sending startup and
-//!    completion messages through an embedded binary tree."
+//!    completion messages through an embedded binary tree." The fan-out
+//!    is one routine with an arity; the first table sweeps it, and is what
+//!    `BridgeServerConfig::default()`'s arity of 2 rests on.
 //! 2. **Tool worker startup**: the copy tool's O(n/p + log p) bound
 //!    assumes tree-structured worker creation.
 
 use bridge_bench::profile::Profiler;
 use bridge_bench::report::Table;
 use bridge_bench::write_workload;
-use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateFanout, CreateSpec};
+use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, SERIAL_ARITY};
 use bridge_tools::{copy, Fanout, ToolOptions};
 use parsim::{SimDuration, TracerHandle};
 
-fn create_time(p: u32, fanout: CreateFanout) -> SimDuration {
+/// The arities swept, the serial sequence last.
+const ARITIES: [u32; 5] = [2, 3, 4, 8, SERIAL_ARITY];
+
+fn create_time(p: u32, arity: u32) -> SimDuration {
     let mut config = BridgeConfig::paper(p);
-    config.server.create_fanout = fanout;
+    config.server.create_arity = arity;
     let (mut sim, machine) = BridgeMachine::build(&config);
     let server = machine.server;
     sim.block_on(machine.frontend, "bench", move |ctx| {
@@ -37,12 +42,12 @@ fn create_time(p: u32, fanout: CreateFanout) -> SimDuration {
 fn copy_time(
     p: u32,
     blocks: u64,
-    create: CreateFanout,
+    create_arity: u32,
     workers: Fanout,
     tracer: Option<TracerHandle>,
 ) -> SimDuration {
     let mut config = BridgeConfig::paper(p);
-    config.server.create_fanout = create;
+    config.server.create_arity = create_arity;
     config.tracer = tracer;
     let (mut sim, machine) = BridgeMachine::build(&config);
     let server = machine.server;
@@ -62,17 +67,24 @@ fn main() {
     println!("## Ablation A4 — serial vs embedded-binary-tree startup\n");
     let mut profiler = Profiler::new("ablate_tree_start");
 
-    println!("### Create (Table 2's serial 145 + 17.5p vs the paper's suggested tree)");
-    let mut t = Table::new(["p", "serial create", "tree create", "tree advantage"]);
-    for &p in &[4u32, 8, 16, 32, 64] {
-        let serial = create_time(p, CreateFanout::Serial);
-        let tree = create_time(p, CreateFanout::Tree);
-        t.row([
-            p.to_string(),
-            format!("{:.0} ms", serial.as_millis_f64()),
-            format!("{:.0} ms", tree.as_millis_f64()),
-            format!("{:.2}x", serial.as_secs_f64() / tree.as_secs_f64()),
-        ]);
+    println!("### Create, virtual ms, by fan-out arity (serial = Table 2's 145 + 17.5p)");
+    let mut t = Table::new(["p", "2", "3", "4", "8", "serial", "best", "serial / 2"]);
+    for &p in &[8u32, 32, 64, 256, 1024] {
+        let times = ARITIES.map(|arity| create_time(p, arity));
+        let best = (0..ARITIES.len())
+            .min_by_key(|&i| times[i])
+            .expect("arities");
+        let mut row = vec![p.to_string()];
+        row.extend(times.iter().map(|d| format!("{:.0}", d.as_millis_f64())));
+        row.push(match ARITIES[best] {
+            SERIAL_ARITY => "serial".into(),
+            arity => arity.to_string(),
+        });
+        row.push(format!(
+            "{:.2}x",
+            times[4].as_secs_f64() / times[0].as_secs_f64()
+        ));
+        t.row(row);
     }
     t.print();
 
@@ -83,18 +95,12 @@ fn main() {
         let tracer = (p == 64)
             .then(|| profiler.arm("copy_start_p64_serial"))
             .flatten();
-        let serial = copy_time(
-            p,
-            u64::from(p),
-            CreateFanout::Serial,
-            Fanout::Serial,
-            tracer,
-        );
+        let serial = copy_time(p, u64::from(p), SERIAL_ARITY, Fanout::Serial, tracer);
         profiler.capture();
         let tracer = (p == 64)
             .then(|| profiler.arm("copy_start_p64_tree"))
             .flatten();
-        let tree = copy_time(p, u64::from(p), CreateFanout::Tree, Fanout::Tree, tracer);
+        let tree = copy_time(p, u64::from(p), 2, Fanout::Tree, tracer);
         profiler.capture();
         t.row([
             p.to_string(),
@@ -108,8 +114,8 @@ fn main() {
     println!("\n### Copy tool, I/O-dominated (2048-block file): startup is in the noise");
     let mut t = Table::new(["p", "all-serial", "all-tree", "advantage"]);
     for &p in &[8u32, 32] {
-        let serial = copy_time(p, 2048, CreateFanout::Serial, Fanout::Serial, None);
-        let tree = copy_time(p, 2048, CreateFanout::Tree, Fanout::Tree, None);
+        let serial = copy_time(p, 2048, SERIAL_ARITY, Fanout::Serial, None);
+        let tree = copy_time(p, 2048, 2, Fanout::Tree, None);
         t.row([
             p.to_string(),
             format!("{:.1} s", serial.as_secs_f64()),

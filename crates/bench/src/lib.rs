@@ -14,7 +14,9 @@ pub mod report;
 pub mod results;
 pub mod workload;
 
-use bridge_core::{BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec};
+use bridge_core::{
+    BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, SERIAL_ARITY,
+};
 use parsim::{Ctx, SimDuration};
 
 /// The paper's experiment file: 10 MB of block-sized records.
@@ -43,16 +45,26 @@ pub fn file_blocks() -> u64 {
     PAPER_FILE_BLOCKS / scale()
 }
 
+/// The prototype as the paper measured it, at breadth `p`:
+/// [`BridgeConfig::paper`] with Create's fan-out at the serial arity, so
+/// Tables 2–4 price the sequence the paper's figures come from. Every
+/// `paper_machine*` builder starts here.
+pub fn paper_config(p: u32) -> BridgeConfig {
+    let mut config = BridgeConfig::paper(p);
+    config.server.create_arity = SERIAL_ARITY;
+    config
+}
+
 /// Builds the paper's machine at breadth `p`.
 pub fn paper_machine(p: u32) -> (parsim::Simulation, BridgeMachine) {
-    BridgeMachine::build(&BridgeConfig::paper(p))
+    BridgeMachine::build(&paper_config(p))
 }
 
 /// Builds the paper's machine at breadth `p`, pinned to `engine`. The
 /// engine-equivalence tests and the `ablate_sim_scale` bench run the same
 /// machine on both engines and assert bit-identical results.
 pub fn paper_machine_on(p: u32, engine: parsim::Engine) -> (parsim::Simulation, BridgeMachine) {
-    BridgeMachine::build(&BridgeConfig::paper(p).with_engine(engine))
+    BridgeMachine::build(&paper_config(p).with_engine(engine))
 }
 
 /// Builds the paper's machine at breadth `p` with `tracer` installed.
@@ -62,7 +74,7 @@ pub fn paper_machine_traced(
     p: u32,
     tracer: parsim::TracerHandle,
 ) -> (parsim::Simulation, BridgeMachine) {
-    let mut config = BridgeConfig::paper(p);
+    let mut config = paper_config(p);
     config.tracer = Some(tracer);
     BridgeMachine::build(&config)
 }

@@ -201,7 +201,7 @@ pub struct BridgeMachine {
     pub lfs: Vec<ProcId>,
     /// The node of each LFS instance, by machine index.
     pub lfs_nodes: Vec<NodeId>,
-    /// Per-node fan-out agents (for tree-structured Create).
+    /// Per-node fan-out agents (the inner nodes of Create's fan-out).
     pub agents: Vec<ProcId>,
     /// A spare node for application / tool controller processes (a
     /// "front-end" not holding any disk).
@@ -272,8 +272,7 @@ impl BridgeMachine {
                 sim,
                 node,
                 format!("agent{i}"),
-                config.server.create_init_cpu,
-                config.server.lfs_retry,
+                config.server,
             ));
             lfs.push(proc);
             lfs_nodes.push(node);

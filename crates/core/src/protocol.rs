@@ -17,7 +17,7 @@ use crate::header::GlobalPtr;
 use crate::ids::{BridgeFileId, JobId, LfsIndex};
 use crate::placement::PlacementKind;
 use crate::redundancy::Redundancy;
-use bridge_efs::LfsFileId;
+use bridge_efs::{EfsError, LfsData, LfsFileId, LfsReply, RpcProtocol};
 use bytes::Bytes;
 use parsim::{NodeId, ProcId};
 
@@ -385,29 +385,62 @@ pub struct JobSupply {
     pub data: Option<Bytes>,
 }
 
-/// Server/agent → agent: create an LFS file across a subtree of nodes,
-/// fanning out through "an embedded binary tree" (the paper's §4.5
-/// suggestion for removing Create's serial initiation).
+/// Server/agent → agent: create an LFS file on every one of `targets`.
+/// One hop of Create's fan-out; at an arity of 2 the hops form the
+/// "embedded binary tree" the paper's §4.5 suggests for removing Create's
+/// serial initiation.
 #[derive(Debug, Clone)]
-pub struct FanoutCreate {
-    /// Correlates acks with requests across concurrent fan-outs.
-    pub id: u64,
-    /// The numeric local file name to create everywhere.
-    pub lfs_file: LfsFileId,
-    /// Redundancy companion file (mirror/parity) to create alongside.
-    pub companion: Option<LfsFileId>,
-    /// Remaining (agent, LFS server) pairs; the receiver is `targets[0]`
-    /// and forwards the two halves of the rest to its children.
+pub struct RelayCreate {
+    /// The numeric local file names to create on every target: the data
+    /// file, then its redundancy companion (mirror/parity) if it has one.
+    pub files: Vec<LfsFileId>,
+    /// The (agent, LFS server) pairs to cover. The receiver is
+    /// `targets[0]`: it creates at its own LFS and splits the rest among
+    /// its children.
     pub targets: Vec<(ProcId, ProcId)>,
 }
 
-/// Agent → parent: aggregated completion of a [`FanoutCreate`] subtree.
+/// A [`RelayCreate`] under its request id.
 #[derive(Debug, Clone)]
-pub struct FanoutAck {
-    /// Echo of the request id.
+pub struct RelayRequest {
+    /// Sender-chosen id echoed in the reply.
     pub id: u64,
-    /// First failure in the subtree, if any.
-    pub result: Result<(), crate::error::BridgeError>,
+    /// What to create, and where.
+    pub cmd: RelayCreate,
+}
+
+/// The relay hop as the at-least-once engine sees it: retried under the
+/// same policy as the server↔LFS leg and deduplicated by each agent,
+/// which answers for its whole subtree as one LFS would for itself — an
+/// [`LfsReply`] carrying the subtree's first failure, if any.
+#[derive(Debug)]
+pub struct RelayRpc;
+
+impl RpcProtocol for RelayRpc {
+    type Cmd = RelayCreate;
+    type Request = RelayRequest;
+    type Reply = LfsReply;
+    type Data = LfsData;
+    type Error = EfsError;
+
+    fn name(_: &RelayCreate) -> &'static str {
+        "bridge.relay"
+    }
+    fn wire_size(cmd: &RelayCreate) -> usize {
+        48 + 16 * cmd.targets.len()
+    }
+    fn request(id: u64, cmd: RelayCreate) -> RelayRequest {
+        RelayRequest { id, cmd }
+    }
+    fn reply_id(reply: &LfsReply) -> u64 {
+        reply.id
+    }
+    fn result(reply: LfsReply) -> Result<LfsData, EfsError> {
+        reply.result
+    }
+    fn timed_out(attempts: u32) -> EfsError {
+        EfsError::TimedOut { attempts }
+    }
 }
 
 /// Wire size charged for a request.

@@ -2,15 +2,14 @@
 //! arithmetic, and the commands that change or consult the directory —
 //! Create, Delete and Open.
 
+use super::agent::create_on;
 use super::cursor::Cursor;
-use super::{CreateFanout, Server};
+use super::Server;
 use crate::error::BridgeError;
 use crate::header::{BridgeHeader, GlobalPtr};
 use crate::ids::{BridgeFileId, LfsIndex};
 use crate::placement::{Placement, PlacementCursor, PlacementKind};
-use crate::protocol::{
-    BridgeData, CreateSpec, FanoutAck, FanoutCreate, LfsSlice, OpenInfo, PlacementSpec,
-};
+use crate::protocol::{BridgeData, CreateSpec, LfsSlice, OpenInfo, PlacementSpec, RelayCreate};
 use crate::redundancy::{ParityLayout, Redundancy};
 use bridge_efs::{LfsData, LfsFileId, LfsOp};
 use parsim::{Ctx, ProcId};
@@ -263,73 +262,24 @@ impl Server {
             hashed_cursor: None,
             hints: vec![None; machine_breadth as usize],
         };
-        // Two commit strategies, by design: the serial fan-out with its
-        // per-node init/ack CPU charges is Table 2's reference sequence;
-        // presumed-abort 2PC is a different protocol.
+        // Two commit strategies, by design: the fan-out with its per-send
+        // init and per-reply ack CPU charges is Table 2's sequence at the
+        // serial arity; presumed-abort 2PC is a different protocol.
         if self.txlog.is_some() {
             self.create_2pc(ctx, &meta)?;
         } else {
-            self.create_fanout(ctx, &meta)?;
+            // The server is the root of the fan-out every agent continues.
+            let target = |&n: &u32| (self.agents[n as usize], self.lfs[n as usize].0);
+            let files = std::iter::once(meta.lfs_file).chain(meta.companion());
+            let cmd = RelayCreate {
+                files: files.collect(),
+                targets: meta.nodes.iter().map(target).collect(),
+            };
+            let (lfs, agents) = (&mut self.client, &mut self.relay);
+            create_on(ctx, lfs, agents, &self.config, &cmd, 0)?;
         }
         self.files.insert(file, meta);
         Ok(BridgeData::Created(file))
-    }
-
-    /// The legacy (non-transactional) Create fan-out: serial initiation
-    /// or the embedded binary tree of agents.
-    fn create_fanout(&mut self, ctx: &mut Ctx, meta: &FileMeta) -> Result<(), BridgeError> {
-        let (nodes, lfs_file, companion) = (&meta.nodes, meta.lfs_file, meta.companion());
-        match self.config.create_fanout {
-            CreateFanout::Serial => {
-                // "The Create operation must create an LFS file on each
-                // disk. Bridge gets some parallelism by starting all the
-                // LFS operations before waiting for them, but the
-                // initiation and termination are sequential."
-                let mut pending = Vec::with_capacity(nodes.len() * 2);
-                for &n in nodes {
-                    ctx.delay(self.config.create_init_cpu);
-                    let proc = self.lfs[n as usize].0;
-                    for file in std::iter::once(lfs_file).chain(companion) {
-                        let id = self.client.send(ctx, proc, LfsOp::Create { file });
-                        pending.push((proc, id));
-                    }
-                }
-                for (proc, id) in pending {
-                    self.client.wait(ctx, proc, id).map_err(BridgeError::Lfs)?;
-                    ctx.delay(self.config.create_ack_cpu);
-                }
-            }
-            CreateFanout::Tree => {
-                assert!(
-                    !self.agents.is_empty(),
-                    "tree create requires per-node agents (build the machine with them)"
-                );
-                let fanout_id = self.next_fanout;
-                self.next_fanout += 1;
-                let targets: Vec<(ProcId, ProcId)> = nodes
-                    .iter()
-                    .map(|&n| (self.agents[n as usize], self.lfs[n as usize].0))
-                    .collect();
-                ctx.delay(self.config.create_init_cpu);
-                ctx.send(
-                    targets[0].0,
-                    FanoutCreate {
-                        id: fanout_id,
-                        lfs_file,
-                        companion,
-                        targets,
-                    },
-                );
-                let env = ctx.recv_where(move |e| {
-                    e.downcast_ref::<FanoutAck>()
-                        .is_some_and(|a| a.id == fanout_id)
-                });
-                let ack = env.downcast::<FanoutAck>().expect("matched");
-                ctx.delay(self.config.create_ack_cpu);
-                ack.result?;
-            }
-        }
-        Ok(())
     }
 
     pub(super) fn delete(

@@ -28,15 +28,17 @@ use crate::ids::{BridgeFileId, JobId, LfsIndex};
 use crate::placement::PlacementKind;
 use crate::protocol::{
     reply_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest, MachineInfo,
-    MachineManifest, ManifestEntry,
+    MachineManifest, ManifestEntry, RelayRpc,
 };
 use crate::redundancy::Redundancy;
 use crate::txlog::TxLog;
-use bridge_efs::{Admission, DedupWindow, EfsError, LfsClient, LfsData, LfsOp, RetryPolicy};
+use bridge_efs::{
+    Admission, DedupWindow, EfsError, LfsClient, LfsData, LfsOp, RetryPolicy, RpcClient,
+};
 use bridge_trace::{HealthEvent, HealthSnapshot, ServerTelemetry, TelemetryRegistry};
 use cursor::{Cursor, Job, PendingAppends};
 use directory::FileMeta;
-use parsim::{Ctx, FixedMap, NodeId, ProcId, SimDuration, Simulation, TraceArg};
+use parsim::{Ctx, FixedMap, NodeId, ProcId, SimDuration, SimTime, Simulation, TraceArg};
 use simdisk::SchedPolicy;
 use std::sync::Arc;
 
@@ -57,10 +59,16 @@ pub struct BridgeServerConfig {
     /// Rotate the start node of successive round-robin files so block 0
     /// does not always hit LFS 0.
     pub rotate_start: bool,
-    /// How Create reaches the LFS instances: the prototype's sequential
-    /// initiation (Table 2's `145 + 17.5p`), or the paper's suggested
-    /// "embedded binary tree" of per-node agents.
-    pub create_fanout: CreateFanout,
+    /// How many groups each hop of Create's fan-out splits its targets
+    /// into (a group of one is that node's LFS, a larger one goes to its
+    /// first node's agent to split again): the paper's §4.5 suggestion of
+    /// "sending startup and completion messages through an embedded
+    /// binary tree" is 2, and [`SERIAL_ARITY`] spells the prototype's
+    /// sequential initiation (Table 2's `145 + 17.5p`). The default is 4,
+    /// which `ablate_tree_start`'s sweep finds no slower than 2 at any
+    /// breadth and which leaves a Create over four nodes or fewer — the
+    /// sort tool's intermediate files — the serial sequence.
+    pub create_arity: u32,
     /// Scatter-gather batching of the server's LFS traffic.
     pub batch: BatchPolicy,
     /// Timeout/retry policy for the server's (and agents') internal LFS
@@ -100,15 +108,10 @@ impl BatchPolicy {
     }
 }
 
-/// Create's fan-out topology (see [`BridgeServerConfig::create_fanout`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CreateFanout {
-    /// The server initiates each LFS create itself, serially.
-    #[default]
-    Serial,
-    /// Per-node agents relay the create down a binary tree.
-    Tree,
-}
+/// The [`BridgeServerConfig::create_arity`] under which the server
+/// initiates every LFS create itself, serially, as the prototype did: no
+/// file spans more nodes, so every group of the fan-out is a single LFS.
+pub const SERIAL_ARITY: u32 = u32::MAX;
 
 impl Default for BridgeServerConfig {
     fn default() -> Self {
@@ -117,7 +120,7 @@ impl Default for BridgeServerConfig {
             create_init_cpu: SimDuration::from_millis(9),
             create_ack_cpu: SimDuration::from_millis(8),
             rotate_start: true,
-            create_fanout: CreateFanout::Serial,
+            create_arity: 4,
             batch: BatchPolicy::Off,
             lfs_retry: RetryPolicy::none(),
             default_redundancy: Redundancy::None,
@@ -127,8 +130,7 @@ impl Default for BridgeServerConfig {
 
 struct Server {
     lfs: Vec<(ProcId, NodeId)>,
-    /// Per-node fan-out agents (parallel to `lfs`); empty when the machine
-    /// was built without them.
+    /// Per-node fan-out agents (parallel to `lfs`).
     agents: Vec<ProcId>,
     my_node: NodeId,
     config: BridgeServerConfig,
@@ -141,9 +143,10 @@ struct Server {
     next_file: u32,
     next_job: u64,
     next_start: u32,
-    next_fanout: u64,
     pending: Option<PendingAppends>,
     client: LfsClient,
+    /// The server's client on the agents (Create's relay hops).
+    relay: RpcClient<RelayRpc>,
     /// The presumed-abort decision log; `Some` switches every
     /// multi-instance mutation (Create, Delete/DeleteMany) onto the
     /// two-phase commit path.
@@ -158,8 +161,8 @@ struct Server {
 }
 
 /// Spawns the Bridge Server on `node`, gluing together the given LFS
-/// server processes. `agents` are the per-node fan-out agents (one per
-/// LFS, or empty to force serial creates). `txlog` is the coordinator's
+/// server processes. `agents` are the per-node fan-out agents, one per
+/// LFS. `txlog` is the coordinator's
 /// presumed-abort decision log; passing `Some` routes every
 /// multi-instance mutation through two-phase commit over the per-LFS
 /// WALs (which every instance must then run). Returns the server's
@@ -177,10 +180,7 @@ pub fn spawn_bridge_server(
     telemetry: Option<Arc<TelemetryRegistry>>,
 ) -> ProcId {
     assert!(!lfs.is_empty(), "a Bridge machine needs at least one LFS");
-    assert!(
-        agents.is_empty() || agents.len() == lfs.len(),
-        "agents must be one per LFS (or absent)"
-    );
+    assert_eq!(agents.len(), lfs.len(), "agents must be one per LFS");
     sim.spawn(node, name, move |ctx| {
         let mut server = Server {
             lfs,
@@ -194,9 +194,9 @@ pub fn spawn_bridge_server(
             next_file: 1,
             next_job: 1,
             next_start: 0,
-            next_fanout: 1,
             pending: None,
             client: LfsClient::with_retry(config.lfs_retry),
+            relay: RpcClient::with_retry(config.lfs_retry),
             txlog,
             next_txn: 1,
             telemetry,
@@ -216,21 +216,10 @@ pub fn spawn_bridge_server(
                     let cmd_name = req.cmd.name();
                     let t0 = ctx.now();
                     let result = server.dispatch(ctx, from, req.cmd);
-                    if ctx.trace_enabled() {
-                        ctx.trace_span(
-                            "bridge",
-                            cmd_name,
-                            t0,
-                            &[
-                                ("ok", u64::from(result.is_ok())),
-                                ("id", req.id),
-                                ("client", from.index() as u64),
-                            ],
-                        );
-                    }
+                    trace_served(ctx, cmd_name, t0, result.is_ok(), req.id, from);
                     let reply = BridgeReply { id: req.id, result };
                     dedup.complete(from, req.id, ctx.now(), reply.clone());
-                    server.tally(|s| s.note_request(dedup.len() as u64, server.client.resends()));
+                    server.tally(|s| s.note_request(dedup.len() as u64, server.resends()));
                     reply
                 }
                 // Single-threaded service means an admitted id is always
@@ -250,6 +239,22 @@ pub fn spawn_bridge_server(
             ctx.send_sized_cloneable(from, reply, bytes);
         }
     })
+}
+
+/// Closes the `bridge` span of a request the server or an agent has just
+/// served. The profiler pairs it with the caller's `client.*` span by
+/// `(id, client)`; `stashed` is the serving process's set-aside mail, which
+/// a dispatch that consumed every reply it asked for leaves where it was.
+fn trace_served(ctx: &Ctx, name: &str, t0: SimTime, ok: bool, id: u64, client: ProcId) {
+    if ctx.trace_enabled() {
+        let args = [
+            ("ok", u64::from(ok)),
+            ("id", id),
+            ("client", client.index() as u64),
+            ("stashed", ctx.stashed() as u64),
+        ];
+        ctx.trace_span("bridge", name, t0, &args);
+    }
 }
 
 impl Server {
@@ -288,6 +293,11 @@ impl Server {
         if let Some(reg) = &self.telemetry {
             reg.record_event(ctx.now(), event);
         }
+    }
+
+    /// Requests the server has retransmitted, to LFS instances and agents.
+    fn resends(&self) -> u64 {
+        self.client.resends() + self.relay.resends()
     }
 
     fn breadth(&self) -> u32 {
@@ -365,7 +375,7 @@ impl Server {
     fn health_snapshot(&self, ctx: &Ctx) -> HealthSnapshot {
         match &self.telemetry {
             Some(reg) => {
-                reg.server().lfs_resends = self.client.resends();
+                reg.server().lfs_resends = self.resends();
                 reg.snapshot(ctx.now(), None)
             }
             None => HealthSnapshot::empty(ctx.now()),

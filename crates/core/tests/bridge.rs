@@ -525,7 +525,9 @@ fn tool_path_reads_lfs_directly() {
 fn create_cost_grows_linearly_and_open_is_flat() {
     // Table 2 shapes: Create = a + b·p (serial initiation), Open ≈ flat.
     let cost = |p: u32| -> (SimDuration, SimDuration) {
-        let (mut sim, machine) = BridgeMachine::build(&BridgeConfig::paper(p));
+        let mut config = BridgeConfig::paper(p);
+        config.server.create_arity = bridge_core::SERIAL_ARITY;
+        let (mut sim, machine) = BridgeMachine::build(&config);
         let server = machine.server;
         sim.block_on(machine.frontend, "app", move |ctx| {
             let mut bridge = BridgeClient::new(server);
@@ -554,10 +556,9 @@ fn tree_create_is_correct_and_faster_at_scale() {
     // The paper's §4.5 suggestion: "performance could be improved somewhat
     // by sending startup and completion messages through an embedded
     // binary tree."
-    use bridge_core::CreateFanout;
-    let create_time = |fanout: CreateFanout| -> (SimDuration, u64) {
+    let create_time = |arity: u32| -> (SimDuration, u64) {
         let mut config = BridgeConfig::paper(32);
-        config.server.create_fanout = fanout;
+        config.server.create_arity = arity;
         let (mut sim, machine) = BridgeMachine::build(&config);
         let server = machine.server;
         sim.block_on(machine.frontend, "app", move |ctx| {
@@ -577,8 +578,8 @@ fn tree_create_is_correct_and_faster_at_scale() {
             (elapsed, size)
         })
     };
-    let (serial, size_a) = create_time(CreateFanout::Serial);
-    let (tree, size_b) = create_time(CreateFanout::Tree);
+    let (serial, size_a) = create_time(bridge_core::SERIAL_ARITY);
+    let (tree, size_b) = create_time(2);
     assert_eq!(size_a, 64);
     assert_eq!(size_b, 64);
     assert!(

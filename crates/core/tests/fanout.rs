@@ -7,12 +7,12 @@
 //! source form.
 
 use bridge_core::{
-    BridgeClient, BridgeConfig, BridgeMachine, CreateFanout, CreateSpec, Redundancy,
+    BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, Redundancy, SERIAL_ARITY,
 };
 
 /// `config` spelling the prototype's serial sequence.
 fn serial(mut config: BridgeConfig) -> BridgeConfig {
-    config.server.create_fanout = CreateFanout::Serial;
+    config.server.create_arity = SERIAL_ARITY;
     config
 }
 

@@ -18,7 +18,7 @@
 
 use bridge_core::{
     BatchPolicy, BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, JobDeliver,
-    JobWorker, PlacementSpec, Redundancy,
+    JobWorker, PlacementSpec, Redundancy, SERIAL_ARITY,
 };
 use parsim::{Ctx, ProcId};
 use std::sync::mpsc;
@@ -27,6 +27,14 @@ const P: u32 = 4;
 /// Blocks written sequentially: two full `Runs(8)` flushes plus a ragged
 /// train of four, and a ragged final parity stripe.
 const BLOCKS: u64 = 20;
+
+/// The paper's machine with Create's fan-out at the serial arity: the
+/// constants below pin the prototype's sequence whatever the default is.
+fn prototype() -> BridgeConfig {
+    let mut config = BridgeConfig::paper(P);
+    config.server.create_arity = SERIAL_ARITY;
+    config
+}
 
 /// What one scripted run is pinned to.
 #[derive(Debug, PartialEq, Eq)]
@@ -183,7 +191,7 @@ fn matrix_script(
 }
 
 fn matrix_config(batch: BatchPolicy, two_pc: bool, redundancy: Redundancy) -> BridgeConfig {
-    let mut config = BridgeConfig::paper(P).with_redundancy(redundancy);
+    let mut config = prototype().with_redundancy(redundancy);
     config.server.batch = batch;
     if two_pc {
         config = config.with_2pc();
@@ -262,7 +270,7 @@ fn mode_matrix_counters_are_pinned() {
 /// old-tail read-modify-write, and a far `rand_read` walks the chain.
 #[test]
 fn linked_file_counters_are_pinned() {
-    let got = observe(&BridgeConfig::paper(P), |ctx, bridge, _, _| {
+    let got = observe(&prototype(), |ctx, bridge, _, _| {
         let file = bridge
             .create(
                 ctx,
@@ -330,7 +338,7 @@ fn job_read_round(
 /// the dead node comes back through the mirror copy or a parity
 /// reconstruction.
 fn degraded_read(batch: BatchPolicy, redundancy: Redundancy) -> Observed {
-    let mut config = BridgeConfig::paper(P).with_redundancy(redundancy);
+    let mut config = prototype().with_redundancy(redundancy);
     config.server.batch = batch;
     observe(&config, move |ctx, bridge, lfs, wnode| {
         let file = bridge.create(ctx, CreateSpec::default()).unwrap();
@@ -383,7 +391,7 @@ const DEGRADED: &[(&str, Golden)] = &[
 /// the front of the file recreates the column files and repairs the
 /// range, block by block or (under `Runs`) from prefetched runs.
 fn rebuild_after_spare(batch: BatchPolicy) -> Observed {
-    let mut config = BridgeConfig::paper(P).with_redundancy(Redundancy::parity());
+    let mut config = prototype().with_redundancy(Redundancy::parity());
     config.server.batch = batch;
     observe(&config, move |ctx, bridge, lfs, _| {
         let file = bridge.create(ctx, CreateSpec::default()).unwrap();

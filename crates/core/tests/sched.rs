@@ -4,7 +4,7 @@
 //! reported through `GetInfo`.
 
 use bridge_core::{
-    BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, SchedConfig, SchedPolicy,
+    BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, SchedConfig, SchedPolicy, SERIAL_ARITY,
 };
 
 /// A canonical single-client workload: create, 256 sequential writes,
@@ -31,18 +31,24 @@ fn canonical_workload(config: &BridgeConfig) -> (u64, u64) {
 }
 
 /// These constants were measured on the tree *before* the scheduler
-/// existed (arrival-order service loop, flat 15 ms Wren profile). The
-/// default configuration must keep reproducing them exactly: scheduling
-/// off means unchanged virtual-time results, not merely similar ones.
+/// existed (arrival-order service loop, flat 15 ms Wren profile, serial
+/// Create). The Fifo policy must keep reproducing them exactly:
+/// scheduling off means unchanged virtual-time results, not merely
+/// similar ones.
 #[test]
 fn fifo_flat_profile_reproduces_seed_virtual_time() {
+    let prototype = |p: u32| {
+        let mut config = BridgeConfig::paper(p);
+        config.server.create_arity = SERIAL_ARITY;
+        config
+    };
     assert_eq!(
-        canonical_workload(&BridgeConfig::paper(1)),
+        canonical_workload(&prototype(1)),
         (14_288_716_400, 2070),
         "p=1 drifted from the pre-scheduler baseline"
     );
     assert_eq!(
-        canonical_workload(&BridgeConfig::paper(4)),
+        canonical_workload(&prototype(4)),
         (14_242_720_000, 2082),
         "p=4 drifted from the pre-scheduler baseline"
     );

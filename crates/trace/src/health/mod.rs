@@ -274,7 +274,8 @@ pub struct ServerTelemetry {
     /// LFS columns currently lost: the instances whose `media_lost` is
     /// set, counted when a snapshot is assembled.
     pub columns_lost: u64,
-    /// Server→LFS retransmits.
+    /// Retransmits by the server's internal clients (to LFS instances
+    /// and to Create's relay agents).
     pub lfs_resends: u64,
     /// Rebuilds started.
     pub rebuilds_started: u64,
