@@ -7,8 +7,11 @@
 //! source form.
 
 use bridge_core::{
-    BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, Redundancy, SERIAL_ARITY,
+    BridgeClient, BridgeConfig, BridgeError, BridgeFileId, BridgeMachine, CreateSpec, Redundancy,
+    SERIAL_ARITY,
 };
+use bridge_efs::{EfsError, LfsClient, LfsFileId, LfsOp};
+use bridge_trace::TraceCollector;
 
 /// `config` spelling the prototype's serial sequence.
 fn serial(mut config: BridgeConfig) -> BridgeConfig {
@@ -84,4 +87,52 @@ fn serial_create_reproduces_the_reference_sequence() {
         }
     }
     assert!(!drifted, "the serial Create moved (observed rows above)");
+}
+
+/// A Create that fails on one middle node reports that node's error only
+/// after every other reply has been consumed: nothing is left behind in
+/// the server's mailbox (its dispatch spans carry the stash depth), and
+/// the next Create finds the machine as a clean one would.
+#[test]
+fn a_failed_fan_out_strands_nothing() {
+    for arity in [BridgeConfig::paper(8).server.create_arity, SERIAL_ARITY] {
+        let collector = TraceCollector::install();
+        let mut config = BridgeConfig::paper(8);
+        config.server.create_arity = arity;
+        config.tracer = Some(collector.as_tracer());
+        let (mut sim, machine) = BridgeMachine::build(&config);
+        let (server, middle) = (machine.server, machine.lfs[3]);
+        sim.block_on(machine.frontend, "app", move |ctx| {
+            let mut bridge = BridgeClient::new(server);
+            let first = bridge.create(ctx, CreateSpec::default()).unwrap();
+            assert_eq!(first, BridgeFileId(1));
+            // The next Bridge file's LFS name, already taken on one node.
+            let squatter = LfsFileId(2);
+            LfsClient::new()
+                .call(ctx, middle, LfsOp::Create { file: squatter })
+                .unwrap();
+            assert_eq!(
+                bridge.create(ctx, CreateSpec::default()),
+                Err(BridgeError::Lfs(EfsError::FileExists(squatter))),
+                "arity {arity}"
+            );
+            let next = bridge.create(ctx, CreateSpec::default()).unwrap();
+            assert_eq!(next, BridgeFileId(3), "arity {arity}");
+            bridge.seq_write(ctx, next, vec![7; 64]).unwrap();
+            assert_eq!(bridge.open(ctx, next).unwrap().size, 1);
+        });
+        let stashed: Vec<u64> = collector
+            .snapshot()
+            .spans_in("bridge")
+            .filter(|s| s.pid == server.index())
+            .map(|s| {
+                s.arg("stashed")
+                    .expect("dispatch spans carry the stash depth")
+            })
+            .collect();
+        assert_eq!(
+            stashed, [0; 5],
+            "arity {arity}: create, create, create, write, open"
+        );
+    }
 }
