@@ -5,11 +5,16 @@
 //! generous — it exists to catch an order-of-magnitude regression (e.g.
 //! the engine silently falling back to threaded), not to benchmark; CI
 //! runs this in release with a tighter `BRIDGE_SMOKE_BUDGET_SECS`.
+//!
+//! Beside it, the breadth claim in *virtual* time, which is bit-stable and
+//! so an exact budget: on the stock machine at p = 1024 the same copy,
+//! start-up fan-outs included, stays under one virtual second (it was
+//! 17.5 s while Create said hello to every node in turn).
 
 use bridge_bench::{paper_machine_on, write_workload};
-use bridge_core::BridgeClient;
+use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine};
 use bridge_tools::{copy, ToolOptions};
-use parsim::Engine;
+use parsim::{Engine, SimDuration};
 use std::time::{Duration, Instant};
 
 const BLOCKS: u64 = 512;
@@ -45,5 +50,22 @@ fn p256_copy_fits_the_wall_clock_budget() {
     assert!(
         wall <= budget,
         "p=256 copy of {BLOCKS} blocks took {wall:.1?} against a {budget:.0?} budget"
+    );
+}
+
+#[test]
+fn p1024_copy_fits_the_virtual_budget() {
+    let (mut sim, machine) = BridgeMachine::build(&BridgeConfig::paper(1024));
+    let server = machine.server;
+    let elapsed = sim.block_on(machine.frontend, "smoke", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let src = write_workload(ctx, &mut bridge, BLOCKS, 42);
+        let (_, stats) = copy(ctx, &mut bridge, src, &ToolOptions::default()).expect("copy");
+        assert_eq!(stats.blocks, BLOCKS);
+        stats.elapsed
+    });
+    assert!(
+        elapsed <= SimDuration::from_secs(1),
+        "p=1024 copy of {BLOCKS} blocks took {elapsed} of virtual time against a 1 s budget"
     );
 }

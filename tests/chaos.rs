@@ -32,7 +32,10 @@
 //! and `crash_seed_corpus_replays_clean` over `tests/fault_seeds/
 //! *.crashseed`.
 
-use bridge_repro::core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, PlacementSpec};
+use bridge_repro::core::{
+    BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, PlacementSpec, Redundancy, RetryPolicy,
+};
+use bridge_repro::efs::{LfsClient, LfsData, LfsOp};
 use bridge_repro::parsim::{
     mix64, splitmix64, BlockFaultRule, CrashAt, DiskFaults, FaultPlan, MsgFaults, NodeId, Outage,
     OutageKind, ProcId, RunStats, SimDuration, SimTime, SERVER_DISK,
@@ -765,6 +768,260 @@ fn storm_activity_surfaces_in_retry_metrics() {
         retry.recovery.count() > 0,
         "recovery latency histogram populated"
     );
+}
+
+/// Breadth of the fan-out storms: wide enough that the default arity
+/// sends every full-breadth Create through two levels of agents.
+const TREE_BREADTH: u32 = 32;
+
+/// A create/delete-heavy workload for the fan-out: files over the whole
+/// machine, over subsets in odd orders, with and without a companion,
+/// created and deleted in waves with a few blocks written between. The
+/// transcript holds every reply, the surviving files' contents, and what
+/// each LFS holds at the end (so a column created twice, on the wrong
+/// node, or left behind by a delete shows); with `pfsck_tail` it ends in
+/// a machine-wide `pfsck --check` verdict.
+fn run_tree_workload(config: &BridgeConfig, pfsck_tail: bool) -> (Vec<String>, RunStats) {
+    let (mut sim, machine) = BridgeMachine::build(config);
+    let server = machine.server;
+    let pairs: Vec<(ProcId, NodeId)> = machine
+        .lfs
+        .iter()
+        .copied()
+        .zip(machine.lfs_nodes.iter().copied())
+        .collect();
+    let retry = config.server.lfs_retry;
+    // A wave's DeleteMany collects a hundred columns one after another,
+    // each riding out its own drops: the application waits that out.
+    let patient = RetryPolicy {
+        budget: retry.budget * 10,
+        ..retry
+    };
+    let log = sim.block_on(machine.frontend, "tree-chaos-client", move |ctx| {
+        let mut bridge = BridgeClient::with_retry(server, patient);
+        let mut log: Vec<String> = Vec::new();
+        let specs = |wave: u32| {
+            let odd: Vec<u32> = (0..TREE_BREADTH).rev().filter(|n| n % 2 == 1).collect();
+            let span: Vec<u32> = (3 + wave..20 + wave).collect();
+            [
+                CreateSpec::default(),
+                CreateSpec {
+                    redundancy: Redundancy::Mirror,
+                    ..CreateSpec::default()
+                },
+                CreateSpec {
+                    nodes: Some(odd),
+                    ..CreateSpec::default()
+                },
+                CreateSpec {
+                    nodes: Some(span),
+                    redundancy: Redundancy::parity(),
+                    ..CreateSpec::default()
+                },
+            ]
+        };
+        let mut live = Vec::new();
+        for wave in 0..3u32 {
+            for spec in specs(wave) {
+                let file = bridge.create(ctx, spec).expect("create");
+                log.push(format!("wave {wave}: create -> {file:?}"));
+                for i in 0..5 {
+                    let n = bridge
+                        .seq_write(ctx, file, content(0x70 + wave as u8, i))
+                        .expect("append");
+                    log.push(format!("{file:?}.append[{i}] -> {n}"));
+                }
+                live.push(file);
+            }
+            // Drop half of what is live, oldest first, in one wave.
+            let doomed: Vec<_> = live.drain(..live.len() / 2).collect();
+            let freed = bridge.delete_many(ctx, doomed.clone()).expect("delete");
+            log.push(format!("wave {wave}: delete {doomed:?} -> {freed}"));
+        }
+        for &file in &live {
+            let info = bridge.open(ctx, file).expect("open");
+            let mut line = format!("{file:?}.read size={}:", info.size);
+            while let Some(block) = bridge.seq_read(ctx, file).expect("seq read") {
+                write!(line, " {:016x}", fnv(&block)).unwrap();
+            }
+            log.push(line);
+        }
+        let mut lfs = LfsClient::with_retry(retry);
+        for (i, &(proc, _)) in pairs.iter().enumerate() {
+            let LfsData::Files(files) = lfs.call(ctx, proc, LfsOp::ListFiles).expect("list") else {
+                panic!("ListFiles answered something else");
+            };
+            let mut held: Vec<(u32, u32)> = files.iter().map(|f| (f.file.0, f.size)).collect();
+            held.sort_unstable();
+            log.push(format!("lfs{i} holds {held:?}"));
+        }
+        if pfsck_tail {
+            let options = FsckOptions {
+                retry,
+                ..FsckOptions::default()
+            };
+            let verdict = pfsck(ctx, &pairs, &options).expect("pfsck");
+            log.push(format!(
+                "pfsck clean={} repaired={} errors={:?}",
+                verdict.clean(),
+                verdict.repaired,
+                verdict.errors(),
+            ));
+        }
+        log
+    });
+    (log, sim.stats())
+}
+
+/// The headline invariant on the fan-out workload: the transcript under
+/// `plan` on `machine` (a fault-free config) equals the fault-free one.
+fn check_tree_plan(label: &str, machine: BridgeConfig, plan: FaultPlan) -> (RunStats, RunStats) {
+    let pfsck_tail = machine.efs.wal != BridgeConfig::instant(1).efs.wal;
+    let (baseline, base_stats) = run_tree_workload(&machine, pfsck_tail);
+    let (faulted, fault_stats) = run_tree_workload(&machine.with_faults(plan.clone()), pfsck_tail);
+    let divergence = baseline.iter().zip(&faulted).position(|(b, f)| b != f);
+    if let Some(at) = divergence.or((baseline.len() != faulted.len()).then_some(0)) {
+        panic!(
+            "fan-out invariant violated ({label}, plan seed {seed}) at reply {at}:\n\
+               fault-free: {base:?}\n\
+               faulted:    {fault:?}\n\
+             plan: {plan:?}",
+            seed = plan.seed,
+            base = baseline.get(at),
+            fault = faulted.get(at),
+        );
+    }
+    (base_stats, fault_stats)
+}
+
+/// The per-class message storms of the tests above, at breadth 32 on the
+/// default arity, where every full-breadth Create is relayed by agents:
+/// a dropped relay (or its reply) is resent under the same policy as any
+/// LFS call, so the storms change timing only.
+#[test]
+fn tree_storms_converge() {
+    let drops = MsgFaults {
+        drop_per_mille: 400,
+        max_consecutive_drops: 4,
+        ..MsgFaults::default()
+    };
+    let dups = MsgFaults {
+        dup_per_mille: 350,
+        delay_per_mille: 350,
+        delay_max: SimDuration::from_millis(50),
+        ..MsgFaults::default()
+    };
+    for (seed, label, msg) in [
+        (21, "tree drop storm", drops),
+        (22, "tree dup+delay storm", dups),
+        (23, "tree storm", storm_plan(23).msg),
+    ] {
+        let plan = FaultPlan {
+            seed,
+            msg,
+            ..FaultPlan::none()
+        };
+        let (base, faulted) = check_tree_plan(label, BridgeConfig::instant(TREE_BREADTH), plan);
+        assert!(
+            faulted.messages != base.messages || faulted.end_time > base.end_time,
+            "{label}: the plan was inert"
+        );
+    }
+}
+
+/// A duplicated relay is answered from the agent's window — counted here
+/// by the `retry.replay` instants the agents emit — and the transcript
+/// shows no column was created twice.
+#[test]
+fn tree_replays_duplicated_relays_from_the_agents_window() {
+    let collector = TraceCollector::install();
+    let plan = FaultPlan {
+        seed: 24,
+        msg: MsgFaults {
+            dup_per_mille: 350,
+            ..MsgFaults::default()
+        },
+        ..FaultPlan::none()
+    };
+    let mut config = BridgeConfig::instant(TREE_BREADTH).with_faults(plan);
+    config.tracer = Some(collector.as_tracer());
+    let (faulted, _) = run_tree_workload(&config, false);
+    let (baseline, _) = run_tree_workload(&BridgeConfig::instant(TREE_BREADTH), false);
+    assert_eq!(
+        faulted, baseline,
+        "a duplicate changed a reply or a holding"
+    );
+    let trace = collector.snapshot();
+    let replays = trace
+        .instants
+        .iter()
+        .filter(|i| i.name == "retry.replay" && trace.proc_name(i.pid).starts_with("agent"))
+        .count();
+    assert!(replays > 0, "no agent ever replayed a duplicated relay");
+}
+
+/// A `Down` window over an inner agent's node loses every relay (and
+/// every LFS request) delivered there; the senders' resends ride it out.
+#[test]
+fn tree_rides_out_a_down_inner_agent() {
+    // At the default arity the server relays a full-breadth Create to the
+    // agents of nodes 0, 8, 16 and 24.
+    let inner = FIRST_LFS_NODE + 8;
+    let collector = TraceCollector::install();
+    let plan = FaultPlan {
+        seed: 25,
+        outages: vec![Outage {
+            node: NodeId::from_index(inner),
+            from: SimTime::ZERO,
+            until: SimTime::ZERO + SimDuration::from_millis(700),
+            kind: OutageKind::Down,
+        }],
+        ..FaultPlan::none()
+    };
+    let mut config = BridgeConfig::instant(TREE_BREADTH).with_faults(plan);
+    config.tracer = Some(collector.as_tracer());
+    let (faulted, stats) = run_tree_workload(&config, false);
+    let (baseline, base_stats) = run_tree_workload(&BridgeConfig::instant(TREE_BREADTH), false);
+    assert_eq!(faulted, baseline, "the outage changed a reply or a holding");
+    assert!(
+        stats.end_time > base_stats.end_time,
+        "the window cost nothing"
+    );
+    let trace = collector.snapshot();
+    let lost_relays = trace
+        .instants
+        .iter()
+        .filter(|i| i.name == "fault.outage_drop" && trace.proc_name(i.pid) == "agent8")
+        .count();
+    assert!(
+        lost_relays > 0,
+        "no relay was ever lost at the downed agent"
+    );
+}
+
+/// A leaf LFS killed between any two of its first writes — inside the
+/// first fan-outs — recovers from its log and answers the agent's (or the
+/// server's) resend: every Create still succeeds, the transcript equals
+/// the fault-free one, and the closing pfsck is clean.
+#[test]
+fn tree_survives_a_leaf_crash_mid_fan_out() {
+    for after_writes in 1..=6 {
+        let plan = FaultPlan {
+            seed: 26,
+            crashes: vec![CrashAt {
+                disk: 13,
+                after_writes,
+                down: SimDuration::from_millis(400),
+            }],
+            ..FaultPlan::none()
+        };
+        let machine = BridgeConfig::instant(TREE_BREADTH).with_wal();
+        let (base, faulted) = check_tree_plan("leaf crash", machine, plan);
+        assert!(
+            faulted.end_time > base.end_time,
+            "kill after write {after_writes} never fired"
+        );
+    }
 }
 
 proptest! {
