@@ -11,7 +11,7 @@ use bridge_core::{
     SERIAL_ARITY,
 };
 use bridge_efs::{EfsError, LfsClient, LfsFileId, LfsOp};
-use bridge_trace::TraceCollector;
+use bridge_trace::{profile, validate_causality, Category, TraceCollector};
 
 /// `config` spelling the prototype's serial sequence.
 fn serial(mut config: BridgeConfig) -> BridgeConfig {
@@ -135,4 +135,54 @@ fn a_failed_fan_out_strands_nothing() {
             "arity {arity}: create, create, create, write, open"
         );
     }
+}
+
+/// Every relay hop is one link of the causal chain client → server →
+/// agent → … → LFS: its `client.bridge.relay` span pairs with exactly one
+/// `bridge.relay` service span under the key the profiler stitches by, so
+/// a Create through three levels of agents is attributed to the
+/// nanosecond, with no time left unexplained.
+#[test]
+fn relay_hops_stitch_into_the_causal_chain() {
+    let collector = TraceCollector::install();
+    let mut config = BridgeConfig::paper(128);
+    config.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let server = machine.server;
+    sim.block_on(machine.frontend, "app", move |ctx| {
+        BridgeClient::new(server)
+            .create(ctx, CreateSpec::default())
+            .unwrap();
+    });
+    let trace = collector.snapshot();
+    let served: Vec<_> = trace
+        .spans_in("bridge")
+        .filter(|s| s.name == "bridge.relay")
+        .map(|s| (s.pid as u64, s.arg("id"), s.arg("client")))
+        .collect();
+    let sent: Vec<_> = trace
+        .spans_in("client")
+        .filter(|s| s.name == "client.bridge.relay")
+        .collect();
+    assert!(sent.len() > 4, "deeper than the server's own four relays");
+    assert_eq!(sent.len(), served.len());
+    for hop in sent {
+        let key = (
+            hop.arg("server").unwrap(),
+            hop.arg("id"),
+            Some(hop.pid as u64),
+        );
+        assert_eq!(served.iter().filter(|&&s| s == key).count(), 1, "{key:?}");
+    }
+    validate_causality(&trace).unwrap();
+    let [create] = &profile(&trace).ops[..] else {
+        panic!("the Create is the run's one top-level op");
+    };
+    assert_eq!(create.name, "client.bridge.create");
+    assert_eq!(create.untraced_nanos(), 0);
+    assert_eq!(create.breakdown.total(), create.latency_nanos());
+    assert!(
+        create.breakdown.get(Category::DiskPosition) > 0,
+        "reaches the disks"
+    );
 }
