@@ -9,7 +9,7 @@
 //!    Performance could be improved somewhat by sending startup and
 //!    completion messages through an embedded binary tree." The fan-out
 //!    is one routine with an arity; the first table sweeps it, and is what
-//!    `BridgeServerConfig::default()`'s arity of 2 rests on.
+//!    `BridgeServerConfig::default()`'s arity rests on.
 //! 2. **Tool worker startup**: the copy tool's O(n/p + log p) bound
 //!    assumes tree-structured worker creation.
 
@@ -69,8 +69,18 @@ fn main() {
     println!("## Ablation A4 — serial vs embedded-binary-tree startup\n");
     let mut profiler = Profiler::new("ablate_tree_start");
 
+    // The stock machine's arity, which the sweep has to justify.
+    let stock = BridgeServerConfig::default().create_arity;
+    let stock_at = ARITIES.iter().position(|&a| a == stock).expect("swept");
+    let name = |arity: u32| match arity {
+        SERIAL_ARITY => "serial".to_string(),
+        arity => arity.to_string(),
+    };
     println!("### Create, virtual ms, by fan-out arity (serial = Table 2's 145 + 17.5p)");
-    let mut t = Table::new(["p", "2", "3", "4", "8", "serial", "best", "serial / 4"]);
+    let mut header = vec!["p".to_string()];
+    header.extend(ARITIES.map(name));
+    header.extend(["best".to_string(), format!("serial / {stock}")]);
+    let mut t = Table::new(header);
     // p = 4 rides along: the widest file the sort tool's merge passes
     // create before the final one, where a relay hop is all overhead.
     for &p in &[4u32, 8, 32, 64, 256, 1024] {
@@ -80,20 +90,16 @@ fn main() {
             .expect("arities");
         let mut row = vec![p.to_string()];
         row.extend(times.iter().map(|d| format!("{:.0}", d.as_millis_f64())));
-        row.push(match ARITIES[best] {
-            SERIAL_ARITY => "serial".into(),
-            arity => arity.to_string(),
-        });
+        row.push(name(ARITIES[best]));
+        let serial = times[ARITIES.len() - 1];
         row.push(format!(
             "{:.2}x",
-            times[4].as_secs_f64() / times[2].as_secs_f64()
+            serial.as_secs_f64() / times[stock_at].as_secs_f64()
         ));
         t.row(row);
     }
     t.print();
 
-    // The stock machine's arity, which the sweep above has to justify.
-    let stock = BridgeServerConfig::default().create_arity;
     println!("\n### Copy tool, startup-dominated (one block per node), both fan-outs applied");
     let mut t = Table::new(["p", "all-serial", "all-tree", "advantage"]);
     for &p in &[8u32, 16, 32, 64] {

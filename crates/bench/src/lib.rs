@@ -14,9 +14,7 @@ pub mod report;
 pub mod results;
 pub mod workload;
 
-use bridge_core::{
-    BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, SERIAL_ARITY,
-};
+use bridge_core::{BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec};
 use parsim::{Ctx, SimDuration};
 
 /// The paper's experiment file: 10 MB of block-sized records.
@@ -50,9 +48,7 @@ pub fn file_blocks() -> u64 {
 /// Tables 2–4 price the sequence the paper's figures come from. Every
 /// `paper_machine*` builder starts here.
 pub fn paper_config(p: u32) -> BridgeConfig {
-    let mut config = BridgeConfig::paper(p);
-    config.server.create_arity = SERIAL_ARITY;
-    config
+    BridgeConfig::paper(p).with_serial_create()
 }
 
 /// Builds the paper's machine at breadth `p`.

@@ -6,7 +6,7 @@
 //! interconnect.
 
 use crate::redundancy::Redundancy;
-use crate::server::{spawn_bridge_agent, spawn_bridge_server, BridgeServerConfig};
+use crate::server::{spawn_bridge_agent, spawn_bridge_server, BridgeServerConfig, SERIAL_ARITY};
 use crate::txlog::TxLog;
 use bridge_efs::{spawn_lfs_sched, Efs, EfsConfig, RetryPolicy};
 use bridge_trace::TelemetryRegistry;
@@ -146,6 +146,15 @@ impl BridgeConfig {
     /// ablation bench run the same machine on both).
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
+        self
+    }
+
+    /// `self` as the prototype the paper measured: Create's fan-out at
+    /// [`SERIAL_ARITY`], the server initiating every LFS create itself —
+    /// Table 2's `145 + 17.5p`. What anything pinning the paper's own
+    /// numbers builds on, whatever the stock arity is.
+    pub fn with_serial_create(mut self) -> Self {
+        self.server.create_arity = SERIAL_ARITY;
         self
     }
 

@@ -493,6 +493,13 @@ mod tests {
             result: Ok(BridgeData::Eof),
         });
         assert!(block > done + 900);
+
+        // A relay carries its (agent, LFS) pairs: 16 KB at p = 1024.
+        let relay = RelayCreate {
+            files: vec![LfsFileId(1)],
+            targets: vec![(ProcId::from_index(0), ProcId::from_index(1)); 1024],
+        };
+        assert_eq!(RelayRpc::wire_size(&relay), 48 + 16 * 1024);
     }
 
     #[test]

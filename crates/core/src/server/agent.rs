@@ -71,9 +71,9 @@ pub(super) fn create_on(
 /// Spawns a fan-out agent on `node`: a small resident process that serves
 /// [`RelayRequest`]s by running the server's own fan-out routine over the
 /// request's targets — its own LFS, then the rest split among its
-/// children — under the server's charges and retry policy. A retransmitted or duplicated
-/// request replays its recorded reply and never creates twice, so the tree
-/// is at-least-once end to end.
+/// children — under the server's charges and retry policy. A retransmitted
+/// or duplicated request replays its recorded reply and never creates
+/// twice, so the tree is at-least-once end to end.
 pub fn spawn_bridge_agent(
     sim: &mut Simulation,
     node: NodeId,

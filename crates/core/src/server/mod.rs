@@ -71,9 +71,10 @@ pub struct BridgeServerConfig {
     pub create_arity: u32,
     /// Scatter-gather batching of the server's LFS traffic.
     pub batch: BatchPolicy,
-    /// Timeout/retry policy for the server's (and agents') internal LFS
-    /// clients. [`RetryPolicy::none`] — the default — waits indefinitely,
-    /// the pre-retry behaviour; under a fault plan that drops server↔LFS
+    /// Timeout/retry policy for the server's and the agents' internal
+    /// clients — on the LFS instances and, for Create's relay hops, on the
+    /// agents. [`RetryPolicy::none`] — the default — waits indefinitely,
+    /// the pre-retry behaviour; under a fault plan that drops that
     /// traffic, install [`RetryPolicy::standard`].
     pub lfs_retry: RetryPolicy,
     /// Redundancy applied to files whose [`CreateSpec`](crate::CreateSpec) asks for
@@ -162,11 +163,10 @@ struct Server {
 
 /// Spawns the Bridge Server on `node`, gluing together the given LFS
 /// server processes. `agents` are the per-node fan-out agents, one per
-/// LFS. `txlog` is the coordinator's
-/// presumed-abort decision log; passing `Some` routes every
-/// multi-instance mutation through two-phase commit over the per-LFS
-/// WALs (which every instance must then run). Returns the server's
-/// process id.
+/// LFS. `txlog` is the coordinator's presumed-abort decision log; passing
+/// `Some` routes every multi-instance mutation through two-phase commit
+/// over the per-LFS WALs (which every instance must then run). Returns
+/// the server's process id.
 #[allow(clippy::too_many_arguments)]
 pub fn spawn_bridge_server(
     sim: &mut Simulation,

@@ -525,8 +525,7 @@ fn tool_path_reads_lfs_directly() {
 fn create_cost_grows_linearly_and_open_is_flat() {
     // Table 2 shapes: Create = a + b·p (serial initiation), Open ≈ flat.
     let cost = |p: u32| -> (SimDuration, SimDuration) {
-        let mut config = BridgeConfig::paper(p);
-        config.server.create_arity = bridge_core::SERIAL_ARITY;
+        let config = BridgeConfig::paper(p).with_serial_create();
         let (mut sim, machine) = BridgeMachine::build(&config);
         let server = machine.server;
         sim.block_on(machine.frontend, "app", move |ctx| {

@@ -13,10 +13,10 @@ use bridge_core::{
 use bridge_efs::{EfsError, LfsClient, LfsFileId, LfsOp};
 use bridge_trace::{profile, validate_causality, Category, TraceCollector};
 
-/// `config` spelling the prototype's serial sequence.
-fn serial(mut config: BridgeConfig) -> BridgeConfig {
-    config.server.create_arity = SERIAL_ARITY;
-    config
+/// The paper's machine at breadth `p`, spelling the prototype's serial
+/// sequence.
+fn serial(p: u32) -> BridgeConfig {
+    BridgeConfig::paper(p).with_serial_create()
 }
 
 /// One Create on a fresh machine: its virtual time (ns) and the run's
@@ -52,30 +52,30 @@ fn serial_create_reproduces_the_reference_sequence() {
     let rows = [
         (
             "p4",
-            one_create(&serial(BridgeConfig::paper(4)), CreateSpec::default()),
+            one_create(&serial(4), CreateSpec::default()),
             [89_408_000, 45, 10, 352, 45],
         ),
         (
             "p32",
-            one_create(&serial(BridgeConfig::paper(32)), CreateSpec::default()),
+            one_create(&serial(32), CreateSpec::default()),
             [545_204_800, 325, 66, 2_144, 325],
         ),
         (
             "p32_mirror",
             one_create(
-                &serial(BridgeConfig::paper(32).with_redundancy(Redundancy::Mirror)),
+                &serial(32).with_redundancy(Redundancy::Mirror),
                 CreateSpec::default(),
             ),
             [801_204_800, 517, 130, 4_192, 517],
         ),
         (
             "one_node",
-            one_create(&serial(BridgeConfig::paper(4)), on_nodes(&[2])),
+            one_create(&serial(4), on_nodes(&[2])),
             [62_408_000, 21, 4, 160, 21],
         ),
         (
             "two_nodes",
-            one_create(&serial(BridgeConfig::paper(4)), on_nodes(&[3, 1])),
+            one_create(&serial(4), on_nodes(&[3, 1])),
             [71_408_000, 29, 6, 224, 29],
         ),
     ];

@@ -18,7 +18,7 @@
 
 use bridge_core::{
     BatchPolicy, BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, JobDeliver,
-    JobWorker, PlacementSpec, Redundancy, SERIAL_ARITY,
+    JobWorker, PlacementSpec, Redundancy,
 };
 use parsim::{Ctx, ProcId};
 use std::sync::mpsc;
@@ -31,9 +31,7 @@ const BLOCKS: u64 = 20;
 /// The paper's machine with Create's fan-out at the serial arity: the
 /// constants below pin the prototype's sequence whatever the default is.
 fn prototype() -> BridgeConfig {
-    let mut config = BridgeConfig::paper(P);
-    config.server.create_arity = SERIAL_ARITY;
-    config
+    BridgeConfig::paper(P).with_serial_create()
 }
 
 /// What one scripted run is pinned to.

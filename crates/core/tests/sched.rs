@@ -4,7 +4,7 @@
 //! reported through `GetInfo`.
 
 use bridge_core::{
-    BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, SchedConfig, SchedPolicy, SERIAL_ARITY,
+    BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, SchedConfig, SchedPolicy,
 };
 
 /// A canonical single-client workload: create, 256 sequential writes,
@@ -37,11 +37,7 @@ fn canonical_workload(config: &BridgeConfig) -> (u64, u64) {
 /// similar ones.
 #[test]
 fn fifo_flat_profile_reproduces_seed_virtual_time() {
-    let prototype = |p: u32| {
-        let mut config = BridgeConfig::paper(p);
-        config.server.create_arity = SERIAL_ARITY;
-        config
-    };
+    let prototype = |p: u32| BridgeConfig::paper(p).with_serial_create();
     assert_eq!(
         canonical_workload(&prototype(1)),
         (14_288_716_400, 2070),

@@ -779,9 +779,9 @@ const TREE_BREADTH: u32 = 32;
 /// created and deleted in waves with a few blocks written between. The
 /// transcript holds every reply, the surviving files' contents, and what
 /// each LFS holds at the end (so a column created twice, on the wrong
-/// node, or left behind by a delete shows); with `pfsck_tail` it ends in
-/// a machine-wide `pfsck --check` verdict.
-fn run_tree_workload(config: &BridgeConfig, pfsck_tail: bool) -> (Vec<String>, RunStats) {
+/// node, or left behind by a delete shows), and ends in a `pfsck --check`
+/// verdict over every instance.
+fn run_tree_workload(config: &BridgeConfig) -> (Vec<String>, RunStats) {
     let (mut sim, machine) = BridgeMachine::build(config);
     let server = machine.server;
     let pairs: Vec<(ProcId, NodeId)> = machine
@@ -855,19 +855,17 @@ fn run_tree_workload(config: &BridgeConfig, pfsck_tail: bool) -> (Vec<String>, R
             held.sort_unstable();
             log.push(format!("lfs{i} holds {held:?}"));
         }
-        if pfsck_tail {
-            let options = FsckOptions {
-                retry,
-                ..FsckOptions::default()
-            };
-            let verdict = pfsck(ctx, &pairs, &options).expect("pfsck");
-            log.push(format!(
-                "pfsck clean={} repaired={} errors={:?}",
-                verdict.clean(),
-                verdict.repaired,
-                verdict.errors(),
-            ));
-        }
+        let options = FsckOptions {
+            retry,
+            ..FsckOptions::default()
+        };
+        let verdict = pfsck(ctx, &pairs, &options).expect("pfsck");
+        log.push(format!(
+            "pfsck clean={} repaired={} errors={:?}",
+            verdict.clean(),
+            verdict.repaired,
+            verdict.errors(),
+        ));
         log
     });
     (log, sim.stats())
@@ -876,9 +874,8 @@ fn run_tree_workload(config: &BridgeConfig, pfsck_tail: bool) -> (Vec<String>, R
 /// The headline invariant on the fan-out workload: the transcript under
 /// `plan` on `machine` (a fault-free config) equals the fault-free one.
 fn check_tree_plan(label: &str, machine: BridgeConfig, plan: FaultPlan) -> (RunStats, RunStats) {
-    let pfsck_tail = machine.efs.wal != BridgeConfig::instant(1).efs.wal;
-    let (baseline, base_stats) = run_tree_workload(&machine, pfsck_tail);
-    let (faulted, fault_stats) = run_tree_workload(&machine.with_faults(plan.clone()), pfsck_tail);
+    let (baseline, base_stats) = run_tree_workload(&machine);
+    let (faulted, fault_stats) = run_tree_workload(&machine.with_faults(plan.clone()));
     let divergence = baseline.iter().zip(&faulted).position(|(b, f)| b != f);
     if let Some(at) = divergence.or((baseline.len() != faulted.len()).then_some(0)) {
         panic!(
@@ -945,8 +942,8 @@ fn tree_replays_duplicated_relays_from_the_agents_window() {
     };
     let mut config = BridgeConfig::instant(TREE_BREADTH).with_faults(plan);
     config.tracer = Some(collector.as_tracer());
-    let (faulted, _) = run_tree_workload(&config, false);
-    let (baseline, _) = run_tree_workload(&BridgeConfig::instant(TREE_BREADTH), false);
+    let (faulted, _) = run_tree_workload(&config);
+    let (baseline, _) = run_tree_workload(&BridgeConfig::instant(TREE_BREADTH));
     assert_eq!(
         faulted, baseline,
         "a duplicate changed a reply or a holding"
@@ -980,8 +977,8 @@ fn tree_rides_out_a_down_inner_agent() {
     };
     let mut config = BridgeConfig::instant(TREE_BREADTH).with_faults(plan);
     config.tracer = Some(collector.as_tracer());
-    let (faulted, stats) = run_tree_workload(&config, false);
-    let (baseline, base_stats) = run_tree_workload(&BridgeConfig::instant(TREE_BREADTH), false);
+    let (faulted, stats) = run_tree_workload(&config);
+    let (baseline, base_stats) = run_tree_workload(&BridgeConfig::instant(TREE_BREADTH));
     assert_eq!(faulted, baseline, "the outage changed a reply or a holding");
     assert!(
         stats.end_time > base_stats.end_time,
