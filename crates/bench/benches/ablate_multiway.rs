@@ -4,17 +4,22 @@
 //! the constant for a global merge, with the net result that the sort tool
 //! as a whole displays super-linear speedup. With a faster (e.g.
 //! multi-way) local merge, this anomaly should disappear." This bench
-//! measures exactly that: sort speedup curves under 2-way vs multi-way
-//! local merges.
+//! measures exactly that: the sort's phases and its p = 2 → 32 speedup
+//! with the local merge at `SortOptions::local_merge_arity` 2 (the
+//! prototype), 4, 8 and all runs in one pass.
 
 use bridge_bench::profile::Profiler;
 use bridge_bench::report::{mins, Table};
 use bridge_bench::{file_blocks, speedup, write_workload};
 use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine};
-use bridge_tools::{sort, LocalMergeArity, SortOptions, SortStats};
+use bridge_tools::{sort, SortOptions, SortStats};
 use parsim::TracerHandle;
 
-fn run(p: u32, blocks: u64, arity: LocalMergeArity, tracer: Option<TracerHandle>) -> SortStats {
+/// The local merge arities swept; the last merges every run in one pass.
+const ARITIES: [u32; 4] = [2, 4, 8, u32::MAX];
+const PS: [u32; 3] = [2, 8, 32];
+
+fn run(p: u32, blocks: u64, arity: u32, tracer: Option<TracerHandle>) -> SortStats {
     let mut config = BridgeConfig::paper(p);
     config.tracer = tracer;
     let (mut sim, machine) = BridgeMachine::build(&config);
@@ -27,7 +32,7 @@ fn run(p: u32, blocks: u64, arity: LocalMergeArity, tracer: Option<TracerHandle>
             &mut bridge,
             src,
             &SortOptions {
-                local_merge: arity,
+                local_merge_arity: arity,
                 ..SortOptions::default()
             },
         )
@@ -38,74 +43,55 @@ fn run(p: u32, blocks: u64, arity: LocalMergeArity, tracer: Option<TracerHandle>
 
 fn main() {
     let blocks = file_blocks();
-    println!("## Ablation A2 — 2-way vs multi-way local merge ({blocks} records)\n");
+    println!("## Ablation A2 — local merge arity, 2-way to all-at-once ({blocks} records)\n");
 
-    let ps = [2u32, 4, 8, 16, 32];
-    let mut profiler = Profiler::new("ablate_multiway");
-    // Under --profile, attribute the widest sort of each arity.
-    let mut run_one = |p: u32, arity: LocalMergeArity, label: Option<&str>| {
-        let tracer = label.and_then(|l| profiler.arm(l));
-        let stats = run(p, blocks, arity, tracer);
-        profiler.capture();
-        stats
+    let name = |arity: u32| match arity {
+        u32::MAX => "all".to_string(),
+        arity => format!("{arity}-way"),
     };
-    let binary: Vec<SortStats> = ps
-        .iter()
-        .map(|&p| {
-            run_one(
-                p,
-                LocalMergeArity::Binary,
-                (p == 32).then_some("sort_p32_2way"),
-            )
+    let mut profiler = Profiler::new("ablate_multiway");
+    // stats[i][j]: breadth PS[i] at arity ARITIES[j]. Under --profile,
+    // the widest sort of each arity is attributed.
+    let stats = PS.map(|p| {
+        ARITIES.map(|arity| {
+            let label = format!("sort_p32_{}", name(arity));
+            let tracer = (p == 32).then(|| profiler.arm(&label)).flatten();
+            let stats = run(p, blocks, arity, tracer);
+            profiler.capture();
+            stats
         })
-        .collect();
-    let multi: Vec<SortStats> = ps
-        .iter()
-        .map(|&p| {
-            run_one(
-                p,
-                LocalMergeArity::MultiWay,
-                (p == 32).then_some("sort_p32_multiway"),
-            )
-        })
-        .collect();
+    });
 
-    let mut t = Table::new([
-        "p",
-        "2-way local",
-        "2-way total",
-        "2-way passes",
-        "multi local",
-        "multi total",
-    ]);
-    for (i, &p) in ps.iter().enumerate() {
-        t.row([
-            p.to_string(),
-            mins(binary[i].local_sort),
-            mins(binary[i].total),
-            binary[i].local_merge_passes.to_string(),
-            mins(multi[i].local_sort),
-            mins(multi[i].total),
-        ]);
+    let mut t = Table::new(["p", "arity", "local passes", "local sort", "merge", "total"]);
+    for (p, row) in PS.iter().zip(&stats) {
+        for (arity, s) in ARITIES.iter().zip(row) {
+            t.row([
+                p.to_string(),
+                name(*arity),
+                s.local_merge_passes.to_string(),
+                mins(s.local_sort),
+                mins(s.merge),
+                mins(s.total),
+            ]);
+        }
     }
     t.print();
 
-    println!("\n### Doubling speedups (total time)");
-    let mut t = Table::new(["p doubling", "2-way speedup", "multi-way speedup"]);
-    for i in 1..ps.len() {
+    println!("\n### Speedup in total time (ideal 4x per step, 16x overall)");
+    let mut t = Table::new(["arity", "2 → 8", "8 → 32", "2 → 32"]);
+    for (j, arity) in ARITIES.iter().enumerate() {
+        let total = |i: usize| stats[i][j].total;
         t.row([
-            format!("{} → {}", ps[i - 1], ps[i]),
-            format!("{:.2}x", speedup(binary[i - 1].total, binary[i].total)),
-            format!("{:.2}x", speedup(multi[i - 1].total, multi[i].total)),
+            name(*arity),
+            format!("{:.2}x", speedup(total(0), total(1))),
+            format!("{:.2}x", speedup(total(1), total(2))),
+            format!("{:.2}x", speedup(total(0), total(2))),
         ]);
     }
     t.print();
-
-    let b_overall = speedup(binary[0].total, binary[4].total);
-    let m_overall = speedup(multi[0].total, multi[4].total);
     println!(
-        "\np=2 → 32 overall: 2-way {b_overall:.1}x vs multi-way {m_overall:.1}x (ideal 16x).\n\
-         The 2-way curve exceeds linear (merge passes fall out of the local phase as p\n\
-         grows); the multi-way curve should sit near linear — the paper's prediction."
+        "\nThe 2-way curve exceeds linear (merge passes fall out of the local phase as p\n\
+         grows); with every run merged in one pass it should sit near linear — the\n\
+         paper's prediction."
     );
 }

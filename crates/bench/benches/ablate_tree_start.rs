@@ -11,7 +11,9 @@
 //!    is one routine with an arity; the first table sweeps it, and is what
 //!    `BridgeServerConfig::default()`'s arity rests on.
 //! 2. **Tool worker startup**: the copy tool's O(n/p + log p) bound
-//!    assumes tree-structured worker creation.
+//!    assumes tree-structured worker creation. The same shape — one
+//!    routine, `ToolOptions::start_arity` — and the second table sweeps
+//!    it.
 
 use bridge_bench::profile::Profiler;
 use bridge_bench::report::Table;
@@ -19,11 +21,13 @@ use bridge_bench::write_workload;
 use bridge_core::{
     BridgeClient, BridgeConfig, BridgeMachine, BridgeServerConfig, CreateSpec, SERIAL_ARITY,
 };
-use bridge_tools::{copy, Fanout, ToolOptions};
+use bridge_tools::{copy, ToolOptions};
 use parsim::{SimDuration, TracerHandle};
 
-/// The arities swept, the serial sequence last.
+/// Create's arities swept, the serial sequence last.
 const ARITIES: [u32; 5] = [2, 3, 4, 8, SERIAL_ARITY];
+/// The tools' worker-start arities swept, the serial start last.
+const START_ARITIES: [u32; 4] = [2, 4, 8, SERIAL_ARITY];
 
 fn create_time(p: u32, arity: u32) -> SimDuration {
     let mut config = BridgeConfig::paper(p);
@@ -45,7 +49,7 @@ fn copy_time(
     p: u32,
     blocks: u64,
     create_arity: u32,
-    workers: Fanout,
+    start_arity: u32,
     tracer: Option<TracerHandle>,
 ) -> SimDuration {
     let mut config = BridgeConfig::paper(p);
@@ -57,7 +61,7 @@ fn copy_time(
         let mut bridge = BridgeClient::new(server);
         let src = write_workload(ctx, &mut bridge, blocks, 23);
         let opts = ToolOptions {
-            fanout: workers,
+            start_arity,
             ..ToolOptions::default()
         };
         let (_, stats) = copy(ctx, &mut bridge, src, &opts).expect("copy");
@@ -100,34 +104,53 @@ fn main() {
     }
     t.print();
 
-    println!("\n### Copy tool, startup-dominated (one block per node), both fan-outs applied");
-    let mut t = Table::new(["p", "all-serial", "all-tree", "advantage"]);
+    // The tools' default, which this PR's sweep reports on and leaves alone.
+    let default_start = ToolOptions::default().start_arity;
+    println!(
+        "\n### Copy tool, startup-dominated (one block per node), virtual ms, by worker-start \
+         arity (Create at {stock}); all-serial = both at serial"
+    );
+    let mut header = vec!["p".to_string()];
+    header.extend(START_ARITIES.map(name));
+    header.extend([
+        "all-serial".to_string(),
+        format!("all-serial / {default_start}"),
+    ]);
+    let mut t = Table::new(header);
     for &p in &[8u32, 16, 32, 64] {
-        // Under --profile, attribute the widest startup-dominated copies.
+        let mut row = vec![p.to_string()];
+        let mut at_default = SimDuration::ZERO;
+        for arity in START_ARITIES {
+            // Under --profile, attribute the widest default-arity copy.
+            let tracer = (p == 64 && arity == default_start)
+                .then(|| profiler.arm("copy_start_p64_tree"))
+                .flatten();
+            let time = copy_time(p, u64::from(p), stock, arity, tracer);
+            profiler.capture();
+            if arity == default_start {
+                at_default = time;
+            }
+            row.push(format!("{:.0}", time.as_millis_f64()));
+        }
         let tracer = (p == 64)
             .then(|| profiler.arm("copy_start_p64_serial"))
             .flatten();
-        let serial = copy_time(p, u64::from(p), SERIAL_ARITY, Fanout::Serial, tracer);
+        let serial = copy_time(p, u64::from(p), SERIAL_ARITY, SERIAL_ARITY, tracer);
         profiler.capture();
-        let tracer = (p == 64)
-            .then(|| profiler.arm("copy_start_p64_tree"))
-            .flatten();
-        let tree = copy_time(p, u64::from(p), stock, Fanout::Tree, tracer);
-        profiler.capture();
-        t.row([
-            p.to_string(),
-            format!("{:.0} ms", serial.as_millis_f64()),
-            format!("{:.0} ms", tree.as_millis_f64()),
-            format!("{:.2}x", serial.as_secs_f64() / tree.as_secs_f64()),
-        ]);
+        row.push(format!("{:.0}", serial.as_millis_f64()));
+        row.push(format!(
+            "{:.2}x",
+            serial.as_secs_f64() / at_default.as_secs_f64()
+        ));
+        t.row(row);
     }
     t.print();
 
     println!("\n### Copy tool, I/O-dominated (2048-block file): startup is in the noise");
     let mut t = Table::new(["p", "all-serial", "all-tree", "advantage"]);
     for &p in &[8u32, 32] {
-        let serial = copy_time(p, 2048, SERIAL_ARITY, Fanout::Serial, None);
-        let tree = copy_time(p, 2048, stock, Fanout::Tree, None);
+        let serial = copy_time(p, 2048, SERIAL_ARITY, SERIAL_ARITY, None);
+        let tree = copy_time(p, 2048, stock, default_start, None);
         t.row([
             p.to_string(),
             format!("{:.1} s", serial.as_secs_f64()),

@@ -10,9 +10,9 @@
 use crate::column::{ColumnReader, ColumnWriter};
 use crate::error::ToolError;
 use crate::options::ToolOptions;
-use crate::toolkit::{run_workers, WorkerSpec};
+use crate::toolkit::scan_columns;
 use bridge_core::{
-    BridgeClient, BridgeError, BridgeFileId, CreateSpec, PlacementKind, PlacementSpec,
+    BridgeClient, BridgeError, BridgeFileId, CreateSpec, PlacementKind, PlacementSpec, Redundancy,
 };
 use bridge_efs::LfsClient;
 use parsim::{Ctx, SimDuration};
@@ -144,128 +144,71 @@ fn copy_filtered(
     let t0 = ctx.now();
     // (1) the brief phase of communication with the Bridge Server.
     let open = bridge.open(ctx, src)?;
-    let placement = match open.placement {
-        PlacementKind::RoundRobin { start } => PlacementSpec::RoundRobinAt { start },
-        PlacementKind::Hashed { seed } => PlacementSpec::Hashed { seed },
-        PlacementKind::Chunked { .. } => {
-            // Chunked needs its size hint recomputed; handled separately.
-            let breadth = open.nodes.len() as u64;
-            return copy_chunked(ctx, bridge, open, transform, opts, t0, breadth);
-        }
+    let (placement, size_hint) = match open.placement {
+        PlacementKind::RoundRobin { start } => (PlacementSpec::RoundRobinAt { start }, open.size),
+        PlacementKind::Hashed { seed } => (PlacementSpec::Hashed { seed }, open.size),
+        // The server derives blocks_per_chunk = ceil(hint / breadth);
+        // this hint reproduces the source's chunk size exactly.
+        PlacementKind::Chunked { blocks_per_chunk } => (
+            PlacementSpec::Chunked,
+            u64::from(blocks_per_chunk) * open.nodes.len() as u64,
+        ),
         PlacementKind::Linked => {
             return Err(ToolError::Bridge(BridgeError::LinkedUnsupported {
                 op: "copy tool",
             }))
         }
     };
-    let nodes: Vec<u32> = open.nodes.iter().map(|s| s.index.0).collect();
     let dst = bridge.create(
         ctx,
         CreateSpec {
             placement,
-            nodes: Some(nodes),
-            size_hint: Some(open.size),
+            nodes: Some(open.nodes.iter().map(|s| s.index.0).collect()),
+            size_hint: Some(size_hint),
             redundancy: open.redundancy,
         },
     )?;
-    run_ecopy(ctx, bridge, open, dst, transform, opts, t0)
-}
-
-fn copy_chunked(
-    ctx: &mut Ctx,
-    bridge: &mut BridgeClient,
-    open: bridge_core::OpenInfo,
-    transform: Option<BlockTransform>,
-    opts: &ToolOptions,
-    t0: parsim::SimTime,
-    breadth: u64,
-) -> Result<(BridgeFileId, CopyStats), ToolError> {
-    let PlacementKind::Chunked { blocks_per_chunk } = open.placement else {
-        unreachable!("caller checked");
-    };
-    let nodes: Vec<u32> = open.nodes.iter().map(|s| s.index.0).collect();
-    let dst = bridge.create(
-        ctx,
-        CreateSpec {
-            placement: PlacementSpec::Chunked,
-            nodes: Some(nodes),
-            // The server derives blocks_per_chunk = ceil(hint / breadth);
-            // this hint reproduces the source's chunk size exactly.
-            size_hint: Some(u64::from(blocks_per_chunk) * breadth),
-            redundancy: open.redundancy,
-        },
-    )?;
-    run_ecopy(ctx, bridge, open, dst, transform, opts, t0)
-}
-
-fn run_ecopy(
-    ctx: &mut Ctx,
-    bridge: &mut BridgeClient,
-    open: bridge_core::OpenInfo,
-    dst: BridgeFileId,
-    transform: Option<BlockTransform>,
-    opts: &ToolOptions,
-    t0: parsim::SimTime,
-) -> Result<(BridgeFileId, CopyStats), ToolError> {
     let dst_open = bridge.open(ctx, dst)?;
-    let batch = opts.batch;
 
     // (2) create subprocesses on all the LFS nodes; (3) they stream their
     // columns locally.
-    let specs: Vec<WorkerSpec<u32>> = open
-        .nodes
-        .iter()
-        .zip(dst_open.nodes.iter())
-        .enumerate()
-        .map(|(i, (src_slice, dst_slice))| {
-            debug_assert_eq!(src_slice.index, dst_slice.index);
-            let src_proc = src_slice.proc;
-            let dst_proc = dst_slice.proc;
-            let src_file = open.lfs_file;
-            let dst_file = dst_open.lfs_file;
-            let local_size = src_slice.local_size;
-            let transform = transform.clone();
-            WorkerSpec {
-                node: src_slice.node,
-                name: format!("ecopy{i}"),
-                run: Box::new(move |c: &mut Ctx| {
-                    let worker_t0 = c.now();
-                    let mut client = LfsClient::new();
-                    let mut reader =
-                        ColumnReader::new(src_proc, src_file, local_size).with_batch(batch);
-                    let mut writer = ColumnWriter::new(dst_proc, dst_file, 0).with_batch(batch);
-                    while let Some((mut header, data)) = reader.next_block(c, &mut client)? {
-                        // "The copy tool ignores the Bridge headers in the
-                        // file it is copying. Since all the header pointers
-                        // are block-number/LFS-instance pairs, the pointers
-                        // are still valid in the new file." Our headers also
-                        // name the owning file (for integrity checks), so
-                        // ecopy relabels that one field.
-                        header.file = dst;
-                        match &transform {
-                            None => writer.append_block(c, &mut client, &header, &data)?,
-                            Some(transform) => {
-                                let mut data = data.to_vec();
-                                transform(&mut data);
-                                writer.append_block(c, &mut client, &header, &data)?;
-                            }
-                        }
-                    }
-                    writer.flush(c, &mut client)?;
-                    if c.trace_enabled() {
-                        c.trace_span(
-                            "tool",
-                            "tool.ecopy",
-                            worker_t0,
-                            &[("blocks", u64::from(writer.position()))],
-                        );
-                    }
-                    Ok(writer.position())
-                }),
+    let (src_file, dst_file, dst_nodes) = (open.lfs_file, dst_open.lfs_file, dst_open.nodes);
+    let per_node = scan_columns(ctx, opts, &open, "ecopy", move |c, i, src_slice, batch| {
+        let dst_slice = dst_nodes[i];
+        debug_assert_eq!(src_slice.index, dst_slice.index);
+        let worker_t0 = c.now();
+        let mut client = LfsClient::new();
+        let mut reader =
+            ColumnReader::new(src_slice.proc, src_file, src_slice.local_size).with_batch(batch);
+        let mut writer = ColumnWriter::new(dst_slice.proc, dst_file, 0).with_batch(batch);
+        while let Some((mut header, data)) = reader.next_block(c, &mut client)? {
+            // "The copy tool ignores the Bridge headers in the file it is
+            // copying. Since all the header pointers are
+            // block-number/LFS-instance pairs, the pointers are still
+            // valid in the new file." Our headers also name the owning
+            // file (for integrity checks), so ecopy relabels that one
+            // field.
+            header.file = dst;
+            match &transform {
+                None => writer.append_block(c, &mut client, &header, &data)?,
+                Some(transform) => {
+                    let mut data = data.to_vec();
+                    transform(&mut data);
+                    writer.append_block(c, &mut client, &header, &data)?;
+                }
             }
-        })
-        .collect();
-    let per_node = run_workers(ctx, opts, specs)?;
+        }
+        writer.flush(c, &mut client)?;
+        if c.trace_enabled() {
+            c.trace_span(
+                "tool",
+                "tool.ecopy",
+                worker_t0,
+                &[("blocks", u64::from(writer.position()))],
+            );
+        }
+        Ok(writer.position())
+    })?;
     let blocks: u64 = per_node.iter().map(|&n| u64::from(n)).sum();
 
     // Refresh the server's view of the destination (tools grew it behind
@@ -273,7 +216,7 @@ fn run_ecopy(
     bridge.open(ctx, dst)?;
     // Tools write data columns directly, so a redundant destination's
     // mirror/parity companions are derived afterwards by the server.
-    if open.redundancy != bridge_core::Redundancy::None {
+    if open.redundancy != Redundancy::None {
         bridge.rebuild(ctx, dst)?;
     }
     if ctx.trace_enabled() {

@@ -355,47 +355,26 @@ pub fn pfsck(
 ) -> Result<FsckVerdict, ToolError> {
     let t0 = ctx.now();
     let repair = opts.repair;
-    // A failed instance answers `NodeFailed` to everything, its own Fsck
-    // included. Its local state is unknowable — contribute an empty
-    // report and let the machine-wide pass decide what that means: a
-    // redundant file's columns there are reconstructed from the group's
-    // survivors; a plain file's are simply not reportable yet.
-    let instance_report = |r: Result<LfsData, bridge_efs::EfsError>| match r {
-        Ok(data) => expect_report(data),
-        Err(bridge_efs::EfsError::NodeFailed) => Ok(FsckReport::default()),
-        Err(e) => Err(ToolError::Lfs(e)),
-    };
     let reports = match opts.mode {
         FsckMode::Serial => {
             let mut client = LfsClient::with_retry(opts.retry);
             let mut reports = Vec::with_capacity(lfs.len());
             for &(proc, _) in lfs {
-                reports.push(instance_report(client.call(
-                    ctx,
-                    proc,
-                    LfsOp::Fsck { repair },
-                ))?);
+                reports.push(instance_report(ctx, &mut client, proc, repair)?);
             }
             reports
         }
         FsckMode::Parallel => {
-            let specs: Vec<WorkerSpec<FsckReport>> = lfs
+            let retry = opts.retry;
+            let specs = lfs
                 .iter()
                 .enumerate()
-                .map(|(i, &(proc, node))| {
-                    let retry = opts.retry;
-                    WorkerSpec {
-                        node,
-                        name: format!("pfsck{i}"),
-                        run: Box::new(move |c: &mut Ctx| {
-                            let mut client = LfsClient::with_retry(retry);
-                            match client.call(c, proc, LfsOp::Fsck { repair }) {
-                                Ok(data) => expect_report(data),
-                                Err(bridge_efs::EfsError::NodeFailed) => Ok(FsckReport::default()),
-                                Err(e) => Err(ToolError::Lfs(e)),
-                            }
-                        }),
-                    }
+                .map(|(i, &(proc, node))| WorkerSpec {
+                    node,
+                    name: format!("pfsck{i}"),
+                    run: Box::new(move |c: &mut Ctx| {
+                        instance_report(c, &mut LfsClient::with_retry(retry), proc, repair)
+                    }),
                 })
                 .collect();
             run_workers(ctx, &opts.tool, specs)?
@@ -740,11 +719,23 @@ fn audit_entry(
     Ok(audit)
 }
 
-fn expect_report(data: LfsData) -> Result<FsckReport, ToolError> {
-    match data {
-        LfsData::Fsck(report) => Ok(report),
-        other => Err(ToolError::Protocol(format!(
+/// One instance's check. A failed instance answers `NodeFailed` to
+/// everything, its own Fsck included. Its local state is unknowable —
+/// contribute an empty report and let the machine-wide pass decide what
+/// that means: a redundant file's columns there are reconstructed from
+/// the group's survivors; a plain file's are simply not reportable yet.
+fn instance_report(
+    ctx: &mut Ctx,
+    client: &mut LfsClient,
+    proc: ProcId,
+    repair: bool,
+) -> Result<FsckReport, ToolError> {
+    match client.call(ctx, proc, LfsOp::Fsck { repair }) {
+        Ok(LfsData::Fsck(report)) => Ok(report),
+        Ok(other) => Err(ToolError::Protocol(format!(
             "unexpected fsck reply: {other:?}"
         ))),
+        Err(bridge_efs::EfsError::NodeFailed) => Ok(FsckReport::default()),
+        Err(e) => Err(ToolError::Lfs(e)),
     }
 }

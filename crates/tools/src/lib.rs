@@ -65,7 +65,7 @@ pub use error::ToolError;
 pub use fsck::{
     machine_check, pfsck, FsckMode, FsckOptions, FsckVerdict, MachineFinding, MachineReport,
 };
-pub use options::{Fanout, ToolOptions};
+pub use options::ToolOptions;
 pub use scan::{grep, summarize, Match, Summary};
-pub use sort::{key_of, sort, LocalMergeArity, SortOptions, SortStats, KEY_LEN};
+pub use sort::{key_of, sort, SortOptions, SortStats, KEY_LEN};
 pub use toolkit::{run_workers, WorkerSpec};

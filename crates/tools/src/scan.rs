@@ -8,8 +8,8 @@
 use crate::column::ColumnReader;
 use crate::error::ToolError;
 use crate::options::ToolOptions;
-use crate::toolkit::{run_workers, WorkerSpec};
-use bridge_core::{BridgeClient, BridgeError, BridgeFileId, PlacementKind};
+use crate::toolkit::{open_unlinked, scan_columns};
+use bridge_core::{BridgeClient, BridgeFileId};
 use bridge_efs::LfsClient;
 use parsim::Ctx;
 
@@ -44,54 +44,31 @@ pub fn grep(
     if pattern.is_empty() {
         return Err(ToolError::Protocol("empty grep pattern".into()));
     }
-    let open = bridge.open(ctx, file)?;
-    if matches!(open.placement, PlacementKind::Linked) {
-        return Err(ToolError::Bridge(BridgeError::LinkedUnsupported {
-            op: "grep tool",
-        }));
-    }
-    let batch = opts.batch;
-    let specs: Vec<WorkerSpec<Vec<Match>>> = open
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, slice)| {
-            let proc = slice.proc;
-            let lfs_file = open.lfs_file;
-            let local_size = slice.local_size;
-            let pattern = pattern.clone();
-            WorkerSpec {
-                node: slice.node,
-                name: format!("egrep{i}"),
-                run: Box::new(move |c: &mut Ctx| {
-                    let mut client = LfsClient::new();
-                    let mut reader =
-                        ColumnReader::new(proc, lfs_file, local_size).with_batch(batch);
-                    let mut hits = Vec::new();
-                    while let Some((header, data)) = reader.next_block(c, &mut client)? {
-                        let mut start = 0usize;
-                        while start + pattern.len() <= data.len() {
-                            match find(&data[start..], &pattern) {
-                                Some(off) => {
-                                    hits.push(Match {
-                                        global_block: header.global_block,
-                                        offset: (start + off) as u32,
-                                    });
-                                    start += off + 1;
-                                }
-                                None => break,
-                            }
-                        }
+    let open = open_unlinked(ctx, bridge, file, "grep tool")?;
+    let lfs_file = open.lfs_file;
+    let per_column = scan_columns(ctx, opts, &open, "egrep", move |c, _, slice, batch| {
+        let mut client = LfsClient::new();
+        let mut reader =
+            ColumnReader::new(slice.proc, lfs_file, slice.local_size).with_batch(batch);
+        let mut hits = Vec::new();
+        while let Some((header, data)) = reader.next_block(c, &mut client)? {
+            let mut start = 0usize;
+            while start + pattern.len() <= data.len() {
+                match find(&data[start..], &pattern) {
+                    Some(off) => {
+                        hits.push(Match {
+                            global_block: header.global_block,
+                            offset: (start + off) as u32,
+                        });
+                        start += off + 1;
                     }
-                    Ok(hits)
-                }),
+                    None => break,
+                }
             }
-        })
-        .collect();
-    let mut all: Vec<Match> = run_workers(ctx, opts, specs)?
-        .into_iter()
-        .flatten()
-        .collect();
+        }
+        Ok(hits)
+    })?;
+    let mut all: Vec<Match> = per_column.into_iter().flatten().collect();
     all.sort_unstable();
     Ok(all)
 }
@@ -178,38 +155,19 @@ pub fn summarize(
     file: BridgeFileId,
     opts: &ToolOptions,
 ) -> Result<Summary, ToolError> {
-    let open = bridge.open(ctx, file)?;
-    if matches!(open.placement, PlacementKind::Linked) {
-        return Err(ToolError::Bridge(BridgeError::LinkedUnsupported {
-            op: "summary tool",
-        }));
-    }
-    let batch = opts.batch;
-    let specs: Vec<WorkerSpec<Summary>> = open
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, slice)| {
-            let proc = slice.proc;
-            let lfs_file = open.lfs_file;
-            let local_size = slice.local_size;
-            WorkerSpec {
-                node: slice.node,
-                name: format!("esum{i}"),
-                run: Box::new(move |c: &mut Ctx| {
-                    let mut client = LfsClient::new();
-                    let mut reader =
-                        ColumnReader::new(proc, lfs_file, local_size).with_batch(batch);
-                    let mut summary = Summary::default();
-                    while let Some((_, data)) = reader.next_block(c, &mut client)? {
-                        summary.absorb_block(&data);
-                    }
-                    Ok(summary)
-                }),
-            }
-        })
-        .collect();
-    Ok(run_workers(ctx, opts, specs)?
+    let open = open_unlinked(ctx, bridge, file, "summary tool")?;
+    let lfs_file = open.lfs_file;
+    let per_column = scan_columns(ctx, opts, &open, "esum", move |c, _, slice, batch| {
+        let mut client = LfsClient::new();
+        let mut reader =
+            ColumnReader::new(slice.proc, lfs_file, slice.local_size).with_batch(batch);
+        let mut summary = Summary::default();
+        while let Some((_, data)) = reader.next_block(c, &mut client)? {
+            summary.absorb_block(&data);
+        }
+        Ok(summary)
+    })?;
+    Ok(per_column
         .into_iter()
         .fold(Summary::default(), Summary::merge))
 }

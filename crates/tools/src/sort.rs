@@ -4,8 +4,9 @@
 //!
 //! 1. **Local sort** — each node sorts its column with a classic external
 //!    merge sort: in-core runs of `c` records (the paper uses c = 512),
-//!    then 2-way merge passes over scratch LFS files. "Consider the
-//!    resulting files to be 'interleaved' across only one processor."
+//!    then k-way merge passes over scratch LFS files (the paper's k is
+//!    2). "Consider the resulting files to be 'interleaved' across only
+//!    one processor."
 //! 2. **Parallel merge** — log(p) passes; pass `k` merges pairs of
 //!    2^(k-1)-way interleaved files into 2^k-way interleaved files using
 //!    the token-passing algorithm of the paper's Figure 4, with `t/2`
@@ -24,10 +25,10 @@
 use crate::column::{ColumnReader, ColumnWriter};
 use crate::error::ToolError;
 use crate::options::ToolOptions;
-use crate::toolkit::{run_workers, WorkerSpec};
+use crate::toolkit::{open_unlinked, scan_columns};
 use bridge_core::{
-    BatchPolicy, BridgeClient, BridgeError, BridgeFileId, BridgeHeader, CreateSpec, GlobalPtr,
-    LfsSlice, PlacementKind, PlacementSpec,
+    BatchPolicy, BridgeClient, BridgeFileId, BridgeHeader, CreateSpec, GlobalPtr, LfsSlice,
+    PlacementSpec, BRIDGE_DATA,
 };
 use bridge_efs::{LfsClient, LfsFileId, LfsOp};
 use bytes::Bytes;
@@ -36,8 +37,8 @@ use parsim::{Ctx, ProcId, SimDuration};
 /// Bytes of each record's sort key (its leading bytes).
 pub const KEY_LEN: usize = 8;
 
-/// A scratch-run column stream with its buffered head record.
-type RunHead = (ColumnReader, Option<([u8; KEY_LEN], Vec<u8>)>);
+/// A spilled run of sorted records: its scratch file and its length.
+type Run = (LfsFileId, u32);
 
 /// Record sink fed by the streaming merge passes.
 type EmitFn<'a> = dyn FnMut(&mut Ctx, &mut LfsClient, &[u8]) -> Result<(), ToolError> + 'a;
@@ -50,25 +51,19 @@ pub fn key_of(data: &[u8]) -> [u8; KEY_LEN] {
     key
 }
 
-/// Arity of the local merge passes (the paper suggests that "with a faster
-/// (e.g. multi-way) local merge" the sort's super-linear speedup anomaly
-/// should disappear — the `ablate_multiway` benchmark tests that claim).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LocalMergeArity {
-    /// Classic 2-way merge passes (the paper's prototype).
-    #[default]
-    Binary,
-    /// One multi-way (heap) merge pass over all runs.
-    MultiWay,
-}
-
 /// Sort tool tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SortOptions {
     /// In-core buffer size in records (the paper's c = 512).
     pub in_core_records: u32,
-    /// Local merge arity.
-    pub local_merge: LocalMergeArity,
+    /// How many runs one local merge pass merges into one. 2 is the
+    /// paper's prototype, whose log2(runs) passes make the local constant
+    /// "higher than the constant for a global merge" and the sort as a
+    /// whole super-linear (Table 4); `u32::MAX` is one pass over all runs,
+    /// the "faster (e.g. multi-way) local merge" under which the paper
+    /// expects "this anomaly should disappear" (`ablate_multiway` sweeps
+    /// it).
+    pub local_merge_arity: u32,
     /// Worker startup options.
     pub tool: ToolOptions,
     /// CPU time to handle one merge token.
@@ -81,7 +76,7 @@ impl Default for SortOptions {
     fn default() -> Self {
         SortOptions {
             in_core_records: 512,
-            local_merge: LocalMergeArity::Binary,
+            local_merge_arity: 2,
             tool: ToolOptions::default(),
             token_cpu: SimDuration::from_micros(100),
             compare_cpu: SimDuration::from_micros(30),
@@ -136,17 +131,21 @@ struct WriterStop {
     tag: u32,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// A stopped writer's report: the blocks in its column, or the first
+/// LFS error it met.
+#[derive(Debug)]
 struct WriterDone {
     tag: u32,
     widx: u32,
-    count: u32,
+    count: Result<u32, ToolError>,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// The end of one merge: the records merged, reported by the reader that
+/// saw both files drained — or the LFS error that stopped a reader.
+#[derive(Debug)]
 struct MergeDone {
     tag: u32,
-    records: u64,
+    records: Result<u64, ToolError>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -169,12 +168,7 @@ pub fn sort(
     opts: &SortOptions,
 ) -> Result<(BridgeFileId, SortStats), ToolError> {
     let t0 = ctx.now();
-    let open = bridge.open(ctx, src)?;
-    if matches!(open.placement, PlacementKind::Linked) {
-        return Err(ToolError::Bridge(BridgeError::LinkedUnsupported {
-            op: "sort tool",
-        }));
-    }
+    let open = open_unlinked(ctx, bridge, src, "sort tool")?;
     let p = open.nodes.len();
 
     // Create the phase-1 output files: one per node, "interleaved across
@@ -195,29 +189,10 @@ pub fn sort(
 
     // Phase 1: local external sorts, one worker per node.
     let t_local = ctx.now();
-    let specs: Vec<WorkerSpec<(u32, u32)>> = open
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, slice)| {
-            let params = LocalSortParams {
-                worker: i as u32,
-                lfs: slice.proc,
-                src_file: open.lfs_file,
-                src_size: slice.local_size,
-                out_bridge: phase1_files[i],
-                out_file: LfsFileId(phase1_files[i].0),
-                lfs_index: slice.index.0,
-                in_core: *opts,
-            };
-            WorkerSpec {
-                node: slice.node,
-                name: format!("esort{i}"),
-                run: Box::new(move |c: &mut Ctx| local_sort(c, params)),
-            }
-        })
-        .collect();
-    let local_results = run_workers(ctx, &opts.tool, specs)?;
+    let (sort_opts, src_file, outs) = (*opts, open.lfs_file, phase1_files.clone());
+    let local_results = scan_columns(ctx, &opts.tool, &open, "esort", move |c, i, slice, _| {
+        local_sort(c, &sort_opts, i as u32, slice, src_file, outs[i])
+    })?;
     let local_sort_time = ctx.now() - t_local;
     if ctx.trace_enabled() {
         ctx.trace_span(
@@ -262,7 +237,7 @@ pub fn sort(
                     let tag = tag_base;
                     tag_base += 1;
                     let out = create_merge_output(ctx, bridge, &a, &b)?;
-                    let network = spawn_merge_network(ctx, opts, tag, &a, &b, &out)?;
+                    let network = spawn_merge_network(ctx, opts, tag, &a, &b, &out);
                     inputs_to_delete.push(a.id);
                     inputs_to_delete.push(b.id);
                     pending.push((tag, out, network));
@@ -270,20 +245,23 @@ pub fn sort(
                 None => next_files.push(a), // odd file gets a bye
             }
         }
-        // Await every merge of this pass, then stop its processes.
-        let mut finished = Vec::with_capacity(pending.len());
-        for (tag, mut out, network) in pending {
+        // Await every merge of this pass, then stop its processes — all
+        // of them, whatever went wrong — and only then report the first
+        // LFS error a reader or writer met.
+        let mut first_err = None;
+        for (tag, out, _) in &mut pending {
+            let tag = *tag;
             let env = ctx
                 .recv_where(move |e| e.downcast_ref::<MergeDone>().is_some_and(|d| d.tag == tag));
-            let done = env.downcast::<MergeDone>().expect("matched");
-            out.size = done.records;
-            finished.push((tag, out, network));
+            match env.downcast::<MergeDone>().expect("matched").records {
+                Ok(records) => out.size = records,
+                Err(e) => first_err = first_err.or(Some(e)),
+            }
         }
-        for (tag, mut out, network) in finished {
+        for (tag, mut out, network) in pending {
             for &r in &network.readers {
                 ctx.send(r, ReaderStop { tag });
             }
-            let mut counts = vec![0u32; network.writers.len()];
             for &w in &network.writers {
                 ctx.send(w, WriterStop { tag });
             }
@@ -292,17 +270,25 @@ pub fn sort(
                     e.downcast_ref::<WriterDone>().is_some_and(|d| d.tag == tag)
                 });
                 let done = env.downcast::<WriterDone>().expect("matched");
-                counts[done.widx as usize] = done.count;
+                match done.count {
+                    Ok(count) => out.slices[done.widx as usize].local_size = count,
+                    Err(e) => first_err = first_err.or(Some(e)),
+                }
             }
-            for (slice, &count) in out.slices.iter_mut().zip(&counts) {
-                slice.local_size = count;
-            }
-            debug_assert_eq!(
-                out.size,
-                counts.iter().map(|&c| u64::from(c)).sum::<u64>(),
+            debug_assert!(
+                first_err.is_some()
+                    || out.size
+                        == out
+                            .slices
+                            .iter()
+                            .map(|s| u64::from(s.local_size))
+                            .sum::<u64>(),
                 "writer counts agree with the token sequence"
             );
             next_files.push(out);
+        }
+        if let Some(e) = first_err {
+            return Err(e);
         }
         // "Discard the old files in parallel."
         if !inputs_to_delete.is_empty() {
@@ -399,7 +385,7 @@ fn spawn_merge_network(
     a: &MergeFile,
     b: &MergeFile,
     out: &MergeFile,
-) -> Result<MergeNetwork, ToolError> {
+) -> MergeNetwork {
     let controller = ctx.me();
     let t = out.slices.len() as u64;
 
@@ -425,10 +411,8 @@ fn spawn_merge_network(
     }
 
     // Reader rings: positions of each input file, in order.
-    let mut readers = Vec::new();
-    let mut ring_a = Vec::with_capacity(a.slices.len());
-    let mut ring_b = Vec::with_capacity(b.slices.len());
-    for (which, (file, ring)) in [(a, &mut ring_a), (b, &mut ring_b)].into_iter().enumerate() {
+    let mut rings = [Vec::new(), Vec::new()];
+    for (which, file) in [a, b].into_iter().enumerate() {
         for (i, slice) in file.slices.iter().enumerate() {
             ctx.delay(opts.tool.spawn_cost);
             let params = ReaderParams {
@@ -440,43 +424,31 @@ fn spawn_merge_network(
                 token_cpu: opts.token_cpu,
                 batch: opts.tool.batch,
             };
-            let pid = ctx.spawn(
+            rings[which].push(ctx.spawn(
                 slice.node,
                 format!("m{tag}r{which}_{i}"),
                 move |c: &mut Ctx| merge_reader(c, params),
-            );
-            ring.push(pid);
-            readers.push(pid);
+            ));
         }
     }
 
     // Tell each reader its ring successor, the other file's first process
     // (Figure 4 needs both), and the writer addresses; then fire the start
     // token at the first process of file A.
-    for (i, &r) in ring_a.iter().enumerate() {
-        let next = ring_a[(i + 1) % ring_a.len()];
-        ctx.send(
-            r,
-            RingSetup {
-                next,
-                other_first: ring_b[0],
-            },
-        );
-        ctx.send(r, WriterList(writers.clone()));
-    }
-    for (i, &r) in ring_b.iter().enumerate() {
-        let next = ring_b[(i + 1) % ring_b.len()];
-        ctx.send(
-            r,
-            RingSetup {
-                next,
-                other_first: ring_a[0],
-            },
-        );
-        ctx.send(r, WriterList(writers.clone()));
+    for (ring, other) in [(&rings[0], &rings[1]), (&rings[1], &rings[0])] {
+        for (i, &r) in ring.iter().enumerate() {
+            ctx.send(
+                r,
+                RingSetup {
+                    next: ring[(i + 1) % ring.len()],
+                    other_first: other[0],
+                },
+            );
+            ctx.send(r, WriterList(writers.clone()));
+        }
     }
     ctx.send(
-        ring_a[0],
+        rings[0][0],
         Token {
             tag,
             start: true,
@@ -486,7 +458,10 @@ fn spawn_merge_network(
             seq: 0,
         },
     );
-    Ok(MergeNetwork { readers, writers })
+    MergeNetwork {
+        readers: rings.concat(),
+        writers,
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -520,10 +495,13 @@ struct WriterParams {
 }
 
 /// One merge writer: appends records it is sent, in arrival order (the
-/// token discipline guarantees its sequence numbers ascend by t).
+/// token discipline guarantees its sequence numbers ascend by t). An LFS
+/// error does not stop it: it remembers the first, drains what it is
+/// still sent, and reports the error when it is stopped.
 fn merge_writer(ctx: &mut Ctx, params: WriterParams) {
     let mut client = LfsClient::new();
     let mut writer = ColumnWriter::new(params.lfs, params.lfs_file, 0).with_batch(params.batch);
+    let mut status = Ok(());
     let tag = params.tag;
     loop {
         let env = ctx.recv_where(|e| {
@@ -531,16 +509,15 @@ fn merge_writer(ctx: &mut Ctx, params: WriterParams) {
                 || e.downcast_ref::<WriterStop>().is_some_and(|s| s.tag == tag)
         });
         if env.is::<WriterStop>() {
-            if let Err(e) = writer.flush(ctx, &mut client) {
-                panic!("merge writer {tag}/{}: {e}", params.widx);
-            }
-            let from = env.from();
+            let count = status
+                .and_then(|()| writer.flush(ctx, &mut client))
+                .map(|()| writer.position());
             ctx.send(
-                from,
+                env.from(),
                 WriterDone {
                     tag,
                     widx: params.widx,
-                    count: writer.position(),
+                    count,
                 },
             );
             return;
@@ -558,29 +535,54 @@ fn merge_writer(ctx: &mut Ctx, params: WriterParams) {
             next: GlobalPtr::new(params.lfs_index, writer.position() + 1),
             prev: GlobalPtr::new(params.lfs_index, writer.position().saturating_sub(1)),
         };
-        if let Err(e) = writer.append_block(ctx, &mut client, &header, &rec.data) {
-            panic!("merge writer {tag}/{}: {e}", params.widx);
+        if status.is_ok() {
+            status = writer.append_block(ctx, &mut client, &header, &rec.data);
         }
     }
 }
 
-/// One merge reader: the paper's Figure 4, verbatim in structure.
+/// One merge reader. An LFS error ends its part in the merge: it reports
+/// the error where a completed merge is reported, then waits to be
+/// stopped like any other reader (the token dies with it, so no merge
+/// completes behind the error).
 fn merge_reader(ctx: &mut Ctx, params: ReaderParams) {
+    let tag = params.tag;
+    if let Err(e) = read_and_pass_tokens(ctx, &params) {
+        ctx.send(
+            params.controller,
+            MergeDone {
+                tag,
+                records: Err(e),
+            },
+        );
+        ctx.recv_where(|e| e.downcast_ref::<ReaderStop>().is_some_and(|s| s.tag == tag));
+    }
+}
+
+/// The paper's Figure 4, verbatim in structure; returns when stopped.
+fn read_and_pass_tokens(ctx: &mut Ctx, params: &ReaderParams) -> Result<(), ToolError> {
     // First the controller's ring setup, then the token loop.
     let setup = {
         let env = ctx.recv_where(|e| e.is::<RingSetup>());
         *env.downcast_ref::<RingSetup>().expect("matched")
     };
     let tag = params.tag;
+    let me = ctx.me();
     let mut client = LfsClient::new();
     let mut reader =
         ColumnReader::new(params.lfs, params.lfs_file, params.local_size).with_batch(params.batch);
-    let mut read_record = |c: &mut Ctx, client: &mut LfsClient| -> Option<([u8; KEY_LEN], Bytes)> {
-        match reader.next_block(c, client) {
-            Ok(Some((_, data))) => Some((key_of(&data), data)),
-            Ok(None) => None,
-            Err(e) => panic!("merge reader {tag}: {e}"),
-        }
+    let mut read_record = |c: &mut Ctx| {
+        let block = reader.next_block(c, &mut client)?;
+        Ok::<_, ToolError>(block.map(|(_, data)| (key_of(&data), data)))
+    };
+    // This reader's answer to a token: its own key, or "my file has ended".
+    let answer = |end: bool, key: [u8; KEY_LEN], seq: u64| Token {
+        tag,
+        start: false,
+        end,
+        key,
+        originator: me,
+        seq,
     };
 
     let writers = {
@@ -588,7 +590,7 @@ fn merge_reader(ctx: &mut Ctx, params: ReaderParams) {
         env.downcast::<WriterList>().expect("matched").0
     };
     // "Read a record."
-    let mut current = read_record(ctx, &mut client);
+    let mut current = read_record(ctx)?;
 
     loop {
         let env = ctx.recv_where(|e| {
@@ -596,107 +598,53 @@ fn merge_reader(ctx: &mut Ctx, params: ReaderParams) {
                 || e.downcast_ref::<ReaderStop>().is_some_and(|s| s.tag == tag)
         });
         if env.is::<ReaderStop>() {
-            return;
+            return Ok(());
         }
         let token = *env.downcast_ref::<Token>().expect("matched");
         ctx.delay(params.token_cpu);
 
         if token.start {
-            match &current {
-                Some((key, _)) => ctx.send(
-                    setup.other_first,
+            // Open with this file's first key — or, for a file empty at
+            // the very start, an end token so the other file can drain
+            // itself.
+            let first = match &current {
+                Some((key, _)) => answer(false, *key, 0),
+                None => answer(true, [0; KEY_LEN], 0),
+            };
+            ctx.send(setup.other_first, first);
+            continue;
+        }
+        match current.take() {
+            // DONE: both files have ended, the merge is complete; report
+            // and await Stop.
+            None if token.end => ctx.send(
+                params.controller,
+                MergeDone {
+                    tag,
+                    records: Ok(token.seq),
+                },
+            ),
+            // End of file: tell the other side to drain.
+            None => ctx.send(token.originator, answer(true, [0; KEY_LEN], token.seq)),
+            // This record is next in the output: ship it to its writer,
+            // pass the token down the ring, read the next record.
+            Some((key, data)) if token.end || key <= token.key => {
+                let seq = token.seq;
+                let dest = writers[(seq % writers.len() as u64) as usize];
+                ctx.send_sized(dest, WriteRec { tag, seq, data }, 1024);
+                ctx.send(
+                    setup.next,
                     Token {
-                        tag,
-                        start: false,
-                        end: false,
-                        key: *key,
-                        originator: ctx.me(),
-                        seq: 0,
+                        seq: seq + 1,
+                        ..token
                     },
-                ),
-                // Empty file at the very start: hand an end token to the
-                // other file so it can drain itself.
-                None => ctx.send(
-                    setup.other_first,
-                    Token {
-                        tag,
-                        start: false,
-                        end: true,
-                        key: [0; KEY_LEN],
-                        originator: ctx.me(),
-                        seq: 0,
-                    },
-                ),
+                );
+                current = read_record(ctx)?;
             }
-        } else if token.end {
-            match current.take() {
-                None => {
-                    // DONE: the merge is complete; report and await Stop.
-                    ctx.send(
-                        params.controller,
-                        MergeDone {
-                            tag,
-                            records: token.seq,
-                        },
-                    );
-                }
-                Some((_, data)) => {
-                    let seq = token.seq;
-                    let dest = writers[(seq % writers.len() as u64) as usize];
-                    ctx.send_sized(dest, WriteRec { tag, seq, data }, 1024);
-                    ctx.send(
-                        setup.next,
-                        Token {
-                            seq: seq + 1,
-                            ..token
-                        },
-                    );
-                    current = read_record(ctx, &mut client);
-                }
-            }
-        } else {
-            match &current {
-                None => {
-                    // End of file: tell the other side to drain.
-                    ctx.send(
-                        token.originator,
-                        Token {
-                            tag,
-                            start: false,
-                            end: true,
-                            key: [0; KEY_LEN],
-                            originator: ctx.me(),
-                            seq: token.seq,
-                        },
-                    );
-                }
-                Some((key, _)) if *key <= token.key => {
-                    let (_, data) = current.take().expect("checked Some");
-                    let seq = token.seq;
-                    let dest = writers[(seq % writers.len() as u64) as usize];
-                    ctx.send_sized(dest, WriteRec { tag, seq, data }, 1024);
-                    ctx.send(
-                        setup.next,
-                        Token {
-                            seq: seq + 1,
-                            ..token
-                        },
-                    );
-                    current = read_record(ctx, &mut client);
-                }
-                Some((key, _)) => {
-                    ctx.send(
-                        token.originator,
-                        Token {
-                            tag,
-                            start: false,
-                            end: false,
-                            key: *key,
-                            originator: ctx.me(),
-                            seq: token.seq,
-                        },
-                    );
-                }
+            // The other file's record goes first: answer with this key.
+            Some((key, data)) => {
+                ctx.send(token.originator, answer(false, key, token.seq));
+                current = Some((key, data));
             }
         }
     }
@@ -708,170 +656,119 @@ struct WriterList(Vec<ProcId>);
 // ---------------------------------------------------------------------
 // Phase 1: local external sort.
 
-#[derive(Debug, Clone, Copy)]
-struct LocalSortParams {
+/// Sorts one column (`slice` of `src_file`) into worker `worker`'s
+/// phase-1 output file `out_file`. Returns (records, local merge passes).
+fn local_sort(
+    ctx: &mut Ctx,
+    opts: &SortOptions,
     worker: u32,
-    lfs: ProcId,
+    slice: LfsSlice,
     src_file: LfsFileId,
-    src_size: u32,
-    out_bridge: BridgeFileId,
-    out_file: LfsFileId,
-    lfs_index: u32,
-    in_core: SortOptions,
-}
-
-/// Sorts one column into the worker's phase-1 output file. Returns
-/// (records, local merge passes).
-fn local_sort(ctx: &mut Ctx, params: LocalSortParams) -> Result<(u32, u32), ToolError> {
+    out_file: BridgeFileId,
+) -> Result<(u32, u32), ToolError> {
     let mut client = LfsClient::new();
-    let opts = params.in_core;
-    let policy = opts.tool.batch;
+    let lfs = slice.proc;
+    let batch = opts.tool.batch;
     let c = opts.in_core_records.max(1);
 
-    let mut reader =
-        ColumnReader::new(params.lfs, params.src_file, params.src_size).with_batch(policy);
-    let mut out = OutputColumn::new(&params);
+    let mut reader = ColumnReader::new(lfs, src_file, slice.local_size).with_batch(batch);
+    let mut out = OutputColumn {
+        writer: ColumnWriter::new(lfs, LfsFileId(out_file.0), 0).with_batch(batch),
+        file: out_file,
+        lfs_index: slice.index.0,
+    };
+    // Creates this worker's next scratch run, returning it with a writer.
+    let mut run_counter = 0u32;
+    let mut new_run = |ctx: &mut Ctx, client: &mut LfsClient| {
+        let file = scratch_file_id(out_file, worker, run_counter);
+        run_counter += 1;
+        client.call(ctx, lfs, LfsOp::Create { file })?;
+        let writer = ColumnWriter::new(lfs, file, 0).with_batch(batch);
+        Ok::<_, ToolError>((file, writer))
+    };
 
     // Run formation.
-    let mut runs: Vec<(LfsFileId, u32)> = Vec::new();
-    let mut run_counter = 0u32;
+    let mut runs: Vec<Run> = Vec::new();
     loop {
-        let mut batch: Vec<Bytes> = Vec::with_capacity(c as usize);
-        while (batch.len() as u32) < c {
+        let mut core: Vec<Bytes> = Vec::with_capacity(c as usize);
+        while (core.len() as u32) < c {
             match reader.next_block(ctx, &mut client)? {
-                Some((_, data)) => batch.push(data),
+                Some((_, data)) => core.push(data),
                 None => break,
             }
         }
-        if batch.is_empty() {
+        if core.is_empty() {
             break;
         }
-        charge_sort_cpu(ctx, &opts, batch.len());
-        batch.sort_by_key(|d| key_of(d));
+        charge_sort_cpu(ctx, opts, core.len());
+        core.sort_by_key(|d| key_of(d));
         let exhausted = reader.remaining() == 0;
         if runs.is_empty() && exhausted {
             // The whole column fits in core: write straight to the output.
-            for data in batch {
+            for data in core {
                 out.append(ctx, &mut client, &data)?;
             }
-            out.flush(ctx, &mut client)?;
-            return Ok((out.count(), 0));
+            out.writer.flush(ctx, &mut client)?;
+            return Ok((out.writer.position(), 0));
         }
         // Spill a scratch run.
-        let run_file = scratch_file_id(params.out_bridge, params.worker, run_counter);
-        run_counter += 1;
-        client.call(ctx, params.lfs, LfsOp::Create { file: run_file })?;
-        let mut w = ColumnWriter::new(params.lfs, run_file, 0).with_batch(policy);
-        let len = batch.len() as u32;
-        for data in batch {
-            let mut payload = data.to_vec();
-            payload.resize(bridge_efs::EFS_PAYLOAD, 0);
-            w.append_raw(ctx, &mut client, payload)?;
+        let (run, mut w) = new_run(ctx, &mut client)?;
+        let len = core.len() as u32;
+        for data in core {
+            append_scratch(&mut w, ctx, &mut client, &data)?;
         }
         w.flush(ctx, &mut client)?;
-        runs.push((run_file, len));
+        runs.push((run, len));
         if exhausted {
             break;
         }
     }
-
     if runs.is_empty() {
         return Ok((0, 0));
     }
 
-    let mut passes = 0u32;
-    match opts.local_merge {
-        LocalMergeArity::Binary => {
-            // 2-way merge passes; the final merge streams into the output.
-            while runs.len() > 2 {
-                passes += 1;
-                let mut next_runs = Vec::with_capacity(runs.len().div_ceil(2));
-                let mut iter = runs.into_iter();
-                while let Some(a) = iter.next() {
-                    match iter.next() {
-                        Some(b) => {
-                            let dst =
-                                scratch_file_id(params.out_bridge, params.worker, run_counter);
-                            run_counter += 1;
-                            client.call(ctx, params.lfs, LfsOp::Create { file: dst })?;
-                            let mut w = ColumnWriter::new(params.lfs, dst, 0).with_batch(policy);
-                            let merged = merge_two_runs(
-                                ctx,
-                                &mut client,
-                                &params,
-                                a,
-                                b,
-                                &mut |ctx, client, data| {
-                                    let mut payload = data.to_vec();
-                                    payload.resize(bridge_efs::EFS_PAYLOAD, 0);
-                                    w.append_raw(ctx, client, payload)
-                                },
-                                &opts,
-                            )?;
-                            w.flush(ctx, &mut client)?;
-                            next_runs.push((dst, merged));
-                        }
-                        None => next_runs.push(a),
-                    }
-                }
-                runs = next_runs;
+    // Merge passes: while more than k runs are left, merge them k at a
+    // time into new scratch runs (a run left over alone gets a bye); then
+    // merge what is left into the output. Run formation never leaves one
+    // spilled run — a column that fits in core never spills — and a pass
+    // over more than k leaves at least two.
+    let k = opts.local_merge_arity.max(2) as usize;
+    let source = RunSource {
+        lfs,
+        batch,
+        compare_cpu: opts.compare_cpu,
+    };
+    let mut passes = 1u32;
+    while runs.len() > k {
+        passes += 1;
+        let mut merged = Vec::with_capacity(runs.len().div_ceil(k));
+        for group in runs.chunks(k) {
+            if let [bye] = group {
+                merged.push(*bye);
+                continue;
             }
-            passes += 1;
-            if runs.len() == 2 {
-                let b = runs.pop().expect("two runs");
-                let a = runs.pop().expect("two runs");
-                merge_two_runs(
-                    ctx,
-                    &mut client,
-                    &params,
-                    a,
-                    b,
-                    &mut |ctx, client, data| out.append_ref(ctx, client, data),
-                    &opts,
-                )?;
-            } else {
-                // Single run: stream it into the output.
-                let (run, len) = runs.pop().expect("one run");
-                let mut r = ColumnReader::new(params.lfs, run, len).with_batch(policy);
-                while let Some(payload) = r.next_raw(ctx, &mut client)? {
-                    out.append(ctx, &mut client, &payload[..bridge_core::BRIDGE_DATA])?;
-                }
-                client.call(ctx, params.lfs, LfsOp::Delete { file: run })?;
-            }
+            let (run, mut w) = new_run(ctx, &mut client)?;
+            let len = merge_runs(
+                ctx,
+                &mut client,
+                &source,
+                group,
+                &mut |ctx, client, data| append_scratch(&mut w, ctx, client, data),
+            )?;
+            w.flush(ctx, &mut client)?;
+            merged.push((run, len));
         }
-        LocalMergeArity::MultiWay => {
-            passes = 1;
-            // One heap-based k-way pass over all runs.
-            let mut heads: Vec<RunHead> = Vec::new();
-            for &(run, len) in &runs {
-                let mut r = ColumnReader::new(params.lfs, run, len).with_batch(policy);
-                let head = r
-                    .next_raw(ctx, &mut client)?
-                    .map(|p| (key_of(&p), p[..bridge_core::BRIDGE_DATA].to_vec()));
-                heads.push((r, head));
-            }
-            loop {
-                let min = heads
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, (_, h))| h.as_ref().map(|(k, _)| (i, *k)))
-                    .min_by_key(|&(_, k)| k);
-                let Some((i, _)) = min else { break };
-                ctx.delay(opts.compare_cpu);
-                let (_, data) = heads[i].1.take().expect("checked Some");
-                out.append(ctx, &mut client, &data)?;
-                let (r, slot) = &mut heads[i];
-                *slot = r
-                    .next_raw(ctx, &mut client)?
-                    .map(|p| (key_of(&p), p[..bridge_core::BRIDGE_DATA].to_vec()));
-            }
-            for (run, _) in runs {
-                client.call(ctx, params.lfs, LfsOp::Delete { file: run })?;
-            }
-        }
+        runs = merged;
     }
-    out.flush(ctx, &mut client)?;
-    Ok((out.count(), passes))
+    merge_runs(
+        ctx,
+        &mut client,
+        &source,
+        &runs,
+        &mut |ctx, client, data| out.append(ctx, client, data),
+    )?;
+    out.writer.flush(ctx, &mut client)?;
+    Ok((out.writer.position(), passes))
 }
 
 fn scratch_file_id(out: BridgeFileId, worker: u32, run: u32) -> LfsFileId {
@@ -883,60 +780,68 @@ fn charge_sort_cpu(ctx: &mut Ctx, opts: &SortOptions, records: usize) {
     ctx.delay(opts.compare_cpu * (records as u64) * u64::from(log));
 }
 
-/// Streams the 2-way merge of two scratch runs into `emit`, deleting both
-/// runs afterwards. Returns the merged length.
-fn merge_two_runs(
+/// Appends one record to a scratch run: runs hold bare records, padded
+/// to the EFS payload, with no Bridge header.
+fn append_scratch(
+    w: &mut ColumnWriter,
     ctx: &mut Ctx,
     client: &mut LfsClient,
-    params: &LocalSortParams,
-    a: (LfsFileId, u32),
-    b: (LfsFileId, u32),
+    data: &[u8],
+) -> Result<(), ToolError> {
+    let mut payload = data.to_vec();
+    payload.resize(bridge_efs::EFS_PAYLOAD, 0);
+    w.append_raw(ctx, client, payload)
+}
+
+/// Where a worker's scratch runs live and what comparing two records
+/// costs.
+struct RunSource {
+    lfs: ProcId,
+    batch: BatchPolicy,
+    compare_cpu: SimDuration,
+}
+
+/// Streams the merge of any number of scratch runs into `emit` and
+/// deletes them; returns the merged length. Every turn costs one
+/// `compare_cpu`, emits the least head record (the earliest run's on a
+/// tie) and refills that head; the turn that finds every head empty ends
+/// the merge. With two runs this is the prototype's 2-way merge, with all
+/// of a worker's runs the one-pass multi-way merge.
+fn merge_runs(
+    ctx: &mut Ctx,
+    client: &mut LfsClient,
+    source: &RunSource,
+    runs: &[Run],
     emit: &mut EmitFn<'_>,
-    opts: &SortOptions,
 ) -> Result<u32, ToolError> {
-    let mut ra = ColumnReader::new(params.lfs, a.0, a.1).with_batch(params.in_core.tool.batch);
-    let mut rb = ColumnReader::new(params.lfs, b.0, b.1).with_batch(params.in_core.tool.batch);
     let next = |ctx: &mut Ctx, client: &mut LfsClient, r: &mut ColumnReader| {
-        r.next_raw(ctx, client).map(|o| {
-            o.map(|p| {
-                let data = p[..bridge_core::BRIDGE_DATA].to_vec();
-                (key_of(&data), data)
-            })
-        })
+        Ok::<_, ToolError>(r.next_raw(ctx, client)?.map(|p| p.slice(..BRIDGE_DATA)))
     };
-    let mut ha = next(ctx, client, &mut ra)?;
-    let mut hb = next(ctx, client, &mut rb)?;
+    // Each run's stream with its buffered head record.
+    let mut heads = Vec::with_capacity(runs.len());
+    for &(run, len) in runs {
+        let mut reader = ColumnReader::new(source.lfs, run, len).with_batch(source.batch);
+        let head = next(ctx, client, &mut reader)?;
+        heads.push((reader, head));
+    }
     let mut count = 0u32;
     loop {
-        ctx.delay(opts.compare_cpu);
-        match (&ha, &hb) {
-            (Some((ka, _)), Some((kb, _))) => {
-                if ka <= kb {
-                    let (_, data) = ha.take().expect("Some");
-                    emit(ctx, client, &data)?;
-                    ha = next(ctx, client, &mut ra)?;
-                } else {
-                    let (_, data) = hb.take().expect("Some");
-                    emit(ctx, client, &data)?;
-                    hb = next(ctx, client, &mut rb)?;
-                }
-            }
-            (Some(_), None) => {
-                let (_, data) = ha.take().expect("Some");
-                emit(ctx, client, &data)?;
-                ha = next(ctx, client, &mut ra)?;
-            }
-            (None, Some(_)) => {
-                let (_, data) = hb.take().expect("Some");
-                emit(ctx, client, &data)?;
-                hb = next(ctx, client, &mut rb)?;
-            }
-            (None, None) => break,
-        }
+        ctx.delay(source.compare_cpu);
+        let least = heads
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (_, head))| head.as_ref().map(|data| (i, key_of(data))))
+            .min_by_key(|&(_, key)| key);
+        let Some((i, _)) = least else { break };
+        let (reader, head) = &mut heads[i];
+        let data = head.take().expect("the least head is a record");
+        emit(ctx, client, &data)?;
+        *head = next(ctx, client, reader)?;
         count += 1;
     }
-    client.call(ctx, params.lfs, LfsOp::Delete { file: a.0 })?;
-    client.call(ctx, params.lfs, LfsOp::Delete { file: b.0 })?;
+    for &(run, _) in runs {
+        client.call(ctx, source.lfs, LfsOp::Delete { file: run })?;
+    }
     Ok(count)
 }
 
@@ -948,33 +853,7 @@ struct OutputColumn {
 }
 
 impl OutputColumn {
-    fn new(params: &LocalSortParams) -> Self {
-        OutputColumn {
-            writer: ColumnWriter::new(params.lfs, params.out_file, 0)
-                .with_batch(params.in_core.tool.batch),
-            file: params.out_bridge,
-            lfs_index: params.lfs_index,
-        }
-    }
-
-    fn count(&self) -> u32 {
-        self.writer.position()
-    }
-
-    fn flush(&mut self, ctx: &mut Ctx, client: &mut LfsClient) -> Result<(), ToolError> {
-        self.writer.flush(ctx, client)
-    }
-
     fn append(
-        &mut self,
-        ctx: &mut Ctx,
-        client: &mut LfsClient,
-        data: &[u8],
-    ) -> Result<(), ToolError> {
-        self.append_ref(ctx, client, data)
-    }
-
-    fn append_ref(
         &mut self,
         ctx: &mut Ctx,
         client: &mut LfsClient,

@@ -1,12 +1,14 @@
 //! Worker orchestration: starting one subprocess per LFS node and joining
-//! their results, serially or through a binary fan-out tree.
+//! their results through a fan-out tree of any arity.
 //!
 //! "Typical interaction between tools and the other components of the
 //! system involves (1) a brief phase of communication with the Bridge
 //! Server …, (2) the creation of subprocesses on all the LFS nodes, and
 //! (3) a lengthy series of interactions between the subprocesses and the
-//! instances of LFS." This module is phase (2), with completion handled by
-//! the same topology.
+//! instances of LFS." This module is phases (1) and (2) as every tool
+//! runs them — [`open_unlinked`], then [`scan_columns`] over
+//! [`run_workers`] — with completion handled by the tree that started the
+//! workers.
 //!
 //! Completion is delivered with an at-least-once protocol: each worker
 //! tags its result batch with a sender-unique id, resends it on a capped
@@ -20,9 +22,13 @@
 //! picked stay up for the (short) completion exchange.
 
 use crate::error::ToolError;
-use crate::options::{Fanout, ToolOptions};
+use crate::options::ToolOptions;
+use bridge_core::{
+    BatchPolicy, BridgeClient, BridgeError, BridgeFileId, LfsSlice, OpenInfo, PlacementKind,
+};
 use parsim::{Ctx, NodeId, ProcId, SimDuration};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The boxed body a worker runs on its node.
 pub type WorkerBody<R> = Box<dyn FnOnce(&mut Ctx) -> Result<R, ToolError> + Send>;
@@ -140,9 +146,10 @@ fn ack_batch<R: Send + 'static>(ctx: &mut Ctx, env: parsim::Envelope) -> Batch<R
 /// Starts every worker, waits for all of them, and returns their results
 /// in spec order.
 ///
-/// With [`Fanout::Serial`] the controller pays `spawn_cost` per worker;
-/// with [`Fanout::Tree`] workers start their own subtrees and completions
-/// aggregate back up, making startup and completion O(log p).
+/// The first worker is started from here and starts the rest through a
+/// tree of [`ToolOptions::start_arity`]; completions aggregate back up
+/// it, so startup and completion are O(log p) at any fixed arity and O(p)
+/// at [`SERIAL_ARITY`](bridge_core::SERIAL_ARITY).
 ///
 /// # Errors
 ///
@@ -155,27 +162,11 @@ pub fn run_workers<R: Clone + Send + 'static>(
     if specs.is_empty() {
         return Ok(Vec::new());
     }
-    let me = ctx.me();
     let n = specs.len();
     let mut collected: Vec<Option<Result<R, ToolError>>> = Vec::new();
     collected.resize_with(n, || None);
-
-    match opts.fanout {
-        Fanout::Serial => {
-            for (idx, spec) in specs.into_iter().enumerate() {
-                ctx.delay(opts.spawn_cost);
-                ctx.spawn(spec.node, spec.name, move |c: &mut Ctx| {
-                    let r = (spec.run)(c);
-                    deliver_batch(c, me, vec![(idx, r)]);
-                });
-            }
-        }
-        Fanout::Tree => {
-            let indexed: Vec<(usize, WorkerSpec<R>)> = specs.into_iter().enumerate().collect();
-            let spawn_cost = opts.spawn_cost;
-            spawn_subtree(ctx, me, indexed, spawn_cost);
-        }
-    }
+    let indexed = specs.into_iter().enumerate().collect();
+    spawn_subtree(ctx, ctx.me(), indexed, opts.spawn_cost, opts.start_arity);
 
     // Merge until every worker index has reported; duplicates re-deliver
     // indices that are already filled and are ignored.
@@ -204,31 +195,29 @@ pub fn run_workers<R: Clone + Send + 'static>(
     Ok(out)
 }
 
-/// Spawns the head of `specs` as a relay worker that starts the two halves
-/// of the remainder, runs its own body, collects its subtree's batches,
-/// and delivers the aggregate to `parent`.
+/// Spawns the head of `specs` as a relay worker that splits the remainder
+/// into at most `arity` contiguous groups (sizes differing by at most
+/// one, smaller first — at arity 2 the floor and ceiling halves), starts
+/// each group the same way, runs its own body, collects its subtree's
+/// batches, and delivers the aggregate to `parent`.
 fn spawn_subtree<R: Clone + Send + 'static>(
     ctx: &mut Ctx,
     parent: ProcId,
-    mut specs: Vec<(usize, WorkerSpec<R>)>,
-    spawn_cost: parsim::SimDuration,
+    specs: Vec<(usize, WorkerSpec<R>)>,
+    spawn_cost: SimDuration,
+    arity: u32,
 ) {
-    debug_assert!(!specs.is_empty());
-    let rest = specs.split_off(1);
-    let (idx, spec) = specs.pop().expect("head exists");
+    let mut rest = specs.into_iter();
+    let (idx, spec) = rest.next().expect("a subtree has a head");
     ctx.delay(spawn_cost);
     ctx.spawn(spec.node, spec.name, move |c: &mut Ctx| {
         let me = c.me();
         let below = rest.len();
-        let mid = below / 2;
-        let mut rest = rest;
-        let right = rest.split_off(mid);
-        let left = rest;
-        if !left.is_empty() {
-            spawn_subtree(c, me, left, spawn_cost);
-        }
-        if !right.is_empty() {
-            spawn_subtree(c, me, right, spawn_cost);
+        let groups = below.min(arity.max(1) as usize);
+        for g in 0..groups {
+            let size = rest.len() / (groups - g);
+            let group = rest.by_ref().take(size).collect();
+            spawn_subtree(c, me, group, spawn_cost, arity);
         }
         let mine = (spec.run)(c);
         let mut batch: Batch<R> = vec![(idx, mine)];
@@ -244,20 +233,85 @@ fn spawn_subtree<R: Clone + Send + 'static>(
     });
 }
 
+/// Step one of every column tool: `Open` the file for its per-node
+/// layout, refusing a linked (disordered) file — its order lives in the
+/// block headers' chain, which no per-column pass can follow.
+///
+/// # Errors
+///
+/// Propagates server errors; [`BridgeError::LinkedUnsupported`] naming
+/// `op` for a linked file.
+pub(crate) fn open_unlinked(
+    ctx: &mut Ctx,
+    bridge: &mut BridgeClient,
+    file: BridgeFileId,
+    op: &'static str,
+) -> Result<OpenInfo, ToolError> {
+    let open = bridge.open(ctx, file)?;
+    if matches!(open.placement, PlacementKind::Linked) {
+        return Err(ToolError::Bridge(BridgeError::LinkedUnsupported { op }));
+    }
+    Ok(open)
+}
+
+/// Step two of every column tool: one worker per constituent LFS of
+/// `open`, on that LFS's node and named `name` plus its index, each
+/// running `body(ctx, index, slice, batch)` over its own column; returns
+/// the bodies' results in column order.
+///
+/// # Errors
+///
+/// Returns the first failing column's error (by column order).
+pub(crate) fn scan_columns<R, F>(
+    ctx: &mut Ctx,
+    opts: &ToolOptions,
+    open: &OpenInfo,
+    name: &str,
+    body: F,
+) -> Result<Vec<R>, ToolError>
+where
+    R: Clone + Send + 'static,
+    F: Fn(&mut Ctx, usize, LfsSlice, BatchPolicy) -> Result<R, ToolError> + Send + Sync + 'static,
+{
+    let body = Arc::new(body);
+    let batch = opts.batch;
+    let specs = open
+        .nodes
+        .iter()
+        .enumerate()
+        .map(|(i, &slice)| {
+            let body = Arc::clone(&body);
+            WorkerSpec {
+                node: slice.node,
+                name: format!("{name}{i}"),
+                run: Box::new(move |c: &mut Ctx| body(c, i, slice, batch)),
+            }
+        })
+        .collect();
+    run_workers(ctx, opts, specs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bridge_core::SERIAL_ARITY;
     use parsim::{FaultPlan, MsgFaults, SimConfig, SimDuration, SimTime, Simulation};
 
-    fn run_with(fanout: Fanout, workers: usize) -> (Vec<u32>, SimDuration) {
-        let mut sim = Simulation::new(SimConfig::default());
+    /// The arities every test below takes as an input, the widest last.
+    const ARITIES: [u32; 5] = [2, 3, 4, 8, SERIAL_ARITY];
+
+    /// Starts `workers` workers (worker `i` returns `10 i`) from a node of
+    /// its own on a machine built from `config`; returns the results and
+    /// the virtual time `run_workers` took.
+    fn run_with(config: SimConfig, start_arity: u32, workers: usize) -> (Vec<u32>, SimDuration) {
+        let mut sim = Simulation::new(config);
         let nodes: Vec<NodeId> = (0..workers)
             .map(|i| sim.add_node(format!("n{i}")))
             .collect();
         let ctrl = sim.add_node("ctrl");
         let opts = ToolOptions {
             spawn_cost: SimDuration::from_millis(10),
-            fanout,
+            start_arity,
             ..ToolOptions::default()
         };
         sim.block_on(ctrl, "controller", move |ctx| {
@@ -277,25 +331,33 @@ mod tests {
     }
 
     #[test]
-    fn results_come_back_in_order_both_modes() {
-        for fanout in [Fanout::Serial, Fanout::Tree] {
-            let (results, _) = run_with(fanout, 9);
-            assert_eq!(results, (0..9).map(|i| i * 10).collect::<Vec<_>>());
+    fn results_come_back_in_order_at_every_arity() {
+        for arity in ARITIES {
+            let (results, _) = run_with(SimConfig::default(), arity, 9);
+            assert_eq!(
+                results,
+                (0..9).map(|i| i * 10).collect::<Vec<_>>(),
+                "arity {arity}"
+            );
         }
     }
 
     #[test]
     fn tree_startup_is_logarithmic() {
-        let (_, serial64) = run_with(Fanout::Serial, 64);
-        let (_, tree64) = run_with(Fanout::Tree, 64);
+        let time = |arity, n| run_with(SimConfig::default(), arity, n).1;
+        // Start-up at n = 64 shrinks as the arity falls from serial: every
+        // tree beats the serial start clearly, 8 loses to 2, and 2, 3
+        // and 4 sit within a level's cost of each other (a wider head pays
+        // more spawns, a narrower tree more levels — EXPERIMENTS A4).
+        let at64 = ARITIES.map(|arity| time(arity, 64));
+        let (tree64, serial64) = (at64[0], at64[ARITIES.len() - 1]);
         assert!(
-            tree64 < serial64 / 3,
-            "tree {tree64} should beat serial {serial64} clearly at p=64"
+            at64[..4].iter().all(|&t| t < serial64 / 3),
+            "every tree should beat serial {serial64} clearly at p=64: {at64:?}"
         );
+        assert!(tree64 < at64[3], "arity 2 starts sooner than 8: {at64:?}");
         // And the gap widens with p (logarithmic vs linear).
-        let (_, serial16) = run_with(Fanout::Serial, 16);
-        let (_, tree16) = run_with(Fanout::Tree, 16);
-        let gain16 = serial16.as_secs_f64() / tree16.as_secs_f64();
+        let gain16 = time(SERIAL_ARITY, 16).as_secs_f64() / time(2, 16).as_secs_f64();
         let gain64 = serial64.as_secs_f64() / tree64.as_secs_f64();
         assert!(
             gain64 > gain16,
@@ -341,8 +403,8 @@ mod tests {
     /// delays completion traffic — the regression that stranded pfsck
     /// under crash-era chaos plans.
     #[test]
-    fn join_survives_message_faults_both_modes() {
-        for fanout in [Fanout::Serial, Fanout::Tree] {
+    fn join_survives_message_faults_at_every_arity() {
+        for arity in ARITIES {
             for seed in 1..=8u64 {
                 let config = SimConfig {
                     faults: FaultPlan {
@@ -358,30 +420,11 @@ mod tests {
                     },
                     ..SimConfig::default()
                 };
-                let mut sim = Simulation::new(config);
-                let nodes: Vec<NodeId> = (0..9).map(|i| sim.add_node(format!("n{i}"))).collect();
-                let ctrl = sim.add_node("ctrl");
-                let opts = ToolOptions {
-                    spawn_cost: SimDuration::from_millis(10),
-                    fanout,
-                    ..ToolOptions::default()
-                };
-                let results = sim.block_on(ctrl, "controller", move |ctx| {
-                    let specs: Vec<WorkerSpec<u32>> = nodes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &node)| WorkerSpec {
-                            node,
-                            name: format!("w{i}"),
-                            run: Box::new(move |_c: &mut Ctx| Ok(i as u32 * 10)),
-                        })
-                        .collect();
-                    run_workers(ctx, &opts, specs).unwrap()
-                });
+                let (results, _) = run_with(config, arity, 9);
                 assert_eq!(
                     results,
                     (0..9).map(|i| i * 10).collect::<Vec<_>>(),
-                    "fanout {fanout:?} seed {seed}"
+                    "arity {arity} seed {seed}"
                 );
             }
         }

@@ -19,8 +19,8 @@ use bridge_core::{
     BatchPolicy, BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, PlacementSpec,
 };
 use bridge_tools::{
-    copy, copy_with, grep, pfsck, run_workers, sort, summarize, transforms, Fanout, FsckOptions,
-    LocalMergeArity, SortOptions, ToolOptions, WorkerSpec,
+    copy, copy_with, grep, pfsck, run_workers, sort, summarize, transforms, FsckOptions,
+    SortOptions, ToolOptions, WorkerSpec,
 };
 use parsim::{Ctx, NodeId, ProcId, SimConfig, SimDuration, Simulation};
 
@@ -139,7 +139,7 @@ fn write_file(ctx: &mut Ctx, bridge: &mut BridgeClient, spec: CreateSpec, n: u64
 fn tool(batch: BatchPolicy) -> ToolOptions {
     ToolOptions {
         batch,
-        fanout: Fanout::Tree,
+        start_arity: 2,
         ..ToolOptions::default()
     }
 }
@@ -362,7 +362,7 @@ fn sort_p8() {
 #[test]
 fn sort_p8_multiway() {
     let opts = SortOptions {
-        local_merge: LocalMergeArity::MultiWay,
+        local_merge_arity: u32::MAX,
         ..SortOptions::default()
     };
     sort_row(8, opts).check(

@@ -3,11 +3,13 @@
 //! breadths, buffer sizes, and data.
 
 use bridge_core::{BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec};
-use bridge_tools::{
-    copy_with, grep, key_of, sort, transforms, LocalMergeArity, SortOptions, ToolOptions,
-};
+use bridge_tools::{copy_with, grep, key_of, sort, transforms, SortOptions, ToolOptions};
 use parsim::Ctx;
 use proptest::prelude::*;
+
+/// The values `start_arity` and `local_merge_arity` are drawn from: the
+/// defaults, three in between, and "all at once".
+const ARITIES: [u32; 5] = [2, 3, 4, 8, u32::MAX];
 
 fn record_from(key: u64, body: u8) -> Vec<u8> {
     let mut r = key.to_be_bytes().to_vec();
@@ -37,13 +39,14 @@ proptest! {
 
     /// The full two-phase parallel sort equals a stable std sort by key,
     /// for arbitrary key multisets, machine breadths, in-core buffers,
-    /// and both local merge arities.
+    /// worker-start arities and local merge arities.
     #[test]
     fn sort_tool_matches_std_sort(
         keys in proptest::collection::vec(0u64..50, 1..120),
         p in 1u32..7,
         in_core in 4u32..32,
-        multiway in any::<bool>(),
+        start_pick in 0usize..5,
+        merge_pick in 0usize..5,
     ) {
         let (mut sim, machine) = BridgeMachine::build(&BridgeConfig::instant(p));
         let server = machine.server;
@@ -56,10 +59,10 @@ proptest! {
             let src = write_records(ctx, &mut bridge, &records);
             let opts = SortOptions {
                 in_core_records: in_core,
-                local_merge: if multiway {
-                    LocalMergeArity::MultiWay
-                } else {
-                    LocalMergeArity::Binary
+                local_merge_arity: ARITIES[merge_pick],
+                tool: ToolOptions {
+                    start_arity: ARITIES[start_pick],
+                    ..ToolOptions::default()
                 },
                 ..SortOptions::default()
             };
@@ -78,12 +81,13 @@ proptest! {
     }
 
     /// copy_with(f) equals mapping f over the blocks, for an arbitrary
-    /// translation table.
+    /// translation table and worker-start arity.
     #[test]
     fn filters_equal_plain_maps(
         table in proptest::array::uniform32(any::<u8>()),
         blocks in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..64), 1..30),
         p in 1u32..5,
+        start_pick in 0usize..5,
     ) {
         // Expand the 32-byte sample into a full 256-entry table.
         let mut full = [0u8; 256];
@@ -100,7 +104,10 @@ proptest! {
                 &mut bridge,
                 src,
                 transforms::translate(full),
-                &ToolOptions::default(),
+                &ToolOptions {
+                    start_arity: ARITIES[start_pick],
+                    ..ToolOptions::default()
+                },
             )
             .unwrap();
             let got = read_records(ctx, &mut bridge, dst);

@@ -5,10 +5,9 @@ use bridge_core::{
     BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, PlacementSpec, BRIDGE_DATA,
 };
 use bridge_tools::{
-    copy, copy_with, grep, key_of, sort, summarize, transforms, LocalMergeArity, SortOptions,
-    ToolOptions,
+    copy, copy_with, grep, key_of, sort, summarize, transforms, SortOptions, ToolError, ToolOptions,
 };
-use parsim::Ctx;
+use parsim::{Ctx, SimDuration};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -350,7 +349,7 @@ fn sort_multiway_local_merge() {
         shuffled_keys(120, 3),
         SortOptions {
             in_core_records: 8,
-            local_merge: LocalMergeArity::MultiWay,
+            local_merge_arity: u32::MAX,
             ..SortOptions::default()
         },
     );
@@ -445,6 +444,71 @@ fn sort_scratch_files_are_cleaned_up() {
         let b = read_all(ctx, &mut bridge, out2);
         assert_eq!(a, b, "two sorts of the same file agree");
     });
+}
+
+#[test]
+fn sort_reports_a_node_lost_mid_merge_and_the_machine_goes_on() {
+    // One LFS fail-stops while the token merge is running. The readers
+    // and writers on it meet `NodeFailed`; the sort must stop its merge
+    // networks and return that error — not panic, not hang — and the
+    // surviving nodes must go on serving other tools.
+    let run = |fail_at: Option<SimDuration>| {
+        let (mut sim, machine) = BridgeMachine::build(&BridgeConfig::paper(4));
+        let server = machine.server;
+        let victim = machine.lfs[3];
+        if let Some(at) = fail_at {
+            sim.spawn(machine.frontend, "saboteur", move |ctx| {
+                ctx.delay(at);
+                bridge_efs::set_failed(ctx, victim, true);
+            });
+        }
+        sim.block_on(machine.frontend, "tool", move |ctx| {
+            let mut bridge = BridgeClient::new(server);
+            let records: Vec<Vec<u8>> = shuffled_keys(64, 12)
+                .iter()
+                .map(|&k| keyed_record(k, 5))
+                .collect();
+            let src = write_file(ctx, &mut bridge, &records, CreateSpec::default());
+            let survivors = CreateSpec {
+                nodes: Some(vec![0, 1, 2]),
+                ..CreateSpec::default()
+            };
+            let other = write_file(ctx, &mut bridge, &records[..21], survivors);
+            let sorted = sort(ctx, &mut bridge, src, &SortOptions::default());
+            let end = ctx.now();
+            let (copied, stats) = copy(ctx, &mut bridge, other, &ToolOptions::default()).unwrap();
+            assert_eq!(stats.blocks, 21);
+            assert_eq!(
+                read_all(ctx, &mut bridge, copied),
+                read_all(ctx, &mut bridge, other)
+            );
+            (sorted.map(|(_, stats)| stats), end)
+        })
+    };
+    let (fault_free, end) = run(None);
+    let stats = fault_free.expect("the fault-free sort succeeds");
+    assert_eq!(stats.merge_passes, 2);
+    // Sixteen instants across the merge phase: the local sorts have
+    // ended, and the node goes while a pass's networks are passing
+    // tokens or — between passes — while the server is creating the next
+    // pass's files on it.
+    let end = end.duration_since(parsim::SimTime::ZERO);
+    for sixteenths in 1..=16 {
+        let (faulted, _) = run(Some(end - stats.merge * sixteenths / 16));
+        let err = faulted.expect_err("a lost node fails the sort");
+        let failed = bridge_efs::EfsError::NodeFailed;
+        assert!(
+            err == ToolError::Lfs(failed.clone())
+                || err == ToolError::Bridge(bridge_core::BridgeError::Lfs(failed)),
+            "{sixteenths}/16 before the end: {err:?}"
+        );
+    }
+    // A quarter of the way in, the first pass's networks are running.
+    let (faulted, _) = run(Some(end - stats.merge * 3 / 4));
+    assert_eq!(
+        faulted.unwrap_err(),
+        ToolError::Lfs(bridge_efs::EfsError::NodeFailed)
+    );
 }
 
 #[test]
