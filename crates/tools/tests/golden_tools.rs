@@ -368,11 +368,11 @@ fn sort_p8_multiway() {
     sort_row(8, opts).check(
         "sort_p8_multiway",
         &Golden {
-            phase_nanos: &[144318340000, 272759941800, 417590382600, 1, 786227374600],
-            events: 688142,
+            phase_nanos: &[144318370000, 272759941800, 417590412600, 1, 786227404600],
+            events: 688150,
             messages: 262009,
             bytes_sent: 123080832,
-            dispatches: 688142,
+            dispatches: 688150,
         },
     );
 }
