@@ -56,7 +56,9 @@ pub enum FsckMode {
     #[default]
     Parallel,
     /// The controller checks instances one at a time: the serial baseline
-    /// the parallel speedup is measured against.
+    /// the parallel speedup is measured against. Not a start arity —
+    /// [`SERIAL_ARITY`](bridge_core::SERIAL_ARITY) serialises the workers'
+    /// starts, not their checks.
     Serial,
 }
 
@@ -68,7 +70,7 @@ pub struct FsckOptions {
     pub repair: bool,
     /// Parallel or serial visit order.
     pub mode: FsckMode,
-    /// Worker startup topology and costs (parallel mode).
+    /// Worker start arity and cost (parallel mode).
     pub tool: ToolOptions,
     /// Retry policy for the per-instance Fsck calls. The default
     /// ([`RetryPolicy::none`]) waits indefinitely; checks run against a

@@ -22,6 +22,13 @@
 //!   dashboard: polls a running machine's telemetry on a virtual-time
 //!   cadence and renders or exports the frames.
 //!
+//! Every tool is the same three steps, each written once: `Open` the file
+//! (refusing a linked one), start one worker per constituent LFS through
+//! a fan-out tree of [`ToolOptions::start_arity`] and join their results
+//! ([`run_workers`]), and stream each column through a
+//! [`ColumnReader`] / [`ColumnWriter`]. The sort's local merge is likewise
+//! one routine at [`SortOptions::local_merge_arity`].
+//!
 //! ## Example
 //!
 //! ```
