@@ -230,25 +230,32 @@ pub fn sort(
         let mut next_files = Vec::with_capacity(files.len().div_ceil(2));
         let mut pending = Vec::new();
         let mut inputs_to_delete = Vec::new();
+        // The first error of this pass: a server error creating an
+        // output, or an LFS error a reader or writer met. Whatever went
+        // wrong, every network already started is awaited and stopped
+        // before the error is returned.
+        let mut first_err = None;
         let mut iter = files.into_iter();
         while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => {
-                    let tag = tag_base;
-                    tag_base += 1;
-                    let out = create_merge_output(ctx, bridge, &a, &b)?;
-                    let network = spawn_merge_network(ctx, opts, tag, &a, &b, &out);
-                    inputs_to_delete.push(a.id);
-                    inputs_to_delete.push(b.id);
-                    pending.push((tag, out, network));
+            let Some(b) = iter.next() else {
+                next_files.push(a); // odd file gets a bye
+                break;
+            };
+            let out = match create_merge_output(ctx, bridge, &a, &b) {
+                Ok(out) => out,
+                Err(e) => {
+                    first_err = Some(e);
+                    break;
                 }
-                None => next_files.push(a), // odd file gets a bye
-            }
+            };
+            let tag = tag_base;
+            tag_base += 1;
+            let network = spawn_merge_network(ctx, opts, tag, &a, &b, &out);
+            inputs_to_delete.push(a.id);
+            inputs_to_delete.push(b.id);
+            pending.push((tag, out, network));
         }
-        // Await every merge of this pass, then stop its processes — all
-        // of them, whatever went wrong — and only then report the first
-        // LFS error a reader or writer met.
-        let mut first_err = None;
+        // Await every merge of this pass, then stop its processes.
         for (tag, out, _) in &mut pending {
             let tag = *tag;
             let env = ctx

@@ -219,6 +219,10 @@ fn spawn_subtree<R: Clone + Send + 'static>(
             let group = rest.by_ref().take(size).collect();
             spawn_subtree(c, me, group, spawn_cost, arity);
         }
+        // The emptied list's buffer would otherwise live as long as the
+        // worker does, pinning its heap page under everything allocated
+        // since: 10 MB of resident set at p = 1024.
+        drop(rest);
         let mine = (spec.run)(c);
         let mut batch: Batch<R> = vec![(idx, mine)];
         let mut have: BTreeSet<usize> = BTreeSet::new();
