@@ -262,7 +262,9 @@ pub fn sort(
                 .recv_where(move |e| e.downcast_ref::<MergeDone>().is_some_and(|d| d.tag == tag));
             match env.downcast::<MergeDone>().expect("matched").records {
                 Ok(records) => out.size = records,
-                Err(e) => first_err = first_err.or(Some(e)),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
             }
         }
         for (tag, mut out, network) in pending {
@@ -279,7 +281,9 @@ pub fn sort(
                 let done = env.downcast::<WriterDone>().expect("matched");
                 match done.count {
                     Ok(count) => out.slices[done.widx as usize].local_size = count,
-                    Err(e) => first_err = first_err.or(Some(e)),
+                    Err(e) => {
+                        first_err.get_or_insert(e);
+                    }
                 }
             }
             debug_assert!(
