@@ -15,13 +15,15 @@
 //!    carries the kernel's own final `RunStats` verbatim.
 
 use bridge_repro::core::{
-    BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, DiskLost, FaultPlan, Redundancy,
+    BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, FaultPlan, Redundancy,
 };
 use bridge_repro::efs::{install_spare, LfsClient, LfsData, LfsOp};
-use bridge_repro::parsim::{RunStats, SimDuration};
+use bridge_repro::parsim::{Ctx, SimDuration};
 use bridge_repro::simdisk;
 use bridge_repro::trace::HealthSnapshot;
-use std::fmt::Write as _;
+use support::{run, Classes, Run};
+
+mod support;
 
 const BREADTH: u32 = 4;
 const BLOCKS: u64 = 40;
@@ -36,71 +38,57 @@ fn config(telemetry: bool) -> BridgeConfig {
     c
 }
 
+/// The telemetry workload's own payload: a text record, unlike the fault
+/// suites' byte patterns.
 fn content(i: u64) -> Vec<u8> {
     format!("telemetry record {i:05}").into_bytes()
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Runs the fixed workload; returns the client-visible reply transcript
-/// (contents and results, no timing) and the kernel's final counters.
-/// With `poll_health`, a `GetHealth` poll is injected between phases —
-/// the transcript must not change (the polls themselves are excluded
-/// from it; timing is allowed to shift).
-fn run_workload(config: &BridgeConfig, poll_health: bool) -> (Vec<String>, RunStats) {
-    let (mut sim, machine) = BridgeMachine::build(config);
-    let server = machine.server;
-    let log = sim.block_on(machine.frontend, "telemetry-client", move |ctx| {
-        let mut bridge = BridgeClient::new(server);
-        let mut log: Vec<String> = Vec::new();
-        let file = bridge.create(ctx, CreateSpec::default()).expect("create");
-        for i in 0..BLOCKS {
-            let n = bridge.seq_write(ctx, file, content(i)).expect("append");
-            log.push(format!("append[{i}] -> {n}"));
-        }
+/// Runs the fixed workload; the transcript holds the client-visible
+/// replies (contents and results, no timing). With `poll_health`, a
+/// `GetHealth` poll is injected between phases — the transcript must not
+/// change (the polls themselves are excluded from it; timing is allowed
+/// to shift).
+fn run_workload(config: &BridgeConfig, poll_health: bool) -> Run {
+    run(config, move |c| {
+        let file = c.create(CreateSpec::default());
+        c.append(file, "append", 0..BLOCKS, content);
         if poll_health {
-            let h = bridge.get_health(ctx).expect("health");
+            let h = c.bridge.get_health(c.ctx).expect("health");
             assert!(h.server.ops > 0, "mid-run poll saw a live server");
         }
-        for at in [0u64, 7, 19, 33] {
-            bridge
-                .rand_write(ctx, file, at, content(1000 + at))
-                .expect("overwrite");
-            log.push(format!("overwrite[{at}]"));
-        }
-        let info = bridge.open(ctx, file).expect("open");
-        let mut line = format!("read size={}:", info.size);
-        while let Some(block) = bridge.seq_read(ctx, file).expect("read") {
-            write!(line, " {:016x}", fnv(&block)).unwrap();
-        }
-        log.push(line);
+        c.overwrite(file, "overwrite", &[0, 7, 19, 33], |at| content(1000 + at));
+        c.read_back(file, "read");
         if poll_health {
-            let h = bridge.get_health(ctx).expect("health");
+            let h = c.bridge.get_health(c.ctx).expect("health");
             assert_eq!(h.server.txns_in_doubt, 0, "quiescent 2PC at end");
         }
-        log
-    });
-    (log, sim.stats())
+    })
+}
+
+/// Appends `BLOCKS` records to a fresh file and reads it back, untallied.
+fn write_then_read(ctx: &mut Ctx, bridge: &mut BridgeClient) -> BridgeFileId {
+    let file = bridge.create(ctx, CreateSpec::default()).expect("create");
+    for i in 0..BLOCKS {
+        bridge.seq_write(ctx, file, content(i)).expect("append");
+    }
+    bridge.open(ctx, file).expect("open");
+    while bridge.seq_read(ctx, file).expect("read").is_some() {}
+    file
 }
 
 /// Arming the registry without ever polling it must be invisible to the
 /// kernel: bit-identical `RunStats`, identical reply transcript.
 #[test]
 fn armed_but_unpolled_is_bit_identical_to_disabled() {
-    let (log_off, stats_off) = run_workload(&config(false), false);
-    let (log_on, stats_on) = run_workload(&config(true), false);
+    let off = run_workload(&config(false), false);
+    let on = run_workload(&config(true), false);
     assert_eq!(
-        stats_off, stats_on,
+        off.stats, on.stats,
         "arming telemetry changed the kernel counters"
     );
     assert_eq!(
-        log_off, log_on,
+        off.transcript, on.transcript,
         "arming telemetry changed the reply transcript"
     );
 }
@@ -128,32 +116,17 @@ fn sampler_polling_is_bit_identical_and_final_frame_exact() {
     }
     let server = machine.server;
     sim.block_on(machine.frontend, "telemetry-client", move |ctx| {
-        let mut bridge = BridgeClient::new(server);
-        let file = bridge.create(ctx, CreateSpec::default()).expect("create");
-        for i in 0..BLOCKS {
-            bridge.seq_write(ctx, file, content(i)).expect("append");
-        }
-        bridge.open(ctx, file).expect("open");
-        while bridge.seq_read(ctx, file).expect("read").is_some() {}
+        write_then_read(ctx, &mut BridgeClient::new(server));
     });
     let polled = sim.stats();
 
     // Different workload tail than `run_workload` (no overwrites), so
     // only compare the sampled run against itself re-run unpolled.
-    let (mut sim2, machine2) = BridgeMachine::build(&cfg);
-    let server2 = machine2.server;
-    sim2.block_on(machine2.frontend, "telemetry-client", move |ctx| {
-        let mut bridge = BridgeClient::new(server2);
-        let file = bridge.create(ctx, CreateSpec::default()).expect("create");
-        for i in 0..BLOCKS {
-            bridge.seq_write(ctx, file, content(i)).expect("append");
-        }
-        bridge.open(ctx, file).expect("open");
-        while bridge.seq_read(ctx, file).expect("read").is_some() {}
+    let unpolled = run(&cfg, |c| {
+        write_then_read(c.ctx, &mut c.bridge);
     });
     assert_eq!(
-        sim2.stats(),
-        polled,
+        unpolled.stats, polled,
         "sampler polling changed the kernel counters"
     );
 
@@ -172,10 +145,10 @@ fn sampler_polling_is_bit_identical_and_final_frame_exact() {
 /// be identical with and without it.
 #[test]
 fn inband_polling_leaves_reply_contents_identical() {
-    let (quiet, _) = run_workload(&config(true), false);
-    let (polled, _) = run_workload(&config(true), true);
+    let quiet = run_workload(&config(true), false);
+    let polled = run_workload(&config(true), true);
     assert_eq!(
-        quiet, polled,
+        quiet.transcript, polled.transcript,
         "in-band GetHealth polling changed reply contents"
     );
 }
@@ -189,14 +162,7 @@ fn inband_polling_leaves_reply_contents_identical() {
 #[test]
 fn end_of_run_snapshot_reconciles_exactly_with_diskstats() {
     let victim = 1u32;
-    let cfg = config(true).with_faults(FaultPlan {
-        seed: 0x7e1e,
-        losses: vec![DiskLost {
-            disk: victim,
-            after_writes: 25,
-        }],
-        ..FaultPlan::none()
-    });
+    let cfg = config(true).with_faults(FaultPlan::seeded(0x7e1e).lose(victim, 25));
     let (mut sim, machine) = BridgeMachine::build(&cfg);
     let server = machine.server;
     let spare = machine.lfs[victim as usize];
@@ -204,12 +170,7 @@ fn end_of_run_snapshot_reconciles_exactly_with_diskstats() {
     let retry = cfg.server.lfs_retry;
     let (health, ground) = sim.block_on(machine.frontend, "telemetry-client", move |ctx| {
         let mut bridge = BridgeClient::with_retry(server, retry);
-        let file = bridge.create(ctx, CreateSpec::default()).expect("create");
-        for i in 0..BLOCKS {
-            bridge.seq_write(ctx, file, content(i)).expect("append");
-        }
-        bridge.open(ctx, file).expect("open");
-        while bridge.seq_read(ctx, file).expect("read").is_some() {}
+        let file = write_then_read(ctx, &mut bridge);
         assert!(install_spare(ctx, spare), "spare racked in");
         bridge
             .rebuild_paced(ctx, file, 8, SimDuration::from_micros(200))
