@@ -9,15 +9,65 @@
 //! thread lane per process: a Bridge-server dispatch span legitimately
 //! *crosses* run-interval boundaries (the server blocks mid-request
 //! awaiting LFS replies), and the Chrome format requires events on one
-//! thread to nest.
+//! thread to nest. For the same reason a process's RPC spans
+//! (`cat == "client"`) take as many lanes as it has calls in flight: a
+//! pipelined fan-out's sends overlap without nesting.
 
 use crate::collect::TraceData;
 use crate::json::{self, write_str, Json};
+use parsim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-/// Offset added to a process's thread id to form its scheduler lane.
-const SCHED_TID_BASE: usize = 100_000;
+/// A process's lanes are trace threads `process index + 1 + k · LANE`:
+/// k = 0 its own, k = 1 its scheduler run intervals, k ≥ 2 its RPC lanes.
+const LANE: usize = 100_000;
+
+/// Each span's lane k. `sched` spans take lane 1. A `client` span goes
+/// first-fit to the lowest of lane 0 and the RPC lanes that it nests in,
+/// the way the validator checks nesting: sorted by (start asc, end desc),
+/// a span fits a lane when the innermost span still open there ends no
+/// earlier. Every other span stays on lane 0, so its nesting is checked.
+fn span_lanes(data: &TraceData) -> Vec<usize> {
+    let mut lanes: Vec<usize> = data
+        .spans
+        .iter()
+        .map(|s| usize::from(s.cat == "sched"))
+        .collect();
+    let mut order: Vec<usize> = (0..data.spans.len()).filter(|&i| lanes[i] == 0).collect();
+    order.sort_by_key(|&i| {
+        let s = &data.spans[i];
+        (s.pid, s.start, std::cmp::Reverse(s.end))
+    });
+    // Per lane of the current process (0 and the RPC lanes), the ends of
+    // its open spans.
+    let mut open: Vec<Vec<SimTime>> = Vec::new();
+    let mut pid = usize::MAX;
+    for i in order {
+        let span = &data.spans[i];
+        if span.pid != pid {
+            pid = span.pid;
+            open.clear();
+        }
+        for ends in &mut open {
+            while ends.last().is_some_and(|&end| end <= span.start) {
+                ends.pop();
+            }
+        }
+        let lane = if span.cat == "client" {
+            let fits = |ends: &Vec<SimTime>| ends.last().is_none_or(|&end| end >= span.end);
+            open.iter().position(fits).unwrap_or(open.len())
+        } else {
+            0
+        };
+        if lane == open.len() {
+            open.push(Vec::new());
+        }
+        open[lane].push(span.end);
+        lanes[i] = if lane == 0 { 0 } else { lane + 1 };
+    }
+    lanes
+}
 
 fn push_us(out: &mut String, nanos: u64) {
     // Chrome timestamps are microseconds; emit sub-us precision as a
@@ -53,8 +103,10 @@ fn push_args(out: &mut String, args: &[(&'static str, u64)]) {
 /// Layout: trace pid = node index + 1 (named by `process_name`
 /// metadata), trace tid = process index + 1 (named by `thread_name`),
 /// plus one `"(sched)"` lane per process holding its scheduler run
-/// intervals. Spans become `"X"` (complete) events, instants `"i"`
-/// events, and message send/delivery pairs `"s"`/`"f"` flow events.
+/// intervals and one `"(rpc k)"` lane per RPC the process had in flight
+/// beyond what nests on its own lane. Spans become `"X"` (complete)
+/// events, instants `"i"` events, and message send/delivery pairs
+/// `"s"`/`"f"` flow events.
 pub fn chrome_trace_json(data: &TraceData) -> String {
     let mut out = String::with_capacity(
         256 + 160 * (data.spans.len() + data.instants.len() + data.flows.len()),
@@ -76,6 +128,14 @@ pub fn chrome_trace_json(data: &TraceData) -> String {
             .unwrap_or(usize::MAX)
     };
 
+    let lanes = span_lanes(data);
+    let mut rpc_lanes = vec![0; data.procs.len()];
+    for (span, &lane) in data.spans.iter().zip(&lanes) {
+        if let Some(most) = rpc_lanes.get_mut(span.pid) {
+            *most = lane.saturating_sub(1).max(*most);
+        }
+    }
+
     for (idx, name) in data.nodes.iter().enumerate() {
         sep(&mut out);
         let _ = write!(
@@ -87,33 +147,28 @@ pub fn chrome_trace_json(data: &TraceData) -> String {
         out.push_str("}}");
     }
     for (idx, meta) in data.procs.iter().enumerate() {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            r#"{{"ph":"M","pid":{},"tid":{},"name":"thread_name","args":{{"name":"#,
-            node_pid(meta.node),
-            idx + 1
-        );
-        write_str(&mut out, &meta.name);
-        out.push_str("}}");
-        sep(&mut out);
-        let _ = write!(
-            out,
-            r#"{{"ph":"M","pid":{},"tid":{},"name":"thread_name","args":{{"name":"#,
-            node_pid(meta.node),
-            idx + 1 + SCHED_TID_BASE
-        );
-        write_str(&mut out, &format!("{} (sched)", meta.name));
-        out.push_str("}}");
+        let threads = [
+            (0, meta.name.clone()),
+            (1, format!("{} (sched)", meta.name)),
+        ]
+        .into_iter()
+        .chain((1..=rpc_lanes[idx]).map(|k| (k + 1, format!("{} (rpc {k})", meta.name))));
+        for (offset, name) in threads {
+            sep(&mut out);
+            let _ = write!(
+                out,
+                r#"{{"ph":"M","pid":{},"tid":{},"name":"thread_name","args":{{"name":"#,
+                node_pid(meta.node),
+                idx + 1 + offset * LANE
+            );
+            write_str(&mut out, &name);
+            out.push_str("}}");
+        }
     }
 
-    for span in &data.spans {
+    for (span, &lane) in data.spans.iter().zip(&lanes) {
         sep(&mut out);
-        let tid = if span.cat == "sched" {
-            span.pid + 1 + SCHED_TID_BASE
-        } else {
-            span.pid + 1
-        };
+        let tid = span.pid + 1 + lane * LANE;
         push_common(&mut out, 'X', proc_pid(span.pid), tid, &span.name, span.cat);
         out.push_str(",\"ts\":");
         push_us(&mut out, span.start.as_nanos());
@@ -333,6 +388,39 @@ mod tests {
         // Both nodes referenced and named.
         assert!(summary.named_pids.contains(&1));
         assert!(summary.named_pids.contains(&2));
+    }
+
+    /// A pipelined caller: two RPC spans of one process overlap without
+    /// nesting ([0, 10] and [5, 15] ms) inside a third span enclosing
+    /// both. The export puts the second on an `(rpc 1)` lane and
+    /// validates; the spans keep their times.
+    #[test]
+    fn overlapping_client_spans_of_one_process_export_and_validate() {
+        let collector = TraceCollector::install();
+        let mut sim = Simulation::new(SimConfig {
+            tracer: Some(collector.as_tracer()),
+            ..SimConfig::default()
+        });
+        let node = sim.add_node("alpha");
+        sim.block_on(node, "caller", |ctx| {
+            let t0 = ctx.now();
+            ctx.delay(SimDuration::from_millis(5));
+            let t1 = ctx.now();
+            ctx.delay(SimDuration::from_millis(5));
+            ctx.trace_span("client", "client.first", t0, &[]);
+            ctx.delay(SimDuration::from_millis(5));
+            ctx.trace_span("client", "client.second", t1, &[]);
+            ctx.trace_span("tool", "tool.round", t0, &[]);
+        });
+        let data = collector.snapshot();
+        let json = chrome_trace_json(&data);
+        let summary = validate_chrome_trace(&json).expect("valid trace");
+        assert_eq!(summary.spans, data.spans.len());
+        assert!(json.contains(r#""name":"caller (rpc 1)""#), "{json}");
+        assert!(!json.contains("(rpc 2)"), "one extra lane is enough");
+        let second =
+            r#""tid":200001,"name":"client.second","cat":"client","ts":5000.000,"dur":10000.000"#;
+        assert!(json.contains(second), "{json}");
     }
 
     #[test]
