@@ -186,13 +186,10 @@ impl Server {
         let breadth = nodes.len() as u32;
         let kind = match spec.placement {
             PlacementSpec::RoundRobin => {
-                let start = if self.config.rotate_start {
-                    let s = self.next_start % breadth;
-                    self.next_start = self.next_start.wrapping_add(1);
-                    s
-                } else {
-                    0
-                };
+                // Successive round-robin files start on successive nodes,
+                // so block 0 does not always hit LFS 0.
+                let start = self.next_start % breadth;
+                self.next_start = self.next_start.wrapping_add(1);
                 PlacementKind::RoundRobin { start }
             }
             PlacementSpec::RoundRobinAt { start } => PlacementKind::RoundRobin {

@@ -56,9 +56,6 @@ pub struct BridgeServerConfig {
     pub create_init_cpu: SimDuration,
     /// Serial CPU time to process one LFS completion during Create.
     pub create_ack_cpu: SimDuration,
-    /// Rotate the start node of successive round-robin files so block 0
-    /// does not always hit LFS 0.
-    pub rotate_start: bool,
     /// How many groups each hop of Create's fan-out splits its targets
     /// into (a group of one is that node's LFS, a larger one goes to its
     /// first node's agent to split again): the paper's §4.5 suggestion of
@@ -120,7 +117,6 @@ impl Default for BridgeServerConfig {
             cpu_per_request: SimDuration::from_millis(1),
             create_init_cpu: SimDuration::from_millis(9),
             create_ack_cpu: SimDuration::from_millis(8),
-            rotate_start: true,
             create_arity: 4,
             batch: BatchPolicy::Off,
             lfs_retry: RetryPolicy::none(),
