@@ -4,8 +4,10 @@
 #   code = non-blank lines that are not `//` comments, counted up to a
 #          file's first `#[cfg(test)]` (inline test modules excluded)
 # Closes with the two sums the CHANGES.md ledger quotes: core+efs+parsim
-# (the figure ROADMAP's line target tracks) and all crates, and under the
-# table the code lines of the files the two logs are made of.
+# (the figure ROADMAP's line target tracks) and all crates, then a row for
+# the root tests/ (the system suites and the fault harness, counted the
+# same way), and under the table the code lines of the files the two logs
+# are made of.
 # No gate and no threshold: each PR leaves its count beside the
 # bridgebench ledger so line targets in ROADMAP.md are read, not argued.
 set -eu
@@ -28,6 +30,8 @@ done | awk -F'|' '
         printf "| core+efs+parsim | %d | %d |\n", kraw, kcode
         printf "| all crates | %d | %d |\n", raw, code
     }'
+find tests -name '*.rs' -exec awk "$count" {} + |
+    { read -r raw code; echo "| tests | $raw | $code |"; }
 echo
 for log in efs/src/wal.rs efs/src/ring.rs efs/src/codec.rs core/src/txlog.rs; do
     awk "$count" "crates/$log" | { read -r _ code; echo "$log $code"; }
