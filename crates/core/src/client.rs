@@ -17,7 +17,6 @@ struct BridgeRpc;
 
 impl RpcProtocol for BridgeRpc {
     type Cmd = BridgeCmd;
-    type Request = BridgeRequest;
     type Reply = BridgeReply;
     type Data = BridgeData;
     type Error = BridgeError;
@@ -25,11 +24,9 @@ impl RpcProtocol for BridgeRpc {
     fn name(cmd: &BridgeCmd) -> &'static str {
         cmd.name()
     }
-    fn wire_size(cmd: &BridgeCmd) -> usize {
-        request_wire_size(cmd)
-    }
-    fn request(id: u64, cmd: BridgeCmd) -> BridgeRequest {
-        BridgeRequest { id, cmd }
+    fn post(ctx: &mut Ctx, server: ProcId, id: u64, cmd: BridgeCmd) {
+        let bytes = request_wire_size(&cmd);
+        ctx.send_sized_cloneable(server, BridgeRequest { id, cmd }, bytes);
     }
     fn reply_id(reply: &BridgeReply) -> u64 {
         reply.id

@@ -63,12 +63,13 @@ pub use machine::{BridgeConfig, BridgeMachine};
 pub use placement::{Placement, PlacementCursor, PlacementKind};
 pub use protocol::{
     reply_wire_size, request_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest,
-    CreateSpec, JobDeliver, JobRequest, JobSupply, LfsSlice, MachineInfo, MachineManifest,
-    ManifestEntry, OpenInfo, PlacementSpec, RelayCreate, RelayRequest, RelayRpc,
+    CreateHop, CreateRpc, CreateSpec, JobDeliver, JobRequest, JobSupply, LfsSlice, MachineInfo,
+    MachineManifest, ManifestEntry, OpenInfo, PlacementSpec, RelayCreate, RelayRequest,
 };
 pub use redundancy::{xor_into, ParityLayout, Redundancy};
 pub use server::{
-    spawn_bridge_agent, spawn_bridge_server, BatchPolicy, BridgeServerConfig, SERIAL_ARITY,
+    fan_groups, spawn_bridge_agent, spawn_bridge_server, BatchPolicy, BridgeServerConfig,
+    SERIAL_ARITY,
 };
 pub use txlog::{LoggedDecision, TxLog, TxParticipant, TxRecord, TXLOG_MAGIC};
 // Re-exported so machine builders can set a policy without naming simdisk.

@@ -17,9 +17,9 @@ use crate::header::GlobalPtr;
 use crate::ids::{BridgeFileId, JobId, LfsIndex};
 use crate::placement::PlacementKind;
 use crate::redundancy::Redundancy;
-use bridge_efs::{EfsError, LfsData, LfsFileId, LfsReply, RpcProtocol};
+use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp, LfsReply, LfsRpc, RpcProtocol};
 use bytes::Bytes;
-use parsim::{NodeId, ProcId};
+use parsim::{Ctx, NodeId, ProcId};
 
 /// Placement requested at file creation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -409,28 +409,51 @@ pub struct RelayRequest {
     pub cmd: RelayCreate,
 }
 
-/// The relay hop as the at-least-once engine sees it: retried under the
-/// same policy as the server↔LFS leg and deduplicated by each agent,
-/// which answers for its whole subtree as one LFS would for itself — an
-/// [`LfsReply`] carrying the subtree's first failure, if any.
-#[derive(Debug)]
-pub struct RelayRpc;
+impl RelayCreate {
+    /// Wire size charged for the relay: it carries its (agent, LFS) pairs.
+    pub fn wire_size(&self) -> usize {
+        48 + 16 * self.targets.len()
+    }
+}
 
-impl RpcProtocol for RelayRpc {
-    type Cmd = RelayCreate;
-    type Request = RelayRequest;
+/// One send of Create's fan-out.
+#[derive(Debug, Clone)]
+pub enum CreateHop {
+    /// An LFS operation straight to a leaf's LFS.
+    Lfs(LfsOp),
+    /// A subtree to its head's agent.
+    Relay(RelayCreate),
+}
+
+/// Create's fan-out as the at-least-once engine sees it: a leaf is the
+/// LFS protocol itself, and a relay hop is retried under the same policy
+/// and deduplicated by each agent, which answers for its whole subtree as
+/// one LFS would for itself — an [`LfsReply`] carrying the subtree's first
+/// failure, if any. One reply type is what lets a sender take both kinds
+/// of reply in one arrival-order wait.
+#[derive(Debug)]
+pub struct CreateRpc;
+
+impl RpcProtocol for CreateRpc {
+    type Cmd = CreateHop;
     type Reply = LfsReply;
     type Data = LfsData;
     type Error = EfsError;
 
-    fn name(_: &RelayCreate) -> &'static str {
-        "bridge.relay"
+    fn name(hop: &CreateHop) -> &'static str {
+        match hop {
+            CreateHop::Lfs(op) => LfsRpc::name(op),
+            CreateHop::Relay(_) => "bridge.relay",
+        }
     }
-    fn wire_size(cmd: &RelayCreate) -> usize {
-        48 + 16 * cmd.targets.len()
-    }
-    fn request(id: u64, cmd: RelayCreate) -> RelayRequest {
-        RelayRequest { id, cmd }
+    fn post(ctx: &mut Ctx, server: ProcId, id: u64, hop: CreateHop) {
+        match hop {
+            CreateHop::Lfs(op) => LfsRpc::post(ctx, server, id, op),
+            CreateHop::Relay(cmd) => {
+                let bytes = cmd.wire_size();
+                ctx.send_sized_cloneable(server, RelayRequest { id, cmd }, bytes);
+            }
+        }
     }
     fn reply_id(reply: &LfsReply) -> u64 {
         reply.id
@@ -499,7 +522,7 @@ mod tests {
             files: vec![LfsFileId(1)],
             targets: vec![(ProcId::from_index(0), ProcId::from_index(1)); 1024],
         };
-        assert_eq!(RelayRpc::wire_size(&relay), 48 + 16 * 1024);
+        assert_eq!(relay.wire_size(), 48 + 16 * 1024);
     }
 
     #[test]

@@ -21,14 +21,14 @@ mod rebuild;
 mod redundancy;
 mod txn;
 
-pub use agent::spawn_bridge_agent;
+pub use agent::{fan_groups, spawn_bridge_agent};
 
 use crate::error::BridgeError;
 use crate::ids::{BridgeFileId, JobId, LfsIndex};
 use crate::placement::PlacementKind;
 use crate::protocol::{
-    reply_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest, MachineInfo,
-    MachineManifest, ManifestEntry, RelayRpc,
+    reply_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest, CreateRpc, MachineInfo,
+    MachineManifest, ManifestEntry,
 };
 use crate::redundancy::Redundancy;
 use crate::txlog::TxLog;
@@ -56,15 +56,15 @@ pub struct BridgeServerConfig {
     pub create_init_cpu: SimDuration,
     /// Serial CPU time to process one LFS completion during Create.
     pub create_ack_cpu: SimDuration,
-    /// How many groups each hop of Create's fan-out splits its targets
-    /// into (a group of one is that node's LFS, a larger one goes to its
-    /// first node's agent to split again): the paper's §4.5 suggestion of
-    /// "sending startup and completion messages through an embedded
-    /// binary tree" is 2, and [`SERIAL_ARITY`] spells the prototype's
-    /// sequential initiation (Table 2's `145 + 17.5p`). The default is 4,
-    /// which `ablate_tree_start`'s sweep finds no slower than 2 at any
-    /// breadth and which leaves a Create over four nodes or fewer — the
-    /// sort tool's intermediate files — the serial sequence.
+    /// The k of the k-nomial tree ([`fan_groups`]) each hop of Create's
+    /// fan-out splits its targets by: a group of one is that node's LFS, a
+    /// larger one goes to its first node's agent to split again, and a
+    /// group of two is sent as two leaves, since a relay to two costs more
+    /// than two sends. The default, 2, is the binomial tree — the paper's
+    /// §4.5 "embedded binary tree", largest subtree first — which leaves a
+    /// Create over four nodes or fewer (the sort tool's intermediate
+    /// files) the serial sequence; [`SERIAL_ARITY`] spells the prototype's
+    /// sequential initiation (Table 2's `145 + 17.5p`) at every breadth.
     pub create_arity: u32,
     /// Scatter-gather batching of the server's LFS traffic.
     pub batch: BatchPolicy,
@@ -117,7 +117,7 @@ impl Default for BridgeServerConfig {
             cpu_per_request: SimDuration::from_millis(1),
             create_init_cpu: SimDuration::from_millis(9),
             create_ack_cpu: SimDuration::from_millis(8),
-            create_arity: 4,
+            create_arity: 2,
             batch: BatchPolicy::Off,
             lfs_retry: RetryPolicy::none(),
             default_redundancy: Redundancy::None,
@@ -142,8 +142,9 @@ struct Server {
     next_start: u32,
     pending: Option<PendingAppends>,
     client: LfsClient,
-    /// The server's client on the agents (Create's relay hops).
-    relay: RpcClient<RelayRpc>,
+    /// The server's client for Create's fan-out: leaf creates on the LFS
+    /// instances and relay hops to the agents.
+    fanout: RpcClient<CreateRpc>,
     /// The presumed-abort decision log; `Some` switches every
     /// multi-instance mutation (Create, Delete/DeleteMany) onto the
     /// two-phase commit path.
@@ -192,7 +193,7 @@ pub fn spawn_bridge_server(
             next_start: 0,
             pending: None,
             client: LfsClient::with_retry(config.lfs_retry),
-            relay: RpcClient::with_retry(config.lfs_retry),
+            fanout: RpcClient::with_retry(config.lfs_retry),
             txlog,
             next_txn: 1,
             telemetry,
@@ -293,7 +294,7 @@ impl Server {
 
     /// Requests the server has retransmitted, to LFS instances and agents.
     fn resends(&self) -> u64 {
-        self.client.resends() + self.relay.resends()
+        self.client.resends() + self.fanout.resends()
     }
 
     fn breadth(&self) -> u32 {

@@ -375,7 +375,6 @@ pub struct LfsRpc;
 
 impl RpcProtocol for LfsRpc {
     type Cmd = LfsOp;
-    type Request = LfsRequest;
     type Reply = LfsReply;
     type Data = LfsData;
     type Error = EfsError;
@@ -383,11 +382,9 @@ impl RpcProtocol for LfsRpc {
     fn name(op: &LfsOp) -> &'static str {
         op.name()
     }
-    fn wire_size(op: &LfsOp) -> usize {
-        request_wire_size(op)
-    }
-    fn request(id: u64, op: LfsOp) -> LfsRequest {
-        LfsRequest { id, op }
+    fn post(ctx: &mut Ctx, server: ProcId, id: u64, op: LfsOp) {
+        let bytes = request_wire_size(&op);
+        ctx.send_sized_cloneable(server, LfsRequest { id, op }, bytes);
     }
     fn reply_id(reply: &LfsReply) -> u64 {
         reply.id

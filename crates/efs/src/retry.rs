@@ -81,13 +81,11 @@ impl Default for RetryPolicy {
     }
 }
 
-/// A request/reply protocol [`RpcClient`] can drive: how a command
-/// becomes a wire request, and how a wire reply is matched and opened.
+/// A request/reply protocol [`RpcClient`] can drive: how a command goes
+/// on the wire, and how a wire reply is matched and opened.
 pub trait RpcProtocol {
     /// What the caller asks for (cloned only to be resent).
     type Cmd: Clone + fmt::Debug;
-    /// The wire request carrying an id and a command.
-    type Request: Clone + Send + 'static;
     /// The wire reply echoing the id.
     type Reply: 'static;
     /// A successful reply's payload.
@@ -97,10 +95,9 @@ pub trait RpcProtocol {
 
     /// Stable span name of `cmd`; the engine traces `client.<name>`.
     fn name(cmd: &Self::Cmd) -> &'static str;
-    /// Wire size charged for a request carrying `cmd`.
-    fn wire_size(cmd: &Self::Cmd) -> usize;
-    /// Wraps `cmd` under request id `id`.
-    fn request(id: u64, cmd: Self::Cmd) -> Self::Request;
+    /// Sends `cmd` to `server` as the wire request `id`, charged at the
+    /// protocol's wire size (cloneable, so a fault plan may duplicate it).
+    fn post(ctx: &mut Ctx, server: ProcId, id: u64, cmd: Self::Cmd);
     /// The request id `reply` answers.
     fn reply_id(reply: &Self::Reply) -> u64;
     /// Opens a reply.
@@ -127,10 +124,10 @@ fn answers<P: RpcProtocol>(server: ProcId, id: u64) -> impl Fn(&parsim::Envelope
 #[derive(Debug)]
 pub struct RpcClient<P: RpcProtocol> {
     retry: RetryPolicy,
-    /// Commands sent but not yet waited on, kept only when retries are
-    /// enabled so `wait` can resend them. Host-side bookkeeping: recording
+    /// Requests sent but not yet answered, kept only when retries are
+    /// enabled so a wait can resend them. Host-side bookkeeping: recording
     /// a command has no effect on virtual time.
-    pending: Vec<(u64, P::Cmd)>,
+    pending: Vec<Pending<P::Cmd>>,
     /// Send time, server, and command name per in-flight request, kept
     /// only while tracing so the reply can close a `client.rpc` span.
     /// Host-side bookkeeping: has no effect on virtual time.
@@ -138,6 +135,19 @@ pub struct RpcClient<P: RpcProtocol> {
     /// Timed-out requests retransmitted so far (telemetry's retry-storm
     /// gauge). Host-side bookkeeping: has no effect on virtual time.
     resends: u64,
+}
+
+/// A request sent under a retry policy and not yet answered.
+#[derive(Debug)]
+struct Pending<C> {
+    id: u64,
+    /// What a resend puts back on the wire.
+    cmd: C,
+    /// Sends so far, the first included.
+    attempts: u32,
+    /// When the first wait naming the request began, and when its current
+    /// attempt times out; `None` until something waits on it.
+    clock: Option<(SimTime, SimTime)>,
 }
 
 impl<P: RpcProtocol> Default for RpcClient<P> {
@@ -175,14 +185,18 @@ impl<P: RpcProtocol> RpcClient<P> {
     /// Sends `cmd` to `server` and returns the request id.
     pub fn send(&mut self, ctx: &mut Ctx, server: ProcId, cmd: P::Cmd) -> u64 {
         let id = ctx.unique_id();
-        let bytes = P::wire_size(&cmd);
         if self.retry.is_enabled() {
-            self.pending.push((id, cmd.clone()));
+            self.pending.push(Pending {
+                id,
+                cmd: cmd.clone(),
+                attempts: 1,
+                clock: None,
+            });
         }
         if ctx.trace_enabled() {
             self.sent.push((id, ctx.now(), server, P::name(&cmd)));
         }
-        ctx.send_sized_cloneable(server, P::request(id, cmd), bytes);
+        P::post(ctx, server, id, cmd);
         id
     }
 
@@ -204,12 +218,13 @@ impl<P: RpcProtocol> RpcClient<P> {
     /// Abandons an in-flight request: drops the retry and tracing
     /// bookkeeping for `id` without waiting for its reply.
     pub fn forget(&mut self, id: u64) {
-        self.pending.retain(|(p, _)| *p != id);
+        self.pending.retain(|p| p.id != id);
         self.sent.retain(|(s, _, _, _)| *s != id);
     }
 
     /// Waits for the reply to `id` from `server`, resending the request on
-    /// timeout when the client has a retry policy.
+    /// timeout when the client has a retry policy: the one-request case of
+    /// [`wait_any`](Self::wait_any).
     ///
     /// # Errors
     ///
@@ -217,77 +232,113 @@ impl<P: RpcProtocol> RpcClient<P> {
     /// [`RpcProtocol::timed_out`] when the retry budget is spent without
     /// a reply.
     pub fn wait(&mut self, ctx: &mut Ctx, server: ProcId, id: u64) -> Result<P::Data, P::Error> {
-        match self.pending.iter().position(|(p, _)| *p == id) {
-            Some(slot) => {
-                let (_, cmd) = self.pending.swap_remove(slot);
-                self.wait_retrying(ctx, server, id, &cmd)
-            }
-            None => {
-                let env = ctx.recv_where(answers::<P>(server, id));
-                self.open(ctx, id, env)
-            }
-        }
+        self.wait_any(ctx, &[(server, id)]).1
     }
 
-    /// The retry loop behind [`wait`](Self::wait): the first attempt is
-    /// already on the wire; each timeout resends the same id, backing off,
-    /// until the budget is spent.
-    fn wait_retrying(
+    /// Waits for whichever of `waiting` — `(server, id)` pairs this client
+    /// sent — is answered first, and returns its position in `waiting`
+    /// with its reply: replies are taken in arrival order, so a caller
+    /// that reduces them never sits on one while another is ready.
+    ///
+    /// Under a retry policy each request keeps its own attempt count and
+    /// deadline, and its clock starts at the first wait that names it (as
+    /// [`wait`](Self::wait)'s always has). A timeout resends the requests
+    /// whose deadline has passed, each backing off on its own, and a
+    /// request whose budget is spent is returned as answered by
+    /// [`RpcProtocol::timed_out`]; the rest stay outstanding for the next
+    /// wait.
+    ///
+    /// # Panics
+    ///
+    /// If `waiting` is empty.
+    pub fn wait_any(
         &mut self,
         ctx: &mut Ctx,
-        server: ProcId,
-        id: u64,
-        cmd: &P::Cmd,
-    ) -> Result<P::Data, P::Error> {
-        let answers = answers::<P>(server, id);
-        let bytes = P::wire_size(cmd);
-        let t0 = ctx.now();
-        let mut attempt = 1u32;
+        waiting: &[(ProcId, u64)],
+    ) -> (usize, Result<P::Data, P::Error>) {
+        assert!(!waiting.is_empty(), "a wait needs a request to wait on");
+        let answered = |e: &parsim::Envelope| {
+            let id = P::reply_id(e.downcast_ref::<P::Reply>()?);
+            waiting.iter().position(|&w| w == (e.from(), id))
+        };
+        let retry = self.retry;
         loop {
-            match ctx.recv_where_timeout(answers, self.retry.wait_for(attempt - 1)) {
-                Some(env) => {
+            let now = ctx.now();
+            let deadline = self
+                .pending
+                .iter_mut()
+                .filter(|p| waiting.iter().any(|&(_, id)| id == p.id))
+                .map(|p| p.clock.get_or_insert((now, now + retry.wait_for(0))).1)
+                .min();
+            let env = match deadline {
+                None => Some(ctx.recv_where(|e| answered(e).is_some())),
+                Some(at) => ctx.recv_where_timeout(
+                    |e| answered(e).is_some(),
+                    at.saturating_duration_since(now),
+                ),
+            };
+            if let Some(env) = env {
+                let at = answered(&env).expect("matched a waiting request");
+                let (server, id) = waiting[at];
+                if let Some(slot) = self.pending.iter().position(|p| p.id == id) {
+                    let done = self.pending.swap_remove(slot);
                     // The network may duplicate replies and earlier
                     // attempts may still produce replays: drop any copy
                     // that already got stashed so they cannot pile up.
-                    ctx.discard_stashed(answers);
-                    if attempt > 1 && ctx.trace_enabled() {
-                        let latency = ctx.now().duration_since(t0);
+                    ctx.discard_stashed(answers::<P>(server, id));
+                    if done.attempts > 1 && ctx.trace_enabled() {
+                        let started = done.clock.expect("waited on").0;
+                        let latency = ctx.now().duration_since(started);
                         ctx.trace_instant(
                             "retry",
                             "retry.recovered",
                             &[
                                 ("id", id),
-                                ("attempts", u64::from(attempt)),
+                                ("attempts", u64::from(done.attempts)),
                                 ("latency_nanos", latency.as_nanos()),
                             ],
                         );
                     }
-                    return self.open(ctx, id, env);
                 }
-                None if attempt >= self.retry.budget => {
+                return (at, self.open(ctx, id, env));
+            }
+            let now = ctx.now();
+            for (at, &(server, id)) in waiting.iter().enumerate() {
+                let Some(slot) = self
+                    .pending
+                    .iter()
+                    .position(|p| p.id == id && p.clock.is_some_and(|(_, due)| due <= now))
+                else {
+                    continue;
+                };
+                let attempts = self.pending[slot].attempts;
+                if attempts >= retry.budget {
+                    self.pending.swap_remove(slot);
                     if ctx.trace_enabled() {
                         ctx.trace_instant(
                             "retry",
                             "retry.exhausted",
-                            &[("id", id), ("attempts", u64::from(attempt))],
+                            &[("id", id), ("attempts", u64::from(attempts))],
                         );
                     }
                     // No reply ever arrived: drop the span bookkeeping so
                     // a later id reuse cannot pair with this send.
                     self.sent.retain(|(s, _, _, _)| *s != id);
-                    return Err(P::timed_out(attempt));
+                    return (at, Err(P::timed_out(attempts)));
                 }
-                None => {
-                    self.resends += 1;
-                    if ctx.trace_enabled() {
-                        ctx.trace_instant(
-                            "retry",
-                            "retry.resend",
-                            &[("id", id), ("attempt", u64::from(attempt))],
-                        );
-                    }
-                    ctx.send_sized_cloneable(server, P::request(id, cmd.clone()), bytes);
-                    attempt += 1;
+                self.resends += 1;
+                if ctx.trace_enabled() {
+                    ctx.trace_instant(
+                        "retry",
+                        "retry.resend",
+                        &[("id", id), ("attempt", u64::from(attempts))],
+                    );
+                }
+                let pending = &mut self.pending[slot];
+                P::post(ctx, server, id, pending.cmd.clone());
+                pending.attempts += 1;
+                if let Some((_, due)) = &mut pending.clock {
+                    *due = now + retry.wait_for(attempts);
                 }
             }
         }
@@ -525,6 +576,125 @@ mod tests {
 
     fn at(millis: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(millis)
+    }
+
+    /// A protocol for driving [`RpcClient`] itself: the command is how
+    /// many milliseconds the echo server takes to answer.
+    #[derive(Debug)]
+    struct Echo;
+
+    #[derive(Debug, Clone)]
+    struct EchoRequest {
+        id: u64,
+        millis: u64,
+    }
+
+    #[derive(Debug, Clone)]
+    struct EchoReply {
+        id: u64,
+    }
+
+    impl RpcProtocol for Echo {
+        type Cmd = u64;
+        type Reply = EchoReply;
+        type Data = ();
+        type Error = u32;
+
+        fn name(_: &u64) -> &'static str {
+            "echo"
+        }
+        fn post(ctx: &mut Ctx, server: ProcId, id: u64, millis: u64) {
+            ctx.send_sized_cloneable(server, EchoRequest { id, millis }, 0);
+        }
+        fn reply_id(reply: &EchoReply) -> u64 {
+            reply.id
+        }
+        fn result(_: EchoReply) -> Result<(), u32> {
+            Ok(())
+        }
+        fn timed_out(attempts: u32) -> u32 {
+            attempts
+        }
+    }
+
+    /// Under a drop plan — a Down window that loses the first copy of the
+    /// request to echo server 1 — the wait hands replies back as they land,
+    /// and a timeout resends only the request whose own deadline passed:
+    /// the request to server 0, waited on from 10 ms, is still inside its
+    /// first attempt when server 1's, waited on from 0, times out at 100.
+    #[test]
+    fn wait_any_takes_replies_in_arrival_order_and_resends_only_the_overdue() {
+        use parsim::{FaultPlan, NodeId, Outage, OutageKind, SimConfig, Simulation};
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
+
+        // Node 0 is the client's, node 1 + i echo server i's.
+        let plan = FaultPlan {
+            outages: vec![Outage {
+                node: NodeId::from_index(2),
+                from: SimTime::ZERO,
+                until: at(1),
+                kind: OutageKind::Down,
+            }],
+            ..FaultPlan::none()
+        };
+        let mut sim = Simulation::new(SimConfig {
+            faults: plan,
+            ..SimConfig::default()
+        });
+        let client_node = sim.add_node("client");
+        let served: Arc<[AtomicU32; 3]> = Arc::default();
+        let servers: Vec<ProcId> = (0..3)
+            .map(|i| {
+                let node = sim.add_node(format!("s{i}"));
+                let served = Arc::clone(&served);
+                sim.spawn(node, format!("echo{i}"), move |ctx| loop {
+                    let (from, req) = ctx.recv_as::<EchoRequest>();
+                    served[i].fetch_add(1, Ordering::Relaxed);
+                    ctx.delay(SimDuration::from_millis(req.millis));
+                    ctx.send_sized_cloneable(from, EchoReply { id: req.id }, 0);
+                })
+            })
+            .collect();
+        let retry = RetryPolicy {
+            timeout: SimDuration::from_millis(100),
+            backoff_cap: SimDuration::from_secs(1),
+            budget: 3,
+        };
+        let (landed, resends) = sim.block_on(client_node, "client", move |ctx| {
+            let mut client: RpcClient<Echo> = RpcClient::with_retry(retry);
+            let mut landed = Vec::new();
+            let mut wait = |ctx: &mut Ctx, client: &mut RpcClient<Echo>, waiting: &mut Vec<_>| {
+                let (at, reply) = client.wait_any(ctx, waiting);
+                assert_eq!(reply, Ok(()));
+                let (server, _) = waiting.remove(at);
+                let index = servers.iter().position(|&s| s == server).unwrap();
+                landed.push((
+                    index,
+                    ctx.now().duration_since(SimTime::ZERO).as_millis_f64(),
+                ));
+            };
+            let mut waiting = vec![
+                (servers[2], client.send(ctx, servers[2], 10)),
+                (servers[1], client.send(ctx, servers[1], 5)),
+            ];
+            wait(ctx, &mut client, &mut waiting);
+            waiting.push((servers[0], client.send(ctx, servers[0], 97)));
+            while !waiting.is_empty() {
+                wait(ctx, &mut client, &mut waiting);
+            }
+            (landed, client.resends())
+        });
+        let order: Vec<usize> = landed.iter().map(|&(index, _)| index).collect();
+        assert_eq!(order, [2, 1, 0], "arrival order: {landed:?}");
+        assert!(
+            landed[1].1 > 100.0,
+            "server 1 answered its resend: {landed:?}"
+        );
+        assert!(landed[2].1 < 110.0, "server 0 answered in time: {landed:?}");
+        assert_eq!(resends, 1, "only the overdue request was resent");
+        let served = served.each_ref().map(|n| n.load(Ordering::Relaxed));
+        assert_eq!(served, [1, 1, 1], "server 1 saw the resend only");
     }
 
     #[test]

@@ -18,12 +18,14 @@ pub struct ToolOptions {
     /// CPU cost of creating one remote worker process (a late-1980s
     /// operating system starting a process on another node).
     pub spawn_cost: SimDuration,
-    /// How many groups each worker splits the workers it must start
-    /// into; each group's first worker starts the rest of its group the
-    /// same way, and completions aggregate back up the same tree. 2 is
-    /// the paper's binary tree (O(log p) startup);
-    /// [`SERIAL_ARITY`](bridge_core::SERIAL_ARITY) has the first worker
-    /// start every other one itself (O(p)).
+    /// The k of the k-nomial tree ([`fan_groups`](bridge_core::fan_groups),
+    /// Create's shape) each worker splits the workers it must start by:
+    /// each group's first worker starts the rest of its group the same
+    /// way before running its own body, a group of two is started as two
+    /// leaves, and completions aggregate back up the same tree. The
+    /// default, 2, is the binomial tree, largest subtree first (O(log p)
+    /// startup); [`SERIAL_ARITY`](bridge_core::SERIAL_ARITY) has the first
+    /// worker start every other one itself (O(p)).
     pub start_arity: u32,
     /// Run batching for the column streams: with [`BatchPolicy::Runs`]
     /// every reader prefetches and every writer flushes runs of up to
