@@ -3,13 +3,16 @@
 //! no faults — must reproduce the plain machine's [`parsim::RunStats`]
 //! counters and virtual timestamps bit for bit. The empty plan takes the
 //! fast path (no PRNG draws, no delivery rewrites), so nothing about the
-//! schedule may shift.
+//! schedule may shift. Both hold at a breadth where Create is the serial
+//! sequence and at one where it relays through agents, each reducing its
+//! subtree's replies in arrival order.
 
 use bridge_bench::write_workload;
 use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, RetryPolicy};
 use parsim::{FaultPlan, RunStats, SimDuration};
 
-const BREADTH: u32 = 4;
+/// p = 4: Create is the serial sequence; p = 32: it relays.
+const BREADTHS: [u32; 2] = [4, 32];
 const BLOCKS: u64 = 192;
 
 /// Write-then-read-back on the paper machine under `config`, returning
@@ -55,34 +58,38 @@ fn sans_elided(
 
 #[test]
 fn empty_fault_plan_is_bit_identical_to_no_plan() {
-    let plain = measure(&BridgeConfig::paper(BREADTH), RetryPolicy::none());
-    let with_empty_plan = measure(
-        &BridgeConfig::paper(BREADTH).with_faults(FaultPlan::none()),
-        RetryPolicy::none(),
-    );
-    assert_eq!(
-        sans_elided(plain),
-        sans_elided(with_empty_plan),
-        "FaultPlan::none() changed timings or kernel counters"
-    );
+    for p in BREADTHS {
+        let plain = measure(&BridgeConfig::paper(p), RetryPolicy::none());
+        let with_empty_plan = measure(
+            &BridgeConfig::paper(p).with_faults(FaultPlan::none()),
+            RetryPolicy::none(),
+        );
+        assert_eq!(
+            sans_elided(plain),
+            sans_elided(with_empty_plan),
+            "p = {p}: FaultPlan::none() changed timings or kernel counters"
+        );
+    }
 }
 
 #[test]
 fn arming_retries_without_faults_is_bit_identical() {
-    let plain = measure(&BridgeConfig::paper(BREADTH), RetryPolicy::none());
-    let mut armed_config = BridgeConfig::paper(BREADTH);
-    armed_config.server.lfs_retry = RetryPolicy::standard();
-    let armed = measure(&armed_config, RetryPolicy::standard());
-    assert_eq!(
-        sans_elided(plain),
-        sans_elided(armed),
-        "idle retry timeouts changed timings or kernel counters"
-    );
-    // The un-fired timeouts do surface in exactly one place: the armed
-    // run's elided-wake counter.
-    assert!(
-        armed.2.wakes_elided > 0,
-        "armed retries should park (and elide) timeout wakes"
-    );
-    assert_eq!(plain.2.wakes_elided, 0, "no timeouts armed, none elided");
+    for p in BREADTHS {
+        let plain = measure(&BridgeConfig::paper(p), RetryPolicy::none());
+        let mut armed_config = BridgeConfig::paper(p);
+        armed_config.server.lfs_retry = RetryPolicy::standard();
+        let armed = measure(&armed_config, RetryPolicy::standard());
+        assert_eq!(
+            sans_elided(plain),
+            sans_elided(armed),
+            "p = {p}: idle retry timeouts changed timings or kernel counters"
+        );
+        // The un-fired timeouts do surface in exactly one place: the armed
+        // run's elided-wake counter.
+        assert!(
+            armed.2.wakes_elided > 0,
+            "p = {p}: armed retries should park (and elide) timeout wakes"
+        );
+        assert_eq!(plain.2.wakes_elided, 0, "p = {p}: none armed, none elided");
+    }
 }
