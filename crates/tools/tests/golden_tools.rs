@@ -159,7 +159,7 @@ fn copy_p4_off() {
     copy_row(4, 50, BatchPolicy::Off).check(
         "copy_p4_off",
         &Golden {
-            phase_nanos: &[1223008800, 3393556800],
+            phase_nanos: &[1226008800, 3396556800],
             events: 1237,
             messages: 458,
             bytes_sent: 171696,
@@ -173,7 +173,7 @@ fn copy_p4_runs8() {
     copy_row(4, 50, BatchPolicy::Runs(8)).check(
         "copy_p4_runs8",
         &Golden {
-            phase_nanos: &[314988800, 2485536800],
+            phase_nanos: &[316788800, 2487336800],
             events: 729,
             messages: 290,
             bytes_sent: 168192,
@@ -187,11 +187,11 @@ fn copy_p32_off() {
     copy_row(32, 200, BatchPolicy::Off).check(
         "copy_p32_off",
         &Golden {
-            phase_nanos: &[785705600, 8302089600],
-            events: 5505,
-            messages: 2058,
-            bytes_sent: 695824,
-            dispatches: 5505,
+            phase_nanos: &[758830800, 8248240000],
+            events: 5433,
+            messages: 2022,
+            bytes_sent: 694128,
+            dispatches: 5433,
         },
     );
 }
@@ -201,11 +201,11 @@ fn copy_p32_runs8() {
     copy_row(32, 200, BatchPolicy::Runs(8)).check(
         "copy_p32_runs8",
         &Golden {
-            phase_nanos: &[291785600, 7808169600],
-            events: 3489,
-            messages: 1386,
-            bytes_sent: 681808,
-            dispatches: 3489,
+            phase_nanos: &[255610800, 7745020000],
+            events: 3417,
+            messages: 1350,
+            bytes_sent: 680112,
+            dispatches: 3417,
         },
     );
 }
@@ -224,7 +224,7 @@ fn copy_with_rot13_p4() {
     .check(
         "copy_with_rot13_p4",
         &Golden {
-            phase_nanos: &[1223008800, 3553200400],
+            phase_nanos: &[1226008800, 3559200400],
             events: 1522,
             messages: 576,
             bytes_sent: 225760,
@@ -254,7 +254,7 @@ fn chunked_copy_p4() {
     .check(
         "chunked_copy_p4",
         &Golden {
-            phase_nanos: &[1226108800, 3409484000],
+            phase_nanos: &[1226008800, 3409384000],
             events: 1275,
             messages: 478,
             bytes_sent: 172624,
@@ -282,11 +282,11 @@ fn grep_p8() {
     .check(
         "grep_p8",
         &Golden {
-            phase_nanos: &[140938400, 4418832000],
-            events: 1652,
-            messages: 660,
-            bytes_sent: 234672,
-            dispatches: 1652,
+            phase_nanos: &[143748400, 4412450400],
+            events: 1640,
+            messages: 654,
+            bytes_sent: 234368,
+            dispatches: 1640,
         },
     );
 }
@@ -303,11 +303,11 @@ fn summarize_p8() {
     .check(
         "summarize_p8",
         &Golden {
-            phase_nanos: &[90838400, 4368732000],
-            events: 1232,
-            messages: 492,
-            bytes_sent: 231440,
-            dispatches: 1232,
+            phase_nanos: &[88638400, 4357340400],
+            events: 1220,
+            messages: 486,
+            bytes_sent: 231136,
+            dispatches: 1220,
         },
     );
 }
@@ -350,11 +350,11 @@ fn sort_p8() {
     sort_row(8, SortOptions::default()).check(
         "sort_p8",
         &Golden {
-            phase_nanos: &[234485720000, 272758941800, 507756762600, 2, 876393754600],
-            events: 794724,
-            messages: 294809,
-            bytes_sent: 140579968,
-            dispatches: 794724,
+            phase_nanos: &[234482520000, 272740750200, 507735371000, 2, 876363171400],
+            events: 794700,
+            messages: 294797,
+            bytes_sent: 140579360,
+            dispatches: 794700,
         },
     );
 }
@@ -368,11 +368,11 @@ fn sort_p8_multiway() {
     sort_row(8, opts).check(
         "sort_p8_multiway",
         &Golden {
-            phase_nanos: &[144318370000, 272759941800, 417590412600, 1, 786227404600],
-            events: 688150,
-            messages: 262009,
-            bytes_sent: 123080832,
-            dispatches: 688150,
+            phase_nanos: &[144315170000, 272740750200, 417568021000, 1, 786195821400],
+            events: 688126,
+            messages: 261997,
+            bytes_sent: 123080224,
+            dispatches: 688126,
         },
     );
 }
@@ -395,11 +395,11 @@ fn pfsck_parallel_p8() {
     .check(
         "pfsck_parallel_p8",
         &Golden {
-            phase_nanos: &[574826400, 2467730800],
-            events: 1790,
-            messages: 298,
-            bytes_sent: 65280,
-            dispatches: 1790,
+            phase_nanos: &[572626400, 2447147600],
+            events: 1766,
+            messages: 286,
+            bytes_sent: 64672,
+            dispatches: 1766,
         },
     );
 }
@@ -469,7 +469,7 @@ fn run_workers_on_the_tree() {
         (
             9,
             Golden {
-                phase_nanos: &[23400000],
+                phase_nanos: &[23200000],
                 events: 46,
                 messages: 18,
                 bytes_sent: 0,
@@ -479,7 +479,7 @@ fn run_workers_on_the_tree() {
         (
             32,
             Golden {
-                phase_nanos: &[34600000],
+                phase_nanos: &[26400000],
                 events: 161,
                 messages: 64,
                 bytes_sent: 0,
@@ -489,7 +489,7 @@ fn run_workers_on_the_tree() {
         (
             33,
             Golden {
-                phase_nanos: &[34500000],
+                phase_nanos: &[26400000],
                 events: 166,
                 messages: 66,
                 bytes_sent: 0,

@@ -548,5 +548,5 @@ fn references_are_pinned() {
     let mut wide_writes = [2; WIDE as usize];
     wide_writes[..3].fill(4);
     #[rustfmt::skip]
-    assert_pinned("wide create", &wide_create(FaultPlan::seeded(SEED)), Pin { transcript: 0x71f4ceb8aa249d4c, lines: 6, events: 10792, messages: 6176, bytes_sent: 210196, dispatches: 10792, end_ns: 54000000, disk_writes: &wide_writes });
+    assert_pinned("wide create", &wide_create(FaultPlan::seeded(SEED)), Pin { transcript: 0x71f4ceb8aa249d4c, lines: 6, events: 10792, messages: 6176, bytes_sent: 210196, dispatches: 10792, end_ns: 33000000, disk_writes: &wide_writes });
 }
