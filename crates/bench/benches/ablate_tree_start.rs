@@ -14,9 +14,15 @@
 //!    assumes tree-structured worker creation. The same shape — one
 //!    routine, `ToolOptions::start_arity` — and the second table sweeps
 //!    it.
+//!
+//! Both sweeps hold both defaults to account: at every p ≥ 8 the default
+//! arity is no slower than any arity swept, and at every p no arity is
+//! slower than the serial sequence. The default Create at p = 1024 and
+//! the default startup-bound copy at p = 64 go to the bench gate.
 
 use bridge_bench::profile::Profiler;
 use bridge_bench::report::Table;
+use bridge_bench::results::{emit, Metric};
 use bridge_bench::write_workload;
 use bridge_core::{
     BridgeClient, BridgeConfig, BridgeMachine, BridgeServerConfig, CreateSpec, SERIAL_ARITY,
@@ -28,6 +34,28 @@ use parsim::{SimDuration, TracerHandle};
 const ARITIES: [u32; 5] = [2, 3, 4, 8, SERIAL_ARITY];
 /// The tools' worker-start arities swept, the serial start last.
 const START_ARITIES: [u32; 4] = [2, 4, 8, SERIAL_ARITY];
+/// What "no slower" forgives: at p = 8 arity 3's first relay carries one
+/// target fewer than the binomial tree's (16 bytes) and lands 0.8 µs
+/// sooner. The tables print whole milliseconds.
+const SLACK: SimDuration = SimDuration::from_micros(10);
+
+/// The two asserts over one row of a sweep — `times` by `arities`, the
+/// serial sequence last: from p = 8 up the default is no slower than any
+/// arity, and no arity is ever slower than serial.
+fn check_row(sweep: &str, p: u32, arities: &[u32], times: &[SimDuration], default: u32) {
+    let at = |arity| times[arities.iter().position(|&a| a == arity).expect("swept")];
+    let (ours, serial) = (at(default), at(SERIAL_ARITY));
+    for (&arity, &time) in arities.iter().zip(times) {
+        assert!(
+            p < 8 || ours <= time + SLACK,
+            "{sweep} p = {p}: the default arity {default} ({ours:?}) is slower than {arity} ({time:?})"
+        );
+        assert!(
+            time <= serial,
+            "{sweep} p = {p}: arity {arity} ({time:?}) is slower than serial ({serial:?})"
+        );
+    }
+}
 
 fn create_time(p: u32, arity: u32) -> SimDuration {
     let mut config = BridgeConfig::paper(p);
@@ -76,6 +104,7 @@ fn main() {
     // The stock machine's arity, which the sweep has to justify.
     let stock = BridgeServerConfig::default().create_arity;
     let stock_at = ARITIES.iter().position(|&a| a == stock).expect("swept");
+    let mut metrics = Vec::new();
     let name = |arity: u32| match arity {
         SERIAL_ARITY => "serial".to_string(),
         arity => arity.to_string(),
@@ -89,6 +118,13 @@ fn main() {
     // create before the final one, where a relay hop is all overhead.
     for &p in &[4u32, 8, 32, 64, 256, 1024] {
         let times = ARITIES.map(|arity| create_time(p, arity));
+        check_row("Create", p, &ARITIES, &times, stock);
+        if p == 1024 {
+            metrics.push(Metric::lower(
+                "create_p1024.virt_secs",
+                times[stock_at].as_secs_f64(),
+            ));
+        }
         let best = (0..ARITIES.len())
             .min_by_key(|&i| times[i])
             .expect("arities");
@@ -120,6 +156,7 @@ fn main() {
     for &p in &[8u32, 16, 32, 64] {
         let mut row = vec![p.to_string()];
         let mut at_default = SimDuration::ZERO;
+        let mut times = Vec::new();
         for arity in START_ARITIES {
             // Under --profile, attribute the widest default-arity copy.
             let tracer = (p == 64 && arity == default_start)
@@ -130,7 +167,15 @@ fn main() {
             if arity == default_start {
                 at_default = time;
             }
+            times.push(time);
             row.push(format!("{:.0}", time.as_millis_f64()));
+        }
+        check_row("copy start", p, &START_ARITIES, &times, default_start);
+        if p == 64 {
+            metrics.push(Metric::lower(
+                "copy_start_p64.virt_secs",
+                at_default.as_secs_f64(),
+            ));
         }
         let tracer = (p == 64)
             .then(|| profiler.arm("copy_start_p64_serial"))
@@ -164,4 +209,5 @@ fn main() {
          tool's O(p) worker startup likewise — decisive for small per-node work,\n\
          invisible once the O(n/p) streaming term dominates."
     );
+    emit("ablate_tree_start", &metrics);
 }
