@@ -157,12 +157,7 @@ impl TxLog {
         for b in 0..disk.capacity_blocks() {
             disk.clear_raw(BlockAddr::new(b));
         }
-        let ring = Ring::new(
-            TXLOG_MAGIC,
-            0,
-            disk.capacity_blocks(),
-            disk.geometry().block_size,
-        );
+        let ring = Ring::new(TXLOG_MAGIC, 0, disk.capacity_blocks(), disk.geometry());
         TxLog { disk, ring }
     }
 

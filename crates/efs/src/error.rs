@@ -50,6 +50,11 @@ pub enum EfsError {
     /// The node hosting this LFS has failed (fail-stop); no request can
     /// be served until it is revived.
     NodeFailed,
+    /// The write-ahead log has no room for the request's records: a
+    /// transaction held in doubt here defers the checkpoint that would
+    /// free the ring. Nothing was applied; the request may be retried
+    /// once the transaction is decided.
+    LogFull,
     /// A client call exhausted its retry budget without seeing a reply
     /// (see [`RetryPolicy`](crate::RetryPolicy)).
     TimedOut {
@@ -90,6 +95,7 @@ impl fmt::Display for EfsError {
             EfsError::Corrupt(why) => write!(f, "corrupt on-disk structure: {why}"),
             EfsError::Disk(e) => write!(f, "device error: {e}"),
             EfsError::NodeFailed => write!(f, "node failed (fail-stop)"),
+            EfsError::LogFull => write!(f, "write-ahead log full behind an undecided transaction"),
             EfsError::TimedOut { attempts } => {
                 write!(f, "no reply after {attempts} attempts (retry budget spent)")
             }

@@ -96,7 +96,7 @@ impl<D: BlockDevice> Efs<D> {
     ///
     /// Returns the addresses of the blocks that belong to the file, in
     /// order.
-    fn walk_chain(
+    pub(super) fn walk_chain(
         &mut self,
         via: &mut Via<'_>,
         repair: bool,
@@ -155,7 +155,9 @@ impl<D: BlockDevice> Efs<D> {
 
     /// Offline consistency check (untimed): walks every file's block list,
     /// validates headers and back-pointers, and rebuilds the allocator and
-    /// chain shadow from what it finds.
+    /// chain shadow from what it finds. It reads the image as it lies: a
+    /// decided block write still on its way home (see [`Efs::decide`])
+    /// is not on it yet.
     pub fn fsck(&mut self) -> FsckReport {
         let mut report = FsckReport::default();
         match self.reachable_raw(&mut report) {
@@ -182,8 +184,13 @@ impl<D: BlockDevice> Efs<D> {
     /// Emits `fsck.scan` and `fsck.alloc` trace spans and an
     /// `fsck.repair` instant per repair when tracing is enabled.
     pub fn fsck_timed(&mut self, ctx: &mut Ctx, repair: bool) -> FsckReport {
-        self.charge_cpu(ctx);
         let mut report = FsckReport::default();
+        if let Err(e) = self.flush_home(ctx, None) {
+            report
+                .errors
+                .push(format!("block writes owed could not go home: {e}"));
+        }
+        self.charge_cpu(ctx);
         let t0 = ctx.now();
         let mut rebuilt = BlockAllocator::new(self.layout.data_start, self.disk.capacity_blocks());
         let mut chains: FixedMap<LfsFileId, Vec<BlockAddr>> = FixedMap::default();

@@ -190,13 +190,15 @@ fn refuse(ctx: &mut Ctx, to: ProcId, id: u64) {
 
 /// Serves one scheduler batch: up to [`Efs::group_commit_width`]
 /// requests back-to-back, one group commit, then the acknowledgements,
-/// then the checkpoint if the batch made one due. Nothing is acknowledged
-/// before its intent records are durable — the WAL's commit-before-ack
-/// rule — and nothing waits for the checkpoint, which only bounds the
-/// ring: a crash inside it replays the acknowledged records from the
-/// previous one. The next batch does wait; the server is one process.
-/// Without a WAL the width is 1 and both halves are no-ops, so the cycle
-/// is exactly the pre-WAL serve-then-reply, bit for bit.
+/// then the housekeeping — the block writes the batch's decisions owe
+/// their homes, and the checkpoint if the batch made one due. Nothing is
+/// acknowledged before its records are durable — the WAL's
+/// commit-before-ack rule — and nothing waits for the housekeeping: a
+/// crash inside it redoes the owed writes and replays the acknowledged
+/// records from the previous checkpoint. The next batch does wait; the
+/// server is one process. Without a WAL the width is 1 and the commit
+/// and housekeeping are no-ops, so the cycle is exactly the pre-WAL
+/// serve-then-reply, bit for bit.
 ///
 /// Returns `true` when the node's crash fault fired mid-batch: the
 /// caller must run [`crash_recover`]. Nothing unacknowledged survives —
@@ -285,11 +287,17 @@ fn service_batch<D: BlockDevice>(
         let bytes = reply_wire_size(&reply);
         ctx.send_sized_cloneable(from, reply, bytes);
     }
+    // A write the device refused stays owed, and holds the checkpoint
+    // back until a later request sends it home.
+    let homed = efs.flush_home(ctx, None);
+    if dead(efs) {
+        return true;
+    }
     let checkpointed = efs.checkpoint_if_due(ctx);
     if checkpointed.is_err() || dead(efs) {
         return true;
     }
-    if checkpointed == Ok(true) {
+    if homed == Ok(true) || checkpointed == Ok(true) {
         // The ring gauge and the disk's counters moved after the batch
         // was published; an idle node would show them stale for good.
         efs.publish_telemetry();

@@ -2,9 +2,8 @@
 //!
 //! A log is a ring of device blocks. An append *frames* one payload —
 //! whatever its owner encoded — into as many self-describing blocks as
-//! it needs and places them in the next slots, wrapping at the end; the
-//! owner writes them as one device run. Every frame starts with a
-//! 32-byte header:
+//! it needs and places them in the next slots; the owner writes them as
+//! one device run. Every frame starts with a 32-byte header:
 //!
 //! ```text
 //! magic: u32  stamp: u64  seq: u32  total: u32  len: u32  checksum: u64
@@ -19,16 +18,26 @@
 //! leaves mid-run, a flipped bit, a slot an older batch still half
 //! occupies — each is unambiguously not a batch.
 //!
+//! A ring is *track-true*: a disk charges a positioning per track a run
+//! touches, so a batch of at most one track's frames is always placed on
+//! a single device track. Where the next slots would straddle a track
+//! boundary — or the ring's end, which on a ring of several tracks is a
+//! jump back to its first — the batch skips ahead to the first slot it
+//! fits from: the next track start, or slot 0. The slots skipped keep
+//! whatever older frames they held. A longer batch goes at the cursor
+//! and may wrap. A ring that lies on one track never skips.
+//!
 //! What a ring does *not* decide is when a slot may be reused. The LFS
 //! write-ahead log ([`crate::WalConfig`]) never overwrites a record
-//! newer than its last checkpoint; the coordinator's decision log
-//! overwrites the oldest and refuses a transaction too wide to fit.
-//! Both are policy, stated by the owner on top of [`Ring::frames_for`].
+//! newer than its last checkpoint, and counts skipped slots against
+//! that span; the coordinator's decision log overwrites the oldest and
+//! refuses a transaction too wide to fit. Both are policy, stated by the
+//! owner on top of [`Ring::frames_for`] and [`Ring::cost`].
 
 use crate::codec::{Reader, Writer};
 use bytes::Bytes;
 use parsim::{mix64, Ctx};
-use simdisk::{BlockAddr, BlockDevice, DiskError};
+use simdisk::{BlockAddr, BlockDevice, DiskError, DiskGeometry};
 use std::collections::BTreeMap;
 
 /// Bytes of header in front of every frame's payload.
@@ -42,6 +51,9 @@ pub struct Ring {
     start: u32,
     slots: u32,
     block_size: usize,
+    /// Blocks per device track: a batch of at most this many frames is
+    /// placed on one track.
+    track: u32,
     next_stamp: u64,
     next_slot: u32,
 }
@@ -66,15 +78,16 @@ fn checksum(stamp: u64, seq: u32, total: u32, chunk: &[u8]) -> u64 {
 }
 
 impl Ring {
-    /// An empty ring of `slots` blocks of `block_size` bytes starting at
-    /// device block `start`; its frames carry `magic`, so two logs never
-    /// read each other's blocks as their own.
-    pub fn new(magic: u32, start: u32, slots: u32, block_size: usize) -> Ring {
+    /// An empty ring of `slots` blocks starting at device block `start`
+    /// of a device laid out as `geometry`; its frames carry `magic`, so
+    /// two logs never read each other's blocks as their own.
+    pub fn new(magic: u32, start: u32, slots: u32, geometry: DiskGeometry) -> Ring {
         Ring {
             magic,
             start,
             slots,
-            block_size,
+            block_size: geometry.block_size,
+            track: geometry.blocks_per_track.max(1),
             next_stamp: 1,
             next_slot: 0,
         }
@@ -85,14 +98,42 @@ impl Ring {
         self.slots
     }
 
+    /// Blocks per device track.
+    pub fn track(&self) -> u32 {
+        self.track
+    }
+
     /// Frames a payload of `len` bytes takes (an empty one still takes
     /// one: the batch has to exist).
     pub fn frames_for(&self, len: usize) -> usize {
         len.div_ceil(self.block_size - FRAME_HEADER).max(1)
     }
 
+    /// Slots the next batch of `len` bytes uses up: its frames, and the
+    /// slots it skips to stay on one track.
+    pub fn cost(&self, len: usize) -> u32 {
+        let total = self.frames_for(len) as u32;
+        total + (self.place(total) + self.slots - self.next_slot) % self.slots
+    }
+
     fn addr(&self, slot: u32) -> BlockAddr {
         BlockAddr::new(self.start + slot)
+    }
+
+    /// The slot a batch of `total` frames starts at: the cursor, unless
+    /// the batch fits on one track and would not there — then the first
+    /// slot after it, in ring order, from which every frame shares a
+    /// track. A ring with no such slot keeps the cursor.
+    fn place(&self, total: u32) -> u32 {
+        let track_of = |slot: u32| (self.start + slot % self.slots) / self.track;
+        let one_track = |first: u32| (1..total).all(|i| track_of(first + i) == track_of(first));
+        if total > self.track {
+            return self.next_slot;
+        }
+        (0..self.slots)
+            .map(|k| (self.next_slot + k) % self.slots)
+            .find(|&slot| one_track(slot))
+            .unwrap_or(self.next_slot)
     }
 
     /// The one place a frame header is written.
@@ -131,12 +172,14 @@ impl Ring {
         })
     }
 
-    /// Frames `payload` as the next batch and gives its frames the next
-    /// slots, in order: the device run that carries it into the log.
-    /// The owner's policy has already made sure the batch fits.
+    /// Frames `payload` as the next batch and gives its frames
+    /// consecutive slots from where [`Ring::cost`] placed it: the device
+    /// run that carries it into the log. The owner's policy has already
+    /// made sure the batch fits.
     pub fn frame(&mut self, payload: &[u8]) -> Vec<(BlockAddr, Bytes)> {
         let total = self.frames_for(payload.len());
         debug_assert!(total <= self.slots as usize, "batch longer than its ring");
+        self.next_slot = self.place(total as u32);
         let mut chunks = payload.chunks(self.block_size - FRAME_HEADER);
         let run = (0..total).map(|seq| {
             let chunk = chunks.next().unwrap_or(&[]);
