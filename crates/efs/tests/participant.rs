@@ -400,3 +400,97 @@ fn a_refused_create_leaves_no_trace() {
         assert_eq!(names(&efs), vec![A.0]);
     });
 }
+
+/// The WriteBlock histories' sibling where the node dies between the
+/// Decide's durable record and its block's way home: prepared, committed,
+/// decided, the decision's batch committed, and a crash after its log
+/// block or after any home write short of the last. The acknowledged
+/// write must come back, as in the model, with the replies recovery
+/// re-seeds unchanged.
+#[test]
+fn a_decided_write_crashed_before_its_home_write_is_redone() {
+    let mut sim = Simulation::new(SimConfig::default());
+    let node = sim.add_node("n");
+    sim.block_on(node, "driver", |ctx| {
+        let writes = intents()
+            .into_iter()
+            .filter(|(_, i)| matches!(i, PrepareIntent::WriteBlock { .. }));
+        for (intent_name, intent) in writes {
+            let (_, decided, after) = decide_then_crash(ctx, &intent, None);
+            assert!(
+                after - decided >= 2,
+                "{intent_name}: a log block, then home"
+            );
+            let mut model = base_model();
+            commit_in_model(&mut model, &intent);
+            let free_when_empty = Efs::format(blank_disk(), config()).free_blocks();
+            for ordinal in decided + 1..after {
+                let what = format!("{intent_name} / crash after write {ordinal}");
+                let (crashed, _, _) = decide_then_crash(ctx, &intent, Some(ordinal));
+                let (mut efs, ops) = crash(crashed);
+                let want = vec![
+                    (PREPARE_ID, Reply::Prepared(0)),
+                    (DECIDE_ID, Reply::Written),
+                    (DECIDE_ID, Reply::Freed(0)),
+                ];
+                assert_eq!(txn_ops(&ops), want, "{what}: recovered ops");
+                let seen = observe(ctx, &mut efs, &what);
+                assert_matches_model(&seen, &model, free_when_empty, &what);
+            }
+        }
+    });
+}
+
+/// The disk every case formats.
+fn blank_disk() -> SimDisk {
+    let geometry = DiskGeometry {
+        block_size: 1024,
+        blocks_per_track: 8,
+        tracks: 128,
+    };
+    SimDisk::new(geometry, DiskProfile::instant())
+}
+
+/// The base files, durable; `intent` prepared and its vote committed;
+/// then decided commit, and that batch committed with `crash_after`
+/// killing the node at that write. Returns the instance and the disk's
+/// write count before and after the decision's commit (as far as it
+/// got).
+fn decide_then_crash(
+    ctx: &mut Ctx,
+    intent: &PrepareIntent,
+    crash_after: Option<u64>,
+) -> (Efs, u64, u64) {
+    let mut disk = blank_disk();
+    let kill = crash_after.map(|after_writes| parsim::CrashAt {
+        disk: 0,
+        after_writes,
+        down: parsim::SimDuration::from_millis(1),
+    });
+    disk.schedule_crashes(simdisk::CrashSchedule::from_plan(kill.as_slice(), 0));
+    let mut efs = Efs::format(disk, config());
+    let mut id = 0;
+    for (&file, blocks) in &base_model() {
+        id += 1;
+        efs.begin_request(1, id);
+        efs.create(ctx, LfsFileId(file)).expect("create");
+        for (b, payload) in blocks.iter().enumerate() {
+            id += 1;
+            efs.begin_request(1, id);
+            efs.write(ctx, LfsFileId(file), b as u32, payload, None)
+                .expect("write");
+        }
+    }
+    efs.sync(ctx).expect("sync");
+    efs.begin_request(1, PREPARE_ID);
+    efs.prepare(ctx, TXN, intent.clone()).expect("prepare");
+    efs.commit(ctx).expect("commit");
+    efs.begin_request(1, DECIDE_ID);
+    efs.decide(ctx, TXN, true, intent.clone()).expect("decide");
+    let decided = efs.disk().stats().writes;
+    if let Err(e) = efs.commit(ctx) {
+        assert!(efs.crash_down().is_some(), "{e} without a crash");
+    }
+    let after = efs.disk().stats().writes;
+    (efs, decided, after)
+}
