@@ -219,14 +219,14 @@ const MATRIX: &[(&str, Golden)] = &[
     ("off/plain/mirror", Golden { events: 835, messages: 350, bytes_sent: 131376, phase_nanos: &[1802696000, 2136442400, 2187663200, 2224637000, 2941221800] }),
     ("off/plain/parity", Golden { events: 899, messages: 390, bytes_sent: 152816, phase_nanos: &[1398992800, 1556739200, 1614213600, 1629187400, 2446040200] }),
     ("off/2pc/none", Golden { events: 669, messages: 292, bytes_sent: 100592, phase_nanos: &[1519836100, 1765582500, 1833550100, 1848523900, 2017563900] }),
-    ("off/2pc/mirror", Golden { events: 1247, messages: 466, bytes_sent: 194700, phase_nanos: &[2418464650, 2840211050, 2962433150, 3021406950, 4074002150] }),
-    ("off/2pc/parity", Golden { events: 1313, messages: 506, bytes_sent: 216140, phase_nanos: &[2800400900, 3134147300, 3284623000, 3321596800, 4552847200] }),
+    ("off/2pc/mirror", Golden { events: 1247, messages: 466, bytes_sent: 194700, phase_nanos: &[2412151350, 2887489750, 2970303850, 3029277650, 3957483100] }),
+    ("off/2pc/parity", Golden { events: 1311, messages: 506, bytes_sent: 216140, phase_nanos: &[2109492150, 2496830550, 2699898250, 2736872050, 3590801950] }),
     ("runs8/plain/none", Golden { events: 462, messages: 236, bytes_sent: 99592, phase_nanos: &[160177600, 236971200, 266938800, 276711000, 317549400] }),
     ("runs8/plain/mirror", Golden { events: 775, messages: 326, bytes_sent: 131024, phase_nanos: &[1802696000, 1922235600, 1973456400, 2005228600, 2721813400] }),
     ("runs8/plain/parity", Golden { events: 839, messages: 366, bytes_sent: 152464, phase_nanos: &[1398992800, 1452532400, 1510006800, 1519779000, 2336631800] }),
     ("runs8/2pc/none", Golden { events: 501, messages: 244, bytes_sent: 99920, phase_nanos: &[251381700, 388175300, 456142900, 465915100, 544753500] }),
-    ("runs8/2pc/mirror", Golden { events: 1187, messages: 442, bytes_sent: 194348, phase_nanos: &[2418464650, 2560004250, 2682226350, 2735998550, 3788593750] }),
-    ("runs8/2pc/parity", Golden { events: 1253, messages: 482, bytes_sent: 215788, phase_nanos: &[2800400900, 2897940500, 3048416200, 3080188400, 4311438800] }),
+    ("runs8/2pc/mirror", Golden { events: 1187, messages: 442, bytes_sent: 194348, phase_nanos: &[2412151350, 2607282950, 2690097050, 2743869250, 3672074700] }),
+    ("runs8/2pc/parity", Golden { events: 1251, messages: 482, bytes_sent: 215788, phase_nanos: &[2109492150, 2260623750, 2463691450, 2495463650, 3349393550] }),
 ];
 
 /// Compares every observed row with its recorded one; on any mismatch
