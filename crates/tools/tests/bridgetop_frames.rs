@@ -312,16 +312,16 @@ fn control_scenario_frames_are_pinned() {
 const FAULTED: Pinned = Pinned {
     server: ServerTelemetry {
         ops: 206,
-        replays: 9,
+        replays: 8,
         dedup_occupancy: 72,
-        dedup_peak: 89,
+        dedup_peak: 97,
         txns_begun: 65,
         txns_committed: 65,
         txns_aborted: 0,
         txns_in_doubt: 0,
         degraded_reads: 16,
         columns_lost: 0,
-        lfs_resends: 1,
+        lfs_resends: 0,
         rebuilds_started: 1,
         rebuilds_done: 1,
         rebuild_done_blocks: 64,
@@ -331,18 +331,18 @@ const FAULTED: Pinned = Pinned {
         LfsRow {
             disk: DiskTelemetry {
                 reads: 135,
-                writes: 232,
-                buffer_hits: 74,
-                track_loads: 61,
+                writes: 188,
+                buffer_hits: 81,
+                track_loads: 54,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 3929000000,
+                busy_nanos: 3551000000,
                 lost: false,
             },
             wal_enabled: true,
             wal_commits: 70,
-            wal_checkpoints: 4,
-            wal_ring_used: 9,
+            wal_checkpoints: 3,
+            wal_ring_used: 16,
             wal_ring_capacity: 64,
             group_commit_width: 8,
             free_blocks: 65313,
@@ -355,9 +355,9 @@ const FAULTED: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 2,
             queue_waits: 203,
-            queue_wait_nanos: 99181800,
+            queue_wait_nanos: 690924300,
             service_count: 203,
-            service_p99_ns: 62914560,
+            service_p99_ns: 29360128,
         },
         LfsRow {
             disk: DiskTelemetry {
@@ -379,32 +379,32 @@ const FAULTED: Pinned = Pinned {
             free_blocks: 65313,
             media_lost: false,
             crash_down: false,
-            ops_served: 111,
-            batches: 102,
-            batched_ops: 111,
+            ops_served: 114,
+            batches: 105,
+            batched_ops: 114,
             batch_max: 2,
             queue_depth: 0,
             queue_depth_peak: 2,
-            queue_waits: 111,
-            queue_wait_nanos: 45000000,
-            service_count: 111,
+            queue_waits: 114,
+            queue_wait_nanos: 74181800,
+            service_count: 114,
             service_p99_ns: 62914560,
         },
         LfsRow {
             disk: DiskTelemetry {
                 reads: 131,
-                writes: 206,
-                buffer_hits: 73,
-                track_loads: 58,
+                writes: 175,
+                buffer_hits: 79,
+                track_loads: 52,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 3623000000,
+                busy_nanos: 3340000000,
                 lost: false,
             },
             wal_enabled: true,
             wal_commits: 64,
             wal_checkpoints: 3,
-            wal_ring_used: 29,
+            wal_ring_used: 7,
             wal_ring_capacity: 64,
             group_commit_width: 8,
             free_blocks: 65314,
@@ -417,25 +417,25 @@ const FAULTED: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 2,
             queue_waits: 194,
-            queue_wait_nanos: 108590900,
+            queue_wait_nanos: 411909000,
             service_count: 194,
-            service_p99_ns: 62914560,
+            service_p99_ns: 29360128,
         },
         LfsRow {
             disk: DiskTelemetry {
                 reads: 131,
-                writes: 206,
-                buffer_hits: 73,
-                track_loads: 58,
+                writes: 175,
+                buffer_hits: 78,
+                track_loads: 53,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 3623000000,
+                busy_nanos: 3362000000,
                 lost: false,
             },
             wal_enabled: true,
             wal_commits: 64,
             wal_checkpoints: 3,
-            wal_ring_used: 29,
+            wal_ring_used: 7,
             wal_ring_capacity: 64,
             group_commit_width: 8,
             free_blocks: 65314,
@@ -448,23 +448,23 @@ const FAULTED: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 2,
             queue_waits: 194,
-            queue_wait_nanos: 108590900,
+            queue_wait_nanos: 749610250,
             service_count: 194,
-            service_p99_ns: 62914560,
+            service_p99_ns: 29360128,
         },
     ],
     events_dropped: 0,
     kernel: RunStats {
         events: 4627,
-        messages: 1961,
+        messages: 1958,
         spawned: 10,
-        bytes_sent: 833443,
+        bytes_sent: 832280,
         queue_high_water: 10,
         dispatches: 4627,
-        syscalls: 6588,
-        wakes_elided: 1003,
+        syscalls: 6585,
+        wakes_elided: 1002,
         ready_peak: 12,
-        end_time: SimTime::from_nanos(14843229400),
+        end_time: SimTime::from_nanos(12423697050),
     },
     events: &[
         "disk.lost",
@@ -482,130 +482,112 @@ const FAULTED: Pinned = Pinned {
         "rebuild.done",
     ],
     alert_arc: &[
-        (71, "degraded-service"),
-        (490, ""),
-        (491, "degraded-service"),
-        (537, "degraded-service,stalled-rebuild"),
-        (539, "degraded-service"),
-        (564, "degraded-service,stalled-rebuild"),
-        (569, "degraded-service"),
-        (613, "degraded-service,stalled-rebuild"),
-        (615, "degraded-service"),
-        (640, "degraded-service,stalled-rebuild"),
-        (645, "degraded-service"),
-        (689, "degraded-service,stalled-rebuild"),
-        (694, ""),
+        (58, "degraded-service"),
+        (369, ""),
+        (370, "degraded-service"),
+        (416, "degraded-service,stalled-rebuild"),
+        (418, "degraded-service"),
+        (443, "degraded-service,stalled-rebuild"),
+        (448, "degraded-service"),
+        (492, "degraded-service,stalled-rebuild"),
+        (494, "degraded-service"),
+        (519, "degraded-service,stalled-rebuild"),
+        (524, "degraded-service"),
+        (568, "degraded-service,stalled-rebuild"),
+        (573, ""),
     ],
-    resends_arc: &[(81, 1)],
-    render_hash: 0xfa9ef65146b3ef2f,
+    resends_arc: &[],
+    render_hash: 0x10b8044da2ce06f5,
     frame_hashes: &[
         0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x7db6984a, 0x1a94ea36,
-        0x7aa4dd97, 0x0783cb97, 0xbc4f712e, 0xae526f74, 0x31005981, 0x3a112f44, 0xf4418afc,
-        0xe24809fd, 0xb2f1f177, 0x8ba3b95e, 0x18f382a1, 0xf5ac3836, 0xe270167e, 0x7435a0da,
-        0x1274e471, 0x5a9dae40, 0xc29ab647, 0x52edfe69, 0x11a7e8ea, 0x9b9083b3, 0x6db66405,
-        0x204ccace, 0x31d57115, 0xe3c5ae24, 0x63e3fd8b, 0xea10b203, 0xccde785d, 0x6d5a24b7,
-        0x2623dfe8, 0xd9f4ea54, 0xcfd4c763, 0x88839953, 0x454ff3f5, 0x09ceeb1c, 0x717a9b2c,
-        0x4c6e8d17, 0x67e92c1c, 0xdd6d376a, 0x8b62b194, 0x95a2692d, 0x7fd0fa08, 0xc8905c02,
-        0x95e27a94, 0x60c971b5, 0x4c4eb657, 0x85677a88, 0x9f339527, 0x4e57cda0, 0x71f888b5,
-        0x2868de48, 0xe7076d92, 0x8b8bc7f0, 0x699edff9, 0x4f3e2fd3, 0xe68b1695, 0x40bf1d0e,
-        0xe91d41cb, 0x922c88ba, 0x8ffd7622, 0xcb2c83b9, 0x6b7446e1, 0x66269ec3, 0xef3f8aa9,
-        0x2c955709, 0xe6a23f4c, 0xa8534fb5, 0xf1fa0295, 0x4dd41703, 0x155940a6, 0x78011761,
-        0x8b826e44, 0xc71db82b, 0x7a992daf, 0x21dc18a2, 0x232f47ba, 0x78fc30b4, 0x53a20eea,
-        0xada9a8e8, 0x1e1c4cf4, 0xcc5a785f, 0xface85c9, 0xc7a9fcff, 0x7b28250a, 0x0b631da5,
-        0xcf6a945c, 0x2cd34c43, 0xb7124554, 0x33115f52, 0x369e0e4b, 0x12de5c32, 0xdce6dc40,
-        0xc574fbda, 0xf30e8ba3, 0xc2f691f4, 0xb9eedba0, 0x3561a5ed, 0x325b1c0e, 0xf47d9beb,
-        0x29340060, 0x41b40c2d, 0x739f6704, 0xfe3b87d7, 0xfbbcd56f, 0x125be3ad, 0xc7676261,
-        0x62fded6f, 0x58eddabd, 0xc0f6bd4c, 0xdb8f4847, 0xbfc86f60, 0x05fec94f, 0x95b2be6d,
-        0x0ac1fea7, 0x20ec0b71, 0x5f3507d1, 0xb3861e35, 0xceee8547, 0x73f4ec99, 0xbe26c4b7,
-        0x7ba5d698, 0xb1bb4dca, 0xfd577a07, 0xa93ee99b, 0x88e8a958, 0xb395cf96, 0x5d2b95a3,
-        0xb49b8eeb, 0xd1e4977c, 0x8f394830, 0xd3296873, 0xec95edfa, 0x0278ae3c, 0x2111a1a2,
-        0xdff5b93d, 0x8edfe1f2, 0xeaf6af6c, 0xbcad63ea, 0xb5b80be6, 0xeb138420, 0xa7b1fbfb,
-        0x374bf4e6, 0x300ef260, 0xa6fea12f, 0x650a4219, 0x66e801a5, 0xfe692b36, 0x26c19ca3,
-        0x6f5f9df6, 0x90e53c39, 0x48126b78, 0x59fdb9df, 0x5608475b, 0x875cb38b, 0xd2785995,
-        0x1a2f87c7, 0x4b380e0c, 0x931b01c6, 0x86eca518, 0x2c464507, 0x0ac4942b, 0x5e361054,
-        0x6b77e294, 0xd177e81f, 0x052c45f6, 0xc9d93600, 0xf7d365f6, 0xcffca298, 0x0fcdf780,
-        0x3e791ee6, 0x25d05ba1, 0x85bffaf0, 0xb2a64f6a, 0xfe61dd4b, 0xecb0c0e6, 0xce2a84a2,
-        0xf9433472, 0xca5c29bc, 0x53debffa, 0x737d622e, 0xce4a3e79, 0x903b520c, 0x663e16b4,
-        0x682667ec, 0x2726f332, 0xbe0fdd39, 0x958ab794, 0xfb465448, 0x20011380, 0x665269f2,
-        0x97ebb358, 0xc728bb9c, 0x30e448d2, 0xd18a9d3b, 0x28655542, 0x41a89703, 0x364a7b2a,
-        0x412392e2, 0xc007ecc9, 0x3792ea23, 0xf5b6fd98, 0x32ab2f06, 0xb10ca2d6, 0x9b8c9868,
-        0x8db1dcfd, 0x1137e78c, 0xbf26b218, 0xeece9416, 0x94e294f5, 0x567e28ad, 0xf0b96eed,
-        0x294a37eb, 0x2c6e53d6, 0x49fef99a, 0x7cf491be, 0xe6be735f, 0x03231369, 0xa8af5e9e,
-        0x7d036364, 0x4043ca84, 0x6a3a234b, 0xbb36b619, 0x19f13499, 0x1e520b54, 0x231a6419,
-        0xc1c923bf, 0xc1f6f058, 0x8c905ccc, 0xb9fd3645, 0xcb326d4d, 0x60872446, 0x2b52a0b2,
-        0x76149490, 0xb0effa29, 0xe4be70f1, 0x1def8488, 0xce36bc49, 0xd8f70c8e, 0x616cc31d,
-        0x6cbbcafa, 0xec79f39a, 0x6d7d7ff5, 0xc9033304, 0x1347c43b, 0xb955b8fa, 0x57b1f1db,
-        0xaaf58199, 0x612f3f4e, 0x3df401b0, 0xc17ec7aa, 0x170a45fa, 0x4327edab, 0x0e4c7a81,
-        0xcc88dfc9, 0x532c0147, 0x5fe13dd1, 0x73cfa8f5, 0xc2925bf8, 0x2fe1d3b6, 0xec7d05f2,
-        0xf26ec87d, 0x74ff3048, 0x76ce8321, 0x3d50c196, 0xa4de1ce9, 0xb6a246ba, 0xe912d694,
-        0x4ba7e57d, 0x5a975b1d, 0x89266471, 0x91729ca0, 0x1208d8cb, 0xeaaf55cf, 0x9e9c229b,
-        0x7fc48933, 0x7dfdae9b, 0xcb90f031, 0x019616ac, 0xe842d6fb, 0x4633eac1, 0xd1544bcc,
-        0xa689995e, 0x256c28f4, 0xca28dbbb, 0x71400b62, 0x6df91ac2, 0x1ffd4a96, 0x612d2313,
-        0xf715569e, 0x24106e8e, 0x6de3a93b, 0x80473e10, 0xf4d60bee, 0xf64a823f, 0x8a09baa0,
-        0x3318b159, 0x0d4a2030, 0x523e2109, 0x65a1bf68, 0x07137e9e, 0xf20df8d3, 0x301d0ff9,
-        0x479229b7, 0x284a9c5e, 0x9c2afb5e, 0x0355b039, 0x5119a15b, 0xe0fd7c1f, 0x11dca770,
-        0xc6f9f597, 0xe006afb7, 0xdd73fdc0, 0x48bfbb32, 0x32d0c7f7, 0x11c059d2, 0xf75cce17,
-        0xbd38e550, 0x53d5d54e, 0x7ec6b86f, 0x39d2fdba, 0x9d9d2658, 0x8e16d7fd, 0x91b2df21,
-        0xa33f9b09, 0x0fdfde04, 0xc42961d6, 0xe81338aa, 0x0b66b708, 0x4b2f41b0, 0x7effed20,
-        0x01716616, 0xf4391dec, 0x56e1e24f, 0x7afede84, 0x76b9222f, 0x35e128ac, 0x5e012ac2,
-        0xc4adce79, 0xabe0c7ce, 0x9ce4599c, 0x9b0cf5ba, 0x8d23fd94, 0xcdb348d1, 0x6caa86b4,
-        0x8f2de6c3, 0x4f67b953, 0x21ea0287, 0xf1e89c07, 0x97e5e101, 0x4b53a472, 0xba7c6b44,
-        0x4c148faa, 0xc6054016, 0xa88ab8ad, 0x9848701c, 0xba2b6357, 0x0462af87, 0x0dd2162b,
-        0xd960ca99, 0x6f4b6d19, 0xb7475787, 0x9a68595b, 0x8ad42c4c, 0xd27a97ed, 0x2bec3081,
-        0x2b052a15, 0xe3b6e3ac, 0xbb2a1fc3, 0x9f87d2e0, 0x19548edb, 0x16508f0a, 0x70cafa60,
-        0x87ae86db, 0xc0d82173, 0xf1db20c0, 0xf208c03f, 0x2fdabe6d, 0x42d1580f, 0x03dd25c7,
-        0xe14a8986, 0x8fc6e6af, 0x6a7e291d, 0xa2bf04c9, 0x5c27541d, 0x1d9c3bfb, 0xa636741c,
-        0x01448148, 0x301b8f63, 0x0b71fc70, 0xcc8ab192, 0x4bcf4db5, 0x6dfd62a5, 0xda59e791,
-        0x370c2636, 0xf9a2686e, 0x5f5fe824, 0x14ac8403, 0xb565e33f, 0x98478caa, 0x4f61bdc4,
-        0x189de935, 0x0b2d86f3, 0x58ce529a, 0x4a072b77, 0x114b3815, 0x5f2d2fe4, 0xbc72826f,
-        0x21cfefe0, 0x26ceb9b0, 0xf9fec5ce, 0x61f2051c, 0xbabf5059, 0xb5a5e2ef, 0xf1f4cba5,
-        0xb39f98a7, 0xbdb0f563, 0x9a70c711, 0x6a78724b, 0x4f98c991, 0x1c626cb9, 0x1cd8a970,
-        0x2c78b187, 0xd40b22d7, 0x58a1a04b, 0x0ace86d8, 0x4e431ab6, 0x51e66b5b, 0x49c79efc,
-        0x50ec493f, 0xaaa4a730, 0xab29316a, 0xf5ae0a3d, 0x088e12e4, 0x302f1b22, 0x253391c9,
-        0x9e05312a, 0xa8c5d543, 0x54c88753, 0x570cd05b, 0x7295bb7d, 0x19d7039f, 0xe5c00df7,
-        0x24ceee81, 0x6119c200, 0xbd9be354, 0x6831f13d, 0xc54ce969, 0xe98d7e71, 0xe0bdc369,
-        0x71ed8c4c, 0x4aa9bdcf, 0x91d9fdb6, 0xa810ff3c, 0xff746f04, 0x3be6c0a2, 0xb8849725,
-        0x1b7cb887, 0xf4b8a523, 0x087f4381, 0x80080d9d, 0x00dbfa98, 0x6a623c2e, 0x01a6f476,
-        0x176a9e9a, 0x1b01cde5, 0xa25a53ba, 0x636f7e7b, 0x0efcb44a, 0x7d022316, 0x11a1d365,
-        0x072ed9ed, 0x9174950f, 0x92a4e93a, 0x510cd9f8, 0x4f27fa89, 0xbb65ee90, 0x35751fa3,
-        0x399edb38, 0x9b1db290, 0xa6561925, 0x5e505555, 0x97e4ec05, 0x246167df, 0x2ff96979,
-        0x9b70672e, 0xaa638ba1, 0x2b23f5dc, 0xf22e6f1f, 0x1b2d64d7, 0xcfb80041, 0xe244d3d8,
-        0xd3742335, 0x93967707, 0x009cc9f0, 0x69dc43dd, 0x2c897865, 0x683dbb20, 0xf5306837,
-        0x6ef92906, 0xd89c5568, 0xea191787, 0xff6b341f, 0xf24cc0c4, 0x3f834562, 0x68c5a64d,
-        0x7263b9f0, 0xfd9119b4, 0x2f31c9e2, 0xead6218b, 0x75591dba, 0x27afae9a, 0x2f12faa9,
-        0x46eda959, 0x9130080f, 0x50b36e05, 0xbc2248bf, 0x4a656fdf, 0xd98f2a0a, 0x75f3c994,
-        0xe7475147, 0xbfc823b8, 0x78595430, 0x48fc1d30, 0xa71e5fa9, 0x00920ead, 0xa379ea54,
-        0x8351e75b, 0x7b306aef, 0x7d2aa873, 0x8bff6ab4, 0x959e16ff, 0xccfd3dcd, 0x9927fdcf,
-        0x890221a6, 0x7e66b80f, 0xf28beb19, 0x679ef247, 0x625e0be1, 0x7b6b933f, 0x1fb6b961,
-        0xdbe21c77, 0xf3df6a13, 0x05cd5d5e, 0x21aadb19, 0x082f217f, 0xf579f750, 0xb5acddbb,
-        0x3ca7e2d6, 0xd2ad31f1, 0xe43efb4c, 0xdded8bf8, 0xa75f0ca6, 0xafafe181, 0x21fcc8f6,
-        0x1dea1da4, 0x64b9c72e, 0xa17057dc, 0x386a93f7, 0x7f3795f6, 0xe3728c10, 0x998701c5,
-        0x2a884d96, 0x27396e9a, 0xd473d6dc, 0x62b0da9d, 0xf43de6f8, 0xd2fe5aee, 0x7f562540,
-        0x7bde51dc, 0x8199c095, 0x5c0f991a, 0x8a2db0a2, 0x1d278388, 0x31323bba, 0x4ba0b39d,
-        0x3b481b3c, 0x4feca7b4, 0x7447b85b, 0x354bcf3a, 0x9bf310ab, 0x6b73210d, 0xd255ce15,
-        0x2e33ca6e, 0x90c63a2d, 0x05e5c6bd, 0x128ab63a, 0x1a56baa3, 0x074dc483, 0x20595502,
-        0xae3afe01, 0x6fe73869, 0xbecad4cb, 0xd29475bc, 0x7f37aa36, 0xc0f975af, 0x697bc6ae,
-        0x690d170d, 0x1b81fa77, 0xf0805a74, 0xaeaa6caa, 0x56c9ba20, 0x9fd731f9, 0xa98c801d,
-        0xbe04deb6, 0xd96e5e4b, 0xf60e2bb4, 0x809007eb, 0x4eec18ea, 0xfc93f25b, 0x2fec2f4c,
-        0x8583d397, 0xe689cdee, 0x388c80cf, 0xab2ef402, 0x171753c2, 0x665c7ebd, 0x64f9230a,
-        0xb7390acb, 0xd27c077a, 0xab40a2a1, 0x8f7673f1, 0x139b9604, 0x78cd12d2, 0x768c127c,
-        0xe6e50640, 0x66cffbb1, 0x903ee702, 0x06524b16, 0xada71ab2, 0xfd858060, 0x03fcadd0,
-        0x33a979dd, 0xb2cf31d8, 0xc2358f9b, 0xe44b324f, 0x760567e5, 0x00645461, 0x4e17163a,
-        0xc5e15f8a, 0x133afb2b, 0x2cb35340, 0x3ec1aa47, 0xeefe3e35, 0xbc7d93df, 0xe239076a,
-        0x18422d18, 0x32c1526a, 0xc5aa2f99, 0x27e9fcfb, 0xabcabe91, 0x5a39117c, 0xa3195cd7,
-        0x1592bc6e, 0x6ef7e7cf, 0x54d2fcf7, 0xf33806a0, 0xd91e23f9, 0xef9d32a8, 0x4b59e80b,
-        0x84e13b0d, 0xcc47414a, 0x814f4c25, 0xcdf78c6d, 0x6573f629, 0x5837636d, 0x7afdc348,
-        0xb45092f1, 0x675c0fc1, 0x2ccd03a2, 0x37122d53, 0x9909b137, 0xf578913c, 0xe110476d,
-        0x5b55d0e1, 0xd2072fa5, 0x6875c59d, 0x92562b7f, 0xbac5d7fd, 0x78d48e3f, 0x88de4ab3,
-        0xf66e3e23, 0xb7243901, 0xa2266e32, 0x7c13d983, 0x45cfc909, 0x1a3a2475, 0xb3b6e0ef,
-        0x54f9426b, 0x9b6f9f33, 0x406bc42e, 0xb598ce19, 0xde502b3e, 0x20ea0a59, 0x33970a3a,
-        0x146dc8e3, 0x1da77665, 0xc510c31f, 0xd28ded93, 0xc4d0e138, 0x217da302, 0x69faa587,
-        0x246a7169, 0x274b5b4e, 0x4d84f23b, 0x9b8ed3ad, 0x84f7f55b, 0x5b49100a, 0x563b9ea9,
-        0x874c7438, 0xb88de9c6, 0xc7ba16d0, 0x377962fb, 0x828ecaf6, 0xa3657053, 0x99db86a4,
-        0x3885c96c, 0xc1d09f9c, 0xcd93966c, 0x56937fa7, 0x6ff20927, 0x28b2fbab, 0x7605f990,
-        0x8a82edb8, 0xbb25afad, 0x98322617, 0x70a944b8, 0x5eaf4c8e, 0x289700b7, 0xa29dc07f,
-        0x72101ca5, 0x3e8a828f, 0xca1829ac, 0x8aa19196, 0xfcdc4cd8, 0xa3a817a1, 0xc324536c,
-        0xd33165ce,
+        0x7aa4dd97, 0x0783cb97, 0x3a18651e, 0x647378ca, 0x3f4a48c0, 0xcebfab7f, 0x9a37e713,
+        0x0d7656c2, 0xfee124d2, 0xc1c5b307, 0x0385812f, 0xffcdd96c, 0x56ab3b0c, 0x7b1543fc,
+        0xee29ff10, 0x14c9a629, 0x6c9d62f5, 0x3cd0335c, 0xf7072bfc, 0xb744b09d, 0xb5d4ac24,
+        0xfd60997a, 0x13fb0bdb, 0xf3cb6289, 0x4950348f, 0xb270acf5, 0xcfa20c38, 0x71955f54,
+        0xf20cdfaf, 0xa8abb7c4, 0x25eae72b, 0x51611b70, 0xa8d0ac51, 0xa196eec8, 0x272a25a8,
+        0x08be642d, 0x8fcb2dba, 0x53da5481, 0xf5354131, 0x8009e02a, 0xa5f0deb9, 0x57aa8c73,
+        0x199b4e47, 0xd86ec0e1, 0x1155ab35, 0x8160b313, 0x901d250b, 0xcc334eeb, 0x4a33ecde,
+        0xc31c8478, 0xe49ba356, 0x03bab685, 0x27908e28, 0xc7a487c5, 0x1d999519, 0xe7b170e7,
+        0x077a1dfd, 0x1b7dbabf, 0xc1d2b5c5, 0x79be199c, 0x498aad35, 0x3e4aec4f, 0xf885c2bc,
+        0x8c5c304b, 0x20a46404, 0x91df49d1, 0x41258366, 0x6f68c85b, 0x9fdf07d5, 0xf3034757,
+        0x4a16cf5c, 0xf844f287, 0xa0450c38, 0x9d8c0297, 0x6afcb492, 0x7d42611f, 0xe2b3488d,
+        0x59ed979e, 0x9ad9d5cc, 0x1c15fdfe, 0xb171ac97, 0x6aaeb8e5, 0x8e106ef2, 0xb3f1716e,
+        0xdb8a56c7, 0x9f2e55d0, 0xec20a53a, 0x86b77d7d, 0xb44512c8, 0xa3a70753, 0x58ffa7d7,
+        0x67e46f8b, 0x012a1255, 0xcfe05cbc, 0x0f4eee2d, 0x5b368668, 0xe798ef5b, 0x48a13dab,
+        0x17a88eaa, 0x9be4ed08, 0x67fbdd36, 0x13c303c0, 0xa3445266, 0xe2da4697, 0x9f01fa98,
+        0xbf787eff, 0x147f4ed9, 0x5773c513, 0xf1608687, 0x393fde5c, 0xa88c71aa, 0x9646657c,
+        0xc966982d, 0x6d462f74, 0x5a5aabb0, 0xbbca3823, 0x97d2a31c, 0x95a156b5, 0x1a358b3b,
+        0xcb1de9f0, 0xe4db4a45, 0x1cb4fd4b, 0x20e4a08c, 0xf273fb71, 0x0b7bc8c6, 0x8c988a16,
+        0xb4fd437f, 0x09fd10a7, 0xc93fde2a, 0xbd2eff1b, 0x07494dbf, 0xec8e67da, 0x1d984d7b,
+        0xb01afd5d, 0x9f606a13, 0x224918e7, 0x3be2aea1, 0xd7da7aeb, 0xb3652941, 0x5a4fa8c2,
+        0x32380685, 0x67f71b93, 0xea35195b, 0x86e1bc0a, 0x5cca588d, 0x4024d3e5, 0x1db5ef96,
+        0xe9e81a18, 0x4ed4bc73, 0x984963af, 0x4d096bb5, 0x453e088a, 0xc3280138, 0xa1678ac7,
+        0x711e10c8, 0x03456d22, 0xea5c0664, 0xa26a858e, 0x522719a9, 0xd042842d, 0x0dca97cb,
+        0xcd383686, 0x7334d489, 0x5a540397, 0x09224555, 0x169cd28e, 0x18ce507a, 0x72546f1b,
+        0xc881993d, 0x5b80fde7, 0x221313a7, 0x2c823a81, 0x7f333144, 0x51359ce4, 0x62998af6,
+        0xf612432e, 0x95922b65, 0xc334452e, 0xaa129fc0, 0x12fd536f, 0x037d9e38, 0x6945bbdd,
+        0x492504cd, 0x52c176c1, 0x993a9e37, 0xdcc7165c, 0x62f4a8ff, 0x83d7ab36, 0x65426e60,
+        0x171f8ceb, 0x743d14b1, 0x2bbd7341, 0xc8940f6f, 0x3f43d4b7, 0x5eaf8383, 0x055f05bd,
+        0x1b9aec73, 0x9ef08669, 0x1ce80053, 0x0c30981c, 0x10dc785d, 0x7429848a, 0x757f3672,
+        0xaed5a051, 0xb2205528, 0xa1446e64, 0x7f0bc062, 0x5b2b3b7d, 0x520b666c, 0xe4acf240,
+        0xe85b62fa, 0x86e428f8, 0xf7a2d4c2, 0x38c3ede5, 0xa7d5e51c, 0x43cd2328, 0xc08b09fe,
+        0x6ca11b66, 0x7efb5ed8, 0x7a2aa2ec, 0x55ec8f55, 0x26d30927, 0xeb32be9b, 0x7d48c76f,
+        0x166c056e, 0x435803b4, 0x0909a286, 0x2d940832, 0x68d4d13f, 0x48d79199, 0x338d1bd9,
+        0xfb143252, 0x99fb23ee, 0xc4d85c79, 0x4edfd969, 0x42ad9733, 0x0042ce40, 0x03087d8f,
+        0x09bd1974, 0x6db5fc39, 0xa38526f6, 0x610d06fc, 0x1d2ee993, 0x6e890f3a, 0xe0bb3a71,
+        0x41ae12eb, 0x5f6b2eef, 0xe49313f4, 0x3dac49bb, 0x89bf6bf2, 0x2f00e256, 0xaa767a2f,
+        0xc8dee5c4, 0x731d8e3f, 0xce6163dd, 0x431c0e5f, 0xdce240cc, 0x860230da, 0x3e4ee68b,
+        0x698d3805, 0xe1c9afe0, 0xf9f64e87, 0xcea49654, 0x4d960a85, 0x0965c2a0, 0xfd64008c,
+        0x3a12f0cc, 0x5d6b35b2, 0x9f4eae8c, 0x762dd3f6, 0x96a34c85, 0x21f0181d, 0x41752f96,
+        0x230f8585, 0xdb67bab0, 0x98648ad2, 0xafc35206, 0x8e81f11e, 0x27202f02, 0x625c2616,
+        0x1afdaabb, 0xb978ea9c, 0xc3b5322a, 0xcfe41fa9, 0x90dbd1d3, 0xbe7af7a9, 0x7266df0f,
+        0xa47b5b73, 0xe4d098e1, 0x5fbed6c5, 0x727a75f0, 0x385ed4be, 0xb32302f3, 0x57a1398a,
+        0x09737b78, 0x76e8586d, 0xbadab8ee, 0xadbe8e34, 0x9d2ee0bb, 0x295464d5, 0x2a8298fd,
+        0x90d9f5cc, 0xa7792e3c, 0x717d907d, 0x5a73fcc7, 0x4024f674, 0x9b20e79b, 0xda3abc37,
+        0xb7ecbcbc, 0xcf495d6d, 0xc5463248, 0xe41500cb, 0xfcf8b4b9, 0x511245ad, 0xc2f53f5b,
+        0xb6a24e0d, 0x70fdea31, 0xaf32c46d, 0x0904e1e9, 0x957209b3, 0x737e281b, 0xbb6fef54,
+        0xa2273151, 0x51b6578c, 0xe19c7a44, 0x611a7234, 0x1f128a02, 0x6fe0e5e1, 0xb64764e8,
+        0xc328d749, 0xc37195d3, 0xa21ea853, 0xee220be4, 0x1d0b3628, 0x0b9078f5, 0xa35c3097,
+        0x65d220fb, 0x7583566c, 0x2b98da95, 0xee5a72c1, 0xb00ec727, 0x899d8dd2, 0xcd373bb1,
+        0x476a9963, 0x508d90e8, 0x344c6de3, 0xa117f2eb, 0x9695db88, 0xc934b5b2, 0x7814a4d2,
+        0x3e58b28a, 0x11ebea3a, 0x143555b1, 0x96830478, 0x2a9f8ce0, 0xf5733d15, 0xd936a863,
+        0x4775d45b, 0xddfafaab, 0x34a1b3db, 0x707a5810, 0x6448007e, 0x83a1f50b, 0x6e28d739,
+        0xb5a31f54, 0xbbd42939, 0x0a406dd1, 0xfa592750, 0xa785d8e5, 0x371d7c03, 0x69f36cb4,
+        0xccb6b8df, 0xd448d2cb, 0x296f14f8, 0x57358b80, 0x40a14ab8, 0x722e0bfd, 0x26c64cae,
+        0xbb208e67, 0x93a8ca8e, 0xb4e2d295, 0x705b7f84, 0x55b6c7b8, 0x6b45789b, 0x4c1ff6ff,
+        0xd8cbb71f, 0x506783cb, 0x06eecba4, 0x65f1eb55, 0x9634c2c4, 0xf20ffe22, 0x4834b827,
+        0x85d58b9e, 0x902e0733, 0xac5386d2, 0xf705c0b0, 0x114df9e6, 0xc3a0fdd0, 0x2d3c44a6,
+        0x53955cc5, 0x3b53ca2b, 0x67eee08b, 0x6f8ab194, 0x51383566, 0xff1d6245, 0xf08c1d77,
+        0x56532ad8, 0xf771824b, 0xa8fc4d50, 0x56ada925, 0x131a21fb, 0x39300c3d, 0x04ce4d5e,
+        0xa2aad83f, 0x7d4e2768, 0x7d119c5b, 0x8f39bb92, 0xe964ccdc, 0x7ed98539, 0x025d2c88,
+        0x17371ec9, 0x5654453d, 0x61ae1722, 0x5e430093, 0x5eb00d5e, 0xeddf8167, 0x46584239,
+        0xbd93f1d6, 0x4fd0c4c6, 0xb0b8491e, 0xda4130d9, 0x7a9d41b7, 0x31fae456, 0x553b2042,
+        0xf9a8109d, 0xe8a42a01, 0x255434fc, 0x8648aec7, 0x9f3d1121, 0xb732182c, 0x5b598f12,
+        0xd9e5ecb1, 0x1144a857, 0xf0802509, 0xf63de44f, 0xd25e12e4, 0xde47ce14, 0xb7959774,
+        0xe5ddadcd, 0xabb604c3, 0x3bba719b, 0x4a6991e7, 0xc4eddcfc, 0x45627de1, 0x6b61ac0a,
+        0x7ac3d5a0, 0x13e4856e, 0x7e0cc6bc, 0x227059c2, 0xde9ed3c1, 0xca73d441, 0xab0da3b6,
+        0x2fd9497d, 0xf30dcf89, 0x784f721c, 0x12f4abf8, 0xd55da677, 0xcae47279, 0xb2995cba,
+        0xc8606ada, 0x87cdd5fc, 0xcaf0f09e, 0xead1fa79, 0xc285d76e, 0xb69ebf3c, 0x868d2981,
+        0x54ed8a72, 0x044720fd, 0x21a18f2c, 0x2e0fb86a, 0x1281d304, 0x8a1ad0f3, 0x6efae886,
+        0xe8998f76, 0x7768b9e1, 0xa7cab555, 0x464e6c63, 0x9ef9d63f, 0xa865b33a, 0xd3ee1c17,
+        0xd46bd910, 0x62d2a450, 0x597ca8d9, 0x6b7d6c4d, 0xcb607779, 0x817d365c, 0x58ef7d0b,
+        0x4400d2a5, 0x03c9690d, 0x34c47f12, 0x19991f2d, 0x61348204, 0x724d9411, 0x0a66b569,
+        0xb1a1e065, 0x9d84bd79, 0xd6ba2403, 0x4a02b511, 0xf5e6ea15, 0x1a9ba113, 0x2b027411,
+        0xa5b31cad, 0xa581ebe7, 0x282497ce, 0x0e435538, 0xa682cef0, 0xd65e5f80, 0xeaa1a8da,
+        0xa978eb5e, 0xa5dc7cc7, 0x38743d98, 0x72362171, 0xc7e629b7, 0x7db32bbe, 0x4b5b9f50,
+        0x9a76b7be, 0x479155f5, 0xb867e6df, 0x24adecbd, 0x00e748ef, 0xfec04fd3, 0x7adc74e1,
+        0x0925aa63, 0x900d0743, 0x7bee7e86, 0xfa1de6bc, 0x3737c1c5, 0x22e7ba68, 0xb7031059,
+        0x4f4c5432, 0x544f5d75, 0xd3e392b5, 0x3ffc2e4c, 0xa7df93f8, 0x49cf6c39, 0xa359d3c4,
+        0xa8a64009, 0x9f713eae, 0x5ae94f68, 0xb37f862e, 0x9e6354a0, 0x701e1771, 0x27932001,
+        0x217b2c48, 0xef755466, 0x64877db4, 0x9e2e83ed, 0x60b963fd, 0x46f23a42, 0x35de54d5,
+        0x654aa011, 0x626d3e8f, 0x9c9b0b99, 0xa92c3b4d, 0x6cfc4d9a, 0x62391ac5, 0xf346e16c,
+        0xd4350df6, 0x9400e624, 0x4714805c, 0xd7d228f8, 0x8c7b2fd0, 0x4c1afe7f, 0xb6bf3903,
+        0x9766b2e2, 0x6f2d9bad, 0x9de6881f, 0xf4c2131f, 0xd4f63a54, 0x83788966, 0xd76e986a,
+        0x1febf874, 0xaae33b68, 0x0a3844d8, 0x25b6e575, 0x697756c8, 0x48fd6c97, 0x53dd4a4c,
+        0xea05feb0, 0x709fcf0b, 0x76136e9f, 0x5915934c, 0x1967ca2e, 0xafba31c3, 0xe5a691a6,
+        0xd0c0b856, 0x4a5b0df2, 0xc0a3800e, 0x194a17c6, 0x45bb6a31, 0x5c8c5026, 0x83b63b38,
+        0xc2206a43, 0xe4028da7, 0xc9b82d92, 0x41ab3dcd, 0xa6f9595a, 0x3d15d6f7, 0x853f99f2,
+        0xc961435f, 0x4ae8ef3e, 0x51d99f7a, 0xa2bd1e64, 0xcc158726, 0xb6baac86,
     ],
 };
 
@@ -613,8 +595,8 @@ const CONTROL: Pinned = Pinned {
     server: ServerTelemetry {
         ops: 197,
         replays: 0,
-        dedup_occupancy: 146,
-        dedup_peak: 146,
+        dedup_occupancy: 151,
+        dedup_peak: 151,
         txns_begun: 65,
         txns_committed: 65,
         txns_aborted: 0,
@@ -631,18 +613,18 @@ const CONTROL: Pinned = Pinned {
         LfsRow {
             disk: DiskTelemetry {
                 reads: 65,
-                writes: 232,
-                buffer_hits: 20,
-                track_loads: 45,
+                writes: 188,
+                buffer_hits: 27,
+                track_loads: 38,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 3507000000,
+                busy_nanos: 3129000000,
                 lost: false,
             },
             wal_enabled: true,
             wal_commits: 70,
-            wal_checkpoints: 4,
-            wal_ring_used: 9,
+            wal_checkpoints: 3,
+            wal_ring_used: 16,
             wal_ring_capacity: 64,
             group_commit_width: 8,
             free_blocks: 65313,
@@ -655,25 +637,25 @@ const CONTROL: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 1,
             queue_waits: 116,
-            queue_wait_nanos: 59181800,
+            queue_wait_nanos: 650924300,
             service_count: 116,
-            service_p99_ns: 62914560,
+            service_p99_ns: 29360128,
         },
         LfsRow {
             disk: DiskTelemetry {
                 reads: 63,
-                writes: 222,
-                buffer_hits: 20,
-                track_loads: 43,
+                writes: 180,
+                buffer_hits: 25,
+                track_loads: 38,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 3361000000,
+                busy_nanos: 3029000000,
                 lost: false,
             },
             wal_enabled: true,
             wal_commits: 66,
-            wal_checkpoints: 4,
-            wal_ring_used: 1,
+            wal_checkpoints: 3,
+            wal_ring_used: 10,
             wal_ring_capacity: 64,
             group_commit_width: 8,
             free_blocks: 65313,
@@ -686,25 +668,25 @@ const CONTROL: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 1,
             queue_waits: 110,
-            queue_wait_nanos: 137182900,
+            queue_wait_nanos: 425501000,
             service_count: 110,
-            service_p99_ns: 62914560,
+            service_p99_ns: 29360128,
         },
         LfsRow {
             disk: DiskTelemetry {
                 reads: 62,
-                writes: 206,
-                buffer_hits: 20,
-                track_loads: 42,
+                writes: 175,
+                buffer_hits: 26,
+                track_loads: 36,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 3202000000,
+                busy_nanos: 2919000000,
                 lost: false,
             },
             wal_enabled: true,
             wal_commits: 64,
             wal_checkpoints: 3,
-            wal_ring_used: 29,
+            wal_ring_used: 7,
             wal_ring_capacity: 64,
             group_commit_width: 8,
             free_blocks: 65314,
@@ -717,25 +699,25 @@ const CONTROL: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 1,
             queue_waits: 108,
-            queue_wait_nanos: 29590900,
+            queue_wait_nanos: 371909000,
             service_count: 108,
-            service_p99_ns: 62914560,
+            service_p99_ns: 29360128,
         },
         LfsRow {
             disk: DiskTelemetry {
                 reads: 62,
-                writes: 206,
-                buffer_hits: 20,
-                track_loads: 42,
+                writes: 175,
+                buffer_hits: 25,
+                track_loads: 37,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 3202000000,
+                busy_nanos: 2941000000,
                 lost: false,
             },
             wal_enabled: true,
             wal_commits: 64,
             wal_checkpoints: 3,
-            wal_ring_used: 29,
+            wal_ring_used: 7,
             wal_ring_capacity: 64,
             group_commit_width: 8,
             free_blocks: 65314,
@@ -748,109 +730,92 @@ const CONTROL: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 1,
             queue_waits: 108,
-            queue_wait_nanos: 68590900,
+            queue_wait_nanos: 709610250,
             service_count: 108,
-            service_p99_ns: 62914560,
+            service_p99_ns: 29360128,
         },
     ],
     events_dropped: 0,
     kernel: RunStats {
-        events: 3257,
+        events: 3253,
         messages: 1278,
         spawned: 10,
         bytes_sent: 602504,
         queue_high_water: 10,
-        dispatches: 3257,
-        syscalls: 4535,
+        dispatches: 3253,
+        syscalls: 4531,
         wakes_elided: 0,
         ready_peak: 10,
-        end_time: SimTime::from_nanos(11238536600),
+        end_time: SimTime::from_nanos(8829342650),
     },
     events: &[],
     alert_arc: &[],
     resends_arc: &[],
-    render_hash: 0xd1c792117870caf0,
+    render_hash: 0xd62a6c87c348e1a4,
     frame_hashes: &[
         0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x7db6984a, 0x1a94ea36,
-        0x7aa4dd97, 0x0783cb97, 0xbc4f712e, 0xae526f74, 0x31005981, 0x43f44e1a, 0xac87bd42,
-        0xa8d8c66a, 0xa3a7adef, 0xf8f7be98, 0xbf3521e9, 0x12fdd364, 0x4759db99, 0x00280e28,
-        0xd33055b9, 0xaf679803, 0x524d1988, 0x089e815c, 0xf9445366, 0x1b875859, 0x4ef79fa9,
-        0x57d62b5e, 0x346cc48c, 0xd040b1e7, 0xee041a07, 0xe2f7f343, 0xfdf77460, 0x8dd9171f,
-        0x72a778bb, 0xead89d8f, 0x75986a7c, 0x14f29218, 0x49bafce6, 0xc61c573a, 0xc8361f05,
-        0x042e3e83, 0x900ab950, 0x7d13d32e, 0x8e27cf82, 0x8f9123d3, 0xca5f36b7, 0x99290fb9,
-        0x58cda0bb, 0x6cef3724, 0x9288e08a, 0x75a2aa58, 0xf276404b, 0xb2abf593, 0xbfb73b00,
-        0xb4edcc63, 0xaf81d5e5, 0xbcf04cca, 0x68aee55f, 0xe9e42b08, 0x4fb37685, 0x15eada01,
-        0xa0398db5, 0xafa44127, 0x633c4106, 0xe6af59af, 0x8718ec24, 0xe46da5c1, 0xb5051b59,
-        0x268a0ab7, 0xecc8fe3b, 0x6ed76711, 0x6e12e88d, 0x1b1e9f37, 0x2d892299, 0xe03500c5,
-        0xd03535a6, 0xfd349c00, 0x66263380, 0x608c928c, 0x66372ba4, 0x622fa377, 0x29ac7251,
-        0x5a0ee301, 0x9374d90d, 0x7fb63580, 0x16d27cb6, 0x36bf51b5, 0x93c94bbc, 0x65c38819,
-        0xdd892923, 0x06d06fad, 0x9dfb28d3, 0x5a6509e8, 0x4578c6e1, 0xc567c3a2, 0x54593d07,
-        0x78da355b, 0x1ef844d7, 0x197074d1, 0xdefcb4fa, 0xa99bb502, 0x9902380c, 0x1121de69,
-        0xeb342162, 0x87709fe3, 0xec02fb42, 0x87b62574, 0x7239eecd, 0xd42a5ebc, 0x9733587f,
-        0xc2004f22, 0xeb246b63, 0x44c8f5cb, 0x50e33129, 0x32457b70, 0xb27305a9, 0x6e178b4f,
-        0xc5c87239, 0x91a8c257, 0x062d7984, 0x5e390b12, 0x93d5d494, 0x108127b4, 0x5fa57957,
-        0x525d3a1e, 0xeb034274, 0x0df5c4d0, 0x8fbb35b1, 0x645926bf, 0x6369ccf3, 0x5afbc867,
-        0x9b21b19f, 0xcbeea13d, 0xa86f26b5, 0x38cba735, 0xdd665131, 0x897def20, 0x96bf85a1,
-        0xbf87987d, 0x5391c0ae, 0xd4dab917, 0x0e7df564, 0x7b6069a3, 0x87049266, 0x83f9c3c2,
-        0xe53294d8, 0x6a494f41, 0x3e10c7a5, 0x4dde0d66, 0xe490ed44, 0x9956ae5d, 0x9c1bed5a,
-        0xb3966ba9, 0x8e79c1fc, 0x08799993, 0x2647dfde, 0x95121e35, 0xda0f9352, 0x6abb7049,
-        0x731a0905, 0xb6858dfc, 0x73ce7f7a, 0xb7e1811d, 0x89ec6600, 0x64f62a9d, 0x566d730e,
-        0x2843dfc5, 0xfd01b6b0, 0xd33b2c51, 0x30311215, 0x71ff8f83, 0x382d3705, 0x0bfde968,
-        0x6a839412, 0x51aca26e, 0x79259233, 0xb81c3f7d, 0x91441248, 0x4a24e453, 0x67ea1031,
-        0xed1ea02b, 0xbbe32b85, 0xf932c579, 0x92556c3b, 0x743e18b4, 0x719c7483, 0x4c76ad36,
-        0xe3888209, 0x478deabc, 0x38a26f24, 0xecb4665d, 0xe508a0bf, 0xd7c3cda1, 0x72c36d4e,
-        0x0824efc1, 0xa15062b8, 0xab757715, 0x240247e4, 0x98b8c9f9, 0x79f87d16, 0x42fdf51c,
-        0xbc65c182, 0x359d1dcf, 0xe718a822, 0x7465102d, 0xf09b03a5, 0x5e9ed7da, 0x20a6574f,
-        0xf3c30ef5, 0x3fd589e5, 0x247f2bd6, 0x089f3486, 0x55c5ab2f, 0x6ff9f23d, 0x5cd6f176,
-        0x96282d3d, 0x898fccb0, 0xff2b60e2, 0xad8ed215, 0xead93f17, 0x78c66e60, 0xb4269f5d,
-        0xb0581efa, 0xbb0310e6, 0x0742df9e, 0xdf6f73e0, 0x4b2d5cce, 0xc1213130, 0xbbfccbc5,
-        0xfb138e28, 0x2a8b904e, 0x7c078b75, 0x389b3645, 0x84c7da7d, 0x5ed7f4d1, 0x99fbab0f,
-        0x6876e324, 0x78075392, 0xf2f82e4b, 0x1473fd7e, 0xd3b77cd7, 0xa56b6d4f, 0x3e7f3769,
-        0x53079cfe, 0xda30508c, 0x87a7fe49, 0x6c016b36, 0xe9fedd14, 0x7f5288a4, 0xd023ad0f,
-        0x4bf8985c, 0xf788d0f3, 0xc2e2b75c, 0x2190e9d5, 0xc09a0349, 0x481fe047, 0x485a6fe6,
-        0x5ce271c3, 0x308508a9, 0x6e7a6ad7, 0x4f8da425, 0x5c208290, 0x24944b40, 0xaac0d048,
-        0x2aac57ff, 0xdeed60ad, 0x813c4ddd, 0x47e8f732, 0x9e05727b, 0xa898ee4b, 0x72cb5fe3,
-        0xf69e099a, 0x6aa24e12, 0xed69a145, 0xececc878, 0x310c2ef8, 0xfb58f98b, 0x27813ef6,
-        0x8db7ecb8, 0x4b45627d, 0x26805082, 0xc4a82c43, 0xbff5b813, 0x02d69c5b, 0x57b211dc,
-        0xfc99688b, 0x3a49734e, 0x9a11a36c, 0x34602663, 0x100f107f, 0x188ed908, 0xb26cfec9,
-        0x9b3efe29, 0x3e1ff947, 0x416d6589, 0x267f0a8e, 0x5d5eef50, 0x3b796613, 0x9b6e2113,
-        0x1e641522, 0x92283aa1, 0x24f9b2fd, 0xfd642e3e, 0xa2fb8452, 0xbb4a1124, 0x5a2407e9,
-        0x188a0ef0, 0x4ed875cf, 0x8cd70c2b, 0xaac2ed67, 0x8ad2f159, 0x6b255a84, 0x15f6a91b,
-        0x91e08a62, 0x10d36164, 0xde987f1a, 0x75ccc72b, 0x82ce14f1, 0x6f4b1fbc, 0xe838901b,
-        0x4685b3be, 0xd1d7ee60, 0x36c24d18, 0x5367c1b2, 0xc41a5da0, 0x47c9f398, 0x9d623554,
-        0xa428bc31, 0x550c1362, 0xd504f5ea, 0xd28755b3, 0x4267e9a5, 0xa5ea6a5a, 0xf4f5b58b,
-        0xeb192c59, 0xf7c318d4, 0x25467a98, 0xaa4da1cc, 0xdf7ebb4d, 0xe4b2a6dd, 0x86043d06,
-        0x927769a6, 0xef2f3291, 0x0007ddc6, 0x6113bd8e, 0x3e2389d1, 0xeed5c5c4, 0x04cdd446,
-        0xa661e48d, 0x20995bc8, 0xa1224e1f, 0x52b56e30, 0xe5ad1e1c, 0xc3f1946f, 0xf9ed76be,
-        0x7ae7d896, 0x773f63c0, 0x575bf7f7, 0x4cf5cf0d, 0xa726227a, 0xe7192fb8, 0x9c1ff125,
-        0x8fff68bd, 0x1869cf27, 0x36380209, 0xb15e7763, 0x72bffb3b, 0xe8f23cea, 0x0126fbee,
-        0x3a501f40, 0x31d0edec, 0x5492844c, 0x98fb3409, 0x990b47c6, 0x807b3100, 0x3cac0bfc,
-        0x2fb4a6d9, 0xa5a369ad, 0x0fded7f3, 0x15e52074, 0xc97069da, 0xc13b3a81, 0x37f3b16c,
-        0xf0e5dbf0, 0xbe0d64d7, 0xe0d5c1e2, 0xe1d29b55, 0xcb056623, 0x1031b4ac, 0x761446f5,
-        0xae99530a, 0x0e6f87eb, 0x2d809c32, 0x8f3f8c34, 0xb356d3cb, 0x07d6503b, 0xfdc96994,
-        0x14966842, 0x72a64535, 0xe41be58a, 0x0e1df94c, 0x86d82402, 0x12e632e0, 0xa3ef8b9a,
-        0x1b3e753d, 0x698c7d41, 0x1dafe0f1, 0x06023b1e, 0x11b48e0f, 0xaf26f2b6, 0x5e5fdf6a,
-        0x5ad56b07, 0xd45cc62f, 0x7ad62882, 0x6039c4c3, 0xd0e6e9e9, 0x7a7e0966, 0x9110c34c,
-        0xdfa8e10b, 0xbbbd85f9, 0x19b5e228, 0x8c590a45, 0xf602015e, 0x43557f8c, 0x2420357d,
-        0x82a956f4, 0x3c221975, 0x06a0a90a, 0x95cd856f, 0xdc4ecb16, 0x24bfa1fa, 0x33a985e8,
-        0x3fb95431, 0xbb914b70, 0xbed90ec7, 0x85567df2, 0x37d88ab4, 0xca79d957, 0xc3994ade,
-        0x84d314a2, 0xcf0e3c80, 0x27122d50, 0xe288cc43, 0x4fcba976, 0x3cbb9892, 0x24a57908,
-        0x24e2d86f, 0x1e7a68ec, 0x165e5a83, 0x50cc538c, 0x0352bee6, 0x219bbb3f, 0x4a4eff85,
-        0xfac42fe6, 0xb3fae48c, 0x3b3bf816, 0x8563dcee, 0x697015ef, 0x0d034a23, 0x7e669bb7,
-        0x84321bce, 0xfde86acf, 0xe64c03c2, 0xda114000, 0x1c746a9d, 0x0e17742a, 0x02496e82,
-        0x6f7c0afb, 0x8b946454, 0xd6804414, 0xcb9527ca, 0xf365f215, 0x29daad61, 0xad584bfe,
-        0x14214ebe, 0xf95badcc, 0xb78ffb6f, 0x5c49b59b, 0x9693216f, 0x6fbe42fe, 0xb9043cd4,
-        0xab262a40, 0xfc408dc4, 0xb24cd09f, 0x1da56932, 0xe2fc1e37, 0xd2c8fb33, 0x2b8f74cd,
-        0xc4803700, 0x6bce3a82, 0xee448d32, 0x927c8e58, 0xbeca076c, 0x331726ab, 0x4bf6bc8a,
-        0xc26c95e3, 0x65e414d5, 0x22152c5c, 0xed15a89a, 0x6354a323, 0xb72d4c9d, 0x533708af,
-        0x29a0f150, 0x8c4a8b2d, 0xd2c020fc, 0xdd6f1b83, 0x7eb8a837, 0xa02a3b94, 0xb7d11c24,
-        0xf2680b24, 0x16142c41, 0x4d41845a, 0x22cc07ae, 0x3c2b9cf4, 0xc4b9be2e, 0xda11f45d,
-        0xd4f167dd, 0xcf1fda07, 0xa4fe408a, 0x4616c4b7, 0xea816d82, 0xfffa06f7, 0x600b43ac,
-        0x8c9ec687, 0x230a815e, 0x170d5094, 0x855ddf5d, 0x005ee937, 0x07d22b41, 0xd5afd5cb,
-        0x70048e02, 0xc3a6bea0, 0xa2813cd9, 0x4ca3cc49, 0xd3d86bc0, 0xfe241b72, 0x9481d5f8,
-        0x51ae2b6e, 0xad06b474, 0x75c31e32, 0xc460720c, 0xcef3ecbd, 0x8eefab77, 0x0e013536,
-        0x5ce6e8a7, 0xe2ab8b13, 0x08c447cb, 0xe34e6fcc, 0x71aafbb7, 0xee124858, 0x9c7858fc,
-        0x0a0ccb26, 0x19852bee, 0xb337cf13, 0x1954bb27, 0xdec2141d, 0xba49cc65, 0xd9e1388b,
-        0x0b061bb7, 0xae9c0941,
+        0x7aa4dd97, 0x0783cb97, 0x3a18651e, 0x647378ca, 0x3f4a48c0, 0xf2e13c27, 0xf3de8a7d,
+        0x9bc0095b, 0xce426712, 0x88f31cec, 0x99f39172, 0xff475cfd, 0xce0bbee9, 0x5e4a9421,
+        0x28ee8c81, 0x3f10fca2, 0x94d8e04d, 0x85fe1545, 0x714cee4e, 0xfaaaddf9, 0x85c48c35,
+        0xcf976884, 0x224a9b73, 0x0268346e, 0x66a62256, 0x6d20f7b3, 0x5ee67c76, 0x2da669c2,
+        0x9e7a5ef5, 0xaa8a060c, 0xadac6423, 0x84a10c00, 0x436d37dc, 0x10844106, 0x8d7c7cb5,
+        0xde37556a, 0xb6146aa5, 0x8e5b8228, 0x8f745524, 0xd32ed525, 0xe07b6761, 0xa5c30dfa,
+        0x5946b006, 0x431dc94c, 0xb04217a2, 0x41e3e2e4, 0x6d0f46f3, 0xfff5d8ea, 0x6ceff0ff,
+        0xae0468b1, 0x1a5c3522, 0xd77980d7, 0x70490b54, 0xa39e2338, 0x079e7b25, 0x08fa01cf,
+        0x7dfaa8e7, 0xb77b4379, 0xf183e905, 0x5f24f02b, 0xe5e0c838, 0x9a33d895, 0x59a0fe7b,
+        0x9d78420a, 0xda72cd5d, 0x23c1b517, 0x712d2f10, 0xf57cfaef, 0xc9c51233, 0x83486c9b,
+        0x0a690910, 0xc5082cc1, 0xb38eb6b4, 0x1272c719, 0x924fc67a, 0x545b0757, 0xa3b7450c,
+        0xb0918b03, 0xc8219c80, 0xdc442e8e, 0x12c895c3, 0x831da007, 0x81b3ba1a, 0xb2a2922d,
+        0xd036493a, 0x4e8444b7, 0xfee3da82, 0xa9de47b8, 0xfb336a40, 0x2242ded2, 0x2dd5e19a,
+        0x58091151, 0xc2987cfa, 0x32e59a4f, 0x07c527e2, 0x074ded74, 0x0062fb4f, 0x12a59ae2,
+        0x60a17cd7, 0x94c31495, 0x054e7c79, 0xc4e1c354, 0xa1d63f85, 0x9bdb4014, 0x4afe528d,
+        0xaaae44d4, 0x8548bb52, 0xb0470c12, 0x12fcb726, 0x4fca0446, 0xb7d3c677, 0xd5e87626,
+        0xba25c24a, 0xf3ef9f86, 0x77420271, 0xecc7ba04, 0x41d10304, 0x9f3cedca, 0x9fa45bc3,
+        0x2ea069d1, 0x672ab8dc, 0x05eca4c8, 0xe6762fd1, 0x6d163a34, 0x5c8cbf55, 0x43e76871,
+        0x394ac07f, 0xe5ee2218, 0x6bca6e2d, 0xc2117402, 0xf11da1cb, 0xe8762113, 0x70f8a717,
+        0x10bcc6dc, 0x3886c02c, 0x9afea325, 0xd5ef257f, 0xfb28f424, 0x34f27705, 0xe69000b8,
+        0x352dcf57, 0x66bbfbed, 0xec7d057f, 0x89bd98fe, 0x4703fa3a, 0x0e9cb139, 0xd9ddab56,
+        0x20792271, 0xb5a5f594, 0x02881266, 0x3527f07f, 0x6464da3f, 0xe24a6152, 0x2cacdd52,
+        0x138df3ca, 0xd8e7b6ad, 0xd562793b, 0xe8e80180, 0xfaec2a7c, 0xf041606b, 0xc7f35d01,
+        0x03e9fdf0, 0xd4730041, 0xb5db0182, 0xa04b9b2e, 0xad7452a9, 0xd983fb7e, 0x8d6eac4d,
+        0xa7a27d2c, 0x36c9380d, 0x527448c7, 0x738a74eb, 0x09b4773d, 0x4fb5266e, 0xe2ec4399,
+        0xf8c79969, 0x351a5731, 0x0b8fc626, 0xc369eb39, 0xe5598542, 0x3dabdab1, 0xb05200b6,
+        0x6e98e910, 0x13378633, 0x73814621, 0x1c86f1ed, 0x0c16221f, 0xab01c0c3, 0x6e750787,
+        0x4d5f3782, 0xbcbea9c3, 0x17e64525, 0x1d2a2dd9, 0xc8160ea8, 0x637f22fc, 0xab3b43c1,
+        0x2eb4e109, 0x6ede3a7e, 0x26fc2992, 0xbfb43fb2, 0x0f46efc1, 0xe65f4d63, 0x699c8298,
+        0xb4afead2, 0x914b285a, 0xf04dc75c, 0x304f51d8, 0xf80215a9, 0x9ba98bad, 0x04770ad0,
+        0x907f0150, 0x5298f9f7, 0xa8e84f76, 0x3ba448b7, 0x08e08adf, 0x3382a788, 0xfc8a475a,
+        0x84d8e511, 0xe6dfb412, 0x7e1ea10a, 0x53f2b60f, 0x7107f653, 0xc79dfa3f, 0x60568502,
+        0xdb0532d1, 0xfc94605d, 0x66a81ad1, 0x500f25c9, 0x3b3a663a, 0x055ef3f2, 0x4e4a1378,
+        0xc8e9e75d, 0x31707ba6, 0x15e7a01e, 0x27c69a6c, 0xd538a35c, 0x581d888c, 0xa99d1520,
+        0xc8e5645c, 0x805c7445, 0x1e1dceac, 0x8bfd4780, 0x49a85e5c, 0xd8db5c54, 0xec2f235f,
+        0x367b2825, 0x550319cc, 0x22e8b3a1, 0x17b3137e, 0x4b164f70, 0x2b2baf33, 0x5ff905b2,
+        0x52c044f3, 0x7742ca56, 0x44693eda, 0x8d5a257c, 0x0b741755, 0x0cbea701, 0xf218109c,
+        0xa2881404, 0x16810476, 0x6b9c29f1, 0x3b270615, 0x96759aa6, 0x97f7d30d, 0xe9f3ba51,
+        0xd76d7e17, 0x04ffffed, 0xc92c8900, 0xfc0639db, 0xe4f08bfe, 0x057256d2, 0xa3137651,
+        0xfda05b34, 0x50ba5a24, 0x82f4c628, 0x46c0aaf3, 0x972b7709, 0xea8cbf6c, 0x777d76ec,
+        0x6bf15678, 0xfbeb2d4b, 0xbe1897d0, 0x2033095d, 0xafecb15f, 0xefe10986, 0x0a597f3c,
+        0x73b2686e, 0x7b7d18c6, 0x9f77227e, 0x83a82f4f, 0x8812e7dc, 0x9c7d73ee, 0x0276b84b,
+        0xde41d879, 0xc05e7d25, 0x99aa27fb, 0xa7a34569, 0x54c7f748, 0x6cb1c34d, 0x8284a9c0,
+        0x098f6d22, 0x000fedba, 0x7d1898f1, 0x500bf37d, 0xe088651d, 0xab9c4679, 0xcbcd7b84,
+        0x9c42270d, 0xc9d86c68, 0x8ee1d2a4, 0xa4994981, 0xfa9efd04, 0x11b0dc42, 0x5b100c57,
+        0x2e7d95cd, 0x04ae349e, 0x3bca404e, 0x3ad06bcf, 0xbf146187, 0xe4af7b82, 0xdf059f30,
+        0x625282b0, 0xc9a2e4af, 0xbff0ece7, 0x3f02b766, 0x422124cb, 0x01cc292d, 0x0da9572d,
+        0x4c32ae9d, 0xf2689f0b, 0x33dc3f43, 0xbcd29446, 0x002468d6, 0x0baa47d7, 0xf86f5a52,
+        0x8ae07eab, 0x7102b22b, 0x169e1e03, 0x0765d5f4, 0x5fbf33e2, 0x61641a41, 0x9e67cdb6,
+        0xbcde010b, 0xa75f43e4, 0x819fc098, 0xbb4927e5, 0xa3752f9d, 0xd7653714, 0xd0a8c09a,
+        0x53b302a5, 0xf8036e24, 0x2d34d533, 0x92db9819, 0x73ac1343, 0x73325ac3, 0x4eea90a6,
+        0x27f2d68f, 0xa5520ef2, 0x8763dc09, 0x835c15c7, 0x767f2c14, 0xac6e8f26, 0xbee0b3ad,
+        0x1c1298a5, 0x43a8093b, 0xc21656f4, 0xb1874776, 0x14eab222, 0x6650e5ba, 0x7dff057c,
+        0xb060ecb7, 0x36a0c53c, 0xd6bd89d5, 0xf264fbb9, 0xe4583e67, 0x9e793a56, 0x9fac1738,
+        0xb511025c, 0xaf8c2d36, 0x9e48616f, 0xd6b9b08c, 0xd96acb4a, 0x6633312f, 0x528f6f72,
+        0xc0bcf6d9, 0x05f4d3cc, 0x1c16fb07, 0x4693a601, 0x299171e6, 0x80298d43, 0xe3b251b5,
+        0xeec4a4b8, 0x1c8ed809, 0xb6628941, 0xa15c421b, 0x87e52d4c, 0xdf690d8b, 0x0caba91b,
+        0xef6e37f2, 0xd4931421, 0x0b528b3d, 0x30bef793, 0x205f6424, 0xd5515225, 0xc173a53b,
+        0x3f1b7f76, 0x0a542ba7, 0x74936d66, 0x4b016794, 0x0f98b464, 0xc25c9588, 0x436f1c7d,
+        0x846789ab, 0x55fb8af1, 0x34fc46f3, 0x36f2d370, 0xae754c87, 0x9a07cfb6, 0xb4e0defe,
+        0x286ba164, 0xc3cf8f28, 0x88194e3c, 0xafd78dd9, 0xb9bf9a34, 0x3fccd676, 0x3c09cf0c,
+        0x94ea2007, 0x8857bbaa, 0x28bbea8c, 0xd5296972, 0x9e86e497, 0x31ebfc51, 0xcfd1f6e1,
+        0xb9a1bf08,
     ],
 };
