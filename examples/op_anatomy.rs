@@ -8,12 +8,12 @@
 //! Run with: `cargo run --release --example op_anatomy [out.txt]` (the
 //! report also goes to standard output). Exits nonzero if
 //!
-//! * a parity `rand_write` no checkpoint landed on takes more than 110
-//!   virtual ms, plus one positioning for every track boundary one of its
-//!   log batches crossed, or
+//! * a parity `rand_write` no checkpoint landed on takes more than 92
+//!   virtual ms, or the append more than 95, or
 //! * any `wal.commit` span holds more than one disk span, or one that is
-//!   not a `disk.write_run` paying exactly one positioning per distinct
-//!   track: a commit is one device run.
+//!   not a `disk.write_run` paying one positioning — one per track for a
+//!   batch longer than a track: a commit is one device run, and the log
+//!   never splits a batch that fits on a track.
 
 use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, Redundancy};
 use bridge_trace::{SpanEvent, TraceCollector, TraceData};
@@ -26,9 +26,10 @@ const P: u32 = 8;
 /// Blocks appended before the profiled ops: two full parity stripes and
 /// a ragged third, so the profiled append joins an open stripe.
 const PRELOAD: u64 = 17;
-/// The virtual-time budget of a checkpoint-free parity `rand_write`
-/// whose log batches each stayed on one track.
-const RAND_WRITE_BUDGET_MS: f64 = 110.0;
+/// The virtual-time budget of a checkpoint-free parity `rand_write`.
+const RAND_WRITE_BUDGET_MS: f64 = 92.0;
+/// The virtual-time budget of the checkpoint-free parity append.
+const APPEND_BUDGET_MS: f64 = 95.0;
 
 fn record(block: u64) -> Vec<u8> {
     format!("anatomy record {block:06}").into_bytes()
@@ -85,9 +86,10 @@ fn main() -> ExitCode {
 
     let data = collector.take();
     let positioning = DiskProfile::wren().positioning.as_nanos();
+    let per_track = u64::from(config.disk_geometry.blocks_per_track);
     let mut report = String::new();
     let mut failures = Vec::new();
-    let mut checked_rand_write = false;
+    let mut checked = Vec::new();
 
     for op in &ops {
         let spans = spans_started_in(&data, op.from, op.to);
@@ -119,26 +121,25 @@ fn main() -> ExitCode {
                 disk_detail(s, positioning),
             );
         }
-        if op.name == "rand_write" && !checkpointed {
-            checked_rand_write = true;
-            // A log batch that crosses a track boundary owes a second
-            // positioning; the ring is not track-aligned, so some do.
-            let crossings: u64 = spans
-                .iter()
-                .filter(|s| s.name == "disk.write_run")
-                .map(|s| s.arg("tracks").unwrap_or(1) - 1)
-                .sum();
-            let budget = RAND_WRITE_BUDGET_MS + millis(crossings * positioning);
+        let budget = match op.name {
+            "rand_write" => RAND_WRITE_BUDGET_MS,
+            "append" => APPEND_BUDGET_MS,
+            _ => continue,
+        };
+        if !checkpointed {
+            checked.push(op.name);
             if ms > budget {
                 failures.push(format!(
-                    "checkpoint-free parity rand_write took {ms:.1} virtual ms \
-                     (budget {budget} ms, {crossings} track crossings)"
+                    "checkpoint-free parity {} took {ms:.1} virtual ms (budget {budget} ms)",
+                    op.name
                 ));
             }
         }
     }
-    if !checked_rand_write {
-        failures.push("every profiled rand_write had a checkpoint land on it".to_string());
+    for name in ["rand_write", "append"] {
+        if !checked.contains(&name) {
+            failures.push(format!("every profiled {name} had a checkpoint land on it"));
+        }
     }
 
     let commits: Vec<&SpanEvent> = data
@@ -152,7 +153,7 @@ fn main() -> ExitCode {
             .filter(|d| d.pid == commit.pid && d.start >= commit.start && d.end <= commit.end)
             .collect();
         let one_run = matches!(inside.as_slice(), [run] if run.name == "disk.write_run"
-            && run.arg("position") == run.arg("tracks").map(|t| t * positioning));
+            && run.arg("position") == Some(positioning * tracks_owed(run, per_track)));
         if !one_run {
             failures.push(format!(
                 "wal.commit on {} at {:.1} ms is not one device run: {:?}",
@@ -220,6 +221,17 @@ fn spans_started_in(data: &TraceData, from: SimTime, to: SimTime) -> Vec<&SpanEv
         .collect();
     spans.sort_by_key(|s| (s.start, std::cmp::Reverse(s.end)));
     spans
+}
+
+/// The positionings a log write run may pay: one if its blocks fit on a
+/// track — the log places such a batch on one — else one per track.
+fn tracks_owed(run: &SpanEvent, per_track: u64) -> u64 {
+    let blocks = run.arg("blocks").unwrap_or(1);
+    if blocks <= per_track {
+        1
+    } else {
+        run.arg("tracks").unwrap_or(1)
+    }
 }
 
 /// What a disk span paid: positionings and blocks transferred.
