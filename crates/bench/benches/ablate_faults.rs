@@ -19,7 +19,6 @@ use bridge_bench::report::{secs, Table};
 use bridge_bench::results::{emit, Metric};
 use bridge_bench::{file_blocks, records_per_second};
 use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, RetryPolicy};
-use bridge_efs::DEDUP_RETENTION;
 use bridge_trace::{Metrics, TraceCollector};
 use parsim::{DiskFaults, FaultPlan, MsgFaults, SimDuration};
 
@@ -29,10 +28,9 @@ fn blocks() -> u64 {
     file_blocks() / 4
 }
 
-/// The storm: every transient fault class at once, all bounded, with
-/// delays far below the servers' dedup retention.
+/// The storm: every transient fault class at once, all bounded.
 fn storm_plan() -> FaultPlan {
-    let plan = FaultPlan {
+    FaultPlan {
         seed: 0x57A0_0001,
         msg: MsgFaults {
             drop_per_mille: 150,
@@ -47,9 +45,7 @@ fn storm_plan() -> FaultPlan {
             targets: Vec::new(),
         },
         ..FaultPlan::none()
-    };
-    assert!(plan.msg.delay_max < DEDUP_RETENTION);
-    plan
+    }
 }
 
 /// FNV-1a over the read-back stream: the convergence witness.

@@ -25,8 +25,8 @@ impl RpcProtocol for BridgeRpc {
         cmd.name()
     }
     fn post(ctx: &mut Ctx, server: ProcId, id: u64, cmd: BridgeCmd) {
-        let bytes = request_wire_size(&cmd);
-        ctx.send_sized_cloneable(server, BridgeRequest { id, cmd }, bytes);
+        let (bytes, low) = (request_wire_size(&cmd), ctx.low_id());
+        ctx.send_sized_cloneable(server, BridgeRequest { id, low, cmd }, bytes);
     }
     fn reply_id(reply: &BridgeReply) -> u64 {
         reply.id
@@ -43,7 +43,7 @@ impl RpcProtocol for BridgeRpc {
 ///
 /// Wraps the raw [`BridgeRequest`]/[`BridgeReply`] protocol over the same
 /// [`RpcClient`] engine the LFS client uses: requests carry fresh ids
-/// (drawn from the owning process's [`Ctx::unique_id`] stream, so ids
+/// (drawn from the owning process's [`Ctx::open_id`] stream, so ids
 /// never collide across client instances in one process) and replies are
 /// matched by id (other traffic is stashed by the underlying selective
 /// receive).

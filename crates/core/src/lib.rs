@@ -63,8 +63,8 @@ pub use machine::{BridgeConfig, BridgeMachine};
 pub use placement::{Placement, PlacementCursor, PlacementKind};
 pub use protocol::{
     reply_wire_size, request_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest,
-    CreateHop, CreateRpc, CreateSpec, JobDeliver, JobRequest, JobSupply, LfsSlice, MachineInfo,
-    MachineManifest, ManifestEntry, OpenInfo, PlacementSpec, RelayCreate, RelayRequest,
+    CreateSpec, JobDeliver, JobRequest, JobSupply, LfsSlice, MachineInfo, MachineManifest,
+    ManifestEntry, OpenInfo, PlacementSpec, RelayCreate, RelayRequest, TierCmd, TierRpc,
 };
 pub use redundancy::{xor_into, ParityLayout, Redundancy};
 pub use server::{

@@ -65,6 +65,9 @@ pub struct CreateSpec {
 pub struct BridgeRequest {
     /// Client-chosen id echoed in the reply.
     pub id: u64,
+    /// The sending process's mark: no id below it is awaited any more
+    /// ([`Ctx::low_id`]).
+    pub low: u64,
     /// The command.
     pub cmd: BridgeCmd,
 }
@@ -405,6 +408,8 @@ pub struct RelayCreate {
 pub struct RelayRequest {
     /// Sender-chosen id echoed in the reply.
     pub id: u64,
+    /// The sending process's mark ([`Ctx::low_id`]).
+    pub low: u64,
     /// What to create, and where.
     pub cmd: RelayCreate,
 }
@@ -416,42 +421,43 @@ impl RelayCreate {
     }
 }
 
-/// One send of Create's fan-out.
+/// One request from the Bridge server or an agent to the LFS tier.
 #[derive(Debug, Clone)]
-pub enum CreateHop {
-    /// An LFS operation straight to a leaf's LFS.
+pub enum TierCmd {
+    /// An LFS operation straight to that LFS.
     Lfs(LfsOp),
-    /// A subtree to its head's agent.
+    /// A subtree of Create's fan-out to its head's agent.
     Relay(RelayCreate),
 }
 
-/// Create's fan-out as the at-least-once engine sees it: a leaf is the
-/// LFS protocol itself, and a relay hop is retried under the same policy
-/// and deduplicated by each agent, which answers for its whole subtree as
-/// one LFS would for itself — an [`LfsReply`] carrying the subtree's first
+/// The server's and the agents' traffic to the LFS tier as the
+/// at-least-once engine sees it: an LFS operation is the LFS protocol
+/// itself, and a relay hop is retried under the same policy and
+/// deduplicated by each agent, which answers for its whole subtree as one
+/// LFS would for itself — an [`LfsReply`] carrying the subtree's first
 /// failure, if any. One reply type is what lets a sender take both kinds
 /// of reply in one arrival-order wait.
 #[derive(Debug)]
-pub struct CreateRpc;
+pub struct TierRpc;
 
-impl RpcProtocol for CreateRpc {
-    type Cmd = CreateHop;
+impl RpcProtocol for TierRpc {
+    type Cmd = TierCmd;
     type Reply = LfsReply;
     type Data = LfsData;
     type Error = EfsError;
 
-    fn name(hop: &CreateHop) -> &'static str {
-        match hop {
-            CreateHop::Lfs(op) => LfsRpc::name(op),
-            CreateHop::Relay(_) => "bridge.relay",
+    fn name(cmd: &TierCmd) -> &'static str {
+        match cmd {
+            TierCmd::Lfs(op) => LfsRpc::name(op),
+            TierCmd::Relay(_) => "bridge.relay",
         }
     }
-    fn post(ctx: &mut Ctx, server: ProcId, id: u64, hop: CreateHop) {
-        match hop {
-            CreateHop::Lfs(op) => LfsRpc::post(ctx, server, id, op),
-            CreateHop::Relay(cmd) => {
-                let bytes = cmd.wire_size();
-                ctx.send_sized_cloneable(server, RelayRequest { id, cmd }, bytes);
+    fn post(ctx: &mut Ctx, server: ProcId, id: u64, cmd: TierCmd) {
+        match cmd {
+            TierCmd::Lfs(op) => LfsRpc::post(ctx, server, id, op),
+            TierCmd::Relay(cmd) => {
+                let (bytes, low) = (cmd.wire_size(), ctx.low_id());
+                ctx.send_sized_cloneable(server, RelayRequest { id, low, cmd }, bytes);
             }
         }
     }
@@ -466,7 +472,8 @@ impl RpcProtocol for CreateRpc {
     }
 }
 
-/// Wire size charged for a request.
+/// Wire size charged for a request; the 48-byte header holds the id and
+/// the mark.
 pub fn request_wire_size(cmd: &BridgeCmd) -> usize {
     match cmd {
         BridgeCmd::SeqWrite { data, .. } | BridgeCmd::RandWrite { data, .. } => 48 + data.len(),

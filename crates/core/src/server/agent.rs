@@ -3,7 +3,7 @@
 //! and the tree's shape, which the tools' worker start shares.
 
 use super::{trace_served, BridgeServerConfig};
-use crate::protocol::{CreateHop, CreateRpc, RelayCreate, RelayRequest};
+use crate::protocol::{RelayCreate, RelayRequest, TierCmd, TierRpc};
 use bridge_efs::{
     reply_wire_size, Admission, DedupWindow, EfsError, LfsData, LfsOp, LfsReply, RpcClient,
 };
@@ -59,7 +59,7 @@ where
 /// mailbox or its client's retry list.
 pub(super) fn create_on(
     ctx: &mut Ctx,
-    client: &mut RpcClient<CreateRpc>,
+    client: &mut RpcClient<TierRpc>,
     config: &BridgeServerConfig,
     cmd: &RelayCreate,
     own: usize,
@@ -75,7 +75,7 @@ pub(super) fn create_on(
         ctx.delay(config.create_init_cpu);
         if let [(_, proc)] = *group {
             for &file in &cmd.files {
-                let id = client.send(ctx, proc, CreateHop::Lfs(LfsOp::Create { file }));
+                let id = client.send(ctx, proc, TierCmd::Lfs(LfsOp::Create { file }));
                 waiting.push((proc, id));
             }
         } else {
@@ -84,7 +84,7 @@ pub(super) fn create_on(
                 files: cmd.files.clone(),
                 targets: group,
             };
-            waiting.push((agent, client.send(ctx, agent, CreateHop::Relay(relay))));
+            waiting.push((agent, client.send(ctx, agent, TierCmd::Relay(relay))));
         }
     }
     let mut outcome = Ok(LfsData::Done);
@@ -111,21 +111,25 @@ pub fn spawn_bridge_agent(
 ) -> ProcId {
     sim.spawn(node, name, move |ctx| {
         let mut client = RpcClient::with_retry(config.lfs_retry);
-        let mut dedup: DedupWindow<LfsReply> = DedupWindow::standard();
+        let mut dedup: DedupWindow<LfsReply> = DedupWindow::default();
         loop {
             let (from, req) = ctx.recv_as::<RelayRequest>();
-            let reply = match dedup.admit(from, req.id) {
+            let reply = match dedup.admit(from, req.id, req.low) {
                 Admission::New => {
                     let t0 = ctx.now();
                     let result = create_on(ctx, &mut client, &config, &req.cmd, 1);
                     trace_served(ctx, "bridge.relay", t0, result.is_ok(), req.id, from);
                     let reply = LfsReply { id: req.id, result };
-                    dedup.complete(from, req.id, ctx.now(), reply.clone());
+                    dedup.complete(from, req.id, reply.clone());
                     reply
                 }
                 // One request is served at a time, so a copy of it that
                 // arrives meanwhile waits in the mailbox and replays.
                 Admission::InFlight => continue,
+                Admission::Stale => {
+                    ctx.trace_instant("retry", "retry.dup_dropped", &[("id", req.id)]);
+                    continue;
+                }
                 Admission::Replay(reply) => {
                     ctx.trace_instant("retry", "retry.replay", &[("id", req.id)]);
                     reply

@@ -11,6 +11,7 @@ use super::Server;
 use crate::error::BridgeError;
 use crate::header::{decode_payload, BridgeHeader, GlobalPtr};
 use crate::ids::{BridgeFileId, LfsIndex};
+use crate::protocol::TierCmd;
 use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp};
 use bytes::Bytes;
 use parsim::{Ctx, FixedMap};
@@ -128,7 +129,9 @@ impl Server {
     /// Bridge file) into runs, then — wave by wave — send every run's `op`
     /// and hand each reply to `reply` in send order. At depth 1 a wave is
     /// the prototype's lock step ("the server will perform groups of p
-    /// disk accesses in parallel"); batched runs all go out at once.
+    /// disk accesses in parallel"); batched runs all go out at once. The
+    /// first error `reply` returns ends the pipeline only once the rest of
+    /// its wave is taken, so a failed wave strands no reply.
     fn pipeline(
         &mut self,
         ctx: &mut Ctx,
@@ -146,12 +149,15 @@ impl Server {
             for run in wave.iter_mut() {
                 let hints = &self.files[&run.to.file].hints;
                 let hint = run.to.hinted.then(|| hints[run.lfs.index()]).flatten();
-                run.id = self.client.send(ctx, self.lfs_proc(run.lfs), op(run, hint));
+                let cmd = TierCmd::Lfs(op(run, hint));
+                run.id = self.client.send(ctx, self.lfs_proc(run.lfs), cmd);
             }
+            let mut outcome = Ok(());
             for run in wave.iter() {
                 let result = self.client.wait(ctx, self.lfs_proc(run.lfs), run.id);
-                reply(self, ctx, run, result)?;
+                outcome = outcome.and_then(|()| reply(self, ctx, run, result));
             }
+            outcome?;
         }
         Ok(())
     }

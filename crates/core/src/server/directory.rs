@@ -272,7 +272,7 @@ impl Server {
                 files: files.collect(),
                 targets: meta.nodes.iter().map(target).collect(),
             };
-            create_on(ctx, &mut self.fanout, &self.config, &cmd, 0)?;
+            create_on(ctx, &mut self.client, &self.config, &cmd, 0)?;
         }
         self.files.insert(file, meta);
         Ok(BridgeData::Created(file))

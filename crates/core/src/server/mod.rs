@@ -27,14 +27,12 @@ use crate::error::BridgeError;
 use crate::ids::{BridgeFileId, JobId, LfsIndex};
 use crate::placement::PlacementKind;
 use crate::protocol::{
-    reply_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest, CreateRpc, MachineInfo,
-    MachineManifest, ManifestEntry,
+    reply_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest, MachineInfo,
+    MachineManifest, ManifestEntry, TierCmd, TierRpc,
 };
 use crate::redundancy::Redundancy;
 use crate::txlog::TxLog;
-use bridge_efs::{
-    Admission, DedupWindow, EfsError, LfsClient, LfsData, LfsOp, RetryPolicy, RpcClient,
-};
+use bridge_efs::{Admission, DedupWindow, EfsError, LfsData, LfsOp, RetryPolicy, RpcClient};
 use bridge_trace::{HealthEvent, HealthSnapshot, ServerTelemetry, TelemetryRegistry};
 use cursor::{Cursor, Job, PendingAppends};
 use directory::FileMeta;
@@ -141,10 +139,9 @@ struct Server {
     next_job: u64,
     next_start: u32,
     pending: Option<PendingAppends>,
-    client: LfsClient,
-    /// The server's client for Create's fan-out: leaf creates on the LFS
-    /// instances and relay hops to the agents.
-    fanout: RpcClient<CreateRpc>,
+    /// The server's one client to the LFS tier: every LFS operation, and
+    /// Create's relay hops to the agents.
+    client: RpcClient<TierRpc>,
     /// The presumed-abort decision log; `Some` switches every
     /// multi-instance mutation (Create, Delete/DeleteMany) onto the
     /// two-phase commit path.
@@ -192,8 +189,7 @@ pub fn spawn_bridge_server(
             next_job: 1,
             next_start: 0,
             pending: None,
-            client: LfsClient::with_retry(config.lfs_retry),
-            fanout: RpcClient::with_retry(config.lfs_retry),
+            client: RpcClient::with_retry(config.lfs_retry),
             txlog,
             next_txn: 1,
             telemetry,
@@ -202,26 +198,34 @@ pub fn spawn_bridge_server(
         // single-threaded (one dispatch at a time), so a retransmit either
         // finds its original's cached reply here or — having been stashed
         // during the original's dispatch — finds it on the next loop turn.
-        let mut dedup: DedupWindow<BridgeReply> = DedupWindow::standard();
+        let mut dedup: DedupWindow<BridgeReply> = DedupWindow::default();
         loop {
             let env = ctx.recv_where(|e| e.is::<BridgeRequest>());
             let from = env.from();
             let req = env.downcast::<BridgeRequest>().expect("matched type");
             ctx.delay(server.config.cpu_per_request);
-            let reply = match dedup.admit(from, req.id) {
+            let reply = match dedup.admit(from, req.id, req.low) {
                 Admission::New => {
                     let cmd_name = req.cmd.name();
                     let t0 = ctx.now();
                     let result = server.dispatch(ctx, from, req.cmd);
                     trace_served(ctx, cmd_name, t0, result.is_ok(), req.id, from);
+                    debug_assert_eq!(ctx.open_ids(), 0, "{cmd_name} left an LFS call open");
                     let reply = BridgeReply { id: req.id, result };
-                    dedup.complete(from, req.id, ctx.now(), reply.clone());
-                    server.tally(|s| s.note_request(dedup.len() as u64, server.resends()));
+                    dedup.complete(from, req.id, reply.clone());
+                    server.tally(|s| s.note_request(dedup.len() as u64, server.client.resends()));
                     reply
                 }
                 // Single-threaded service means an admitted id is always
                 // completed before the next request is received.
                 Admission::InFlight => unreachable!("request completed before the next receive"),
+                Admission::Stale => {
+                    // Its client awaits it no more: nobody to answer.
+                    if ctx.trace_enabled() {
+                        ctx.trace_instant("retry", "retry.dup_dropped", &[("id", req.id)]);
+                    }
+                    continue;
+                }
                 Admission::Replay(reply) => {
                     // Already executed: resend the recorded outcome rather
                     // than re-running a possibly non-idempotent command.
@@ -290,11 +294,6 @@ impl Server {
         if let Some(reg) = &self.telemetry {
             reg.record_event(ctx.now(), event);
         }
-    }
-
-    /// Requests the server has retransmitted, to LFS instances and agents.
-    fn resends(&self) -> u64 {
-        self.client.resends() + self.fanout.resends()
     }
 
     fn breadth(&self) -> u32 {
@@ -372,7 +371,7 @@ impl Server {
     fn health_snapshot(&self, ctx: &Ctx) -> HealthSnapshot {
         match &self.telemetry {
             Some(reg) => {
-                reg.server().lfs_resends = self.resends();
+                reg.server().lfs_resends = self.client.resends();
                 reg.snapshot(ctx.now(), None)
             }
             None => HealthSnapshot::empty(ctx.now()),
@@ -420,7 +419,7 @@ impl Server {
     ) -> Vec<Result<LfsData, EfsError>> {
         let ids: Vec<(ProcId, u64)> = calls
             .into_iter()
-            .map(|(proc, op)| (proc, self.client.send(ctx, proc, op)))
+            .map(|(proc, op)| (proc, self.client.send(ctx, proc, TierCmd::Lfs(op))))
             .collect();
         ids.into_iter()
             .map(|(proc, id)| self.client.wait(ctx, proc, id))

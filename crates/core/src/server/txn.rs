@@ -6,6 +6,7 @@ use super::directory::FileMeta;
 use super::Server;
 use crate::error::BridgeError;
 use crate::ids::BridgeFileId;
+use crate::protocol::TierCmd;
 use crate::redundancy::Redundancy;
 use crate::txlog::TxParticipant;
 use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp, PrepareIntent};
@@ -129,10 +130,10 @@ impl Server {
                 let id = self.client.send(
                     ctx,
                     proc,
-                    LfsOp::Prepare {
+                    TierCmd::Lfs(LfsOp::Prepare {
                         txn,
                         intent: p.intent.clone(),
-                    },
+                    }),
                 );
                 pending.push((proc, id));
             }
@@ -276,7 +277,7 @@ impl Server {
             );
         }
         for &(_, id) in pending {
-            self.client.forget(id);
+            self.client.forget(ctx, id);
         }
         ctx.delay(down);
         // Everything delivered while the node was down is lost.

@@ -4,10 +4,10 @@
 
 use bridge_core::{
     BridgeClient, BridgeConfig, BridgeError, BridgeFileId, BridgeMachine, CreateSpec, JobDeliver,
-    PlacementSpec, Redundancy,
+    PlacementKind, PlacementSpec, Redundancy,
 };
 use bridge_efs::EfsError;
-use parsim::{Ctx, ProcId};
+use parsim::{Ctx, ProcId, SimDuration};
 
 fn record(tag: u32, block: u64) -> Vec<u8> {
     let mut data = vec![0u8; 96];
@@ -305,6 +305,53 @@ fn parallel_open_reads_survive_failure() {
         }
         assert_eq!(total, blocks as usize);
     });
+}
+
+/// A lock-step round over an unprotected file with block 0's column
+/// fail-stopped reports `NodeFailed` only after taking the rest of its
+/// wave: the server's next dispatch finds nothing set aside in its mailbox.
+#[test]
+fn a_failed_job_round_strands_no_reply() {
+    let collector = bridge_trace::TraceCollector::install();
+    let mut config = BridgeConfig::paper(8);
+    config.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let server = machine.server;
+    let wnode = machine.frontend;
+    sim.block_on(machine.frontend, "controller", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let file = write_redundant(ctx, &mut bridge, Redundancy::None, 8);
+        let info = bridge.open(ctx, file).unwrap();
+        let PlacementKind::RoundRobin { start } = info.placement else {
+            panic!("round-robin file: {:?}", info.placement);
+        };
+        let workers = (0..8)
+            .map(|i| {
+                ctx.spawn(wnode, format!("w{i}"), |c: &mut Ctx| loop {
+                    c.recv();
+                })
+            })
+            .collect();
+        let job = bridge.parallel_open(ctx, file, workers).unwrap();
+        fail_node(ctx, info.nodes[start as usize].proc, true);
+        let err = bridge.job_read(ctx, job).unwrap_err();
+        assert_eq!(err, BridgeError::Lfs(EfsError::NodeFailed));
+        // Long enough for every other column's reply to have landed.
+        ctx.delay(SimDuration::from_secs(1));
+        bridge.job_close(ctx, job).unwrap();
+    });
+    let trace = collector.snapshot();
+    let close = trace
+        .spans_in("bridge")
+        .filter(|s| s.pid == server.index())
+        .last()
+        .expect("the server traced its dispatches");
+    assert_eq!(close.name, "bridge.job_close");
+    assert_eq!(
+        close.arg("stashed"),
+        Some(0),
+        "the failed round stranded replies"
+    );
 }
 
 /// The small-write read-modify-write reads its two old blocks — the

@@ -17,6 +17,9 @@ use {crate::fs::Efs, simdisk::BlockDevice};
 pub struct LfsRequest {
     /// Client-chosen id echoed in the reply.
     pub id: u64,
+    /// The sending process's mark: no id below it is awaited any more
+    /// ([`Ctx::low_id`]).
+    pub low: u64,
     /// The operation.
     pub op: LfsOp,
 }
@@ -347,7 +350,8 @@ pub fn install_spare(ctx: &mut Ctx, lfs: ProcId) -> bool {
         .installed
 }
 
-/// Wire size charged to a request (block writes carry their blocks).
+/// Wire size charged to a request (block writes carry their blocks). The
+/// 32-byte header holds the id and the mark.
 pub fn request_wire_size(op: &LfsOp) -> usize {
     match op {
         LfsOp::Write { data, .. } => 32 + data.len(),
@@ -383,8 +387,8 @@ impl RpcProtocol for LfsRpc {
         op.name()
     }
     fn post(ctx: &mut Ctx, server: ProcId, id: u64, op: LfsOp) {
-        let bytes = request_wire_size(&op);
-        ctx.send_sized_cloneable(server, LfsRequest { id, op }, bytes);
+        let (bytes, low) = (request_wire_size(&op), ctx.low_id());
+        ctx.send_sized_cloneable(server, LfsRequest { id, low, op }, bytes);
     }
     fn reply_id(reply: &LfsReply) -> u64 {
         reply.id

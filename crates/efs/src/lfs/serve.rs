@@ -55,7 +55,7 @@ pub fn spawn_lfs_sched<D: BlockDevice + 'static>(
 ) -> ProcId {
     sim.spawn(node, name, move |ctx| {
         let mut state = SchedState::new(sched);
-        let mut dedup: DedupWindow<LfsReply> = DedupWindow::standard();
+        let mut dedup: DedupWindow<LfsReply> = DedupWindow::default();
         let mut failed = false;
         loop {
             // Drain the mailbox into the scheduler. Block only when idle.
@@ -109,7 +109,7 @@ pub fn spawn_lfs_sched<D: BlockDevice + 'static>(
                     if installed {
                         // The instance is factory-fresh: no request ever
                         // executed on it, so the dedup window restarts.
-                        dedup = DedupWindow::standard();
+                        dedup = DedupWindow::default();
                         announce(ctx, &efs, |lfs| HealthEvent::SpareInstalled { lfs });
                     }
                     ctx.send_sized(from, LfsSpareAck { installed }, 16);
@@ -122,11 +122,12 @@ pub fn spawn_lfs_sched<D: BlockDevice + 'static>(
                     if failed || efs.media_lost() {
                         refuse(ctx, from, req.id);
                     } else {
-                        match dedup.admit(from, req.id) {
+                        match dedup.admit(from, req.id, req.low) {
                             Admission::New => state.admit(&efs, req, from, delivered_at),
-                            Admission::InFlight => {
-                                // Retransmit of a queued/in-service request:
-                                // the original's reply will serve.
+                            Admission::InFlight | Admission::Stale => {
+                                // Retransmit of a queued/in-service request
+                                // (the original's reply will serve), or one
+                                // its client no longer awaits.
                                 if ctx.trace_enabled() {
                                     ctx.trace_instant(
                                         "retry",
@@ -283,7 +284,7 @@ fn service_batch<D: BlockDevice>(
     state.served_scratch = served;
     efs.publish_telemetry();
     for (from, reply) in replies {
-        dedup.complete(from, reply.id, ctx.now(), reply.clone());
+        dedup.complete(from, reply.id, reply.clone());
         let bytes = reply_wire_size(&reply);
         ctx.send_sized_cloneable(from, reply, bytes);
     }
@@ -344,11 +345,11 @@ fn crash_recover<D: BlockDevice>(
         .recover()
         .expect("recovery replays only committed records");
     let records = recovered.len() as u64;
-    *dedup = DedupWindow::standard();
+    *dedup = DedupWindow::default();
     for op in recovered {
         let client = ProcId::from_index(op.client as usize);
         let (id, result) = (op.id, Ok(op.reply));
-        dedup.restore(client, id, ctx.now(), LfsReply { id, result });
+        dedup.complete(client, id, LfsReply { id, result });
     }
     if ctx.trace_enabled() {
         ctx.trace_instant("lfs", "lfs.recover", &[("records", records)]);

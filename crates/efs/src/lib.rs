@@ -63,7 +63,5 @@ pub use lfs::{
     spawn_lfs_sched, LfsClient, LfsData, LfsFailAck, LfsFailControl, LfsOp, LfsReply, LfsRequest,
     LfsRpc, LfsSpareAck, LfsSpareControl,
 };
-pub use retry::{
-    Admission, DedupWindow, RetryPolicy, RpcClient, RpcProtocol, DEDUP_RETENTION, DEDUP_WINDOW,
-};
+pub use retry::{Admission, DedupWindow, RetryPolicy, RpcClient, RpcProtocol};
 pub use wal::{PrepareIntent, RecoveredOp, WalConfig, WAL_MAGIC};

@@ -9,19 +9,26 @@
 //!   capped exponential backoff, up to a retry budget
 //!   ([`RetryPolicy`]). One engine, [`RpcClient`], runs this for every
 //!   protocol in the machine ([`RpcProtocol`]); the LFS and Bridge
-//!   clients are typed faces on it.
+//!   clients are typed faces on it. Every call also carries the sending
+//!   process's *mark* ([`Ctx::low_id`]): the lowest id it still awaits.
+//!   An id is open from its send until its reply is taken, its budget is
+//!   spent or it is forgotten, whichever [`RpcClient`] of the process
+//!   sent it.
 //! * **Server:** a [`DedupWindow`] remembers, per client, which ids are
-//!   in flight and a ring of recently completed replies. A retransmit of
-//!   an in-flight request is dropped (the original's reply will serve);
-//!   a retransmit of a completed request replays the cached reply instead
-//!   of re-executing — which is what makes retries safe for
-//!   non-idempotent operations (append-writes, deletes).
+//!   in flight and the replies of completed ones at or above the highest
+//!   mark the client has sent. A retransmit of an in-flight request is
+//!   dropped (the original's reply will serve); a retransmit of a
+//!   completed request replays the cached reply instead of re-executing —
+//!   which is what makes retries safe for non-idempotent operations
+//!   (append-writes, deletes); a request below the mark is one nobody
+//!   awaits, and is dropped unanswered. However late a duplicate arrives,
+//!   it lands in one of those three cases, and the window holds no more
+//!   per client than the ids issued since its oldest outstanding call.
 //!
 //! Everything runs on virtual time, so timeouts and backoff are exactly
 //! reproducible.
 
 use parsim::{Ctx, FixedMap, ProcId, SimDuration, SimTime};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Client-side timeout/retry policy for request/reply calls.
@@ -95,8 +102,9 @@ pub trait RpcProtocol {
 
     /// Stable span name of `cmd`; the engine traces `client.<name>`.
     fn name(cmd: &Self::Cmd) -> &'static str;
-    /// Sends `cmd` to `server` as the wire request `id`, charged at the
-    /// protocol's wire size (cloneable, so a fault plan may duplicate it).
+    /// Sends `cmd` to `server` as the wire request `id` carrying the
+    /// sender's mark ([`Ctx::low_id`]), charged at the protocol's wire size
+    /// (cloneable, so a fault plan may duplicate it).
     fn post(ctx: &mut Ctx, server: ProcId, id: u64, cmd: Self::Cmd);
     /// The request id `reply` answers.
     fn reply_id(reply: &Self::Reply) -> u64;
@@ -118,9 +126,10 @@ fn answers<P: RpcProtocol>(server: ProcId, id: u64) -> impl Fn(&parsim::Envelope
 /// The at-least-once client engine: send under a fresh id, trace a
 /// `client.rpc` span, wait for the matching reply, resend the same id
 /// with backoff on timeout, forget. Request ids come from the owning
-/// process's [`Ctx::unique_id`] stream, so they never collide across
+/// process's [`Ctx::open_id`] stream, so they never collide across
 /// client instances in one process — which is what the server-side
-/// [`DedupWindow`] keys on.
+/// [`DedupWindow`] keys on — and the process's mark covers every client
+/// instance in it.
 #[derive(Debug)]
 pub struct RpcClient<P: RpcProtocol> {
     retry: RetryPolicy,
@@ -184,7 +193,7 @@ impl<P: RpcProtocol> RpcClient<P> {
 
     /// Sends `cmd` to `server` and returns the request id.
     pub fn send(&mut self, ctx: &mut Ctx, server: ProcId, cmd: P::Cmd) -> u64 {
-        let id = ctx.unique_id();
+        let id = ctx.open_id();
         if self.retry.is_enabled() {
             self.pending.push(Pending {
                 id,
@@ -215,9 +224,10 @@ impl<P: RpcProtocol> RpcClient<P> {
         self.wait(ctx, server, id)
     }
 
-    /// Abandons an in-flight request: drops the retry and tracing
-    /// bookkeeping for `id` without waiting for its reply.
-    pub fn forget(&mut self, id: u64) {
+    /// Abandons an in-flight request: closes `id` and drops its retry and
+    /// tracing bookkeeping without waiting for its reply.
+    pub fn forget(&mut self, ctx: &mut Ctx, id: u64) {
+        ctx.close_id(id);
         self.pending.retain(|p| p.id != id);
         self.sent.retain(|(s, _, _, _)| *s != id);
     }
@@ -280,6 +290,7 @@ impl<P: RpcProtocol> RpcClient<P> {
             if let Some(env) = env {
                 let at = answered(&env).expect("matched a waiting request");
                 let (server, id) = waiting[at];
+                ctx.close_id(id);
                 if let Some(slot) = self.pending.iter().position(|p| p.id == id) {
                     let done = self.pending.swap_remove(slot);
                     // The network may duplicate replies and earlier
@@ -314,6 +325,7 @@ impl<P: RpcProtocol> RpcClient<P> {
                 let attempts = self.pending[slot].attempts;
                 if attempts >= retry.budget {
                     self.pending.swap_remove(slot);
+                    ctx.close_id(id);
                     if ctx.trace_enabled() {
                         ctx.trace_instant(
                             "retry",
@@ -368,21 +380,6 @@ impl<P: RpcProtocol> RpcClient<P> {
     }
 }
 
-/// How many completed replies a [`DedupWindow`] retains per client
-/// regardless of age.
-pub const DEDUP_WINDOW: usize = 64;
-
-/// How long a [`DedupWindow`] keeps completed replies beyond the ring
-/// capacity. A duplicate the network can still deliver must find its
-/// cached reply even when the client has completed more than
-/// [`DEDUP_WINDOW`] calls in the meantime — operations can finish in
-/// near-zero virtual time on a zero-latency interconnect, so a pure
-/// count-based ring is not enough. The latest a duplicate can arrive is
-/// its fault delay (`delay_max`) plus any outage deferral chain it lands
-/// in, so a *bounded* fault plan must keep that sum below this retention
-/// for replay to be airtight.
-pub const DEDUP_RETENTION: SimDuration = SimDuration::from_secs(4);
-
 /// Verdict of [`DedupWindow::admit`] for an arriving request id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Admission<R> {
@@ -394,148 +391,90 @@ pub enum Admission<R> {
     /// A retransmit of a completed request: resend this cached reply
     /// without re-executing.
     Replay(R),
+    /// An id below the client's mark: the client awaits it no more, so
+    /// drop it unanswered and unexecuted.
+    Stale,
 }
 
-/// Per-client duplicate suppression with a bounded replay cache.
+/// Per-client duplicate suppression, bounded by what each client awaits.
 ///
 /// Keys are `(client process, request id)`; ids must be unique per client
-/// process (see [`Ctx::unique_id`](parsim::Ctx::unique_id)), never reused.
-/// Completed replies are kept per client in a ring of at least `cap`
-/// entries; entries beyond `cap` linger until they are `retention` old in
-/// virtual time, so a retransmit or network duplicate still in flight
-/// (delays are bounded by the fault plan) always finds its cached reply,
-/// however quickly the client churns through calls.
-///
-/// Ids are also monotone per client process, so a first transmission
-/// carries an id above everything the client has completed: `admit` looks
-/// at the ring only for ids at or below the client's high-water mark, and
-/// the common path is one map lookup.
+/// process (see [`Ctx::open_id`](parsim::Ctx::open_id)), never reused.
+/// Every request also carries its sender's mark
+/// ([`Ctx::low_id`](parsim::Ctx::low_id)): no id below it is awaited any
+/// more. The window keeps the highest mark each client has sent, drops that
+/// client's entries below it, and answers [`Admission::Stale`] below it.
+/// So a duplicate however late either replays, waits on its original, or
+/// is one nobody awaits, and a client's share of the window is the ids it
+/// issued since its oldest outstanding call — its pipelining depth, not a
+/// count or a clock.
 #[derive(Debug)]
 pub struct DedupWindow<R> {
-    cap: usize,
-    retention: SimDuration,
     clients: FixedMap<ProcId, ClientWindow<R>>,
 }
 
-/// One client's share of a [`DedupWindow`].
-#[derive(Debug)]
-struct ClientWindow<R> {
-    /// Ids admitted and not yet completed or forgotten (a handful at most:
-    /// the client's pipelining depth toward this server).
-    in_flight: Vec<u64>,
-    /// Completed replies, oldest first.
-    done: VecDeque<(u64, SimTime, R)>,
-    /// Highest id ever pushed onto `done`; no larger id can be in it.
-    high_water: u64,
-}
+/// One client's share of a [`DedupWindow`]: the highest mark it has sent,
+/// and its ids at or above the mark, each in flight (`None`) or completed
+/// with its reply.
+type ClientWindow<R> = (u64, Vec<(u64, Option<R>)>);
 
-impl<R> Default for ClientWindow<R> {
+impl<R> Default for DedupWindow<R> {
     fn default() -> Self {
-        ClientWindow {
-            in_flight: Vec::new(),
-            done: VecDeque::new(),
-            high_water: 0,
+        DedupWindow {
+            clients: FixedMap::default(),
         }
-    }
-}
-
-impl<R> ClientWindow<R> {
-    fn clear_in_flight(&mut self, id: u64) {
-        if let Some(pos) = self.in_flight.iter().position(|&f| f == id) {
-            self.in_flight.swap_remove(pos);
-        }
-    }
-
-    fn push_done(&mut self, id: u64, now: SimTime, reply: R) {
-        self.high_water = self.high_water.max(id);
-        self.done.push_back((id, now, reply));
     }
 }
 
 impl<R: Clone> DedupWindow<R> {
-    /// An empty window retaining `cap` completed replies per client, plus
-    /// any newer than `retention`.
-    pub fn new(cap: usize, retention: SimDuration) -> Self {
-        DedupWindow {
-            cap,
-            retention,
-            clients: FixedMap::default(),
+    /// Raises `client`'s mark to `low`, then classifies request `id` and,
+    /// if new, marks it in flight.
+    pub fn admit(&mut self, client: ProcId, id: u64, low: u64) -> Admission<R> {
+        let (mark, ids) = self.clients.entry(client).or_default();
+        if low > *mark {
+            *mark = low;
+            ids.retain(|&(i, _)| i >= low);
         }
-    }
-
-    /// The standard window: [`DEDUP_WINDOW`] entries held for at least
-    /// [`DEDUP_RETENTION`].
-    pub fn standard() -> Self {
-        Self::new(DEDUP_WINDOW, DEDUP_RETENTION)
-    }
-
-    /// Classifies an arriving request and, if new, marks it in flight.
-    pub fn admit(&mut self, client: ProcId, id: u64) -> Admission<R> {
-        let window = self.clients.entry(client).or_default();
-        if id <= window.high_water {
-            if let Some((_, _, reply)) = window.done.iter().find(|(done_id, _, _)| *done_id == id) {
-                return Admission::Replay(reply.clone());
+        if id < *mark {
+            return Admission::Stale;
+        }
+        match ids.iter().find(|&&(i, _)| i == id) {
+            Some((_, Some(reply))) => Admission::Replay(reply.clone()),
+            Some((_, None)) => Admission::InFlight,
+            None => {
+                ids.push((id, None));
+                Admission::New
             }
         }
-        if window.in_flight.contains(&id) {
-            return Admission::InFlight;
-        }
-        window.in_flight.push(id);
-        Admission::New
     }
 
     /// Records the reply for an executed request so retransmits replay it.
-    /// `now` is the completion's virtual time, used for age-based
-    /// eviction.
-    pub fn complete(&mut self, client: ProcId, id: u64, now: SimTime, reply: R) {
-        let window = self.clients.entry(client).or_default();
-        window.clear_in_flight(id);
-        window.push_done(id, now, reply);
-        while window.done.len() > self.cap {
-            match window.done.front() {
-                Some(&(_, done_at, _)) if now.duration_since(done_at) > self.retention => {
-                    window.done.pop_front();
-                }
-                _ => break,
-            }
+    /// Also seeds the window after a crash recovery with the reply of a
+    /// committed operation reconstructed from the WAL, so a delayed
+    /// duplicate replays instead of re-executing against the recovered
+    /// state. The first reply recorded for an id stays; an id below the
+    /// mark is not recorded.
+    pub fn complete(&mut self, client: ProcId, id: u64, reply: R) {
+        let (mark, ids) = self.clients.entry(client).or_default();
+        match ids.iter_mut().find(|(i, _)| *i == id) {
+            Some((_, slot)) => _ = slot.get_or_insert(reply),
+            None if id >= *mark => ids.push((id, Some(reply))),
+            None => {}
         }
-    }
-
-    /// Seeds the replay cache after a crash recovery: the reply of a
-    /// committed operation reconstructed from the WAL is restored as if
-    /// [`DedupWindow::complete`] had recorded it, so a delayed duplicate
-    /// still in the network replays instead of re-executing against the
-    /// recovered state. Idempotent per id; any stale in-flight mark for
-    /// the id is cleared.
-    pub fn restore(&mut self, client: ProcId, id: u64, now: SimTime, reply: R) {
-        let window = self.clients.entry(client).or_default();
-        window.clear_in_flight(id);
-        if window.done.iter().any(|(done_id, _, _)| *done_id == id) {
-            return;
-        }
-        window.push_done(id, now, reply);
     }
 
     /// Forgets an admitted request that was discarded without executing
     /// (fail-stop drain), so a later retransmit runs it fresh.
     pub fn forget(&mut self, client: ProcId, id: u64) {
-        if let Some(window) = self.clients.get_mut(&client) {
-            window.clear_in_flight(id);
+        if let Some((_, ids)) = self.clients.get_mut(&client) {
+            ids.retain(|(i, reply)| *i != id || reply.is_some());
         }
     }
 
-    /// Requests currently marked in flight (tests, debugging).
-    pub fn in_flight(&self) -> usize {
-        self.clients.values().map(|w| w.in_flight.len()).sum()
-    }
-
-    /// Total entries held: in-flight marks plus cached replies across all
+    /// Total entries held: in-flight ids plus cached replies across all
     /// clients — the occupancy gauge telemetry reports.
     pub fn len(&self) -> usize {
-        self.clients
-            .values()
-            .map(|w| w.in_flight.len() + w.done.len())
-            .sum()
+        self.clients.values().map(|(_, ids)| ids.len()).sum()
     }
 
     /// True when the window holds nothing.
@@ -699,212 +638,224 @@ mod tests {
 
     #[test]
     fn window_classifies_new_inflight_done() {
-        let mut w: DedupWindow<&'static str> = DedupWindow::new(4, SimDuration::ZERO);
-        assert_eq!(w.admit(pid(1), 10), Admission::New);
-        assert_eq!(w.admit(pid(1), 10), Admission::InFlight);
-        assert_eq!(w.admit(pid(2), 10), Admission::New, "keyed per client");
-        w.complete(pid(1), 10, at(0), "reply");
-        assert_eq!(w.admit(pid(1), 10), Admission::Replay("reply"));
-        assert_eq!(w.in_flight(), 1, "client 2's request still open");
-    }
-
-    #[test]
-    fn window_evicts_oldest_aged_out_reply() {
-        let mut w: DedupWindow<u64> = DedupWindow::new(2, SimDuration::from_millis(10));
-        for id in 0..3u64 {
-            assert_eq!(w.admit(pid(1), id), Admission::New);
-            w.complete(pid(1), id, at(id * 100), id * 100);
-        }
-        assert_eq!(w.admit(pid(1), 0), Admission::New, "evicted: runs fresh");
-        assert_eq!(w.admit(pid(1), 2), Admission::Replay(200));
-    }
-
-    #[test]
-    fn window_retains_young_overflow_entries() {
-        let mut w: DedupWindow<u64> = DedupWindow::new(2, SimDuration::from_secs(1));
-        for id in 0..50u64 {
-            assert_eq!(w.admit(pid(1), id), Admission::New);
-            // All completions within one retention window: nothing may be
-            // evicted even though the ring capacity is 2.
-            w.complete(pid(1), id, at(id), id);
-        }
-        assert_eq!(w.admit(pid(1), 0), Admission::Replay(0));
-        // Once completions move past the retention horizon, old entries go.
-        w.admit(pid(1), 99);
-        w.complete(pid(1), 99, at(5000), 99);
-        assert_eq!(w.admit(pid(1), 0), Admission::New, "aged out: runs fresh");
-        assert_eq!(w.admit(pid(1), 99), Admission::Replay(99));
+        let mut w: DedupWindow<&'static str> = DedupWindow::default();
+        assert_eq!(w.admit(pid(1), 10, 10), Admission::New);
+        assert_eq!(w.admit(pid(1), 10, 10), Admission::InFlight);
+        assert_eq!(w.admit(pid(2), 10, 10), Admission::New, "keyed per client");
+        w.complete(pid(1), 10, "reply");
+        assert_eq!(w.admit(pid(1), 10, 10), Admission::Replay("reply"));
+        assert_eq!(w.len(), 2, "client 2's request still open");
+        // Client 1's mark passes 10: its reply goes, a late copy is stale,
+        // and client 2's share is untouched.
+        assert_eq!(w.admit(pid(1), 11, 11), Admission::New);
+        assert_eq!(w.admit(pid(1), 10, 10), Admission::Stale);
+        assert_eq!(w.admit(pid(2), 10, 10), Admission::InFlight);
+        assert_eq!(w.len(), 2);
     }
 
     #[test]
     fn forget_reopens_an_id() {
-        let mut w: DedupWindow<u64> = DedupWindow::new(2, SimDuration::ZERO);
-        assert_eq!(w.admit(pid(1), 5), Admission::New);
+        let mut w: DedupWindow<u64> = DedupWindow::default();
+        assert_eq!(w.admit(pid(1), 5, 5), Admission::New);
         w.forget(pid(1), 5);
-        assert_eq!(w.admit(pid(1), 5), Admission::New);
+        assert_eq!(w.admit(pid(1), 5, 5), Admission::New);
     }
-    /// The reference: the window as it stood before the per-client
-    /// high-water mark — a global in-flight set, and a reply ring that
-    /// every `admit` scans.
-    struct RingModel {
-        cap: usize,
-        retention: SimDuration,
+
+    /// The reference for an unbounded delay: a window that keeps every
+    /// completed reply forever, beside the highest mark each client sent.
+    #[derive(Default)]
+    struct ForeverModel {
+        low: HashMap<ProcId, u64>,
         in_flight: HashSet<(ProcId, u64)>,
-        done: HashMap<ProcId, VecDeque<(u64, SimTime, u64)>>,
+        done: HashMap<(ProcId, u64), u64>,
     }
 
-    impl RingModel {
-        fn admit(&mut self, client: ProcId, id: u64) -> Admission<u64> {
-            if let Some(ring) = self.done.get(&client) {
-                if let Some(&(_, _, reply)) = ring.iter().find(|(done_id, _, _)| *done_id == id) {
-                    return Admission::Replay(reply);
-                }
+    impl ForeverModel {
+        /// `Stale` below the client's mark, else the verdict of a window
+        /// that never forgets.
+        fn admit(&mut self, client: ProcId, id: u64, low: u64) -> Admission<u64> {
+            let mark = self.low.entry(client).or_default();
+            *mark = (*mark).max(low);
+            if id < *mark {
+                Admission::Stale
+            } else if let Some(&reply) = self.done.get(&(client, id)) {
+                Admission::Replay(reply)
+            } else if self.in_flight.insert((client, id)) {
+                Admission::New
+            } else {
+                Admission::InFlight
             }
-            if !self.in_flight.insert((client, id)) {
-                return Admission::InFlight;
-            }
-            Admission::New
         }
 
-        fn complete(&mut self, client: ProcId, id: u64, now: SimTime, reply: u64) {
+        fn complete(&mut self, client: ProcId, id: u64, reply: u64) {
             self.in_flight.remove(&(client, id));
-            let ring = self.done.entry(client).or_default();
-            ring.push_back((id, now, reply));
-            while ring.len() > self.cap {
-                match ring.front() {
-                    Some(&(_, done_at, _)) if now.duration_since(done_at) > self.retention => {
-                        ring.pop_front();
-                    }
-                    _ => break,
-                }
-            }
+            self.done.entry((client, id)).or_insert(reply);
         }
 
-        fn restore(&mut self, client: ProcId, id: u64, now: SimTime, reply: u64) {
-            self.in_flight.remove(&(client, id));
-            let ring = self.done.entry(client).or_default();
-            if !ring.iter().any(|(done_id, _, _)| *done_id == id) {
-                ring.push_back((id, now, reply));
-            }
-        }
-
-        fn forget(&mut self, client: ProcId, id: u64) {
-            self.in_flight.remove(&(client, id));
-        }
-
-        fn len(&self) -> usize {
-            self.in_flight.len() + self.done.values().map(VecDeque::len).sum::<usize>()
+        /// Completed ids at or above their client's mark.
+        fn live_done(&self) -> usize {
+            let mark = |c: &ProcId| self.low.get(c).copied().unwrap_or(0);
+            self.done.keys().filter(|(c, id)| *id >= mark(c)).count()
         }
     }
 
     #[derive(Debug, Clone)]
     enum WindowOp {
-        /// A first transmission: the client's next fresh id.
-        AdmitFresh,
-        /// A retransmit or late duplicate of an id already issued, chosen
-        /// by position — often far below the high-water mark.
-        AdmitOld(usize),
-        /// Completes an in-flight id chosen by position (so completions
-        /// run out of order).
+        /// The client's next fresh id, delivered now or (when false) only
+        /// by a later `Deliver`.
+        Send(bool),
+        /// A retransmit of an id the client still awaits, chosen by
+        /// position, carrying the client's mark of the moment.
+        Resend(usize),
+        /// A late or duplicated delivery of any copy ever sent, with the
+        /// mark it was sent under.
+        Deliver(usize),
+        /// The server completes an id it holds open, chosen by position
+        /// (so completions run out of order).
         Complete(usize),
+        /// The server drops an id it holds open without executing it.
         Forget(usize),
-        /// Recovery re-seeding an id already issued.
+        /// Recovery re-seeds the reply of any id ever sent.
         Restore(usize),
-        /// Lets virtual time pass.
-        Tick(u64),
+        /// The client stops awaiting an id (reply taken, budget spent or
+        /// forgotten), which may advance its mark.
+        Close(usize),
     }
 
     fn window_op() -> impl Strategy<Value = WindowOp> {
+        // Arms repeat to weight them: sends, deliveries, completions and
+        // closes are the common case.
         prop_oneof![
-            // Two arms of eight: fresh ids are the common case.
-            (0u8..1).prop_map(|_| WindowOp::AdmitFresh),
-            (0u8..1).prop_map(|_| WindowOp::AdmitFresh),
-            (0usize..64).prop_map(WindowOp::AdmitOld),
+            any::<bool>().prop_map(WindowOp::Send),
+            any::<bool>().prop_map(WindowOp::Send),
+            any::<bool>().prop_map(WindowOp::Send),
+            (0usize..8).prop_map(WindowOp::Resend),
+            (0usize..64).prop_map(WindowOp::Deliver),
+            (0usize..64).prop_map(WindowOp::Deliver),
             (0usize..8).prop_map(WindowOp::Complete),
             (0usize..8).prop_map(WindowOp::Complete),
             (0usize..8).prop_map(WindowOp::Forget),
             (0usize..64).prop_map(WindowOp::Restore),
-            (0u64..40).prop_map(WindowOp::Tick),
+            (0usize..8).prop_map(WindowOp::Close),
+            (0usize..8).prop_map(WindowOp::Close),
         ]
+    }
+
+    /// One client's side of the protocol as the window must see it.
+    #[derive(Default)]
+    struct ClientSide {
+        next: u64,
+        /// Ids sent and still awaited, ascending: the first is the mark.
+        awaited: Vec<u64>,
+        /// Every copy put on the wire: `(id, mark at its send)`.
+        copies: Vec<(u64, u64)>,
+        /// Ids the server admitted as new and has not completed or
+        /// forgotten.
+        open: Vec<u64>,
+    }
+
+    impl ClientSide {
+        fn mark(&self) -> u64 {
+            self.awaited.first().copied().unwrap_or(self.next + 1)
+        }
+
+        /// Delivers one copy of `id` sent under mark `low` to both windows.
+        fn deliver(
+            &mut self,
+            client: ProcId,
+            window: &mut DedupWindow<u64>,
+            model: &mut ForeverModel,
+            (id, low): (u64, u64),
+        ) -> Admission<u64> {
+            let verdict = window.admit(client, id, low);
+            assert_eq!(verdict, model.admit(client, id, low), "id {id} low {low}");
+            if verdict == Admission::New {
+                self.open.push(id);
+            }
+            verdict
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-        /// Same admissions and the same occupancy as the ring model under
-        /// random interleavings from two clients: out-of-order completion,
-        /// replays below the high-water mark, ids evicted by the
-        /// `cap`/`retention` rule running fresh, forget and restore.
+        /// Under random interleavings from two clients — fresh and late
+        /// deliveries, resends, out-of-order completion, forget, restore,
+        /// and marks advancing as clients stop awaiting — the window gives
+        /// the forever model's verdict on every id at or above the
+        /// client's mark and `Stale` below it, never calls an awaited id
+        /// stale, and holds no more than the ids the server has open plus
+        /// the completed ones at or above the marks.
         #[test]
-        fn window_matches_ring_model(
-            cap in 1usize..5,
-            retention_ms in 0u64..30,
+        fn window_matches_unbounded_model(
             ops in proptest::collection::vec((0usize..2, window_op()), 1..300),
         ) {
-            let retention = SimDuration::from_millis(retention_ms);
-            let mut window: DedupWindow<u64> = DedupWindow::new(cap, retention);
-            let mut model = RingModel {
-                cap,
-                retention,
-                in_flight: HashSet::new(),
-                done: HashMap::new(),
-            };
-            let mut now = 0u64;
-            // Per client: every id issued so far (monotone, as
-            // `Ctx::unique_id` hands them out) and those now in flight.
-            let mut issued: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-            let mut open: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+            let mut window: DedupWindow<u64> = DedupWindow::default();
+            let mut model = ForeverModel::default();
+            let mut clients: [ClientSide; 2] = Default::default();
             for (c, op) in ops {
                 let client = pid(c + 1);
+                let side = &mut clients[c];
                 let pick = |list: &[u64], n: usize| (!list.is_empty()).then(|| list[n % list.len()]);
                 match op {
-                    WindowOp::AdmitFresh => {
-                        let id = issued[c].len() as u64 + 1;
-                        issued[c].push(id);
-                        open[c].push(id);
-                        prop_assert_eq!(window.admit(client, id), Admission::New);
-                        prop_assert_eq!(model.admit(client, id), Admission::New);
+                    WindowOp::Send(now) => {
+                        side.next += 1;
+                        let id = side.next;
+                        side.awaited.push(id);
+                        let copy = (id, side.mark());
+                        side.copies.push(copy);
+                        if now {
+                            let verdict = side.deliver(client, &mut window, &mut model, copy);
+                            prop_assert_eq!(verdict, Admission::New);
+                        }
                     }
-                    WindowOp::AdmitOld(n) => {
-                        if let Some(id) = pick(&issued[c], n) {
-                            let verdict = window.admit(client, id);
-                            prop_assert_eq!(&verdict, &model.admit(client, id));
-                            if verdict == Admission::New && !open[c].contains(&id) {
-                                open[c].push(id);
+                    WindowOp::Resend(n) => {
+                        if let Some(id) = pick(&side.awaited, n) {
+                            let copy = (id, side.mark());
+                            side.copies.push(copy);
+                            let verdict = side.deliver(client, &mut window, &mut model, copy);
+                            prop_assert_ne!(verdict, Admission::Stale);
+                        }
+                    }
+                    WindowOp::Deliver(n) => {
+                        if !side.copies.is_empty() {
+                            let copy = side.copies[n % side.copies.len()];
+                            side.deliver(client, &mut window, &mut model, copy);
+                        }
+                    }
+                    WindowOp::Complete(n) | WindowOp::Forget(n) => {
+                        if let Some(id) = pick(&side.open, n) {
+                            side.open.retain(|&o| o != id);
+                            if matches!(op, WindowOp::Complete(_)) {
+                                window.complete(client, id, id * 10);
+                                model.complete(client, id, id * 10);
+                            } else {
+                                window.forget(client, id);
+                                model.in_flight.remove(&(client, id));
                             }
                         }
                     }
-                    WindowOp::Complete(n) => {
-                        if let Some(id) = pick(&open[c], n) {
-                            open[c].retain(|&o| o != id);
-                            window.complete(client, id, at(now), id * 10);
-                            model.complete(client, id, at(now), id * 10);
-                        }
-                    }
-                    WindowOp::Forget(n) => {
-                        if let Some(id) = pick(&open[c], n) {
-                            open[c].retain(|&o| o != id);
-                            window.forget(client, id);
-                            model.forget(client, id);
-                        }
-                    }
                     WindowOp::Restore(n) => {
-                        if let Some(id) = pick(&issued[c], n) {
-                            open[c].retain(|&o| o != id);
-                            window.restore(client, id, at(now), id * 10 + 1);
-                            model.restore(client, id, at(now), id * 10 + 1);
+                        if !side.copies.is_empty() {
+                            let (id, _) = side.copies[n % side.copies.len()];
+                            side.open.retain(|&o| o != id);
+                            window.complete(client, id, id * 10 + 1);
+                            model.complete(client, id, id * 10 + 1);
                         }
                     }
-                    WindowOp::Tick(ms) => now += ms,
+                    WindowOp::Close(n) => {
+                        if let Some(id) = pick(&side.awaited, n) {
+                            side.awaited.retain(|&a| a != id);
+                        }
+                    }
                 }
-                prop_assert_eq!(window.len(), model.len());
-                prop_assert_eq!(window.in_flight(), model.in_flight.len());
+                let open: usize = clients.iter().map(|s| s.open.len()).sum();
+                prop_assert!(window.len() <= open + model.live_done());
             }
-            // Closing sweep: every id ever issued gets the model's verdict,
-            // evicted ones (New), cached ones (Replay) and open ones alike.
-            for (c, ids) in issued.iter().enumerate() {
-                for &id in ids {
-                    prop_assert_eq!(window.admit(pid(c + 1), id), model.admit(pid(c + 1), id));
+            // Closing sweep: every copy ever sent gets the model's verdict.
+            for (c, side) in clients.iter().enumerate() {
+                for &(id, low) in &side.copies {
+                    prop_assert_eq!(window.admit(pid(c + 1), id, low), model.admit(pid(c + 1), id, low));
                 }
             }
         }

@@ -147,6 +147,7 @@ fn retransmit_of_a_completed_request_replays_the_cached_reply() {
     sim.block_on(nodes[1], "client", move |ctx| {
         let req = LfsRequest {
             id: ctx.unique_id(),
+            low: 0,
             op: LfsOp::Create { file: LfsFileId(1) },
         };
         for round in 0..2 {

@@ -175,6 +175,8 @@ pub struct Ctx {
     tracer: TracerHandle,
     /// Next value handed out by [`Ctx::unique_id`].
     next_unique: u64,
+    /// Ids drawn by [`Ctx::open_id`] and not yet closed, ascending.
+    open: VecDeque<u64>,
 }
 
 impl Ctx {
@@ -188,6 +190,7 @@ impl Ctx {
             rng: SmallRng::seed_from_u64(rng_seed),
             tracer,
             next_unique: 0,
+            open: VecDeque::new(),
         }
     }
 
@@ -398,6 +401,34 @@ impl Ctx {
     pub fn unique_id(&mut self) -> u64 {
         self.next_unique += 1;
         self.next_unique
+    }
+
+    /// A [`Ctx::unique_id`] for a request this process will await: it holds
+    /// [`Ctx::low_id`] down until [`Ctx::close_id`] releases it.
+    pub fn open_id(&mut self) -> u64 {
+        let id = self.unique_id();
+        self.open.push_back(id);
+        id
+    }
+
+    /// Releases an id from [`Ctx::open_id`]: its reply was taken or it was
+    /// given up on. Closing an id twice, or one never opened, is a no-op.
+    pub fn close_id(&mut self, id: u64) {
+        if let Some(pos) = self.open.iter().position(|&o| o == id) {
+            self.open.remove(pos);
+        }
+    }
+
+    /// The process's mark: its lowest open id, or the next id to be drawn
+    /// when none is open. No id below it is awaited any more, so a server
+    /// may forget every reply below it and drop any request below it.
+    pub fn low_id(&self) -> u64 {
+        self.open.front().copied().unwrap_or(self.next_unique + 1)
+    }
+
+    /// Ids opened by [`Ctx::open_id`] and not yet closed.
+    pub fn open_ids(&self) -> usize {
+        self.open.len()
     }
 
     /// Receives the next message, blocking in virtual time until one is

@@ -264,6 +264,31 @@ fn unique_ids_are_process_local_and_monotonic() {
     assert_eq!(ids, vec![1, 2, 3, 4]);
 }
 
+/// The mark is the lowest open id: plain unique ids never hold it, ids
+/// close in any order, and with nothing open it is the next id to draw.
+#[test]
+fn low_id_is_the_lowest_open_id() {
+    let mut sim = Simulation::new(SimConfig::default());
+    let n = sim.add_node("n");
+    let lows = sim.block_on(n, "main", |ctx| {
+        let mut lows = vec![ctx.low_id()];
+        let a = ctx.open_id();
+        ctx.unique_id();
+        let b = ctx.open_id();
+        lows.push(ctx.low_id());
+        ctx.close_id(b);
+        lows.push(ctx.low_id());
+        let c = ctx.open_id();
+        ctx.close_id(a);
+        lows.push(ctx.low_id());
+        ctx.close_id(c);
+        ctx.close_id(c);
+        lows.push(ctx.low_id());
+        (lows, ctx.open_ids())
+    });
+    assert_eq!(lows, (vec![1, 1, 1, 4, 5], 0));
+}
+
 #[test]
 fn recv_where_timeout_stashes_and_expires() {
     let mut sim = Simulation::new(SimConfig {

@@ -35,7 +35,7 @@
 use bridge_repro::core::{
     fan_groups, BridgeClient, BridgeConfig, CreateSpec, PlacementSpec, Redundancy, RetryPolicy,
 };
-use bridge_repro::efs::{LfsClient, LfsData, LfsOp};
+use bridge_repro::efs::{LfsClient, LfsData, LfsFileId, LfsOp};
 use bridge_repro::parsim::{
     BlockFaultRule, CrashAt, DiskFaults, FaultPlan, MsgFaults, NodeId, Outage, OutageKind,
     RunStats, SimDuration, SimTime,
@@ -61,9 +61,10 @@ const CHAOS: Soak = Soak::new("CHAOS", 0x00B2_1D6E, 6, "seed");
 const CRASH: Soak = Soak::new("CRASH", 0x00C4_A5F0, 4, "crashseed");
 
 /// A bounded fault plan: the envelope class alone. Every knob stays inside
-/// the convergence envelope: drop runs are capped, outage windows are
-/// short (their sum plus `delay_max` is far below the servers' dedup
-/// retention), and disk error bursts stay under the driver retry limit.
+/// the convergence envelope: drop runs are capped, outage windows end, and
+/// disk error bursts stay under the driver retry limit. A duplicate's lag
+/// needs no bound: however late it lands, the servers' windows replay it
+/// or drop it (`watermark_long_delay_duplicates_never_rerun`).
 fn plan_from_seed(seed: u64) -> FaultPlan {
     FaultPlan::seeded(seed).envelope(BREADTH)
 }
@@ -633,6 +634,118 @@ fn tree_survives_a_leaf_crash_mid_fan_out() {
             "kill after write {after_writes} never fired"
         );
     }
+}
+
+/// Duplicates and delays of up to 12 virtual seconds, and no drops.
+fn long_delay_plan() -> FaultPlan {
+    FaultPlan {
+        msg: MsgFaults {
+            dup_per_mille: 100,
+            delay_per_mille: 30,
+            delay_max: SimDuration::from_secs(12),
+            ..MsgFaults::default()
+        },
+        ..FaultPlan::seeded(27)
+    }
+}
+
+/// 160 appends and 20 creates, one call every 40 virtual ms: well over 64
+/// non-idempotent calls per client, over well over 4 virtual seconds, so a
+/// request delayed for seconds lands long after its resend completed and
+/// scores of calls after it.
+fn run_long_delay_workload(config: &BridgeConfig) -> Run {
+    run(config, |c| {
+        let file = c.create(CreateSpec::default());
+        for i in 0..160u64 {
+            c.append(file, "append", i..i + 1, |i| content(0x5A, i, WIDE));
+            if i % 8 == 7 {
+                let extra = c.create(CreateSpec::default());
+                c.log.push(format!("create -> {extra:?}"));
+            }
+            c.ctx.delay(SimDuration::from_millis(40));
+        }
+        c.read_back(file, "read");
+    })
+}
+
+/// However late a duplicate lands, it never runs twice: each server's
+/// window drops every request below its client's mark, so a delay far
+/// past any count or clock a window could keep changes timing only — no
+/// double append, no spurious create.
+#[test]
+fn watermark_long_delay_duplicates_never_rerun() {
+    let plan = long_delay_plan();
+    let base = run_long_delay_workload(&instant());
+    let faulted = run_long_delay_workload(&instant().with_faults(plan.clone()));
+    assert_same("long delay", &base, &faulted, &plan, None);
+    assert!(
+        faulted.stats.end_time > base.stats.end_time,
+        "the plan was inert"
+    );
+}
+
+/// Two clients in one process pipeline appends to one LFS under a dup and
+/// delay storm, one client's call open across the other's round trip. The
+/// mark is the process's, so neither client's calls make the other's
+/// retransmits look stale: every call is answered, and the LFS runs every
+/// request exactly once.
+#[test]
+fn watermark_two_clients_in_one_process_share_a_mark() {
+    const CALLS: u32 = 48;
+    let collector = TraceCollector::install();
+    let plan = FaultPlan {
+        msg: dup_delay_storm(),
+        ..FaultPlan::seeded(28)
+    };
+    let mut config = instant().with_faults(plan);
+    config.tracer = Some(collector.as_tracer());
+    run(&config, |c| {
+        let lfs = c.lfs[0].0;
+        let mut clients = [
+            LfsClient::with_retry(c.retry),
+            LfsClient::with_retry(c.retry),
+        ];
+        let files = [LfsFileId(900), LfsFileId(901)];
+        for (client, &file) in clients.iter_mut().zip(&files) {
+            client
+                .call(c.ctx, lfs, LfsOp::Create { file })
+                .expect("create");
+        }
+        let append = |file, block: u32| LfsOp::Write {
+            file,
+            block,
+            data: content(0x2C, u64::from(block), WIDE).into(),
+            hint: None,
+        };
+        for block in 0..CALLS {
+            let open = clients[1].send(c.ctx, lfs, append(files[1], block));
+            let [a, b] = &mut clients;
+            a.call(c.ctx, lfs, append(files[0], block)).expect("a");
+            b.wait(c.ctx, lfs, open).expect("b");
+        }
+        for (client, &file) in clients.iter_mut().zip(&files) {
+            let stat = client.call(c.ctx, lfs, LfsOp::Stat { file });
+            let Ok(LfsData::Info(info)) = stat else {
+                panic!("stat {file:?}: {stat:?}");
+            };
+            assert_eq!(info.size, CALLS, "{file:?}: an append was lost or doubled");
+        }
+    });
+    let trace = collector.snapshot();
+    let mut served: Vec<u64> = trace
+        .spans_in("lfs")
+        .filter(|s| s.name == "lfs.queue_wait")
+        .filter(|s| {
+            s.arg("client")
+                .is_some_and(|p| trace.proc_name(p as usize) == "client")
+        })
+        .map(|s| s.arg("id").expect("queue spans carry the id"))
+        .collect();
+    let total = served.len();
+    served.sort_unstable();
+    served.dedup();
+    assert_eq!(served.len(), total, "a request ran twice");
+    assert_eq!(total as u32, 2 + 2 * CALLS + 2, "a request never ran");
 }
 
 proptest! {
