@@ -313,8 +313,8 @@ const FAULTED: Pinned = Pinned {
     server: ServerTelemetry {
         ops: 206,
         replays: 8,
-        dedup_occupancy: 72,
-        dedup_peak: 97,
+        dedup_occupancy: 1,
+        dedup_peak: 1,
         txns_begun: 65,
         txns_committed: 65,
         txns_aborted: 0,
@@ -497,97 +497,97 @@ const FAULTED: Pinned = Pinned {
         (573, ""),
     ],
     resends_arc: &[],
-    render_hash: 0x10b8044da2ce06f5,
+    render_hash: 0xced61b6da4423598,
     frame_hashes: &[
         0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x7db6984a, 0x1a94ea36,
-        0x7aa4dd97, 0x0783cb97, 0x3a18651e, 0x647378ca, 0x3f4a48c0, 0xcebfab7f, 0x9a37e713,
-        0x0d7656c2, 0xfee124d2, 0xc1c5b307, 0x0385812f, 0xffcdd96c, 0x56ab3b0c, 0x7b1543fc,
-        0xee29ff10, 0x14c9a629, 0x6c9d62f5, 0x3cd0335c, 0xf7072bfc, 0xb744b09d, 0xb5d4ac24,
-        0xfd60997a, 0x13fb0bdb, 0xf3cb6289, 0x4950348f, 0xb270acf5, 0xcfa20c38, 0x71955f54,
-        0xf20cdfaf, 0xa8abb7c4, 0x25eae72b, 0x51611b70, 0xa8d0ac51, 0xa196eec8, 0x272a25a8,
-        0x08be642d, 0x8fcb2dba, 0x53da5481, 0xf5354131, 0x8009e02a, 0xa5f0deb9, 0x57aa8c73,
-        0x199b4e47, 0xd86ec0e1, 0x1155ab35, 0x8160b313, 0x901d250b, 0xcc334eeb, 0x4a33ecde,
-        0xc31c8478, 0xe49ba356, 0x03bab685, 0x27908e28, 0xc7a487c5, 0x1d999519, 0xe7b170e7,
-        0x077a1dfd, 0x1b7dbabf, 0xc1d2b5c5, 0x79be199c, 0x498aad35, 0x3e4aec4f, 0xf885c2bc,
-        0x8c5c304b, 0x20a46404, 0x91df49d1, 0x41258366, 0x6f68c85b, 0x9fdf07d5, 0xf3034757,
-        0x4a16cf5c, 0xf844f287, 0xa0450c38, 0x9d8c0297, 0x6afcb492, 0x7d42611f, 0xe2b3488d,
-        0x59ed979e, 0x9ad9d5cc, 0x1c15fdfe, 0xb171ac97, 0x6aaeb8e5, 0x8e106ef2, 0xb3f1716e,
-        0xdb8a56c7, 0x9f2e55d0, 0xec20a53a, 0x86b77d7d, 0xb44512c8, 0xa3a70753, 0x58ffa7d7,
-        0x67e46f8b, 0x012a1255, 0xcfe05cbc, 0x0f4eee2d, 0x5b368668, 0xe798ef5b, 0x48a13dab,
-        0x17a88eaa, 0x9be4ed08, 0x67fbdd36, 0x13c303c0, 0xa3445266, 0xe2da4697, 0x9f01fa98,
-        0xbf787eff, 0x147f4ed9, 0x5773c513, 0xf1608687, 0x393fde5c, 0xa88c71aa, 0x9646657c,
-        0xc966982d, 0x6d462f74, 0x5a5aabb0, 0xbbca3823, 0x97d2a31c, 0x95a156b5, 0x1a358b3b,
-        0xcb1de9f0, 0xe4db4a45, 0x1cb4fd4b, 0x20e4a08c, 0xf273fb71, 0x0b7bc8c6, 0x8c988a16,
-        0xb4fd437f, 0x09fd10a7, 0xc93fde2a, 0xbd2eff1b, 0x07494dbf, 0xec8e67da, 0x1d984d7b,
-        0xb01afd5d, 0x9f606a13, 0x224918e7, 0x3be2aea1, 0xd7da7aeb, 0xb3652941, 0x5a4fa8c2,
-        0x32380685, 0x67f71b93, 0xea35195b, 0x86e1bc0a, 0x5cca588d, 0x4024d3e5, 0x1db5ef96,
-        0xe9e81a18, 0x4ed4bc73, 0x984963af, 0x4d096bb5, 0x453e088a, 0xc3280138, 0xa1678ac7,
-        0x711e10c8, 0x03456d22, 0xea5c0664, 0xa26a858e, 0x522719a9, 0xd042842d, 0x0dca97cb,
-        0xcd383686, 0x7334d489, 0x5a540397, 0x09224555, 0x169cd28e, 0x18ce507a, 0x72546f1b,
-        0xc881993d, 0x5b80fde7, 0x221313a7, 0x2c823a81, 0x7f333144, 0x51359ce4, 0x62998af6,
-        0xf612432e, 0x95922b65, 0xc334452e, 0xaa129fc0, 0x12fd536f, 0x037d9e38, 0x6945bbdd,
-        0x492504cd, 0x52c176c1, 0x993a9e37, 0xdcc7165c, 0x62f4a8ff, 0x83d7ab36, 0x65426e60,
-        0x171f8ceb, 0x743d14b1, 0x2bbd7341, 0xc8940f6f, 0x3f43d4b7, 0x5eaf8383, 0x055f05bd,
-        0x1b9aec73, 0x9ef08669, 0x1ce80053, 0x0c30981c, 0x10dc785d, 0x7429848a, 0x757f3672,
-        0xaed5a051, 0xb2205528, 0xa1446e64, 0x7f0bc062, 0x5b2b3b7d, 0x520b666c, 0xe4acf240,
-        0xe85b62fa, 0x86e428f8, 0xf7a2d4c2, 0x38c3ede5, 0xa7d5e51c, 0x43cd2328, 0xc08b09fe,
-        0x6ca11b66, 0x7efb5ed8, 0x7a2aa2ec, 0x55ec8f55, 0x26d30927, 0xeb32be9b, 0x7d48c76f,
-        0x166c056e, 0x435803b4, 0x0909a286, 0x2d940832, 0x68d4d13f, 0x48d79199, 0x338d1bd9,
-        0xfb143252, 0x99fb23ee, 0xc4d85c79, 0x4edfd969, 0x42ad9733, 0x0042ce40, 0x03087d8f,
-        0x09bd1974, 0x6db5fc39, 0xa38526f6, 0x610d06fc, 0x1d2ee993, 0x6e890f3a, 0xe0bb3a71,
-        0x41ae12eb, 0x5f6b2eef, 0xe49313f4, 0x3dac49bb, 0x89bf6bf2, 0x2f00e256, 0xaa767a2f,
-        0xc8dee5c4, 0x731d8e3f, 0xce6163dd, 0x431c0e5f, 0xdce240cc, 0x860230da, 0x3e4ee68b,
-        0x698d3805, 0xe1c9afe0, 0xf9f64e87, 0xcea49654, 0x4d960a85, 0x0965c2a0, 0xfd64008c,
-        0x3a12f0cc, 0x5d6b35b2, 0x9f4eae8c, 0x762dd3f6, 0x96a34c85, 0x21f0181d, 0x41752f96,
-        0x230f8585, 0xdb67bab0, 0x98648ad2, 0xafc35206, 0x8e81f11e, 0x27202f02, 0x625c2616,
-        0x1afdaabb, 0xb978ea9c, 0xc3b5322a, 0xcfe41fa9, 0x90dbd1d3, 0xbe7af7a9, 0x7266df0f,
-        0xa47b5b73, 0xe4d098e1, 0x5fbed6c5, 0x727a75f0, 0x385ed4be, 0xb32302f3, 0x57a1398a,
-        0x09737b78, 0x76e8586d, 0xbadab8ee, 0xadbe8e34, 0x9d2ee0bb, 0x295464d5, 0x2a8298fd,
-        0x90d9f5cc, 0xa7792e3c, 0x717d907d, 0x5a73fcc7, 0x4024f674, 0x9b20e79b, 0xda3abc37,
-        0xb7ecbcbc, 0xcf495d6d, 0xc5463248, 0xe41500cb, 0xfcf8b4b9, 0x511245ad, 0xc2f53f5b,
-        0xb6a24e0d, 0x70fdea31, 0xaf32c46d, 0x0904e1e9, 0x957209b3, 0x737e281b, 0xbb6fef54,
-        0xa2273151, 0x51b6578c, 0xe19c7a44, 0x611a7234, 0x1f128a02, 0x6fe0e5e1, 0xb64764e8,
-        0xc328d749, 0xc37195d3, 0xa21ea853, 0xee220be4, 0x1d0b3628, 0x0b9078f5, 0xa35c3097,
-        0x65d220fb, 0x7583566c, 0x2b98da95, 0xee5a72c1, 0xb00ec727, 0x899d8dd2, 0xcd373bb1,
-        0x476a9963, 0x508d90e8, 0x344c6de3, 0xa117f2eb, 0x9695db88, 0xc934b5b2, 0x7814a4d2,
-        0x3e58b28a, 0x11ebea3a, 0x143555b1, 0x96830478, 0x2a9f8ce0, 0xf5733d15, 0xd936a863,
-        0x4775d45b, 0xddfafaab, 0x34a1b3db, 0x707a5810, 0x6448007e, 0x83a1f50b, 0x6e28d739,
-        0xb5a31f54, 0xbbd42939, 0x0a406dd1, 0xfa592750, 0xa785d8e5, 0x371d7c03, 0x69f36cb4,
-        0xccb6b8df, 0xd448d2cb, 0x296f14f8, 0x57358b80, 0x40a14ab8, 0x722e0bfd, 0x26c64cae,
-        0xbb208e67, 0x93a8ca8e, 0xb4e2d295, 0x705b7f84, 0x55b6c7b8, 0x6b45789b, 0x4c1ff6ff,
-        0xd8cbb71f, 0x506783cb, 0x06eecba4, 0x65f1eb55, 0x9634c2c4, 0xf20ffe22, 0x4834b827,
-        0x85d58b9e, 0x902e0733, 0xac5386d2, 0xf705c0b0, 0x114df9e6, 0xc3a0fdd0, 0x2d3c44a6,
-        0x53955cc5, 0x3b53ca2b, 0x67eee08b, 0x6f8ab194, 0x51383566, 0xff1d6245, 0xf08c1d77,
-        0x56532ad8, 0xf771824b, 0xa8fc4d50, 0x56ada925, 0x131a21fb, 0x39300c3d, 0x04ce4d5e,
-        0xa2aad83f, 0x7d4e2768, 0x7d119c5b, 0x8f39bb92, 0xe964ccdc, 0x7ed98539, 0x025d2c88,
-        0x17371ec9, 0x5654453d, 0x61ae1722, 0x5e430093, 0x5eb00d5e, 0xeddf8167, 0x46584239,
-        0xbd93f1d6, 0x4fd0c4c6, 0xb0b8491e, 0xda4130d9, 0x7a9d41b7, 0x31fae456, 0x553b2042,
-        0xf9a8109d, 0xe8a42a01, 0x255434fc, 0x8648aec7, 0x9f3d1121, 0xb732182c, 0x5b598f12,
-        0xd9e5ecb1, 0x1144a857, 0xf0802509, 0xf63de44f, 0xd25e12e4, 0xde47ce14, 0xb7959774,
-        0xe5ddadcd, 0xabb604c3, 0x3bba719b, 0x4a6991e7, 0xc4eddcfc, 0x45627de1, 0x6b61ac0a,
-        0x7ac3d5a0, 0x13e4856e, 0x7e0cc6bc, 0x227059c2, 0xde9ed3c1, 0xca73d441, 0xab0da3b6,
-        0x2fd9497d, 0xf30dcf89, 0x784f721c, 0x12f4abf8, 0xd55da677, 0xcae47279, 0xb2995cba,
-        0xc8606ada, 0x87cdd5fc, 0xcaf0f09e, 0xead1fa79, 0xc285d76e, 0xb69ebf3c, 0x868d2981,
-        0x54ed8a72, 0x044720fd, 0x21a18f2c, 0x2e0fb86a, 0x1281d304, 0x8a1ad0f3, 0x6efae886,
-        0xe8998f76, 0x7768b9e1, 0xa7cab555, 0x464e6c63, 0x9ef9d63f, 0xa865b33a, 0xd3ee1c17,
-        0xd46bd910, 0x62d2a450, 0x597ca8d9, 0x6b7d6c4d, 0xcb607779, 0x817d365c, 0x58ef7d0b,
-        0x4400d2a5, 0x03c9690d, 0x34c47f12, 0x19991f2d, 0x61348204, 0x724d9411, 0x0a66b569,
-        0xb1a1e065, 0x9d84bd79, 0xd6ba2403, 0x4a02b511, 0xf5e6ea15, 0x1a9ba113, 0x2b027411,
-        0xa5b31cad, 0xa581ebe7, 0x282497ce, 0x0e435538, 0xa682cef0, 0xd65e5f80, 0xeaa1a8da,
-        0xa978eb5e, 0xa5dc7cc7, 0x38743d98, 0x72362171, 0xc7e629b7, 0x7db32bbe, 0x4b5b9f50,
-        0x9a76b7be, 0x479155f5, 0xb867e6df, 0x24adecbd, 0x00e748ef, 0xfec04fd3, 0x7adc74e1,
-        0x0925aa63, 0x900d0743, 0x7bee7e86, 0xfa1de6bc, 0x3737c1c5, 0x22e7ba68, 0xb7031059,
-        0x4f4c5432, 0x544f5d75, 0xd3e392b5, 0x3ffc2e4c, 0xa7df93f8, 0x49cf6c39, 0xa359d3c4,
-        0xa8a64009, 0x9f713eae, 0x5ae94f68, 0xb37f862e, 0x9e6354a0, 0x701e1771, 0x27932001,
-        0x217b2c48, 0xef755466, 0x64877db4, 0x9e2e83ed, 0x60b963fd, 0x46f23a42, 0x35de54d5,
-        0x654aa011, 0x626d3e8f, 0x9c9b0b99, 0xa92c3b4d, 0x6cfc4d9a, 0x62391ac5, 0xf346e16c,
-        0xd4350df6, 0x9400e624, 0x4714805c, 0xd7d228f8, 0x8c7b2fd0, 0x4c1afe7f, 0xb6bf3903,
-        0x9766b2e2, 0x6f2d9bad, 0x9de6881f, 0xf4c2131f, 0xd4f63a54, 0x83788966, 0xd76e986a,
-        0x1febf874, 0xaae33b68, 0x0a3844d8, 0x25b6e575, 0x697756c8, 0x48fd6c97, 0x53dd4a4c,
-        0xea05feb0, 0x709fcf0b, 0x76136e9f, 0x5915934c, 0x1967ca2e, 0xafba31c3, 0xe5a691a6,
-        0xd0c0b856, 0x4a5b0df2, 0xc0a3800e, 0x194a17c6, 0x45bb6a31, 0x5c8c5026, 0x83b63b38,
-        0xc2206a43, 0xe4028da7, 0xc9b82d92, 0x41ab3dcd, 0xa6f9595a, 0x3d15d6f7, 0x853f99f2,
-        0xc961435f, 0x4ae8ef3e, 0x51d99f7a, 0xa2bd1e64, 0xcc158726, 0xb6baac86,
+        0x7aa4dd97, 0x0783cb97, 0xbdd097f0, 0x2f5051dc, 0x08c37c67, 0xc5284c3b, 0x268e1f08,
+        0xcc3e0d0b, 0x504f152d, 0xbdd98d82, 0x359aa147, 0xbeaac9f2, 0x2765e840, 0x4fbf201b,
+        0x4d27cc8d, 0xeee9b2d1, 0x276bc4ea, 0xa748179a, 0xa80f4846, 0x64133616, 0x24b43560,
+        0x5e59f634, 0xcb73a81e, 0x0d283472, 0xe86d5da1, 0x4959a0f3, 0x6cd7a35d, 0x79362215,
+        0x663143f3, 0x94821858, 0x117f9746, 0x5101ede1, 0x8d0bd060, 0xdf184718, 0x49aeeaaf,
+        0x8b40c05e, 0x2113cacb, 0x59fc9bfd, 0xae8cf00d, 0x55ea9240, 0x5a5ee0db, 0x14b93939,
+        0x041a00a4, 0x2193be71, 0xff135c08, 0x8ee41360, 0x87056090, 0x5029c027, 0xd3fc67da,
+        0x20b27e73, 0x5f5e0fd0, 0x06f49564, 0x26216c70, 0x83f5ab09, 0x1934717b, 0xd03977ad,
+        0xc4149d4f, 0xa84b8b91, 0xd9597a92, 0xa9d68675, 0xd1bfc9b7, 0x9975f171, 0x05f6f0f9,
+        0xa2ebf2ad, 0x44c2e0cd, 0x6929615d, 0xae93c084, 0x4060b2f4, 0x638a6f0f, 0xe1c7b480,
+        0x6c554f1b, 0xffdfddc1, 0xc9946bc0, 0xbe323766, 0x175ebe5e, 0x77e5a0f2, 0x345fda32,
+        0x604e5184, 0xadf31e37, 0x14c8aff4, 0xc00c7591, 0xc16da3c1, 0xf61fb82b, 0x1609fdb9,
+        0xf380b46e, 0xe42d470d, 0x4acc3f89, 0x114cd880, 0x6d82f856, 0x61d60c8e, 0x7b903385,
+        0x016eccd3, 0xb63ff413, 0x1b30b2b8, 0xd02bca17, 0x8d286a59, 0x6d4bf55b, 0xf0fd4f55,
+        0xd48b6ff7, 0x1feb52aa, 0xb7ff3f42, 0x444cc3ff, 0xac2710b7, 0xca8e4c17, 0x7fa3892c,
+        0xf2a3b520, 0x52da8e83, 0xff855a56, 0x26a9f437, 0x27824ed3, 0xac7d5292, 0x1d30ab5d,
+        0xe47e244e, 0x2de4c35c, 0x214f4549, 0x270e0f8e, 0x714f2f4f, 0x73b2fbef, 0x7ac3bcca,
+        0xcaab0ea7, 0x47853f95, 0xc00d8554, 0x4fd0e83d, 0x8c39761b, 0xf36f22fa, 0x5a72dfd4,
+        0x46e68d68, 0x875827ba, 0xf021ecaf, 0x44987e8d, 0x68bdad88, 0x93dc5787, 0x46075db6,
+        0xbca39a1a, 0x388a9364, 0xdc0f7ec7, 0x60b690e9, 0x5922afd2, 0x2c24af69, 0x10af9573,
+        0x0764b647, 0x0dc971ae, 0xff26abdf, 0x223aa9d6, 0x10c2dae4, 0x9d8bc72d, 0xcecba555,
+        0x2b84a6b6, 0xb22231b1, 0x3cd73372, 0x9d8ee2c6, 0x40538703, 0x5d101ecb, 0xe81c0ae3,
+        0xd31c08b0, 0xdccfde0d, 0x0a8c7cc7, 0xac77336f, 0xf8979c99, 0xd6d905b6, 0x899ad806,
+        0x9bee099e, 0xa1e14c9b, 0xae531cde, 0x60436e62, 0xacf2bec0, 0xa4b58746, 0xce88c0d3,
+        0xf3234f2a, 0x65217daf, 0x4ca7a300, 0x07b21c4e, 0x49e671ff, 0x887aab92, 0xc8044149,
+        0x88ec2224, 0xcd6ea0b2, 0x993c2238, 0x332cd4c2, 0x889e8676, 0xa194f6a3, 0xf48b48cb,
+        0x881632b3, 0x11e5c4d9, 0x2224c8c5, 0xf2fad964, 0x0443ab27, 0xf2128515, 0x3d33c693,
+        0xb7f40e8b, 0x3abbe503, 0x273867ef, 0x1fa70e89, 0x93fd1c4b, 0x2b5f6b51, 0xb3059dc2,
+        0xc960cfee, 0xf66be769, 0xe7d787f3, 0x98b47e3b, 0x1639ab42, 0xc6d9ba9b, 0x85cad5d6,
+        0xc49d23b6, 0xcfd354aa, 0x405482cd, 0xc9440c72, 0xcce1d78f, 0x87b3b7a7, 0xb8531161,
+        0x59d53d51, 0xe657495a, 0x8a746c3d, 0xfb19c685, 0xdde02169, 0x40ca64f6, 0x02201571,
+        0x6e981587, 0x80496982, 0xbaaea5a0, 0x42b8ad58, 0xb7f64a40, 0x82005be4, 0x5d0e6bad,
+        0xa241e1e7, 0xe36b0349, 0x031dfb1a, 0xcb81db1a, 0xc21fc400, 0x13e50a57, 0x02ea43d2,
+        0x45e7aee2, 0x92f2b53e, 0xb11dd173, 0x9f8e2ebd, 0x5b3f27fe, 0x16b74d5c, 0xe7e213f9,
+        0x8033a7bc, 0xf152c503, 0xf69699a2, 0x9022feca, 0xe4a780f7, 0x9de1ee33, 0x47a9e3bf,
+        0x86c819dd, 0xb8abef75, 0xc492553f, 0xe8e62d24, 0x74e3de4f, 0xff307944, 0x493b62e9,
+        0x1240f52d, 0x9b8dae74, 0x54654cf2, 0x0c6413fd, 0x3e6ab606, 0xf192a24e, 0xa703cb31,
+        0x55a29535, 0xd87b4494, 0xc8b49991, 0x89961d94, 0xd2684aa1, 0x7006d561, 0xa632a838,
+        0x25d1967d, 0x39f2b958, 0x114fef1e, 0xcd3b8a84, 0x016c8f72, 0x79015669, 0xca30371c,
+        0x066f92d0, 0xce02d8e0, 0xf7eebc15, 0x8e671840, 0x22bc89a2, 0xca2d2d9f, 0x064d1b6d,
+        0x646c4eda, 0x5c84ab34, 0x0d5f325e, 0x17f23dd8, 0x3be7b28d, 0xf8ee5787, 0x1354693c,
+        0x47e95ba1, 0xa31bed1e, 0xeac5b3a4, 0x772ef78c, 0xe2dbc0c7, 0xec26a2ae, 0x6ec1de34,
+        0xc114369c, 0x993f9c8f, 0x5e7f0070, 0x43a9920a, 0x45aff45d, 0x98a2b823, 0x46569cb9,
+        0x332aa106, 0x04402639, 0xd6ee6e3a, 0x031936ef, 0x0ec5de0a, 0xf2a1381a, 0x499a9ab0,
+        0xd94f1f09, 0xce2dc11e, 0xee19a10a, 0xed3946b1, 0x19666456, 0x126b5a5c, 0xfc227804,
+        0x44927b99, 0xf6120d1b, 0x163da318, 0x1a21d179, 0x3c972882, 0x1d150e0f, 0x0f00a875,
+        0xceaea25a, 0xf59fb942, 0xd0fe18e7, 0x38967cd9, 0x6b64cd47, 0x1fbf3452, 0xee4e9307,
+        0x477a7e73, 0x06515277, 0xf977d947, 0x32318f56, 0xbff35ae1, 0x499364a8, 0x8c9e099b,
+        0x9886e16c, 0xc1a62814, 0xac87bb30, 0x272a5ae5, 0x01e98f39, 0x3cfbbfa6, 0x5e0024ff,
+        0xe0ee2067, 0xfe778e1c, 0xfa0c3040, 0x087bbc64, 0x40190ec6, 0x8110d130, 0x7b5f0dd4,
+        0xc560c281, 0x29177223, 0x8821ca74, 0xee87fdf7, 0x589ba4b1, 0xba90e5b2, 0xf417431f,
+        0xca61a84a, 0xd41c528a, 0xc047a914, 0x4d029b8d, 0x3c2572a3, 0x347b0d0e, 0x15d6b5d0,
+        0xd22099cc, 0xbccf6696, 0xc0204c3d, 0x277c53df, 0xeba7076e, 0xaeb10570, 0xb4637f0a,
+        0x0432309a, 0xd1fc098e, 0x409f26cf, 0xc93322d5, 0x17c7aa37, 0x2e4b75a0, 0xfac20050,
+        0x08cb2c09, 0x2b643e40, 0xffe035d6, 0xe988990f, 0xde207e65, 0xa3ff96e6, 0x2034e22a,
+        0x38692de4, 0xa2d0ba13, 0x7b0debd9, 0xe14cadff, 0xa03e6d79, 0x946738d8, 0xcbfff0d5,
+        0xf1802f6f, 0xf1194632, 0xa8d4e8cc, 0x9009e280, 0x955350a0, 0x9324bf09, 0x29de7b73,
+        0xf5577173, 0x12c8947a, 0x1309444d, 0x2c31d61b, 0x04e77c7f, 0x15ba11dc, 0x431f0508,
+        0xbfced945, 0xb914fd21, 0xb602c2d6, 0x6dddf315, 0xcfc57b54, 0xf0b93118, 0x0553495c,
+        0x9e675152, 0xaea0872f, 0x678ac7a7, 0x34bf6d3a, 0x959d6c0f, 0xf03b6f97, 0xbadbee47,
+        0x059a542d, 0xa2af224b, 0xdc5950be, 0x57039c49, 0x9b8a6dde, 0x84ccb789, 0xcd31ca17,
+        0x32ec282b, 0x66da6215, 0x496422b1, 0xb60d8ec4, 0xc31fd8db, 0xd9e9e87d, 0xafab7d1f,
+        0x6cab77a9, 0xd3d609c8, 0x4f02a54b, 0x25ca2fe5, 0xd009ccf4, 0xabecc99a, 0x0b037b36,
+        0xde233c7a, 0x9ae20c90, 0xcb58be86, 0x986ae855, 0x1e3e6344, 0x2d29b738, 0xfbbef151,
+        0x6ad47eaf, 0x14532c68, 0x1ce9a24a, 0xf2490a75, 0x2eb95e21, 0x3dc2e1cc, 0x00f39d63,
+        0x8745a325, 0x95067142, 0x3a40e05c, 0xc4a5a72f, 0x3a93174c, 0x08f23b2f, 0x942f9668,
+        0xf3262d91, 0x5d3bb695, 0x27b1c0f6, 0x5ac40b8f, 0x5a68c589, 0x7b04de72, 0x1df1cd59,
+        0x9e9b0547, 0x5e8b170b, 0x6304fb62, 0x80344c99, 0x4ff1cc3d, 0x5b4ba7be, 0xb576ef26,
+        0xa11b539f, 0x691d56fa, 0x69f56f81, 0x48c02ac7, 0x60cc29f7, 0x30278172, 0xd7cf98be,
+        0xfdacebe8, 0x188865c3, 0x4f37ffa1, 0x447b95d8, 0xf9c1a772, 0x4fd3dd2f, 0xaf33e8d1,
+        0xff4deb72, 0x52c3704d, 0x251300ed, 0x6af4fcc9, 0x09c24723, 0x7b70c00b, 0xe50ec68b,
+        0x897bf49c, 0x5045b7a1, 0xab27566a, 0x27e78bd7, 0xfc5f293d, 0x15ac9f5b, 0xc45a00de,
+        0x51157914, 0x3574cb98, 0x4782e959, 0xdf90c560, 0x9095381b, 0xd6c0e028, 0xd86124a7,
+        0xb5307237, 0xbe2b7ab7, 0x0b22cf40, 0xb78e945d, 0x83053312, 0xd3ef7238, 0x6eefe91c,
+        0x9ea32fda, 0x2ad8ec9f, 0xdd4c757e, 0x9d9422f2, 0x272e910b, 0x0ad950ea, 0xdae320b7,
+        0x7e8a50d4, 0xbdd7f7fe, 0xe2a93df6, 0x06793ce7, 0x4cf3b890, 0x2a20f693, 0x9bdd1ed4,
+        0x19eedd83, 0xab8e8039, 0x575ff09e, 0x8ed831be, 0x2450b042, 0x8dd33f0d, 0x757ff334,
+        0x338f1e1b, 0x7896934b, 0x06f902ce, 0xe449e604, 0x6f62ed86, 0xabc31ed1, 0x7c9e56fb,
+        0x7786df26, 0x272d9076, 0xb4c8d614, 0x3003242a, 0x924f431b, 0xffd5b100, 0xc6d1114a,
+        0x8fe7b71f, 0xa504799f, 0x2b7a8600, 0x1c03316c, 0x7b0ccbf3, 0xc6934a1e, 0x83e84368,
+        0x822a263c, 0x9a0eef49, 0xf60ed55a, 0x79e14af8, 0xf085d950, 0x2849a05c, 0x7b96cc59,
+        0x250c8ee7, 0xdbdd6d8a, 0xbb1e35b4, 0x53387f6b, 0x164990b2, 0x5a71e4a3, 0x9d042da7,
+        0x209e46c0, 0x39f70aee, 0x9c3f313d, 0x3384dc49, 0x50939d01, 0xe19da352, 0x7a114ed0,
+        0xea93d7c1, 0x9a9cf95a, 0xdcb248f1, 0x05f419d9, 0x60161e4f, 0x2dc2f169, 0x0c051757,
+        0xd5a17298, 0x7d5db150, 0x2f1bf27b, 0x582e3283, 0xada988b8, 0xd0e1a92f, 0x6ad01a4e,
+        0x18fd6aa4, 0x8ce5f057, 0x505c85be, 0xdd3bbd59, 0x34d7a2f5, 0xbd16e75b, 0xd386accf,
+        0xc9f45c58, 0x0d63ebf8, 0x4ab19b83, 0xcd24f2d5, 0x2aeef45f, 0x701acec4, 0x82887e7f,
+        0x7ec1d4d5, 0xfc7922b3, 0xc7519fe7, 0xb1acd8e5, 0x70f19e95, 0x5ec8ed69,
     ],
 };
 
@@ -595,8 +595,8 @@ const CONTROL: Pinned = Pinned {
     server: ServerTelemetry {
         ops: 197,
         replays: 0,
-        dedup_occupancy: 151,
-        dedup_peak: 151,
+        dedup_occupancy: 1,
+        dedup_peak: 1,
         txns_begun: 65,
         txns_committed: 65,
         txns_aborted: 0,
@@ -751,71 +751,71 @@ const CONTROL: Pinned = Pinned {
     events: &[],
     alert_arc: &[],
     resends_arc: &[],
-    render_hash: 0xd62a6c87c348e1a4,
+    render_hash: 0xb620d9e41c9091e4,
     frame_hashes: &[
         0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x7db6984a, 0x1a94ea36,
-        0x7aa4dd97, 0x0783cb97, 0x3a18651e, 0x647378ca, 0x3f4a48c0, 0xf2e13c27, 0xf3de8a7d,
-        0x9bc0095b, 0xce426712, 0x88f31cec, 0x99f39172, 0xff475cfd, 0xce0bbee9, 0x5e4a9421,
-        0x28ee8c81, 0x3f10fca2, 0x94d8e04d, 0x85fe1545, 0x714cee4e, 0xfaaaddf9, 0x85c48c35,
-        0xcf976884, 0x224a9b73, 0x0268346e, 0x66a62256, 0x6d20f7b3, 0x5ee67c76, 0x2da669c2,
-        0x9e7a5ef5, 0xaa8a060c, 0xadac6423, 0x84a10c00, 0x436d37dc, 0x10844106, 0x8d7c7cb5,
-        0xde37556a, 0xb6146aa5, 0x8e5b8228, 0x8f745524, 0xd32ed525, 0xe07b6761, 0xa5c30dfa,
-        0x5946b006, 0x431dc94c, 0xb04217a2, 0x41e3e2e4, 0x6d0f46f3, 0xfff5d8ea, 0x6ceff0ff,
-        0xae0468b1, 0x1a5c3522, 0xd77980d7, 0x70490b54, 0xa39e2338, 0x079e7b25, 0x08fa01cf,
-        0x7dfaa8e7, 0xb77b4379, 0xf183e905, 0x5f24f02b, 0xe5e0c838, 0x9a33d895, 0x59a0fe7b,
-        0x9d78420a, 0xda72cd5d, 0x23c1b517, 0x712d2f10, 0xf57cfaef, 0xc9c51233, 0x83486c9b,
-        0x0a690910, 0xc5082cc1, 0xb38eb6b4, 0x1272c719, 0x924fc67a, 0x545b0757, 0xa3b7450c,
-        0xb0918b03, 0xc8219c80, 0xdc442e8e, 0x12c895c3, 0x831da007, 0x81b3ba1a, 0xb2a2922d,
-        0xd036493a, 0x4e8444b7, 0xfee3da82, 0xa9de47b8, 0xfb336a40, 0x2242ded2, 0x2dd5e19a,
-        0x58091151, 0xc2987cfa, 0x32e59a4f, 0x07c527e2, 0x074ded74, 0x0062fb4f, 0x12a59ae2,
-        0x60a17cd7, 0x94c31495, 0x054e7c79, 0xc4e1c354, 0xa1d63f85, 0x9bdb4014, 0x4afe528d,
-        0xaaae44d4, 0x8548bb52, 0xb0470c12, 0x12fcb726, 0x4fca0446, 0xb7d3c677, 0xd5e87626,
-        0xba25c24a, 0xf3ef9f86, 0x77420271, 0xecc7ba04, 0x41d10304, 0x9f3cedca, 0x9fa45bc3,
-        0x2ea069d1, 0x672ab8dc, 0x05eca4c8, 0xe6762fd1, 0x6d163a34, 0x5c8cbf55, 0x43e76871,
-        0x394ac07f, 0xe5ee2218, 0x6bca6e2d, 0xc2117402, 0xf11da1cb, 0xe8762113, 0x70f8a717,
-        0x10bcc6dc, 0x3886c02c, 0x9afea325, 0xd5ef257f, 0xfb28f424, 0x34f27705, 0xe69000b8,
-        0x352dcf57, 0x66bbfbed, 0xec7d057f, 0x89bd98fe, 0x4703fa3a, 0x0e9cb139, 0xd9ddab56,
-        0x20792271, 0xb5a5f594, 0x02881266, 0x3527f07f, 0x6464da3f, 0xe24a6152, 0x2cacdd52,
-        0x138df3ca, 0xd8e7b6ad, 0xd562793b, 0xe8e80180, 0xfaec2a7c, 0xf041606b, 0xc7f35d01,
-        0x03e9fdf0, 0xd4730041, 0xb5db0182, 0xa04b9b2e, 0xad7452a9, 0xd983fb7e, 0x8d6eac4d,
-        0xa7a27d2c, 0x36c9380d, 0x527448c7, 0x738a74eb, 0x09b4773d, 0x4fb5266e, 0xe2ec4399,
-        0xf8c79969, 0x351a5731, 0x0b8fc626, 0xc369eb39, 0xe5598542, 0x3dabdab1, 0xb05200b6,
-        0x6e98e910, 0x13378633, 0x73814621, 0x1c86f1ed, 0x0c16221f, 0xab01c0c3, 0x6e750787,
-        0x4d5f3782, 0xbcbea9c3, 0x17e64525, 0x1d2a2dd9, 0xc8160ea8, 0x637f22fc, 0xab3b43c1,
-        0x2eb4e109, 0x6ede3a7e, 0x26fc2992, 0xbfb43fb2, 0x0f46efc1, 0xe65f4d63, 0x699c8298,
-        0xb4afead2, 0x914b285a, 0xf04dc75c, 0x304f51d8, 0xf80215a9, 0x9ba98bad, 0x04770ad0,
-        0x907f0150, 0x5298f9f7, 0xa8e84f76, 0x3ba448b7, 0x08e08adf, 0x3382a788, 0xfc8a475a,
-        0x84d8e511, 0xe6dfb412, 0x7e1ea10a, 0x53f2b60f, 0x7107f653, 0xc79dfa3f, 0x60568502,
-        0xdb0532d1, 0xfc94605d, 0x66a81ad1, 0x500f25c9, 0x3b3a663a, 0x055ef3f2, 0x4e4a1378,
-        0xc8e9e75d, 0x31707ba6, 0x15e7a01e, 0x27c69a6c, 0xd538a35c, 0x581d888c, 0xa99d1520,
-        0xc8e5645c, 0x805c7445, 0x1e1dceac, 0x8bfd4780, 0x49a85e5c, 0xd8db5c54, 0xec2f235f,
-        0x367b2825, 0x550319cc, 0x22e8b3a1, 0x17b3137e, 0x4b164f70, 0x2b2baf33, 0x5ff905b2,
-        0x52c044f3, 0x7742ca56, 0x44693eda, 0x8d5a257c, 0x0b741755, 0x0cbea701, 0xf218109c,
-        0xa2881404, 0x16810476, 0x6b9c29f1, 0x3b270615, 0x96759aa6, 0x97f7d30d, 0xe9f3ba51,
-        0xd76d7e17, 0x04ffffed, 0xc92c8900, 0xfc0639db, 0xe4f08bfe, 0x057256d2, 0xa3137651,
-        0xfda05b34, 0x50ba5a24, 0x82f4c628, 0x46c0aaf3, 0x972b7709, 0xea8cbf6c, 0x777d76ec,
-        0x6bf15678, 0xfbeb2d4b, 0xbe1897d0, 0x2033095d, 0xafecb15f, 0xefe10986, 0x0a597f3c,
-        0x73b2686e, 0x7b7d18c6, 0x9f77227e, 0x83a82f4f, 0x8812e7dc, 0x9c7d73ee, 0x0276b84b,
-        0xde41d879, 0xc05e7d25, 0x99aa27fb, 0xa7a34569, 0x54c7f748, 0x6cb1c34d, 0x8284a9c0,
-        0x098f6d22, 0x000fedba, 0x7d1898f1, 0x500bf37d, 0xe088651d, 0xab9c4679, 0xcbcd7b84,
-        0x9c42270d, 0xc9d86c68, 0x8ee1d2a4, 0xa4994981, 0xfa9efd04, 0x11b0dc42, 0x5b100c57,
-        0x2e7d95cd, 0x04ae349e, 0x3bca404e, 0x3ad06bcf, 0xbf146187, 0xe4af7b82, 0xdf059f30,
-        0x625282b0, 0xc9a2e4af, 0xbff0ece7, 0x3f02b766, 0x422124cb, 0x01cc292d, 0x0da9572d,
-        0x4c32ae9d, 0xf2689f0b, 0x33dc3f43, 0xbcd29446, 0x002468d6, 0x0baa47d7, 0xf86f5a52,
-        0x8ae07eab, 0x7102b22b, 0x169e1e03, 0x0765d5f4, 0x5fbf33e2, 0x61641a41, 0x9e67cdb6,
-        0xbcde010b, 0xa75f43e4, 0x819fc098, 0xbb4927e5, 0xa3752f9d, 0xd7653714, 0xd0a8c09a,
-        0x53b302a5, 0xf8036e24, 0x2d34d533, 0x92db9819, 0x73ac1343, 0x73325ac3, 0x4eea90a6,
-        0x27f2d68f, 0xa5520ef2, 0x8763dc09, 0x835c15c7, 0x767f2c14, 0xac6e8f26, 0xbee0b3ad,
-        0x1c1298a5, 0x43a8093b, 0xc21656f4, 0xb1874776, 0x14eab222, 0x6650e5ba, 0x7dff057c,
-        0xb060ecb7, 0x36a0c53c, 0xd6bd89d5, 0xf264fbb9, 0xe4583e67, 0x9e793a56, 0x9fac1738,
-        0xb511025c, 0xaf8c2d36, 0x9e48616f, 0xd6b9b08c, 0xd96acb4a, 0x6633312f, 0x528f6f72,
-        0xc0bcf6d9, 0x05f4d3cc, 0x1c16fb07, 0x4693a601, 0x299171e6, 0x80298d43, 0xe3b251b5,
-        0xeec4a4b8, 0x1c8ed809, 0xb6628941, 0xa15c421b, 0x87e52d4c, 0xdf690d8b, 0x0caba91b,
-        0xef6e37f2, 0xd4931421, 0x0b528b3d, 0x30bef793, 0x205f6424, 0xd5515225, 0xc173a53b,
-        0x3f1b7f76, 0x0a542ba7, 0x74936d66, 0x4b016794, 0x0f98b464, 0xc25c9588, 0x436f1c7d,
-        0x846789ab, 0x55fb8af1, 0x34fc46f3, 0x36f2d370, 0xae754c87, 0x9a07cfb6, 0xb4e0defe,
-        0x286ba164, 0xc3cf8f28, 0x88194e3c, 0xafd78dd9, 0xb9bf9a34, 0x3fccd676, 0x3c09cf0c,
-        0x94ea2007, 0x8857bbaa, 0x28bbea8c, 0xd5296972, 0x9e86e497, 0x31ebfc51, 0xcfd1f6e1,
-        0xb9a1bf08,
+        0x7aa4dd97, 0x0783cb97, 0xbdd097f0, 0x2f5051dc, 0x08c37c67, 0xc314f426, 0x9ac1dcbf,
+        0x96d82b0a, 0x240c1789, 0x4dd2c235, 0x67cf117c, 0x292b72d5, 0xda28a23f, 0x05e05a12,
+        0x82e9a325, 0x1e8f093c, 0x37a1e3db, 0xe1c6eaa7, 0xa25cbf37, 0x261d61a3, 0xd7e30195,
+        0x7f812e8f, 0xca33e55f, 0x0050b43b, 0x8dea7c01, 0x8eb3529f, 0xd14fffe6, 0x11f19da2,
+        0xdd51ad05, 0x314e43e6, 0xe462a77e, 0xf0d0ac6c, 0x7c24f3d1, 0x021e0c30, 0x1884a6e7,
+        0xdf07e045, 0x05496451, 0x2a36ba88, 0xdc620cd5, 0x70bbd11d, 0x627ccd34, 0xa34dde9c,
+        0x82e91a88, 0xdbd50337, 0x7da6c05d, 0x9a6782d8, 0x755caa1a, 0xc1952c4c, 0x3a3e79cc,
+        0xce542207, 0xd70aa51e, 0x08016c45, 0xcc8857a2, 0x517492aa, 0x99488864, 0x9a5711f0,
+        0x39546083, 0xb73e0736, 0xd22d2f79, 0x60b8eff8, 0x4d241ff6, 0xdb81f1da, 0x46cc4d2e,
+        0x7c96a543, 0xe34db107, 0xe4d7803a, 0x4e005826, 0xf3506384, 0x63fc6d3f, 0x9b8970ee,
+        0x9bb76922, 0x4cc098eb, 0xb4372229, 0x2fe610fa, 0x8e61fc10, 0xfe0ad7e4, 0x5fc2022c,
+        0x820d1979, 0x5e72df21, 0x3f79f2c6, 0x51d864ba, 0xa7afd309, 0x9a837b31, 0xee40f3d3,
+        0x359a6e5e, 0xd54d4d5c, 0x4ec1372c, 0x1a5c0424, 0x9451598f, 0x78256e76, 0x73718571,
+        0x0e4dc17a, 0x491b6068, 0xf076adcf, 0xd7a8d7b7, 0xd50a1a1e, 0x0234f93c, 0xbcb496fb,
+        0xbb13da82, 0xccb0a3e4, 0xad23371d, 0xf4fcfa20, 0x5af37aac, 0x45724347, 0x98c33f23,
+        0x53be740b, 0xa86e61db, 0x380639d9, 0x3a0c3114, 0x1c34f26d, 0x1aa6e2a0, 0xcffc556d,
+        0x4e9973f4, 0xb9067a56, 0x6f553704, 0xb5c2a48c, 0xe09afc53, 0x10d4b754, 0x90ff06a1,
+        0x88a8eebb, 0x53bdb0eb, 0x469c6d36, 0x1e594222, 0xb7bb53e1, 0x6d05c40b, 0xb079bf94,
+        0xf9f4cebc, 0x72ea8a6e, 0xd6cb9ad8, 0x94f6f458, 0xfcd4eb34, 0x2c548f33, 0xfabd30a0,
+        0x0d3bfe6b, 0x530002eb, 0x16fd9ece, 0xc1dd315c, 0xe75b9338, 0xf597e033, 0x6f987bff,
+        0x2755d269, 0x7ef0051d, 0xe2bab3f6, 0xd36d6c13, 0xa0a52e6a, 0xa2c9ab8a, 0x4efef74b,
+        0x1e4ec825, 0x14234b68, 0x3431a7e1, 0x689f2c72, 0x69d7317a, 0x55191567, 0xd4eef77a,
+        0xab197705, 0xf13ad434, 0x38078a97, 0x0b6db310, 0x3688d8d7, 0xeebee0d1, 0xa31b7d0c,
+        0xd35d4cd5, 0xbab07644, 0x3b4a0f2b, 0x173625b8, 0xa4f50888, 0x183aa784, 0x385441bf,
+        0xfd0fa79a, 0x1aa7f64b, 0xfd35c765, 0x1335d15b, 0x7b92a957, 0x655f647a, 0x436b8f35,
+        0x98746271, 0x36bae521, 0xf32fda0d, 0xf06528bb, 0xd6828500, 0x73f94caf, 0xabe1ec5a,
+        0x57f48b07, 0x619e55af, 0x2f738408, 0x9ec6c564, 0x443babb6, 0x7ebe3f96, 0x69a7ccfe,
+        0x2914c829, 0xa8165b26, 0xf59b7f08, 0x2a1462e5, 0x764f80ea, 0xf828d307, 0x357e6832,
+        0x251efe10, 0x1a13df88, 0x6d42162a, 0xdf509c38, 0x3505cf57, 0xc1d21b17, 0xf3f019d5,
+        0x30affe8b, 0xddeb475a, 0x03c88f17, 0x1c9eb3d5, 0x173680d1, 0xced55036, 0xfffb2694,
+        0x084aedab, 0x90985dea, 0xf42141bf, 0xb70c2989, 0x9e8bac51, 0xb90d9625, 0x1eec07ad,
+        0xa2998614, 0x87ca7035, 0x8dee163a, 0x57d111b1, 0x7b4c7469, 0x0e014b2b, 0x64a3441b,
+        0xb62e2fb8, 0xe387e671, 0x8c7b0f9a, 0xbd18ba90, 0x51f97e73, 0x7d1f5985, 0xd3a63ab7,
+        0x30209dd4, 0x4359ae09, 0x1276f24a, 0x66ccec46, 0x7cef4051, 0xdbcf619f, 0xa22f4f8b,
+        0x54e81974, 0xb19836fc, 0xad33b0d8, 0x225045f8, 0x5a097ac3, 0xd96b502d, 0x24b94f08,
+        0x241c3241, 0x37b250bc, 0x7594aed9, 0x85d61336, 0x600ff1d5, 0xb9e0c46b, 0x731a9504,
+        0x8afdbded, 0xf79319d9, 0x6e2e6a38, 0xf2f44efe, 0xe0b027ac, 0xb701069b, 0x25ab1d6e,
+        0x6c6c0a16, 0xc8682bbb, 0x0c9c739c, 0xde20e7a4, 0x78a73cc7, 0x3eb701f3, 0x559cad54,
+        0x6766ce7e, 0x2d7746e2, 0xc584e3ce, 0xfbe8748f, 0x21a4eec2, 0x59451c41, 0x1a022136,
+        0x49fdc491, 0x527ca45f, 0x5705560f, 0x42d02aa5, 0x6c04a589, 0xfb4c8e9f, 0x019e2d01,
+        0x281c1917, 0x0079207c, 0x79ba6797, 0x0eafc4f8, 0x997fc01c, 0x21d6d67e, 0xadbf92d5,
+        0x229731fc, 0xc701989e, 0x56cd8168, 0x4779e321, 0xe46fad74, 0xbcde35cf, 0x1ee34b58,
+        0x7cb6ab58, 0x844c1fa2, 0x05aedb47, 0xb026e6b4, 0x45cf4e9d, 0xf2c4f9d4, 0x2940d84b,
+        0x3b0f2427, 0x24c5007b, 0xb796e1d0, 0x30c4b3fa, 0xaa510477, 0x88c33d18, 0xe0114a93,
+        0x8f1dd719, 0x63e21114, 0xb9e21a4d, 0x661db414, 0x1426bf80, 0xc679833c, 0x2dfea324,
+        0x8ca8e7d1, 0x092980ee, 0x795bcb8f, 0xcc53c8b2, 0x29b17aca, 0xc0421ab5, 0x4ea581bd,
+        0x2fb65a58, 0x6bcaa362, 0x5ce8c38a, 0x61c11964, 0xd48b4992, 0xc43ef8d5, 0x6b851763,
+        0x84936807, 0xe3a0b55f, 0xbb49e1c5, 0x4dff3c51, 0x40391e72, 0x0c05bd7c, 0xe5ac1adf,
+        0x5da4ae5a, 0xd9baf41c, 0xbacac5f4, 0xb8285035, 0x428f4ca0, 0xf869f6c9, 0x270f6df2,
+        0x0f8b824f, 0xd52bd5c0, 0x7dbdab4a, 0xe93e8f44, 0xbf46e50f, 0x3c7a7b54, 0x1d45eb41,
+        0x25c5b5e8, 0x4e68e2f0, 0x179a68ea, 0xbb75ceaf, 0x80f0aea9, 0xffddc33d, 0x727844ef,
+        0x3cd90144, 0x347fed0d, 0xf386142c, 0xe4382633, 0x039b293e, 0xf78520b5, 0xf345b3bd,
+        0xb804c976, 0x4585c12c, 0x5d550333, 0x521b0886, 0x7ae2c460, 0x009b1d91, 0xf69719fb,
+        0x23890b16, 0x5fd4a2e6, 0x17b809a0, 0x72e6e591, 0xbcfbdb79, 0xc008adea, 0xc070deaa,
+        0xfbbe9708, 0xa6f0ed13, 0x16b82d06, 0xf1d7350e, 0xf375bb87, 0xa176ca8e, 0xc7c68d73,
+        0x08f3d993, 0x50aa674d, 0xcffe905b, 0x2cc34d14, 0xcaf253a6, 0xb387b0a6, 0x5e05a0c3,
+        0xa43f5160, 0x1c8ab915, 0xd06ca5c6, 0xae10670f, 0x59014ff8, 0x407cb13e, 0x3a6adac0,
+        0xb2a67aa2, 0x6a84e367, 0xd02ebc79, 0x55aea16e, 0xb9c181ce, 0x3887d11a, 0xedafce71,
+        0x9fc0f3d8, 0xab55a76c, 0x8330826c, 0xbc0dd12b, 0x9e307d9b, 0x3f6cbc6e, 0xe8687ff2,
+        0x88f4eb8c, 0xd4cb69f4, 0x42acf88c, 0xd1616416, 0xfbaeaceb, 0x263789e5, 0x445039f1,
+        0xc11bd8c0, 0xdfa82265, 0x9728d2ce, 0x8d6bb951, 0x5f1ff594, 0x4031ae6d, 0xcb7b3e18,
+        0x4801e592, 0x3c4575eb, 0x333c7f54, 0x134fff77, 0xf406e819, 0xbe40f953, 0x91310b6e,
+        0x08f9069f,
     ],
 };
