@@ -526,6 +526,17 @@ impl Ctx {
         }
     }
 
+    /// Takes the oldest stashed message matching `pred`, if any, without
+    /// receiving: no syscall, no event, no virtual time. What has reached
+    /// the mailbox but no receive has set aside yet stays there.
+    ///
+    /// A server that batches uses this to gather the requests that queued
+    /// while it was busy, without waiting for more.
+    pub fn take_stashed(&mut self, pred: impl FnMut(&Envelope) -> bool) -> Option<Envelope> {
+        let pos = self.stash.iter().position(pred)?;
+        self.stash.remove(pos)
+    }
+
     /// Drops every stashed message matching `pred`.
     ///
     /// A retrying client uses this after a request completes to purge

@@ -132,6 +132,47 @@ fn recv_where_stashes_and_replays_in_order() {
     assert_eq!(out, ("interesting", vec![1, 2, 3]));
 }
 
+/// `take_stashed` hands back set-aside messages, oldest matching first,
+/// and never receives: with the stash empty it answers `None` at once,
+/// though more mail waits in the mailbox, and costs the run no event.
+#[test]
+fn take_stashed_takes_from_the_stash_only() {
+    let run = |take: bool| {
+        let mut sim = sim_with(ZeroLatency);
+        let n = sim.add_node("n");
+        let out = sim.block_on(n, "main", move |ctx| {
+            let me = ctx.me();
+            ctx.spawn(n, "noise", move |c: &mut Ctx| {
+                c.send(me, 1u32);
+                c.send(me, 2u32);
+                c.send(me, "interesting");
+                c.send(me, 3u32);
+            });
+            ctx.recv_where(|e| e.is::<&str>());
+            let mut taken = Vec::new();
+            if take {
+                while let Some(env) = ctx.take_stashed(|e| e.is::<u32>()) {
+                    taken.push(*env.downcast_ref::<u32>().unwrap());
+                }
+            }
+            assert_eq!(ctx.stashed(), if take { 0 } else { 2 });
+            // The last u32 is still in the mailbox, not the stash.
+            ctx.recv_where(|e| e.downcast_ref::<u32>() == Some(&3));
+            (taken, ctx.now())
+        });
+        (out, sim.stats())
+    };
+    let ((taken, at), stats) = run(true);
+    assert_eq!(taken, [1, 2], "the stash, oldest first");
+    let ((_, plain_at), plain) = run(false);
+    assert_eq!(at, plain_at, "no virtual time");
+    assert_eq!(
+        (stats.events, stats.dispatches),
+        (plain.events, plain.dispatches),
+        "no event, no syscall"
+    );
+}
+
 #[test]
 fn recv_from_filters_by_sender() {
     let mut sim = sim_with(ZeroLatency);
