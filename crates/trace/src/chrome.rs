@@ -9,9 +9,11 @@
 //! thread lane per process: a Bridge-server dispatch span legitimately
 //! *crosses* run-interval boundaries (the server blocks mid-request
 //! awaiting LFS replies), and the Chrome format requires events on one
-//! thread to nest. For the same reason a process's RPC spans
-//! (`cat == "client"`) take as many lanes as it has calls in flight: a
-//! pipelined fan-out's sends overlap without nesting.
+//! thread to nest. For the same reason a process's RPC spans take as many
+//! lanes as it has calls in flight: a pipelined fan-out's sends
+//! (`cat == "client"`) overlap without nesting, and so do the `bridge`
+//! spans of a commit group's members, each open from the member's join to
+//! its reply.
 
 use crate::collect::TraceData;
 use crate::json::{self, write_str, Json};
@@ -23,11 +25,12 @@ use std::fmt::Write as _;
 /// k = 0 its own, k = 1 its scheduler run intervals, k ≥ 2 its RPC lanes.
 const LANE: usize = 100_000;
 
-/// Each span's lane k. `sched` spans take lane 1. A `client` span goes
-/// first-fit to the lowest of lane 0 and the RPC lanes that it nests in,
-/// the way the validator checks nesting: sorted by (start asc, end desc),
-/// a span fits a lane when the innermost span still open there ends no
-/// earlier. Every other span stays on lane 0, so its nesting is checked.
+/// Each span's lane k. `sched` spans take lane 1. A `client` or `bridge`
+/// span — one side of an RPC — goes first-fit to the lowest of lane 0 and
+/// the RPC lanes that it nests in, the way the validator checks nesting:
+/// sorted by (start asc, end desc), a span fits a lane when the innermost
+/// span still open there ends no earlier. Every other span stays on lane
+/// 0, so its nesting is checked.
 fn span_lanes(data: &TraceData) -> Vec<usize> {
     let mut lanes: Vec<usize> = data
         .spans
@@ -54,7 +57,7 @@ fn span_lanes(data: &TraceData) -> Vec<usize> {
                 ends.pop();
             }
         }
-        let lane = if span.cat == "client" {
+        let lane = if matches!(span.cat, "client" | "bridge") {
             let fits = |ends: &Vec<SimTime>| ends.last().is_none_or(|&end| end >= span.end);
             open.iter().position(fits).unwrap_or(open.len())
         } else {
@@ -103,8 +106,8 @@ fn push_args(out: &mut String, args: &[(&'static str, u64)]) {
 /// Layout: trace pid = node index + 1 (named by `process_name`
 /// metadata), trace tid = process index + 1 (named by `thread_name`),
 /// plus one `"(sched)"` lane per process holding its scheduler run
-/// intervals and one `"(rpc k)"` lane per RPC the process had in flight
-/// beyond what nests on its own lane. Spans become `"X"` (complete)
+/// intervals and one `"(rpc k)"` lane per RPC the process had in flight —
+/// sent or served — beyond what nests on its own lane. Spans become `"X"` (complete)
 /// events, instants `"i"` events, and message send/delivery pairs
 /// `"s"`/`"f"` flow events.
 pub fn chrome_trace_json(data: &TraceData) -> String {
@@ -421,6 +424,43 @@ mod tests {
         let second =
             r#""tid":200001,"name":"client.second","cat":"client","ts":5000.000,"dur":10000.000"#;
         assert!(json.contains(second), "{json}");
+    }
+
+    /// A commit group on a server: two members' `bridge` spans overlap
+    /// without nesting ([0, 10] and [2, 15] ms), with an LFS call of the
+    /// group inside both. The second member takes an `(rpc 1)` lane, the
+    /// call nests on the first's, and the export validates.
+    #[test]
+    fn overlapping_bridge_spans_of_one_process_export_and_validate() {
+        let collector = TraceCollector::install();
+        let mut sim = Simulation::new(SimConfig {
+            tracer: Some(collector.as_tracer()),
+            ..SimConfig::default()
+        });
+        let node = sim.add_node("alpha");
+        sim.block_on(node, "server", |ctx| {
+            let t0 = ctx.now();
+            ctx.delay(SimDuration::from_millis(2));
+            let t1 = ctx.now();
+            ctx.delay(SimDuration::from_millis(1));
+            let call = ctx.now();
+            ctx.delay(SimDuration::from_millis(5));
+            ctx.trace_span("client", "client.lfs.read", call, &[]);
+            ctx.delay(SimDuration::from_millis(2));
+            ctx.trace_span("bridge", "bridge.rand_read", t0, &[]);
+            ctx.delay(SimDuration::from_millis(5));
+            ctx.trace_span("bridge", "bridge.seq_write", t1, &[]);
+        });
+        let data = collector.snapshot();
+        let json = chrome_trace_json(&data);
+        let summary = validate_chrome_trace(&json).expect("valid trace");
+        assert_eq!(summary.spans, data.spans.len());
+        assert!(json.contains(r#""name":"server (rpc 1)""#), "{json}");
+        assert!(!json.contains("(rpc 2)"), "one extra lane is enough");
+        let second = r#""tid":200001,"name":"bridge.seq_write""#;
+        assert!(json.contains(second), "{json}");
+        let call = r#""tid":1,"name":"client.lfs.read""#;
+        assert!(json.contains(call), "{json}");
     }
 
     #[test]
