@@ -6,6 +6,9 @@
 //! per-LFS runs of at most `depth` consecutive locals. At depth 1 —
 //! `BatchPolicy::Off`, and every inherently single-block access — a run
 //! is one `Read`/`Write`; at depth `d > 1` it is one `ReadRun`/`WriteRun`.
+//! Blocks read *together* — a commit group's read round, whatever files
+//! they belong to — skip the lock step: every read is sent before the
+//! first reply is awaited ([`Server::read_together`]).
 
 use super::Server;
 use crate::error::BridgeError;
@@ -14,7 +17,7 @@ use crate::ids::{BridgeFileId, LfsIndex};
 use crate::protocol::TierCmd;
 use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp};
 use bytes::Bytes;
-use parsim::{Ctx, FixedMap};
+use parsim::{Ctx, FixedMap, ProcId};
 use simdisk::BlockAddr;
 
 /// What an access addresses: a constituent LFS file of a Bridge file,
@@ -231,24 +234,63 @@ impl Server {
         from: Target,
         ptr: GlobalPtr,
     ) -> Result<Bytes, BridgeError> {
-        let [payload] = self.read_together(ctx, [(from, ptr)])?;
-        Ok(payload?)
+        let mut read = self.read_together(ctx, &[(from, ptr)])?;
+        Ok(read.pop().expect("one block, one reply")?)
     }
 
-    /// Reads one block from each of `N` constituent files of one Bridge
-    /// file, every request in flight before the first reply is awaited:
-    /// blocks on different nodes cost one round trip, not `N`.
-    pub(super) fn read_together<const N: usize>(
+    /// Reads one block for each of `blocks` — each a constituent file and
+    /// a machine pointer into it, of any Bridge files — every request in
+    /// flight before the first reply is awaited: blocks on different
+    /// nodes cost one round trip between them, not one each. Returns each
+    /// block's raw payload or the error that failed it, in order. A reply
+    /// of the wrong shape is a protocol violation that fails the lot —
+    /// reported once every reply is taken, so none is stranded.
+    pub(super) fn read_together(
         &mut self,
         ctx: &mut Ctx,
-        blocks: [(Target, GlobalPtr); N],
-    ) -> Result<[BlockResult; N], BridgeError> {
-        let mut out = [const { None }; N];
-        self.read_blocks(ctx, blocks.into_iter(), 1, |_, _, i, payload| {
-            out[i] = Some(payload);
-            Ok(())
-        })?;
-        Ok(out.map(|payload| payload.expect("one block, one reply")))
+        blocks: &[(Target, GlobalPtr)],
+    ) -> Result<Vec<BlockResult>, BridgeError> {
+        let sent: Vec<(Target, LfsIndex, ProcId, u64)> = blocks
+            .iter()
+            .map(|&(to, ptr)| {
+                let hints = &self.files[&to.file].hints;
+                let hint = to.hinted.then(|| hints[ptr.lfs.index()]).flatten();
+                let op = LfsOp::Read {
+                    file: to.lfs_file,
+                    block: ptr.local,
+                    hint,
+                };
+                let proc = self.lfs_proc(ptr.lfs);
+                (
+                    to,
+                    ptr.lfs,
+                    proc,
+                    self.client.send(ctx, proc, TierCmd::Lfs(op)),
+                )
+            })
+            .collect();
+        let mut violation = None;
+        let mut out = Vec::with_capacity(sent.len());
+        for (to, lfs, proc, id) in sent {
+            let read = match self.client.wait(ctx, proc, id) {
+                Err(e) => Err(e),
+                Ok(data) => match data.into_block() {
+                    Ok((payload, addr)) => {
+                        self.note_hint(to, lfs, addr);
+                        Ok(payload)
+                    }
+                    Err(e) => {
+                        violation = violation.or(Some(e));
+                        continue;
+                    }
+                },
+            };
+            out.push(read);
+        }
+        match violation {
+            Some(e) => Err(BridgeError::Lfs(e)),
+            None => Ok(out),
+        }
     }
 
     /// Writes `blocks` (machine pointer and encoded payload each) to

@@ -2,6 +2,7 @@
 //! files, and the parallel-open view's lock-step job rounds.
 
 use super::blockio::{check_header, Target};
+use super::group::Op;
 use super::Server;
 use crate::error::BridgeError;
 use crate::header::{encode_payload, BridgeHeader, GlobalPtr, BRIDGE_DATA};
@@ -134,6 +135,9 @@ impl Server {
         Ok(BridgeData::Block(first))
     }
 
+    /// `RandRead` of a linked file: a walk of its chain. A strictly placed
+    /// file's block is read through the commit-group rounds
+    /// ([`Server::plan_rand_read`]).
     pub(super) fn rand_read(
         &mut self,
         ctx: &mut Ctx,
@@ -144,14 +148,28 @@ impl Server {
         if block >= size {
             return Err(BridgeError::BlockOutOfRange { file, block, size });
         }
-        let mut out = None;
-        if self.is_linked(file) {
-            let ptr = self.linked_walk(ctx, file, block)?;
-            out = Some(self.read_checked(ctx, file, block, ptr)?.1);
-        } else {
-            self.read_strict(ctx, file, block, 1, 1, |_, _, body| out = Some(body))?;
+        let ptr = self.linked_walk(ctx, file, block)?;
+        Ok(BridgeData::Block(
+            self.read_checked(ctx, file, block, ptr)?.1,
+        ))
+    }
+
+    /// `RandRead`'s plan half for a strictly placed file: where the block
+    /// lives. Its read is the commit group's read round, and
+    /// [`Server::strict_body`] its compute.
+    pub(super) fn plan_rand_read(
+        &mut self,
+        file: BridgeFileId,
+        block: u64,
+    ) -> Result<Op, BridgeError> {
+        let meta = self.meta(file)?;
+        if block >= meta.size {
+            let size = meta.size;
+            return Err(BridgeError::BlockOutOfRange { file, block, size });
         }
-        Ok(BridgeData::Block(out.expect("one block read")))
+        let target = Target::hinted(file, meta.lfs_file);
+        let at = (target, meta.locate(block)?);
+        Ok(Op::Read { file, block, at })
     }
 
     /// Appends `bodies` as globals `size..size + n` of a plain file
@@ -177,24 +195,24 @@ impl Server {
         Ok(())
     }
 
-    /// Appends one block. On a plain file it joins the append train
-    /// ([`PendingAppends`]) and is acknowledged at once; redundant and
-    /// linked files append block by block.
+    /// `SeqWrite` of a linked file — a scattered append — or of a plain
+    /// strictly placed one, which joins the append train
+    /// ([`PendingAppends`]) and is acknowledged at once. A redundant
+    /// file's append is a block write through the commit-group rounds
+    /// ([`Server::plan_append`]).
     pub(super) fn seq_write(
         &mut self,
         ctx: &mut Ctx,
         file: BridgeFileId,
         data: Bytes,
     ) -> Result<BridgeData, BridgeError> {
-        let meta = self.meta(file)?;
-        let size = meta.size;
-        let plain = meta.redundancy == Redundancy::None && !self.is_linked(file);
-        if !plain {
-            return self
-                .append(ctx, file, &data)
-                .map(|block| BridgeData::Written { block });
-        }
+        let size = self.meta(file)?.size;
         check_size(&data)?;
+        if self.is_linked(file) {
+            self.append_linked(ctx, file, size, &data)?;
+            return Ok(BridgeData::Written { block: size });
+        }
+        debug_assert_eq!(self.files[&file].redundancy, Redundancy::None);
         let pending = self.pending.get_or_insert_with(|| PendingAppends {
             file,
             payloads: Vec::new(),
@@ -205,6 +223,18 @@ impl Server {
             self.flush_appends(ctx)?;
         }
         Ok(BridgeData::Written { block })
+    }
+
+    /// `SeqWrite`'s plan half for a redundant file: a block write one
+    /// past the end.
+    pub(super) fn plan_append(
+        &mut self,
+        file: BridgeFileId,
+        data: &[u8],
+    ) -> Result<Op, BridgeError> {
+        let size = self.meta(file)?.size;
+        check_size(data)?;
+        self.plan_write(file, size, data, size + 1).map(Op::Write)
     }
 
     /// Flushes the buffered append train, if any.
@@ -225,27 +255,9 @@ impl Server {
         }
     }
 
-    /// Appends one block, returning its global number.
-    fn append(
-        &mut self,
-        ctx: &mut Ctx,
-        file: BridgeFileId,
-        data: &[u8],
-    ) -> Result<u64, BridgeError> {
-        check_size(data)?;
-        let block = self.meta(file)?.size;
-        if self.is_linked(file) {
-            self.append_linked(ctx, file, block, data)?;
-        } else {
-            self.write_block(ctx, file, block, data, block + 1)?;
-        }
-        self.file_mut(file).size = block + 1;
-        Ok(block)
-    }
-
-    /// Linked append: scatter to a pseudo-random node, then fix the old
-    /// tail's forward pointer (an extra read-modify-write — the price of
-    /// disorder).
+    /// Linked append of global `block`: scatter to a pseudo-random node,
+    /// then fix the old tail's forward pointer (an extra read-modify-write
+    /// — the price of disorder).
     fn append_linked(
         &mut self,
         ctx: &mut Ctx,
@@ -288,7 +300,9 @@ impl Server {
         } else {
             self.file_mut(file).head = Some(ptr);
         }
-        self.file_mut(file).tail = Some(ptr);
+        let meta = self.file_mut(file);
+        meta.tail = Some(ptr);
+        meta.size = block + 1;
         Ok(())
     }
 
@@ -330,6 +344,10 @@ impl Server {
         Ok(pos)
     }
 
+    /// `RandWrite` of a linked file: an append one past the end, else a
+    /// walk to the block and a rewrite in place. A strictly placed file's
+    /// block is written through the commit-group rounds
+    /// ([`Server::plan_rand_write`]).
     pub(super) fn rand_write(
         &mut self,
         ctx: &mut Ctx,
@@ -341,21 +359,34 @@ impl Server {
         self.drop_prefetch(file);
         let size = self.meta(file)?.size;
         if block == size {
-            // Writing one past the end is an append.
-            let block = self.append(ctx, file, data)?;
-            return Ok(BridgeData::Written { block });
-        }
-        if block > size {
+            self.append_linked(ctx, file, block, data)?;
+        } else if block > size {
             return Err(BridgeError::BlockOutOfRange { file, block, size });
-        }
-        if self.is_linked(file) {
+        } else {
             let ptr = self.linked_walk(ctx, file, block)?;
             let (header, _) = self.read_checked(ctx, file, block, ptr)?;
             self.write_checked(ctx, file, ptr, &header, data)?;
-        } else {
-            self.write_block(ctx, file, block, data, size)?;
         }
         Ok(BridgeData::Written { block })
+    }
+
+    /// `RandWrite`'s plan half for a strictly placed file: an overwrite,
+    /// or an append one past the end.
+    pub(super) fn plan_rand_write(
+        &mut self,
+        file: BridgeFileId,
+        block: u64,
+        data: &[u8],
+    ) -> Result<Op, BridgeError> {
+        check_size(data)?;
+        self.drop_prefetch(file);
+        let size = self.meta(file)?.size;
+        if block > size {
+            return Err(BridgeError::BlockOutOfRange { file, block, size });
+        }
+        let size_after = size.max(block + 1);
+        self.plan_write(file, block, data, size_after)
+            .map(Op::Write)
     }
 
     pub(super) fn parallel_open(
@@ -526,7 +557,6 @@ impl Server {
             let size_after = size + accepted as u64;
             for (block, data) in (size..).zip(&prefix) {
                 self.write_block(ctx, file, block, data, size_after)?;
-                self.file_mut(file).size = block + 1;
             }
         }
         Ok(BridgeData::JobWritten {

@@ -1,0 +1,292 @@
+//! Commit groups: the requests the server serves together.
+//!
+//! The Bridge Server is one process, so requests that arrive while it is
+//! busy queue in its stash. The loop serves the request it received
+//! together with every `BridgeRequest` already stashed: a *commit group*
+//! of requests on distinct files. A group runs in rounds:
+//!
+//! 1. every member's LFS reads, as one pipelined round — a `RandRead`'s
+//!    block, a parity write's old parity and old data;
+//! 2. each member's compute — the header check, the parity XOR into its
+//!    columns — after which a member with nothing to commit is answered;
+//! 3. every member's transaction through one two-phase commit: all
+//!    PREPAREs pipelined, one BEGIN force naming every transaction, the
+//!    votes, one COMMIT force naming the committed ones, every decision
+//!    pipelined;
+//! 4. the remaining replies, each write's directory update (an append's
+//!    size) made only if it landed.
+//!
+//! What queues while the group reads joins it in one more read round, so
+//! the transactions of requests that arrive a round apart still share the
+//! forces. A group of one is the sequence a lone request always ran, send
+//! for send, so a lone client sees nothing new; and strictly placed reads
+//! and block writes are served nowhere else. Which requests share a group
+//! is [`Server::route`]'s call.
+
+use super::blockio::Target;
+use super::redundancy::WritePlan;
+use super::Server;
+use crate::error::BridgeError;
+use crate::header::GlobalPtr;
+use crate::ids::BridgeFileId;
+use crate::placement::PlacementKind;
+use crate::protocol::{BridgeCmd, BridgeData, BridgeRequest};
+use crate::redundancy::Redundancy;
+use parsim::{Ctx, ProcId, SimTime};
+
+/// How the server loop serves a command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Route {
+    /// Alone, through `dispatch`.
+    Alone,
+    /// Through a commit group's rounds, as an op on `file`; `shared` when
+    /// it may be served in a group with other requests.
+    Rounds { file: BridgeFileId, shared: bool },
+}
+
+/// A command's work as the rounds run it.
+pub(super) enum Op {
+    /// A strictly placed block read: where the block lives.
+    Read {
+        file: BridgeFileId,
+        block: u64,
+        at: (Target, GlobalPtr),
+    },
+    /// A planned block write.
+    Write(WritePlan),
+}
+
+impl Op {
+    /// The LFS reads the op needs in the read round.
+    fn reads(&self) -> &[(Target, GlobalPtr)] {
+        match self {
+            Op::Read { at, .. } => std::slice::from_ref(at),
+            Op::Write(plan) => plan.reads(),
+        }
+    }
+}
+
+/// A request being served: who sent it, and when it was taken — its
+/// `bridge` span opens there.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Member {
+    pub from: ProcId,
+    pub id: u64,
+    pub name: &'static str,
+    pub t0: SimTime,
+}
+
+impl Member {
+    /// The member `req` from `from` makes, taken at `t0`.
+    pub fn of(from: ProcId, req: &BridgeRequest, t0: SimTime) -> Member {
+        Member {
+            from,
+            id: req.id,
+            name: req.cmd.name(),
+            t0,
+        }
+    }
+}
+
+/// What the server answers a request with.
+pub(super) type Outcome = Result<BridgeData, BridgeError>;
+
+/// Where a commit group's members come from and where their outcomes go.
+pub(super) trait Host {
+    /// Whatever the host knows a member by.
+    type Member;
+
+    /// Hands `member` its outcome, once known.
+    fn answer(&mut self, server: &Server, ctx: &mut Ctx, member: &Self::Member, outcome: Outcome);
+
+    /// The requests that queued while the server was busy and may join
+    /// the group, on files other than `busy`.
+    fn gather(
+        &mut self,
+        server: &Server,
+        ctx: &mut Ctx,
+        busy: &[BridgeFileId],
+    ) -> Vec<(Self::Member, BridgeCmd)>;
+}
+
+/// The host of a block write with no request behind it: the outcome is
+/// kept, and no other request joins.
+struct Kept(Option<Outcome>);
+
+impl Host for Kept {
+    type Member = ();
+
+    fn answer(&mut self, _: &Server, _: &mut Ctx, _: &(), outcome: Outcome) {
+        self.0 = Some(outcome);
+    }
+
+    fn gather(&mut self, _: &Server, _: &mut Ctx, _: &[BridgeFileId]) -> Vec<((), BridgeCmd)> {
+        Vec::new()
+    }
+}
+
+impl Server {
+    /// How `cmd` is served. A strictly placed file's `RandRead` shares a
+    /// group with any other such request, and so does a redundant file's
+    /// `SeqWrite` or `RandWrite` on a machine with a decision log. Other
+    /// strictly placed block writes — a plain file's overwrite, a
+    /// redundant write without the log — run through the rounds as a
+    /// group of one, and a plain file's append extends the append train.
+    /// Everything else, an unknown file's included, is dispatched alone.
+    pub(super) fn route(&self, cmd: &BridgeCmd) -> Route {
+        let file = match *cmd {
+            BridgeCmd::RandRead { file, .. }
+            | BridgeCmd::RandWrite { file, .. }
+            | BridgeCmd::SeqWrite { file, .. } => file,
+            _ => return Route::Alone,
+        };
+        let Some(meta) = self.files.get(&file) else {
+            return Route::Alone;
+        };
+        let redundant = meta.redundancy != Redundancy::None;
+        if matches!(meta.placement.kind(), PlacementKind::Linked) {
+            return Route::Alone;
+        }
+        match cmd {
+            BridgeCmd::RandRead { .. } => Route::Rounds { file, shared: true },
+            BridgeCmd::SeqWrite { .. } if !redundant => Route::Alone,
+            _ => Route::Rounds {
+                file,
+                shared: redundant && self.txlog.is_some(),
+            },
+        }
+    }
+
+    /// The op of a command [`Server::route`] sends through the rounds.
+    fn plan(&mut self, cmd: &BridgeCmd) -> Result<Op, BridgeError> {
+        match *cmd {
+            BridgeCmd::RandRead { file, block } => self.plan_rand_read(file, block),
+            BridgeCmd::SeqWrite { file, ref data } => self.plan_append(file, data),
+            BridgeCmd::RandWrite {
+                file,
+                block,
+                ref data,
+            } => self.plan_rand_write(file, block, data),
+            _ => unreachable!("only block reads and writes are routed to the rounds"),
+        }
+    }
+
+    /// Serves a commit group — `members` in join order, on distinct files
+    /// — answering each through `host` as soon as its outcome is known.
+    /// Unless `shared`, the group is its one member.
+    pub(super) fn serve_group<H: Host>(
+        &mut self,
+        ctx: &mut Ctx,
+        host: &mut H,
+        members: Vec<(H::Member, BridgeCmd)>,
+        shared: bool,
+    ) {
+        let (members, cmds): (Vec<_>, Vec<_>) = members.into_iter().unzip();
+        let ops = self.plan_all(ctx, &cmds);
+        self.run_group(ctx, host, members, ops, shared);
+    }
+
+    /// Writes a planned block as a group of one with no request behind
+    /// it, returning its outcome.
+    pub(super) fn run_write(&mut self, ctx: &mut Ctx, plan: WritePlan) -> Outcome {
+        let mut kept = Kept(None);
+        self.run_group(ctx, &mut kept, vec![()], vec![Ok(Op::Write(plan))], false);
+        kept.0.expect("one op, one outcome")
+    }
+
+    /// Plans each command's op. The append train is flushed first, as
+    /// `dispatch` does for every command but the train's next append; a
+    /// failed flush is the first op's outcome, as it would have been
+    /// alone.
+    fn plan_all(&mut self, ctx: &mut Ctx, cmds: &[BridgeCmd]) -> Vec<Result<Op, BridgeError>> {
+        cmds.iter()
+            .map(|cmd| self.flush_appends(ctx).and_then(|()| self.plan(cmd)))
+            .collect()
+    }
+
+    /// Runs a group's rounds: `ops[i]` is `members[i]`'s.
+    fn run_group<H: Host>(
+        &mut self,
+        ctx: &mut Ctx,
+        host: &mut H,
+        mut members: Vec<H::Member>,
+        mut ops: Vec<Result<Op, BridgeError>>,
+        shared: bool,
+    ) {
+        // The transactional writes, each with its member's position.
+        let mut writes: Vec<(usize, WritePlan)> = Vec::new();
+        let mut first = 0;
+        loop {
+            let writers = writes.len();
+            // Round 1: every op's LFS reads, all in flight at once.
+            let wanted: Vec<_> = ops.iter().flatten().flat_map(Op::reads).copied().collect();
+            let mut read = match self.read_together(ctx, &wanted) {
+                Ok(read) => read.into_iter(),
+                Err(e) => {
+                    ops.iter_mut().for_each(|op| *op = Err(e.clone()));
+                    Vec::new().into_iter()
+                }
+            };
+            // Round 2: each op's compute. An op with nothing to commit is
+            // done.
+            for (i, op) in (first..).zip(ops.drain(..)) {
+                let outcome = match op {
+                    Err(e) => Err(e),
+                    Ok(Op::Read { file, block, .. }) => {
+                        let read = read.next().expect("one read");
+                        let body = self.strict_body(ctx, file, block, read);
+                        body.map(BridgeData::Block)
+                    }
+                    Ok(Op::Write(plan)) => {
+                        let read = read.by_ref().take(plan.reads().len()).collect();
+                        match self.finish_write(ctx, plan, read) {
+                            Ok(plan) if self.transactional(&plan) => {
+                                writes.push((i, plan));
+                                continue;
+                            }
+                            Ok(plan) => {
+                                let lost = self.write_columns(ctx, &plan);
+                                lost.and_then(|lost| self.settle(&plan, lost))
+                            }
+                            Err(e) => Err(e),
+                        }
+                    }
+                };
+                host.answer(self, ctx, &members[i], outcome);
+            }
+            // What queued meanwhile joins in one more read round — after
+            // the first, and after each that brought a write, so a stream
+            // of reads cannot hold the group's transactions back.
+            if !shared || (first > 0 && writes.len() == writers) {
+                break;
+            }
+            first = members.len();
+            let busy: Vec<BridgeFileId> = writes.iter().map(|(_, plan)| plan.file).collect();
+            let (joined, cmds): (Vec<_>, Vec<_>) =
+                host.gather(self, ctx, &busy).into_iter().unzip();
+            if joined.is_empty() {
+                break;
+            }
+            members.extend(joined);
+            ops = self.plan_all(ctx, &cmds);
+        }
+        // Rounds 3 and 4: every write's transaction through one
+        // two-phase commit, and the replies.
+        let txns: Vec<_> = writes.iter().map(|(_, plan)| plan.txn()).collect();
+        let outcomes = self.run_2pc(ctx, &txns, false);
+        for ((i, plan), outcome) in writes.into_iter().zip(outcomes) {
+            let outcome = outcome.and_then(|(_, lost)| self.settle(&plan, lost as usize));
+            host.answer(self, ctx, &members[i], outcome);
+        }
+    }
+
+    /// A landed write's reply: it counts `lost` columns against the plan,
+    /// and an append that landed grows its file.
+    fn settle(&mut self, plan: &WritePlan, lost: usize) -> Outcome {
+        plan.landed(lost)?;
+        if plan.grows {
+            self.file_mut(plan.file).size = plan.block + 1;
+        }
+        Ok(BridgeData::Written { block: plan.block })
+    }
+}

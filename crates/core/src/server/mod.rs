@@ -9,14 +9,17 @@
 //! requests to the right LFS with disk-address hints, and runs
 //! parallel-open jobs in lock-step waves of `p`.
 //!
-//! One module per stage a request passes through — `directory`,
+//! One module per stage a request passes through — `group`, `directory`,
 //! `blockio`, `redundancy`, `txn`, `cursor`, `rebuild`, plus `agent` — and
 //! one path per job: DESIGN.md §3 has the module map and the mode table.
+//! Requests that queue while the server is busy are served together, as a
+//! commit group (`group`, DESIGN.md §11).
 
 mod agent;
 mod blockio;
 mod cursor;
 mod directory;
+mod group;
 mod rebuild;
 mod redundancy;
 mod txn;
@@ -36,7 +39,8 @@ use bridge_efs::{Admission, DedupWindow, EfsError, LfsData, LfsOp, RetryPolicy, 
 use bridge_trace::{HealthEvent, HealthSnapshot, ServerTelemetry, TelemetryRegistry};
 use cursor::{Cursor, Job, PendingAppends};
 use directory::FileMeta;
-use parsim::{Ctx, FixedMap, NodeId, ProcId, SimDuration, SimTime, Simulation, TraceArg};
+use group::{Host, Member, Outcome, Route};
+use parsim::{Ctx, Envelope, FixedMap, NodeId, ProcId, SimDuration, SimTime, Simulation, TraceArg};
 use simdisk::SchedPolicy;
 use std::sync::Arc;
 
@@ -194,52 +198,133 @@ pub fn spawn_bridge_server(
             next_txn: 1,
             telemetry,
         };
-        // Duplicate suppression for retransmitted requests: the server is
-        // single-threaded (one dispatch at a time), so a retransmit either
-        // finds its original's cached reply here or — having been stashed
-        // during the original's dispatch — finds it on the next loop turn.
-        let mut dedup: DedupWindow<BridgeReply> = DedupWindow::default();
+        let mut front = Front::default();
         loop {
-            let env = ctx.recv_where(|e| e.is::<BridgeRequest>());
-            let from = env.from();
-            let req = env.downcast::<BridgeRequest>().expect("matched type");
-            ctx.delay(server.config.cpu_per_request);
-            let reply = match dedup.admit(from, req.id, req.low) {
-                Admission::New => {
-                    let cmd_name = req.cmd.name();
-                    let t0 = ctx.now();
-                    let result = server.dispatch(ctx, from, req.cmd);
-                    trace_served(ctx, cmd_name, t0, result.is_ok(), req.id, from);
-                    debug_assert_eq!(ctx.open_ids(), 0, "{cmd_name} left an LFS call open");
-                    let reply = BridgeReply { id: req.id, result };
-                    dedup.complete(from, req.id, reply.clone());
-                    server.tally(|s| s.note_request(dedup.len() as u64, server.client.resends()));
-                    reply
-                }
-                // Single-threaded service means an admitted id is always
-                // completed before the next request is received.
-                Admission::InFlight => unreachable!("request completed before the next receive"),
-                Admission::Stale => {
-                    // Its client awaits it no more: nobody to answer.
-                    if ctx.trace_enabled() {
-                        ctx.trace_instant("retry", "retry.dup_dropped", &[("id", req.id)]);
+            let (from, req) = match front.next.take() {
+                Some(taken) => taken,
+                None => {
+                    let env = ctx.recv_where(|e| e.is::<BridgeRequest>());
+                    match front.admit(&server, ctx, env) {
+                        Some(new) => new,
+                        None => continue,
                     }
-                    continue;
-                }
-                Admission::Replay(reply) => {
-                    // Already executed: resend the recorded outcome rather
-                    // than re-running a possibly non-idempotent command.
-                    server.tally(|s| s.replays += 1);
-                    if ctx.trace_enabled() {
-                        ctx.trace_instant("retry", "retry.replay", &[("id", req.id)]);
-                    }
-                    reply
                 }
             };
-            let bytes = reply_wire_size(&reply);
-            ctx.send_sized_cloneable(from, reply, bytes);
+            let member = Member::of(from, &req, ctx.now());
+            match server.route(&req.cmd) {
+                Route::Alone => {
+                    let result = server.dispatch(ctx, from, req.cmd);
+                    front.answer(&server, ctx, &member, result);
+                }
+                Route::Rounds { file, shared } => {
+                    let mut members = vec![(member, req.cmd)];
+                    if shared {
+                        members.extend(front.gather(&server, ctx, &[file]));
+                    }
+                    server.serve_group(ctx, &mut front, members, shared);
+                }
+            }
+            debug_assert_eq!(ctx.open_ids(), 0, "serving left an LFS call open");
         }
     })
+}
+
+/// The server's front door: the dedup window every request passes, and
+/// the request taken from the stash that could not join the group before
+/// it, which is served next.
+#[derive(Default)]
+struct Front {
+    /// Duplicate suppression for retransmitted requests: a retransmit
+    /// finds its original's recorded reply here, or — a second delivery
+    /// stashed beside its original — is dropped while the original is
+    /// served.
+    dedup: DedupWindow<BridgeReply>,
+    next: Option<(ProcId, BridgeRequest)>,
+}
+
+impl Front {
+    /// Charges a request taken from the mailbox or the stash its CPU and
+    /// admits it through the dedup window: `Some` if it is new. A
+    /// duplicate is settled here — answered from the window, or dropped
+    /// when nobody awaits an answer.
+    fn admit(
+        &mut self,
+        server: &Server,
+        ctx: &mut Ctx,
+        env: Envelope,
+    ) -> Option<(ProcId, BridgeRequest)> {
+        let from = env.from();
+        let req = env.downcast::<BridgeRequest>().expect("matched type");
+        ctx.delay(server.config.cpu_per_request);
+        match self.dedup.admit(from, req.id, req.low) {
+            Admission::New => return Some((from, req)),
+            // A second delivery of a request in the group being gathered
+            // (its reply is coming), or one whose client awaits it no
+            // more: nobody to answer.
+            Admission::InFlight | Admission::Stale => {
+                if ctx.trace_enabled() {
+                    ctx.trace_instant("retry", "retry.dup_dropped", &[("id", req.id)]);
+                }
+            }
+            Admission::Replay(reply) => {
+                // Already executed: resend the recorded outcome rather
+                // than re-running a possibly non-idempotent command.
+                server.tally(|s| s.replays += 1);
+                if ctx.trace_enabled() {
+                    ctx.trace_instant("retry", "retry.replay", &[("id", req.id)]);
+                }
+                let bytes = reply_wire_size(&reply);
+                ctx.send_sized_cloneable(from, reply, bytes);
+            }
+        }
+        None
+    }
+}
+
+impl Host for Front {
+    type Member = Member;
+
+    /// Closes the member's `bridge` span, records its reply in the dedup
+    /// window, and sends it.
+    fn answer(&mut self, server: &Server, ctx: &mut Ctx, member: &Member, result: Outcome) {
+        let Member { from, id, name, t0 } = *member;
+        trace_served(ctx, name, t0, result.is_ok(), id, from);
+        let reply = BridgeReply { id, result };
+        self.dedup.complete(from, id, reply.clone());
+        let occupancy = self.dedup.len() as u64;
+        server.tally(|s| s.note_request(occupancy, server.client.resends()));
+        let bytes = reply_wire_size(&reply);
+        ctx.send_sized_cloneable(from, reply, bytes);
+    }
+
+    /// Takes the stashed requests in arrival order, each joining while it
+    /// may share a group and names a file no other does; the first that
+    /// cannot is served next, and nothing is gathered past it.
+    fn gather(
+        &mut self,
+        server: &Server,
+        ctx: &mut Ctx,
+        busy: &[BridgeFileId],
+    ) -> Vec<(Member, BridgeCmd)> {
+        let mut files = busy.to_vec();
+        let mut joined = Vec::new();
+        while self.next.is_none() {
+            let Some(env) = ctx.take_stashed(|e| e.is::<BridgeRequest>()) else {
+                break;
+            };
+            let Some((from, req)) = self.admit(server, ctx, env) else {
+                continue;
+            };
+            match server.route(&req.cmd) {
+                Route::Rounds { file, shared: true } if !files.contains(&file) => {
+                    files.push(file);
+                    joined.push((Member::of(from, &req, ctx.now()), req.cmd));
+                }
+                _ => self.next = Some((from, req)),
+            }
+        }
+        joined
+    }
 }
 
 /// Closes the `bridge` span of a request the server or an agent has just
@@ -342,6 +427,9 @@ impl Server {
             BridgeCmd::Open { file } => self.open(ctx, from, file),
             BridgeCmd::SeqRead { file } => self.seq_read(ctx, from, file),
             BridgeCmd::SeqWrite { file, data } => self.seq_write(ctx, file, data),
+            // Strictly placed files' reads and block writes go through
+            // the commit-group rounds (`Server::route`); these serve the
+            // rest.
             BridgeCmd::RandRead { file, block } => self.rand_read(ctx, file, block),
             BridgeCmd::RandWrite { file, block, data } => self.rand_write(ctx, file, block, &data),
             BridgeCmd::ParallelOpen { file, workers } => self.parallel_open(from, file, workers),

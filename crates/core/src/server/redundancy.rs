@@ -1,7 +1,10 @@
 //! Redundancy on the data path: reads that survive a lost column, and the
-//! one planner that turns a block write into the columns it must land on.
+//! one planner that turns a block write into the columns it must land on —
+//! in two halves around a commit group's read round — and the one place
+//! that lands them.
 
-use super::blockio::{check_header, Target};
+use super::blockio::{check_header, BlockResult, Target};
+use super::txn::Txn;
 use super::Server;
 use crate::error::BridgeError;
 use crate::header::{encode_payload, GlobalPtr};
@@ -16,11 +19,67 @@ use parsim::Ctx;
 /// One column of a planned write: which LFS file, where, and what.
 type Column = (Target, GlobalPtr, Bytes);
 
+/// A block write of a strictly placed file, planned: the columns it
+/// lands on, and the old blocks its parity update must read first.
+pub(super) struct WritePlan {
+    pub file: BridgeFileId,
+    pub block: u64,
+    /// The write extends the file: once it lands, the file holds
+    /// `block + 1` blocks.
+    pub grows: bool,
+    /// The file is redundant: a lost column is tolerated, and on a machine
+    /// with a decision log the columns commit as one transaction.
+    redundant: bool,
+    /// The data block first, then its mirror copy or its stripe's parity.
+    columns: Vec<Column>,
+    /// A parity read-modify-write's reads: the stripe's parity block,
+    /// then — for an overwrite — the block's old data.
+    rmw: Vec<(Target, GlobalPtr)>,
+}
+
+impl WritePlan {
+    /// What landing came to, given the columns lost on the way: a
+    /// redundant write tolerates a lost column (failed node, lost disk,
+    /// unrebuilt spare); landing on none is an error.
+    pub fn landed(&self, lost: usize) -> Result<(), BridgeError> {
+        if lost < self.columns.len() {
+            Ok(())
+        } else {
+            Err(BridgeError::Lfs(EfsError::NodeFailed))
+        }
+    }
+
+    /// The LFS reads the plan needs before its columns are known.
+    pub fn reads(&self) -> &[(Target, GlobalPtr)] {
+        &self.rmw
+    }
+
+    /// The plan's columns as one transaction's participants, every one of
+    /// them tolerant.
+    pub fn txn(&self) -> Txn {
+        let participants = self
+            .columns
+            .iter()
+            .map(|(target, ptr, payload)| TxParticipant {
+                node: ptr.lfs.0,
+                intent: PrepareIntent::WriteBlock {
+                    file: target.lfs_file,
+                    block_no: ptr.local,
+                    payload: payload.clone(),
+                },
+            })
+            .collect();
+        Txn {
+            participants,
+            tolerant: vec![true; self.columns.len()],
+        }
+    }
+}
+
 impl Server {
     /// Reads `count` consecutive strictly placed globals from `first` at
     /// `depth`, handing each block's data to `sink` as its reply is
-    /// processed. A block whose column is lost is recovered on the spot
-    /// from the redundancy, without knocking on the dead node again.
+    /// processed.
     pub(super) fn read_strict(
         &mut self,
         ctx: &mut Ctx,
@@ -31,22 +90,37 @@ impl Server {
         mut sink: impl FnMut(&mut Ctx, u64, Bytes),
     ) -> Result<(), BridgeError> {
         let meta = self.meta(file)?;
-        let redundant = meta.redundancy != Redundancy::None;
         let target = Target::hinted(file, meta.lfs_file);
         let ptrs = (first..first + count)
             .map(|block| meta.locate(block))
             .collect::<Result<Vec<_>, _>>()?;
         let blocks = ptrs.into_iter().map(|ptr| (target, ptr));
-        self.read_blocks(ctx, blocks, depth, |server, ctx, i, payload| {
+        self.read_blocks(ctx, blocks, depth, |server, ctx, i, read| {
             let block = first + i as u64;
-            let payload = match payload {
-                Ok(p) => p,
-                Err(e) if redundant && e.column_lost() => server.recover_block(ctx, file, block)?,
-                Err(e) => return Err(BridgeError::Lfs(e)),
-            };
-            sink(ctx, block, check_header(file, block, &payload)?.1);
+            let body = server.strict_body(ctx, file, block, read)?;
+            sink(ctx, block, body);
             Ok(())
         })
+    }
+
+    /// The body of strictly placed `block` of `file` as its read answered,
+    /// its header checked. A block whose column is lost is recovered on
+    /// the spot from the redundancy, without knocking on the dead node
+    /// again.
+    pub(super) fn strict_body(
+        &mut self,
+        ctx: &mut Ctx,
+        file: BridgeFileId,
+        block: u64,
+        read: BlockResult,
+    ) -> Result<Bytes, BridgeError> {
+        let redundant = self.files[&file].redundancy != Redundancy::None;
+        let payload = match read {
+            Ok(p) => p,
+            Err(e) if redundant && e.column_lost() => self.recover_block(ctx, file, block)?,
+            Err(e) => return Err(BridgeError::Lfs(e)),
+        };
+        Ok(check_header(file, block, &payload)?.1)
     }
 
     /// The payload of a strictly placed block whose primary column is
@@ -152,11 +226,9 @@ impl Server {
         }
     }
 
-    /// Redundancy-aware write of a strictly placed block: an append when
-    /// `block == size`, an overwrite otherwise. `size_after` is the file
-    /// size once the write lands (for the circular header pointers). A
-    /// redundant write's columns — the data block plus its mirror copy or
-    /// its stripe's updated parity — are planned once, then committed.
+    /// Writes `data` at `block` of strictly placed `file` as a commit
+    /// group of one ([`Server::plan_write`] says what the arguments
+    /// mean).
     pub(super) fn write_block(
         &mut self,
         ctx: &mut Ctx,
@@ -165,118 +237,134 @@ impl Server {
         data: &[u8],
         size_after: u64,
     ) -> Result<(), BridgeError> {
+        let plan = self.plan_write(file, block, data, size_after)?;
+        self.run_write(ctx, plan).map(drop)
+    }
+
+    /// The plan half of a write of `data` at `block` of strictly placed
+    /// `file` — an append when `block` is the file's size, an overwrite
+    /// before it; `size_after` is the file size once the write lands (for
+    /// the circular header pointers). A redundant write's columns are the
+    /// data block plus its mirror copy or its stripe's updated parity:
+    /// the classic small-write read-modify-write, whose old parity — and
+    /// for an overwrite old data, on another node — is read in the commit
+    /// group's read round and XORed by [`Server::finish_write`]. The reads
+    /// come before any column is written: the server is the only writer,
+    /// and a group's members name distinct files, so the values read
+    /// cannot go stale, and an aborted commit leaves them valid for the
+    /// retry.
+    pub(super) fn plan_write(
+        &mut self,
+        file: BridgeFileId,
+        block: u64,
+        data: &[u8],
+        size_after: u64,
+    ) -> Result<WritePlan, BridgeError> {
         let meta = self.file_mut(file);
         let header = meta.strict_header(file, block, size_after)?;
         let payload: Bytes = encode_payload(&header, data).into();
         let pos = meta.locate_pos(block)?;
         let ptr = meta.to_machine(pos);
         let data_file = meta.lfs_file;
+        let mut plan = WritePlan {
+            file,
+            block,
+            grows: block == meta.size,
+            redundant: meta.redundancy != Redundancy::None,
+            columns: Vec::with_capacity(2),
+            rmw: Vec::new(),
+        };
         match meta.redundancy {
             Redundancy::None => {
-                self.write_blocks(ctx, Target::hinted(file, data_file), &[(ptr, payload)], 1)
+                plan.columns
+                    .push((Target::hinted(file, data_file), ptr, payload));
             }
             Redundancy::Mirror => {
                 let (mirror_file, m) = meta.mirror_ptr(pos);
-                let columns = [
-                    (Target::hinted(file, data_file), ptr, payload.clone()),
-                    (Target::raw(file, mirror_file), m, payload),
-                ];
-                self.commit_columns(ctx, &columns)
+                plan.columns
+                    .push((Target::hinted(file, data_file), ptr, payload.clone()));
+                plan.columns
+                    .push((Target::raw(file, mirror_file), m, payload));
             }
             Redundancy::Parity { .. } => {
-                let parity = self.plan_parity(ctx, file, block, &payload)?;
-                let mut columns = vec![(Target::raw(file, data_file), ptr, payload)];
-                columns.extend(parity);
-                self.commit_columns(ctx, &columns)
+                let layout = meta.parity_layout();
+                let (parity_file, parity) = meta.parity_ptr(layout.stripe_of(block));
+                let target = Target::raw(file, parity_file);
+                let data = Target::raw(file, data_file);
+                plan.columns.push((data, ptr, payload.clone()));
+                if plan.grows && block.is_multiple_of(layout.stripe_width()) {
+                    // First member of a fresh stripe: parity = payload.
+                    plan.columns.push((target, parity, payload));
+                } else {
+                    plan.rmw.push((target, parity));
+                    if !plan.grows {
+                        plan.rmw.push((data, ptr));
+                    }
+                }
             }
         }
+        Ok(plan)
     }
 
-    /// The parity column of a write of `payload` at `block`: the stripe's
-    /// parity block XOR-updated for the new data — the classic small-write
-    /// read-modify-write — or `None` when the parity column is gone (the
-    /// data lands degraded; a rebuild recomputes the parity later). An
-    /// overwrite's two old blocks, parity and data, sit on different
-    /// nodes and are read together. The reads happen before any column
-    /// is written: the single-threaded server is the only writer, so the
-    /// values read cannot go stale, and an aborted commit leaves them
-    /// valid for the retry.
-    fn plan_parity(
+    /// The compute half of a planned write, given its reads' results in
+    /// [`WritePlan::reads`] order: the stripe's parity XOR-updated for the
+    /// new data — `parity ^= old ^ new`, the old block reconstructed from
+    /// the stripe if its own column is lost — or no parity column at all
+    /// when the parity column is gone (the data lands degraded; a rebuild
+    /// recomputes the parity later, and an overwrite's data read was
+    /// spent in parallel for nothing).
+    pub(super) fn finish_write(
         &mut self,
         ctx: &mut Ctx,
-        file: BridgeFileId,
-        block: u64,
-        payload: &Bytes,
-    ) -> Result<Option<Column>, BridgeError> {
-        let meta = &self.files[&file];
-        let layout = meta.parity_layout();
-        let (parity_file, ptr) = meta.parity_ptr(layout.stripe_of(block));
-        let target = Target::raw(file, parity_file);
-        let overwrite = block < meta.size;
-        if !overwrite && block.is_multiple_of(layout.stripe_width()) {
-            // First member of a fresh stripe: parity = payload.
-            return Ok(Some((target, ptr, payload.clone())));
-        }
-        let (old_parity, old_data) = if overwrite {
-            let data_ptr = meta.to_machine(layout.locate(block));
-            let data = (Target::raw(file, meta.lfs_file), data_ptr);
-            let [parity, data] = self.read_together(ctx, [(target, ptr), data])?;
-            (parity, Some(data))
-        } else {
-            let [parity] = self.read_together(ctx, [(target, ptr)])?;
-            (parity, None)
+        mut plan: WritePlan,
+        reads: Vec<BlockResult>,
+    ) -> Result<WritePlan, BridgeError> {
+        let mut reads = reads.into_iter();
+        let Some(old_parity) = reads.next() else {
+            return Ok(plan);
         };
         let mut acc = match old_parity {
             Ok(p) => p.to_vec(),
-            Err(e) if e.column_lost() => return Ok(None),
+            Err(e) if e.column_lost() => return Ok(plan),
             Err(e) => return Err(BridgeError::Lfs(e)),
         };
-        if let Some(read) = old_data {
-            // parity ^= old ^ new (old reconstructed if the data column
-            // itself is lost).
-            let old = self.or_reconstruct(ctx, file, block, read.map_err(BridgeError::Lfs))?;
+        if let Some(read) = reads.next() {
+            let read = read.map_err(BridgeError::Lfs);
+            let old = self.or_reconstruct(ctx, plan.file, plan.block, read)?;
             xor_into(&mut acc, &old);
         }
-        xor_into(&mut acc, payload);
-        Ok(Some((target, ptr, acc.into())))
+        xor_into(&mut acc, &plan.columns[0].2);
+        let (target, ptr) = plan.rmw[0];
+        plan.columns.push((target, ptr, acc.into()));
+        Ok(plan)
     }
 
-    /// Commits one redundant write's columns — the single place that
-    /// decides how. With a decision log every column's `WriteBlock` intent
-    /// prepares (payload durable in that participant's WAL) and applies
-    /// on decide, so a crash leaves the data block and its companion both
-    /// updated or both untouched. Without one the columns are written
-    /// directly, in order. Either way a lost column (failed node, lost
-    /// disk, unrebuilt spare) is tolerated; landing on none is an error.
-    fn commit_columns(&mut self, ctx: &mut Ctx, columns: &[Column]) -> Result<(), BridgeError> {
-        let lost = if self.txlog.is_some() {
-            let participants: Vec<TxParticipant> = columns
-                .iter()
-                .map(|(target, ptr, payload)| TxParticipant {
-                    node: ptr.lfs.0,
-                    intent: PrepareIntent::WriteBlock {
-                        file: target.lfs_file,
-                        block_no: ptr.local,
-                        payload: payload.clone(),
-                    },
-                })
-                .collect();
-            let tolerant = vec![true; columns.len()];
-            self.run_2pc(ctx, &participants, &tolerant, false)?.1 as usize
-        } else {
-            let mut lost = 0;
-            for (target, ptr, payload) in columns {
-                match self.write_blocks(ctx, *target, &[(*ptr, payload.clone())], 1) {
-                    Ok(()) => {}
-                    Err(BridgeError::Lfs(e)) if e.column_lost() => lost += 1,
-                    Err(e) => return Err(e),
-                }
+    /// Whether a planned write lands as a transaction — the one place
+    /// that decides how. A redundant write on a machine with a decision
+    /// log is one: every column's `WriteBlock` intent prepares (payload
+    /// durable in that participant's WAL) and applies on decide, so a
+    /// crash leaves the data block and its companion both updated or both
+    /// untouched, and a commit group's writes share one BEGIN and one
+    /// COMMIT. Any other write lands directly ([`Server::write_columns`]).
+    pub(super) fn transactional(&self, plan: &WritePlan) -> bool {
+        plan.redundant && self.txlog.is_some()
+    }
+
+    /// Writes a plan's columns directly, in order, returning how many were
+    /// lost — which only a redundant file tolerates.
+    pub(super) fn write_columns(
+        &mut self,
+        ctx: &mut Ctx,
+        w: &WritePlan,
+    ) -> Result<usize, BridgeError> {
+        let mut lost = 0;
+        for (target, ptr, payload) in &w.columns {
+            match self.write_blocks(ctx, *target, &[(*ptr, payload.clone())], 1) {
+                Ok(()) => {}
+                Err(BridgeError::Lfs(e)) if w.redundant && e.column_lost() => lost += 1,
+                Err(e) => return Err(e),
             }
-            lost
-        };
-        if lost >= columns.len() {
-            return Err(BridgeError::Lfs(EfsError::NodeFailed));
         }
-        Ok(())
+        Ok(lost)
     }
 }

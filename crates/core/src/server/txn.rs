@@ -1,6 +1,7 @@
 //! Machine-wide transactions: presumed-abort two-phase commit over the
-//! per-LFS write-ahead logs, driven from the server's decision log, and
-//! the coordinator's own fail-stop recovery.
+//! per-LFS write-ahead logs, driven from the server's decision log for a
+//! whole commit group at a time, and the coordinator's own fail-stop
+//! recovery.
 
 use super::directory::FileMeta;
 use super::Server;
@@ -12,6 +13,17 @@ use crate::txlog::TxParticipant;
 use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp, PrepareIntent};
 use bridge_trace::HealthEvent;
 use parsim::{Ctx, ProcId, SimDuration};
+
+/// One transaction: its participants, and for each whether the
+/// transaction survives its column being lost.
+pub(super) struct Txn {
+    pub participants: Vec<TxParticipant>,
+    pub tolerant: Vec<bool>,
+}
+
+/// What a transaction came to: the blocks its commit freed (zero for
+/// creates, writes and aborts) and its tolerated lost columns.
+pub(super) type Outcome = Result<(u64, u32), BridgeError>;
 
 impl Server {
     /// Transactional Create: every column's create prepares tentatively
@@ -33,7 +45,7 @@ impl Server {
             })
             .collect();
         let tolerant = vec![meta.redundancy != Redundancy::None; participants.len()];
-        self.run_2pc(ctx, &participants, &tolerant, true)?;
+        self.run_one_2pc(ctx, participants, tolerant, true)?;
         Ok(())
     }
 
@@ -69,179 +81,276 @@ impl Server {
             .iter()
             .map(|p| node_tolerant[p.node as usize])
             .collect();
-        self.run_2pc(ctx, &participants, &tolerant, false)
+        self.run_one_2pc(ctx, participants, tolerant, false)
             .map(|(freed, _)| freed)
     }
 
-    /// One presumed-abort two-phase commit round over `participants`.
+    /// Two-phase commit of a single transaction.
+    fn run_one_2pc(
+        &mut self,
+        ctx: &mut Ctx,
+        participants: Vec<TxParticipant>,
+        tolerant: Vec<bool>,
+        create_costs: bool,
+    ) -> Outcome {
+        let txn = Txn {
+            participants,
+            tolerant,
+        };
+        let mut outcomes = self.run_2pc(ctx, &[txn], create_costs);
+        outcomes.pop().expect("one transaction, one outcome")
+    }
+
+    /// Presumed-abort two-phase commit of `txns`, one outcome each, in
+    /// order. One BEGIN names as many of them as the decision log holds
+    /// beside the COMMIT that decides them ([`TxLog::admit`]) — every one
+    /// for any group a client mix can queue — and the rest follow under
+    /// BEGINs of their own, each once the one before it is decided, so at
+    /// most one group is ever in doubt. A transaction too wide to fit even
+    /// alone is refused with [`BridgeError::TxnTooLarge`] before any
+    /// PREPARE is sent.
     ///
-    /// The wire protocol: PREPAREs are pipelined to every participant,
-    /// the BEGIN record (txn + participants) is forced to the decision
-    /// log while they are in flight, votes are collected in order, the
-    /// COMMIT record is forced, and the decision is fanned out. The
-    /// server's only elementary disk writes are the two log forces, so a
-    /// crash schedule against [`parsim::SERVER_DISK`] kills the
-    /// coordinator at exactly those two points per transaction:
+    /// [`TxLog::admit`]: crate::txlog::TxLog::admit
+    pub(super) fn run_2pc(
+        &mut self,
+        ctx: &mut Ctx,
+        txns: &[Txn],
+        create_costs: bool,
+    ) -> Vec<Outcome> {
+        let mut outcomes = Vec::with_capacity(txns.len());
+        let mut rest = txns;
+        while !rest.is_empty() {
+            let admits = |n: usize| {
+                let txlog = self
+                    .txlog
+                    .as_ref()
+                    .expect("two-phase commit requires a log");
+                let group: Vec<&[TxParticipant]> =
+                    rest[..n].iter().map(|t| &t.participants[..]).collect();
+                txlog.admit(&group)
+            };
+            let n = (1..=rest.len()).take_while(|&n| admits(n).is_ok()).count();
+            if n == 0 {
+                outcomes.push(Err(admits(1).expect_err("refused alone")));
+                rest = &rest[1..];
+                continue;
+            }
+            outcomes.extend(self.commit_group(ctx, &rest[..n], create_costs));
+            rest = &rest[n..];
+        }
+        outcomes
+    }
+
+    /// One presumed-abort two-phase commit round over transactions the
+    /// decision log has admitted under one BEGIN.
+    ///
+    /// The wire protocol: every transaction's PREPAREs are pipelined to
+    /// its participants, one BEGIN record naming every transaction and its
+    /// participants is forced to the decision log while they are in
+    /// flight, votes are collected in order, one COMMIT record naming
+    /// every transaction whose participants all voted yes is forced, and
+    /// every decision is fanned out in one pipelined round. The server's
+    /// only elementary disk writes are the two log forces (a BEGIN of
+    /// several frames is one device run, each frame a write), so a crash
+    /// schedule against [`parsim::SERVER_DISK`] kills the coordinator at
+    /// exactly those points per group:
     ///
     /// * killed on BEGIN — participants hold durable PREPAREs with no
-    ///   decision on record. Recovery presumes abort, drives the logged
-    ///   participants' rollback, and re-executes with a fresh txn.
-    /// * killed on COMMIT — the decision is durable. Recovery redoes
-    ///   phase 2 from the log; participants apply it idempotently.
+    ///   decision on record. Recovery presumes every transaction of the
+    ///   group aborted and drives the rollback, and the group prepares
+    ///   again under fresh txns.
+    /// * killed on COMMIT — the decision is durable. Recovery aborts the
+    ///   group's vetoed transactions, and phase 2 then redoes every
+    ///   decision; participants apply them idempotently.
     ///
-    /// A no-vote (any hard error, or `NodeFailed` where `tolerant` is
-    /// false) aborts without writing anything: no decision record is the
-    /// abort record. After a durable COMMIT nothing fails the operation
-    /// short of corruption — a participant dead at decision time is
-    /// repaired later from the logged decision (`pfsck`'s machine pass).
+    /// A no-vote (any hard error, or `NodeFailed` where the participant
+    /// is not tolerant) aborts that transaction alone, and costs no log
+    /// write: no decision record is the abort record. After a durable
+    /// COMMIT nothing fails a committed transaction short of corruption —
+    /// a participant dead at decision time is repaired later from the
+    /// logged decision (`pfsck`'s machine pass).
     ///
     /// `create_costs` charges the paper's serial initiation/termination
     /// CPU per participant, making a 2PC Create cost-comparable to the
     /// legacy serial fan-out; the decision round is charged nothing —
     /// with pipelined fan-out and group commit at the participants it is
-    /// the prepare round's cheap echo. Returns the blocks freed by the
-    /// commit (zero for creates and aborts) and the number of tolerated
-    /// lost columns — participants whose vote came back `NodeFailed` (or
-    /// `UnknownFile`, a freshly formatted spare not yet rebuilt) and were
-    /// carried anyway. Redundant-write callers use the count to tell a
-    /// degraded-but-landed write from one that landed nowhere.
-    pub(super) fn run_2pc(
-        &mut self,
-        ctx: &mut Ctx,
-        participants: &[TxParticipant],
-        tolerant: &[bool],
-        create_costs: bool,
-    ) -> Result<(u64, u32), BridgeError> {
-        // A BEGIN the log ring cannot hold beside its COMMIT is refused
-        // here, before any PREPARE is sent.
-        let txlog = self.txlog.as_ref().expect("run_2pc requires a log");
-        txlog.admit(participants)?;
-        'retry: loop {
-            let txn = self.next_txn;
-            self.next_txn += 1;
-            self.tally(|s| s.note_txn_begun());
-            // Phase 1: pipeline a PREPARE to every participant.
-            let mut pending = Vec::with_capacity(participants.len());
-            for p in participants {
-                if create_costs {
-                    ctx.delay(self.config.create_init_cpu);
+    /// the prepare round's cheap echo. Each outcome counts the blocks its
+    /// commit freed and its tolerated lost columns — participants whose
+    /// vote came back `NodeFailed` (or `UnknownFile`, a freshly formatted
+    /// spare not yet rebuilt) and were carried anyway. Redundant-write
+    /// callers use the count to tell a degraded-but-landed write from one
+    /// that landed nowhere.
+    fn commit_group(&mut self, ctx: &mut Ctx, txns: &[Txn], create_costs: bool) -> Vec<Outcome> {
+        let (ids, verdicts) = loop {
+            let ids: Vec<u64> = txns
+                .iter()
+                .map(|_| {
+                    let txn = self.next_txn;
+                    self.next_txn += 1;
+                    self.tally(|s| s.note_txn_begun());
+                    txn
+                })
+                .collect();
+            // Phase 1: pipeline every transaction's PREPAREs.
+            let mut pending = Vec::new();
+            for (&txn, t) in ids.iter().zip(txns) {
+                for p in &t.participants {
+                    if create_costs {
+                        ctx.delay(self.config.create_init_cpu);
+                    }
+                    let proc = self.lfs[p.node as usize].0;
+                    let intent = p.intent.clone();
+                    let prepare = TierCmd::Lfs(LfsOp::Prepare { txn, intent });
+                    pending.push((proc, self.client.send(ctx, proc, prepare)));
                 }
-                let proc = self.lfs[p.node as usize].0;
-                let id = self.client.send(
-                    ctx,
-                    proc,
-                    TierCmd::Lfs(LfsOp::Prepare {
-                        txn,
-                        intent: p.intent.clone(),
-                    }),
-                );
-                pending.push((proc, id));
             }
             // Force BEGIN while the prepares are in flight, so a kill on
             // this write leaves exactly the in-doubt window the protocol
             // must survive: durable PREPAREs, no decision.
+            let group: Vec<(u64, &[TxParticipant])> = (ids.iter().copied())
+                .zip(txns.iter().map(|t| &t.participants[..]))
+                .collect();
             let txlog = self.txlog.as_mut().expect("checked");
-            txlog.begin(ctx, txn, participants);
+            txlog.begin(ctx, &group);
             if txlog.crash_down().is_some() {
-                let committed = self.server_crash_recover(ctx, txn, &pending)?;
-                self.tally(|s| s.note_txn_decided(committed));
-                if committed {
-                    // The redo path cannot recount votes; report every
-                    // column landed — the logged decision repairs any
-                    // that were lost.
-                    return self
-                        .decide_all(ctx, txn, true, participants)
-                        .map(|f| (f, 0));
+                if let Err(e) = self.server_crash_recover(ctx, &ids, &pending) {
+                    return vec![Err(e); txns.len()];
                 }
-                continue 'retry;
+                for _ in &ids {
+                    self.tally(|s| s.note_txn_decided(false));
+                }
+                continue;
             }
-            // Collect votes in order (the serial termination of Create).
-            let mut veto: Option<EfsError> = None;
-            let mut lost = 0u32;
-            for (i, &(proc, id)) in pending.iter().enumerate() {
+            match self.vote(ctx, txns, &ids, pending, create_costs) {
+                Ok(verdicts) => break (ids, verdicts),
+                Err(e) => return vec![Err(e); txns.len()],
+            }
+        };
+        // Phase 2: fan every decision out in one round.
+        let decisions: Vec<(u64, bool, &[TxParticipant])> = (ids.iter().zip(&verdicts).zip(txns))
+            .map(|((&txn, v), t)| (txn, v.is_ok(), &t.participants[..]))
+            .collect();
+        let acks = self.decide_all(ctx, &decisions);
+        (verdicts.into_iter().zip(acks))
+            .map(|(verdict, freed)| match verdict {
+                Ok(lost) => freed.map(|freed| (freed, lost)),
+                Err(veto) => freed.and(Err(BridgeError::Lfs(veto))),
+            })
+            .collect()
+    }
+
+    /// Collects the votes in order (the serial termination of Create) —
+    /// per transaction its tolerated lost columns, or the veto that aborts
+    /// it — and forces the COMMIT.
+    fn vote(
+        &mut self,
+        ctx: &mut Ctx,
+        txns: &[Txn],
+        ids: &[u64],
+        pending: Vec<(ProcId, u64)>,
+        create_costs: bool,
+    ) -> Result<Vec<Result<u32, EfsError>>, BridgeError> {
+        let mut votes = pending.into_iter();
+        let mut verdicts = Vec::with_capacity(txns.len());
+        for t in txns {
+            let (mut lost, mut veto) = (0u32, None);
+            for (&tolerant, (proc, id)) in t.tolerant.iter().zip(votes.by_ref()) {
                 let vote = self.client.wait(ctx, proc, id);
                 if create_costs {
                     ctx.delay(self.config.create_ack_cpu);
                 }
                 match vote {
                     Ok(_) => {}
-                    // A tolerant participant's column is already lost
-                    // with its node (or sits on a spare that has not been
+                    // A tolerant participant's column is already lost with
+                    // its node (or sits on a spare that has not been
                     // rebuilt yet); the transaction proceeds without it —
                     // the decision is still sent, and its failure ack is
                     // tolerated there too.
-                    Err(e) if tolerant[i] && e.column_lost() => lost += 1,
+                    Err(e) if tolerant && e.column_lost() => lost += 1,
                     Err(e) => veto = veto.or(Some(e)),
                 }
             }
-            if let Some(e) = veto {
-                // Presumed abort: no log write. Participants that never
-                // prepared (the vetoer included) apply the abort intent
-                // idempotently as a no-op.
-                self.tally(|s| s.note_txn_decided(false));
-                self.decide_all(ctx, txn, false, participants)?;
-                return Err(BridgeError::Lfs(e));
-            }
-            // The commit point.
-            let txlog = self.txlog.as_mut().expect("checked");
-            txlog.commit(ctx, txn);
-            if txlog.crash_down().is_some() && !self.server_crash_recover(ctx, txn, &[])? {
-                unreachable!("a forced COMMIT record cannot be lost");
-            }
-            self.tally(|s| s.note_txn_decided(true));
-            // Phase 2: fan the decision out.
-            return self
-                .decide_all(ctx, txn, true, participants)
-                .map(|f| (f, lost));
+            verdicts.push(veto.map_or(Ok(lost), Err));
         }
+        // The commit point, for every transaction nobody vetoed. A vetoed
+        // one is presumed aborted: no log write. Participants that never
+        // prepared (its vetoer included) apply the abort intent
+        // idempotently as a no-op.
+        let committed: Vec<u64> = (ids.iter().zip(&verdicts))
+            .filter(|(_, v)| v.is_ok())
+            .map(|(&txn, _)| txn)
+            .collect();
+        if !committed.is_empty() {
+            let txlog = self.txlog.as_mut().expect("checked");
+            txlog.commit(ctx, &committed);
+            if ctx.trace_enabled() {
+                let args = [("txn", committed[0]), ("txns", committed.len() as u64)];
+                ctx.trace_instant("2pc", "2pc.commit", &args);
+            }
+            if txlog.crash_down().is_some() {
+                self.server_crash_recover(ctx, &committed, &[])?;
+            }
+        }
+        for verdict in &verdicts {
+            self.tally(|s| s.note_txn_decided(verdict.is_ok()));
+        }
+        Ok(verdicts)
     }
 
-    /// Fans `commit`/abort for `txn` out to every participant (pipelined)
-    /// and collects acknowledgements, returning the blocks they freed.
-    /// `NodeFailed` is tolerated: before the commit point the participant
-    /// never prepared or is already being abandoned; after it, the logged
-    /// decision repairs the column when the node returns (or `pfsck`
-    /// does). Hard errors are corruption and surface after every ack has
-    /// been consumed, so no acknowledgement is left orphaned in flight.
+    /// Fans each `(txn, commit, participants)` decision out to its
+    /// participants — every one pipelined — and collects the
+    /// acknowledgements, returning per decision the blocks its
+    /// participants freed. `NodeFailed` is tolerated: before the commit
+    /// point the participant never prepared or is already being
+    /// abandoned; after it, the logged decision repairs the column when
+    /// the node returns (or `pfsck` does). A hard error is corruption and
+    /// fails its decision, once every ack has been consumed, so no
+    /// acknowledgement is left orphaned in flight.
     fn decide_all(
         &mut self,
         ctx: &mut Ctx,
-        txn: u64,
-        commit: bool,
-        participants: &[TxParticipant],
-    ) -> Result<u64, BridgeError> {
-        let calls = participants
-            .iter()
-            .map(|p| {
+        decisions: &[(u64, bool, &[TxParticipant])],
+    ) -> Vec<Result<u64, BridgeError>> {
+        let mut owners = Vec::new();
+        let mut calls = Vec::new();
+        for (i, &(txn, commit, participants)) in decisions.iter().enumerate() {
+            for p in participants {
+                let intent = p.intent.clone();
                 let op = LfsOp::Decide {
                     txn,
                     commit,
-                    intent: p.intent.clone(),
+                    intent,
                 };
-                (self.lfs[p.node as usize].0, op)
-            })
-            .collect();
-        let mut freed = 0u64;
-        let mut hard: Option<EfsError> = None;
-        for ack in self.call_many(ctx, calls) {
+                owners.push(i);
+                calls.push((self.lfs[p.node as usize].0, op));
+            }
+        }
+        let mut outcomes: Vec<Result<u64, BridgeError>> = vec![Ok(0); decisions.len()];
+        for (i, ack) in owners.into_iter().zip(self.call_many(ctx, calls)) {
             match ack {
-                Ok(LfsData::Freed(n)) => freed += u64::from(n),
+                Ok(LfsData::Freed(n)) => {
+                    if let Ok(freed) = &mut outcomes[i] {
+                        *freed += u64::from(n);
+                    }
+                }
                 Ok(_) => {}
                 // `UnknownFile` here is a column on a freshly formatted
                 // spare: the decision has nothing to apply to until a
                 // rebuild repopulates the instance.
                 Err(e) if e.column_lost() => {
                     if ctx.trace_enabled() {
+                        let txn = decisions[i].0;
                         ctx.trace_instant("2pc", "2pc.decide_lost", &[("txn", txn)]);
                     }
                 }
-                Err(e) => hard = hard.or(Some(e)),
+                Err(e) => {
+                    if outcomes[i].is_ok() {
+                        outcomes[i] = Err(BridgeError::Lfs(e));
+                    }
+                }
             }
         }
-        match hard {
-            Some(e) => Err(BridgeError::Lfs(e)),
-            None => Ok(freed),
-        }
+        outcomes
     }
 
     /// Inline fail-stop recovery for the coordinator, entered when a
@@ -251,18 +360,17 @@ impl Server {
     /// stays silent for the scheduled down window, discards everything
     /// that arrived meanwhile (clients retransmit; vote replies died
     /// with the old incarnation), revives the log, and applies presumed
-    /// abort: the at-most-one in-doubt transaction — the serial
-    /// coordinator never overlaps two — is aborted at the participants
-    /// named by its own BEGIN record, and `txn` itself at every node if
-    /// the kill tore its BEGIN. Returns whether `txn` has a
-    /// durable COMMIT, i.e. whether the caller must redo phase 2 instead
-    /// of re-executing.
+    /// abort: the at-most-one in-doubt group — the coordinator never
+    /// overlaps two — is aborted at the participants named by its own
+    /// BEGIN record. `group` is the transactions of the record being
+    /// forced: if none of them is on record — the kill tore a BEGIN of
+    /// several frames — each is aborted at every node.
     fn server_crash_recover(
         &mut self,
         ctx: &mut Ctx,
-        txn: u64,
+        group: &[u64],
         pending: &[(ProcId, u64)],
-    ) -> Result<bool, BridgeError> {
+    ) -> Result<(), BridgeError> {
         let down = self
             .txlog
             .as_ref()
@@ -273,7 +381,7 @@ impl Server {
             ctx.trace_instant(
                 "fault",
                 "crash.server",
-                &[("txn", txn), ("down", down.as_nanos())],
+                &[("txn", group[0]), ("down", down.as_nanos())],
             );
         }
         for &(_, id) in pending {
@@ -285,42 +393,48 @@ impl Server {
         let txlog = self.txlog.as_mut().expect("checked");
         txlog.revive();
         txlog.reseat();
-        let committed = txlog.is_committed(txn);
-        let in_doubt = txlog.in_doubt();
-        // A kill inside a BEGIN of several frames leaves a torn record,
-        // which the scan drops: PREPAREs for `txn` are out, and the log
-        // names neither it nor its participants. No decision on record
-        // is still abort; with no list to go by, every node is told, and
-        // the abort carries an empty intent — a participant that holds
-        // the PREPARE undoes its own, the rest have nothing to undo.
-        let torn = !committed && in_doubt.as_ref().is_none_or(|d| d.txn != txn);
-        let mut doubted: Vec<_> = in_doubt
-            .map(|d| (d.txn, d.participants))
+        let mut doubted: Vec<(u64, Vec<TxParticipant>)> = txlog
+            .in_doubt()
             .into_iter()
+            .map(|d| (d.txn, d.participants))
             .collect();
-        if torn {
-            let everyone = (0..self.breadth()).map(|node| TxParticipant {
-                node,
-                intent: PrepareIntent::CreateFiles(Vec::new()),
-            });
-            doubted.push((txn, everyone.collect()));
+        // A kill inside a BEGIN of several frames leaves a torn record,
+        // which the scan drops: PREPAREs for the group are out, and the
+        // log names neither its transactions nor their participants. No
+        // decision on record is still abort; with no list to go by, every
+        // node is told, and the abort carries an empty intent — a
+        // participant that holds the PREPARE undoes its own, the rest
+        // have nothing to undo.
+        let on_record = |txn: &u64| {
+            txlog.is_committed(*txn) || doubted.iter().any(|(doubted, _)| doubted == txn)
+        };
+        if !group.iter().any(on_record) {
+            let everyone: Vec<TxParticipant> = (0..self.breadth())
+                .map(|node| TxParticipant {
+                    node,
+                    intent: PrepareIntent::CreateFiles(Vec::new()),
+                })
+                .collect();
+            doubted.extend(group.iter().map(|&txn| (txn, everyone.clone())));
         }
-        for (doubted, participants) in doubted {
-            // Presumed abort: no decision on record means abort. Driving
-            // the rollback now (rather than waiting for participants to
-            // ask) keeps the client-visible retry path simple: by the
-            // time the operation re-executes, every column is rolled
-            // back and acknowledged.
-            self.journal(ctx, HealthEvent::TxnInDoubt { txn: doubted });
-            self.decide_all(ctx, doubted, false, &participants)?;
-            self.journal(
-                ctx,
-                HealthEvent::TxnResolved {
-                    txn: doubted,
-                    committed: false,
-                },
-            );
+        // Presumed abort: no decision on record means abort. Driving the
+        // rollback now (rather than waiting for participants to ask)
+        // keeps the client-visible retry path simple: by the time the
+        // group re-executes, every column is rolled back and
+        // acknowledged.
+        for &(txn, _) in &doubted {
+            self.journal(ctx, HealthEvent::TxnInDoubt { txn });
         }
-        Ok(committed)
+        let aborts: Vec<(u64, bool, &[TxParticipant])> = doubted
+            .iter()
+            .map(|(txn, participants)| (*txn, false, &participants[..]))
+            .collect();
+        let acks = self.decide_all(ctx, &aborts);
+        for (&(txn, _), ack) in doubted.iter().zip(acks) {
+            ack?;
+            let committed = false;
+            self.journal(ctx, HealthEvent::TxnResolved { txn, committed });
+        }
+        Ok(())
     }
 }

@@ -1,0 +1,475 @@
+//! Commit groups: requests that queue while the Bridge server is busy are
+//! served together — their reads in one round, their transactions under
+//! one BEGIN and one COMMIT.
+//!
+//! * `concurrent_scripts_match_the_model` — a proptest: 2–6 clients run
+//!   random create/append/overwrite/rand_read/delete scripts on a parity
+//!   and on a mirror 2PC machine. Every reply equals each client's model,
+//!   every block reads back byte-exact, and the closing pfsck is clean on
+//!   all four passes.
+//! * `a_concurrent_mix_forms_groups` — the same run on fixed seeds, where
+//!   groups of two and more must be observed.
+//! * `a_veto_fails_only_its_member` — one member's participant answers
+//!   `LogFull` (a ring full behind an undecided Prepare): that append
+//!   fails and leaves the file's size alone, its siblings commit.
+//! * `a_read_rides_beside_an_overwrite` — a `rand_read` grouped with an
+//!   overwrite of another file.
+//! * `a_group_exports_and_attributes` — a three-client group's trace
+//!   exports to Chrome, stitches causally, and leaves nothing untraced.
+
+use bridge_core::{
+    BridgeClient, BridgeConfig, BridgeError, BridgeFileId, BridgeMachine, CreateSpec, Redundancy,
+    BRIDGE_DATA,
+};
+use bridge_efs::{EfsError, LfsClient, LfsData, LfsFileId, LfsOp, PrepareIntent};
+use bridge_tools::{pfsck, FsckOptions};
+use bridge_trace::{
+    chrome_trace_json, profile, validate_causality, validate_chrome_trace, Category,
+    TraceCollector, TraceData,
+};
+use bytes::Bytes;
+use parsim::{Ctx, NodeId, ProcId, SimDuration, UniformLatency};
+use proptest::prelude::*;
+
+const BREADTH: u32 = 4;
+
+/// A 2PC machine on instant disks whose messages and request handling
+/// still take time, so that requests queue behind one another.
+fn machine() -> BridgeConfig {
+    let mut config = BridgeConfig::instant(BREADTH).with_2pc();
+    config.latency = UniformLatency::constant(SimDuration::from_micros(100));
+    config.server.cpu_per_request = SimDuration::from_millis(1);
+    config.efs.cpu_per_request = SimDuration::from_millis(2);
+    config
+}
+
+/// [`machine`] with every file `redundancy`.
+fn config(redundancy: Redundancy) -> BridgeConfig {
+    machine().with_redundancy(redundancy)
+}
+
+/// One concurrent client: what it does, and what it returns.
+type Body<R> = Box<dyn FnOnce(&mut Ctx) -> R + Send>;
+
+/// Runs `bodies` as concurrent clients on the frontend and returns what
+/// each one returns, in order.
+fn concurrently<R: Send + 'static>(ctx: &mut Ctx, node: NodeId, bodies: Vec<Body<R>>) -> Vec<R> {
+    let me = ctx.me();
+    let n = bodies.len();
+    for (i, body) in bodies.into_iter().enumerate() {
+        ctx.spawn(node, format!("client{i}"), move |ctx| {
+            let out = body(ctx);
+            ctx.send(me, (i, out));
+        });
+    }
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for _ in 0..n {
+        let (_, (i, r)) = ctx.recv_as::<(usize, R)>();
+        out[i] = Some(r);
+    }
+    out.into_iter()
+        .map(|r| r.expect("every client reports"))
+        .collect()
+}
+
+/// The `bridge` spans of `server` that overlap another one: members of a
+/// group of two or more.
+fn grouped_spans(data: &TraceData, server: ProcId) -> usize {
+    let mut spans: Vec<(u64, u64)> = data
+        .spans
+        .iter()
+        .filter(|s| s.cat == "bridge" && s.pid == server.index())
+        .map(|s| (s.start.as_nanos(), s.end.as_nanos()))
+        .collect();
+    spans.sort_unstable();
+    (0..spans.len())
+        .filter(|&i| {
+            let (s, e) = spans[i];
+            spans
+                .iter()
+                .enumerate()
+                .any(|(j, &(s2, e2))| j != i && s2 < e && s < e2)
+        })
+        .count()
+}
+
+/// What a block written with `data` reads back as.
+fn padded(data: &[u8]) -> Vec<u8> {
+    let mut block = data.to_vec();
+    block.resize(BRIDGE_DATA, 0);
+    block
+}
+
+/// Blocks a Delete of a file of `size` blocks frees: its data, and its
+/// mirror copies or its stripes' parity blocks.
+fn freed(redundancy: Redundancy, size: u64) -> u64 {
+    match redundancy {
+        Redundancy::Mirror => 2 * size,
+        _ => size + size.div_ceil(u64::from(BREADTH) - 1),
+    }
+}
+
+/// One step of a client's script, interpreted against the client's own
+/// model so that every step is valid when issued.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    kind: u8,
+    pick: u64,
+    len: usize,
+    fill: u8,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    (0u8..10, any::<u64>(), 1usize..=BRIDGE_DATA, any::<u8>()).prop_map(
+        |(kind, pick, len, fill)| Step {
+            kind,
+            pick,
+            len,
+            fill,
+        },
+    )
+}
+
+/// A client's run: its transcript of replies checked against its model.
+/// Returns the number of calls it made.
+fn run_script(ctx: &mut Ctx, server: ProcId, redundancy: Redundancy, steps: &[Step]) -> usize {
+    let mut bridge = BridgeClient::new(server);
+    // Per live file, its blocks' data.
+    let mut files: Vec<(BridgeFileId, Vec<Vec<u8>>)> = Vec::new();
+    let mut calls = 0;
+    for (n, s) in steps.iter().enumerate() {
+        calls += 1;
+        let data = vec![s.fill ^ n as u8; s.len];
+        if files.is_empty() || s.kind == 0 {
+            let id = bridge.create(ctx, CreateSpec::default()).expect("create");
+            files.push((id, Vec::new()));
+            continue;
+        }
+        let at = (s.pick % files.len() as u64) as usize;
+        if s.kind == 1 && files.len() > 1 {
+            let (id, blocks) = files.remove(at);
+            let got = bridge.delete(ctx, id).expect("delete");
+            assert_eq!(got, freed(redundancy, blocks.len() as u64), "delete frees");
+            continue;
+        }
+        let (id, blocks) = &mut files[at];
+        match s.kind {
+            2..=4 => {
+                let block = bridge.seq_write(ctx, *id, data.clone()).expect("append");
+                assert_eq!(block, blocks.len() as u64, "append lands at the end");
+                blocks.push(data);
+            }
+            5..=6 if !blocks.is_empty() => {
+                let block = s.pick % blocks.len() as u64;
+                bridge
+                    .rand_write(ctx, *id, block, data.clone())
+                    .expect("overwrite");
+                blocks[block as usize] = data;
+            }
+            _ if !blocks.is_empty() => {
+                let block = s.pick % blocks.len() as u64;
+                let got = bridge.rand_read(ctx, *id, block).expect("rand_read");
+                assert_eq!(got[..], padded(&blocks[block as usize])[..], "rand_read");
+            }
+            _ => {
+                let got = bridge.rand_read(ctx, *id, 0);
+                let size = 0;
+                assert_eq!(
+                    got,
+                    Err(BridgeError::BlockOutOfRange {
+                        file: *id,
+                        block: 0,
+                        size
+                    })
+                );
+            }
+        }
+    }
+    // Everything reads back byte-exact; then the client cleans up.
+    for (id, blocks) in files {
+        for (b, data) in blocks.iter().enumerate() {
+            let got = bridge.rand_read(ctx, id, b as u64).expect("read back");
+            assert_eq!(got[..], padded(data)[..], "read back block {b}");
+        }
+        let got = bridge.delete(ctx, id).expect("delete");
+        assert_eq!(got, freed(redundancy, blocks.len() as u64));
+        calls += blocks.len() + 1;
+    }
+    calls
+}
+
+/// Runs one script per client concurrently on `redundancy`'s machine
+/// under a trace collector, then pfsck over every instance with the
+/// machine pass. Returns the trace and the server's process id.
+fn run_mix(redundancy: Redundancy, scripts: Vec<Vec<Step>>) -> (TraceData, ProcId) {
+    let collector = TraceCollector::install();
+    let mut config = config(redundancy);
+    config.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let (server, frontend) = (machine.server, machine.frontend);
+    let lfs: Vec<(ProcId, NodeId)> = machine
+        .lfs
+        .iter()
+        .copied()
+        .zip(machine.lfs_nodes.iter().copied())
+        .collect();
+    sim.block_on(frontend, "controller", move |ctx| {
+        let bodies = scripts
+            .into_iter()
+            .map(|steps| {
+                Box::new(move |ctx: &mut Ctx| run_script(ctx, server, redundancy, &steps))
+                    as Body<usize>
+            })
+            .collect();
+        concurrently(ctx, frontend, bodies);
+        let options = FsckOptions {
+            server: Some(server),
+            ..FsckOptions::default()
+        };
+        let verdict = pfsck(ctx, &lfs, &options).expect("pfsck");
+        assert!(verdict.clean(), "pfsck: {:?}", verdict.errors());
+        assert!(verdict.machine.is_some(), "the machine pass ran");
+    });
+    (collector.take(), server)
+}
+
+fn scripts() -> impl Strategy<Value = Vec<Vec<Step>>> {
+    proptest::collection::vec(proptest::collection::vec(step(), 1..12), 2..=6)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 12,
+        ..ProptestConfig::default()
+    })]
+
+    /// Random concurrent scripts on both redundant 2PC machines: every
+    /// reply is the model's, every block reads back byte-exact, and the
+    /// machine is clean afterwards.
+    #[test]
+    fn concurrent_scripts_match_the_model(scripts in scripts(), mirror in any::<bool>()) {
+        let redundancy = if mirror { Redundancy::Mirror } else { Redundancy::parity() };
+        run_mix(redundancy, scripts);
+    }
+}
+
+/// Fixed scripts for four clients: appends and overwrites on their own
+/// files, reads between.
+fn fixed_scripts() -> Vec<Vec<Step>> {
+    (0..4u8)
+        .map(|c| {
+            (0..16u8)
+                .map(|i| Step {
+                    kind: [2, 3, 5, 7, 4, 6][(i + c) as usize % 6],
+                    pick: u64::from(i * 7 + c),
+                    len: 64 + usize::from(i) * 40,
+                    fill: c.wrapping_mul(31) ^ i,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// On both machines the four clients' requests queue, and are served in
+/// groups of two and more.
+#[test]
+fn a_concurrent_mix_forms_groups() {
+    for redundancy in [Redundancy::parity(), Redundancy::Mirror] {
+        let (data, server) = run_mix(redundancy, fixed_scripts());
+        let grouped = grouped_spans(&data, server);
+        assert!(grouped >= 2, "{redundancy:?}: no group formed");
+        let commits: Vec<u64> = data
+            .instants
+            .iter()
+            .filter(|i| i.name == "2pc.commit")
+            .filter_map(|i| i.arg("txns"))
+            .collect();
+        assert!(
+            commits.iter().any(|&t| t >= 2),
+            "{redundancy:?}: a COMMIT named several transactions: {commits:?}"
+        );
+    }
+}
+
+/// A parity file on `nodes`, with one block appended.
+fn parity_file(ctx: &mut Ctx, bridge: &mut BridgeClient, nodes: Vec<u32>) -> BridgeFileId {
+    let spec = CreateSpec {
+        nodes: Some(nodes),
+        redundancy: Redundancy::parity(),
+        ..CreateSpec::default()
+    };
+    let file = bridge.create(ctx, spec).expect("create");
+    bridge
+        .seq_write(ctx, file, vec![0xA0; 100])
+        .expect("append");
+    file
+}
+
+/// Node 0 holds a transaction in doubt and has written until its log is
+/// full; a group of three appends follows. The append whose parity
+/// column lives on node 0 is vetoed with `LogFull` and fails alone: its
+/// file keeps its size, and the other two commit under the same BEGIN.
+#[test]
+fn a_veto_fails_only_its_member() {
+    let collector = TraceCollector::install();
+    let mut config = machine();
+    config.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let (server, frontend, lfs0) = (machine.server, machine.frontend, machine.lfs[0]);
+    let outcomes = sim.block_on(frontend, "controller", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        // Stripe 0's parity lives on a file's first node: x's on node 0,
+        // y's and z's on node 1.
+        let x = parity_file(ctx, &mut bridge, vec![0, 1, 2]);
+        let y = parity_file(ctx, &mut bridge, vec![1, 2, 3]);
+        let z = parity_file(ctx, &mut bridge, vec![1, 3, 2]);
+        // Fill node 0's log behind an undecided Prepare.
+        let mut lfs = LfsClient::new();
+        let (held, scratch) = (LfsFileId(0x7000), LfsFileId(0x7001));
+        for file in [held, scratch] {
+            lfs.call(ctx, lfs0, LfsOp::Create { file }).expect("create");
+        }
+        let intent = PrepareIntent::WriteBlock {
+            file: held,
+            block_no: 0,
+            payload: Bytes::from(vec![0xB0; 100]),
+        };
+        let txn = 1 << 40;
+        lfs.call(
+            ctx,
+            lfs0,
+            LfsOp::Prepare {
+                txn,
+                intent: intent.clone(),
+            },
+        )
+        .expect("prepare");
+        let refused = (0..100_000)
+            .find_map(|i: u32| {
+                let op = LfsOp::Write {
+                    file: scratch,
+                    block: 0,
+                    data: Bytes::from(vec![i as u8; 100]),
+                    hint: None,
+                };
+                lfs.call(ctx, lfs0, op).err()
+            })
+            .expect("the ring fills");
+        assert_eq!(refused, EfsError::LogFull);
+        let bodies = [x, y, z]
+            .into_iter()
+            .map(|file| {
+                Box::new(move |ctx: &mut Ctx| {
+                    BridgeClient::new(server).seq_write(ctx, file, vec![0xC0; 100])
+                }) as Body<Result<u64, BridgeError>>
+            })
+            .collect();
+        let outcomes = concurrently(ctx, frontend, bodies);
+        // x still holds one block; y and z hold two.
+        let sizes: Vec<Result<Bytes, BridgeError>> = [x, y, z]
+            .into_iter()
+            .map(|file| bridge.rand_read(ctx, file, 1))
+            .collect();
+        assert_eq!(
+            sizes[0],
+            Err(BridgeError::BlockOutOfRange {
+                file: x,
+                block: 1,
+                size: 1
+            })
+        );
+        assert!(sizes[1..].iter().all(Result::is_ok), "{sizes:?}");
+        let commit = false;
+        let ack = lfs.call(
+            ctx,
+            lfs0,
+            LfsOp::Decide {
+                txn,
+                commit,
+                intent,
+            },
+        );
+        assert!(
+            matches!(ack, Ok(LfsData::Freed(0) | LfsData::Done)),
+            "{ack:?}"
+        );
+        outcomes
+    });
+    assert_eq!(
+        outcomes,
+        [Err(BridgeError::Lfs(EfsError::LogFull)), Ok(1), Ok(1)]
+    );
+    let data = collector.take();
+    let commits: Vec<u64> = data
+        .instants
+        .iter()
+        .filter(|i| i.name == "2pc.commit")
+        .filter_map(|i| i.arg("txns"))
+        .collect();
+    assert_eq!(commits.last(), Some(&2), "the siblings share one COMMIT");
+    assert!(
+        grouped_spans(&data, server) >= 3,
+        "the three appends grouped"
+    );
+}
+
+/// A `rand_read` of one file queues behind an overwrite of another and is
+/// served in its group: both answer as if alone.
+#[test]
+fn a_read_rides_beside_an_overwrite() {
+    let collector = TraceCollector::install();
+    let mut config = config(Redundancy::parity());
+    config.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let (server, frontend) = (machine.server, machine.frontend);
+    sim.block_on(frontend, "controller", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let (a, b) = (
+            bridge.create(ctx, CreateSpec::default()).expect("create"),
+            bridge.create(ctx, CreateSpec::default()).expect("create"),
+        );
+        for i in 0..5u8 {
+            bridge.seq_write(ctx, a, vec![i; 300]).expect("append");
+            bridge
+                .seq_write(ctx, b, vec![0x80 | i; 300])
+                .expect("append");
+        }
+        let bodies: Vec<Body<Bytes>> = vec![
+            Box::new(move |ctx: &mut Ctx| {
+                let mut c = BridgeClient::new(server);
+                c.rand_write(ctx, a, 2, vec![0xEE; 500]).expect("overwrite");
+                c.rand_read(ctx, a, 2).expect("read a")
+            }),
+            Box::new(move |ctx: &mut Ctx| {
+                BridgeClient::new(server)
+                    .rand_read(ctx, b, 3)
+                    .expect("read b")
+            }),
+        ];
+        let got = concurrently(ctx, frontend, bodies);
+        assert_eq!(got[0][..], padded(&[0xEE; 500])[..]);
+        assert_eq!(got[1][..], padded(&[0x83; 300])[..]);
+    });
+    let data = collector.take();
+    assert!(
+        grouped_spans(&data, server) >= 2,
+        "the read and the overwrite grouped"
+    );
+}
+
+/// A group of three members on the server: the Chrome export gives the
+/// overlapping `bridge` spans lanes and validates, every client span
+/// stitches to its service, and no nanosecond of any op is untraced.
+#[test]
+fn a_group_exports_and_attributes() {
+    let scripts = fixed_scripts().into_iter().take(3).collect();
+    let (data, server) = run_mix(Redundancy::parity(), scripts);
+    assert!(grouped_spans(&data, server) >= 3, "a group of three formed");
+    let json = chrome_trace_json(&data);
+    let summary = validate_chrome_trace(&json).expect("valid Chrome trace");
+    assert_eq!(summary.spans, data.spans.len());
+    validate_causality(&data).expect("causal");
+    let total = profile(&data).total();
+    assert_eq!(total.get(Category::Untraced), 0, "nothing untraced");
+    assert!(total.get(Category::Bridge) > 0);
+}

@@ -106,6 +106,12 @@ impl<'a> Reader<'a> {
         T::get(self)
     }
 
+    /// Whether every byte has been read: a layout that ends in a run of
+    /// entries reads until this holds.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
     /// Exactly `n` bytes.
     pub fn raw(&mut self, n: usize) -> Result<&'a [u8], EfsError> {
         if self.buf.len() < n {
