@@ -40,7 +40,7 @@ use bridge_repro::parsim::{
     BlockFaultRule, CrashAt, DiskFaults, FaultPlan, MsgFaults, NodeId, Outage, OutageKind,
     RunStats, SimDuration, SimTime,
 };
-use bridge_repro::trace::{Metrics, TraceCollector};
+use bridge_repro::trace::{Metrics, TraceCollector, TraceData};
 use proptest::prelude::*;
 use support::{
     assert_same, content, corpus_seeds, run, Classes, Run, Soak, FIRST_LFS_NODE, SERVER_NODE, WIDE,
@@ -746,6 +746,92 @@ fn watermark_two_clients_in_one_process_share_a_mark() {
     served.dedup();
     assert_eq!(served.len(), total, "a request ran twice");
     assert_eq!(total as u32, 2 + 2 * CALLS + 2, "a request never ran");
+}
+
+/// The commit-group machine: three instances under 2PC, every file a
+/// parity file whose stripe holds two data blocks — every other append
+/// reads its stripe's old parity, and while the server's read rounds
+/// wait, the other clients' requests queue.
+fn group_machine() -> BridgeConfig {
+    BridgeConfig::instant(BREADTH)
+        .with_2pc()
+        .with_redundancy(Redundancy::parity())
+}
+
+/// Three clients at once, each on a parity file of its own — appends,
+/// overwrites, reads, a read-back — and the closing machine-wide pfsck.
+/// File ids stay out of the transcript: which client's Create the server
+/// takes first is timing.
+fn run_group_workload(config: &BridgeConfig) -> Run {
+    run(config, |c| {
+        let bodies = (0..3u8)
+            .map(|k| {
+                Box::new(move |c: &mut support::Client| {
+                    let tag = 0x60 + 0x10 * k;
+                    let file = c.create(CreateSpec::default());
+                    c.append(file, "append", 0..12, |i| content(tag, i, WIDE));
+                    c.overwrite(file, "overwrite", &[2, 5, 9], |at| content(!tag, at, WIDE));
+                    c.rand_read(file, "rand_read", &[0, 5, 11]);
+                    c.append(file, "append", 12..15, |i| content(tag, i, WIDE));
+                    c.read_back(file, "read");
+                }) as support::Body
+            })
+            .collect();
+        c.concurrently(bodies);
+        c.pfsck(true, true);
+    })
+}
+
+/// The commit-group invariant under one plan: three clients' requests,
+/// served in groups, end in the fault-free transcript. Returns the faulted
+/// run and its trace.
+fn check_group_plan(label: &str, plan: FaultPlan) -> (Run, TraceData) {
+    let collector = TraceCollector::install();
+    let mut traced = group_machine();
+    traced.tracer = Some(collector.as_tracer());
+    let base = run_group_workload(&traced);
+    let commits = collector.take().instants;
+    assert!(
+        commits
+            .iter()
+            .any(|i| i.name == "2pc.commit" && i.arg("txns") >= Some(2)),
+        "{label}: no COMMIT named several transactions"
+    );
+    let mut config = group_machine().with_faults(plan.clone());
+    config.tracer = Some(collector.as_tracer());
+    let faulted = run_group_workload(&config);
+    assert_same(label, &base, &faulted, &plan, None);
+    assert!(
+        faulted.stats.messages > base.stats.messages,
+        "{label}: the storm never fired"
+    );
+    (faulted, collector.take())
+}
+
+/// Three clients under `storm_plan`'s duplicate and delay classes (its
+/// drops off), and under the heavier dup-and-delay storm: every reply and
+/// every block the fault-free run's. A duplicate delivery stashed beside
+/// its original while the original's group is gathered is dropped, not
+/// served twice.
+#[test]
+fn group_storms_converge() {
+    let mut dropped = 0;
+    for seed in [41, 42, 43] {
+        let mut plan = storm_plan(seed);
+        plan.msg.drop_per_mille = 0;
+        let (_, trace) = check_group_plan(&format!("group storm {seed}"), plan);
+        dropped += trace
+            .instants
+            .iter()
+            .filter(|i| i.name == "retry.dup_dropped" && trace.proc_name(i.pid) == "bridge-server")
+            .count();
+        let plan = FaultPlan {
+            msg: dup_delay_storm(),
+            ..FaultPlan::seeded(seed)
+        };
+        check_group_plan(&format!("group dup+delay storm {seed}"), plan);
+    }
+    assert!(dropped > 0, "no duplicate ever reached the server's window");
 }
 
 proptest! {

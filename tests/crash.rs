@@ -37,6 +37,7 @@ use bridge_repro::parsim::{
 };
 use bridge_repro::simdisk::{DiskGeometry, DiskProfile, SimDisk};
 use bridge_repro::tools::{machine_check, pfsck, FsckOptions, FsckVerdict, MachineFinding};
+use bridge_repro::trace::TraceCollector;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use support::{assert_same, content, run, Classes, Client, Run, DOWN, NARROW};
@@ -237,6 +238,83 @@ fn server_kill_at_every_frame_of_a_wide_begin_preserves_atomicity() {
         let label = format!("server write {k}/3 of the wide create");
         assert_same(&label, &baseline, &crashed, &plan, None);
     }
+}
+
+/// The group sweep's machine: three LFS instances under 2PC, every file a
+/// parity file — a stripe of two data blocks, so every other append reads
+/// its stripe's old parity and the server's read rounds take time to
+/// answer, time in which the other clients' requests queue.
+fn group_machine() -> BridgeConfig {
+    BridgeConfig::instant(3)
+        .with_2pc()
+        .with_redundancy(Redundancy::parity())
+}
+
+/// Three clients at once, each on a parity file of its own: appends, an
+/// overwrite, reads and a read-back, their writes committing in groups.
+/// File ids stay out of the transcript — which client's Create the server
+/// takes first is timing — and the closing machine-wide pfsck goes in.
+fn group_workload(config: &BridgeConfig) -> Run {
+    run(config, |c| {
+        let bodies = (0..3u8)
+            .map(|k| {
+                Box::new(move |c: &mut Client| {
+                    let tag = 0x30 + 0x10 * k;
+                    let file = c.create(CreateSpec::default());
+                    c.append(file, "append", 0..6, |i| content(tag, i, NARROW));
+                    c.overwrite(file, "overwrite", &[1, 4], |at| content(!tag, at, NARROW));
+                    c.rand_read(file, "rand_read", &[0, 4]);
+                    c.read_back(file, "read");
+                }) as support::Body
+            })
+            .collect();
+        c.concurrently(bodies);
+        c.pfsck(true, true);
+    })
+}
+
+/// The coordinator-kill sweep with concurrent clients: their writes commit
+/// in groups — one BEGIN naming several transactions, two frames long and
+/// so two elementary writes, one COMMIT naming the committed — and a kill
+/// on every decision-log write of the run, each frame of every group
+/// BEGIN included, must leave the transcript the fault-free run's: a torn
+/// BEGIN aborts the whole group at every node and the group prepares
+/// again, a kill on a COMMIT redoes every decision it names. The sweep
+/// walks ordinals until one past the run's last write, which must not
+/// fire.
+#[test]
+fn server_kill_at_every_write_of_a_group_preserves_atomicity() {
+    let collector = TraceCollector::install();
+    let mut traced = group_machine();
+    traced.tracer = Some(collector.as_tracer());
+    let reference = group_workload(&traced);
+    let data = collector.take();
+    assert!(reference
+        .transcript
+        .last()
+        .unwrap()
+        .starts_with("pfsck clean=true"));
+    let server = data.procs.iter().position(|p| p.name == "bridge-server");
+    let forces: Vec<u64> = data
+        .spans
+        .iter()
+        .filter(|s| Some(s.pid) == server && s.cat == "disk")
+        .map(|s| s.arg("blocks").unwrap_or(1))
+        .collect();
+    assert!(
+        forces.iter().any(|&frames| frames >= 2),
+        "a group BEGIN took several frames: {forces:?}"
+    );
+    let writes: u64 = forces.iter().sum();
+    for k in 1..=writes + 1 {
+        let plan = FaultPlan::seeded(SEED).kill(SERVER_DISK, k);
+        let crashed = group_workload(&group_machine().with_faults(plan.clone()));
+        let label = format!("server write {k}/{writes} under three clients");
+        assert_same(&label, &reference, &crashed, &plan, None);
+        let fired = crashed.stats.end_time >= reference.stats.end_time + DOWN;
+        assert_eq!(fired, k <= writes, "{label}: the kill fired or not");
+    }
+    eprintln!("swept {writes} coordinator crash points (+1 past the end): {forces:?}");
 }
 
 /// The participant side: on the 2PC machine, kill each LFS node after

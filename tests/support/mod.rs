@@ -29,6 +29,7 @@ use bridge_repro::tools::{pfsck, FsckOptions};
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 /// Node indexes in a [`BridgeMachine`] build: the server node is added
 /// first, then the frontend, then one node per LFS.
@@ -64,6 +65,12 @@ pub fn content(tag: u8, i: u64, shape: Shape) -> Vec<u8> {
         .take(shape.base + (i as usize % shape.steps) * 16)
         .collect()
 }
+
+/// One concurrent client's part of a workload ([`Client::concurrently`]).
+pub type Body = Box<dyn FnOnce(&mut Client) + Send>;
+
+/// A concurrent client's word that its transcript is in.
+struct Finished;
 
 /// The application process a workload body drives: a Bridge client on
 /// the frontend, what it knows of the machine, and the transcript its
@@ -139,6 +146,52 @@ impl Client<'_> {
             write!(line, " {:016x}", fnv(&block)).unwrap();
         }
         self.log.push(line);
+    }
+
+    /// Runs `bodies` as clients of their own, concurrently: each a process
+    /// on this one's node with its own retrying Bridge client, whose
+    /// requests queue at the server beside the others'. Their transcripts
+    /// join this one's in body order, each line tagged with its client, so
+    /// the transcript is the same however their requests interleave. The
+    /// clients hand their transcripts over in shared memory, so no fault
+    /// plan can lose one.
+    pub fn concurrently(&mut self, bodies: Vec<Body>) {
+        let done: Arc<Mutex<Vec<Option<Vec<String>>>>> =
+            Arc::new(Mutex::new(vec![None; bodies.len()]));
+        let (me, node) = (self.ctx.me(), self.ctx.node());
+        for (i, body) in bodies.into_iter().enumerate() {
+            let (done, lfs) = (Arc::clone(&done), self.lfs.clone());
+            let (server, retry) = (self.server, self.retry);
+            self.ctx.spawn(node, format!("client{i}"), move |ctx| {
+                let mut client = Client {
+                    ctx,
+                    bridge: BridgeClient::with_retry(server, retry),
+                    server,
+                    lfs,
+                    retry,
+                    log: Vec::new(),
+                };
+                body(&mut client);
+                done.lock().expect("clients never panic holding it")[i] = Some(client.log);
+                client.ctx.send(me, Finished);
+            });
+        }
+        let finished = |done: &Mutex<Vec<Option<Vec<String>>>>| {
+            done.lock()
+                .expect("not poisoned")
+                .iter()
+                .all(Option::is_some)
+        };
+        while !finished(&done) {
+            self.ctx
+                .recv_where_timeout(|e| e.is::<Finished>(), SimDuration::from_secs(1));
+        }
+        let logs = std::mem::take(&mut *done.lock().expect("not poisoned"));
+        for (i, log) in logs.into_iter().enumerate() {
+            let log = log.expect("finished");
+            self.log
+                .extend(log.into_iter().map(|l| format!("client{i}: {l}")));
+        }
     }
 
     /// Runs `pfsck --check` over every instance — with the machine-wide
