@@ -25,16 +25,31 @@
 //!   as the append intents. Gated at ≤ 1.15x over the WAL machine. The
 //!   churn client's share shrinks with `BRIDGE_SCALE` like the writers'
 //!   does, so the quick run gates the same mix the full run reports.
+//!
+//! Then the coordinator under load: 1, 2, 4 and 8 closed-loop clients run
+//! the churn mix (`bridgebench`'s `churn_p8`: small creates, deletes,
+//! appends, overwrites and reads) on the 2PC + parity machine at p = 8.
+//! Requests that queue while the server is busy are served as a commit
+//! group — their reads in one round, their transactions under one BEGIN
+//! and one COMMIT force. Reported per row: calls per virtual second, the
+//! transactions each COMMIT force named, and the LFS disks' utilization.
+//! Gated: the 1-client row is the serial server's to the nanosecond (a
+//! lone client's requests never wait for one another), and 4 clients
+//! reach ≥ 1.1x its rate — where the serial server gave them 0.83x.
 
 use bridge_bench::report::{secs, Table};
 use bridge_bench::results::{emit, Metric};
+use bridge_bench::workload::{churn_block, churn_script, ChurnOp};
 use bridge_bench::{file_blocks, records_per_second};
-use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec};
+use bridge_core::{
+    BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, Redundancy,
+};
 use bridge_efs::{LfsClient, LfsFileId, LfsOp};
 use bridge_tools::{run_workers, ToolOptions, WorkerSpec};
+use bridge_trace::TraceCollector;
 use bytes::Bytes;
-use parsim::SimDuration;
-use std::collections::VecDeque;
+use parsim::{Ctx, ProcId, SimDuration};
+use std::collections::{HashMap, VecDeque};
 
 const BREADTH: u32 = 4;
 const WRITERS: usize = 6;
@@ -164,6 +179,128 @@ fn measure(two_pc: bool) -> Run {
     })
 }
 
+/// Closed-loop clients per row of the clients sweep.
+const CLIENTS: [usize; 4] = [1, 2, 4, 8];
+/// Churn steps each client's script draws, at every scale.
+const CLIENT_OPS: u64 = 480;
+
+/// The 1-client row's virtual run time, pinned from the serial server.
+const ONE_CLIENT_NANOS: u64 = 32_470_976_500;
+
+/// One clients-sweep row.
+struct ClientsRow {
+    clients: usize,
+    calls: u64,
+    elapsed: SimDuration,
+    /// Transactions the COMMIT forces named, and the forces.
+    committed: u64,
+    commits: u64,
+    /// LFS disk busy time over the run, per disk.
+    utilization: f64,
+}
+
+impl ClientsRow {
+    fn ops_per_s(&self) -> f64 {
+        records_per_second(self.calls, self.elapsed)
+    }
+
+    fn txns_per_commit(&self) -> f64 {
+        self.committed as f64 / self.commits.max(1) as f64
+    }
+}
+
+/// One churn client: its script against its own files, every read checked
+/// against what it wrote. Returns the calls made.
+fn churn_client(ctx: &mut Ctx, server: ProcId, script: &[ChurnOp]) -> u64 {
+    let mut bridge = BridgeClient::new(server);
+    let mut files: HashMap<u32, (BridgeFileId, Vec<(u64, usize)>)> = HashMap::new();
+    for op in script {
+        match *op {
+            ChurnOp::Create { slot } => {
+                let file = bridge.create(ctx, CreateSpec::default()).expect("create");
+                files.insert(slot, (file, Vec::new()));
+            }
+            ChurnOp::Delete { slot } => {
+                let (file, _) = files.remove(&slot).expect("live");
+                bridge.delete(ctx, file).expect("delete");
+            }
+            ChurnOp::Append { slot, fill, len } => {
+                let (file, blocks) = files.get_mut(&slot).expect("live");
+                bridge
+                    .seq_write(ctx, *file, churn_block(fill, len))
+                    .expect("append");
+                blocks.push((fill, len));
+            }
+            ChurnOp::Write {
+                slot,
+                block,
+                fill,
+                len,
+            } => {
+                let (file, blocks) = files.get_mut(&slot).expect("live");
+                bridge
+                    .rand_write(ctx, *file, block, churn_block(fill, len))
+                    .expect("overwrite");
+                blocks[block as usize] = (fill, len);
+            }
+            ChurnOp::Read { slot, block } => {
+                let (file, blocks) = &files[&slot];
+                let data = bridge.rand_read(ctx, *file, block).expect("read");
+                let (fill, len) = blocks[block as usize];
+                assert_eq!(data[..len], churn_block(fill, len)[..], "read back");
+            }
+        }
+    }
+    script.len() as u64
+}
+
+/// `clients` closed-loop churn clients on the 2PC + parity machine at
+/// p = 8, each on a script of its own, under a trace collector (which
+/// moves no virtual nanosecond) for the COMMIT forces.
+fn measure_clients(clients: usize) -> ClientsRow {
+    let collector = TraceCollector::install();
+    let mut config = BridgeConfig::paper(8)
+        .with_2pc()
+        .with_redundancy(Redundancy::parity());
+    // 256 tracks a disk, as `churn_p8` builds it: room for the churn's
+    // files beside 130 blocks of metadata.
+    config.disk_geometry.tracks = 256;
+    config.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let (server, frontend) = (machine.server, machine.frontend);
+    let ops = CLIENT_OPS;
+    let (calls, elapsed) = sim.block_on(frontend, "sweep", move |ctx| {
+        let me = ctx.me();
+        let t0 = ctx.now();
+        for c in 0..clients {
+            let script = churn_script(ops, 0xC4_0000 + c as u64);
+            ctx.spawn(frontend, format!("client{c}"), move |ctx| {
+                let calls = churn_client(ctx, server, &script);
+                ctx.send(me, calls);
+            });
+        }
+        let calls: u64 = (0..clients).map(|_| ctx.recv_as::<u64>().1).sum();
+        (calls, ctx.now() - t0)
+    });
+    let registry = machine.telemetry.expect("telemetry armed");
+    let busy: u64 = (0..8).map(|i| registry.lfs(i).disk.busy_nanos).sum();
+    let data = collector.take();
+    let commits: Vec<u64> = data
+        .instants
+        .iter()
+        .filter(|i| i.name == "2pc.commit")
+        .map(|i| i.arg("txns").unwrap_or(1))
+        .collect();
+    ClientsRow {
+        clients,
+        calls,
+        elapsed,
+        committed: commits.iter().sum(),
+        commits: commits.len() as u64,
+        utilization: busy as f64 / (8.0 * elapsed.as_nanos() as f64),
+    }
+}
+
 fn main() {
     println!(
         "## Ablation A14 — 2PC commit overhead (p = {BREADTH}, {CHURN_OPS} cycles \
@@ -201,6 +338,40 @@ fn main() {
          {concurrent_overhead:.2}x (budget 1.15x)"
     );
 
+    println!(
+        "\n## The coordinator under load — the churn mix at p = 8 (2PC + parity), \
+         {CLIENT_OPS} steps a client\n"
+    );
+    let rows: Vec<ClientsRow> = CLIENTS.iter().map(|&c| measure_clients(c)).collect();
+    let one = rows[0].ops_per_s();
+    let mut t = Table::new([
+        "clients",
+        "calls/s",
+        "× 1 client",
+        "txns per COMMIT force",
+        "simdisk.utilization",
+    ]);
+    for row in &rows {
+        t.row([
+            row.clients.to_string(),
+            format!("{:.2}", row.ops_per_s()),
+            format!("{:.2}x", row.ops_per_s() / one),
+            format!("{:.2}", row.txns_per_commit()),
+            format!("{:.3}", row.utilization),
+        ]);
+    }
+    t.print();
+    assert_eq!(
+        rows[0].elapsed.as_nanos(),
+        ONE_CLIENT_NANOS,
+        "a lone client's run moved from the serial server's"
+    );
+    let four = rows[2].ops_per_s() / one;
+    assert!(
+        four >= 1.1,
+        "4 clients reached only {four:.2}x one client (floor 1.1x)"
+    );
+
     emit(
         "ablate_2pc",
         &[
@@ -214,6 +385,11 @@ fn main() {
             ),
             Metric::lower("two_pc.churn_overhead", churn_overhead),
             Metric::lower("two_pc.concurrent_overhead", concurrent_overhead),
+            Metric::higher("clients1.ops_per_s", one),
+            Metric::higher("clients4.ops_per_s", rows[2].ops_per_s()),
+            Metric::higher("clients8.ops_per_s", rows[3].ops_per_s()),
+            Metric::higher("clients4.speedup", four),
+            Metric::higher("clients4.txns_per_commit", rows[2].txns_per_commit()),
         ],
     );
 }

@@ -62,10 +62,126 @@ pub fn text_records(n: u64, needle_every: u64, seed: u64) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// One step of a churn client's script: small mutations and reads on the
+/// client's own files. `slot` numbers the client's files in creation
+/// order; a block's contents are named by their `fill` (see
+/// [`churn_block`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChurnOp {
+    /// Create the file that takes `slot`.
+    Create {
+        /// The new file's slot.
+        slot: u32,
+    },
+    /// Delete the file in `slot` (the oldest live one).
+    Delete {
+        /// The doomed file's slot.
+        slot: u32,
+    },
+    /// Append a block of `len` bytes.
+    Append {
+        /// The file's slot.
+        slot: u32,
+        /// Names the block's contents.
+        fill: u64,
+        /// Bytes of data.
+        len: usize,
+    },
+    /// Overwrite existing block `block`.
+    Write {
+        /// The file's slot.
+        slot: u32,
+        /// The block overwritten.
+        block: u64,
+        /// Names the block's contents.
+        fill: u64,
+        /// Bytes of data.
+        len: usize,
+    },
+    /// Read existing block `block`.
+    Read {
+        /// The file's slot.
+        slot: u32,
+        /// The block read.
+        block: u64,
+    },
+}
+
+/// A churn script of `ops` steps for one client, then a Delete of every
+/// file still live, so a script leaves the machine as it found it. The
+/// mix is `bridgebench`'s `churn_p8`: 5 % creates, 5 % deletes of the
+/// oldest file, and among the rest 40 % reads, 25 % overwrites and 35 %
+/// appends, each on a uniformly picked live file (an op on an empty file
+/// is an append). Every step is valid when issued.
+pub fn churn_script(ops: u64, seed: u64) -> Vec<ChurnOp> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut live: std::collections::VecDeque<(u32, u64)> = Default::default();
+    let mut next = 0u32;
+    let mut script = Vec::with_capacity(ops as usize + 8);
+    for _ in 0..ops {
+        let draw = rng.random_range(0..100u32);
+        if live.is_empty() || (90..95).contains(&draw) {
+            live.push_back((next, 0));
+            script.push(ChurnOp::Create { slot: next });
+            next += 1;
+            continue;
+        }
+        if draw >= 95 && live.len() > 1 {
+            let (slot, _) = live.pop_front().expect("more than one live file");
+            script.push(ChurnOp::Delete { slot });
+            continue;
+        }
+        let pick = rng.random_range(0..live.len());
+        let (slot, size) = live[pick];
+        let (fill, len) = (rng.random::<u64>(), rng.random_range(64..=960usize));
+        script.push(if size == 0 || draw >= 65 {
+            live[pick].1 += 1;
+            ChurnOp::Append { slot, fill, len }
+        } else if draw < 40 {
+            let block = rng.random_range(0..size);
+            ChurnOp::Read { slot, block }
+        } else {
+            let block = rng.random_range(0..size);
+            ChurnOp::Write {
+                slot,
+                block,
+                fill,
+                len,
+            }
+        });
+    }
+    script.extend(live.iter().map(|&(slot, _)| ChurnOp::Delete { slot }));
+    script
+}
+
+/// The `len` bytes a churn block with `fill` holds.
+pub fn churn_block(fill: u64, len: usize) -> Vec<u8> {
+    let mut rng = SmallRng::seed_from_u64(fill);
+    (0..len).map(|_| rng.random::<u8>()).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    #[test]
+    fn churn_scripts_are_valid_and_clean_up() {
+        let script = churn_script(2_000, 9);
+        assert_eq!(script, churn_script(2_000, 9), "deterministic");
+        let mut sizes = std::collections::HashMap::new();
+        for op in &script {
+            match *op {
+                ChurnOp::Create { slot } => assert!(sizes.insert(slot, 0u64).is_none()),
+                ChurnOp::Delete { slot } => assert!(sizes.remove(&slot).is_some()),
+                ChurnOp::Append { slot, .. } => *sizes.get_mut(&slot).unwrap() += 1,
+                ChurnOp::Write { slot, block, .. } | ChurnOp::Read { slot, block } => {
+                    assert!(block < sizes[&slot])
+                }
+            }
+        }
+        assert!(sizes.is_empty(), "every file deleted at the end");
+    }
 
     #[test]
     fn records_have_distinct_shuffled_keys() {

@@ -1,9 +1,10 @@
 //! Anatomy of the small-mutation path: one create, append, `rand_read`,
 //! `rand_write` and delete on the 2PC + parity machine (`churn_p8`'s
-//! configuration) under a trace collector. For each op it prints the
-//! timeline of every non-`sched` span that started while the client was
-//! waiting for it, and the number of disk positionings those spans paid —
-//! the quantity a Wren disk charges for.
+//! configuration) under a trace collector, then a commit group: four
+//! clients appending to four parity files at once. For each op it prints
+//! the timeline of every non-`sched` span that started while the client
+//! was waiting for it, and the number of disk positionings those spans
+//! paid — the quantity a Wren disk charges for.
 //!
 //! Run with: `cargo run --release --example op_anatomy [out.txt]` (the
 //! report also goes to standard output). Exits nonzero if
@@ -13,11 +14,13 @@
 //! * any `wal.commit` span holds more than one disk span, or one that is
 //!   not a `disk.write_run` paying one positioning — one per track for a
 //!   batch longer than a track: a commit is one device run, and the log
-//!   never splits a batch that fits on a track.
+//!   never splits a batch that fits on a track, or
+//! * the group's four appends take anything but two decision-log writes
+//!   — one BEGIN naming the four transactions, one COMMIT naming them.
 
 use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, Redundancy};
 use bridge_trace::{SpanEvent, TraceCollector, TraceData};
-use parsim::{Ctx, SimTime};
+use parsim::{Ctx, ProcId, SimTime};
 use simdisk::DiskProfile;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -30,6 +33,8 @@ const PRELOAD: u64 = 17;
 const RAND_WRITE_BUDGET_MS: f64 = 92.0;
 /// The virtual-time budget of the checkpoint-free parity append.
 const APPEND_BUDGET_MS: f64 = 95.0;
+/// Clients in the group section, one parity file each.
+const GROUP: usize = 4;
 
 fn record(block: u64) -> Vec<u8> {
     format!("anatomy record {block:06}").into_bytes()
@@ -80,6 +85,21 @@ fn main() -> ExitCode {
         }
         timed(ctx, &mut ops, "delete", |ctx| {
             bridge.delete(ctx, file).expect("delete");
+        });
+        // The group: a file per client, each past its stripe's first
+        // block so every append reads its old parity, then one append
+        // from each client at once.
+        let files: Vec<_> = (0..GROUP)
+            .map(|_| {
+                let file = bridge.create(ctx, CreateSpec::default()).expect("create");
+                for b in 0..2 {
+                    bridge.seq_write(ctx, file, record(b)).expect("preload");
+                }
+                file
+            })
+            .collect();
+        timed(ctx, &mut ops, "group", |ctx| {
+            append_at_once(ctx, server, &files)
         });
         ops
     });
@@ -142,6 +162,29 @@ fn main() -> ExitCode {
         }
     }
 
+    let group = ops.iter().find(|op| op.name == "group").expect("timed");
+    let server_pid = data.procs.iter().position(|p| p.name == "bridge-server");
+    let log_writes = data
+        .spans_in("disk")
+        .filter(|d| Some(d.pid) == server_pid && d.start >= group.from && d.end <= group.to)
+        .count();
+    let named: Vec<u64> = data
+        .instants
+        .iter()
+        .filter(|i| i.name == "2pc.commit" && i.at >= group.from && i.at <= group.to)
+        .filter_map(|i| i.arg("txns"))
+        .collect();
+    let _ = writeln!(
+        report,
+        "group: {GROUP} appends, {log_writes} decision-log writes, COMMITs naming {named:?} txns"
+    );
+    if log_writes != 2 || named != [GROUP as u64] {
+        failures.push(format!(
+            "the group's {GROUP} appends took {log_writes} decision-log writes and \
+             COMMITs naming {named:?} (one BEGIN and one COMMIT naming all {GROUP} expected)"
+        ));
+    }
+
     let commits: Vec<&SpanEvent> = data
         .spans
         .iter()
@@ -189,6 +232,21 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+/// One append to each of `files` from a client of its own, all at once.
+fn append_at_once(ctx: &mut Ctx, server: ProcId, files: &[bridge_core::BridgeFileId]) {
+    let (me, node) = (ctx.me(), ctx.node());
+    for (i, &file) in files.iter().enumerate() {
+        ctx.spawn(node, format!("client{i}"), move |ctx| {
+            let mut bridge = BridgeClient::new(server);
+            bridge.seq_write(ctx, file, record(2)).expect("append");
+            ctx.send(me, ());
+        });
+    }
+    for _ in files {
+        ctx.recv_as::<()>();
     }
 }
 
