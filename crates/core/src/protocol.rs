@@ -330,8 +330,9 @@ pub struct ManifestEntry {
     /// parity audit recomputes.
     pub size: u64,
     /// Round-robin start rotation: block 0's position within `nodes`.
-    /// The mirror audit needs it to map blocks to columns; parity files
-    /// ignore it (the parity layout pins its own rotation).
+    /// The mirror audit needs it to map blocks to columns, and the parity
+    /// audit turns the file's parity layout by it
+    /// ([`ParityLayout::starting_at`](crate::ParityLayout::starting_at)).
     pub start: u32,
     /// Machine indexes of the LFS instances holding its columns. Entries
     /// here are *claims*: an index may be stale (≥ the current breadth

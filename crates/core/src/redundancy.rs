@@ -71,10 +71,19 @@ impl Redundancy {
 /// or parity) per row of its group, so all local files grow in lock
 /// step. `g == p` (one group) is the classic machine-wide RAID-5
 /// rotation.
+///
+/// A file's layout is then turned by its round-robin start
+/// ([`ParityLayout::starting_at`]): every position above moves `start`
+/// places along the breadth, so successive small files put their first
+/// stripe's parity on successive positions instead of all on position 0.
+/// Local block numbers are counted in the unturned layout, which keeps
+/// them dense and every group's rows in lock step. Start 0 is the
+/// unturned layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParityLayout {
     breadth: u32,
     group: u32,
+    start: u32,
 }
 
 impl ParityLayout {
@@ -102,7 +111,21 @@ impl ParityLayout {
             breadth.is_multiple_of(group),
             "parity group ({group}) must divide the breadth ({breadth})"
         );
-        ParityLayout { breadth, group }
+        ParityLayout {
+            breadth,
+            group,
+            start: 0,
+        }
+    }
+
+    /// The same layout turned by a file's round-robin `start` (taken
+    /// modulo the breadth): every data and parity position moves `start`
+    /// places along the breadth.
+    pub fn starting_at(self, start: u32) -> Self {
+        ParityLayout {
+            start: start % self.breadth,
+            ..self
+        }
     }
 
     /// Positions per parity group.
@@ -130,20 +153,35 @@ impl ParityLayout {
         (stripe % self.group_count(), stripe / self.group_count())
     }
 
-    /// The position holding stripe `s`'s parity block.
-    pub fn parity_position(&self, stripe: u64) -> u32 {
+    /// Turns an unturned position by the layout's start.
+    fn turned(&self, position: u32) -> u32 {
+        ((u64::from(position) + u64::from(self.start)) % u64::from(self.breadth)) as u32
+    }
+
+    /// Stripe `s`'s parity position before the turn.
+    fn unturned_parity(&self, stripe: u64) -> u32 {
         let (gi, r) = self.group_row(stripe);
         (gi * u64::from(self.group) + r % u64::from(self.group)) as u32
     }
 
-    /// The position holding data block `block`.
-    pub fn data_position(&self, block: u64) -> u32 {
+    /// Data block `block`'s position before the turn.
+    fn unturned_data(&self, block: u64) -> u32 {
         let s = self.stripe_of(block);
         let (gi, r) = self.group_row(s);
         let j = (block % self.stripe_width()) as u32;
         let hole = (r % u64::from(self.group)) as u32;
         let in_group = if j < hole { j } else { j + 1 };
         (gi * u64::from(self.group)) as u32 + in_group
+    }
+
+    /// The position holding stripe `s`'s parity block.
+    pub fn parity_position(&self, stripe: u64) -> u32 {
+        self.turned(self.unturned_parity(stripe))
+    }
+
+    /// The position holding data block `block`.
+    pub fn data_position(&self, block: u64) -> u32 {
+        self.turned(self.unturned_data(block))
     }
 
     /// How many rows in `[0, row)` of a group put their parity on the
@@ -163,7 +201,7 @@ impl ParityLayout {
     pub fn data_local(&self, block: u64) -> u32 {
         let s = self.stripe_of(block);
         let (_, r) = self.group_row(s);
-        let q = self.data_position(block) % self.group;
+        let q = self.unturned_data(block) % self.group;
         (r - self.parity_count_before(q, r)) as u32
     }
 
@@ -179,7 +217,7 @@ impl ParityLayout {
     /// LFS file of its position.
     pub fn parity_local(&self, stripe: u64) -> u32 {
         let (_, r) = self.group_row(stripe);
-        let q = self.parity_position(stripe) % self.group;
+        let q = self.unturned_parity(stripe) % self.group;
         self.parity_count_before(q, r) as u32
     }
 

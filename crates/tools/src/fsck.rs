@@ -660,7 +660,7 @@ fn audit_entry(
             }
         }
         Redundancy::Parity { group } => {
-            let layout = ParityLayout::grouped(breadth, group);
+            let layout = ParityLayout::grouped(breadth, group).starting_at(entry.start);
             let width = layout.stripe_width();
             for stripe in 0..entry.size.div_ceil(width) {
                 let lo = stripe * width;
