@@ -6,7 +6,7 @@ use bridge_core::{
     BridgeClient, BridgeConfig, BridgeError, BridgeFileId, BridgeMachine, CreateSpec, JobDeliver,
     PlacementKind, PlacementSpec, Redundancy,
 };
-use bridge_efs::EfsError;
+use bridge_efs::{EfsError, LfsData, LfsOp};
 use parsim::{Ctx, ProcId, SimDuration};
 
 fn record(tag: u32, block: u64) -> Vec<u8> {
@@ -440,4 +440,85 @@ fn degraded_parity_overwrites_keep_their_transcripts() {
         degraded_overwrite_transcript(true, true),
         ["Err(Lfs(NodeFailed))", "EEooEooEooEEo"]
     );
+}
+
+/// Successive parity files start on successive nodes, and their parity
+/// layouts turn with the start: eight small parity files on a fresh
+/// p = 8 machine put their first stripe's parity block on eight distinct
+/// nodes, where an unturned layout put every one on the same node.
+#[test]
+fn successive_parity_files_spread_their_first_parity_block() {
+    let (mut sim, machine) = BridgeMachine::build(&BridgeConfig::instant(8));
+    let server = machine.server;
+    let lfs = machine.lfs.clone();
+    sim.block_on(machine.frontend, "app", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let files: Vec<BridgeFileId> = (0..8)
+            .map(|_| write_redundant(ctx, &mut bridge, Redundancy::parity(), 1))
+            .collect();
+        let manifest = bridge.get_manifest(ctx).unwrap();
+        let mut holders = std::collections::BTreeSet::new();
+        for file in files {
+            let entry = manifest.files.iter().find(|e| e.file == file).unwrap();
+            let companion = entry.companion.expect("a parity companion");
+            // One block written: stripe 0's parity is the only block of
+            // the companion, on exactly one node.
+            let mut client = bridge_efs::LfsClient::new();
+            let holding: Vec<usize> = (0..lfs.len())
+                .filter(|&n| {
+                    let stat = client.call(ctx, lfs[n], LfsOp::Stat { file: companion });
+                    matches!(stat, Ok(LfsData::Info(info)) if info.size == 1)
+                })
+                .collect();
+            assert_eq!(holding.len(), 1, "{file:?}: one parity block");
+            holders.insert(holding[0]);
+        }
+        assert_eq!(holders.len(), 8, "stripe 0's parity on {holders:?}");
+    });
+}
+
+/// A parity file whose round-robin start is not 0 survives losing the
+/// node that holds its turned stripe-0 parity: degraded reads, a spare,
+/// a rebuild, then every block byte-exact and a clean four-pass pfsck.
+#[test]
+fn a_turned_parity_file_rebuilds_its_parity_node() {
+    const BLOCKS: u64 = 13;
+    const START: u32 = 3;
+    let (mut sim, machine) = BridgeMachine::build(&BridgeConfig::instant(4));
+    let server = machine.server;
+    let pairs: Vec<_> = (machine.lfs.iter().copied())
+        .zip(machine.lfs_nodes.iter().copied())
+        .collect();
+    sim.block_on(machine.frontend, "app", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let spec = CreateSpec {
+            redundancy: Redundancy::parity(),
+            placement: PlacementSpec::RoundRobinAt { start: START },
+            ..CreateSpec::default()
+        };
+        let file = bridge.create(ctx, spec).unwrap();
+        let tag = Redundancy::parity().tag();
+        for b in 0..BLOCKS {
+            bridge.seq_write(ctx, file, record(tag, b)).unwrap();
+        }
+        let info = bridge.open(ctx, file).unwrap();
+        assert_eq!(info.placement, PlacementKind::RoundRobin { start: START });
+        let layout = bridge_core::ParityLayout::new(4).starting_at(START);
+        let victim = info.nodes[layout.parity_position(0) as usize].proc;
+        assert_eq!(victim, pairs[START as usize].0, "the turned parity node");
+
+        fail_node(ctx, victim, true);
+        check_all(ctx, &mut bridge, file, tag, BLOCKS);
+        fail_node(ctx, victim, false);
+        assert!(bridge_efs::install_spare(ctx, victim), "spare racked in");
+        let repaired = bridge.rebuild(ctx, file).unwrap();
+        assert!(repaired > 0, "the spare's columns were rebuilt");
+        check_all(ctx, &mut bridge, file, tag, BLOCKS);
+        let options = bridge_tools::FsckOptions {
+            server: Some(server),
+            ..bridge_tools::FsckOptions::default()
+        };
+        let verdict = bridge_tools::pfsck(ctx, &pairs, &options).expect("pfsck");
+        assert!(verdict.clean(), "{:?}", verdict.errors());
+    });
 }

@@ -4,7 +4,8 @@
 //! of being written off as unknowable.
 
 use bridge_core::{
-    BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, ParityLayout, Redundancy,
+    BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, ParityLayout,
+    PlacementSpec, Redundancy,
 };
 use bridge_efs::{LfsClient, LfsFileId, LfsOp};
 use bridge_tools::{pfsck, FsckOptions, MachineFinding};
@@ -229,5 +230,67 @@ fn down_node_columns_are_reconstructed_not_withheld() {
             )),
             "double failure surfaces unrecoverable blocks: {findings:?}"
         );
+    });
+}
+
+/// A parity file whose round-robin start is not 0 audits against its
+/// turned layout: a clean four-pass run, then a parity block scribbled
+/// on the turned parity node is found there, and `--repair` fixes it.
+#[test]
+fn parity_audit_turns_the_layout_by_the_start() {
+    const START: u32 = 2;
+    let (mut sim, machine) = BridgeMachine::build(&BridgeConfig::instant(4));
+    let server = machine.server;
+    let pairs = pairs(&machine);
+    sim.block_on(machine.frontend, "tool", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let spec = CreateSpec {
+            redundancy: Redundancy::parity(),
+            placement: PlacementSpec::RoundRobinAt { start: START },
+            ..CreateSpec::default()
+        };
+        let file = bridge.create(ctx, spec).unwrap();
+        for b in 0..13 {
+            bridge
+                .seq_write(ctx, file, record(Redundancy::parity().tag(), b))
+                .unwrap();
+        }
+        let verdict = check(ctx, &pairs, server, false);
+        assert!(verdict.clean(), "healthy start: {:?}", verdict.errors());
+
+        let (companion, nodes, start) = manifest_entry(ctx, &mut bridge, file);
+        assert_eq!(start, START);
+        let layout = ParityLayout::new(4).starting_at(start);
+        let stripe = 1u64;
+        let pnode = nodes[layout.parity_position(stripe) as usize];
+        assert_eq!(pnode, 3, "stripe 1's parity, turned two places");
+        let mut lfs = LfsClient::new();
+        lfs.call(
+            ctx,
+            pairs[pnode as usize].0,
+            LfsOp::Write {
+                file: companion,
+                block: layout.parity_local(stripe),
+                data: Bytes::from_static(b"scribble"),
+                hint: None,
+            },
+        )
+        .unwrap();
+
+        let verdict = check(ctx, &pairs, server, false);
+        let findings = &verdict.machine.as_ref().unwrap().findings;
+        assert_eq!(
+            findings,
+            &vec![MachineFinding::StaleParity {
+                file,
+                stripe,
+                node: pnode,
+            }],
+            "exactly the scribbled parity block"
+        );
+        let repaired = check(ctx, &pairs, server, true);
+        assert_eq!(repaired.machine.as_ref().unwrap().repaired, 1);
+        assert!(repaired.clean(), "repair rewrote the parity block");
+        assert!(check(ctx, &pairs, server, false).clean());
     });
 }
