@@ -6,15 +6,18 @@
 //! of requests on distinct files. A group runs in rounds:
 //!
 //! 1. every member's LFS reads, as one pipelined round — a `RandRead`'s
-//!    block, a parity write's old parity and old data;
+//!    block, a parity write's old parity and old data (a Create or a
+//!    Delete reads nothing);
 //! 2. each member's compute — the header check, the parity XOR into its
-//!    columns — after which a member with nothing to commit is answered;
+//!    columns, a Create's or a Delete's transaction — after which a
+//!    member with nothing to commit is answered;
 //! 3. every member's transaction through one two-phase commit: all
 //!    PREPAREs pipelined, one BEGIN force naming every transaction, the
 //!    votes, one COMMIT force naming the committed ones, every decision
 //!    pipelined;
-//! 4. the remaining replies, each write's directory update (an append's
-//!    size) made only if it landed.
+//! 4. the remaining replies, each member's directory update made only if
+//!    its transaction committed: an append's size, a Create's entry, a
+//!    Delete's removals.
 //!
 //! What queues while the group reads joins it in one more read round, so
 //! the transactions of requests that arrive a round apart still share the
@@ -24,7 +27,9 @@
 //! is [`Server::route`]'s call.
 
 use super::blockio::Target;
+use super::directory::FileMeta;
 use super::redundancy::WritePlan;
+use super::txn::{self, Txn};
 use super::Server;
 use crate::error::BridgeError;
 use crate::header::GlobalPtr;
@@ -33,15 +38,20 @@ use crate::placement::PlacementKind;
 use crate::protocol::{BridgeCmd, BridgeData, BridgeRequest};
 use crate::redundancy::Redundancy;
 use parsim::{Ctx, ProcId, SimTime};
+use std::slice;
 
 /// How the server loop serves a command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum Route {
+pub(super) enum Route<'c> {
     /// Alone, through `dispatch`.
     Alone,
-    /// Through a commit group's rounds, as an op on `file`; `shared` when
-    /// it may be served in a group with other requests.
-    Rounds { file: BridgeFileId, shared: bool },
+    /// Through a commit group's rounds, as an op on `files` (none for a
+    /// Create); `shared` when it may be served in a group with other
+    /// requests.
+    Rounds {
+        files: &'c [BridgeFileId],
+        shared: bool,
+    },
 }
 
 /// A command's work as the rounds run it.
@@ -54,14 +64,34 @@ pub(super) enum Op {
     },
     /// A planned block write.
     Write(WritePlan),
+    /// A Create: the file it makes, entered in the directory once its
+    /// transaction commits.
+    Create {
+        file: BridgeFileId,
+        meta: Box<FileMeta>,
+    },
+    /// A Delete of every file of the batch, checked.
+    Delete { files: Vec<BridgeFileId> },
 }
 
 impl Op {
     /// The LFS reads the op needs in the read round.
     fn reads(&self) -> &[(Target, GlobalPtr)] {
         match self {
-            Op::Read { at, .. } => std::slice::from_ref(at),
+            Op::Read { at, .. } => slice::from_ref(at),
             Op::Write(plan) => plan.reads(),
+            Op::Create { .. } | Op::Delete { .. } => &[],
+        }
+    }
+
+    /// The files a pending op holds until it is settled: no later member
+    /// of the group may name them.
+    fn files(&self) -> &[BridgeFileId] {
+        match self {
+            Op::Read { file, .. } => slice::from_ref(file),
+            Op::Write(plan) => slice::from_ref(&plan.file),
+            Op::Create { .. } => &[],
+            Op::Delete { files } => files,
         }
     }
 }
@@ -128,47 +158,79 @@ impl Host for Kept {
 impl Server {
     /// How `cmd` is served. A strictly placed file's `RandRead` shares a
     /// group with any other such request, and so does a redundant file's
-    /// `SeqWrite` or `RandWrite` on a machine with a decision log. Other
-    /// strictly placed block writes — a plain file's overwrite, a
-    /// redundant write without the log — run through the rounds as a
-    /// group of one, and a plain file's append extends the append train.
-    /// Everything else, an unknown file's included, is dispatched alone.
-    pub(super) fn route(&self, cmd: &BridgeCmd) -> Route {
-        let file = match *cmd {
+    /// `SeqWrite` or `RandWrite` on a machine with a decision log. There,
+    /// a Create and a Delete of files in the directory share one too: a
+    /// Delete naming a file not (yet) in it runs the rounds as a group of
+    /// one, after the group that may be creating it. Other strictly placed
+    /// block writes — a plain file's overwrite, a redundant write without
+    /// the log — run through the rounds as a group of one, and a plain
+    /// file's append extends the append train. Everything else, an
+    /// unknown file's block op included, is dispatched alone.
+    pub(super) fn route<'c>(&self, cmd: &'c BridgeCmd) -> Route<'c> {
+        let two_pc = self.txlog.is_some();
+        let file = match cmd {
+            BridgeCmd::Create(_) if two_pc => {
+                return Route::Rounds {
+                    files: &[],
+                    shared: true,
+                }
+            }
+            BridgeCmd::Delete { file } if two_pc => {
+                let files = slice::from_ref(file);
+                let shared = files.iter().all(|f| self.files.contains_key(f));
+                return Route::Rounds { files, shared };
+            }
+            BridgeCmd::DeleteMany { files } if two_pc => {
+                let shared = files.iter().all(|f| self.files.contains_key(f));
+                return Route::Rounds { files, shared };
+            }
             BridgeCmd::RandRead { file, .. }
             | BridgeCmd::RandWrite { file, .. }
             | BridgeCmd::SeqWrite { file, .. } => file,
             _ => return Route::Alone,
         };
-        let Some(meta) = self.files.get(&file) else {
+        let Some(meta) = self.files.get(file) else {
             return Route::Alone;
         };
         let redundant = meta.redundancy != Redundancy::None;
         if matches!(meta.placement.kind(), PlacementKind::Linked) {
             return Route::Alone;
         }
+        let files = slice::from_ref(file);
         match cmd {
-            BridgeCmd::RandRead { .. } => Route::Rounds { file, shared: true },
+            BridgeCmd::RandRead { .. } => Route::Rounds {
+                files,
+                shared: true,
+            },
             BridgeCmd::SeqWrite { .. } if !redundant => Route::Alone,
             _ => Route::Rounds {
-                file,
-                shared: redundant && self.txlog.is_some(),
+                files,
+                shared: redundant && two_pc,
             },
         }
     }
 
     /// The op of a command [`Server::route`] sends through the rounds.
-    fn plan(&mut self, cmd: &BridgeCmd) -> Result<Op, BridgeError> {
-        match *cmd {
+    fn plan(&mut self, cmd: BridgeCmd) -> Result<Op, BridgeError> {
+        match cmd {
             BridgeCmd::RandRead { file, block } => self.plan_rand_read(file, block),
-            BridgeCmd::SeqWrite { file, ref data } => self.plan_append(file, data),
-            BridgeCmd::RandWrite {
-                file,
-                block,
-                ref data,
-            } => self.plan_rand_write(file, block, data),
-            _ => unreachable!("only block reads and writes are routed to the rounds"),
+            BridgeCmd::SeqWrite { file, data } => self.plan_append(file, &data),
+            BridgeCmd::RandWrite { file, block, data } => self.plan_rand_write(file, block, &data),
+            BridgeCmd::Create(spec) => {
+                let (file, meta) = self.plan_create(spec)?;
+                let meta = Box::new(meta);
+                Ok(Op::Create { file, meta })
+            }
+            BridgeCmd::Delete { file } => self.plan_delete(vec![file]),
+            BridgeCmd::DeleteMany { files } => self.plan_delete(files),
+            _ => unreachable!("only block ops, Creates and Deletes are routed to the rounds"),
         }
+    }
+
+    /// A Delete's op, its batch checked.
+    fn plan_delete(&self, files: Vec<BridgeFileId>) -> Result<Op, BridgeError> {
+        self.check_doomed(&files)?;
+        Ok(Op::Delete { files })
     }
 
     /// Serves a commit group — `members` in join order, on distinct files
@@ -182,7 +244,7 @@ impl Server {
         shared: bool,
     ) {
         let (members, cmds): (Vec<_>, Vec<_>) = members.into_iter().unzip();
-        let ops = self.plan_all(ctx, &cmds);
+        let ops = self.plan_all(ctx, cmds);
         self.run_group(ctx, host, members, ops, shared);
     }
 
@@ -198,8 +260,8 @@ impl Server {
     /// `dispatch` does for every command but the train's next append; a
     /// failed flush is the first op's outcome, as it would have been
     /// alone.
-    fn plan_all(&mut self, ctx: &mut Ctx, cmds: &[BridgeCmd]) -> Vec<Result<Op, BridgeError>> {
-        cmds.iter()
+    fn plan_all(&mut self, ctx: &mut Ctx, cmds: Vec<BridgeCmd>) -> Vec<Result<Op, BridgeError>> {
+        cmds.into_iter()
             .map(|cmd| self.flush_appends(ctx).and_then(|()| self.plan(cmd)))
             .collect()
     }
@@ -213,11 +275,12 @@ impl Server {
         mut ops: Vec<Result<Op, BridgeError>>,
         shared: bool,
     ) {
-        // The transactional writes, each with its member's position.
-        let mut writes: Vec<(usize, WritePlan)> = Vec::new();
+        // The ops that commit as transactions, each with its member's
+        // position and its transaction.
+        let mut commits: Vec<(usize, Op, Txn)> = Vec::new();
         let mut first = 0;
         loop {
-            let writers = writes.len();
+            let writers = commits.len();
             // Round 1: every op's LFS reads, all in flight at once.
             let wanted: Vec<_> = ops.iter().flatten().flat_map(Op::reads).copied().collect();
             let mut read = match self.read_together(ctx, &wanted) {
@@ -241,48 +304,83 @@ impl Server {
                         let read = read.by_ref().take(plan.reads().len()).collect();
                         match self.finish_write(ctx, plan, read) {
                             Ok(plan) if self.transactional(&plan) => {
-                                writes.push((i, plan));
+                                let txn = plan.txn();
+                                commits.push((i, Op::Write(plan), txn));
                                 continue;
                             }
                             Ok(plan) => {
                                 let lost = self.write_columns(ctx, &plan);
-                                lost.and_then(|lost| self.settle(&plan, lost))
+                                lost.and_then(|lost| self.settle_write(&plan, lost))
                             }
                             Err(e) => Err(e),
                         }
+                    }
+                    Ok(Op::Create { file, meta }) => {
+                        let txn = Server::create_txn(&meta);
+                        commits.push((i, Op::Create { file, meta }, txn));
+                        continue;
+                    }
+                    Ok(Op::Delete { files }) => {
+                        let txn = self.delete_txn(&files);
+                        commits.push((i, Op::Delete { files }, txn));
+                        continue;
                     }
                 };
                 host.answer(self, ctx, &members[i], outcome);
             }
             // What queued meanwhile joins in one more read round — after
-            // the first, and after each that brought a write, so a stream
-            // of reads cannot hold the group's transactions back.
-            if !shared || (first > 0 && writes.len() == writers) {
+            // the first, and after each that brought a transaction, so a
+            // stream of reads cannot hold the group's transactions back.
+            if !shared || (first > 0 && commits.len() == writers) {
                 break;
             }
             first = members.len();
-            let busy: Vec<BridgeFileId> = writes.iter().map(|(_, plan)| plan.file).collect();
+            let busy: Vec<BridgeFileId> = (commits.iter())
+                .flat_map(|(_, op, _)| op.files())
+                .copied()
+                .collect();
             let (joined, cmds): (Vec<_>, Vec<_>) =
                 host.gather(self, ctx, &busy).into_iter().unzip();
             if joined.is_empty() {
                 break;
             }
             members.extend(joined);
-            ops = self.plan_all(ctx, &cmds);
+            ops = self.plan_all(ctx, cmds);
         }
-        // Rounds 3 and 4: every write's transaction through one
-        // two-phase commit, and the replies.
-        let txns: Vec<_> = writes.iter().map(|(_, plan)| plan.txn()).collect();
-        let outcomes = self.run_2pc(ctx, &txns, false);
-        for ((i, plan), outcome) in writes.into_iter().zip(outcomes) {
-            let outcome = outcome.and_then(|(_, lost)| self.settle(&plan, lost as usize));
+        // Rounds 3 and 4: every transaction through one two-phase commit,
+        // and the replies.
+        let (settling, txns): (Vec<_>, Vec<_>) = (commits.into_iter())
+            .map(|(i, op, txn)| ((i, op), txn))
+            .unzip();
+        let outcomes = self.run_2pc(ctx, &txns);
+        for ((i, op), outcome) in settling.into_iter().zip(outcomes) {
+            let outcome = self.settle(op, outcome);
             host.answer(self, ctx, &members[i], outcome);
+        }
+    }
+
+    /// A transaction's reply, and its directory update if it committed:
+    /// a write counts its lost columns against the plan, a Create enters
+    /// its file, a Delete retires its files and reports the blocks freed.
+    fn settle(&mut self, op: Op, outcome: txn::Outcome) -> Outcome {
+        let (freed, lost) = outcome?;
+        match op {
+            Op::Write(plan) => self.settle_write(&plan, lost as usize),
+            Op::Create { file, meta } => {
+                self.files.insert(file, *meta);
+                Ok(BridgeData::Created(file))
+            }
+            Op::Delete { files } => {
+                self.forget(&files);
+                Ok(BridgeData::Deleted { blocks: freed })
+            }
+            Op::Read { .. } => unreachable!("reads commit nothing"),
         }
     }
 
     /// A landed write's reply: it counts `lost` columns against the plan,
     /// and an append that landed grows its file.
-    fn settle(&mut self, plan: &WritePlan, lost: usize) -> Outcome {
+    fn settle_write(&mut self, plan: &WritePlan, lost: usize) -> Outcome {
         plan.landed(lost)?;
         if plan.grows {
             self.file_mut(plan.file).size = plan.block + 1;

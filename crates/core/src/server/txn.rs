@@ -14,11 +14,17 @@ use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp, PrepareIntent};
 use bridge_trace::HealthEvent;
 use parsim::{Ctx, ProcId, SimDuration};
 
-/// One transaction: its participants, and for each whether the
-/// transaction survives its column being lost.
+/// One transaction: its participants, for each whether the transaction
+/// survives its column being lost, and whether it is charged a Create's
+/// serial CPU.
 pub(super) struct Txn {
     pub participants: Vec<TxParticipant>,
     pub tolerant: Vec<bool>,
+    /// Charge the paper's serial initiation and termination CPU per
+    /// participant — `create_init_cpu` as each PREPARE is sent,
+    /// `create_ack_cpu` as each vote is taken — so a 2PC Create stays
+    /// cost-comparable to the serial fan-out. Set for Creates only.
+    pub create_costs: bool,
 }
 
 /// What a transaction came to: the blocks its commit freed (zero for
@@ -26,14 +32,14 @@ pub(super) struct Txn {
 pub(super) type Outcome = Result<(u64, u32), BridgeError>;
 
 impl Server {
-    /// Transactional Create: every column's create prepares tentatively
-    /// under 2PC, so a crash anywhere in the fan-out leaves the file on
+    /// Transactional Create's transaction: every column's create prepares
+    /// tentatively, so a crash anywhere in the fan-out leaves the file on
     /// all its placement nodes or on none. An unprotected file's create
     /// tolerates no participant failure — the serial fan-out propagates
     /// every error too, it just can't undo. A redundant file's create
     /// proceeds without a lost column: its (empty) constituent files
     /// appear on the spare when a rebuild reaches it.
-    pub(super) fn create_2pc(&mut self, ctx: &mut Ctx, meta: &FileMeta) -> Result<(), BridgeError> {
+    pub(super) fn create_txn(meta: &FileMeta) -> Txn {
         let mut files = vec![meta.lfs_file];
         files.extend(meta.companion());
         let participants: Vec<TxParticipant> = meta
@@ -45,22 +51,21 @@ impl Server {
             })
             .collect();
         let tolerant = vec![meta.redundancy != Redundancy::None; participants.len()];
-        self.run_one_2pc(ctx, participants, tolerant, true)?;
-        Ok(())
+        Txn {
+            participants,
+            tolerant,
+            create_costs: true,
+        }
     }
 
-    /// Transactional Delete: one PREPARE per participating node covering
-    /// every doomed file (and companion) it holds, committed through the
-    /// decision log. A participant is tolerant — its vote may come back
-    /// `NodeFailed` without aborting the transaction — only when every
-    /// *primary* column it holds belongs to a redundant file (companion
-    /// columns are always expendable); the column on the failed node is
-    /// already lost, and deleting the rest must still succeed.
-    pub(super) fn delete_2pc(
-        &mut self,
-        ctx: &mut Ctx,
-        files: &[BridgeFileId],
-    ) -> Result<u64, BridgeError> {
+    /// Transactional Delete's transaction: one PREPARE per participating
+    /// node covering every doomed file (and companion) it holds. A
+    /// participant is tolerant — its vote may come back `NodeFailed`
+    /// without aborting the transaction — only when every *primary*
+    /// column it holds belongs to a redundant file (companion columns are
+    /// always expendable); the column on the failed node is already lost,
+    /// and deleting the rest must still succeed.
+    pub(super) fn delete_txn(&self, files: &[BridgeFileId]) -> Txn {
         let breadth = self.breadth() as usize;
         let mut per_node: Vec<Vec<LfsFileId>> = vec![Vec::new(); breadth];
         let mut node_tolerant: Vec<bool> = vec![true; breadth];
@@ -81,24 +86,11 @@ impl Server {
             .iter()
             .map(|p| node_tolerant[p.node as usize])
             .collect();
-        self.run_one_2pc(ctx, participants, tolerant, false)
-            .map(|(freed, _)| freed)
-    }
-
-    /// Two-phase commit of a single transaction.
-    fn run_one_2pc(
-        &mut self,
-        ctx: &mut Ctx,
-        participants: Vec<TxParticipant>,
-        tolerant: Vec<bool>,
-        create_costs: bool,
-    ) -> Outcome {
-        let txn = Txn {
+        Txn {
             participants,
             tolerant,
-        };
-        let mut outcomes = self.run_2pc(ctx, &[txn], create_costs);
-        outcomes.pop().expect("one transaction, one outcome")
+            create_costs: false,
+        }
     }
 
     /// Presumed-abort two-phase commit of `txns`, one outcome each, in
@@ -111,12 +103,7 @@ impl Server {
     /// PREPARE is sent.
     ///
     /// [`TxLog::admit`]: crate::txlog::TxLog::admit
-    pub(super) fn run_2pc(
-        &mut self,
-        ctx: &mut Ctx,
-        txns: &[Txn],
-        create_costs: bool,
-    ) -> Vec<Outcome> {
+    pub(super) fn run_2pc(&mut self, ctx: &mut Ctx, txns: &[Txn]) -> Vec<Outcome> {
         let mut outcomes = Vec::with_capacity(txns.len());
         let mut rest = txns;
         while !rest.is_empty() {
@@ -135,7 +122,7 @@ impl Server {
                 rest = &rest[1..];
                 continue;
             }
-            outcomes.extend(self.commit_group(ctx, &rest[..n], create_costs));
+            outcomes.extend(self.commit_group(ctx, &rest[..n]));
             rest = &rest[n..];
         }
         outcomes
@@ -170,17 +157,18 @@ impl Server {
     /// a participant dead at decision time is repaired later from the
     /// logged decision (`pfsck`'s machine pass).
     ///
-    /// `create_costs` charges the paper's serial initiation/termination
-    /// CPU per participant, making a 2PC Create cost-comparable to the
-    /// legacy serial fan-out; the decision round is charged nothing —
-    /// with pipelined fan-out and group commit at the participants it is
-    /// the prepare round's cheap echo. Each outcome counts the blocks its
+    /// A Create's transaction ([`Txn::create_costs`]) is charged the
+    /// paper's serial initiation/termination CPU per participant, in the
+    /// order its PREPAREs go out and its votes come in; the decision
+    /// round is charged nothing — with pipelined fan-out and group commit
+    /// at the participants it is the prepare round's cheap echo. Each
+    /// outcome counts the blocks its
     /// commit freed and its tolerated lost columns — participants whose
     /// vote came back `NodeFailed` (or `UnknownFile`, a freshly formatted
     /// spare not yet rebuilt) and were carried anyway. Redundant-write
     /// callers use the count to tell a degraded-but-landed write from one
     /// that landed nowhere.
-    fn commit_group(&mut self, ctx: &mut Ctx, txns: &[Txn], create_costs: bool) -> Vec<Outcome> {
+    fn commit_group(&mut self, ctx: &mut Ctx, txns: &[Txn]) -> Vec<Outcome> {
         let (ids, verdicts) = loop {
             let ids: Vec<u64> = txns
                 .iter()
@@ -195,7 +183,7 @@ impl Server {
             let mut pending = Vec::new();
             for (&txn, t) in ids.iter().zip(txns) {
                 for p in &t.participants {
-                    if create_costs {
+                    if t.create_costs {
                         ctx.delay(self.config.create_init_cpu);
                     }
                     let proc = self.lfs[p.node as usize].0;
@@ -221,7 +209,7 @@ impl Server {
                 }
                 continue;
             }
-            match self.vote(ctx, txns, &ids, pending, create_costs) {
+            match self.vote(ctx, txns, &ids, pending) {
                 Ok(verdicts) => break (ids, verdicts),
                 Err(e) => return vec![Err(e); txns.len()],
             }
@@ -248,7 +236,6 @@ impl Server {
         txns: &[Txn],
         ids: &[u64],
         pending: Vec<(ProcId, u64)>,
-        create_costs: bool,
     ) -> Result<Vec<Result<u32, EfsError>>, BridgeError> {
         let mut votes = pending.into_iter();
         let mut verdicts = Vec::with_capacity(txns.len());
@@ -256,7 +243,7 @@ impl Server {
             let (mut lost, mut veto) = (0u32, None);
             for (&tolerant, (proc, id)) in t.tolerant.iter().zip(votes.by_ref()) {
                 let vote = self.client.wait(ctx, proc, id);
-                if create_costs {
+                if t.create_costs {
                     ctx.delay(self.config.create_ack_cpu);
                 }
                 match vote {
