@@ -5,13 +5,18 @@
 //! * `concurrent_scripts_match_the_model` — a proptest: 2–6 clients run
 //!   random create/append/overwrite/rand_read/delete scripts on a parity
 //!   and on a mirror 2PC machine. Every reply equals each client's model,
-//!   every block reads back byte-exact, and the closing pfsck is clean on
-//!   all four passes.
+//!   every block reads back byte-exact, the closing pfsck is clean on all
+//!   four passes, and from three clients on their opening Creates were
+//!   served in groups.
 //! * `a_concurrent_mix_forms_groups` — the same run on fixed seeds, where
-//!   groups of two and more must be observed.
+//!   groups of two and more must be observed, Creates and Deletes among
+//!   their members.
 //! * `a_veto_fails_only_its_member` — one member's participant answers
 //!   `LogFull` (a ring full behind an undecided Prepare): that append
 //!   fails and leaves the file's size alone, its siblings commit.
+//! * `a_vetoed_create_enters_no_file` — the same veto on a Create in a
+//!   group of three Creates: it enters nothing in the directory, its
+//!   siblings commit under the same COMMIT.
 //! * `a_read_rides_beside_an_overwrite` — a `rand_read` grouped with an
 //!   overwrite of another file.
 //! * `a_group_exports_and_attributes` — a three-client group's trace
@@ -72,25 +77,31 @@ fn concurrently<R: Send + 'static>(ctx: &mut Ctx, node: NodeId, bodies: Vec<Body
         .collect()
 }
 
-/// The `bridge` spans of `server` that overlap another one: members of a
-/// group of two or more.
-fn grouped_spans(data: &TraceData, server: ProcId) -> usize {
-    let mut spans: Vec<(u64, u64)> = data
+/// The names of `server`'s `bridge` spans that overlap another one —
+/// members of a group of two or more — one entry per such span.
+fn grouped_names(data: &TraceData, server: ProcId) -> Vec<&str> {
+    let spans: Vec<(u64, u64, &str)> = data
         .spans
         .iter()
         .filter(|s| s.cat == "bridge" && s.pid == server.index())
-        .map(|s| (s.start.as_nanos(), s.end.as_nanos()))
+        .map(|s| (s.start.as_nanos(), s.end.as_nanos(), s.name.as_str()))
         .collect();
-    spans.sort_unstable();
     (0..spans.len())
         .filter(|&i| {
-            let (s, e) = spans[i];
+            let (s, e, _) = spans[i];
             spans
                 .iter()
                 .enumerate()
-                .any(|(j, &(s2, e2))| j != i && s2 < e && s < e2)
+                .any(|(j, &(s2, e2, _))| j != i && s2 < e && s < e2)
         })
-        .count()
+        .map(|i| spans[i].2)
+        .collect()
+}
+
+/// How many of `server`'s `bridge` spans were served in a group of two
+/// or more.
+fn grouped_spans(data: &TraceData, server: ProcId) -> usize {
+    grouped_names(data, server).len()
 }
 
 /// What a block written with `data` reads back as.
@@ -249,7 +260,18 @@ proptest! {
     #[test]
     fn concurrent_scripts_match_the_model(scripts in scripts(), mirror in any::<bool>()) {
         let redundancy = if mirror { Redundancy::Mirror } else { Redundancy::parity() };
-        run_mix(redundancy, scripts);
+        let clients = scripts.len();
+        let (data, server) = run_mix(redundancy, scripts);
+        // Every client opens with a Create at the same instant. The first
+        // is served alone; the rest queue behind it and, from the third
+        // client on, are served together.
+        let grouped = grouped_names(&data, server);
+        let creates = grouped.iter().filter(|&&name| name == "bridge.create").count();
+        prop_assert!(
+            clients < 3 || creates >= 2,
+            "the opening Creates were not grouped: {:?}",
+            grouped
+        );
     }
 }
 
@@ -276,8 +298,14 @@ fn fixed_scripts() -> Vec<Vec<Step>> {
 fn a_concurrent_mix_forms_groups() {
     for redundancy in [Redundancy::parity(), Redundancy::Mirror] {
         let (data, server) = run_mix(redundancy, fixed_scripts());
-        let grouped = grouped_spans(&data, server);
-        assert!(grouped >= 2, "{redundancy:?}: no group formed");
+        let grouped = grouped_names(&data, server);
+        assert!(grouped.len() >= 2, "{redundancy:?}: no group formed");
+        for name in ["bridge.create", "bridge.delete"] {
+            assert!(
+                grouped.contains(&name),
+                "{redundancy:?}: no {name} in a group: {grouped:?}"
+            );
+        }
         let commits: Vec<u64> = data
             .instants
             .iter()
@@ -305,29 +333,23 @@ fn parity_file(ctx: &mut Ctx, bridge: &mut BridgeClient, nodes: Vec<u32>) -> Bri
     file
 }
 
-/// Node 0 holds a transaction in doubt and has written until its log is
-/// full; a group of three appends follows. The append whose parity
-/// column lives on node 0 is vetoed with `LogFull` and fails alone: its
-/// file keeps its size, and the other two commit under the same BEGIN.
-#[test]
-fn a_veto_fails_only_its_member() {
-    let collector = TraceCollector::install();
-    let mut config = machine();
-    config.tracer = Some(collector.as_tracer());
-    let (mut sim, machine) = BridgeMachine::build(&config);
-    let (server, frontend, lfs0) = (machine.server, machine.frontend, machine.lfs[0]);
-    let outcomes = sim.block_on(frontend, "controller", move |ctx| {
-        let mut bridge = BridgeClient::new(server);
-        // Stripe 0's parity lives on a file's first node: x's on node 0,
-        // y's and z's on node 1.
-        let x = parity_file(ctx, &mut bridge, vec![0, 1, 2]);
-        let y = parity_file(ctx, &mut bridge, vec![1, 2, 3]);
-        let z = parity_file(ctx, &mut bridge, vec![1, 3, 2]);
-        // Fill node 0's log behind an undecided Prepare.
+/// A node's log filled behind a transaction it holds in doubt: every
+/// further logged write on it is refused with `LogFull` until the
+/// transaction is released.
+struct LogFull {
+    lfs: LfsClient,
+    node: ProcId,
+    txn: u64,
+    intent: PrepareIntent,
+}
+
+impl LogFull {
+    /// Prepares a transaction on `node` and writes until its log is full.
+    fn fill(ctx: &mut Ctx, node: ProcId) -> LogFull {
         let mut lfs = LfsClient::new();
         let (held, scratch) = (LfsFileId(0x7000), LfsFileId(0x7001));
         for file in [held, scratch] {
-            lfs.call(ctx, lfs0, LfsOp::Create { file }).expect("create");
+            lfs.call(ctx, node, LfsOp::Create { file }).expect("create");
         }
         let intent = PrepareIntent::WriteBlock {
             file: held,
@@ -337,7 +359,7 @@ fn a_veto_fails_only_its_member() {
         let txn = 1 << 40;
         lfs.call(
             ctx,
-            lfs0,
+            node,
             LfsOp::Prepare {
                 txn,
                 intent: intent.clone(),
@@ -352,10 +374,56 @@ fn a_veto_fails_only_its_member() {
                     data: Bytes::from(vec![i as u8; 100]),
                     hint: None,
                 };
-                lfs.call(ctx, lfs0, op).err()
+                lfs.call(ctx, node, op).err()
             })
             .expect("the ring fills");
         assert_eq!(refused, EfsError::LogFull);
+        LogFull {
+            lfs,
+            node,
+            txn,
+            intent,
+        }
+    }
+
+    /// Aborts the held transaction.
+    fn release(mut self, ctx: &mut Ctx) {
+        let (txn, commit, intent) = (self.txn, false, self.intent);
+        let ack = (self.lfs).call(
+            ctx,
+            self.node,
+            LfsOp::Decide {
+                txn,
+                commit,
+                intent,
+            },
+        );
+        assert!(
+            matches!(ack, Ok(LfsData::Freed(0) | LfsData::Done)),
+            "{ack:?}"
+        );
+    }
+}
+
+/// Node 0 holds a transaction in doubt and has written until its log is
+/// full; a group of three appends follows. The append whose parity
+/// column lives on node 0 is vetoed with `LogFull` and fails alone: its
+/// file keeps its size, and the other two commit under the same BEGIN.
+#[test]
+fn a_veto_fails_only_its_member() {
+    let collector = TraceCollector::install();
+    let mut config = machine();
+    config.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let (server, frontend, lfs0) = (machine.server, machine.frontend, machine.lfs[0]);
+    let outcomes = sim.block_on(frontend, "controller", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        // Stripe 0's parity lives on the file's start position: x's (start
+        // 0) on node 0, y's (start 1) and z's (start 2) on node 2.
+        let x = parity_file(ctx, &mut bridge, vec![0, 1, 2]);
+        let y = parity_file(ctx, &mut bridge, vec![1, 2, 3]);
+        let z = parity_file(ctx, &mut bridge, vec![1, 3, 2]);
+        let held = LogFull::fill(ctx, lfs0);
         let bodies = [x, y, z]
             .into_iter()
             .map(|file| {
@@ -379,20 +447,7 @@ fn a_veto_fails_only_its_member() {
             })
         );
         assert!(sizes[1..].iter().all(Result::is_ok), "{sizes:?}");
-        let commit = false;
-        let ack = lfs.call(
-            ctx,
-            lfs0,
-            LfsOp::Decide {
-                txn,
-                commit,
-                intent,
-            },
-        );
-        assert!(
-            matches!(ack, Ok(LfsData::Freed(0) | LfsData::Done)),
-            "{ack:?}"
-        );
+        held.release(ctx);
         outcomes
     });
     assert_eq!(
@@ -472,4 +527,60 @@ fn a_group_exports_and_attributes() {
     let total = profile(&data).total();
     assert_eq!(total.get(Category::Untraced), 0, "nothing untraced");
     assert!(total.get(Category::Bridge) > 0);
+}
+
+/// Node 0's log is full behind a transaction in doubt, and four clients
+/// create files at once: the first, on nodes 1–3, is served alone while
+/// the other three queue and are served together — one on nodes 0–2, two
+/// on nodes 1–3. That Create's PREPARE on node 0 is vetoed with `LogFull`:
+/// it fails alone and enters nothing in the directory, while its siblings
+/// commit under the group's one COMMIT.
+#[test]
+fn a_vetoed_create_enters_no_file() {
+    let collector = TraceCollector::install();
+    let mut config = machine();
+    config.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let (server, frontend, lfs0) = (machine.server, machine.frontend, machine.lfs[0]);
+    let (outcomes, files) = sim.block_on(frontend, "controller", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let held = LogFull::fill(ctx, lfs0);
+        let bodies = [vec![1, 2, 3], vec![0, 1, 2], vec![1, 2, 3], vec![3, 2, 1]]
+            .into_iter()
+            .map(|nodes| {
+                Box::new(move |ctx: &mut Ctx| {
+                    let spec = CreateSpec {
+                        nodes: Some(nodes),
+                        ..CreateSpec::default()
+                    };
+                    BridgeClient::new(server).create(ctx, spec)
+                }) as Body<Result<BridgeFileId, BridgeError>>
+            })
+            .collect();
+        let outcomes = concurrently(ctx, frontend, bodies);
+        held.release(ctx);
+        let manifest = bridge.get_manifest(ctx).expect("manifest");
+        let files: Vec<BridgeFileId> = manifest.files.iter().map(|e| e.file).collect();
+        for created in outcomes.iter().flatten() {
+            bridge
+                .seq_write(ctx, *created, vec![0xC1; 100])
+                .expect("a created file takes an append");
+        }
+        (outcomes, files)
+    });
+    assert_eq!(outcomes[1], Err(BridgeError::Lfs(EfsError::LogFull)));
+    let created: Vec<BridgeFileId> = outcomes.iter().flatten().copied().collect();
+    assert_eq!(created.len(), 3, "{outcomes:?}");
+    assert_eq!(files, created, "the vetoed Create entered nothing");
+    let data = collector.take();
+    let commits: Vec<u64> = data
+        .instants
+        .iter()
+        .filter(|i| i.name == "2pc.commit")
+        .filter_map(|i| i.arg("txns"))
+        .collect();
+    assert_eq!(commits, [1, 2], "the siblings share one COMMIT");
+    let grouped = grouped_names(&data, server);
+    let creates = grouped.iter().filter(|&&n| n == "bridge.create").count();
+    assert_eq!(creates, 3, "the three Creates grouped: {grouped:?}");
 }

@@ -33,7 +33,8 @@ use bridge_repro::core::{
 };
 use bridge_repro::efs::{set_failed, spawn_lfs, CorruptionKind, Efs, EfsConfig, LfsFileId};
 use bridge_repro::parsim::{
-    mix64, splitmix64, CrashAt, FaultPlan, SimConfig, SimDuration, Simulation, SERVER_DISK,
+    mix64, splitmix64, CrashAt, FaultPlan, SimConfig, SimDuration, Simulation, UniformLatency,
+    SERVER_DISK,
 };
 use bridge_repro::simdisk::{DiskGeometry, DiskProfile, SimDisk};
 use bridge_repro::tools::{machine_check, pfsck, FsckOptions, FsckVerdict, MachineFinding};
@@ -310,6 +311,98 @@ fn server_kill_at_every_write_of_a_group_preserves_atomicity() {
         let plan = FaultPlan::seeded(SEED).kill(SERVER_DISK, k);
         let crashed = group_workload(&group_machine().with_faults(plan.clone()));
         let label = format!("server write {k}/{writes} under three clients");
+        assert_same(&label, &reference, &crashed, &plan, None);
+        let fired = crashed.stats.end_time >= reference.stats.end_time + DOWN;
+        assert_eq!(fired, k <= writes, "{label}: the kill fired or not");
+    }
+    eprintln!("swept {writes} coordinator crash points (+1 past the end): {forces:?}");
+}
+
+/// [`group_machine`] whose messages and request handling take time, so
+/// that spans have length and a group's members visibly overlap.
+fn timed_group_machine() -> BridgeConfig {
+    let mut config = group_machine();
+    config.latency = UniformLatency::constant(SimDuration::from_micros(100));
+    config.server.cpu_per_request = SimDuration::from_millis(1);
+    config.efs.cpu_per_request = SimDuration::from_millis(2);
+    config
+}
+
+/// [`group_workload`] with Creates and Deletes among the writes: each
+/// client also creates a scratch file, writes it, deletes it, and creates
+/// a second one, so Create and Delete transactions share the group BEGINs
+/// and COMMITs. The transcript keeps each Delete's freed-block count.
+fn group_workload_with_creates(config: &BridgeConfig) -> Run {
+    run(config, |c| {
+        let bodies = (0..3u8)
+            .map(|k| {
+                Box::new(move |c: &mut Client| {
+                    let tag = 0x30 + 0x10 * k;
+                    let file = c.create(CreateSpec::default());
+                    c.append(file, "append", 0..4, |i| content(tag, i, NARROW));
+                    let scratch = c.create(CreateSpec::default());
+                    c.append(scratch, "scratch", 0..3, |i| content(!tag, i, NARROW));
+                    c.overwrite(file, "overwrite", &[1], |at| content(!tag, at, NARROW));
+                    c.delete(scratch, "scratch.delete");
+                    let late = c.create(CreateSpec::default());
+                    c.append(late, "late", 0..2, |i| content(tag ^ 0x0F, i, NARROW));
+                    c.rand_read(file, "rand_read", &[0, 3]);
+                    c.delete(file, "delete");
+                    c.read_back(late, "late.read");
+                }) as support::Body
+            })
+            .collect();
+        c.concurrently(bodies);
+        c.pfsck(true, true);
+    })
+}
+
+/// The coordinator-kill sweep of [`group_workload_with_creates`]: a kill
+/// on every decision-log write of the run — each frame of every group
+/// BEGIN included — leaves the fault-free transcript. A Create whose
+/// group is presumed aborted enters no file and prepares again; a Delete
+/// retires its file only once its COMMIT is durable, and a kill on that
+/// COMMIT redoes the frees.
+#[test]
+fn server_kill_at_every_write_of_a_group_with_creates_and_deletes_preserves_atomicity() {
+    let collector = TraceCollector::install();
+    let mut traced = timed_group_machine();
+    traced.tracer = Some(collector.as_tracer());
+    let reference = group_workload_with_creates(&traced);
+    let data = collector.take();
+    assert!(reference
+        .transcript
+        .last()
+        .unwrap()
+        .starts_with("pfsck clean=true"));
+    let server = data.procs.iter().position(|p| p.name == "bridge-server");
+    let served_together = |name: &str| {
+        let spans: Vec<_> = (data.spans.iter())
+            .filter(|s| Some(s.pid) == server && s.cat == "bridge")
+            .collect();
+        spans.iter().any(|a| {
+            a.name == name
+                && (spans.iter())
+                    .any(|b| !std::ptr::eq(*a, *b) && b.start < a.end && a.start < b.end)
+        })
+    };
+    for name in ["bridge.create", "bridge.delete"] {
+        assert!(served_together(name), "no {name} was served in a group");
+    }
+    let forces: Vec<u64> = (data.spans.iter())
+        .filter(|s| Some(s.pid) == server && s.cat == "disk")
+        .map(|s| s.arg("blocks").unwrap_or(1))
+        .collect();
+    assert!(
+        forces.iter().any(|&frames| frames >= 2),
+        "a group BEGIN took several frames: {forces:?}"
+    );
+    let writes: u64 = forces.iter().sum();
+    for k in 1..=writes + 1 {
+        let plan = FaultPlan::seeded(SEED).kill(SERVER_DISK, k);
+        let config = timed_group_machine().with_faults(plan.clone());
+        let crashed = group_workload_with_creates(&config);
+        let label = format!("server write {k}/{writes}, creates and deletes grouped");
         assert_same(&label, &reference, &crashed, &plan, None);
         let fired = crashed.stats.end_time >= reference.stats.end_time + DOWN;
         assert_eq!(fired, k <= writes, "{label}: the kill fired or not");

@@ -125,6 +125,12 @@ impl Client<'_> {
         }
     }
 
+    /// Deletes `file`: `{label} -> blocks freed`.
+    pub fn delete(&mut self, file: BridgeFileId, label: &str) {
+        let freed = self.bridge.delete(self.ctx, file).expect("delete");
+        self.log.push(format!("{label} -> {freed}"));
+    }
+
     /// Reads each block of `at`: `{label}[at] -> hash`.
     pub fn rand_read(&mut self, file: BridgeFileId, label: &str, at: &[u64]) {
         for &at in at {
