@@ -1,7 +1,10 @@
 //! Anatomy of the small-mutation path: one create, append, `rand_read`,
 //! `rand_write` and delete on the 2PC + parity machine (`churn_p8`'s
-//! configuration) under a trace collector, then a commit group: four
-//! clients appending to four parity files at once. For each op it prints
+//! configuration) under a trace collector, then two commit groups: four
+//! clients appending to four parity files at once, and four clients each
+//! creating a parity file at once while the server is busy opening a
+//! file (a Create reads nothing, so requests queue behind it only while
+//! the server waits on something). For each op it prints
 //! the timeline of every non-`sched` span that started while the client
 //! was waiting for it, and the number of disk positionings those spans
 //! paid — the quantity a Wren disk charges for.
@@ -15,8 +18,9 @@
 //!   not a `disk.write_run` paying one positioning — one per track for a
 //!   batch longer than a track: a commit is one device run, and the log
 //!   never splits a batch that fits on a track, or
-//! * the group's four appends take anything but two decision-log writes
-//!   — one BEGIN naming the four transactions, one COMMIT naming them.
+//! * the group's four appends, or the four Creates, take anything but
+//!   two decision-log writes — one BEGIN naming the four transactions,
+//!   one COMMIT naming them.
 
 use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, Redundancy};
 use bridge_trace::{SpanEvent, TraceCollector, TraceData};
@@ -101,6 +105,9 @@ fn main() -> ExitCode {
         timed(ctx, &mut ops, "group", |ctx| {
             append_at_once(ctx, server, &files)
         });
+        timed(ctx, &mut ops, "create group", |ctx| {
+            create_at_once(ctx, server, &mut bridge, files[0])
+        });
         ops
     });
 
@@ -162,27 +169,29 @@ fn main() -> ExitCode {
         }
     }
 
-    let group = ops.iter().find(|op| op.name == "group").expect("timed");
     let server_pid = data.procs.iter().position(|p| p.name == "bridge-server");
-    let log_writes = data
-        .spans_in("disk")
-        .filter(|d| Some(d.pid) == server_pid && d.start >= group.from && d.end <= group.to)
-        .count();
-    let named: Vec<u64> = data
-        .instants
-        .iter()
-        .filter(|i| i.name == "2pc.commit" && i.at >= group.from && i.at <= group.to)
-        .filter_map(|i| i.arg("txns"))
-        .collect();
-    let _ = writeln!(
-        report,
-        "group: {GROUP} appends, {log_writes} decision-log writes, COMMITs naming {named:?} txns"
-    );
-    if log_writes != 2 || named != [GROUP as u64] {
-        failures.push(format!(
-            "the group's {GROUP} appends took {log_writes} decision-log writes and \
-             COMMITs naming {named:?} (one BEGIN and one COMMIT naming all {GROUP} expected)"
-        ));
+    for (name, what) in [("group", "appends"), ("create group", "creates")] {
+        let group = ops.iter().find(|op| op.name == name).expect("timed");
+        let log_writes = data
+            .spans_in("disk")
+            .filter(|d| Some(d.pid) == server_pid && d.start >= group.from && d.end <= group.to)
+            .count();
+        let named: Vec<u64> = data
+            .instants
+            .iter()
+            .filter(|i| i.name == "2pc.commit" && i.at >= group.from && i.at <= group.to)
+            .filter_map(|i| i.arg("txns"))
+            .collect();
+        let _ = writeln!(
+            report,
+            "{name}: {GROUP} {what}, {log_writes} decision-log writes, COMMITs naming {named:?} txns"
+        );
+        if log_writes != 2 || named != [GROUP as u64] {
+            failures.push(format!(
+                "the {name}'s {GROUP} {what} took {log_writes} decision-log writes and \
+                 COMMITs naming {named:?} (one BEGIN and one COMMIT naming all {GROUP} expected)"
+            ));
+        }
     }
 
     let commits: Vec<&SpanEvent> = data
@@ -246,6 +255,30 @@ fn append_at_once(ctx: &mut Ctx, server: ProcId, files: &[bridge_core::BridgeFil
         });
     }
     for _ in files {
+        ctx.recv_as::<()>();
+    }
+}
+
+/// One parity file created by each of `GROUP` clients of their own, all
+/// at once, while this process opens `busy`: the server serves the Open
+/// alone, and the Creates that queued during its stat round are served
+/// together. Returns once every file exists.
+fn create_at_once(
+    ctx: &mut Ctx,
+    server: ProcId,
+    bridge: &mut BridgeClient,
+    busy: bridge_core::BridgeFileId,
+) {
+    let (me, node) = (ctx.me(), ctx.node());
+    for i in 0..GROUP {
+        ctx.spawn(node, format!("creator{i}"), move |ctx| {
+            let mut bridge = BridgeClient::new(server);
+            bridge.create(ctx, CreateSpec::default()).expect("create");
+            ctx.send(me, ());
+        });
+    }
+    bridge.open(ctx, busy).expect("open");
+    for _ in 0..GROUP {
         ctx.recv_as::<()>();
     }
 }
