@@ -25,8 +25,7 @@ pub const PAPER_PROCESSORS: [u32; 5] = [2, 4, 8, 16, 32];
 
 /// The extended processor counts past the paper's largest machine, used
 /// by the >32-processor scaling curves (EXPERIMENTS.md §A12) and the
-/// engine ablation. Runs at this scale are only tractable on the
-/// run-to-completion engine.
+/// simulator-scale ablation.
 pub const SCALE_PROCESSORS: [u32; 4] = [32, 64, 256, 1024];
 
 /// Scale factor for a bench run: `full` replays the paper's sizes,
@@ -54,13 +53,6 @@ pub fn paper_config(p: u32) -> BridgeConfig {
 /// Builds the paper's machine at breadth `p`.
 pub fn paper_machine(p: u32) -> (parsim::Simulation, BridgeMachine) {
     BridgeMachine::build(&paper_config(p))
-}
-
-/// Builds the paper's machine at breadth `p`, pinned to `engine`. The
-/// engine-equivalence tests and the `ablate_sim_scale` bench run the same
-/// machine on both engines and assert bit-identical results.
-pub fn paper_machine_on(p: u32, engine: parsim::Engine) -> (parsim::Simulation, BridgeMachine) {
-    BridgeMachine::build(&paper_config(p).with_engine(engine))
 }
 
 /// Builds the paper's machine at breadth `p` with `tracer` installed.

@@ -1,20 +1,19 @@
 //! CI smoke for the scaling claim: a p = 256 paper machine must build and
-//! copy a file within a fixed host wall-clock budget. Before the
-//! run-to-completion engine this took minutes (one OS thread per simulated
-//! process); now it is sub-second in release builds. The budget is
-//! generous — it exists to catch an order-of-magnitude regression (e.g.
-//! the engine silently falling back to threaded), not to benchmark; CI
-//! runs this in release with a tighter `BRIDGE_SMOKE_BUDGET_SECS`.
+//! copy a file within a fixed host wall-clock budget. With one OS thread
+//! per simulated process this took minutes; on fibers it is sub-second in
+//! release builds. The budget is generous — it exists to catch an
+//! order-of-magnitude regression in the engine, not to benchmark; CI runs
+//! this in release with a tighter `BRIDGE_SMOKE_BUDGET_SECS`.
 //!
 //! Beside it, the breadth claim in *virtual* time, which is bit-stable and
 //! so an exact budget: on the stock machine at p = 1024 the same copy,
 //! start-up fan-outs included, stays under one virtual second (it was
 //! 17.5 s while Create said hello to every node in turn).
 
-use bridge_bench::{paper_machine_on, write_workload};
+use bridge_bench::{paper_machine, write_workload};
 use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine};
 use bridge_tools::{copy, ToolOptions};
-use parsim::{Engine, SimDuration};
+use parsim::SimDuration;
 use std::time::{Duration, Instant};
 
 const BLOCKS: u64 = 512;
@@ -31,12 +30,7 @@ fn budget() -> Duration {
 fn p256_copy_fits_the_wall_clock_budget() {
     let budget = budget();
     let t0 = Instant::now();
-    let (mut sim, machine) = paper_machine_on(256, Engine::auto());
-    assert_eq!(
-        sim.engine(),
-        Engine::RunToCompletion,
-        "fiber engine unavailable on this host — the scaling claim needs it"
-    );
+    let (mut sim, machine) = paper_machine(256);
     let server = machine.server;
     let elapsed = sim.block_on(machine.frontend, "smoke", move |ctx| {
         let mut bridge = BridgeClient::new(server);

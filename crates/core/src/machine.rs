@@ -11,8 +11,8 @@ use crate::txlog::TxLog;
 use bridge_efs::{spawn_lfs_sched, Efs, EfsConfig, RetryPolicy};
 use bridge_trace::TelemetryRegistry;
 use parsim::{
-    Engine, FaultPlan, NodeId, ProcId, SimConfig, SimDuration, Simulation, TracerHandle,
-    UniformLatency, SERVER_DISK,
+    FaultPlan, NodeId, ProcId, SimConfig, SimDuration, Simulation, TracerHandle, UniformLatency,
+    SERVER_DISK,
 };
 use simdisk::{
     CrashSchedule, DiskFaultState, DiskGeometry, DiskProfile, LossSchedule, SchedConfig, SimDisk,
@@ -58,10 +58,6 @@ pub struct BridgeConfig {
     /// [`BridgeClient::with_retry`](crate::BridgeClient::with_retry) for
     /// the application leg.
     pub faults: FaultPlan,
-    /// Simulator execution engine. [`Engine::auto`] (the default) picks
-    /// the run-to-completion fiber engine wherever supported; results are
-    /// bit-identical either way, only host-side speed differs.
-    pub engine: Engine,
     /// Give the server a decision log on its own disk and route every
     /// multi-instance mutation through presumed-abort two-phase commit
     /// (see [`TxLog`]). Off by default: without it the machine takes the
@@ -94,7 +90,6 @@ impl BridgeConfig {
             seed: 0x00B2_1D6E,
             tracer: None,
             faults: FaultPlan::none(),
-            engine: Engine::auto(),
             two_pc: false,
             telemetry: true,
         }
@@ -127,7 +122,6 @@ impl BridgeConfig {
             seed: 0x00B2_1D6E,
             tracer: None,
             faults: FaultPlan::none(),
-            engine: Engine::auto(),
             two_pc: false,
             telemetry: true,
         }
@@ -139,13 +133,6 @@ impl BridgeConfig {
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self.server.lfs_retry = RetryPolicy::standard();
-        self
-    }
-
-    /// `self` pinned to `engine` (equivalence tests and the engine
-    /// ablation bench run the same machine on both).
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -235,7 +222,6 @@ impl BridgeMachine {
             seed: config.seed,
             tracer: config.tracer.clone(),
             faults: config.faults.clone(),
-            engine: config.engine,
         });
         let machine = BridgeMachine::build_in(&mut sim, config);
         (sim, machine)

@@ -27,7 +27,6 @@ fn sim_with(faults: FaultPlan) -> Simulation {
         seed: 7,
         tracer: None,
         faults,
-        engine: parsim::Engine::auto(),
     })
 }
 

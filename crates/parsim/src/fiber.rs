@@ -1,19 +1,15 @@
-//! Stackful run-to-completion fibers — the fast execution engine.
+//! Stackful run-to-completion fibers — the execution engine.
 //!
-//! Under [`Engine::RunToCompletion`](crate::Engine::RunToCompletion) every
-//! simulated process runs on its own heap-allocated stack *on the
+//! Every simulated process runs on its own heap-allocated stack *on the
 //! scheduler's own OS thread*. Blocking (`recv`, `delay`) saves the
 //! callee-saved registers, swaps the stack pointer back to the scheduler,
 //! and hands over a [`Syscall`] by value; resuming swaps back and hands
 //! over a [`Resume`]. One event dispatch is therefore two register-window
-//! swaps — tens of nanoseconds — instead of two OS context switches plus a
-//! channel round-trip per event under the threaded engine.
+//! swaps — tens of nanoseconds — while process bodies stay ordinary
+//! imperative code (`loop { recv; work; send }`).
 //!
-//! The process *code* is unchanged: the same imperative bodies
-//! (`loop { recv; work; send }`) run on either engine, so determinism is
-//! structural — the scheduler observes the identical syscall sequence at
-//! the identical virtual times, and [`RunStats`](crate::RunStats), traces,
-//! and fault behavior are bit-for-bit the same.
+//! The context switch is written for x86-64 and aarch64; other targets do
+//! not build.
 //!
 //! Safety model: the fiber and the scheduler never run concurrently (a
 //! switch is a synchronous transfer on one thread), and every crossing of
@@ -23,9 +19,6 @@
 
 use crate::process::{Post, Resume, Syscall};
 use std::alloc::{alloc, dealloc, Layout};
-
-/// Whether this target has a fiber context-switch implementation.
-pub(crate) const SUPPORTED: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
 
 /// Default fiber stack size (virtual; pages are committed only as
 /// touched). Simulated process bodies keep bulk data (`Bytes`, `Vec`) on
@@ -80,13 +73,6 @@ pub(crate) struct Fiber {
     cell: *mut TransferCell,
 }
 
-// SAFETY: a Fiber's stack and cell are only ever touched through &mut
-// Fiber (scheduler side) or from the fiber's own code while the scheduler
-// side is suspended — never from two threads at once. Sending the owning
-// Simulation to another thread moves that whole single-threaded discipline
-// with it.
-unsafe impl Send for Fiber {}
-
 impl std::fmt::Debug for Fiber {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fiber")
@@ -101,12 +87,8 @@ impl Fiber {
     ///
     /// # Panics
     ///
-    /// Panics if the target has no fiber support or the stack allocation
-    /// fails.
+    /// Panics if the stack allocation fails.
     pub(crate) fn new(stack_bytes: usize, body: FiberBody) -> Fiber {
-        if !SUPPORTED {
-            panic!("fiber engine unsupported on this target");
-        }
         let stack_bytes = stack_bytes.max(16 * 1024);
         let layout = Layout::from_size_align(stack_bytes, 16).expect("stack layout");
         // SAFETY: layout is non-zero; canary writes stay inside the
@@ -448,16 +430,6 @@ mod arch {
 }
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-mod arch {
-    //! Unsupported target: `Engine::auto()` selects the threaded engine,
-    //! so this is never reached at runtime.
-
-    #[no_mangle]
-    extern "C" fn parsim_fiber_switch(_save_sp: *mut usize, _to_sp: usize, _arg: usize) -> usize {
-        unreachable!("fiber engine unsupported on this target")
-    }
-
-    pub(super) unsafe fn init_stack(_top: usize, _payload: usize) -> usize {
-        unreachable!("fiber engine unsupported on this target")
-    }
-}
+compile_error!(
+    "parsim's fibers need a context switch for this target (x86-64 and aarch64 have one)"
+);

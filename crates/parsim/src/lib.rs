@@ -9,13 +9,12 @@
 //!
 //! * Every simulated process runs ordinary Rust code, so file-system
 //!   servers and tools are written exactly like the paper's pseudo-code
-//!   (loops around `recv`/`send`), not as state machines. Under the default
-//!   [`Engine::RunToCompletion`] each process executes on a stackful fiber
-//!   on the scheduler's own thread — one event dispatch is a pair of
+//!   (loops around `recv`/`send`), not as state machines. Each process
+//!   executes on a stackful fiber on the scheduler's own thread
+//!   ([`Engine::RunToCompletion`]) — one event dispatch is a pair of
 //!   register-window swaps, which is what lets machines of 1024 simulated
-//!   processors run in seconds. [`Engine::Threaded`] (one OS thread per
-//!   process) remains as the compatibility tier; both engines produce
-//!   bit-identical results.
+//!   processors run in seconds. The fibers are written for x86-64 and
+//!   aarch64.
 //! * Blocking operations advance a *virtual* clock instead of wall time, so
 //!   experiments the paper ran for six hours replay in seconds.
 //! * Exactly one process executes at any instant and events are ordered by

@@ -5,13 +5,11 @@ use crate::fiber::{self, TransferCell};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
 use crate::trace::{TraceArg, Tracer, TracerHandle};
-use crossbeam::channel::Sender;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Identifies a simulated process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -38,7 +36,7 @@ impl fmt::Display for ProcId {
 }
 
 /// The body of a simulated process.
-pub type ProcFn = Box<dyn FnOnce(&mut Ctx) + Send + 'static>;
+pub type ProcFn = Box<dyn FnOnce(&mut Ctx) + 'static>;
 
 /// Payload used to unwind a process when the simulation shuts down.
 /// Never observed by user code.
@@ -71,12 +69,10 @@ pub(crate) struct Post {
     pub(crate) cloner: Option<PayloadCloner>,
 }
 
-/// Process → scheduler requests.
+/// Process → scheduler requests. Posts are not among them: a process
+/// buffers its posts in its fiber's transfer cell, and the scheduler
+/// takes them with the next syscall.
 pub(crate) enum Syscall {
-    /// Threaded engine only: a post, sent while the process runs ahead.
-    /// Fibers buffer their posts in the transfer cell instead and hand
-    /// them over with the next blocking syscall.
-    Post(Post),
     /// Create a new process; the scheduler replies with
     /// [`Resume::Spawned`].
     Spawn {
@@ -100,76 +96,18 @@ pub(crate) enum Syscall {
     },
 }
 
-/// The scheduler-owned wake-up mailbox of one threaded-engine process: a
-/// single slot plus a condvar. Replaces the old per-process unbounded
-/// crossbeam channel pair — a resume is one mutex hand-off with no
-/// allocation, and the slot lives in the scheduler's process table (the
-/// process thread holds only an `Arc`).
-#[derive(Default)]
-pub(crate) struct ResumeSlot {
-    slot: Mutex<Option<Resume>>,
-    ready: Condvar,
-}
-
-impl fmt::Debug for ResumeSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ResumeSlot").finish_non_exhaustive()
-    }
-}
-
-impl ResumeSlot {
-    pub(crate) fn new() -> Arc<ResumeSlot> {
-        Arc::new(ResumeSlot::default())
-    }
-
-    /// Parks a resume for the process. At most one resume is ever in
-    /// flight (the process is either running or blocked on exactly one
-    /// thing), so the slot can never be occupied here.
-    pub(crate) fn put(&self, r: Resume) {
-        let mut slot = self.slot.lock().expect("resume slot poisoned");
-        debug_assert!(slot.is_none(), "second resume parked before take");
-        *slot = Some(r);
-        drop(slot);
-        self.ready.notify_one();
-    }
-
-    /// Blocks the calling process thread until a resume is parked.
-    pub(crate) fn take(&self) -> Resume {
-        let mut slot = self.slot.lock().expect("resume slot poisoned");
-        loop {
-            if let Some(r) = slot.take() {
-                return r;
-            }
-            slot = self.ready.wait(slot).expect("resume slot poisoned");
-        }
-    }
-}
-
-/// How a process body talks to the scheduler: over channels from its own
-/// OS thread (threaded engine), or through its fiber's transfer cell
-/// (run-to-completion engine).
-enum Port {
-    Thread {
-        syscall_tx: Sender<(ProcId, Syscall)>,
-        resume: Arc<ResumeSlot>,
-    },
-    Fiber {
-        cell: *mut TransferCell,
-    },
-}
-
 /// Handle through which a simulated process interacts with virtual time,
 /// the interconnect, and other processes.
 ///
 /// A `&mut Ctx` is passed to every process body. All methods that block do
-/// so in *virtual* time: the process yields to the scheduler (a stack
-/// switch on the run-to-completion engine, an OS park on the threaded
-/// engine) and the scheduler advances the clock.
+/// so in *virtual* time: the process switches its fiber out to the
+/// scheduler, and the scheduler advances the clock.
 pub struct Ctx {
     pid: ProcId,
     node: NodeId,
     now: SimTime,
-    port: Port,
+    /// The transfer cell of the fiber this process runs on.
+    cell: *mut TransferCell,
     stash: VecDeque<Envelope>,
     rng: SmallRng,
     tracer: TracerHandle,
@@ -180,12 +118,19 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    fn new(pid: ProcId, node: NodeId, port: Port, rng_seed: u64, tracer: TracerHandle) -> Self {
+    /// A context for the process running on the fiber that owns `cell`.
+    pub(crate) fn new(
+        pid: ProcId,
+        node: NodeId,
+        cell: *mut TransferCell,
+        rng_seed: u64,
+        tracer: TracerHandle,
+    ) -> Self {
         Ctx {
             pid,
             node,
             now: SimTime::ZERO,
-            port,
+            cell,
             stash: VecDeque::new(),
             rng: SmallRng::seed_from_u64(rng_seed),
             tracer,
@@ -194,96 +139,34 @@ impl Ctx {
         }
     }
 
-    /// A context for a threaded-engine process (runs on its own OS
-    /// thread).
-    pub(crate) fn new_thread(
-        pid: ProcId,
-        node: NodeId,
-        syscall_tx: Sender<(ProcId, Syscall)>,
-        resume: Arc<ResumeSlot>,
-        rng_seed: u64,
-        tracer: TracerHandle,
-    ) -> Self {
-        Ctx::new(
-            pid,
-            node,
-            Port::Thread { syscall_tx, resume },
-            rng_seed,
-            tracer,
-        )
-    }
-
-    /// A context for a fiber-engine process (runs on the scheduler's
-    /// thread, on its own stack).
-    pub(crate) fn new_fiber(
-        pid: ProcId,
-        node: NodeId,
-        cell: *mut TransferCell,
-        rng_seed: u64,
-        tracer: TracerHandle,
-    ) -> Self {
-        Ctx::new(pid, node, Port::Fiber { cell }, rng_seed, tracer)
-    }
-
     /// Parks until the scheduler starts this process; records the start
     /// time.
     pub(crate) fn wait_start(&mut self) {
-        let r = match &self.port {
-            Port::Thread { resume, .. } => resume.take(),
-            // SAFETY: we are running on the fiber that owns `cell`; the
-            // scheduler parked the initial resume before entering it.
-            Port::Fiber { cell } => unsafe { fiber::take_initial_resume(*cell) },
-        };
-        match r {
+        // SAFETY: we are running on the fiber that owns `cell`; the
+        // scheduler parked the initial resume before entering it.
+        match unsafe { fiber::take_initial_resume(self.cell) } {
             Resume::Go { now } => self.now = now,
             Resume::Shutdown => std::panic::panic_any(ShutdownSignal),
             _ => unreachable!("first resume must be Go or Shutdown"),
         }
     }
 
-    /// Posts a message without giving up control. On the threaded engine
-    /// the process keeps running while the scheduler services the post; on
-    /// the fiber engine the post waits in the transfer cell until the
-    /// process next switches out, and the scheduler services the buffered
-    /// posts, in order, ahead of that syscall. The virtual clock cannot
-    /// move while the process runs, so both see the same `now`.
+    /// Posts a message without giving up control: the post waits in the
+    /// transfer cell until the process next switches out, and the
+    /// scheduler services the buffered posts, in order, ahead of that
+    /// syscall. The virtual clock cannot move while the process runs, so
+    /// every post sees the `now` it was made at.
     fn post(&mut self, post: Post) {
-        match &self.port {
-            Port::Thread { syscall_tx, .. } => {
-                // A send can only fail if the scheduler is gone, in which
-                // case the simulation is being torn down.
-                if syscall_tx.send((self.pid, Syscall::Post(post))).is_err() {
-                    std::panic::panic_any(ShutdownSignal);
-                }
-            }
-            // SAFETY: we are running on the fiber that owns `cell`.
-            Port::Fiber { cell } => unsafe { fiber::buffer_post(*cell, post) },
-        }
+        // SAFETY: we are running on the fiber that owns `cell`.
+        unsafe { fiber::buffer_post(self.cell, post) }
     }
 
     /// Issues a syscall and waits for the scheduler's resume.
     fn call(&mut self, sc: Syscall) -> Resume {
-        let r = match &self.port {
-            Port::Thread { syscall_tx, resume } => {
-                if syscall_tx.send((self.pid, sc)).is_err() {
-                    std::panic::panic_any(ShutdownSignal);
-                }
-                resume.take()
-            }
-            // SAFETY: we are running on the fiber that owns `cell`.
-            Port::Fiber { cell } => unsafe { fiber::yield_syscall(*cell, sc) },
-        };
-        match r {
+        // SAFETY: we are running on the fiber that owns `cell`.
+        match unsafe { fiber::yield_syscall(self.cell, sc) } {
             Resume::Shutdown => std::panic::panic_any(ShutdownSignal),
             r => r,
-        }
-    }
-
-    /// Threaded engine only: reports the body's completion (or panic) to
-    /// the scheduler. Fiber bodies return their exit syscall instead.
-    pub(crate) fn exit(&mut self, panic: Option<String>) {
-        if let Port::Thread { syscall_tx, .. } = &self.port {
-            let _ = syscall_tx.send((self.pid, Syscall::Exit { panic }));
         }
     }
 
@@ -572,7 +455,7 @@ impl Ctx {
         &mut self,
         node: NodeId,
         name: impl Into<String>,
-        f: impl FnOnce(&mut Ctx) + Send + 'static,
+        f: impl FnOnce(&mut Ctx) + 'static,
     ) -> ProcId {
         match self.call(Syscall::Spawn {
             node,

@@ -17,9 +17,10 @@
 //!   costs one virtual call (or less) per potential event and allocates
 //!   nothing.
 //! * **Single-threaded delivery.** Exactly one simulated process executes
-//!   at any instant, so tracer callbacks are never concurrent; the
-//!   `Send + Sync` bound exists only because process bodies run on their
-//!   own OS threads.
+//!   at any instant, all on the scheduler's thread, so tracer callbacks
+//!   are never concurrent. The `Send + Sync` bound lets a collector be
+//!   shared as an `Arc` and read from any host thread once the run is
+//!   over.
 //!
 //! Exporters (Chrome trace-event JSON, metrics registries) live in the
 //! `bridge-trace` crate; `parsim` defines only the hook.

@@ -12,7 +12,6 @@ fn sim_with_plan(faults: FaultPlan) -> Simulation {
         seed: 7,
         tracer: None,
         faults,
-        engine: parsim::Engine::auto(),
     })
 }
 
@@ -138,7 +137,6 @@ fn down_outage_loses_in_window_messages() {
             }],
             ..FaultPlan::none()
         },
-        engine: parsim::Engine::auto(),
     });
     let node = sim.add_node("n");
     let peer = sim.add_node("peer");
@@ -175,7 +173,6 @@ fn paused_outage_defers_in_order_to_window_end() {
             }],
             ..FaultPlan::none()
         },
-        engine: parsim::Engine::auto(),
     });
     let node = sim.add_node("n");
     let peer = sim.add_node("peer");
@@ -228,7 +225,6 @@ fn none_plan_matches_a_config_without_faults() {
             seed: 42,
             tracer: None,
             faults,
-            engine: parsim::Engine::auto(),
         });
         let nodes = sim.add_nodes("n", 3);
         let hub = sim.spawn(nodes[0], "hub", |ctx| {
