@@ -235,9 +235,7 @@ mod tests {
         }
     }
 
-    fn on<R: Send + 'static>(
-        f: impl FnOnce(&mut Ctx, &mut StripedDisk) -> R + Send + 'static,
-    ) -> R {
+    fn on<R: 'static>(f: impl FnOnce(&mut Ctx, &mut StripedDisk) -> R + 'static) -> R {
         let mut sim = Simulation::new(SimConfig::default());
         let node = sim.add_node("io");
         sim.block_on(node, "driver", move |ctx| {

@@ -346,9 +346,7 @@ mod tests {
     use parsim::{SimConfig, Simulation};
     use simdisk::DiskProfile;
 
-    fn with_log<R: Send + 'static>(
-        f: impl FnOnce(&mut Ctx, &mut TxLog) -> R + Send + 'static,
-    ) -> R {
+    fn with_log<R: 'static>(f: impl FnOnce(&mut Ctx, &mut TxLog) -> R + 'static) -> R {
         let mut sim = Simulation::new(SimConfig::default());
         let node = sim.add_node("srv");
         sim.block_on(node, "coord", move |ctx| {

@@ -359,9 +359,9 @@ mod tests {
     use parsim::{SimConfig, Simulation};
     use simdisk::{DiskGeometry, DiskProfile, SimDisk};
 
-    fn with_dir<R: Send + 'static>(
+    fn with_dir<R: 'static>(
         deferred: bool,
-        f: impl FnOnce(&mut Ctx, &mut SimDisk, &mut Directory) -> R + Send + 'static,
+        f: impl FnOnce(&mut Ctx, &mut SimDisk, &mut Directory) -> R + 'static,
     ) -> R {
         let mut sim = Simulation::new(SimConfig::default());
         let node = sim.add_node("n");

@@ -702,10 +702,10 @@ mod tests {
     /// A ring on a Wren disk, one process driving it: `f` gets the clock,
     /// the disk and the freshly formatted log (slot 0 holds format's
     /// checkpoint).
-    fn on_wren_ring<R: Send + 'static>(
+    fn on_wren_ring<R: 'static>(
         start: u32,
         blocks: u32,
-        f: impl FnOnce(&mut Ctx, &mut simdisk::SimDisk, &mut Wal) -> R + Send + 'static,
+        f: impl FnOnce(&mut Ctx, &mut simdisk::SimDisk, &mut Wal) -> R + 'static,
     ) -> R {
         use simdisk::{DiskGeometry, DiskProfile, SimDisk};
         let mut sim = parsim::Simulation::new(parsim::SimConfig::default());

@@ -1390,9 +1390,9 @@ mod tests {
     use super::*;
     use parsim::{SimConfig, SimTime, Simulation};
 
-    fn on_disk<R: Send + 'static>(
+    fn on_disk<R: 'static>(
         profile: DiskProfile,
-        f: impl FnOnce(&mut Ctx, &mut SimDisk) -> R + Send + 'static,
+        f: impl FnOnce(&mut Ctx, &mut SimDisk) -> R + 'static,
     ) -> R {
         let mut sim = Simulation::new(SimConfig::default());
         let node = sim.add_node("io");

@@ -29,10 +29,10 @@ use bridge_core::{
 };
 use parsim::{Ctx, NodeId, ProcId, SimDuration};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The boxed body a worker runs on its node.
-pub type WorkerBody<R> = Box<dyn FnOnce(&mut Ctx) -> Result<R, ToolError> + Send>;
+pub type WorkerBody<R> = Box<dyn FnOnce(&mut Ctx) -> Result<R, ToolError>>;
 
 /// One worker to start: where, what to call it, and what it runs.
 pub struct WorkerSpec<R> {
@@ -271,16 +271,16 @@ pub(crate) fn scan_columns<R, F>(
 ) -> Result<Vec<R>, ToolError>
 where
     R: Clone + Send + 'static,
-    F: Fn(&mut Ctx, usize, LfsSlice, BatchPolicy) -> Result<R, ToolError> + Send + Sync + 'static,
+    F: Fn(&mut Ctx, usize, LfsSlice, BatchPolicy) -> Result<R, ToolError> + 'static,
 {
-    let body = Arc::new(body);
+    let body = Rc::new(body);
     let batch = opts.batch;
     let specs = open
         .nodes
         .iter()
         .enumerate()
         .map(|(i, &slice)| {
-            let body = Arc::clone(&body);
+            let body = Rc::clone(&body);
             WorkerSpec {
                 node: slice.node,
                 name: format!("{name}{i}"),
