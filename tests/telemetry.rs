@@ -11,8 +11,9 @@
 //!    in-band poller may shift timing but never reply contents.
 //! 2. **Snapshots are exact.** The end-of-run health snapshot's disk
 //!    counters reconcile with zero slack against the `DiskStats` the
-//!    devices themselves report, and the sampler's quiescence frame
-//!    carries the kernel's own final `RunStats` verbatim.
+//!    devices themselves report, its LFS queue counters against the
+//!    `lfs.queue_wait` spans the servers trace, and the sampler's
+//!    quiescence frame carries the kernel's own final `RunStats` verbatim.
 
 use bridge_repro::core::{
     BridgeClient, BridgeConfig, BridgeFileId, BridgeMachine, CreateSpec, FaultPlan, Redundancy,
@@ -20,7 +21,7 @@ use bridge_repro::core::{
 use bridge_repro::efs::{install_spare, LfsClient, LfsData, LfsOp};
 use bridge_repro::parsim::{Ctx, SimDuration};
 use bridge_repro::simdisk;
-use bridge_repro::trace::HealthSnapshot;
+use bridge_repro::trace::{HealthSnapshot, TraceCollector};
 use support::{run, Classes, Run};
 
 mod support;
@@ -250,4 +251,50 @@ fn end_of_run_snapshot_reconciles_exactly_with_diskstats() {
         assert_eq!(mirror.media_lost, telemetry.media_lost, "lfs {i} media");
         assert!(!mirror.media_lost, "spare racked in and rebuilt");
     }
+}
+
+/// The registry's LFS queue counters and the `lfs.queue_wait` spans are
+/// two bookkeeping paths over one service loop, so on a fault-free
+/// traced run they agree with zero slack, instance by instance: one span
+/// per booked wait, the same summed wait, and the same depth high water.
+/// Several clients write and read at once, so requests really queue
+/// behind one another. (A faulted run can differ: a batch that dies
+/// mid-service traces spans the registry never books.)
+#[test]
+fn lfs_queue_counters_reconcile_with_queue_wait_spans() {
+    let collector = TraceCollector::install();
+    let mut cfg = BridgeConfig::paper(BREADTH)
+        .with_2pc()
+        .with_redundancy(Redundancy::parity());
+    cfg.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&cfg);
+    let registry = machine.telemetry.clone().expect("armed");
+    for c in 0..4 {
+        let server = machine.server;
+        sim.spawn(machine.frontend, format!("client{c}"), move |ctx| {
+            write_then_read(ctx, &mut BridgeClient::new(server));
+        });
+    }
+    sim.run();
+    let snapshot = registry.snapshot(sim.now(), None);
+    let data = collector.take();
+
+    let mut deepest = 0;
+    for (i, (lfs, proc)) in snapshot.lfs.iter().zip(&machine.lfs).enumerate() {
+        let (mut waits, mut wait_nanos, mut depth_peak) = (0, 0, 0);
+        for span in data
+            .spans
+            .iter()
+            .filter(|s| s.name == "lfs.queue_wait" && s.pid == proc.index())
+        {
+            waits += 1;
+            wait_nanos += span.arg("wait").expect("wait arg");
+            depth_peak = depth_peak.max(span.arg("depth").expect("depth arg"));
+        }
+        assert_eq!(lfs.queue_waits, waits, "lfs {i} queue waits");
+        assert_eq!(lfs.queue_wait_nanos, wait_nanos, "lfs {i} queue wait time");
+        assert_eq!(lfs.queue_depth_peak, depth_peak, "lfs {i} queue depth peak");
+        deepest = deepest.max(lfs.queue_depth_peak);
+    }
+    assert!(deepest > 1, "no request ever queued behind another");
 }
