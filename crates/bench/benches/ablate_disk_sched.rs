@@ -18,17 +18,18 @@
 //! scattered across the platter so hot files are not accidentally
 //! adjacent) and an 80/20 read/overwrite split. Under Fifo the backlog
 //! grows for the whole run and tail latency stretches into seconds;
-//! Sstf/CScan keep the queue short. Per-operation round-trip latency is
-//! traced client-side (`sched.op` spans), so throughput and p50/p99 come
-//! from the same trace histograms `bridge-trace` aggregates; queue-wait
-//! and depth come from the server's `lfs.queue_wait` spans.
+//! Sstf/CScan keep the queue short. Each client records its operations'
+//! round-trip latency in its own `Histogram` on the instant its `sched.op`
+//! span closes, and `main` merges them, so throughput and p50/p99 come
+//! from the same samples the trace shows; queue-wait and depth come from
+//! the server's `lfs.queue_wait` spans.
 
 use bridge_bench::profile::Profiler;
 use bridge_bench::report::{count, secs, Table};
 use bridge_bench::results::{emit, Metric};
 use bridge_bench::{records_per_second, scale};
 use bridge_efs::{spawn_lfs_sched, Efs, EfsConfig, LfsClient, LfsData, LfsFileId, LfsOp};
-use bridge_trace::{Metrics, TraceCollector};
+use bridge_trace::{Histogram, TraceCollector};
 use parsim::{SimConfig, SimDuration, SimTime, Simulation, UniformLatency};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -144,12 +145,14 @@ fn run_policy(policy: SchedPolicy, profiler: &Profiler) -> RunResult {
             let mut lfs = LfsClient::new();
             let mut pending: std::collections::HashMap<u64, parsim::SimTime> =
                 std::collections::HashMap::new();
-            let finish = |ctx: &mut parsim::Ctx,
-                          pending: &mut std::collections::HashMap<u64, parsim::SimTime>,
-                          env: parsim::Envelope| {
+            let mut latency = Histogram::default();
+            let mut finish = |ctx: &mut parsim::Ctx,
+                              pending: &mut std::collections::HashMap<u64, parsim::SimTime>,
+                              env: parsim::Envelope| {
                 let reply = env.downcast::<bridge_efs::LfsReply>().expect("lfs reply");
                 reply.result.expect("lfs op succeeded");
                 let t0 = pending.remove(&reply.id).expect("reply matches a send");
+                latency.record((ctx.now() - t0).as_nanos());
                 ctx.trace_span("bench", "sched.op", t0, &[]);
             };
             let start = ctx.now();
@@ -194,17 +197,22 @@ fn run_policy(policy: SchedPolicy, profiler: &Profiler) -> RunResult {
                 let env = ctx.recv();
                 finish(ctx, &mut pending, env);
             }
-            tx.send((start, ctx.now())).expect("collect client window");
+            tx.send((start, ctx.now(), latency))
+                .expect("collect client window");
         });
     }
     drop(tx);
     sim.run();
 
-    let windows: Vec<(SimTime, SimTime)> = rx.iter().collect();
+    let windows: Vec<(SimTime, SimTime, Histogram)> = rx.iter().collect();
     assert_eq!(windows.len(), CLIENTS as usize, "every client reported");
     let first_start = windows.iter().map(|w| w.0).min().expect("clients ran");
     let last_end = windows.iter().map(|w| w.1).max().expect("clients ran");
     let makespan = last_end.saturating_duration_since(first_start);
+    let mut op = Histogram::default();
+    for (_, _, latency) in &windows {
+        op.merge(latency);
+    }
 
     let probe = sim.add_node("probe");
     let stats = sim.block_on(probe, "stats", move |ctx| {
@@ -217,12 +225,15 @@ fn run_policy(policy: SchedPolicy, profiler: &Profiler) -> RunResult {
     let data = collector.take();
     // Under --profile, the same trace also yields the causal profile.
     profiler.report(&format!("sched_{policy}"), &data);
-    let metrics = Metrics::from_trace(&data);
-    let op = metrics
-        .latency
-        .get("sched.op")
-        .expect("sched.op spans traced");
-    assert_eq!(op.count(), u64::from(CLIENTS) * ops, "all ops traced");
+    assert_eq!(op.count(), u64::from(CLIENTS) * ops, "all ops measured");
+    let (mut waits, mut wait_nanos, mut depth_sum, mut depth_max) = (0u64, 0, 0, 0);
+    for span in data.spans.iter().filter(|s| s.name == "lfs.queue_wait") {
+        let depth = span.arg("depth").expect("depth arg");
+        waits += 1;
+        wait_nanos += span.dur_nanos();
+        depth_sum += depth;
+        depth_max = depth_max.max(depth);
+    }
     RunResult {
         policy,
         throughput: records_per_second(op.count(), makespan),
@@ -230,9 +241,9 @@ fn run_policy(policy: SchedPolicy, profiler: &Profiler) -> RunResult {
         mean: op.mean(),
         p50_bound: op.quantile_bound(0.50),
         p99_bound: op.quantile_bound(0.99),
-        queue_wait_mean: metrics.queue.wait.mean(),
-        depth_mean: metrics.queue.depth_mean(),
-        depth_max: metrics.queue.depth_max,
+        queue_wait_mean: SimDuration::from_nanos(wait_nanos / waits),
+        depth_mean: depth_sum as f64 / waits as f64,
+        depth_max,
         head_travel: stats.head_travel,
     }
 }

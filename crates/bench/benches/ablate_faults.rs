@@ -19,7 +19,7 @@ use bridge_bench::report::{secs, Table};
 use bridge_bench::results::{emit, Metric};
 use bridge_bench::{file_blocks, records_per_second};
 use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec, RetryPolicy};
-use bridge_trace::{Metrics, TraceCollector};
+use bridge_trace::{Histogram, TraceCollector};
 use parsim::{DiskFaults, FaultPlan, MsgFaults, SimDuration};
 
 const BREADTH: u32 = 4;
@@ -110,7 +110,16 @@ fn main() {
     // Under --profile, the storm trace also yields a causal profile
     // (retry backoff shows up as its own attribution category).
     Profiler::new("ablate_faults").report("storm", &data);
-    let retry = Metrics::from_trace(&data).retry;
+    let named = |name: &'static str| data.instants.iter().filter(move |i| i.name == name);
+    let count = |name| named(name).count();
+    let mut recovery = Histogram::default();
+    for i in named("retry.recovered") {
+        recovery.record(i.arg("latency_nanos").expect("recovery latency"));
+    }
+    let disk_transients: u64 = named("fault.disk_transient")
+        .map(|i| i.arg("retries").expect("transient retries"))
+        .sum();
+    let resends = count("retry.resend");
 
     // Correctness bars: arming retries without faults is free, and the
     // storm changes nothing the client can observe except timing.
@@ -121,8 +130,12 @@ fn main() {
     );
     assert_eq!(armed.hash, fault_free.hash, "armed read-back identical");
     assert_eq!(storm.hash, fault_free.hash, "storm read-back identical");
-    assert_eq!(retry.exhausted, 0, "bounded storm never spends the budget");
-    assert!(retry.resends > 0, "the storm actually dropped messages");
+    assert_eq!(
+        count("retry.exhausted"),
+        0,
+        "bounded storm never spends the budget"
+    );
+    assert!(resends > 0, "the storm actually dropped messages");
 
     let mut table = Table::new(["run", "write", "w/s", "read", "r/s"]);
     for (label, r) in [
@@ -142,15 +155,18 @@ fn main() {
     println!(
         "\nstorm recovery: {} resends, {} recovered, {} reply replays; \
          recovery latency mean {:.1} ms, p99 <= {:.1} ms",
-        retry.resends,
-        retry.recovered,
-        retry.replays,
-        retry.recovery.mean().as_nanos() as f64 / 1e6,
-        retry.recovery.quantile_bound(0.99) as f64 / 1e6,
+        resends,
+        recovery.count(),
+        count("retry.replay"),
+        recovery.mean().as_nanos() as f64 / 1e6,
+        recovery.quantile_bound(0.99) as f64 / 1e6,
     );
     println!(
         "faults injected: {} drops, {} dups, {} delays, {} disk transients",
-        retry.msg_drops, retry.msg_dups, retry.msg_delays, retry.disk_transients,
+        count("fault.msg_drop"),
+        count("fault.msg_dup"),
+        count("fault.msg_delay"),
+        disk_transients,
     );
     let slowdown = (storm.write + storm.read).as_secs_f64()
         / (fault_free.write + fault_free.read).as_secs_f64();
@@ -171,10 +187,10 @@ fn main() {
             ),
             Metric::higher("storm.writes_per_s", records_per_second(n, storm.write)),
             Metric::higher("storm.reads_per_s", records_per_second(n, storm.read)),
-            Metric::lower("storm.resends", retry.resends as f64),
+            Metric::lower("storm.resends", resends as f64),
             Metric::lower(
                 "storm.recovery_p99_ns",
-                retry.recovery.quantile_bound(0.99) as f64,
+                recovery.quantile_bound(0.99) as f64,
             ),
         ],
     );

@@ -10,7 +10,7 @@ use bridge_bench::{
 };
 use bridge_core::BridgeClient;
 use bridge_tools::{copy, ToolOptions};
-use bridge_trace::{Metrics, TraceCollector};
+use bridge_trace::TraceCollector;
 use parsim::SimDuration;
 
 const PAPER_SECONDS: [f64; 5] = [311.6, 156.0, 79.3, 41.0, 21.6];
@@ -72,12 +72,12 @@ fn main() {
         PAPER_SECONDS[0] / PAPER_SECONDS[4]
     );
 
-    // BRIDGE_TRACE=1 (or --profile): re-run the p=4 row with the trace
-    // collector installed and render the metrics registry next to the
-    // kernel counters. Tracing is observation-only, so the traced run must
-    // land on exactly the table's p=4 virtual time.
+    // --profile: re-run the p=4 row with the trace collector installed and
+    // print its causal profile next to the kernel counters. Tracing is
+    // observation-only, so the traced run must land on exactly the table's
+    // p=4 virtual time.
     let profiler = Profiler::new("table3_copy");
-    if std::env::var("BRIDGE_TRACE").is_ok() || profiler.enabled() {
+    if profiler.enabled() {
         let collector = TraceCollector::install();
         let (mut sim, machine) = paper_machine_traced(4, collector.as_tracer());
         let server = machine.server;
@@ -88,13 +88,8 @@ fn main() {
             stats.elapsed
         });
         assert_eq!(t, elapsed[1], "tracing changed the p=4 copy time");
-        println!("\n### Trace metrics — p = 4 copy (BRIDGE_TRACE)");
+        println!("\n### Kernel counters — p = 4 copy");
         println!("{}", kernel_stats(&sim.stats()));
-        let data = collector.snapshot();
-        print!(
-            "{}",
-            Metrics::from_trace(&data).with_kernel(sim.stats()).render()
-        );
-        profiler.report("copy_p4", &data);
+        profiler.report("copy_p4", &collector.snapshot());
     }
 }

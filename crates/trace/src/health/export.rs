@@ -4,8 +4,8 @@
 //! that the writer iterates and the validator checks against.
 
 use super::{DiskTelemetry, HealthSnapshot, LfsTelemetry, ServerTelemetry};
+use crate::histogram::Histogram;
 use crate::json::{self, Json};
-use crate::metrics::Histogram;
 use parsim::{RunStats, SimDuration};
 use std::fmt::Write as _;
 

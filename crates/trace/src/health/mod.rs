@@ -43,7 +43,7 @@ pub use export::{render_snapshot, snapshot_to_json, snapshots_to_json, validate_
 pub use journal::{HealthEvent, JournalEntry, JOURNAL_CAPACITY};
 pub use watchdog::{Alert, AlertRule, WatchdogConfig};
 
-use crate::metrics::Histogram;
+use crate::histogram::Histogram;
 use journal::EventJournal;
 use parsim::{RunStats, SimDuration, SimTime};
 use std::sync::{Mutex, MutexGuard};

@@ -8,12 +8,14 @@
 //! * [`chrome_trace_json`] — Chrome trace-event JSON, loadable in
 //!   Perfetto / `chrome://tracing`, with one "process" per simulated node
 //!   and one "thread" per simulated process;
-//! * [`Metrics`] — counters, latency histograms, and per-disk utilization
-//!   suitable for printing next to a bench report's kernel stats;
 //! * [`ProfileReport`] — causal profiling: per-operation critical-path
 //!   attribution by [`Category`] (see [`profile()`]) plus a binned
 //!   flight-recorder [`TimeSeries`], exportable as hand-rolled JSON or
 //!   ASCII tables.
+//!
+//! The live [`health`] registry is the other view of a run: counters each
+//! layer books in place as it goes, readable mid-run, with a
+//! [`Histogram`] for each latency distribution.
 //!
 //! The recording side is a [`TraceCollector`], an implementation of
 //! [`parsim::Tracer`] installed via
@@ -52,8 +54,8 @@
 mod chrome;
 mod collect;
 pub mod health;
+mod histogram;
 pub mod json;
-mod metrics;
 pub mod profile;
 mod report;
 pub mod series;
@@ -65,7 +67,7 @@ pub use health::{
     DiskTelemetry, HealthEvent, HealthSnapshot, JournalEntry, LfsTelemetry, ServerTelemetry,
     TelemetryRegistry, WatchdogConfig,
 };
-pub use metrics::{DiskUtilization, Histogram, Metrics, QueueMetrics, RetryMetrics};
+pub use histogram::Histogram;
 pub use profile::{
     profile, validate_causality, Breakdown, Category, CriticalPath, OpProfile, Profile,
 };

@@ -1,17 +1,22 @@
 //! Trace audit of a p = 4 copy: run the Table-3 copy workload with the
-//! trace collector installed, export a Chrome trace (load it at
-//! <https://ui.perfetto.dev>), validate it, and reconcile the trace's disk
-//! spans against each disk's own `DiskStats` counters — the trace is only
-//! trustworthy if the two bookkeeping paths agree exactly.
+//! trace collector installed, print its causal profile, export a Chrome
+//! trace (load it at <https://ui.perfetto.dev>), validate both, and
+//! reconcile the trace's disk spans against each disk's own `DiskStats`
+//! counters — the trace is only trustworthy if the two bookkeeping paths
+//! agree exactly.
 //!
 //! Run with: `cargo run --release --example trace_copy [out.json]`
 //! (default output `target/trace_copy.json`). Exits nonzero if the trace
-//! fails validation or disagrees with the disk counters.
+//! or the profile fails validation, or the trace disagrees with the disk
+//! counters.
 
+use bridge_bench::profile::PROFILE_BINS;
 use bridge_core::{BridgeClient, BridgeConfig, BridgeMachine, CreateSpec};
 use bridge_efs::{LfsClient, LfsData, LfsOp};
 use bridge_tools::{copy, ToolOptions};
-use bridge_trace::{chrome_trace_json, validate_chrome_trace, Metrics, TraceCollector};
+use bridge_trace::{
+    chrome_trace_json, validate_chrome_trace, validate_profile_json, ProfileReport, TraceCollector,
+};
 use simdisk::DiskStats;
 use std::process::ExitCode;
 
@@ -56,10 +61,14 @@ fn main() -> ExitCode {
         data.spans.len(),
         data.flows.len()
     );
-    print!(
-        "{}",
-        Metrics::from_trace(&data).with_kernel(sim.stats()).render()
-    );
+    // The causal profile, binned as the benches' profiles are; its JSON
+    // must pass the same arithmetic audit.
+    let report = ProfileReport::from_trace(&data, PROFILE_BINS);
+    print!("{}", report.render());
+    if let Err(e) = validate_profile_json(&report.to_json()) {
+        eprintln!("FAIL: the profile is invalid: {e}");
+        return ExitCode::FAILURE;
+    }
 
     // Export + validate the Chrome trace.
     let json = chrome_trace_json(&data);

@@ -14,8 +14,9 @@
 //! * [`tools`] — copy/filter/grep/summary/sort tools.
 //! * [`baseline`] — §2's striped sets and storage arrays under one FS.
 //! * [`model`] — the analytical companion (the paper's reference \[17\]).
-//! * [`trace`] — virtual-time tracing: Chrome trace export and a metrics
-//!   registry, observation-only by construction.
+//! * [`trace`] — virtual-time tracing and telemetry: Chrome trace export,
+//!   the causal profile, and the live health registry, observation-only
+//!   by construction.
 
 pub use bridge_baseline as baseline;
 pub use bridge_core as core;

@@ -40,7 +40,7 @@ use bridge_repro::parsim::{
     BlockFaultRule, CrashAt, DiskFaults, FaultPlan, MsgFaults, NodeId, Outage, OutageKind,
     RunStats, SimDuration, SimTime,
 };
-use bridge_repro::trace::{Metrics, TraceCollector, TraceData};
+use bridge_repro::trace::{Histogram, TraceCollector, TraceData};
 use proptest::prelude::*;
 use support::{
     assert_same, content, corpus_seeds, run, Classes, Run, Soak, FIRST_LFS_NODE, SERVER_NODE, WIDE,
@@ -413,31 +413,43 @@ fn crash_with_duplicate_storm_replays_committed_ops() {
     );
 }
 
-/// A traced storm run surfaces its fault and recovery activity through
-/// the metrics pipeline: resends happened, every one of them recovered
-/// (none exhausted), and both message and disk faults were recorded.
+/// A traced storm run surfaces its fault and recovery activity as trace
+/// instants: resends happened, every one of them recovered (none
+/// exhausted), and both message and disk faults were recorded.
 #[test]
 fn storm_activity_surfaces_in_retry_metrics() {
     let collector = TraceCollector::install();
     let mut config = instant().with_faults(storm_plan(15));
     config.tracer = Some(collector.as_tracer());
     run_workload(&config);
-    let metrics = Metrics::from_trace(&collector.snapshot());
-    let retry = &metrics.retry;
-    assert!(!retry.is_empty(), "storm must leave a trace");
-    assert!(retry.resends > 0, "drops must force resends");
-    assert!(retry.recovered > 0, "resends must recover");
-    assert_eq!(retry.exhausted, 0, "bounded faults never spend the budget");
-    assert!(retry.msg_drops > 0, "drop instants recorded");
-    assert!(retry.msg_dups > 0, "dup instants recorded");
+    let trace = collector.snapshot();
+    let named = |name: &'static str| trace.instants.iter().filter(move |i| i.name == name);
+    let count = |name| named(name).count();
+    let mut recovery = Histogram::default();
+    for i in named("retry.recovered") {
+        recovery.record(i.arg("latency_nanos").expect("recovery latency"));
+    }
     assert!(
-        retry.disk_transients > 0,
+        trace
+            .instants
+            .iter()
+            .any(|i| i.name.starts_with("fault.") || i.name.starts_with("retry.")),
+        "storm must leave a trace"
+    );
+    assert!(count("retry.resend") > 0, "drops must force resends");
+    assert!(count("retry.recovered") > 0, "resends must recover");
+    assert_eq!(
+        count("retry.exhausted"),
+        0,
+        "bounded faults never spend the budget"
+    );
+    assert!(count("fault.msg_drop") > 0, "drop instants recorded");
+    assert!(count("fault.msg_dup") > 0, "dup instants recorded");
+    assert!(
+        count("fault.disk_transient") > 0,
         "disk transient instants recorded"
     );
-    assert!(
-        retry.recovery.count() > 0,
-        "recovery latency histogram populated"
-    );
+    assert!(recovery.count() > 0, "recovery latency histogram populated");
 }
 
 /// Breadth of the fan-out storms: wide enough that the default arity
