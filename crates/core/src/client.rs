@@ -4,8 +4,8 @@
 use crate::error::BridgeError;
 use crate::ids::{BridgeFileId, JobId};
 use crate::protocol::{
-    request_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest, CreateSpec, JobDeliver,
-    JobRequest, JobSupply, MachineInfo, MachineManifest, OpenInfo,
+    request_wire_size, BridgeCmd, BridgeData, CreateSpec, JobDeliver, JobRequest, JobSupply,
+    MachineInfo, MachineManifest, OpenInfo,
 };
 use bridge_efs::{RetryPolicy, RpcClient, RpcProtocol};
 use bytes::Bytes;
@@ -17,22 +17,14 @@ struct BridgeRpc;
 
 impl RpcProtocol for BridgeRpc {
     type Cmd = BridgeCmd;
-    type Reply = BridgeReply;
     type Data = BridgeData;
     type Error = BridgeError;
 
     fn name(cmd: &BridgeCmd) -> &'static str {
         cmd.name()
     }
-    fn post(ctx: &mut Ctx, server: ProcId, id: u64, cmd: BridgeCmd) {
-        let (bytes, low) = (request_wire_size(&cmd), ctx.low_id());
-        ctx.send_sized_cloneable(server, BridgeRequest { id, low, cmd }, bytes);
-    }
-    fn reply_id(reply: &BridgeReply) -> u64 {
-        reply.id
-    }
-    fn result(reply: BridgeReply) -> Result<BridgeData, BridgeError> {
-        reply.result
+    fn wire_size(cmd: &BridgeCmd) -> usize {
+        request_wire_size(cmd)
     }
     fn timed_out(attempts: u32) -> BridgeError {
         BridgeError::TimedOut { attempts }
@@ -41,8 +33,9 @@ impl RpcProtocol for BridgeRpc {
 
 /// A typed client for the Bridge Server.
 ///
-/// Wraps the raw [`BridgeRequest`]/[`BridgeReply`] protocol over the same
-/// [`RpcClient`] engine the LFS client uses: requests carry fresh ids
+/// Wraps the raw [`BridgeRequest`](crate::BridgeRequest)/
+/// [`BridgeReply`](crate::BridgeReply) protocol over the same [`RpcClient`]
+/// engine the LFS client uses: requests carry fresh ids
 /// (drawn from the owning process's [`Ctx::open_id`] stream, so ids
 /// never collide across client instances in one process) and replies are
 /// matched by id (other traffic is stashed by the underlying selective

@@ -4,9 +4,7 @@
 
 use super::{trace_served, BridgeServerConfig};
 use crate::protocol::{RelayCreate, RelayRequest, TierCmd, TierRpc};
-use bridge_efs::{
-    reply_wire_size, Admission, DedupWindow, EfsError, LfsData, LfsOp, LfsReply, RpcClient,
-};
+use bridge_efs::{reply_wire_size, DedupWindow, EfsError, LfsData, LfsOp, LfsReply, RpcClient};
 use parsim::{Ctx, NodeId, ProcId, Simulation};
 
 /// Splits `items` into the groups one hop of a k-nomial tree of `arity`
@@ -114,29 +112,13 @@ pub fn spawn_bridge_agent(
         let mut dedup: DedupWindow<LfsReply> = DedupWindow::default();
         loop {
             let (from, req) = ctx.recv_as::<RelayRequest>();
-            let reply = match dedup.admit(from, req.id, req.low) {
-                Admission::New => {
-                    let t0 = ctx.now();
-                    let result = create_on(ctx, &mut client, &config, &req.cmd, 1);
-                    trace_served(ctx, "bridge.relay", t0, result.is_ok(), req.id, from);
-                    let reply = LfsReply { id: req.id, result };
-                    dedup.complete(from, req.id, reply.clone());
-                    reply
-                }
-                // One request is served at a time, so a copy of it that
-                // arrives meanwhile waits in the mailbox and replays.
-                Admission::InFlight => continue,
-                Admission::Stale => {
-                    ctx.trace_instant("retry", "retry.dup_dropped", &[("id", req.id)]);
-                    continue;
-                }
-                Admission::Replay(reply) => {
-                    ctx.trace_instant("retry", "retry.replay", &[("id", req.id)]);
-                    reply
-                }
+            let Ok(req) = dedup.admit_or_settle(ctx, from, req, reply_wire_size) else {
+                continue;
             };
-            let bytes = reply_wire_size(&reply);
-            ctx.send_sized_cloneable(from, reply, bytes);
+            let t0 = ctx.now();
+            let result = create_on(ctx, &mut client, &config, &req.cmd, 1);
+            trace_served(ctx, "bridge.relay", t0, result.is_ok(), req.id, from);
+            dedup.answer(ctx, from, LfsReply { id: req.id, result }, reply_wire_size);
         }
     })
 }

@@ -35,7 +35,7 @@ use crate::protocol::{
 };
 use crate::redundancy::Redundancy;
 use crate::txlog::TxLog;
-use bridge_efs::{Admission, DedupWindow, EfsError, LfsData, LfsOp, RetryPolicy, RpcClient};
+use bridge_efs::{DedupWindow, EfsError, LfsData, LfsOp, RetryPolicy, RpcClient};
 use bridge_trace::{HealthEvent, HealthSnapshot, ServerTelemetry, TelemetryRegistry};
 use cursor::{Cursor, Job, PendingAppends};
 use directory::FileMeta;
@@ -248,7 +248,7 @@ struct Front {
 impl Front {
     /// Charges a request taken from the mailbox or the stash its CPU and
     /// admits it through the dedup window: `Some` if it is new. A
-    /// duplicate is settled here — answered from the window, or dropped
+    /// duplicate is settled there — answered from the window, or dropped
     /// when nobody awaits an answer.
     fn admit(
         &mut self,
@@ -259,28 +259,15 @@ impl Front {
         let from = env.from();
         let req = env.downcast::<BridgeRequest>().expect("matched type");
         ctx.delay(server.config.cpu_per_request);
-        match self.dedup.admit(from, req.id, req.low) {
-            Admission::New => return Some((from, req)),
-            // A second delivery of a request in the group being gathered
-            // (its reply is coming), or one whose client awaits it no
-            // more: nobody to answer.
-            Admission::InFlight | Admission::Stale => {
-                if ctx.trace_enabled() {
-                    ctx.trace_instant("retry", "retry.dup_dropped", &[("id", req.id)]);
+        match self.dedup.admit_or_settle(ctx, from, req, reply_wire_size) {
+            Ok(req) => Some((from, req)),
+            Err(replayed) => {
+                if replayed {
+                    server.tally(|s| s.replays += 1);
                 }
-            }
-            Admission::Replay(reply) => {
-                // Already executed: resend the recorded outcome rather
-                // than re-running a possibly non-idempotent command.
-                server.tally(|s| s.replays += 1);
-                if ctx.trace_enabled() {
-                    ctx.trace_instant("retry", "retry.replay", &[("id", req.id)]);
-                }
-                let bytes = reply_wire_size(&reply);
-                ctx.send_sized_cloneable(from, reply, bytes);
+                None
             }
         }
-        None
     }
 }
 
@@ -293,11 +280,9 @@ impl Host for Front {
         let Member { from, id, name, t0 } = *member;
         trace_served(ctx, name, t0, result.is_ok(), id, from);
         let reply = BridgeReply { id, result };
-        self.dedup.complete(from, id, reply.clone());
+        self.dedup.answer(ctx, from, reply, reply_wire_size);
         let occupancy = self.dedup.len() as u64;
         server.tally(|s| s.note_request(occupancy, server.client.resends()));
-        let bytes = reply_wire_size(&reply);
-        ctx.send_sized_cloneable(from, reply, bytes);
     }
 
     /// Takes the stashed requests in arrival order, each joining while it

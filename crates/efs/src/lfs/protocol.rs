@@ -4,7 +4,7 @@
 use crate::error::EfsError;
 use crate::fs::{FileInfo, FsckReport};
 use crate::layout::{LfsFileId, BLOCK_SIZE};
-use crate::retry::{RpcClient, RpcProtocol};
+use crate::retry::{Reply, Request, RpcClient, RpcProtocol};
 use crate::wal::PrepareIntent;
 use bytes::Bytes;
 use parsim::{Ctx, ProcId};
@@ -13,16 +13,7 @@ use simdisk::BlockAddr;
 use {crate::fs::Efs, simdisk::BlockDevice};
 
 /// A request to an LFS server process.
-#[derive(Debug, Clone)]
-pub struct LfsRequest {
-    /// Client-chosen id echoed in the reply.
-    pub id: u64,
-    /// The sending process's mark: no id below it is awaited any more
-    /// ([`Ctx::low_id`]).
-    pub low: u64,
-    /// The operation.
-    pub op: LfsOp,
-}
+pub type LfsRequest = Request<LfsOp>;
 
 /// Operations understood by an LFS server.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,13 +176,7 @@ impl LfsOp {
 }
 
 /// A reply from an LFS server.
-#[derive(Debug, Clone)]
-pub struct LfsReply {
-    /// Echo of the request id.
-    pub id: u64,
-    /// Outcome.
-    pub result: Result<LfsData, EfsError>,
-}
+pub type LfsReply = Reply<LfsData, EfsError>;
 
 /// Successful reply payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -379,22 +364,14 @@ pub struct LfsRpc;
 
 impl RpcProtocol for LfsRpc {
     type Cmd = LfsOp;
-    type Reply = LfsReply;
     type Data = LfsData;
     type Error = EfsError;
 
     fn name(op: &LfsOp) -> &'static str {
         op.name()
     }
-    fn post(ctx: &mut Ctx, server: ProcId, id: u64, op: LfsOp) {
-        let (bytes, low) = (request_wire_size(&op), ctx.low_id());
-        ctx.send_sized_cloneable(server, LfsRequest { id, low, op }, bytes);
-    }
-    fn reply_id(reply: &LfsReply) -> u64 {
-        reply.id
-    }
-    fn result(reply: LfsReply) -> Result<LfsData, EfsError> {
-        reply.result
+    fn wire_size(op: &LfsOp) -> usize {
+        request_wire_size(op)
     }
     fn timed_out(attempts: u32) -> EfsError {
         EfsError::TimedOut { attempts }

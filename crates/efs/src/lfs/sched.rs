@@ -69,7 +69,7 @@ impl SchedState {
         at: SimTime,
     ) {
         let seq = self.window_base + self.window.len() as u64;
-        let key = req.op.file();
+        let key = req.cmd.file();
         self.window.push_back(Some(Queued {
             req,
             from,
@@ -103,7 +103,7 @@ impl SchedState {
                     .expect("lane entries are queued");
                 if !q.offered {
                     q.offered = true;
-                    self.sched.push(track_hint(efs, &q.req.op), seq);
+                    self.sched.push(track_hint(efs, &q.req.cmd), seq);
                 }
             }
             if key.is_none() {

@@ -9,7 +9,7 @@ use super::protocol::{
 use super::sched::SchedState;
 use crate::error::EfsError;
 use crate::fs::Efs;
-use crate::retry::{Admission, DedupWindow};
+use crate::retry::DedupWindow;
 use bridge_trace::HealthEvent;
 use parsim::{Ctx, ProcId, SimDuration, Simulation};
 use simdisk::{BlockDevice, SchedConfig};
@@ -118,35 +118,10 @@ pub fn spawn_lfs_sched<D: BlockDevice + 'static>(
                 Err(env) => env,
             };
             match env.downcast::<LfsRequest>() {
+                Ok(req) if failed || efs.media_lost() => refuse(ctx, from, req.id),
                 Ok(req) => {
-                    if failed || efs.media_lost() {
-                        refuse(ctx, from, req.id);
-                    } else {
-                        match dedup.admit(from, req.id, req.low) {
-                            Admission::New => state.admit(&efs, req, from, delivered_at),
-                            Admission::InFlight | Admission::Stale => {
-                                // Retransmit of a queued/in-service request
-                                // (the original's reply will serve), or one
-                                // its client no longer awaits.
-                                if ctx.trace_enabled() {
-                                    ctx.trace_instant(
-                                        "retry",
-                                        "retry.dup_dropped",
-                                        &[("id", req.id)],
-                                    );
-                                }
-                            }
-                            Admission::Replay(reply) => {
-                                // Already executed: resend the cached reply
-                                // instead of re-running a possibly
-                                // non-idempotent operation.
-                                if ctx.trace_enabled() {
-                                    ctx.trace_instant("retry", "retry.replay", &[("id", req.id)]);
-                                }
-                                let bytes = reply_wire_size(&reply);
-                                ctx.send_sized_cloneable(from, reply, bytes);
-                            }
-                        }
+                    if let Ok(req) = dedup.admit_or_settle(ctx, from, req, reply_wire_size) {
+                        state.admit(&efs, req, from, delivered_at);
                     }
                 }
                 Err(env) => panic!("LFS received a non-request message: {env:?}"),
@@ -284,9 +259,7 @@ fn service_batch<D: BlockDevice>(
     state.served_scratch = served;
     efs.publish_telemetry();
     for (from, reply) in replies {
-        dedup.complete(from, reply.id, reply.clone());
-        let bytes = reply_wire_size(&reply);
-        ctx.send_sized_cloneable(from, reply, bytes);
+        dedup.answer(ctx, from, reply, reply_wire_size);
     }
     // A write the device refused stays owed, and holds the checkpoint
     // back until a later request sends it home.
@@ -363,9 +336,9 @@ pub fn serve<D: simdisk::BlockDevice>(
     efs: &mut Efs<D>,
     req: LfsRequest,
 ) -> LfsReply {
-    let op_name = req.op.name();
+    let op_name = req.cmd.name();
     let t0 = ctx.now();
-    let result = match req.op {
+    let result = match req.cmd {
         LfsOp::Create { file } => efs.create(ctx, file).map(|()| LfsData::Done),
         LfsOp::Delete { file } => efs.delete(ctx, file).map(LfsData::Freed),
         LfsOp::Read { file, block, hint } => efs

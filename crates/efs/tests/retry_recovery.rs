@@ -147,7 +147,7 @@ fn retransmit_of_a_completed_request_replays_the_cached_reply() {
         let req = LfsRequest {
             id: ctx.unique_id(),
             low: 0,
-            op: LfsOp::Create { file: LfsFileId(1) },
+            cmd: LfsOp::Create { file: LfsFileId(1) },
         };
         for round in 0..2 {
             ctx.send_sized_cloneable(lfs, req.clone(), 32);
