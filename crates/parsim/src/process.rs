@@ -318,41 +318,14 @@ impl Ctx {
     /// available. Messages set aside by [`Ctx::recv_where`] are returned
     /// first, oldest first.
     pub fn recv(&mut self) -> Envelope {
-        if let Some(env) = self.stash.pop_front() {
-            return env;
-        }
-        self.recv_fresh()
-    }
-
-    /// Receives directly from the mailbox, bypassing the stash.
-    fn recv_fresh(&mut self) -> Envelope {
-        match self.call(Syscall::BlockRecv) {
-            Resume::Msg { env, now } => {
-                self.now = now;
-                env
-            }
-            _ => unreachable!("recv resumed with non-Msg"),
-        }
+        self.recv_where(|_| true)
     }
 
     /// Receives the next message, or returns `None` once `d` has elapsed.
     ///
     /// Checks the stash first (without consuming any virtual time).
     pub fn recv_timeout(&mut self, d: SimDuration) -> Option<Envelope> {
-        if let Some(env) = self.stash.pop_front() {
-            return Some(env);
-        }
-        match self.call(Syscall::BlockRecvTimeout(d)) {
-            Resume::Msg { env, now } => {
-                self.now = now;
-                Some(env)
-            }
-            Resume::Timeout { now } => {
-                self.now = now;
-                None
-            }
-            _ => unreachable!("recv_timeout resumed with unexpected variant"),
-        }
+        self.recv_where_timeout(|_| true, d)
     }
 
     /// Receives the first message matching `pred`, setting aside (stashing)
@@ -366,7 +339,10 @@ impl Ctx {
             return self.stash.remove(pos).expect("position is in range");
         }
         loop {
-            let env = self.recv_fresh();
+            let Resume::Msg { env, now } = self.call(Syscall::BlockRecv) else {
+                unreachable!("recv resumed with non-Msg");
+            };
+            self.now = now;
             if pred(&env) {
                 return env;
             }
