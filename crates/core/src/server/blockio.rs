@@ -17,7 +17,7 @@ use crate::ids::{BridgeFileId, LfsIndex};
 use crate::protocol::TierCmd;
 use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp};
 use bytes::Bytes;
-use parsim::{Ctx, FixedMap, ProcId};
+use parsim::{Ctx, FixedMap};
 use simdisk::BlockAddr;
 
 /// What an access addresses: a constituent LFS file of a Bridge file,
@@ -250,7 +250,7 @@ impl Server {
         ctx: &mut Ctx,
         blocks: &[(Target, GlobalPtr)],
     ) -> Result<Vec<BlockResult>, BridgeError> {
-        let sent: Vec<(Target, LfsIndex, ProcId, u64)> = blocks
+        let calls = blocks
             .iter()
             .map(|&(to, ptr)| {
                 let hints = &self.files[&to.file].hints;
@@ -260,30 +260,22 @@ impl Server {
                     block: ptr.local,
                     hint,
                 };
-                let proc = self.lfs_proc(ptr.lfs);
-                (
-                    to,
-                    ptr.lfs,
-                    proc,
-                    self.client.send(ctx, proc, TierCmd::Lfs(op)),
-                )
+                (self.lfs_proc(ptr.lfs), op)
             })
             .collect();
         let mut violation = None;
-        let mut out = Vec::with_capacity(sent.len());
-        for (to, lfs, proc, id) in sent {
-            let read = match self.client.wait(ctx, proc, id) {
+        let mut out = Vec::with_capacity(blocks.len());
+        for (&(to, ptr), read) in blocks.iter().zip(self.call_many(ctx, calls)) {
+            let read = match read.map(LfsData::into_block) {
                 Err(e) => Err(e),
-                Ok(data) => match data.into_block() {
-                    Ok((payload, addr)) => {
-                        self.note_hint(to, lfs, addr);
-                        Ok(payload)
-                    }
-                    Err(e) => {
-                        violation = violation.or(Some(e));
-                        continue;
-                    }
-                },
+                Ok(Ok((payload, addr))) => {
+                    self.note_hint(to, ptr.lfs, addr);
+                    Ok(payload)
+                }
+                Ok(Err(e)) => {
+                    violation = violation.or(Some(e));
+                    continue;
+                }
             };
             out.push(read);
         }
