@@ -188,7 +188,7 @@ impl BlockDevice for StripedDisk {
             .map(|b| b.as_ref())
     }
 
-    fn write_raw(&mut self, addr: BlockAddr, data: &[u8]) {
+    fn write_raw(&mut self, addr: BlockAddr, data: Bytes) {
         let idx = self
             .check(addr)
             .unwrap_or_else(|e| panic!("write_raw: {e}"));
@@ -197,7 +197,7 @@ impl BlockDevice for StripedDisk {
             self.member_geometry.block_size,
             "write_raw: data must be exactly one block"
         );
-        self.blocks[idx] = Some(Bytes::copy_from_slice(data));
+        self.blocks[idx] = Some(data);
     }
 
     fn clear_raw(&mut self, addr: BlockAddr) {
@@ -270,7 +270,7 @@ mod tests {
         // one positioning delay.
         let (loads, hits) = on(|ctx, disk| {
             for i in 0..128u32 {
-                disk.write_raw(BlockAddr::new(i), &vec![0u8; 1024]);
+                disk.write_raw(BlockAddr::new(i), vec![0u8; 1024].into());
             }
             for i in 0..128u32 {
                 disk.read(ctx, BlockAddr::new(i)).unwrap();
@@ -290,7 +290,7 @@ mod tests {
         // still pays a full miss.
         on(|ctx, disk| {
             // Blocks 0 and 4 both live on member 0, local track 0.
-            disk.write_raw(BlockAddr::new(4), &vec![9u8; 1024]);
+            disk.write_raw(BlockAddr::new(4), vec![9u8; 1024].into());
             disk.write(ctx, BlockAddr::new(0), &vec![1u8; 1024])
                 .unwrap();
             let t0 = ctx.now();

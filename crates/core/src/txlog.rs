@@ -602,7 +602,7 @@ mod tests {
             let raw = log.disk_mut().read_raw(BlockAddr::new(0)).unwrap().to_vec();
             let mut bad = raw.clone();
             bad[ring::FRAME_HEADER + 1] ^= 0xFF;
-            log.disk_mut().write_raw(BlockAddr::new(0), &bad);
+            log.disk_mut().write_raw(BlockAddr::new(0), bad.into());
             let recs = log.scan();
             assert_eq!(recs, vec![TxRecord::Commit { txns: vec![1] }]);
         });

@@ -150,11 +150,12 @@ impl Directory {
         }
     }
 
-    /// Formats the bucket region with empty buckets (raw, untimed).
+    /// Formats the bucket region with empty buckets (raw, untimed): one
+    /// encoded image, shared by every bucket until its first write.
     pub(crate) fn format(&self, disk: &mut dyn BlockDevice) {
-        let empty = Bucket::default().encode();
+        let empty = Bytes::from(Bucket::default().encode());
         for b in 0..self.buckets {
-            disk.write_raw(self.addr_of_bucket(b), &empty);
+            disk.write_raw(self.addr_of_bucket(b), empty.clone());
         }
     }
 
@@ -386,7 +387,7 @@ mod tests {
     /// recovery do.
     fn write_back(dir: &mut Directory, disk: &mut SimDisk) {
         for (addr, image) in dir.dirty_images() {
-            disk.write_raw(addr, &image);
+            disk.write_raw(addr, image);
         }
         dir.mark_clean();
     }

@@ -315,7 +315,7 @@ impl<D: BlockDevice> Efs<D> {
                     .max_by_key(|(_, c)| c.len())?;
                 let addr = *chain.last()?;
                 let block_size = self.disk.geometry().block_size;
-                self.disk.write_raw(addr, &vec![0u8; block_size]);
+                self.disk.write_raw(addr, vec![0u8; block_size].into());
                 self.links.invalidate_file(file);
                 Some(format!("torn tail of {file} at {addr}"))
             }

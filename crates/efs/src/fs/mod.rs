@@ -267,7 +267,7 @@ impl<D: BlockDevice> Efs<D> {
         let dir = layout.directory();
         dir.format(&mut disk);
         let superblock = layout.encode_superblock(capacity, disk.geometry().block_size);
-        disk.write_raw(BlockAddr::new(0), &superblock);
+        disk.write_raw(BlockAddr::new(0), superblock.into());
         let wal = config.wal.is_enabled().then(|| {
             Wal::format(
                 &mut disk,
@@ -527,8 +527,8 @@ impl<D: BlockDevice> Efs<D> {
         match via {
             Via::Timed(ctx) => self.disk.write_many(ctx, &home)?,
             Via::Raw => {
-                for (addr, image) in &home {
-                    self.disk.write_raw(*addr, image);
+                for (addr, image) in home {
+                    self.disk.write_raw(addr, image);
                 }
             }
         }

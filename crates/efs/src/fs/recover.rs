@@ -252,7 +252,8 @@ impl<D: BlockDevice> Efs<D> {
             let addr = chain[block_no as usize];
             (addr, decode_header(self.read_home(addr)?)?)
         };
-        self.disk.write_raw(addr, &encode_block(&header, payload));
+        self.disk
+            .write_raw(addr, encode_block(&header, payload).into());
         Ok(())
     }
 
@@ -262,7 +263,7 @@ impl<D: BlockDevice> Efs<D> {
         let header = decode_header(block)?;
         if header.next != next {
             let relinked = encode_block(&EfsHeader { next, ..header }, &block[EFS_HEADER_SIZE..]);
-            self.disk.write_raw(addr, &relinked);
+            self.disk.write_raw(addr, relinked.into());
         }
         Ok(())
     }

@@ -577,8 +577,8 @@ impl Wal {
 
     /// Raw (untimed) checkpoint append, for format and end-of-recovery.
     pub(crate) fn append_checkpoint_raw<D: BlockDevice>(&mut self, disk: &mut D) {
-        for (addr, block) in &self.checkpoint_run() {
-            disk.write_raw(*addr, block);
+        for (addr, block) in self.checkpoint_run() {
+            disk.write_raw(addr, block);
         }
     }
 }
@@ -649,7 +649,7 @@ mod tests {
         use simdisk::{DiskGeometry, DiskProfile, SimDisk};
         let mut disk = SimDisk::new(DiskGeometry::default(), DiskProfile::instant());
         for (addr, frame) in frames {
-            disk.write_raw(*addr, frame);
+            disk.write_raw(*addr, frame.clone());
         }
         disk
     }

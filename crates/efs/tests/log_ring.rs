@@ -71,7 +71,7 @@ proptest! {
             }
             let landing = if i + 1 == lens.len() { cut.min(frames.len()) } else { frames.len() };
             for (addr, frame) in &frames[..landing] {
-                disk.write_raw(*addr, frame);
+                disk.write_raw(*addr, frame.clone());
             }
             batches.push((payload, frames));
         }
@@ -105,7 +105,7 @@ proptest! {
                     }
                 }
                 block[offset] ^= 1 << bit;
-                disk.write_raw(addr, &block);
+                disk.write_raw(addr, block.into());
             }
         }
         prop_assert_eq!(&ring.scan(&disk), &expected);
@@ -116,7 +116,7 @@ proptest! {
         let appended = resumed.frame(b"after recovery");
         let taken = appended[0].0;
         for (addr, frame) in &appended {
-            disk.write_raw(*addr, frame);
+            disk.write_raw(*addr, frame.clone());
         }
         let mut after = resumed.scan(&disk);
         let (stamp, newest) = after.pop_last().expect("the append is there");
@@ -171,7 +171,7 @@ proptest! {
             let frames = ring.frame(&payload);
             stamp += 1;
             for (addr, frame) in &frames {
-                disk.write_raw(*addr, frame);
+                disk.write_raw(*addr, frame.clone());
             }
             live.push((stamp, frames));
             for (s, frames) in &live {

@@ -43,8 +43,8 @@ proptest! {
             let mut a = SimDisk::new(GEO, DiskProfile::wren());
             let mut b = SimDisk::new(GEO, DiskProfile::wren());
             for i in 0..CAP {
-                a.write_raw(BlockAddr::new(i), &block_of(i as u8));
-                b.write_raw(BlockAddr::new(i), &block_of(i as u8));
+                a.write_raw(BlockAddr::new(i), block_of(i as u8).into());
+                b.write_raw(BlockAddr::new(i), block_of(i as u8).into());
             }
             let addrs: Vec<BlockAddr> = raw.into_iter().map(BlockAddr::new).collect();
             let t0 = ctx.now();
@@ -115,8 +115,8 @@ proptest! {
             let mut a = SimDisk::new(GEO, DiskProfile::wren());
             let mut b = SimDisk::new(GEO, DiskProfile::wren());
             // Warm both buffers identically before measuring.
-            a.write_raw(BlockAddr::new(warm), &block_of(1));
-            b.write_raw(BlockAddr::new(warm), &block_of(1));
+            a.write_raw(BlockAddr::new(warm), block_of(1).into());
+            b.write_raw(BlockAddr::new(warm), block_of(1).into());
             a.read(ctx, BlockAddr::new(warm)).unwrap();
             b.read(ctx, BlockAddr::new(warm)).unwrap();
 
@@ -158,7 +158,7 @@ proptest! {
         let base = track * GEO.blocks_per_track;
         let (hit_cost, miss_cost) = on_disk(move |ctx| {
             let mut disk = SimDisk::new(GEO, DiskProfile::wren());
-            disk.write_raw(BlockAddr::new(base + probe), &block_of(0xEE));
+            disk.write_raw(BlockAddr::new(base + probe), block_of(0xEE).into());
             let writes: Vec<(BlockAddr, Bytes)> = written
                 .iter()
                 .map(|&o| (BlockAddr::new(base + o), Bytes::from(block_of(o as u8))))
