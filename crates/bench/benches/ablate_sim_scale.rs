@@ -5,14 +5,15 @@
 //!
 //! 1. **Scale** — the fiber engine copies a fixed file on machines of
 //!    p ∈ {32, 64, 256, 1024}, reporting host wall-clock for machine build
-//!    and for the run phase, simulator events/second, and the workload's
-//!    virtual time.
+//!    and for the run phase, the resident set each node adds at build,
+//!    simulator events/second, and the workload's virtual time.
 //! 2. **Dispatch rate** — a 256-node token ring whose per-event work is
 //!    one receive and one send: the purest measure of what one event
 //!    dispatch costs the host, and what makes the >32-processor curves in
 //!    EXPERIMENTS.md §A12 tractable at all.
 //!
-//! Virtual-time metrics go to the regression gate as exact values. The
+//! Virtual-time metrics go to the regression gate as exact values; the
+//! resident set is reported only. The
 //! dispatch rate is emitted too, but its committed baseline is a
 //! deliberate *floor* (far below any healthy host) so the gate only trips
 //! on an order-of-magnitude engine regression, never on host noise.
@@ -35,6 +36,9 @@ const RING_LAPS: u64 = 200;
 
 struct Row {
     build_wall: f64,
+    /// Resident-set growth across the machine build, in KB; `None` where
+    /// `/proc/self/status` is unavailable.
+    build_rss_kb: Option<u64>,
     run_wall: f64,
     virt: SimDuration,
     stats: RunStats,
@@ -54,9 +58,11 @@ impl Row {
 /// breadth `p`, with host wall-clock split into machine build and run
 /// phases.
 fn run_copy(p: u32) -> Row {
+    let rss0 = vm_rss_kb();
     let t0 = Instant::now();
     let (mut sim, machine) = BridgeMachine::build(&BridgeConfig::paper(p));
     let build_wall = t0.elapsed().as_secs_f64();
+    let build_rss_kb = rss0.zip(vm_rss_kb()).map(|(a, b)| b.saturating_sub(a));
     let server = machine.server;
     let t0 = Instant::now();
     let virt = sim.block_on(machine.frontend, "bench", move |ctx| {
@@ -69,10 +75,23 @@ fn run_copy(p: u32) -> Row {
     let run_wall = t0.elapsed().as_secs_f64();
     Row {
         build_wall,
+        build_rss_kb,
         run_wall,
         virt,
         stats: sim.stats(),
     }
+}
+
+/// This process's resident set (`VmRSS`) in KB, `None` off Linux.
+fn vm_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()
 }
 
 /// Token ring across [`RING_P`] nodes: every event is one receive plus
@@ -104,6 +123,7 @@ fn run_ring() -> Row {
     let stats = sim.stats();
     Row {
         build_wall,
+        build_rss_kb: None,
         run_wall,
         virt: stats.end_time - parsim::SimTime::ZERO,
         stats,
@@ -118,6 +138,7 @@ fn main() {
     let mut table = Table::new([
         "Processors",
         "Build (host)",
+        "Resident (host)",
         "Run (host)",
         "Events",
         "Events/s (host)",
@@ -129,6 +150,9 @@ fn main() {
         table.row([
             p.to_string(),
             format!("{:.3} s", row.build_wall),
+            row.build_rss_kb.map_or("n/a".into(), |kb| {
+                format!("{:.1} KB/node", kb as f64 / f64::from(p))
+            }),
             format!("{:.3} s", row.run_wall),
             count(row.stats.events),
             format!("{:.0}", row.events_per_sec()),
