@@ -374,26 +374,61 @@ pub struct JobSupply {
     pub data: Option<Bytes>,
 }
 
-/// Server/agent → agent: create an LFS file on every one of `targets`.
-/// One hop of Create's fan-out; at an arity of 2 the hops form the
-/// "embedded binary tree" the paper's §4.5 suggests for removing Create's
-/// serial initiation.
+/// Server/agent → agent: one round of Create's fan-out over `targets`,
+/// relayed and reduced. Every target is sent `ops`; the receiver is
+/// `targets[0]`, which sends them to its own LFS, splits the rest among
+/// its children, and answers for its whole subtree with one reply folded
+/// by `fold`. At an arity of 2 the hops form the "embedded binary tree"
+/// the paper's §4.5 suggests for removing Create's serial initiation and
+/// termination; a 2PC Create's PREPAREs and DECIDEs ride the same tree.
 #[derive(Debug, Clone)]
 pub struct RelayCreate {
-    /// The numeric local file names to create on every target: the data
-    /// file, then its redundancy companion (mirror/parity) if it has one.
-    pub files: Vec<LfsFileId>,
-    /// The (agent, LFS server) pairs to cover. The receiver is
-    /// `targets[0]`: it creates at its own LFS and splits the rest among
-    /// its children.
-    pub targets: Vec<(ProcId, ProcId)>,
+    /// What every target is sent, in order: a plain Create's `Create` per
+    /// local file (the data file, then its redundancy companion if it
+    /// has one), or a 2PC Create's one `Prepare` or one `Decide`.
+    pub ops: Vec<LfsOp>,
+    /// The targets to cover, the receiver first.
+    pub targets: Vec<RelayTarget>,
+    /// How the subtree's replies fold into the one the sender gets.
+    pub fold: Fold,
+    /// Whether each hop pays `create_init_cpu` per group it sends to and
+    /// `create_ack_cpu` per reply it takes — Create's initiation and
+    /// termination. A 2PC Create's decision round is not charged: it is
+    /// the prepare round's cheap echo.
+    pub charged: bool,
+}
+
+/// One node a [`RelayCreate`] covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RelayTarget {
+    /// The node's fan-out agent, which relays a subtree headed there.
+    pub agent: ProcId,
+    /// The node's LFS server, which a leaf's ops go to.
+    pub lfs: ProcId,
+    /// Whether the round survives this node's column being lost (its LFS
+    /// failed, or a freshly formatted spare that lacks the file).
+    pub tolerant: bool,
+}
+
+/// How a relay round's replies fold into one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// The first failure to arrive, else `Done`: a plain Create.
+    FirstFailure,
+    /// Votes or acknowledgements: all yes as an
+    /// [`LfsData::Tally`](bridge_efs::LfsData::Tally) of the tolerated
+    /// lost columns and the blocks freed, or else the first veto in
+    /// target order — each hop knows whose it is, since every group it
+    /// sends to is a contiguous run of its targets.
+    Tally,
 }
 
 /// A [`RelayCreate`] under its request id.
 pub type RelayRequest = Request<RelayCreate>;
 
 impl RelayCreate {
-    /// Wire size charged for the relay: it carries its (agent, LFS) pairs.
+    /// Wire size charged for the relay: it carries its (agent, LFS)
+    /// pairs, each target's tolerance flag in its pair's spare bits.
     pub fn wire_size(&self) -> usize {
         48 + 16 * self.targets.len()
     }
@@ -404,7 +439,7 @@ impl RelayCreate {
 pub enum TierCmd {
     /// An LFS operation straight to that LFS.
     Lfs(LfsOp),
-    /// A subtree of Create's fan-out to its head's agent.
+    /// A subtree of a Create round to its head's agent.
     Relay(RelayCreate),
 }
 
@@ -504,9 +539,16 @@ mod tests {
         assert!(block > done + 900);
 
         // A relay carries its (agent, LFS) pairs: 16 KB at p = 1024.
+        let target = RelayTarget {
+            agent: ProcId::from_index(0),
+            lfs: ProcId::from_index(1),
+            tolerant: false,
+        };
         let relay = RelayCreate {
-            files: vec![LfsFileId(1)],
-            targets: vec![(ProcId::from_index(0), ProcId::from_index(1)); 1024],
+            ops: vec![LfsOp::Create { file: LfsFileId(1) }],
+            targets: vec![target; 1024],
+            fold: Fold::FirstFailure,
+            charged: true,
         };
         assert_eq!(relay.wire_size(), 48 + 16 * 1024);
     }

@@ -1,9 +1,11 @@
-//! Create's fan-out, written once: the routine the Bridge Server runs as
-//! the root of the tree and every per-node agent runs as an inner node,
-//! and the tree's shape, which the tools' worker start shares.
+//! Create's fan-out, written once: relay-and-reduce over one round of
+//! per-node ops — a plain Create's LFS creates, a 2PC Create's PREPAREs
+//! or DECIDEs — the routine the Bridge Server runs as the root of the
+//! tree and every per-node agent runs as an inner node, and the tree's
+//! shape, which the tools' worker start shares.
 
 use super::{trace_served, BridgeServerConfig};
-use crate::protocol::{RelayCreate, RelayRequest, TierCmd, TierRpc};
+use crate::protocol::{Fold, RelayCreate, RelayRequest, TierCmd, TierRpc};
 use bridge_efs::{reply_wire_size, DedupWindow, EfsError, LfsData, LfsOp, LfsReply, RpcClient};
 use parsim::{Ctx, NodeId, ProcId, Simulation};
 
@@ -37,24 +39,172 @@ where
     groups
 }
 
-/// Creates `cmd`'s files on every one of `cmd.targets`: the first `own`
-/// of them are the sender's own, the rest are split by [`fan_groups`] at
-/// `config.create_arity`. Each group costs `create_init_cpu` to send to —
-/// a group of one goes straight to that node's LFS, a larger one to its
-/// first node's agent, which runs this same routine over it — and the
-/// sender's own LFS goes last, after every subtree is on its way. Each
-/// reply costs `create_ack_cpu` and is consumed as it arrives.
+/// One hop of a round in flight: every send not yet answered, with the
+/// position among the round's targets it answers for and whether a lost
+/// column there is tolerated (never for a relay: its failure is a
+/// subtree's veto, already past its own tolerance).
+pub(super) struct Fan {
+    fold: Fold,
+    charged: bool,
+    /// Take replies in send order rather than as they arrive.
+    in_order: bool,
+    waiting: Vec<(ProcId, u64)>,
+    slots: Vec<(usize, bool)>,
+}
+
+/// What a folded round came to: its tolerated lost columns and the
+/// blocks its targets freed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(super) struct Tally {
+    pub lost: u32,
+    pub freed: u64,
+}
+
+impl Fan {
+    /// An uncharged round of `calls` — (LFS, op, tolerant) — sent
+    /// straight to each LFS and taken in send order: a transaction
+    /// that does not ride the tree.
+    pub fn direct<I>(ctx: &mut Ctx, client: &mut RpcClient<TierRpc>, calls: I) -> Fan
+    where
+        I: IntoIterator<Item = (ProcId, LfsOp, bool)>,
+    {
+        let mut fan = Fan {
+            fold: Fold::Tally,
+            charged: false,
+            in_order: true,
+            waiting: Vec::new(),
+            slots: Vec::new(),
+        };
+        for (pos, (lfs, op, tolerant)) in calls.into_iter().enumerate() {
+            let id = client.send(ctx, lfs, TierCmd::Lfs(op));
+            fan.waiting.push((lfs, id));
+            fan.slots.push((pos, tolerant));
+        }
+        fan
+    }
+
+    /// The request ids still in flight.
+    pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.waiting.iter().map(|&(_, id)| id)
+    }
+}
+
+/// Sends `cmd`'s round to every one of `cmd.targets`: the first `own` of
+/// them are the sender's own, the rest are split by [`fan_groups`] at
+/// `config.create_arity`. A charged round costs `create_init_cpu` per
+/// group sent to — a group of one goes straight to that node's LFS, a
+/// larger one to its first node's agent, which runs this same routine
+/// over it — and the sender's own LFS goes last, after every subtree is
+/// on its way.
 ///
 /// "Bridge gets some parallelism by starting all the LFS operations
 /// before waiting for them, but the initiation and termination are
 /// sequential": an arity no smaller than the target count makes every
 /// group a leaf, which is that sequence — Table 2's — message for message.
+pub(super) fn fan_out(
+    ctx: &mut Ctx,
+    client: &mut RpcClient<TierRpc>,
+    config: &BridgeServerConfig,
+    cmd: &RelayCreate,
+    own: usize,
+) -> Fan {
+    let (own, rest) = cmd.targets.split_at(own.min(cmd.targets.len()));
+    let rest = rest.iter().enumerate().map(|(i, t)| (own.len() + i, t));
+    let mut fan = Fan {
+        fold: cmd.fold,
+        charged: cmd.charged,
+        in_order: false,
+        waiting: Vec::new(),
+        slots: Vec::new(),
+    };
+    for group in fan_groups(rest, config.create_arity)
+        .into_iter()
+        .chain(own.iter().enumerate().map(|target| vec![target]))
+    {
+        if cmd.charged {
+            ctx.delay(config.create_init_cpu);
+        }
+        let (pos, head) = group[0];
+        if group.len() == 1 {
+            for op in &cmd.ops {
+                let id = client.send(ctx, head.lfs, TierCmd::Lfs(op.clone()));
+                fan.waiting.push((head.lfs, id));
+                fan.slots.push((pos, head.tolerant));
+            }
+        } else {
+            let relay = RelayCreate {
+                ops: cmd.ops.clone(),
+                targets: group.into_iter().map(|(_, &target)| target).collect(),
+                ..*cmd
+            };
+            let id = client.send(ctx, head.agent, TierCmd::Relay(relay));
+            fan.waiting.push((head.agent, id));
+            fan.slots.push((pos, false));
+        }
+    }
+    fan
+}
+
+/// Takes every reply `fan` waits on and folds them: a charged round costs
+/// `create_ack_cpu` per reply. A plain Create keeps the first failure to
+/// arrive; a tally sums the lost columns its tolerant targets report and
+/// the blocks freed, and keeps the veto of the earliest target.
 ///
 /// # Errors
 ///
-/// The first failure to arrive, surfaced only after every reply has been
-/// consumed, so a failed fan-out leaves nothing behind in the caller's
-/// mailbox or its client's retry list.
+/// The kept failure, surfaced only after every reply has been consumed,
+/// so a failed round leaves nothing behind in the caller's mailbox or its
+/// client's retry list.
+pub(super) fn gather(
+    ctx: &mut Ctx,
+    client: &mut RpcClient<TierRpc>,
+    config: &BridgeServerConfig,
+    mut fan: Fan,
+) -> Result<Tally, EfsError> {
+    let mut tally = Tally::default();
+    let mut veto: Option<(usize, EfsError)> = None;
+    let mut arrival = 0;
+    while !fan.waiting.is_empty() {
+        let span = if fan.in_order { 1 } else { fan.waiting.len() };
+        let (at, reply) = client.wait_any(ctx, &fan.waiting[..span]);
+        fan.waiting.remove(at);
+        let (pos, tolerant) = fan.slots.remove(at);
+        if fan.charged {
+            ctx.delay(config.create_ack_cpu);
+        }
+        match reply {
+            Ok(LfsData::Tally { lost, freed }) => {
+                tally.lost += lost;
+                tally.freed += freed;
+            }
+            Ok(LfsData::Freed(freed) | LfsData::Prepared { freed }) => {
+                tally.freed += u64::from(freed);
+            }
+            Ok(_) => {}
+            Err(e) if tolerant && e.column_lost() => tally.lost += 1,
+            Err(e) => {
+                let pos = match fan.fold {
+                    Fold::FirstFailure => arrival,
+                    Fold::Tally => pos,
+                };
+                if veto.as_ref().is_none_or(|&(first, _)| pos < first) {
+                    veto = Some((pos, e));
+                }
+            }
+        }
+        arrival += 1;
+    }
+    veto.map_or(Ok(tally), |(_, e)| Err(e))
+}
+
+/// Runs `cmd`'s round over its targets, the first `own` of them the
+/// sender's own: [`fan_out`], then [`gather`], folded into the reply an
+/// LFS would give for itself — `Done` for a plain Create, else a
+/// [`LfsData::Tally`].
+///
+/// # Errors
+///
+/// As [`gather`].
 pub(super) fn create_on(
     ctx: &mut Ctx,
     client: &mut RpcClient<TierRpc>,
@@ -62,45 +212,22 @@ pub(super) fn create_on(
     cmd: &RelayCreate,
     own: usize,
 ) -> Result<LfsData, EfsError> {
-    let (own, rest) = cmd.targets.split_at(own.min(cmd.targets.len()));
-    let groups = fan_groups(rest.iter().copied(), config.create_arity);
-    // (destination, request id) of every send not yet answered.
-    let mut waiting = Vec::new();
-    for group in groups
-        .into_iter()
-        .chain(own.iter().map(|&target| vec![target]))
-    {
-        ctx.delay(config.create_init_cpu);
-        if let [(_, proc)] = *group {
-            for &file in &cmd.files {
-                let id = client.send(ctx, proc, TierCmd::Lfs(LfsOp::Create { file }));
-                waiting.push((proc, id));
-            }
-        } else {
-            let agent = group[0].0;
-            let relay = RelayCreate {
-                files: cmd.files.clone(),
-                targets: group,
-            };
-            waiting.push((agent, client.send(ctx, agent, TierCmd::Relay(relay))));
-        }
-    }
-    let mut outcome = Ok(LfsData::Done);
-    while !waiting.is_empty() {
-        let (at, reply) = client.wait_any(ctx, &waiting);
-        waiting.remove(at);
-        ctx.delay(config.create_ack_cpu);
-        outcome = outcome.and(reply);
-    }
-    outcome
+    let fan = fan_out(ctx, client, config, cmd, own);
+    let Tally { lost, freed } = gather(ctx, client, config, fan)?;
+    Ok(match cmd.fold {
+        Fold::FirstFailure => LfsData::Done,
+        Fold::Tally => LfsData::Tally { lost, freed },
+    })
 }
 
 /// Spawns a fan-out agent on `node`: a small resident process that serves
 /// [`RelayRequest`]s by running the server's own fan-out routine over the
 /// request's targets — the rest split among its children, then its own
-/// LFS — under the server's charges and retry policy. A retransmitted or
-/// duplicated request replays its recorded reply and never creates twice,
-/// so the tree is at-least-once end to end.
+/// LFS — under the server's charges and retry policy, and answers with
+/// the subtree's folded reply. A retransmitted or duplicated request
+/// replays its recorded reply and never sends its round twice, so the
+/// tree is at-least-once end to end. One request is served at a time, so
+/// a round reaches a subtree only after the round before it has.
 pub fn spawn_bridge_agent(
     sim: &mut Simulation,
     node: NodeId,

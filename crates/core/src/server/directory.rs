@@ -10,7 +10,9 @@ use crate::error::BridgeError;
 use crate::header::{BridgeHeader, GlobalPtr};
 use crate::ids::{BridgeFileId, LfsIndex};
 use crate::placement::{Placement, PlacementCursor, PlacementKind};
-use crate::protocol::{BridgeData, CreateSpec, LfsSlice, OpenInfo, PlacementSpec, RelayCreate};
+use crate::protocol::{
+    BridgeData, CreateSpec, Fold, LfsSlice, OpenInfo, PlacementSpec, RelayCreate, RelayTarget,
+};
 use crate::redundancy::{ParityLayout, Redundancy};
 use bridge_efs::{LfsData, LfsFileId, LfsOp};
 use parsim::{Ctx, ProcId};
@@ -268,11 +270,11 @@ impl Server {
         Ok((file, meta))
     }
 
-    /// Create on a machine without a decision log: the agents' fan-out.
-    /// Two commit strategies, by design: the fan-out with its per-send
-    /// init and per-reply ack CPU charges is Table 2's sequence at the
-    /// serial arity; with a decision log a Create is a presumed-abort 2PC
-    /// transaction, served in the commit-group rounds (`group`).
+    /// Create on a machine without a decision log: one round of the
+    /// agents' fan-out, which is Table 2's sequence at the serial arity.
+    /// With a decision log a Create is a presumed-abort 2PC transaction,
+    /// served in the commit-group rounds (`group`), whose PREPAREs and
+    /// DECIDEs ride the same tree.
     pub(super) fn create(
         &mut self,
         ctx: &mut Ctx,
@@ -281,15 +283,30 @@ impl Server {
         debug_assert!(self.txlog.is_none(), "2PC Creates run in the rounds");
         let (file, meta) = self.plan_create(spec)?;
         // The server is the root of the fan-out every agent continues.
-        let target = |&n: &u32| (self.agents[n as usize], self.lfs[n as usize].0);
         let files = std::iter::once(meta.lfs_file).chain(meta.companion());
         let cmd = RelayCreate {
-            files: files.collect(),
-            targets: meta.nodes.iter().map(target).collect(),
+            ops: files.map(|file| LfsOp::Create { file }).collect(),
+            targets: self.relay_targets(meta.nodes.iter().map(|&n| (n, false))),
+            fold: Fold::FirstFailure,
+            charged: true,
         };
         create_on(ctx, &mut self.client, &self.config, &cmd, 0)?;
         self.files.insert(file, meta);
         Ok(BridgeData::Created(file))
+    }
+
+    /// The fan-out targets of `(node, tolerant)` pairs, in order.
+    pub(super) fn relay_targets(
+        &self,
+        nodes: impl IntoIterator<Item = (u32, bool)>,
+    ) -> Vec<RelayTarget> {
+        (nodes.into_iter())
+            .map(|(n, tolerant)| RelayTarget {
+                agent: self.agents[n as usize],
+                lfs: self.lfs[n as usize].0,
+                tolerant,
+            })
+            .collect()
     }
 
     /// Validates a Delete's whole batch before anything is touched: an

@@ -72,7 +72,7 @@ impl WritePlan {
         Txn {
             participants,
             tolerant: vec![true; self.columns.len()],
-            create_costs: false,
+            relayed: false,
         }
     }
 }

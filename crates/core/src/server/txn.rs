@@ -3,33 +3,45 @@
 //! whole commit group at a time, and the coordinator's own fail-stop
 //! recovery.
 
+use super::agent::{self, Fan, Tally};
 use super::directory::FileMeta;
 use super::Server;
 use crate::error::BridgeError;
 use crate::ids::BridgeFileId;
-use crate::protocol::TierCmd;
+use crate::protocol::{Fold, RelayCreate};
 use crate::redundancy::Redundancy;
 use crate::txlog::TxParticipant;
-use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp, PrepareIntent};
+use bridge_efs::{EfsError, LfsFileId, LfsOp, PrepareIntent};
 use bridge_trace::HealthEvent;
 use parsim::{Ctx, ProcId, SimDuration};
 
 /// One transaction: its participants, for each whether the transaction
-/// survives its column being lost, and whether it is charged a Create's
-/// serial CPU.
+/// survives its column being lost, and whether its rounds ride the relay
+/// tree.
 pub(super) struct Txn {
     pub participants: Vec<TxParticipant>,
     pub tolerant: Vec<bool>,
-    /// Charge the paper's serial initiation and termination CPU per
-    /// participant — `create_init_cpu` as each PREPARE is sent,
-    /// `create_ack_cpu` as each vote is taken — so a 2PC Create stays
-    /// cost-comparable to the serial fan-out. Set for Creates only.
-    pub create_costs: bool,
+    /// Send the PREPAREs and DECIDEs as rounds of Create's fan-out
+    /// (`agent`) rather than straight to each participant: the PREPARE
+    /// round is charged Create's initiation and termination CPU per group
+    /// at each hop, as a plain Create's round is, and each hop folds its
+    /// subtree's votes into one. Set for Creates only, whose participants
+    /// all take the same intent.
+    pub relayed: bool,
 }
 
 /// What a transaction came to: the blocks its commit freed (zero for
 /// creates, writes and aborts) and its tolerated lost columns.
 pub(super) type Outcome = Result<(u64, u32), BridgeError>;
+
+/// A decision to fan out to a transaction's participants.
+struct Decision<'t> {
+    txn: u64,
+    commit: bool,
+    participants: &'t [TxParticipant],
+    /// Down the relay tree, as the transaction's PREPAREs went.
+    relayed: bool,
+}
 
 impl Server {
     /// Transactional Create's transaction: every column's create prepares
@@ -54,7 +66,7 @@ impl Server {
         Txn {
             participants,
             tolerant,
-            create_costs: true,
+            relayed: true,
         }
     }
 
@@ -89,7 +101,7 @@ impl Server {
         Txn {
             participants,
             tolerant,
-            create_costs: false,
+            relayed: false,
         }
     }
 
@@ -132,9 +144,10 @@ impl Server {
     /// decision log has admitted under one BEGIN.
     ///
     /// The wire protocol: every transaction's PREPAREs are pipelined to
-    /// its participants, one BEGIN record naming every transaction and its
-    /// participants is forced to the decision log while they are in
-    /// flight, votes are collected in order, one COMMIT record naming
+    /// its participants — a Create's down the relay tree — one BEGIN
+    /// record naming every transaction and its participants is forced to
+    /// the decision log while they are in flight, votes are collected
+    /// transaction by transaction, one COMMIT record naming
     /// every transaction whose participants all voted yes is forced, and
     /// every decision is fanned out in one pipelined round. The server's
     /// only elementary disk writes are the two log forces (a BEGIN of
@@ -157,12 +170,15 @@ impl Server {
     /// a participant dead at decision time is repaired later from the
     /// logged decision (`pfsck`'s machine pass).
     ///
-    /// A Create's transaction ([`Txn::create_costs`]) is charged the
-    /// paper's serial initiation/termination CPU per participant, in the
-    /// order its PREPAREs go out and its votes come in; the decision
-    /// round is charged nothing — with pipelined fan-out and group commit
-    /// at the participants it is the prepare round's cheap echo. Each
-    /// outcome counts the blocks its
+    /// A Create's transaction ([`Txn::relayed`]) runs both rounds through
+    /// Create's fan-out: its PREPARE round is charged the paper's
+    /// initiation/termination CPU per group at each hop of the tree, as a
+    /// plain Create is, and each hop folds its subtree's votes into one
+    /// — all yes with the tolerated lost columns, or the earliest veto. A
+    /// relay that never answers is a missing vote, which aborts. The
+    /// decision round is charged nothing — with pipelined fan-out and
+    /// group commit at the participants it is the prepare round's cheap
+    /// echo. Each outcome counts the blocks its
     /// commit freed and its tolerated lost columns — participants whose
     /// vote came back `NodeFailed` (or `UnknownFile`, a freshly formatted
     /// spare not yet rebuilt) and were carried anyway. Redundant-write
@@ -179,19 +195,16 @@ impl Server {
                     txn
                 })
                 .collect();
-            // Phase 1: pipeline every transaction's PREPAREs.
-            let mut pending = Vec::new();
-            for (&txn, t) in ids.iter().zip(txns) {
-                for p in &t.participants {
-                    if t.create_costs {
-                        ctx.delay(self.config.create_init_cpu);
-                    }
-                    let proc = self.lfs[p.node as usize].0;
-                    let intent = p.intent.clone();
-                    let prepare = TierCmd::Lfs(LfsOp::Prepare { txn, intent });
-                    pending.push((proc, self.client.send(ctx, proc, prepare)));
-                }
-            }
+            // Phase 1: every transaction's PREPAREs, a Create's down the
+            // relay tree.
+            let ballots: Vec<Fan> = (ids.iter().zip(txns))
+                .map(|(&txn, t)| {
+                    let prepare = |intent| LfsOp::Prepare { txn, intent };
+                    let tolerant = |i: usize| t.tolerant[i];
+                    let relayed = t.relayed;
+                    self.send_round(ctx, &t.participants, relayed, relayed, tolerant, prepare)
+                })
+                .collect();
             // Force BEGIN while the prepares are in flight, so a kill on
             // this write leaves exactly the in-doubt window the protocol
             // must survive: durable PREPAREs, no decision.
@@ -201,6 +214,7 @@ impl Server {
             let txlog = self.txlog.as_mut().expect("checked");
             txlog.begin(ctx, &group);
             if txlog.crash_down().is_some() {
+                let pending: Vec<u64> = ballots.iter().flat_map(Fan::ids).collect();
                 if let Err(e) = self.server_crash_recover(ctx, &ids, &pending) {
                     return vec![Err(e); txns.len()];
                 }
@@ -209,14 +223,19 @@ impl Server {
                 }
                 continue;
             }
-            match self.vote(ctx, txns, &ids, pending) {
+            match self.vote(ctx, &ids, ballots) {
                 Ok(verdicts) => break (ids, verdicts),
                 Err(e) => return vec![Err(e); txns.len()],
             }
         };
         // Phase 2: fan every decision out in one round.
-        let decisions: Vec<(u64, bool, &[TxParticipant])> = (ids.iter().zip(&verdicts).zip(txns))
-            .map(|((&txn, v), t)| (txn, v.is_ok(), &t.participants[..]))
+        let decisions: Vec<Decision> = (ids.iter().zip(&verdicts).zip(txns))
+            .map(|((&txn, v), t)| Decision {
+                txn,
+                commit: v.is_ok(),
+                participants: &t.participants,
+                relayed: t.relayed,
+            })
             .collect();
         let acks = self.decide_all(ctx, &decisions);
         (verdicts.into_iter().zip(acks))
@@ -227,38 +246,23 @@ impl Server {
             .collect()
     }
 
-    /// Collects the votes in order (the serial termination of Create) —
-    /// per transaction its tolerated lost columns, or the veto that aborts
-    /// it — and forces the COMMIT.
+    /// Collects every transaction's votes, in order — per transaction its
+    /// tolerated lost columns, or the veto that aborts it — and forces the
+    /// COMMIT. A relayed transaction's votes come folded, a reply per
+    /// subtree.
     fn vote(
         &mut self,
         ctx: &mut Ctx,
-        txns: &[Txn],
         ids: &[u64],
-        pending: Vec<(ProcId, u64)>,
+        ballots: Vec<Fan>,
     ) -> Result<Vec<Result<u32, EfsError>>, BridgeError> {
-        let mut votes = pending.into_iter();
-        let mut verdicts = Vec::with_capacity(txns.len());
-        for t in txns {
-            let (mut lost, mut veto) = (0u32, None);
-            for (&tolerant, (proc, id)) in t.tolerant.iter().zip(votes.by_ref()) {
-                let vote = self.client.wait(ctx, proc, id);
-                if t.create_costs {
-                    ctx.delay(self.config.create_ack_cpu);
-                }
-                match vote {
-                    Ok(_) => {}
-                    // A tolerant participant's column is already lost with
-                    // its node (or sits on a spare that has not been
-                    // rebuilt yet); the transaction proceeds without it —
-                    // the decision is still sent, and its failure ack is
-                    // tolerated there too.
-                    Err(e) if tolerant && e.column_lost() => lost += 1,
-                    Err(e) => veto = veto.or(Some(e)),
-                }
-            }
-            verdicts.push(veto.map_or(Ok(lost), Err));
-        }
+        // A tolerant participant's column is already lost with its node
+        // (or sits on a spare that has not been rebuilt yet); the
+        // transaction proceeds without it — the decision is still sent,
+        // and its failure ack is tolerated there too.
+        let verdicts: Vec<Result<u32, EfsError>> = (ballots.into_iter())
+            .map(|fan| agent::gather(ctx, &mut self.client, &self.config, fan).map(|t| t.lost))
+            .collect();
         // The commit point, for every transaction nobody vetoed. A vetoed
         // one is presumed aborted: no log write. Participants that never
         // prepared (its vetoer included) apply the abort intent
@@ -284,60 +288,80 @@ impl Server {
         Ok(verdicts)
     }
 
-    /// Fans each `(txn, commit, participants)` decision out to its
-    /// participants — every one pipelined — and collects the
+    /// Fans each decision out to its participants — every one pipelined,
+    /// a relayed transaction's down the tree — and collects the
     /// acknowledgements, returning per decision the blocks its
     /// participants freed. `NodeFailed` is tolerated: before the commit
     /// point the participant never prepared or is already being
     /// abandoned; after it, the logged decision repairs the column when
-    /// the node returns (or `pfsck` does). A hard error is corruption and
-    /// fails its decision, once every ack has been consumed, so no
-    /// acknowledgement is left orphaned in flight.
+    /// the node returns (or `pfsck` does). A hard error — or a relay that
+    /// never answers — fails its decision, once every ack has been
+    /// consumed, so no acknowledgement is left orphaned in flight.
     fn decide_all(
         &mut self,
         ctx: &mut Ctx,
-        decisions: &[(u64, bool, &[TxParticipant])],
+        decisions: &[Decision],
     ) -> Vec<Result<u64, BridgeError>> {
-        let mut owners = Vec::new();
-        let mut calls = Vec::new();
-        for (i, &(txn, commit, participants)) in decisions.iter().enumerate() {
-            for p in participants {
-                let intent = p.intent.clone();
-                let op = LfsOp::Decide {
+        let rounds: Vec<Fan> = (decisions.iter())
+            .map(|d| {
+                let (txn, commit) = (d.txn, d.commit);
+                let decide = |intent| LfsOp::Decide {
                     txn,
                     commit,
                     intent,
                 };
-                owners.push(i);
-                calls.push((self.lfs[p.node as usize].0, op));
-            }
+                self.send_round(ctx, d.participants, d.relayed, false, |_| true, decide)
+            })
+            .collect();
+        (decisions.iter().zip(rounds))
+            .map(|(d, fan)| {
+                let acks = agent::gather(ctx, &mut self.client, &self.config, fan);
+                let Tally { lost, freed } = acks.map_err(BridgeError::Lfs)?;
+                // `UnknownFile` among the lost is a column on a freshly
+                // formatted spare: the decision has nothing to apply to
+                // until a rebuild repopulates the instance.
+                if ctx.trace_enabled() {
+                    for _ in 0..lost {
+                        ctx.trace_instant("2pc", "2pc.decide_lost", &[("txn", d.txn)]);
+                    }
+                }
+                Ok(freed)
+            })
+            .collect()
+    }
+
+    /// Sends one round of a transaction's calls — `op` of each
+    /// participant's intent, `tolerant(i)` saying whether the round
+    /// survives participant `i`'s column being lost — straight to each
+    /// participant, or, `relayed`, as a round of Create's fan-out, whose
+    /// participants all take the same intent and which pays Create's
+    /// initiation and termination CPU when `charged`.
+    fn send_round(
+        &mut self,
+        ctx: &mut Ctx,
+        participants: &[TxParticipant],
+        relayed: bool,
+        charged: bool,
+        tolerant: impl Fn(usize) -> bool,
+        op: impl Fn(PrepareIntent) -> LfsOp,
+    ) -> Fan {
+        let nodes = (participants.iter().enumerate()).map(|(i, p)| (p.node, tolerant(i)));
+        if relayed {
+            let first = &participants[0].intent;
+            debug_assert!(participants.iter().all(|p| p.intent == *first));
+            let cmd = RelayCreate {
+                ops: vec![op(participants[0].intent.clone())],
+                targets: self.relay_targets(nodes),
+                fold: Fold::Tally,
+                charged,
+            };
+            agent::fan_out(ctx, &mut self.client, &self.config, &cmd, 0)
+        } else {
+            let calls: Vec<(ProcId, LfsOp, bool)> = (participants.iter().zip(nodes))
+                .map(|(p, (n, tolerant))| (self.lfs[n as usize].0, op(p.intent.clone()), tolerant))
+                .collect();
+            Fan::direct(ctx, &mut self.client, calls)
         }
-        let mut outcomes: Vec<Result<u64, BridgeError>> = vec![Ok(0); decisions.len()];
-        for (i, ack) in owners.into_iter().zip(self.call_many(ctx, calls)) {
-            match ack {
-                Ok(LfsData::Freed(n)) => {
-                    if let Ok(freed) = &mut outcomes[i] {
-                        *freed += u64::from(n);
-                    }
-                }
-                Ok(_) => {}
-                // `UnknownFile` here is a column on a freshly formatted
-                // spare: the decision has nothing to apply to until a
-                // rebuild repopulates the instance.
-                Err(e) if e.column_lost() => {
-                    if ctx.trace_enabled() {
-                        let txn = decisions[i].0;
-                        ctx.trace_instant("2pc", "2pc.decide_lost", &[("txn", txn)]);
-                    }
-                }
-                Err(e) => {
-                    if outcomes[i].is_ok() {
-                        outcomes[i] = Err(BridgeError::Lfs(e));
-                    }
-                }
-            }
-        }
-        outcomes
     }
 
     /// Inline fail-stop recovery for the coordinator, entered when a
@@ -356,7 +380,7 @@ impl Server {
         &mut self,
         ctx: &mut Ctx,
         group: &[u64],
-        pending: &[(ProcId, u64)],
+        pending: &[u64],
     ) -> Result<(), BridgeError> {
         let down = self
             .txlog
@@ -371,7 +395,7 @@ impl Server {
                 &[("txn", group[0]), ("down", down.as_nanos())],
             );
         }
-        for &(_, id) in pending {
+        for &id in pending {
             self.client.forget(ctx, id);
         }
         ctx.delay(down);
@@ -412,9 +436,13 @@ impl Server {
         for &(txn, _) in &doubted {
             self.journal(ctx, HealthEvent::TxnInDoubt { txn });
         }
-        let aborts: Vec<(u64, bool, &[TxParticipant])> = doubted
-            .iter()
-            .map(|(txn, participants)| (*txn, false, &participants[..]))
+        let aborts: Vec<Decision> = (doubted.iter())
+            .map(|(txn, participants)| Decision {
+                txn: *txn,
+                commit: false,
+                participants,
+                relayed: false,
+            })
             .collect();
         let acks = self.decide_all(ctx, &aborts);
         for (&(txn, _), ack) in doubted.iter().zip(acks) {

@@ -225,6 +225,15 @@ pub enum LfsData {
     },
     /// GetTelemetry completed: the instance's live telemetry snapshot.
     Telemetry(Box<bridge_trace::LfsTelemetry>),
+    /// Several instances' votes or acknowledgements folded into one reply
+    /// by a relay: every one succeeded, save `lost` columns whose loss
+    /// the sender tolerates, and together they free `freed` blocks.
+    Tally {
+        /// Tolerated lost columns.
+        lost: u32,
+        /// Blocks freed (or to be freed at commit).
+        freed: u64,
+    },
 }
 
 impl LfsData {
