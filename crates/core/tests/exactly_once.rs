@@ -159,9 +159,9 @@ fn two_pc_parity_storm_is_pinned() {
         .with_2pc()
         .with_redundancy(Redundancy::parity()));
     let want = Pin {
-        retry: [[108, 28, 0], [69, 54, 29], [0, 0, 0], [0, 0, 78]],
-        transcript: (51, 3_492_065_478_579_323_585),
-        stats: [2_858, 1_288, 239_000, 16_530_214_600],
+        retry: [[106, 33, 0], [59, 65, 29], [1, 9, 7], [0, 0, 84]],
+        transcript: (51, 13_693_023_611_751_400_245),
+        stats: [2_952, 1_374, 244_210, 15_228_563_800],
     };
     check("2pc parity", &got, &want);
     let [lfs, server, _, _] = got.retry;
