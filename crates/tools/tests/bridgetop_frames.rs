@@ -501,7 +501,7 @@ const FAULTED: Pinned = Pinned {
     frame_hashes: &[
         0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x7db6984a, 0x1a94ea36,
         0x7aa4dd97, 0x0783cb97, 0xbdd097f0, 0x2f5051dc, 0x08c37c67, 0xc5284c3b, 0x268e1f08,
-        0xcc3e0d0b, 0x504f152d, 0xbdd98d82, 0x359aa147, 0xbeaac9f2, 0x2765e840, 0x4fbf201b,
+        0xc26104e6, 0xea2edc94, 0xbdd98d82, 0x3e4743d8, 0xbeaac9f2, 0x2765e840, 0x4fbf201b,
         0x4d27cc8d, 0xeee9b2d1, 0x276bc4ea, 0xa748179a, 0xa80f4846, 0x64133616, 0x24b43560,
         0x5e59f634, 0xcb73a81e, 0x0d283472, 0xe86d5da1, 0x4959a0f3, 0x6cd7a35d, 0x79362215,
         0x663143f3, 0x94821858, 0x117f9746, 0x5101ede1, 0x8d0bd060, 0xdf184718, 0x49aeeaaf,
