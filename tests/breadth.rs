@@ -3,13 +3,14 @@
 //! and one the decision-log ring cannot hold beside its COMMIT is
 //! refused before any participant hears of it.
 //!
-//! Instant disks throughout — p = 1024 builds 1 024 nodes, and what is
-//! checked is sizes and atomicity, not time.
+//! Instant disks, but for one timed Create — p = 1024 builds 1 024
+//! nodes, and what is checked is sizes and atomicity, and that a 2PC
+//! Create's initiation and termination ride the relay tree.
 
 use bridge_repro::core::{
     BridgeClient, BridgeConfig, BridgeError, BridgeFileId, BridgeMachine, CreateSpec, Redundancy,
 };
-use bridge_repro::parsim::{Ctx, NodeId, ProcId};
+use bridge_repro::parsim::{Ctx, NodeId, ProcId, SimDuration};
 use bridge_repro::tools::{pfsck, FsckOptions};
 
 /// Builds a 2PC machine of `breadth` nodes and runs `f` as its client;
@@ -125,4 +126,28 @@ fn a_begin_larger_than_the_ring_is_refused_with_nothing_touched() {
             1
         );
     });
+}
+
+/// The paper's machine at p = 1024 under 2PC (256-track disks, as
+/// `churn_p8` builds them): a Create's PREPAREs and votes ride the relay
+/// tree, charged per group at each hop, so the second Create on the
+/// machine takes at most 0.40 virtual s — at the coordinator's serial
+/// per-participant charges it took 17.47 s.
+#[test]
+fn a_paper_2pc_create_at_p1024_is_timed_by_the_tree() {
+    let mut config = BridgeConfig::paper(1024).with_2pc();
+    config.disk_geometry.tracks = 256;
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let server = machine.server;
+    let elapsed = sim.block_on(machine.frontend, "app", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        bridge.create(ctx, CreateSpec::default()).expect("create");
+        let t0 = ctx.now();
+        bridge.create(ctx, CreateSpec::default()).expect("create");
+        ctx.now() - t0
+    });
+    assert!(
+        elapsed <= SimDuration::from_millis(400),
+        "a 2PC Create at p = 1024 took {elapsed:?}"
+    );
 }
