@@ -15,10 +15,15 @@
 //!    routine, `ToolOptions::start_arity` — and the second table sweeps
 //!    it.
 //!
-//! Both sweeps hold both defaults to account: at every p ≥ 8 the default
+//! On a 2PC machine a Create is a transaction whose PREPAREs and votes
+//! ride the same fan-out; a third table sets the stock arity against the
+//! serial sequence there.
+//!
+//! The sweeps hold the defaults to account: at every p ≥ 8 the default
 //! arity is no slower than any arity swept, and at every p no arity is
-//! slower than the serial sequence. The default Create at p = 1024 and
-//! the default startup-bound copy at p = 64 go to the bench gate.
+//! slower than the serial sequence. The default Create at p = 1024, plain
+//! and 2PC, and the default startup-bound copy at p = 64 go to the bench
+//! gate.
 
 use bridge_bench::profile::Profiler;
 use bridge_bench::report::Table;
@@ -60,7 +65,20 @@ fn check_row(sweep: &str, p: u32, arities: &[u32], times: &[SimDuration], defaul
 fn create_time(p: u32, arity: u32) -> SimDuration {
     let mut config = BridgeConfig::paper(p);
     config.server.create_arity = arity;
-    let (mut sim, machine) = BridgeMachine::build(&config);
+    creates(&config)
+}
+
+/// [`create_time`] on the 2PC machine: a Create is a transaction whose
+/// PREPAREs and votes ride the fan-out.
+fn create_2pc_time(p: u32, arity: u32) -> SimDuration {
+    let mut config = BridgeConfig::paper(p).with_2pc();
+    config.server.create_arity = arity;
+    creates(&config)
+}
+
+/// The mean virtual time of four Creates on a fresh `config` machine.
+fn creates(config: &BridgeConfig) -> SimDuration {
+    let (mut sim, machine) = BridgeMachine::build(config);
     let server = machine.server;
     sim.block_on(machine.frontend, "bench", move |ctx| {
         let mut bridge = BridgeClient::new(server);
@@ -137,6 +155,35 @@ fn main() {
             serial.as_secs_f64() / times[stock_at].as_secs_f64()
         ));
         t.row(row);
+    }
+    t.print();
+
+    println!(
+        "\n### 2PC Create, virtual ms: PREPAREs and votes down the tree at arity {stock}, \
+         against the serial sequence"
+    );
+    let arities = [stock, SERIAL_ARITY];
+    let mut t = Table::new([
+        "p".to_string(),
+        name(stock),
+        name(SERIAL_ARITY),
+        format!("serial / {stock}"),
+    ]);
+    for &p in &[8u32, 32, 256, 1024] {
+        let times = arities.map(|arity| create_2pc_time(p, arity));
+        check_row("2PC Create", p, &arities, &times, stock);
+        if p == 1024 {
+            metrics.push(Metric::lower(
+                "create_2pc_p1024.virt_secs",
+                times[0].as_secs_f64(),
+            ));
+        }
+        t.row([
+            p.to_string(),
+            format!("{:.0}", times[0].as_millis_f64()),
+            format!("{:.0}", times[1].as_millis_f64()),
+            format!("{:.2}x", times[1].as_secs_f64() / times[0].as_secs_f64()),
+        ]);
     }
     t.print();
 
