@@ -188,7 +188,7 @@ const CLIENTS: [usize; 4] = [1, 2, 4, 8];
 const CLIENT_OPS: u64 = 480;
 
 /// The 1-client row's virtual run time, pinned from the serial server.
-const ONE_CLIENT_NANOS: u64 = 32_516_955_700;
+const ONE_CLIENT_NANOS: u64 = 31_833_007_250;
 
 /// One clients-sweep row.
 struct ClientsRow {
