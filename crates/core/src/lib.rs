@@ -63,9 +63,8 @@ pub use machine::{BridgeConfig, BridgeMachine};
 pub use placement::{Placement, PlacementCursor, PlacementKind};
 pub use protocol::{
     reply_wire_size, request_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest,
-    CreateSpec, Fold, JobDeliver, JobRequest, JobSupply, LfsSlice, MachineInfo, MachineManifest,
-    ManifestEntry, OpenInfo, PlacementSpec, RelayCreate, RelayRequest, RelayTarget, TierCmd,
-    TierRpc,
+    CreateSpec, JobDeliver, JobRequest, JobSupply, LfsSlice, MachineInfo, MachineManifest,
+    ManifestEntry, OpenInfo, PlacementSpec, RelayRequest, RelayTarget, Round, TierCmd, TierRpc,
 };
 pub use redundancy::{xor_into, ParityLayout, Redundancy};
 pub use server::{

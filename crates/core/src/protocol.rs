@@ -374,23 +374,24 @@ pub struct JobSupply {
     pub data: Option<Bytes>,
 }
 
-/// Server/agent → agent: one round of Create's fan-out over `targets`,
-/// relayed and reduced. Every target is sent `ops`; the receiver is
-/// `targets[0]`, which sends them to its own LFS, splits the rest among
-/// its children, and answers for its whole subtree with one reply folded
-/// by `fold`. At an arity of 2 the hops form the "embedded binary tree"
-/// the paper's §4.5 suggests for removing Create's serial initiation and
-/// termination; a 2PC Create's PREPAREs and DECIDEs ride the same tree.
+/// Server/agent → agent: one relayed round of LFS ops over `targets`.
+/// The receiver is `targets[0]`, which sends its own ops to its own LFS,
+/// splits the rest among its children, and answers for its whole subtree
+/// with one reply: an [`LfsData::Tally`](bridge_efs::LfsData::Tally) of
+/// the lost columns its tolerant targets report and the blocks freed, or
+/// else the earliest target's veto. At an arity of 2 the hops form the
+/// "embedded binary tree" the paper's §4.5 suggests for removing Create's
+/// serial initiation and termination; only a Create's rounds relay — a
+/// plain Create's, a 2PC Create's PREPAREs and DECIDEs.
 #[derive(Debug, Clone)]
-pub struct RelayCreate {
-    /// What every target is sent, in order: a plain Create's `Create` per
-    /// local file (the data file, then its redundancy companion if it
-    /// has one), or a 2PC Create's one `Prepare` or one `Decide`.
+pub struct Round {
+    /// Every target's ops, target after target: `targets[i].ops` of them
+    /// each — a plain Create's `Create` per local file (the data file,
+    /// then its redundancy companion if it has one), or a 2PC Create's
+    /// one `Prepare` or one `Decide`.
     pub ops: Vec<LfsOp>,
     /// The targets to cover, the receiver first.
     pub targets: Vec<RelayTarget>,
-    /// How the subtree's replies fold into the one the sender gets.
-    pub fold: Fold,
     /// Whether each hop pays `create_init_cpu` per group it sends to and
     /// `create_ack_cpu` per reply it takes — Create's initiation and
     /// termination. A 2PC Create's decision round is not charged: it is
@@ -398,7 +399,7 @@ pub struct RelayCreate {
     pub charged: bool,
 }
 
-/// One node a [`RelayCreate`] covers.
+/// One node a [`Round`] covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelayTarget {
     /// The node's fan-out agent, which relays a subtree headed there.
@@ -408,27 +409,17 @@ pub struct RelayTarget {
     /// Whether the round survives this node's column being lost (its LFS
     /// failed, or a freshly formatted spare that lacks the file).
     pub tolerant: bool,
+    /// How many of the round's ops are this node's.
+    pub ops: u32,
 }
 
-/// How a relay round's replies fold into one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fold {
-    /// The first failure to arrive, else `Done`: a plain Create.
-    FirstFailure,
-    /// Votes or acknowledgements: all yes as an
-    /// [`LfsData::Tally`](bridge_efs::LfsData::Tally) of the tolerated
-    /// lost columns and the blocks freed, or else the first veto in
-    /// target order — each hop knows whose it is, since every group it
-    /// sends to is a contiguous run of its targets.
-    Tally,
-}
+/// A [`Round`] under its request id.
+pub type RelayRequest = Request<Round>;
 
-/// A [`RelayCreate`] under its request id.
-pub type RelayRequest = Request<RelayCreate>;
-
-impl RelayCreate {
+impl Round {
     /// Wire size charged for the relay: it carries its (agent, LFS)
-    /// pairs, each target's tolerance flag in its pair's spare bits.
+    /// pairs, each target's tolerance flag and op count in its pair's
+    /// spare bits.
     pub fn wire_size(&self) -> usize {
         48 + 16 * self.targets.len()
     }
@@ -439,8 +430,8 @@ impl RelayCreate {
 pub enum TierCmd {
     /// An LFS operation straight to that LFS.
     Lfs(LfsOp),
-    /// A subtree of a Create round to its head's agent.
-    Relay(RelayCreate),
+    /// A subtree of a relayed round to its head's agent.
+    Relay(Round),
 }
 
 /// The server's and the agents' traffic to the LFS tier as the
@@ -448,8 +439,8 @@ pub enum TierCmd {
 /// itself, and a relay hop is retried under the same policy and
 /// deduplicated by each agent, which answers for its whole subtree as one
 /// LFS would for itself — an [`LfsReply`](bridge_efs::LfsReply) carrying
-/// the subtree's first failure, if any. One reply type is what lets a
-/// sender take both kinds of reply in one arrival-order wait.
+/// the subtree's folded tally or its earliest veto. One reply type is
+/// what lets a sender take both kinds of reply in one arrival-order wait.
 #[derive(Debug)]
 pub struct TierRpc;
 
@@ -543,11 +534,11 @@ mod tests {
             agent: ProcId::from_index(0),
             lfs: ProcId::from_index(1),
             tolerant: false,
+            ops: 1,
         };
-        let relay = RelayCreate {
-            ops: vec![LfsOp::Create { file: LfsFileId(1) }],
+        let relay = Round {
+            ops: vec![LfsOp::Create { file: LfsFileId(1) }; 1024],
             targets: vec![target; 1024],
-            fold: Fold::FirstFailure,
             charged: true,
         };
         assert_eq!(relay.wire_size(), 48 + 16 * 1024);

@@ -10,6 +10,8 @@
 //! they belong to — skip the lock step: every read is sent before the
 //! first reply is awaited ([`Server::read_together`]).
 
+use super::agent::{self, Shape};
+use super::directory::FileMeta;
 use super::Server;
 use crate::error::BridgeError;
 use crate::header::{decode_payload, BridgeHeader, GlobalPtr};
@@ -108,6 +110,7 @@ fn plan_runs(blocks: impl Iterator<Item = (Target, GlobalPtr)>, depth: u32) -> V
 }
 
 type LfsResult = Result<LfsData, EfsError>;
+type Files = FixedMap<BridgeFileId, FileMeta>;
 /// One block's raw payload, or the error that failed its run.
 pub(super) type BlockResult = Result<Bytes, EfsError>;
 
@@ -125,6 +128,13 @@ pub(super) fn check_header(
         )));
     }
     Ok((header, body))
+}
+
+/// The one hint update: where `lfs` last touched the file.
+fn note_hint(files: &mut Files, to: Target, lfs: LfsIndex, addr: BlockAddr) {
+    if to.hinted {
+        files.get_mut(&to.file).expect("exists").hints[lfs.index()] = Some(addr);
+    }
 }
 
 impl Server {
@@ -165,13 +175,6 @@ impl Server {
         Ok(())
     }
 
-    /// The one hint update: where `lfs` last touched the file.
-    fn note_hint(&mut self, to: Target, lfs: LfsIndex, addr: BlockAddr) {
-        if to.hinted {
-            self.file_mut(to.file).hints[lfs.index()] = Some(addr);
-        }
-    }
-
     /// Reads `blocks` — each a constituent file and a machine pointer into
     /// it, all of one Bridge file — and hands each [`BlockResult`] to
     /// `sink` as its reply is processed, tagged with its index in
@@ -207,7 +210,7 @@ impl Server {
                 }
                 Ok(data) if depth == 1 => {
                     let (payload, addr) = data.into_block()?;
-                    server.note_hint(run.to, run.lfs, addr);
+                    note_hint(&mut server.files, run.to, run.lfs, addr);
                     return sink(server, ctx, run.head, Ok(payload));
                 }
                 Ok(data) => data.into_run()?,
@@ -220,7 +223,7 @@ impl Server {
                 )));
             }
             for (i, (payload, addr)) in run.members().zip(blocks) {
-                server.note_hint(run.to, run.lfs, addr);
+                note_hint(&mut server.files, run.to, run.lfs, addr);
                 sink(server, ctx, i, Ok(payload))?;
             }
             Ok(())
@@ -250,35 +253,35 @@ impl Server {
         ctx: &mut Ctx,
         blocks: &[(Target, GlobalPtr)],
     ) -> Result<Vec<BlockResult>, BridgeError> {
-        let calls = blocks
-            .iter()
+        let ops: Vec<LfsOp> = (blocks.iter())
             .map(|&(to, ptr)| {
                 let hints = &self.files[&to.file].hints;
                 let hint = to.hinted.then(|| hints[ptr.lfs.index()]).flatten();
-                let op = LfsOp::Read {
+                LfsOp::Read {
                     file: to.lfs_file,
                     block: ptr.local,
                     hint,
-                };
-                (self.lfs_proc(ptr.lfs), op)
+                }
             })
             .collect();
+        let targets = blocks.iter().map(|&(_, ptr)| (ptr.lfs.0, false, 1));
+        let fan = self.send_round(ctx, Shape::Direct, targets, ops.into_iter());
+        // Each block keeps its own answer, so the round's fold is not its
+        // verdict; every slot is overwritten by its reply.
+        let mut out: Vec<BlockResult> = vec![Err(EfsError::NodeFailed); blocks.len()];
         let mut violation = None;
-        let mut out = Vec::with_capacity(blocks.len());
-        for (&(to, ptr), read) in blocks.iter().zip(self.call_many(ctx, calls)) {
-            let read = match read.map(LfsData::into_block) {
+        let files = &mut self.files;
+        let _ = agent::gather(ctx, &mut self.client, &self.config, fan, |pos, read| {
+            let (to, ptr) = blocks[pos];
+            out[pos] = match read.map(LfsData::into_block) {
                 Err(e) => Err(e),
                 Ok(Ok((payload, addr))) => {
-                    self.note_hint(to, ptr.lfs, addr);
+                    note_hint(files, to, ptr.lfs, addr);
                     Ok(payload)
                 }
-                Ok(Err(e)) => {
-                    violation = violation.or(Some(e));
-                    continue;
-                }
+                Ok(Err(e)) => Err(violation.get_or_insert(e).clone()),
             };
-            out.push(read);
-        }
+        });
         match violation {
             Some(e) => Err(BridgeError::Lfs(e)),
             None => Ok(out),
@@ -316,7 +319,7 @@ impl Server {
                 _ => result?.into_written_run()?.last().copied(),
             };
             if let Some(addr) = landed {
-                server.note_hint(to, run.lfs, addr);
+                note_hint(&mut server.files, to, run.lfs, addr);
             }
             Ok(())
         })

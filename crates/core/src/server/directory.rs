@@ -3,18 +3,16 @@
 //! Create, Delete and Open. With a decision log, Create and Delete are
 //! planned here and committed in the commit-group rounds (`group`).
 
-use super::agent::create_on;
+use super::agent::{self, Shape, Tally};
 use super::cursor::Cursor;
 use super::Server;
 use crate::error::BridgeError;
 use crate::header::{BridgeHeader, GlobalPtr};
 use crate::ids::{BridgeFileId, LfsIndex};
 use crate::placement::{Placement, PlacementCursor, PlacementKind};
-use crate::protocol::{
-    BridgeData, CreateSpec, Fold, LfsSlice, OpenInfo, PlacementSpec, RelayCreate, RelayTarget,
-};
+use crate::protocol::{BridgeData, CreateSpec, LfsSlice, OpenInfo, PlacementSpec};
 use crate::redundancy::{ParityLayout, Redundancy};
-use bridge_efs::{LfsData, LfsFileId, LfsOp};
+use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp};
 use parsim::{Ctx, ProcId};
 use simdisk::BlockAddr;
 use std::collections::HashSet;
@@ -283,30 +281,14 @@ impl Server {
         debug_assert!(self.txlog.is_none(), "2PC Creates run in the rounds");
         let (file, meta) = self.plan_create(spec)?;
         // The server is the root of the fan-out every agent continues.
-        let files = std::iter::once(meta.lfs_file).chain(meta.companion());
-        let cmd = RelayCreate {
-            ops: files.map(|file| LfsOp::Create { file }).collect(),
-            targets: self.relay_targets(meta.nodes.iter().map(|&n| (n, false))),
-            fold: Fold::FirstFailure,
-            charged: true,
-        };
-        create_on(ctx, &mut self.client, &self.config, &cmd, 0)?;
+        let files = || std::iter::once(meta.lfs_file).chain(meta.companion());
+        let per_node = files().count() as u32;
+        let targets = meta.nodes.iter().map(|&n| (n, false, per_node));
+        let ops = (meta.nodes.iter()).flat_map(|_| files().map(|file| LfsOp::Create { file }));
+        let fan = self.send_round(ctx, Shape::Tree { charged: true }, targets, ops);
+        agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {})?;
         self.files.insert(file, meta);
         Ok(BridgeData::Created(file))
-    }
-
-    /// The fan-out targets of `(node, tolerant)` pairs, in order.
-    pub(super) fn relay_targets(
-        &self,
-        nodes: impl IntoIterator<Item = (u32, bool)>,
-    ) -> Vec<RelayTarget> {
-        (nodes.into_iter())
-            .map(|(n, tolerant)| RelayTarget {
-                agent: self.agents[n as usize],
-                lfs: self.lfs[n as usize].0,
-                tolerant,
-            })
-            .collect()
     }
 
     /// Validates a Delete's whole batch before anything is touched: an
@@ -334,9 +316,19 @@ impl Server {
     ) -> Result<BridgeData, BridgeError> {
         debug_assert!(self.txlog.is_none(), "2PC Deletes run in the rounds");
         self.check_doomed(&files)?;
-        let blocks = self.delete_fanout(ctx, &files)?;
+        // "The Delete operation runs in parallel on all instances of the
+        // LFS, but it takes time O(n/p)." A batch pipelines across files,
+        // so tools can discard a whole generation of intermediates in one
+        // parallel wave; an empty companion column (never written to) is
+        // a tolerated loss like a failed node's.
+        let columns = self.doomed_columns(&files);
+        let targets = columns.iter().map(|&(n, _, tolerant)| (n, tolerant, 1));
+        let ops = columns.iter().map(|&(_, file, _)| LfsOp::Delete { file });
+        let fan = self.send_round(ctx, Shape::Direct, targets, ops);
+        let Tally { freed, .. } =
+            agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {})?;
         self.forget(&files);
-        Ok(BridgeData::Deleted { blocks })
+        Ok(BridgeData::Deleted { blocks: freed })
     }
 
     /// Retires deleted files' metadata: entries, cursors and jobs. Only
@@ -367,31 +359,6 @@ impl Server {
         columns
     }
 
-    /// The legacy (non-transactional) Delete fan-out. Returns the blocks
-    /// freed on surviving instances.
-    fn delete_fanout(&mut self, ctx: &mut Ctx, files: &[BridgeFileId]) -> Result<u64, BridgeError> {
-        // "The Delete operation runs in parallel on all instances of the
-        // LFS, but it takes time O(n/p)." Batched deletes additionally
-        // pipeline across files, so tools can discard a whole generation of
-        // intermediates in one parallel wave.
-        let columns = self.doomed_columns(files);
-        let calls = columns
-            .iter()
-            .map(|&(n, file, _)| (self.lfs[n as usize].0, LfsOp::Delete { file }))
-            .collect();
-        let mut blocks = 0u64;
-        for (r, (_, _, tolerant)) in self.call_many(ctx, calls).into_iter().zip(columns) {
-            match r {
-                Ok(LfsData::Freed(n)) => blocks += u64::from(n),
-                Ok(_) => {}
-                // Also covers an empty companion column (never written to).
-                Err(e) if tolerant && e.column_lost() => {}
-                Err(e) => return Err(BridgeError::Lfs(e)),
-            }
-        }
-        Ok(blocks)
-    }
-
     pub(super) fn open(
         &mut self,
         ctx: &mut Ctx,
@@ -400,53 +367,47 @@ impl Server {
     ) -> Result<BridgeData, BridgeError> {
         let meta = self.meta(file)?;
         let (nodes, lfs_file) = (meta.nodes.clone(), meta.lfs_file);
-        let calls = nodes
-            .iter()
-            .map(|&n| (self.lfs[n as usize].0, LfsOp::Stat { file: lfs_file }))
-            .collect();
-        let stats = self.call_many(ctx, calls);
+        // Degraded open: a lost column of a redundant file reports as
+        // empty, and the directory's cached size stands. An unprotected
+        // file cannot be opened around a missing column; say why (node
+        // down, timed out), not "corrupt".
+        let redundant = meta.redundancy != Redundancy::None;
+        let targets = nodes.iter().map(|&n| (n, redundant, 1));
+        let ops = nodes.iter().map(|_| LfsOp::Stat { file: lfs_file });
+        let fan = self.send_round(ctx, Shape::Direct, targets, ops);
 
         let meta = self.files.get_mut(&file).expect("checked above");
-        let mut size = 0u64;
-        let mut slices = Vec::with_capacity(nodes.len());
-        let mut degraded = false;
-        for (&n, stat) in nodes.iter().zip(stats) {
-            let local_size = match stat {
-                Ok(LfsData::Info(info)) => {
-                    if let Some(first) = info.first {
-                        meta.hints[n as usize].get_or_insert(first);
-                    }
-                    info.size
-                }
-                // Degraded open: report the column as empty and trust the
-                // directory's cached size below.
-                Err(ref e) if meta.redundancy != Redundancy::None && e.column_lost() => {
-                    degraded = true;
-                    0
-                }
-                // An unprotected file cannot be opened around a missing
-                // column; say why (node down, timed out), not "corrupt".
-                Err(e) => return Err(BridgeError::Lfs(e)),
-                Ok(other) => {
-                    return Err(BridgeError::Corrupt(format!(
-                        "stat of {lfs_file} answered {other:?}"
-                    )))
-                }
-            };
-            size += u64::from(local_size);
-            let (proc, node) = self.lfs[n as usize];
-            slices.push(LfsSlice {
+        let lfs = &self.lfs;
+        let mut slices: Vec<LfsSlice> = (nodes.iter())
+            .map(|&n| LfsSlice {
                 index: LfsIndex(n),
-                proc,
-                node,
-                local_size,
-            });
+                proc: lfs[n as usize].0,
+                node: lfs[n as usize].1,
+                local_size: 0,
+            })
+            .collect();
+        let mut strange = None;
+        let each = |pos: usize, stat: Result<LfsData, EfsError>| match stat {
+            Ok(LfsData::Info(info)) => {
+                if let Some(first) = info.first {
+                    meta.hints[nodes[pos] as usize].get_or_insert(first);
+                }
+                slices[pos].local_size = info.size;
+            }
+            Ok(other) => strange = Some(other),
+            Err(_) => {}
+        };
+        let Tally { lost, .. } = agent::gather(ctx, &mut self.client, &self.config, fan, each)?;
+        if let Some(other) = strange {
+            return Err(BridgeError::Corrupt(format!(
+                "stat of {lfs_file} answered {other:?}"
+            )));
         }
         // Open refreshes the directory's size from the LFS level: tools may
         // have grown the file behind the server's back. With a failed node
         // the sum is incomplete, so the cached size stands.
-        if !degraded {
-            meta.size = size;
+        if lost == 0 {
+            meta.size = slices.iter().map(|s| u64::from(s.local_size)).sum();
         }
         let size = meta.size;
         self.cursors.insert((from, file), Cursor::default());

@@ -31,11 +31,11 @@ use crate::ids::{BridgeFileId, JobId, LfsIndex};
 use crate::placement::PlacementKind;
 use crate::protocol::{
     reply_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest, MachineInfo,
-    MachineManifest, ManifestEntry, TierCmd, TierRpc,
+    MachineManifest, ManifestEntry, TierRpc,
 };
 use crate::redundancy::Redundancy;
 use crate::txlog::TxLog;
-use bridge_efs::{DedupWindow, EfsError, LfsData, LfsOp, RetryPolicy, RpcClient};
+use bridge_efs::{DedupWindow, RetryPolicy, RpcClient};
 use bridge_trace::{HealthEvent, HealthSnapshot, ServerTelemetry, TelemetryRegistry};
 use cursor::{Cursor, Job, PendingAppends};
 use directory::FileMeta;
@@ -489,22 +489,5 @@ impl Server {
                 .map(|log| log.decisions())
                 .unwrap_or_default(),
         }
-    }
-
-    /// Pipelines one LFS op per (proc, op) pair and collects results in
-    /// order: the server "starts all the LFS operations before waiting for
-    /// them".
-    fn call_many(
-        &mut self,
-        ctx: &mut Ctx,
-        calls: Vec<(ProcId, LfsOp)>,
-    ) -> Vec<Result<LfsData, EfsError>> {
-        let ids: Vec<(ProcId, u64)> = calls
-            .into_iter()
-            .map(|(proc, op)| (proc, self.client.send(ctx, proc, TierCmd::Lfs(op))))
-            .collect();
-        ids.into_iter()
-            .map(|(proc, id)| self.client.wait(ctx, proc, id))
-            .collect()
     }
 }

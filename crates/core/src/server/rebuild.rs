@@ -1,6 +1,7 @@
 //! Rebuild: repairing a redundant file's columns after node failures or
 //! onto a freshly installed spare.
 
+use super::agent::{self, Shape};
 use super::blockio::Target;
 use super::Server;
 use crate::error::BridgeError;
@@ -8,10 +9,10 @@ use crate::header::GlobalPtr;
 use crate::ids::BridgeFileId;
 use crate::protocol::BridgeData;
 use crate::redundancy::{xor_into, Redundancy};
-use bridge_efs::{EfsError, LfsFileId, LfsOp};
+use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp};
 use bridge_trace::HealthEvent;
 use bytes::Bytes;
-use parsim::{Ctx, ProcId};
+use parsim::Ctx;
 use std::collections::HashMap;
 
 impl Server {
@@ -170,27 +171,30 @@ impl Server {
         };
         let mut names = vec![lfs_file];
         names.extend(companion);
-        let mut targets: Vec<(ProcId, LfsFileId)> = Vec::new();
-        for &n in &nodes {
-            for &name in &names {
-                targets.push((self.lfs[n as usize].0, name));
-            }
-        }
-        let calls = targets
-            .iter()
-            .map(|&(proc, name)| (proc, LfsOp::Stat { file: name }))
+        let columns: Vec<(u32, LfsFileId)> = (nodes.iter())
+            .flat_map(|&n| names.iter().map(move |&name| (n, name)))
             .collect();
-        let mut creates: Vec<(ProcId, LfsOp)> = Vec::new();
-        for (&(proc, name), stat) in targets.iter().zip(self.call_many(ctx, calls)) {
+        let targets = columns.iter().map(|&(n, _)| (n, false, 1));
+        let ops = columns.iter().map(|&(_, file)| LfsOp::Stat { file });
+        let fan = self.send_round(ctx, Shape::Direct, targets, ops);
+        // Each column keeps its own answer: a missing file is what this
+        // round looks for, not a veto.
+        let mut stats = vec![Ok(LfsData::Done); columns.len()];
+        let _ = agent::gather(ctx, &mut self.client, &self.config, fan, |at, r| {
+            stats[at] = r
+        });
+        let mut missing = Vec::new();
+        for (&column, stat) in columns.iter().zip(stats) {
             match stat {
                 Ok(_) => {}
-                Err(EfsError::UnknownFile(_)) => creates.push((proc, LfsOp::Create { file: name })),
+                Err(EfsError::UnknownFile(_)) => missing.push(column),
                 Err(e) => return Err(BridgeError::Lfs(e)),
             }
         }
-        for r in self.call_many(ctx, creates) {
-            r.map_err(BridgeError::Lfs)?;
-        }
+        let targets = missing.iter().map(|&(n, _)| (n, false, 1));
+        let ops = missing.iter().map(|&(_, file)| LfsOp::Create { file });
+        let fan = self.send_round(ctx, Shape::Direct, targets, ops);
+        agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {})?;
         Ok(())
     }
 }

@@ -3,17 +3,16 @@
 //! whole commit group at a time, and the coordinator's own fail-stop
 //! recovery.
 
-use super::agent::{self, Fan, Tally};
+use super::agent::{self, Fan, Shape, Tally};
 use super::directory::FileMeta;
 use super::Server;
 use crate::error::BridgeError;
 use crate::ids::BridgeFileId;
-use crate::protocol::{Fold, RelayCreate};
 use crate::redundancy::Redundancy;
 use crate::txlog::TxParticipant;
 use bridge_efs::{EfsError, LfsFileId, LfsOp, PrepareIntent};
 use bridge_trace::HealthEvent;
-use parsim::{Ctx, ProcId, SimDuration};
+use parsim::{Ctx, SimDuration};
 
 /// One transaction: its participants, for each whether the transaction
 /// survives its column being lost, and whether its rounds ride the relay
@@ -21,12 +20,11 @@ use parsim::{Ctx, ProcId, SimDuration};
 pub(super) struct Txn {
     pub participants: Vec<TxParticipant>,
     pub tolerant: Vec<bool>,
-    /// Send the PREPAREs and DECIDEs as rounds of Create's fan-out
-    /// (`agent`) rather than straight to each participant: the PREPARE
-    /// round is charged Create's initiation and termination CPU per group
-    /// at each hop, as a plain Create's round is, and each hop folds its
-    /// subtree's votes into one. Set for Creates only, whose participants
-    /// all take the same intent.
+    /// A Create's transaction, whose PREPAREs and DECIDEs ride the relay
+    /// tree ([`Shape::Tree`]) rather than going straight to each
+    /// participant: the PREPARE round is charged Create's initiation and
+    /// termination CPU per group at each hop, as a plain Create's round
+    /// is, and each hop folds its subtree's votes into one.
     pub relayed: bool,
 }
 
@@ -199,10 +197,18 @@ impl Server {
             // relay tree.
             let ballots: Vec<Fan> = (ids.iter().zip(txns))
                 .map(|(&txn, t)| {
-                    let prepare = |intent| LfsOp::Prepare { txn, intent };
-                    let tolerant = |i: usize| t.tolerant[i];
-                    let relayed = t.relayed;
-                    self.send_round(ctx, &t.participants, relayed, relayed, tolerant, prepare)
+                    let shape = if t.relayed {
+                        Shape::Tree { charged: true }
+                    } else {
+                        Shape::Direct
+                    };
+                    let targets = (t.participants.iter().zip(&t.tolerant))
+                        .map(|(p, &tolerant)| (p.node, tolerant, 1));
+                    let ops = (t.participants.iter()).map(|p| LfsOp::Prepare {
+                        txn,
+                        intent: p.intent.clone(),
+                    });
+                    self.send_round(ctx, shape, targets, ops)
                 })
                 .collect();
             // Force BEGIN while the prepares are in flight, so a kill on
@@ -261,7 +267,10 @@ impl Server {
         // transaction proceeds without it — the decision is still sent,
         // and its failure ack is tolerated there too.
         let verdicts: Vec<Result<u32, EfsError>> = (ballots.into_iter())
-            .map(|fan| agent::gather(ctx, &mut self.client, &self.config, fan).map(|t| t.lost))
+            .map(|fan| {
+                let votes = agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {});
+                votes.map(|t| t.lost)
+            })
             .collect();
         // The commit point, for every transaction nobody vetoed. A vetoed
         // one is presumed aborted: no log write. Participants that never
@@ -304,18 +313,23 @@ impl Server {
     ) -> Vec<Result<u64, BridgeError>> {
         let rounds: Vec<Fan> = (decisions.iter())
             .map(|d| {
-                let (txn, commit) = (d.txn, d.commit);
-                let decide = |intent| LfsOp::Decide {
-                    txn,
-                    commit,
-                    intent,
+                let shape = if d.relayed {
+                    Shape::Tree { charged: false }
+                } else {
+                    Shape::Direct
                 };
-                self.send_round(ctx, d.participants, d.relayed, false, |_| true, decide)
+                let targets = d.participants.iter().map(|p| (p.node, true, 1));
+                let ops = d.participants.iter().map(|p| LfsOp::Decide {
+                    txn: d.txn,
+                    commit: d.commit,
+                    intent: p.intent.clone(),
+                });
+                self.send_round(ctx, shape, targets, ops)
             })
             .collect();
         (decisions.iter().zip(rounds))
             .map(|(d, fan)| {
-                let acks = agent::gather(ctx, &mut self.client, &self.config, fan);
+                let acks = agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {});
                 let Tally { lost, freed } = acks.map_err(BridgeError::Lfs)?;
                 // `UnknownFile` among the lost is a column on a freshly
                 // formatted spare: the decision has nothing to apply to
@@ -328,40 +342,6 @@ impl Server {
                 Ok(freed)
             })
             .collect()
-    }
-
-    /// Sends one round of a transaction's calls — `op` of each
-    /// participant's intent, `tolerant(i)` saying whether the round
-    /// survives participant `i`'s column being lost — straight to each
-    /// participant, or, `relayed`, as a round of Create's fan-out, whose
-    /// participants all take the same intent and which pays Create's
-    /// initiation and termination CPU when `charged`.
-    fn send_round(
-        &mut self,
-        ctx: &mut Ctx,
-        participants: &[TxParticipant],
-        relayed: bool,
-        charged: bool,
-        tolerant: impl Fn(usize) -> bool,
-        op: impl Fn(PrepareIntent) -> LfsOp,
-    ) -> Fan {
-        let nodes = (participants.iter().enumerate()).map(|(i, p)| (p.node, tolerant(i)));
-        if relayed {
-            let first = &participants[0].intent;
-            debug_assert!(participants.iter().all(|p| p.intent == *first));
-            let cmd = RelayCreate {
-                ops: vec![op(participants[0].intent.clone())],
-                targets: self.relay_targets(nodes),
-                fold: Fold::Tally,
-                charged,
-            };
-            agent::fan_out(ctx, &mut self.client, &self.config, &cmd, 0)
-        } else {
-            let calls: Vec<(ProcId, LfsOp, bool)> = (participants.iter().zip(nodes))
-                .map(|(p, (n, tolerant))| (self.lfs[n as usize].0, op(p.intent.clone()), tolerant))
-                .collect();
-            Fan::direct(ctx, &mut self.client, calls)
-        }
     }
 
     /// Inline fail-stop recovery for the coordinator, entered when a
