@@ -159,9 +159,9 @@ fn two_pc_parity_storm_is_pinned() {
         .with_2pc()
         .with_redundancy(Redundancy::parity()));
     let want = Pin {
-        retry: [[106, 33, 0], [59, 65, 29], [1, 9, 7], [0, 0, 84]],
+        retry: [[120, 53, 0], [68, 53, 41], [1, 10, 9], [0, 0, 77]],
         transcript: (51, 13_693_023_611_751_400_245),
-        stats: [2_952, 1_374, 244_210, 15_228_563_800],
+        stats: [2_993, 1_395, 245_323, 14_917_468_850],
     };
     check("2pc parity", &got, &want);
     let [lfs, server, _, _] = got.retry;
@@ -179,9 +179,9 @@ fn two_pc_parity_storm_is_pinned() {
 fn fan_out_parity_storm_is_pinned() {
     let got = run(BridgeConfig::paper(8).with_redundancy(Redundancy::parity()));
     let want = Pin {
-        retry: [[93, 45, 0], [10, 111, 40], [0, 11, 5], [0, 0, 81]],
+        retry: [[95, 62, 0], [15, 104, 59], [0, 11, 5], [0, 0, 77]],
         transcript: (51, 13_166_686_167_400_487_755),
-        stats: [2_666, 1_281, 185_512, 15_100_443_600],
+        stats: [2_703, 1_320, 183_400, 14_373_167_600],
     };
     check("fan-out parity", &got, &want);
     let [_, _, agent, _] = got.retry;
