@@ -501,50 +501,50 @@ const FAULTED: Pinned = Pinned {
     frame_hashes: &[
         0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x7db6984a, 0x1a94ea36,
         0x7aa4dd97, 0x0783cb97, 0xbdd097f0, 0x2f5051dc, 0x08c37c67, 0xc5284c3b, 0x268e1f08,
-        0xc26104e6, 0xea2edc94, 0xbdd98d82, 0x3e4743d8, 0xbeaac9f2, 0x2765e840, 0x4fbf201b,
-        0x4d27cc8d, 0xeee9b2d1, 0x276bc4ea, 0xa748179a, 0xa80f4846, 0x64133616, 0x24b43560,
-        0x5e59f634, 0xcb73a81e, 0x0d283472, 0xe86d5da1, 0x4959a0f3, 0x6cd7a35d, 0x79362215,
-        0x663143f3, 0x94821858, 0x117f9746, 0x5101ede1, 0x8d0bd060, 0xdf184718, 0x49aeeaaf,
-        0x8b40c05e, 0x2113cacb, 0x59fc9bfd, 0xae8cf00d, 0x55ea9240, 0x5a5ee0db, 0x14b93939,
-        0x041a00a4, 0x2193be71, 0xff135c08, 0x8ee41360, 0x87056090, 0x5029c027, 0xd3fc67da,
-        0x20b27e73, 0x5f5e0fd0, 0x06f49564, 0x26216c70, 0x83f5ab09, 0x1934717b, 0xd03977ad,
-        0xc4149d4f, 0xa84b8b91, 0xd9597a92, 0xa9d68675, 0xd1bfc9b7, 0x9975f171, 0x05f6f0f9,
-        0xa2ebf2ad, 0x44c2e0cd, 0x6929615d, 0xae93c084, 0x4060b2f4, 0x638a6f0f, 0xe1c7b480,
-        0x6c554f1b, 0xffdfddc1, 0xc9946bc0, 0xbe323766, 0x175ebe5e, 0x77e5a0f2, 0x345fda32,
+        0xc26104e6, 0xea2edc94, 0xbdd98d82, 0x3e4743d8, 0xbeaac9f2, 0x2765e840, 0xd4531bdb,
+        0x4d27cc8d, 0xeee9b2d1, 0x276bc4ea, 0x0c8986bf, 0xa80f4846, 0x64133616, 0xca4d50c8,
+        0xf44fa22c, 0xcb73a81e, 0x0d283472, 0xe86d5da1, 0x0064e504, 0x6cd7a35d, 0x79362215,
+        0x663143f3, 0x1b09560f, 0x117f9746, 0x5101ede1, 0x8d0bd060, 0xeb248369, 0x49aeeaaf,
+        0x8b40c05e, 0x8299c5af, 0x59fc9bfd, 0xae8cf00d, 0x73a5f4d1, 0x896dc3dc, 0x14b93939,
+        0x041a00a4, 0x3544837e, 0xbf8f6388, 0x8ee41360, 0x87056090, 0x5029c027, 0xd3fc67da,
+        0x20b27e73, 0x9f743e86, 0x06f49564, 0x26216c70, 0x83f5ab09, 0x71a47215, 0xd03977ad,
+        0xc4149d4f, 0xa84b8b91, 0x6daa7bc0, 0xa9d68675, 0xd1bfc9b7, 0x9a6253ef, 0x05f6f0f9,
+        0xa2ebf2ad, 0x44c2e0cd, 0x6929615d, 0xae93c084, 0x224bc771, 0x638a6f0f, 0xe1c7b480,
+        0x6c554f1b, 0xffdfddc1, 0xc5ccf73b, 0xccf76298, 0x175ebe5e, 0x77e5a0f2, 0x345fda32,
         0x604e5184, 0xadf31e37, 0x14c8aff4, 0xc00c7591, 0xc16da3c1, 0xf61fb82b, 0x1609fdb9,
-        0xf380b46e, 0xe42d470d, 0x4acc3f89, 0x114cd880, 0x6d82f856, 0x61d60c8e, 0x7b903385,
+        0xf380b46e, 0xe42d470d, 0x4acc3f89, 0xaa62eafc, 0x6d82f856, 0xca26add4, 0x7b903385,
         0x016eccd3, 0xb63ff413, 0x1b30b2b8, 0xd02bca17, 0x8d286a59, 0x6d4bf55b, 0xf0fd4f55,
-        0xd48b6ff7, 0x1feb52aa, 0xb7ff3f42, 0x444cc3ff, 0xac2710b7, 0xca8e4c17, 0x7fa3892c,
+        0xd48b6ff7, 0x1feb52aa, 0xb7ff3f42, 0x444cc3ff, 0xac2710b7, 0xc8dac651, 0x32885596,
         0xf2a3b520, 0x52da8e83, 0xff855a56, 0x26a9f437, 0x27824ed3, 0xac7d5292, 0x1d30ab5d,
-        0xe47e244e, 0x2de4c35c, 0x214f4549, 0x270e0f8e, 0x714f2f4f, 0x73b2fbef, 0x7ac3bcca,
-        0xcaab0ea7, 0x47853f95, 0xc00d8554, 0x4fd0e83d, 0x8c39761b, 0xf36f22fa, 0x5a72dfd4,
+        0xe47e244e, 0xaabb704a, 0x214f4549, 0x270e0f8e, 0x714f2f4f, 0x73b2fbef, 0x7ac3bcca,
+        0xcaab0ea7, 0x47853f95, 0xc00d8554, 0x4fd0e83d, 0x8c39761b, 0x514a6d0e, 0x5a72dfd4,
         0x46e68d68, 0x875827ba, 0xf021ecaf, 0x44987e8d, 0x68bdad88, 0x93dc5787, 0x46075db6,
-        0xbca39a1a, 0x388a9364, 0xdc0f7ec7, 0x60b690e9, 0x5922afd2, 0x2c24af69, 0x10af9573,
+        0x0a8d4e4b, 0xbca15886, 0xdc0f7ec7, 0x60b690e9, 0x5922afd2, 0xbc87ab3c, 0x10af9573,
         0x0764b647, 0x0dc971ae, 0xff26abdf, 0x223aa9d6, 0x10c2dae4, 0x9d8bc72d, 0xcecba555,
-        0x2b84a6b6, 0xb22231b1, 0x3cd73372, 0x9d8ee2c6, 0x40538703, 0x5d101ecb, 0xe81c0ae3,
+        0x2b84a6b6, 0xb22231b1, 0x3cd73372, 0x9d8ee2c6, 0xd9490cd7, 0x5d101ecb, 0xe81c0ae3,
         0xd31c08b0, 0xdccfde0d, 0x0a8c7cc7, 0xac77336f, 0xf8979c99, 0xd6d905b6, 0x899ad806,
-        0x9bee099e, 0xa1e14c9b, 0xae531cde, 0x60436e62, 0xacf2bec0, 0xa4b58746, 0xce88c0d3,
-        0xf3234f2a, 0x65217daf, 0x4ca7a300, 0x07b21c4e, 0x49e671ff, 0x887aab92, 0xc8044149,
-        0x88ec2224, 0xcd6ea0b2, 0x993c2238, 0x332cd4c2, 0x889e8676, 0xa194f6a3, 0xf48b48cb,
+        0x9bee099e, 0xfe6f7556, 0xae531cde, 0xc37bdf6d, 0xacf2bec0, 0xa4b58746, 0xce88c0d3,
+        0x76a52775, 0x65217daf, 0x4ca7a300, 0x07b21c4e, 0x49e671ff, 0x887aab92, 0xc8044149,
+        0x88ec2224, 0xcd6ea0b2, 0x993c2238, 0x332cd4c2, 0x7973b43b, 0xa194f6a3, 0xf48b48cb,
         0x881632b3, 0x11e5c4d9, 0x2224c8c5, 0xf2fad964, 0x0443ab27, 0xf2128515, 0x3d33c693,
-        0xb7f40e8b, 0x3abbe503, 0x273867ef, 0x1fa70e89, 0x93fd1c4b, 0x2b5f6b51, 0xb3059dc2,
-        0xc960cfee, 0xf66be769, 0xe7d787f3, 0x98b47e3b, 0x1639ab42, 0xc6d9ba9b, 0x85cad5d6,
+        0xb7f40e8b, 0x3abbe503, 0x273867ef, 0x1fa70e89, 0x5222d36c, 0x2b5f6b51, 0xb3059dc2,
+        0xc960cfee, 0x1ebfb52a, 0xe7d787f3, 0x98b47e3b, 0x1639ab42, 0xc6d9ba9b, 0x85cad5d6,
         0xc49d23b6, 0xcfd354aa, 0x405482cd, 0xc9440c72, 0xcce1d78f, 0x87b3b7a7, 0xb8531161,
-        0x59d53d51, 0xe657495a, 0x8a746c3d, 0xfb19c685, 0xdde02169, 0x40ca64f6, 0x02201571,
-        0x6e981587, 0x80496982, 0xbaaea5a0, 0x42b8ad58, 0xb7f64a40, 0x82005be4, 0x5d0e6bad,
-        0xa241e1e7, 0xe36b0349, 0x031dfb1a, 0xcb81db1a, 0xc21fc400, 0x13e50a57, 0x02ea43d2,
+        0x1d2f06a8, 0xe657495a, 0x8a746c3d, 0xfb19c685, 0xdde02169, 0x40ca64f6, 0x02201571,
+        0x6e981587, 0x80496982, 0xbaaea5a0, 0x42b8ad58, 0xb10d4dbd, 0x82005be4, 0x5d0e6bad,
+        0xa241e1e7, 0xe36b0349, 0x031dfb1a, 0x38cd59f8, 0xc21fc400, 0x13e50a57, 0x02ea43d2,
         0x45e7aee2, 0x92f2b53e, 0xb11dd173, 0x9f8e2ebd, 0x5b3f27fe, 0x16b74d5c, 0xe7e213f9,
-        0x8033a7bc, 0xf152c503, 0xf69699a2, 0x9022feca, 0xe4a780f7, 0x9de1ee33, 0x47a9e3bf,
-        0x86c819dd, 0xb8abef75, 0xc492553f, 0xe8e62d24, 0x74e3de4f, 0xff307944, 0x493b62e9,
-        0x1240f52d, 0x9b8dae74, 0x54654cf2, 0x0c6413fd, 0x3e6ab606, 0xf192a24e, 0xa703cb31,
-        0x55a29535, 0xd87b4494, 0xc8b49991, 0x89961d94, 0xd2684aa1, 0x7006d561, 0xa632a838,
+        0x08afbf41, 0xf152c503, 0xf69699a2, 0x9022feca, 0xe4a780f7, 0x9de1ee33, 0x47a9e3bf,
+        0x86c819dd, 0xb8abef75, 0x92a2d3fc, 0xa866380d, 0x74e3de4f, 0xff307944, 0x493b62e9,
+        0x9ceddc1d, 0x9b8dae74, 0x54654cf2, 0x0c6413fd, 0x3e6ab606, 0xf192a24e, 0xa703cb31,
+        0x55a29535, 0xd87b4494, 0xc8b49991, 0x89961d94, 0xd2684aa1, 0x7006d561, 0x6e7d2736,
         0x25d1967d, 0x39f2b958, 0x114fef1e, 0xcd3b8a84, 0x016c8f72, 0x79015669, 0xca30371c,
-        0x066f92d0, 0xce02d8e0, 0xf7eebc15, 0x8e671840, 0x22bc89a2, 0xca2d2d9f, 0x064d1b6d,
+        0x066f92d0, 0xce02d8e0, 0xf7eebc15, 0x1e1e9102, 0x22bc89a2, 0x20eee32c, 0x064d1b6d,
         0x646c4eda, 0x5c84ab34, 0x0d5f325e, 0x17f23dd8, 0x3be7b28d, 0xf8ee5787, 0x1354693c,
         0x47e95ba1, 0xa31bed1e, 0xeac5b3a4, 0x772ef78c, 0xe2dbc0c7, 0xec26a2ae, 0x6ec1de34,
-        0xc114369c, 0x993f9c8f, 0x5e7f0070, 0x43a9920a, 0x45aff45d, 0x98a2b823, 0x46569cb9,
+        0xc114369c, 0x993f9c8f, 0x5e7f0070, 0x43a9920a, 0x3ea7b4bd, 0x98a2b823, 0x46569cb9,
         0x332aa106, 0x04402639, 0xd6ee6e3a, 0x031936ef, 0x0ec5de0a, 0xf2a1381a, 0x499a9ab0,
-        0xd94f1f09, 0xce2dc11e, 0xee19a10a, 0xed3946b1, 0x19666456, 0x126b5a5c, 0xfc227804,
+        0xce620186, 0xce2dc11e, 0xee19a10a, 0xed3946b1, 0x3df94dcc, 0x126b5a5c, 0xfc227804,
         0x44927b99, 0xf6120d1b, 0x163da318, 0x1a21d179, 0x3c972882, 0x1d150e0f, 0x0f00a875,
         0xceaea25a, 0xf59fb942, 0xd0fe18e7, 0x38967cd9, 0x6b64cd47, 0x1fbf3452, 0xee4e9307,
         0x477a7e73, 0x06515277, 0xf977d947, 0x32318f56, 0xbff35ae1, 0x499364a8, 0x8c9e099b,
@@ -553,29 +553,29 @@ const FAULTED: Pinned = Pinned {
         0xc560c281, 0x29177223, 0x8821ca74, 0xee87fdf7, 0x589ba4b1, 0xba90e5b2, 0xf417431f,
         0xca61a84a, 0xd41c528a, 0xc047a914, 0x4d029b8d, 0x3c2572a3, 0x347b0d0e, 0x15d6b5d0,
         0xd22099cc, 0xbccf6696, 0xc0204c3d, 0x277c53df, 0xeba7076e, 0xaeb10570, 0xb4637f0a,
-        0x0432309a, 0xd1fc098e, 0x409f26cf, 0xc93322d5, 0x17c7aa37, 0x2e4b75a0, 0xfac20050,
+        0x0432309a, 0xd1fc098e, 0x409f26cf, 0xc93322d5, 0x17c7aa37, 0xedce39f8, 0xfac20050,
         0x08cb2c09, 0x2b643e40, 0xffe035d6, 0xe988990f, 0xde207e65, 0xa3ff96e6, 0x2034e22a,
         0x38692de4, 0xa2d0ba13, 0x7b0debd9, 0xe14cadff, 0xa03e6d79, 0x946738d8, 0xcbfff0d5,
         0xf1802f6f, 0xf1194632, 0xa8d4e8cc, 0x9009e280, 0x955350a0, 0x9324bf09, 0x29de7b73,
         0xf5577173, 0x12c8947a, 0x1309444d, 0x2c31d61b, 0x04e77c7f, 0x15ba11dc, 0x431f0508,
         0xbfced945, 0xb914fd21, 0xb602c2d6, 0x6dddf315, 0xcfc57b54, 0xf0b93118, 0x0553495c,
         0x9e675152, 0xaea0872f, 0x678ac7a7, 0x34bf6d3a, 0x959d6c0f, 0xf03b6f97, 0xbadbee47,
-        0x059a542d, 0xa2af224b, 0xdc5950be, 0x57039c49, 0x9b8a6dde, 0x84ccb789, 0xcd31ca17,
+        0x059a542d, 0xa2af224b, 0xdc5950be, 0x07587a97, 0x9b8a6dde, 0x84ccb789, 0xcd31ca17,
         0x32ec282b, 0x66da6215, 0x496422b1, 0xb60d8ec4, 0xc31fd8db, 0xd9e9e87d, 0xafab7d1f,
         0x6cab77a9, 0xd3d609c8, 0x4f02a54b, 0x25ca2fe5, 0xd009ccf4, 0xabecc99a, 0x0b037b36,
         0xde233c7a, 0x9ae20c90, 0xcb58be86, 0x986ae855, 0x1e3e6344, 0x2d29b738, 0xfbbef151,
-        0x6ad47eaf, 0x14532c68, 0x1ce9a24a, 0xf2490a75, 0x2eb95e21, 0x3dc2e1cc, 0x00f39d63,
+        0x6ad47eaf, 0x14532c68, 0x1ce9a24a, 0xf2490a75, 0x2eb95e21, 0x982bcd1a, 0x00f39d63,
         0x8745a325, 0x95067142, 0x3a40e05c, 0xc4a5a72f, 0x3a93174c, 0x08f23b2f, 0x942f9668,
         0xf3262d91, 0x5d3bb695, 0x27b1c0f6, 0x5ac40b8f, 0x5a68c589, 0x7b04de72, 0x1df1cd59,
         0x9e9b0547, 0x5e8b170b, 0x6304fb62, 0x80344c99, 0x4ff1cc3d, 0x5b4ba7be, 0xb576ef26,
         0xa11b539f, 0x691d56fa, 0x69f56f81, 0x48c02ac7, 0x60cc29f7, 0x30278172, 0xd7cf98be,
         0xfdacebe8, 0x188865c3, 0x4f37ffa1, 0x447b95d8, 0xf9c1a772, 0x4fd3dd2f, 0xaf33e8d1,
         0xff4deb72, 0x52c3704d, 0x251300ed, 0x6af4fcc9, 0x09c24723, 0x7b70c00b, 0xe50ec68b,
-        0x897bf49c, 0x5045b7a1, 0xab27566a, 0x27e78bd7, 0xfc5f293d, 0x15ac9f5b, 0xc45a00de,
+        0x897bf49c, 0x5045b7a1, 0x61a90526, 0x27e78bd7, 0xfc5f293d, 0x15ac9f5b, 0xc45a00de,
         0x51157914, 0x3574cb98, 0x4782e959, 0xdf90c560, 0x9095381b, 0xd6c0e028, 0xd86124a7,
         0xb5307237, 0xbe2b7ab7, 0x0b22cf40, 0xb78e945d, 0x83053312, 0xd3ef7238, 0x6eefe91c,
         0x9ea32fda, 0x2ad8ec9f, 0xdd4c757e, 0x9d9422f2, 0x272e910b, 0x0ad950ea, 0xdae320b7,
-        0x7e8a50d4, 0xbdd7f7fe, 0xe2a93df6, 0x06793ce7, 0x4cf3b890, 0x2a20f693, 0x9bdd1ed4,
+        0x7e8a50d4, 0xbdd7f7fe, 0xe2a93df6, 0x06793ce7, 0xee069344, 0x2a20f693, 0x9bdd1ed4,
         0x19eedd83, 0xab8e8039, 0x575ff09e, 0x8ed831be, 0x2450b042, 0x8dd33f0d, 0x757ff334,
         0x338f1e1b, 0x7896934b, 0x06f902ce, 0xe449e604, 0x6f62ed86, 0xabc31ed1, 0x7c9e56fb,
         0x7786df26, 0x272d9076, 0xb4c8d614, 0x3003242a, 0x924f431b, 0xffd5b100, 0xc6d1114a,
