@@ -1,5 +1,6 @@
 //! The server's rounds of LFS ops that Create does not drive, pinned on
-//! the paper's clock at p = 8: a plain Delete, a `DeleteMany`, a 2PC
+//! the paper's clock at p = 8: a plain Delete, two `DeleteMany`s (the
+//! second over a mirrored, a plain and a parity file), a 2PC
 //! Delete, an Open, a 2PC parity overwrite (a read round, then a
 //! transaction sent straight to its participants) and a rebuild onto a
 //! freshly installed spare (`ensure_columns`' stat round, then its create
@@ -93,6 +94,13 @@ fn mirrored() -> CreateSpec {
     }
 }
 
+fn parity() -> CreateSpec {
+    CreateSpec {
+        redundancy: Redundancy::parity(),
+        ..CreateSpec::default()
+    }
+}
+
 fn on_nodes(nodes: &[u32]) -> CreateSpec {
     CreateSpec {
         nodes: Some(nodes.to_vec()),
@@ -123,6 +131,18 @@ fn rounds_are_pinned() {
                 })
             }),
             [22_408_000, 214, 78, 15_044, 214],
+        ),
+        (
+            "delete_many_mirror_plain_parity",
+            row(&fan_out(), |ctx, bridge, _| {
+                let a = written(ctx, bridge, mirrored(), 12);
+                let b = written(ctx, bridge, on_nodes(&[2, 3, 4, 5]), 7);
+                let c = written(ctx, bridge, parity(), 9);
+                timed(ctx, |ctx| {
+                    bridge.delete_many(ctx, vec![a, b, c]).unwrap();
+                })
+            }),
+            [106_408_000, 862, 324, 70_408, 862],
         ),
         (
             "open_mirrored",
