@@ -1,7 +1,7 @@
 //! The Bridge directory: per-file records, placement and companion
 //! arithmetic, and the commands that change or consult the directory —
-//! Create, Delete and Open. With a decision log, Create and Delete are
-//! planned here and committed in the commit-group rounds (`group`).
+//! Create and Delete, planned here and landed in the commit-group rounds
+//! (`group`), and Open.
 
 use super::agent::{self, Shape, Tally};
 use super::cursor::Cursor;
@@ -268,29 +268,6 @@ impl Server {
         Ok((file, meta))
     }
 
-    /// Create on a machine without a decision log: one round of the
-    /// agents' fan-out, which is Table 2's sequence at the serial arity.
-    /// With a decision log a Create is a presumed-abort 2PC transaction,
-    /// served in the commit-group rounds (`group`), whose PREPAREs and
-    /// DECIDEs ride the same tree.
-    pub(super) fn create(
-        &mut self,
-        ctx: &mut Ctx,
-        spec: CreateSpec,
-    ) -> Result<BridgeData, BridgeError> {
-        debug_assert!(self.txlog.is_none(), "2PC Creates run in the rounds");
-        let (file, meta) = self.plan_create(spec)?;
-        // The server is the root of the fan-out every agent continues.
-        let files = || std::iter::once(meta.lfs_file).chain(meta.companion());
-        let per_node = files().count() as u32;
-        let targets = meta.nodes.iter().map(|&n| (n, false, per_node));
-        let ops = (meta.nodes.iter()).flat_map(|_| files().map(|file| LfsOp::Create { file }));
-        let fan = self.send_round(ctx, Shape::Tree { charged: true }, targets, ops);
-        agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {})?;
-        self.files.insert(file, meta);
-        Ok(BridgeData::Created(file))
-    }
-
     /// Validates a Delete's whole batch before anything is touched: an
     /// unknown id (or an in-batch duplicate, which the second removal
     /// would have reported as unknown) must leave the directory and every
@@ -307,30 +284,6 @@ impl Server {
         Ok(())
     }
 
-    /// Delete on a machine without a decision log: the fan-out (with a
-    /// log it is a transaction in the commit-group rounds).
-    pub(super) fn delete(
-        &mut self,
-        ctx: &mut Ctx,
-        files: Vec<BridgeFileId>,
-    ) -> Result<BridgeData, BridgeError> {
-        debug_assert!(self.txlog.is_none(), "2PC Deletes run in the rounds");
-        self.check_doomed(&files)?;
-        // "The Delete operation runs in parallel on all instances of the
-        // LFS, but it takes time O(n/p)." A batch pipelines across files,
-        // so tools can discard a whole generation of intermediates in one
-        // parallel wave; an empty companion column (never written to) is
-        // a tolerated loss like a failed node's.
-        let columns = self.doomed_columns(&files);
-        let targets = columns.iter().map(|&(n, _, tolerant)| (n, tolerant, 1));
-        let ops = columns.iter().map(|&(_, file, _)| LfsOp::Delete { file });
-        let fan = self.send_round(ctx, Shape::Direct, targets, ops);
-        let Tally { freed, .. } =
-            agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {})?;
-        self.forget(&files);
-        Ok(BridgeData::Deleted { blocks: freed })
-    }
-
     /// Retires deleted files' metadata: entries, cursors and jobs. Only
     /// a fully successful delete gets here; on error the directory still
     /// names every file, so a client can retry.
@@ -340,23 +293,6 @@ impl Server {
             self.cursors.retain(|&(_, f), _| f != file);
             self.jobs.retain(|_, j| j.file != file);
         }
-    }
-
-    /// Every column the doomed `files` occupy, in fan-out order: the node,
-    /// the LFS file on it, and whether the delete survives that column
-    /// being lost — it is a companion, or its file is redundant, so the
-    /// column on a failed node is already gone and the rest must still go.
-    pub(super) fn doomed_columns(&self, files: &[BridgeFileId]) -> Vec<(u32, LfsFileId, bool)> {
-        let mut columns = Vec::new();
-        for file in files {
-            let meta = &self.files[file];
-            let redundant = meta.redundancy != Redundancy::None;
-            for &n in &meta.nodes {
-                columns.push((n, meta.lfs_file, redundant));
-                columns.extend(meta.companion().map(|c| (n, c, true)));
-            }
-        }
-        columns
     }
 
     pub(super) fn open(

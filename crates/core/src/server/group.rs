@@ -9,12 +9,13 @@
 //!    block, a parity write's old parity and old data (a Create or a
 //!    Delete reads nothing);
 //! 2. each member's compute — the header check, the parity XOR into its
-//!    columns, a Create's or a Delete's transaction — after which a
-//!    member with nothing to commit is answered;
-//! 3. every member's transaction through one two-phase commit: all
-//!    PREPAREs pipelined, one BEGIN force naming every transaction, the
-//!    votes, one COMMIT force naming the committed ones, every decision
-//!    pipelined;
+//!    columns, a Create's, a Delete's or a redundant write's transaction
+//!    — after which a member with nothing to commit is answered;
+//! 3. every member's transaction through [`Server::commit`]: with the
+//!    decision log one two-phase commit — all PREPAREs pipelined, one
+//!    BEGIN force naming every transaction, the votes, one COMMIT force
+//!    naming the committed ones, every decision pipelined — and without
+//!    it one direct round of plain LFS ops each;
 //! 4. the remaining replies, each member's directory update made only if
 //!    its transaction committed: an append's size, a Create's entry, a
 //!    Delete's removals.
@@ -23,9 +24,10 @@
 //! the transactions of requests that arrive a round apart still share the
 //! forces. A group of one is the sequence a lone request always ran, send
 //! for send, so a lone client sees nothing new; and strictly placed reads
-//! and block writes are served nowhere else. Which requests share a group
-//! is [`Server::route`]'s call.
+//! and block writes, Creates and Deletes are served nowhere else. Which
+//! requests share a group is [`Server::route`]'s call.
 
+use super::agent::Tally;
 use super::blockio::Target;
 use super::directory::FileMeta;
 use super::redundancy::WritePlan;
@@ -156,32 +158,25 @@ impl Host for Kept {
 }
 
 impl Server {
-    /// How `cmd` is served. A strictly placed file's `RandRead` shares a
-    /// group with any other such request, and so does a redundant file's
-    /// `SeqWrite` or `RandWrite` on a machine with a decision log. There,
-    /// a Create and a Delete of files in the directory share one too: a
-    /// Delete naming a file not (yet) in it runs the rounds as a group of
+    /// How `cmd` is served. Every Create and Delete runs the rounds. A
+    /// strictly placed file's `RandRead` shares a group with any other such
+    /// request; on a machine with a decision log, so do a redundant file's
+    /// `SeqWrite` and `RandWrite`, a Create, and a Delete of files in the
+    /// directory — one naming a file not (yet) in it runs as a group of
     /// one, after the group that may be creating it. Other strictly placed
-    /// block writes — a plain file's overwrite, a redundant write without
-    /// the log — run through the rounds as a group of one, and a plain
-    /// file's append extends the append train. Everything else, an
-    /// unknown file's block op included, is dispatched alone.
+    /// block writes run through the rounds as a group of one, but a plain
+    /// file's append extends the append train. Everything else, an unknown
+    /// file's block op included, is dispatched alone.
     pub(super) fn route<'c>(&self, cmd: &'c BridgeCmd) -> Route<'c> {
         let two_pc = self.txlog.is_some();
         let file = match cmd {
-            BridgeCmd::Create(_) if two_pc => {
-                return Route::Rounds {
-                    files: &[],
-                    shared: true,
-                }
-            }
-            BridgeCmd::Delete { file } if two_pc => {
-                let files = slice::from_ref(file);
-                let shared = files.iter().all(|f| self.files.contains_key(f));
-                return Route::Rounds { files, shared };
-            }
-            BridgeCmd::DeleteMany { files } if two_pc => {
-                let shared = files.iter().all(|f| self.files.contains_key(f));
+            BridgeCmd::Create(_) | BridgeCmd::Delete { .. } | BridgeCmd::DeleteMany { .. } => {
+                let files = match cmd {
+                    BridgeCmd::Delete { file } => slice::from_ref(file),
+                    BridgeCmd::DeleteMany { files } => files,
+                    _ => &[],
+                };
+                let shared = two_pc && files.iter().all(|f| self.files.contains_key(f));
                 return Route::Rounds { files, shared };
             }
             BridgeCmd::RandRead { file, .. }
@@ -303,20 +298,19 @@ impl Server {
                     Ok(Op::Write(plan)) => {
                         let read = read.by_ref().take(plan.reads().len()).collect();
                         match self.finish_write(ctx, plan, read) {
-                            Ok(plan) if self.transactional(&plan) => {
-                                let txn = plan.txn();
-                                commits.push((i, Op::Write(plan), txn));
-                                continue;
-                            }
-                            Ok(plan) => {
-                                let lost = self.write_columns(ctx, &plan);
-                                lost.and_then(|lost| self.settle_write(&plan, lost))
-                            }
+                            Ok(plan) => match plan.txn() {
+                                Some(txn) => {
+                                    commits.push((i, Op::Write(plan), txn));
+                                    continue;
+                                }
+                                None => (self.write_unprotected(ctx, &plan))
+                                    .and_then(|()| self.settle_write(&plan, 0)),
+                            },
                             Err(e) => Err(e),
                         }
                     }
                     Ok(Op::Create { file, meta }) => {
-                        let txn = Server::create_txn(&meta);
+                        let txn = self.create_txn(&meta);
                         commits.push((i, Op::Create { file, meta }, txn));
                         continue;
                     }
@@ -347,12 +341,11 @@ impl Server {
             members.extend(joined);
             ops = self.plan_all(ctx, cmds);
         }
-        // Rounds 3 and 4: every transaction through one two-phase commit,
-        // and the replies.
+        // Rounds 3 and 4: every transaction landed, and the replies.
         let (settling, txns): (Vec<_>, Vec<_>) = (commits.into_iter())
             .map(|(i, op, txn)| ((i, op), txn))
             .unzip();
-        let outcomes = self.run_2pc(ctx, &txns);
+        let outcomes = self.commit(ctx, &txns);
         for ((i, op), outcome) in settling.into_iter().zip(outcomes) {
             let outcome = self.settle(op, outcome);
             host.answer(self, ctx, &members[i], outcome);
@@ -363,7 +356,7 @@ impl Server {
     /// a write counts its lost columns against the plan, a Create enters
     /// its file, a Delete retires its files and reports the blocks freed.
     fn settle(&mut self, op: Op, outcome: txn::Outcome) -> Outcome {
-        let (freed, lost) = outcome?;
+        let Tally { lost, freed } = outcome?;
         match op {
             Op::Write(plan) => self.settle_write(&plan, lost as usize),
             Op::Create { file, meta } => {

@@ -146,9 +146,9 @@ struct Server {
     /// The server's one client to the LFS tier: every LFS operation, and
     /// Create's relay hops to the agents.
     client: RpcClient<TierRpc>,
-    /// The presumed-abort decision log; `Some` switches every
-    /// multi-instance mutation (Create, Delete/DeleteMany) onto the
-    /// two-phase commit path.
+    /// The presumed-abort decision log; `Some` lands every transaction —
+    /// a Create, a Delete/DeleteMany, a redundant block write — by
+    /// two-phase commit ([`Server::commit`]).
     txlog: Option<TxLog>,
     /// Next transaction id. Monotonic across the server's life — a
     /// modeling shortcut: the real coordinator would recover the high
@@ -412,12 +412,9 @@ impl Server {
             self.flush_appends(ctx)?;
         }
         match cmd {
-            // With a decision log, Creates and Deletes go through the
-            // commit-group rounds (`Server::route`); these serve the
-            // fan-out.
-            BridgeCmd::Create(spec) => self.create(ctx, spec),
-            BridgeCmd::Delete { file } => self.delete(ctx, vec![file]),
-            BridgeCmd::DeleteMany { files } => self.delete(ctx, files),
+            BridgeCmd::Create(_) | BridgeCmd::Delete { .. } | BridgeCmd::DeleteMany { .. } => {
+                unreachable!("Creates and Deletes are served in the rounds (`Server::route`)")
+            }
             BridgeCmd::Open { file } => self.open(ctx, from, file),
             BridgeCmd::SeqRead { file } => self.seq_read(ctx, from, file),
             BridgeCmd::SeqWrite { file, data } => self.seq_write(ctx, file, data),

@@ -1,7 +1,7 @@
 //! Redundancy on the data path: reads that survive a lost column, and the
 //! one planner that turns a block write into the columns it must land on —
-//! in two halves around a commit group's read round — and the one place
-//! that lands them.
+//! in two halves around a commit group's read round — and, for a
+//! redundant file, into the transaction that lands them.
 
 use super::blockio::{check_header, BlockResult, Target};
 use super::txn::Txn;
@@ -27,8 +27,8 @@ pub(super) struct WritePlan {
     /// The write extends the file: once it lands, the file holds
     /// `block + 1` blocks.
     pub grows: bool,
-    /// The file is redundant: a lost column is tolerated, and on a machine
-    /// with a decision log the columns commit as one transaction.
+    /// The file is redundant: its columns land as one transaction, which
+    /// tolerates a lost column.
     redundant: bool,
     /// The data block first, then its mirror copy or its stripe's parity.
     columns: Vec<Column>,
@@ -54,9 +54,17 @@ impl WritePlan {
         &self.rmw
     }
 
-    /// The plan's columns as one transaction's participants, every one of
-    /// them tolerant.
-    pub fn txn(&self) -> Txn {
+    /// A redundant write's columns as one transaction's participants, every
+    /// one of them tolerant: with the decision log each column's
+    /// `WriteBlock` intent prepares (payload durable in that participant's
+    /// WAL) and applies on decide, so a crash leaves the data block and its
+    /// companion both updated or both untouched, and a commit group's
+    /// writes share one BEGIN and one COMMIT. `None` for an unprotected
+    /// write, which lands directly ([`Server::write_unprotected`]).
+    pub fn txn(&self) -> Option<Txn> {
+        if !self.redundant {
+            return None;
+        }
         let participants = self
             .columns
             .iter()
@@ -69,11 +77,11 @@ impl WritePlan {
                 },
             })
             .collect();
-        Txn {
+        Some(Txn {
             participants,
             tolerant: vec![true; self.columns.len()],
             relayed: false,
-        }
+        })
     }
 }
 
@@ -340,32 +348,13 @@ impl Server {
         Ok(plan)
     }
 
-    /// Whether a planned write lands as a transaction — the one place
-    /// that decides how. A redundant write on a machine with a decision
-    /// log is one: every column's `WriteBlock` intent prepares (payload
-    /// durable in that participant's WAL) and applies on decide, so a
-    /// crash leaves the data block and its companion both updated or both
-    /// untouched, and a commit group's writes share one BEGIN and one
-    /// COMMIT. Any other write lands directly ([`Server::write_columns`]).
-    pub(super) fn transactional(&self, plan: &WritePlan) -> bool {
-        plan.redundant && self.txlog.is_some()
-    }
-
-    /// Writes a plan's columns directly, in order, returning how many were
-    /// lost — which only a redundant file tolerates.
-    pub(super) fn write_columns(
+    /// Lands an unprotected write: its one column, hinted.
+    pub(super) fn write_unprotected(
         &mut self,
         ctx: &mut Ctx,
-        w: &WritePlan,
-    ) -> Result<usize, BridgeError> {
-        let mut lost = 0;
-        for (target, ptr, payload) in &w.columns {
-            match self.write_blocks(ctx, *target, &[(*ptr, payload.clone())], 1) {
-                Ok(()) => {}
-                Err(BridgeError::Lfs(e)) if w.redundant && e.column_lost() => lost += 1,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(lost)
+        plan: &WritePlan,
+    ) -> Result<(), BridgeError> {
+        let (target, ptr, payload) = &plan.columns[0];
+        self.write_blocks(ctx, *target, &[(*ptr, payload.clone())], 1)
     }
 }

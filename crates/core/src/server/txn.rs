@@ -1,7 +1,10 @@
-//! Machine-wide transactions: presumed-abort two-phase commit over the
-//! per-LFS write-ahead logs, driven from the server's decision log for a
-//! whole commit group at a time, and the coordinator's own fail-stop
-//! recovery.
+//! Machine-wide transactions: every multi-column mutation — a Create, a
+//! Delete, a redundant block write — is planned as a [`Txn`] and landed
+//! by [`Server::commit`], the one place the decision log picks the
+//! protocol: with it, presumed-abort two-phase commit over the per-LFS
+//! write-ahead logs for a whole commit group at a time, plus the
+//! coordinator's own fail-stop recovery; without it, one direct round of
+//! plain LFS ops per transaction.
 
 use super::agent::{self, Fan, Shape, Tally};
 use super::directory::FileMeta;
@@ -13,6 +16,7 @@ use crate::txlog::TxParticipant;
 use bridge_efs::{EfsError, LfsFileId, LfsOp, PrepareIntent};
 use bridge_trace::HealthEvent;
 use parsim::{Ctx, SimDuration};
+use std::iter;
 
 /// One transaction: its participants, for each whether the transaction
 /// survives its column being lost, and whether its rounds ride the relay
@@ -28,28 +32,71 @@ pub(super) struct Txn {
     pub relayed: bool,
 }
 
-/// What a transaction came to: the blocks its commit freed (zero for
-/// creates, writes and aborts) and its tolerated lost columns.
-pub(super) type Outcome = Result<(u64, u32), BridgeError>;
+impl Txn {
+    /// How the transaction's rounds are sent: a Create's down the relay
+    /// tree, `charged` its initiation and termination CPU, and every
+    /// other straight to each participant.
+    fn shape(&self, charged: bool) -> Shape {
+        if self.relayed {
+            Shape::Tree { charged }
+        } else {
+            Shape::Direct
+        }
+    }
+}
+
+/// What a transaction came to: its tolerated lost columns and the blocks
+/// it freed (none for creates, writes and aborts).
+pub(super) type Outcome = Result<Tally, BridgeError>;
 
 /// A decision to fan out to a transaction's participants.
 struct Decision<'t> {
     txn: u64,
     commit: bool,
     participants: &'t [TxParticipant],
-    /// Down the relay tree, as the transaction's PREPAREs went.
-    relayed: bool,
+    /// As the transaction's PREPAREs went.
+    shape: Shape,
+}
+
+/// The plain LFS ops that apply `intent` at once: a `Create` or a
+/// `Delete` per file, or one unhinted `Write`.
+fn plain_ops(intent: &PrepareIntent) -> impl Iterator<Item = LfsOp> + '_ {
+    let (files, write) = match intent {
+        PrepareIntent::CreateFiles(files) | PrepareIntent::DeleteFiles(files) => (&files[..], None),
+        PrepareIntent::WriteBlock {
+            file,
+            block_no,
+            payload,
+        } => {
+            let write = LfsOp::Write {
+                file: *file,
+                block: *block_no,
+                data: payload.clone(),
+                hint: None,
+            };
+            (&[][..], Some(write))
+        }
+    };
+    let create = matches!(intent, PrepareIntent::CreateFiles(_));
+    let per_file = files.iter().map(move |&file| {
+        if create {
+            LfsOp::Create { file }
+        } else {
+            LfsOp::Delete { file }
+        }
+    });
+    per_file.chain(write)
 }
 
 impl Server {
-    /// Transactional Create's transaction: every column's create prepares
-    /// tentatively, so a crash anywhere in the fan-out leaves the file on
-    /// all its placement nodes or on none. An unprotected file's create
-    /// tolerates no participant failure — the serial fan-out propagates
-    /// every error too, it just can't undo. A redundant file's create
-    /// proceeds without a lost column: its (empty) constituent files
-    /// appear on the spare when a rebuild reaches it.
-    pub(super) fn create_txn(meta: &FileMeta) -> Txn {
+    /// A Create's transaction: every placement node creates the file's
+    /// constituent files. With the decision log each column's create
+    /// prepares tentatively, so a crash anywhere in the fan-out leaves the
+    /// file on all its placement nodes or on none, and a redundant file's
+    /// create proceeds without a lost column: its (empty) constituent
+    /// files appear on the spare when a rebuild reaches it. Without the
+    /// log nothing can be undone, so no participant failure is tolerated.
+    pub(super) fn create_txn(&self, meta: &FileMeta) -> Txn {
         let mut files = vec![meta.lfs_file];
         files.extend(meta.companion());
         let participants: Vec<TxParticipant> = meta
@@ -60,7 +107,8 @@ impl Server {
                 intent: PrepareIntent::CreateFiles(files.clone()),
             })
             .collect();
-        let tolerant = vec![meta.redundancy != Redundancy::None; participants.len()];
+        let redundant = meta.redundancy != Redundancy::None;
+        let tolerant = vec![redundant && self.txlog.is_some(); participants.len()];
         Txn {
             participants,
             tolerant,
@@ -68,20 +116,26 @@ impl Server {
         }
     }
 
-    /// Transactional Delete's transaction: one PREPARE per participating
-    /// node covering every doomed file (and companion) it holds. A
-    /// participant is tolerant — its vote may come back `NodeFailed`
-    /// without aborting the transaction — only when every *primary*
-    /// column it holds belongs to a redundant file (companion columns are
-    /// always expendable); the column on the failed node is already lost,
-    /// and deleting the rest must still succeed.
+    /// A Delete's transaction: one participant per node, covering every
+    /// doomed file (and companion) it holds, in batch order — "the Delete
+    /// operation runs in parallel on all instances of the LFS", and a
+    /// batch discards a whole generation of a tool's intermediates in one
+    /// wave. A participant
+    /// is tolerant — its column may come back lost without failing the
+    /// Delete — only when every *primary* column it holds belongs to a
+    /// redundant file (companion columns are always expendable): the
+    /// column on a failed node is already gone, and the rest must still
+    /// go.
     pub(super) fn delete_txn(&self, files: &[BridgeFileId]) -> Txn {
         let breadth = self.breadth() as usize;
         let mut per_node: Vec<Vec<LfsFileId>> = vec![Vec::new(); breadth];
         let mut node_tolerant: Vec<bool> = vec![true; breadth];
-        for (n, lfs_file, expendable) in self.doomed_columns(files) {
-            per_node[n as usize].push(lfs_file);
-            node_tolerant[n as usize] &= expendable;
+        for meta in files.iter().map(|file| &self.files[file]) {
+            let redundant = meta.redundancy != Redundancy::None;
+            for &n in &meta.nodes {
+                per_node[n as usize].extend(iter::once(meta.lfs_file).chain(meta.companion()));
+                node_tolerant[n as usize] &= redundant;
+            }
         }
         let participants: Vec<TxParticipant> = per_node
             .into_iter()
@@ -103,6 +157,34 @@ impl Server {
         }
     }
 
+    /// Lands `txns`, one outcome each, in order — the one place the
+    /// protocol is picked. With the decision log they commit through
+    /// [`Server::run_2pc`]. Without it each is one round of its intents as
+    /// plain LFS ops, every round sent before any reply is awaited: a
+    /// Create's relayed at `create_arity` and charged as the paper's
+    /// Create is, the rest straight to each participant. Nothing is
+    /// undone, so a participant that fails where it is not tolerated
+    /// fails its transaction with whatever the others did left standing.
+    pub(super) fn commit(&mut self, ctx: &mut Ctx, txns: &[Txn]) -> Vec<Outcome> {
+        if self.txlog.is_some() {
+            return self.run_2pc(ctx, txns);
+        }
+        let rounds: Vec<Fan> = (txns.iter())
+            .map(|t| {
+                let targets = (t.participants.iter().zip(&t.tolerant))
+                    .map(|(p, &tolerant)| (p.node, tolerant, plain_ops(&p.intent).count() as u32));
+                let ops = (t.participants.iter()).flat_map(|p| plain_ops(&p.intent));
+                self.send_round(ctx, t.shape(true), targets, ops)
+            })
+            .collect();
+        (rounds.into_iter())
+            .map(|fan| {
+                let tally = agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {});
+                tally.map_err(BridgeError::Lfs)
+            })
+            .collect()
+    }
+
     /// Presumed-abort two-phase commit of `txns`, one outcome each, in
     /// order. One BEGIN names as many of them as the decision log holds
     /// beside the COMMIT that decides them ([`TxLog::admit`]) — every one
@@ -113,7 +195,7 @@ impl Server {
     /// PREPARE is sent.
     ///
     /// [`TxLog::admit`]: crate::txlog::TxLog::admit
-    pub(super) fn run_2pc(&mut self, ctx: &mut Ctx, txns: &[Txn]) -> Vec<Outcome> {
+    fn run_2pc(&mut self, ctx: &mut Ctx, txns: &[Txn]) -> Vec<Outcome> {
         let mut outcomes = Vec::with_capacity(txns.len());
         let mut rest = txns;
         while !rest.is_empty() {
@@ -197,18 +279,13 @@ impl Server {
             // relay tree.
             let ballots: Vec<Fan> = (ids.iter().zip(txns))
                 .map(|(&txn, t)| {
-                    let shape = if t.relayed {
-                        Shape::Tree { charged: true }
-                    } else {
-                        Shape::Direct
-                    };
                     let targets = (t.participants.iter().zip(&t.tolerant))
                         .map(|(p, &tolerant)| (p.node, tolerant, 1));
                     let ops = (t.participants.iter()).map(|p| LfsOp::Prepare {
                         txn,
                         intent: p.intent.clone(),
                     });
-                    self.send_round(ctx, shape, targets, ops)
+                    self.send_round(ctx, t.shape(true), targets, ops)
                 })
                 .collect();
             // Force BEGIN while the prepares are in flight, so a kill on
@@ -240,13 +317,13 @@ impl Server {
                 txn,
                 commit: v.is_ok(),
                 participants: &t.participants,
-                relayed: t.relayed,
+                shape: t.shape(false),
             })
             .collect();
         let acks = self.decide_all(ctx, &decisions);
         (verdicts.into_iter().zip(acks))
             .map(|(verdict, freed)| match verdict {
-                Ok(lost) => freed.map(|freed| (freed, lost)),
+                Ok(lost) => freed.map(|freed| Tally { lost, freed }),
                 Err(veto) => freed.and(Err(BridgeError::Lfs(veto))),
             })
             .collect()
@@ -313,18 +390,13 @@ impl Server {
     ) -> Vec<Result<u64, BridgeError>> {
         let rounds: Vec<Fan> = (decisions.iter())
             .map(|d| {
-                let shape = if d.relayed {
-                    Shape::Tree { charged: false }
-                } else {
-                    Shape::Direct
-                };
                 let targets = d.participants.iter().map(|p| (p.node, true, 1));
                 let ops = d.participants.iter().map(|p| LfsOp::Decide {
                     txn: d.txn,
                     commit: d.commit,
                     intent: p.intent.clone(),
                 });
-                self.send_round(ctx, shape, targets, ops)
+                self.send_round(ctx, d.shape, targets, ops)
             })
             .collect();
         (decisions.iter().zip(rounds))
@@ -421,7 +493,7 @@ impl Server {
                 txn: *txn,
                 commit: false,
                 participants,
-                relayed: false,
+                shape: Shape::Direct,
             })
             .collect();
         let acks = self.decide_all(ctx, &aborts);

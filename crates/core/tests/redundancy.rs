@@ -382,6 +382,43 @@ fn parity_overwrite_reads_its_two_old_blocks_together() {
     assert_eq!(reads[0].start, reads[1].start, "in flight together");
 }
 
+/// Without the decision log, a redundant write still lands its two
+/// columns — the data block and its mirror copy or its stripe's parity,
+/// on different nodes — in one round: both writes are in service at the
+/// same virtual instant.
+#[test]
+fn a_redundant_write_lands_its_columns_together() {
+    for redundancy in [Redundancy::Mirror, Redundancy::parity()] {
+        let collector = bridge_trace::TraceCollector::install();
+        let mut config = BridgeConfig::paper(4);
+        config.tracer = Some(collector.as_tracer());
+        let (mut sim, machine) = BridgeMachine::build(&config);
+        let server = machine.server;
+        let (from, to) = sim.block_on(machine.frontend, "app", move |ctx| {
+            let mut bridge = BridgeClient::new(server);
+            let file = write_redundant(ctx, &mut bridge, redundancy, 8);
+            let from = ctx.now();
+            bridge.rand_write(ctx, file, 5, record(99, 5)).unwrap();
+            (from, ctx.now())
+        });
+        let data = collector.take();
+        let writes: Vec<_> = data
+            .spans
+            .iter()
+            .filter(|s| s.name == "lfs.write" && s.start >= from && s.end <= to)
+            .collect();
+        assert_eq!(writes.len(), 2, "{redundancy:?}: data and its companion");
+        assert_ne!(
+            writes[0].pid, writes[1].pid,
+            "{redundancy:?}: on different nodes"
+        );
+        assert_eq!(
+            writes[0].start, writes[1].start,
+            "{redundancy:?}: in flight together"
+        );
+    }
+}
+
 /// One parity overwrite with the named columns of its stripe failed, as
 /// a client sees it: the write's result, then every block read back with
 /// the columns still down — `n` the new record, `o` the old one, `E` an
