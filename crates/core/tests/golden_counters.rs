@@ -216,14 +216,14 @@ fn matrix_config(batch: BatchPolicy, two_pc: bool, redundancy: Redundancy) -> Br
 #[rustfmt::skip]
 const MATRIX: &[(&str, Golden)] = &[
     ("off/plain/none", Golden { events: 618, messages: 284, bytes_sent: 100264, phase_nanos: &[810632000, 968378400, 998346000, 1013319800, 1106359800] }),
-    ("off/plain/mirror", Golden { events: 835, messages: 350, bytes_sent: 131376, phase_nanos: &[1802696000, 2136442400, 2187663200, 2224637000, 2941221800] }),
-    ("off/plain/parity", Golden { events: 899, messages: 390, bytes_sent: 152816, phase_nanos: &[1398992800, 1556739200, 1614213600, 1629187400, 2446040200] }),
+    ("off/plain/mirror", Golden { events: 835, messages: 350, bytes_sent: 131376, phase_nanos: &[995632000, 1329378400, 1359346000, 1396319800, 1784879000] }),
+    ("off/plain/parity", Golden { events: 899, messages: 390, bytes_sent: 152816, phase_nanos: &[922928800, 1080675200, 1116896400, 1131870200, 1683697400] }),
     ("off/2pc/none", Golden { events: 669, messages: 292, bytes_sent: 100592, phase_nanos: &[1519836100, 1765582500, 1833550100, 1848523900, 2017563900] }),
     ("off/2pc/mirror", Golden { events: 1247, messages: 466, bytes_sent: 194700, phase_nanos: &[2412151350, 2887489750, 2970303850, 3029277650, 3957483100] }),
     ("off/2pc/parity", Golden { events: 1311, messages: 506, bytes_sent: 216140, phase_nanos: &[2109492150, 2496830550, 2699898250, 2736872050, 3590801950] }),
     ("runs8/plain/none", Golden { events: 462, messages: 236, bytes_sent: 99592, phase_nanos: &[160177600, 236971200, 266938800, 276711000, 317549400] }),
-    ("runs8/plain/mirror", Golden { events: 775, messages: 326, bytes_sent: 131024, phase_nanos: &[1802696000, 1922235600, 1973456400, 2005228600, 2721813400] }),
-    ("runs8/plain/parity", Golden { events: 839, messages: 366, bytes_sent: 152464, phase_nanos: &[1398992800, 1452532400, 1510006800, 1519779000, 2336631800] }),
+    ("runs8/plain/mirror", Golden { events: 775, messages: 326, bytes_sent: 131024, phase_nanos: &[995632000, 1115171600, 1145139200, 1176911400, 1565470600] }),
+    ("runs8/plain/parity", Golden { events: 839, messages: 366, bytes_sent: 152464, phase_nanos: &[922928800, 976468400, 1012689600, 1022461800, 1574289000] }),
     ("runs8/2pc/none", Golden { events: 501, messages: 244, bytes_sent: 99920, phase_nanos: &[251381700, 388175300, 456142900, 465915100, 544753500] }),
     ("runs8/2pc/mirror", Golden { events: 1187, messages: 442, bytes_sent: 194348, phase_nanos: &[2412151350, 2607282950, 2690097050, 2743869250, 3672074700] }),
     ("runs8/2pc/parity", Golden { events: 1251, messages: 482, bytes_sent: 215788, phase_nanos: &[2109492150, 2260623750, 2463691450, 2495463650, 3349393550] }),
@@ -385,10 +385,10 @@ fn degraded_read_counters_are_pinned() {
 /// sequential read, two in the round).
 #[rustfmt::skip]
 const DEGRADED: &[(&str, Golden)] = &[
-    ("degraded/off/mirror", Golden { events: 662, messages: 284, bytes_sent: 107088, phase_nanos: &[1802897600, 2093660000, 2144345800] }),
-    ("degraded/off/parity", Golden { events: 766, messages: 336, bytes_sent: 134960, phase_nanos: &[1399194400, 1614239200, 1667685800] }),
-    ("degraded/runs8/mirror", Golden { events: 611, messages: 260, bytes_sent: 106632, phase_nanos: &[1802897600, 1975399600, 2020883800] }),
-    ("degraded/runs8/parity", Golden { events: 715, messages: 312, bytes_sent: 134504, phase_nanos: &[1399194400, 1539978800, 1588171800] }),
+    ("degraded/off/mirror", Golden { events: 662, messages: 284, bytes_sent: 107088, phase_nanos: &[995833600, 1286596000, 1337281800] }),
+    ("degraded/off/parity", Golden { events: 766, messages: 336, bytes_sent: 134960, phase_nanos: &[923130400, 1138175200, 1191621800] }),
+    ("degraded/runs8/mirror", Golden { events: 611, messages: 260, bytes_sent: 106632, phase_nanos: &[995833600, 1168335600, 1213819800] }),
+    ("degraded/runs8/parity", Golden { events: 715, messages: 312, bytes_sent: 134504, phase_nanos: &[923130400, 1063914800, 1112107800] }),
 ];
 
 /// A spare racked into LFS 1 wipes its columns; one `rebuild_range` over
@@ -425,6 +425,6 @@ fn rebuild_range_counters_are_pinned() {
 
 #[rustfmt::skip]
 const REBUILD: &[(&str, Golden)] = &[
-    ("rebuild/off", Golden { events: 685, messages: 270, bytes_sent: 100960, phase_nanos: &[1399194400, 1822000000] }),
-    ("rebuild/runs8", Golden { events: 659, messages: 260, bytes_sent: 100808, phase_nanos: &[1399194400, 1774074800] }),
+    ("rebuild/off", Golden { events: 685, messages: 270, bytes_sent: 100960, phase_nanos: &[923130400, 1345936000] }),
+    ("rebuild/runs8", Golden { events: 659, messages: 260, bytes_sent: 100808, phase_nanos: &[923130400, 1298010800] }),
 ];
