@@ -179,9 +179,9 @@ fn two_pc_parity_storm_is_pinned() {
 fn fan_out_parity_storm_is_pinned() {
     let got = run(BridgeConfig::paper(8).with_redundancy(Redundancy::parity()));
     let want = Pin {
-        retry: [[95, 62, 0], [15, 104, 59], [0, 11, 5], [0, 0, 77]],
+        retry: [[102, 58, 0], [5, 111, 56], [0, 12, 10], [0, 0, 73]],
         transcript: (51, 13_166_686_167_400_487_755),
-        stats: [2_703, 1_320, 183_400, 14_373_167_600],
+        stats: [2_695, 1_323, 179_024, 12_772_823_200],
     };
     check("fan-out parity", &got, &want);
     let [_, _, agent, _] = got.retry;
