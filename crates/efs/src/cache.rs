@@ -221,25 +221,27 @@ impl LinkCache {
             slot = next;
         }
     }
-
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub(crate) fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl LinkCache {
+        fn len(&self) -> usize {
+            self.slots.len()
+        }
+
+        fn hit_rate(&self) -> f64 {
+            let total = self.hits + self.misses;
+            if total == 0 {
+                0.0
+            } else {
+                self.hits as f64 / total as f64
+            }
+        }
+    }
 
     fn info(n: u32) -> LinkInfo {
         LinkInfo {

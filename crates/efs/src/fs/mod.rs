@@ -387,11 +387,6 @@ impl<D: BlockDevice> Efs<D> {
         self.alloc.free_blocks()
     }
 
-    /// Link-cache hit rate so far (0.0 when unused), and entries held.
-    pub fn link_cache_usage(&self) -> (f64, usize) {
-        (self.links.hit_rate(), self.links.len())
-    }
-
     /// Cached disk address of `(file, block_no)`, if the link cache holds
     /// it. Free — no hit/miss accounting, no recency refresh, no media
     /// access — so the request scheduler can use it to estimate where a

@@ -32,13 +32,6 @@ pub enum Engine {
     RunToCompletion,
 }
 
-impl Engine {
-    /// The engine for this target: [`Engine::RunToCompletion`].
-    pub fn auto() -> Engine {
-        Engine::RunToCompletion
-    }
-}
-
 /// Configuration for a [`Simulation`].
 pub struct SimConfig {
     /// Interconnect latency model.
