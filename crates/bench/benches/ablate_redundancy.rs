@@ -350,7 +350,8 @@ fn main() {
         / runs[2].read.as_secs_f64();
 
     println!(
-        "\nMirroring doubles capacity and write cost; rotating parity stores only\n\
+        "\nMirroring doubles capacity and disk writes, but a block's two copies land\n\
+         in one round, so an append barely slows; rotating parity stores only\n\
          p/(p−1) but pays the classic small-write penalty (a parity read-modify-write\n\
          per block) and reconstructs degraded reads from p−1 peers. The paper judged\n\
          block-level ECC infeasible on a MIMD machine; a rotating parity column —\n\
