@@ -14,6 +14,9 @@
 //! * `crash_at_every_lfs_write_under_2pc_preserves_atomicity` — the
 //!   participant side of the same sweep: PREPARE and DECIDE records die
 //!   with their node at every ordinal.
+//! * `paper_clock_kill_at_every_write_preserves_acknowledged_state` —
+//!   the participant and coordinator sweeps on the paper's clock, at
+//!   p = 2, 4 and 8, where a reply and the work behind it overlap in time.
 //! * `random_crash_schedules_preserve_acknowledged_state` /
 //!   `random_schedules_mixing_server_and_node_kills_under_2pc` — proptest
 //!   over seeded multi-crash schedules on the same workload.
@@ -62,14 +65,19 @@ const SEED: u64 = 0x0C4A_0007;
 /// clock is not part of the transcript: recovery legitimately costs
 /// time).
 fn sweep_workload(config: &BridgeConfig) -> Run {
-    run(config, |c| {
+    sweep_workload_with(config, PlacementSpec::Chunked)
+}
+
+/// [`sweep_workload`] with file `b` placed by `b_placement`.
+fn sweep_workload_with(config: &BridgeConfig, b_placement: PlacementSpec) -> Run {
+    run(config, move |c| {
         let a = c.create(CreateSpec {
             placement: PlacementSpec::RoundRobin,
             size_hint: Some(16),
             ..CreateSpec::default()
         });
         let b = c.create(CreateSpec {
-            placement: PlacementSpec::Chunked,
+            placement: b_placement,
             size_hint: Some(8),
             ..CreateSpec::default()
         });
@@ -420,6 +428,63 @@ fn server_kill_at_every_write_of_a_group_with_creates_and_deletes_preserves_atom
 #[test]
 fn crash_at_every_lfs_write_under_2pc_preserves_atomicity() {
     sweep_every_lfs_write(Machine::TwoPc);
+}
+
+/// A machine of the paper-clock sweep: `paper(p)` under 2PC on 256-track
+/// disks — plain at p = 2, parity beyond.
+fn paper_machine(p: u32) -> BridgeConfig {
+    let mut config = BridgeConfig::paper(p).with_2pc();
+    config.disk_geometry.tracks = 256;
+    if p > 2 {
+        config = config.with_redundancy(Redundancy::parity());
+    }
+    config
+}
+
+/// Decision-log ordinals the paper-clock sweep kills the coordinator on:
+/// more than any of its machines writes.
+const PAPER_SERVER_KILLS: u64 = 60;
+
+/// The sweeps on the paper's clock, where disks, messages and requests
+/// take time, so a reply and the work behind it can overlap:
+/// [`sweep_workload`] with both files round-robin on [`paper_machine`]s
+/// at p = 2, 4 and 8, killing each LFS node after every elementary write
+/// of its disk in the reference run, and the coordinator on each of its
+/// first [`PAPER_SERVER_KILLS`] decision-log writes. Every cut leaves the
+/// fault-free transcript — the Delete's freed count with it — and the
+/// coordinator kills that fire, and so move the run's end, are those on
+/// the run's writes: a prefix of the ordinals, short of the last.
+#[test]
+fn paper_clock_kill_at_every_write_preserves_acknowledged_state() {
+    for p in [2, 4, 8] {
+        let sweep = |config: &BridgeConfig| sweep_workload_with(config, PlacementSpec::RoundRobin);
+        let reference = sweep(&paper_machine(p));
+        let verdict = reference.transcript.last().unwrap();
+        assert!(
+            verdict.starts_with("pfsck clean=true"),
+            "p = {p}: {verdict}"
+        );
+        let lfs_kills = (reference.disk_writes.iter().enumerate())
+            .flat_map(|(disk, &n)| (1..=n).map(move |k| (disk as u32, k)));
+        let server_kills = (1..=PAPER_SERVER_KILLS).map(|k| (SERVER_DISK, k));
+        let mut fired = Vec::new();
+        for (disk, k) in lfs_kills.chain(server_kills) {
+            let plan = FaultPlan::seeded(SEED).kill(disk, k);
+            let crashed = sweep(&paper_machine(p).with_faults(plan.clone()));
+            let label = format!("p = {p}, disk {disk}, write {k}");
+            assert_same(&label, &reference, &crashed, &plan, None);
+            if disk == SERVER_DISK && crashed.stats.end_time != reference.stats.end_time {
+                fired.push(k);
+            }
+        }
+        let writes = fired.len() as u64;
+        assert!(
+            (1..PAPER_SERVER_KILLS).contains(&writes) && fired.iter().copied().eq(1..=writes),
+            "p = {p}: the coordinator kills on {fired:?} fired"
+        );
+        let swept: u64 = reference.disk_writes.iter().sum();
+        eprintln!("p = {p}: swept {swept} LFS writes and {writes} coordinator writes");
+    }
 }
 
 /// A seeded multi-crash schedule on `machine`: 1–3 kills at random disks,
