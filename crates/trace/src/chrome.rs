@@ -13,7 +13,8 @@
 //! lanes as it has calls in flight: a pipelined fan-out's sends
 //! (`cat == "client"`) overlap without nesting, and so do the `bridge`
 //! spans of a commit group's members, each open from the member's join to
-//! its reply.
+//! its reply, and an LFS's `lfs.queue_wait` spans, each open from a
+//! request's arrival — mid-service of another — to its own service.
 
 use crate::collect::TraceData;
 use crate::json::{self, write_str, Json};
@@ -26,11 +27,11 @@ use std::fmt::Write as _;
 const LANE: usize = 100_000;
 
 /// Each span's lane k. `sched` spans take lane 1. A `client` or `bridge`
-/// span — one side of an RPC — goes first-fit to the lowest of lane 0 and
-/// the RPC lanes that it nests in, the way the validator checks nesting:
-/// sorted by (start asc, end desc), a span fits a lane when the innermost
-/// span still open there ends no earlier. Every other span stays on lane
-/// 0, so its nesting is checked.
+/// span — one side of an RPC — or an `lfs.queue_wait` goes first-fit to
+/// the lowest of lane 0 and the RPC lanes that it nests in, the way the
+/// validator checks nesting: sorted by (start asc, end desc), a span fits
+/// a lane when the innermost span still open there ends no earlier. Every
+/// other span stays on lane 0, so its nesting is checked.
 fn span_lanes(data: &TraceData) -> Vec<usize> {
     let mut lanes: Vec<usize> = data
         .spans
@@ -57,7 +58,7 @@ fn span_lanes(data: &TraceData) -> Vec<usize> {
                 ends.pop();
             }
         }
-        let lane = if matches!(span.cat, "client" | "bridge") {
+        let lane = if matches!(span.cat, "client" | "bridge") || span.name == "lfs.queue_wait" {
             let fits = |ends: &Vec<SimTime>| ends.last().is_none_or(|&end| end >= span.end);
             open.iter().position(fits).unwrap_or(open.len())
         } else {
@@ -461,6 +462,43 @@ mod tests {
         assert!(json.contains(second), "{json}");
         let call = r#""tid":1,"name":"client.lfs.read""#;
         assert!(json.contains(call), "{json}");
+    }
+
+    /// An LFS that takes a request while it serves two others: the
+    /// request's queue wait opens inside the first service ([0, 10] ms)
+    /// and lasts through the second ([10, 14] ms) to its own. The wait
+    /// takes an `(rpc 1)` lane, the services stay on the process's own,
+    /// and the export validates.
+    #[test]
+    fn a_queue_wait_straddling_two_services_exports_and_validates() {
+        let collector = TraceCollector::install();
+        let mut sim = Simulation::new(SimConfig {
+            tracer: Some(collector.as_tracer()),
+            ..SimConfig::default()
+        });
+        let node = sim.add_node("alpha");
+        sim.block_on(node, "lfs", |ctx| {
+            let first = ctx.now();
+            ctx.delay(SimDuration::from_millis(4));
+            let arrived = ctx.now();
+            ctx.delay(SimDuration::from_millis(6));
+            ctx.trace_span("lfs", "lfs.write", first, &[]);
+            let second = ctx.now();
+            ctx.delay(SimDuration::from_millis(4));
+            ctx.trace_span("lfs", "lfs.decide", second, &[]);
+            ctx.trace_span("lfs", "lfs.queue_wait", arrived, &[]);
+            let own = ctx.now();
+            ctx.delay(SimDuration::from_millis(3));
+            ctx.trace_span("lfs", "lfs.read", own, &[]);
+        });
+        let data = collector.snapshot();
+        let json = chrome_trace_json(&data);
+        let summary = validate_chrome_trace(&json).expect("valid trace");
+        assert_eq!(summary.spans, data.spans.len());
+        let wait = r#""tid":200001,"name":"lfs.queue_wait""#;
+        assert!(json.contains(wait), "{json}");
+        let service = r#""tid":1,"name":"lfs.decide""#;
+        assert!(json.contains(service), "{json}");
     }
 
     #[test]
