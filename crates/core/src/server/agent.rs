@@ -71,6 +71,7 @@ pub(super) enum Shape {
 /// position among the round's targets it answers for and whether a lost
 /// column there is tolerated (never for a relay: its failure is a
 /// subtree's veto, already past its own tolerance).
+#[derive(Default)]
 pub(super) struct Fan {
     charged: bool,
     waiting: Vec<(ProcId, u64)>,
@@ -89,6 +90,13 @@ impl Fan {
     /// The request ids still in flight.
     pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
         self.waiting.iter().map(|&(_, id)| id)
+    }
+
+    /// Takes in `other`'s sends, each now answering for position `pos`,
+    /// so that one gather takes both rounds' replies as they land.
+    pub fn join(&mut self, other: Fan, pos: usize) {
+        self.waiting.extend(other.waiting);
+        (self.slots).extend(other.slots.into_iter().map(|(_, tolerant)| (pos, tolerant)));
     }
 
     /// Sends `ops` straight to `target`'s LFS, answering for position

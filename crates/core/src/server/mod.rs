@@ -150,6 +150,8 @@ struct Server {
     /// a Create, a Delete/DeleteMany, a redundant block write — by
     /// two-phase commit ([`Server::commit`]).
     txlog: Option<TxLog>,
+    /// The last commit group's DECIDE round while its acks are out.
+    parked: Option<txn::Parked>,
     /// Next transaction id. Monotonic across the server's life — a
     /// modeling shortcut: the real coordinator would recover the high
     /// txn from its log, and [`TxLog::reseat`] shows where it would.
@@ -195,6 +197,7 @@ pub fn spawn_bridge_server(
             pending: None,
             client: RpcClient::with_retry(config.lfs_retry),
             txlog,
+            parked: None,
             next_txn: 1,
             telemetry,
         };
@@ -203,7 +206,11 @@ pub fn spawn_bridge_server(
             let (from, req) = match front.next.take() {
                 Some(taken) => taken,
                 None => {
-                    let env = ctx.recv_where(|e| e.is::<BridgeRequest>());
+                    let stashed = ctx.take_stashed(|e| e.is::<BridgeRequest>());
+                    let env = stashed.unwrap_or_else(|| {
+                        server.settle_decisions(ctx);
+                        ctx.recv_where(|e| e.is::<BridgeRequest>())
+                    });
                     match front.admit(&server, ctx, env) {
                         Some(new) => new,
                         None => continue,
@@ -213,6 +220,7 @@ pub fn spawn_bridge_server(
             let member = Member::of(from, &req, ctx.now());
             match server.route(&req.cmd) {
                 Route::Alone => {
+                    server.settle_decisions(ctx);
                     let result = server.dispatch(ctx, from, req.cmd);
                     front.answer(&server, ctx, &member, result);
                 }
@@ -227,7 +235,8 @@ pub fn spawn_bridge_server(
                     server.serve_group(ctx, &mut front, members, shared);
                 }
             }
-            debug_assert_eq!(ctx.open_ids(), 0, "serving left an LFS call open");
+            let parked = server.parked.as_ref().map_or(0, |p| p.round.ids().count());
+            debug_assert_eq!(ctx.open_ids(), parked, "serving left an LFS call open");
         }
     })
 }

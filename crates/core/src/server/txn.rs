@@ -13,7 +13,7 @@ use crate::error::BridgeError;
 use crate::ids::BridgeFileId;
 use crate::redundancy::Redundancy;
 use crate::txlog::TxParticipant;
-use bridge_efs::{EfsError, LfsFileId, LfsOp, PrepareIntent};
+use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp, PrepareIntent};
 use bridge_trace::HealthEvent;
 use parsim::{Ctx, SimDuration};
 use std::iter;
@@ -48,6 +48,18 @@ impl Txn {
 /// What a transaction came to: its tolerated lost columns and the blocks
 /// it freed (none for creates, writes and aborts).
 pub(super) type Outcome = Result<Tally, BridgeError>;
+
+/// A commit group's DECIDE round, sent and not yet awaited: the outcome
+/// is on record with the COMMIT, so the group's replies leave without it.
+/// Later requests on the files the group's ops named are fenced until its
+/// acks are in ([`Server::settle_decisions`]).
+pub(super) struct Parked {
+    txns: Vec<u64>,
+    /// Every decision's sends, each answering for its transaction's
+    /// position in `txns`.
+    pub round: Fan,
+    pub files: Vec<BridgeFileId>,
+}
 
 /// A decision to fan out to a transaction's participants.
 struct Decision<'t> {
@@ -229,7 +241,11 @@ impl Server {
     /// the decision log while they are in flight, votes are collected
     /// transaction by transaction, one COMMIT record naming
     /// every transaction whose participants all voted yes is forced, and
-    /// every decision is fanned out in one pipelined round. The server's
+    /// every decision is fanned out in one pipelined round, which is
+    /// parked: each outcome is returned at once — a committed
+    /// transaction's at its COMMIT, a vetoed one's at its vote — and the
+    /// acks are taken before the next group's first PREPARE, so every
+    /// decision-log write happens with no decision in flight. The server's
     /// only elementary disk writes are the two log forces (a BEGIN of
     /// several frames is one device run, each frame a write), so a crash
     /// schedule against [`parsim::SERVER_DISK`] kills the coordinator at
@@ -259,12 +275,14 @@ impl Server {
     /// decision round is charged nothing — with pipelined fan-out and
     /// group commit at the participants it is the prepare round's cheap
     /// echo. Each outcome counts the blocks its
-    /// commit freed and its tolerated lost columns — participants whose
+    /// commit frees, as its participants' votes promised, and its
+    /// tolerated lost columns — participants whose
     /// vote came back `NodeFailed` (or `UnknownFile`, a freshly formatted
     /// spare not yet rebuilt) and were carried anyway. Redundant-write
     /// callers use the count to tell a degraded-but-landed write from one
     /// that landed nowhere.
     fn commit_group(&mut self, ctx: &mut Ctx, txns: &[Txn]) -> Vec<Outcome> {
+        self.settle_decisions(ctx);
         let (ids, verdicts) = loop {
             let ids: Vec<u64> = txns
                 .iter()
@@ -311,7 +329,7 @@ impl Server {
                 Err(e) => return vec![Err(e); txns.len()],
             }
         };
-        // Phase 2: fan every decision out in one round.
+        // Phase 2: fan every decision out in one round, and park it.
         let decisions: Vec<Decision> = (ids.iter().zip(&verdicts).zip(txns))
             .map(|((&txn, v), t)| Decision {
                 txn,
@@ -320,34 +338,32 @@ impl Server {
                 shape: t.shape(false),
             })
             .collect();
-        let acks = self.decide_all(ctx, &decisions);
-        (verdicts.into_iter().zip(acks))
-            .map(|(verdict, freed)| match verdict {
-                Ok(lost) => freed.map(|freed| Tally { lost, freed }),
-                Err(veto) => freed.and(Err(BridgeError::Lfs(veto))),
-            })
+        self.parked = Some(Parked {
+            txns: ids,
+            round: self.decide(ctx, &decisions),
+            files: Vec::new(),
+        });
+        (verdicts.into_iter())
+            .map(|verdict| verdict.map_err(BridgeError::Lfs))
             .collect()
     }
 
     /// Collects every transaction's votes, in order — per transaction its
-    /// tolerated lost columns, or the veto that aborts it — and forces the
-    /// COMMIT. A relayed transaction's votes come folded, a reply per
-    /// subtree.
+    /// tolerated lost columns and the blocks it frees, or the veto that
+    /// aborts it — and forces the COMMIT. A relayed transaction's votes
+    /// come folded, a reply per subtree.
     fn vote(
         &mut self,
         ctx: &mut Ctx,
         ids: &[u64],
         ballots: Vec<Fan>,
-    ) -> Result<Vec<Result<u32, EfsError>>, BridgeError> {
+    ) -> Result<Vec<Result<Tally, EfsError>>, BridgeError> {
         // A tolerant participant's column is already lost with its node
         // (or sits on a spare that has not been rebuilt yet); the
         // transaction proceeds without it — the decision is still sent,
         // and its failure ack is tolerated there too.
-        let verdicts: Vec<Result<u32, EfsError>> = (ballots.into_iter())
-            .map(|fan| {
-                let votes = agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {});
-                votes.map(|t| t.lost)
-            })
+        let verdicts: Vec<Result<Tally, EfsError>> = (ballots.into_iter())
+            .map(|fan| agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {}))
             .collect();
         // The commit point, for every transaction nobody vetoed. A vetoed
         // one is presumed aborted: no log write. Participants that never
@@ -374,46 +390,80 @@ impl Server {
         Ok(verdicts)
     }
 
-    /// Fans each decision out to its participants — every one pipelined,
-    /// a relayed transaction's down the tree — and collects the
-    /// acknowledgements, returning per decision the blocks its
-    /// participants freed. `NodeFailed` is tolerated: before the commit
+    /// Fans each decision out to its participants, as its transaction's
+    /// PREPAREs went, in one round: decision i's sends answer for
+    /// position i.
+    fn decide(&mut self, ctx: &mut Ctx, decisions: &[Decision]) -> Fan {
+        let mut round = Fan::default();
+        for (i, d) in decisions.iter().enumerate() {
+            let targets = d.participants.iter().map(|p| (p.node, true, 1));
+            let ops = d.participants.iter().map(|p| LfsOp::Decide {
+                txn: d.txn,
+                commit: d.commit,
+                intent: p.intent.clone(),
+            });
+            let sent = self.send_round(ctx, d.shape, targets, ops);
+            round.join(sent, i);
+        }
+        round
+    }
+
+    /// Takes every ack of `round`, the decisions of `txns`, as it
+    /// arrives, and returns per decision whether its participants applied
+    /// it, tracing a failed one as `2pc.decide_failed`. A lost column is
+    /// tolerated — every participant of a decision is tolerant — and
+    /// traced as `2pc.decide_lost`: before the commit
     /// point the participant never prepared or is already being
     /// abandoned; after it, the logged decision repairs the column when
-    /// the node returns (or `pfsck` does). A hard error — or a relay that
-    /// never answers — fails its decision, once every ack has been
-    /// consumed, so no acknowledgement is left orphaned in flight.
-    fn decide_all(
-        &mut self,
-        ctx: &mut Ctx,
-        decisions: &[Decision],
-    ) -> Vec<Result<u64, BridgeError>> {
-        let rounds: Vec<Fan> = (decisions.iter())
-            .map(|d| {
-                let targets = d.participants.iter().map(|p| (p.node, true, 1));
-                let ops = d.participants.iter().map(|p| LfsOp::Decide {
-                    txn: d.txn,
-                    commit: d.commit,
-                    intent: p.intent.clone(),
-                });
-                self.send_round(ctx, d.shape, targets, ops)
-            })
-            .collect();
-        (decisions.iter().zip(rounds))
-            .map(|(d, fan)| {
-                let acks = agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {});
-                let Tally { lost, freed } = acks.map_err(BridgeError::Lfs)?;
-                // `UnknownFile` among the lost is a column on a freshly
-                // formatted spare: the decision has nothing to apply to
-                // until a rebuild repopulates the instance.
+    /// the node returns (or `pfsck` does), and an `UnknownFile` column on
+    /// a freshly formatted spare has nothing to apply to until a rebuild
+    /// repopulates it. A hard error — or a relay that never answers —
+    /// fails its decision once every ack has been consumed, so none is
+    /// left orphaned in flight.
+    fn acks(&mut self, ctx: &mut Ctx, txns: &[u64], round: Fan) -> Vec<Result<(), EfsError>> {
+        let mut acks = vec![(0, Ok(())); txns.len()];
+        let _ = agent::gather(ctx, &mut self.client, &self.config, round, |i, ack| {
+            let (lost, applied) = &mut acks[i];
+            match ack {
+                Ok(LfsData::Tally { lost: more, .. }) => *lost += more,
+                Err(e) if e.column_lost() => *lost += 1,
+                Err(e) if applied.is_ok() => *applied = Err(e),
+                Ok(_) | Err(_) => {}
+            }
+        });
+        (txns.iter().zip(acks))
+            .map(|(&txn, (lost, applied))| {
                 if ctx.trace_enabled() {
                     for _ in 0..lost {
-                        ctx.trace_instant("2pc", "2pc.decide_lost", &[("txn", d.txn)]);
+                        ctx.trace_instant("2pc", "2pc.decide_lost", &[("txn", txn)]);
+                    }
+                    if applied.is_err() {
+                        ctx.trace_instant("2pc", "2pc.decide_failed", &[("txn", txn)]);
                     }
                 }
-                Ok(freed)
+                applied
             })
             .collect()
+    }
+
+    /// Fans each decision out in one round and takes every ack.
+    fn decide_all(&mut self, ctx: &mut Ctx, decisions: &[Decision]) -> Vec<Result<(), EfsError>> {
+        let round = self.decide(ctx, decisions);
+        let txns: Vec<u64> = decisions.iter().map(|d| d.txn).collect();
+        self.acks(ctx, &txns, round)
+    }
+
+    /// Takes the parked DECIDE round's acks ([`Server::acks`]), if one is
+    /// out, and lifts its fence. The server settles before the next
+    /// group's first PREPARE, before a read round whose ops name a fenced
+    /// file, before every request it serves alone, and when it goes idle.
+    /// An ack that fails cannot fail its reply, which has left: the
+    /// COMMIT is on record, and the column is repaired as one lost at
+    /// decision time is (`pfsck`'s machine pass).
+    pub(super) fn settle_decisions(&mut self, ctx: &mut Ctx) {
+        if let Some(Parked { txns, round, .. }) = self.parked.take() {
+            self.acks(ctx, &txns, round);
+        }
     }
 
     /// Inline fail-stop recovery for the coordinator, entered when a
@@ -498,7 +548,7 @@ impl Server {
             .collect();
         let acks = self.decide_all(ctx, &aborts);
         for (&(txn, _), ack) in doubted.iter().zip(acks) {
-            ack?;
+            ack.map_err(BridgeError::Lfs)?;
             let committed = false;
             self.journal(ctx, HealthEvent::TxnResolved { txn, committed });
         }

@@ -12,11 +12,15 @@
 //!   Tolerant skips (redundant columns on the dead node) never
 //!   under-count the survivors; an intolerable loss (a `None` file
 //!   placed on the dead node) errors — and under 2PC removes nothing.
+//!
+//! And one of timing: a transaction is answered at its COMMIT, and the
+//! next request on its file waits for its DECIDE acks.
 
 use bridge_core::{
     BridgeClient, BridgeConfig, BridgeError, BridgeFileId, BridgeMachine, CreateSpec, Redundancy,
 };
 use bridge_efs::{set_failed, EfsError, LfsClient, LfsData, LfsFileId, LfsOp};
+use bridge_trace::TraceCollector;
 use parsim::{Ctx, ProcId};
 
 /// Companion-id bit for mirrored columns (mirrors `core::server`).
@@ -215,4 +219,53 @@ fn vetoed_delete_rolls_back_every_prepare() {
         assert_readable(ctx, &mut bridge, sturdy, 6);
         assert!(bridge.delete_many(ctx, vec![frail, sturdy]).unwrap() > 0);
     });
+}
+
+/// The reply leaves at the COMMIT: on the paper's parity machine a
+/// `rand_write`'s `bridge.rand_write` span ends while its DECIDE round is
+/// still out, and the same client's `rand_read` of the block — fenced
+/// until the write's acks are in — reaches the LFS only after the last
+/// `client.lfs.decide` span ends, and reads the new bytes.
+#[test]
+fn a_reply_leaves_before_its_decide_acks() {
+    let collector = TraceCollector::install();
+    let mut config = BridgeConfig::paper(8)
+        .with_2pc()
+        .with_redundancy(Redundancy::parity());
+    config.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let server = machine.server;
+    let read = sim.block_on(machine.frontend, "app", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let file = write_file(ctx, &mut bridge, 7, 4, CreateSpec::default());
+        bridge.rand_write(ctx, file, 1, record(8, 1)).unwrap();
+        bridge.rand_read(ctx, file, 1).unwrap()
+    });
+    assert_eq!(&read[..80], &record(8, 1)[..], "the read sees the write");
+    let data = collector.take();
+    let span = |name: &str| {
+        (data.spans.iter())
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("no {name} span"))
+    };
+    let (write, read) = (span("bridge.rand_write"), span("bridge.rand_read"));
+    let decided = (data.spans.iter())
+        .filter(|s| s.name == "client.lfs.decide" && s.start >= write.start)
+        .map(|s| s.end)
+        .max()
+        .expect("the write's DECIDE round");
+    assert!(
+        write.end < decided,
+        "replied at {:?}, last DECIDE ack at {decided:?}",
+        write.end
+    );
+    let first_read = (data.spans.iter())
+        .filter(|s| s.name == "lfs.read" && s.start >= read.start)
+        .map(|s| s.start)
+        .min()
+        .expect("the read's LFS read");
+    assert!(
+        first_read >= decided,
+        "read the LFS at {first_read:?}, before the DECIDE acks at {decided:?}"
+    );
 }
