@@ -39,13 +39,16 @@ fn second_create(config: &BridgeConfig) -> [u64; 5] {
 }
 
 /// Where the fan-out is all singletons a 2PC Create is the serial
-/// sequence, send for send.
+/// sequence, send for send. The times were re-recorded when a
+/// transaction began to be answered at its COMMIT: the second Create now
+/// first takes the acks of the first one's parked DECIDE round
+/// (108 612 100 → 108 407 300 ns at p = 2); the counters did not move.
 #[test]
 fn narrow_2pc_create_is_the_serial_sequence() {
     let rows = [
-        (2, [108_612_100, 68, 20, 776, 68]),
-        (3, [117_612_100, 96, 28, 1_068, 96]),
-        (4, [126_612_100, 124, 36, 1_360, 124]),
+        (2, [108_407_300, 68, 20, 776, 68]),
+        (3, [117_407_300, 96, 28, 1_068, 96]),
+        (4, [126_407_300, 124, 36, 1_360, 124]),
     ];
     let mut drifted = false;
     for (p, want) in rows {
