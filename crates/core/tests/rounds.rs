@@ -7,7 +7,11 @@
 //! round). Each row is one op's virtual time (ns) and the whole run's
 //! `events`, `messages`, `bytes_sent` and `dispatches`. The simulation is
 //! deterministic: any difference is a behavioural change, not noise. A
-//! mismatch prints the observed row in source form.
+//! mismatch prints the observed row in source form. On the 2PC machine a
+//! transaction is answered at its COMMIT, and the timed op first takes
+//! the acks of the last append's parked DECIDE round: the rebuild's row
+//! went 505 640 800 → 526 894 650 ns and the Delete's 113 203 850 →
+//! 113 253 850 when that began; the counters did not move.
 //!
 //! Beside the pins, the fold every round shares: a vetoed round reports
 //! its earliest target's error, and a lost column is tolerated only where
@@ -162,7 +166,7 @@ fn rounds_are_pinned() {
                     bridge.delete(ctx, file).unwrap();
                 })
             }),
-            [113_203_850, 600, 212, 67_712, 600],
+            [113_253_850, 600, 212, 67_712, 600],
         ),
         (
             "two_pc_parity_overwrite",
@@ -185,7 +189,7 @@ fn rounds_are_pinned() {
                     assert!(bridge.rebuild(ctx, file).unwrap() > 0);
                 })
             }),
-            [505_640_800, 791, 302, 108_576, 791],
+            [526_894_650, 791, 302, 108_576, 791],
         ),
     ];
     let mut drifted = false;
