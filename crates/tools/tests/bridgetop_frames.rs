@@ -355,7 +355,7 @@ const FAULTED: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 2,
             queue_waits: 203,
-            queue_wait_nanos: 690924300,
+            queue_wait_nanos: 694835300,
             service_count: 203,
             service_p99_ns: 29360128,
         },
@@ -386,7 +386,7 @@ const FAULTED: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 2,
             queue_waits: 114,
-            queue_wait_nanos: 74181800,
+            queue_wait_nanos: 74593600,
             service_count: 114,
             service_p99_ns: 62914560,
         },
@@ -417,7 +417,7 @@ const FAULTED: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 2,
             queue_waits: 194,
-            queue_wait_nanos: 411909000,
+            queue_wait_nanos: 413968000,
             service_count: 194,
             service_p99_ns: 29360128,
         },
@@ -448,7 +448,7 @@ const FAULTED: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 2,
             queue_waits: 194,
-            queue_wait_nanos: 749610250,
+            queue_wait_nanos: 752698750,
             service_count: 194,
             service_p99_ns: 29360128,
         },
@@ -462,9 +462,9 @@ const FAULTED: Pinned = Pinned {
         queue_high_water: 10,
         dispatches: 4627,
         syscalls: 6585,
-        wakes_elided: 1002,
+        wakes_elided: 1067,
         ready_peak: 12,
-        end_time: SimTime::from_nanos(12423697050),
+        end_time: SimTime::from_nanos(12419784950),
     },
     events: &[
         "disk.lost",
@@ -483,111 +483,111 @@ const FAULTED: Pinned = Pinned {
     ],
     alert_arc: &[
         (58, "degraded-service"),
-        (369, ""),
+        (368, ""),
         (370, "degraded-service"),
-        (416, "degraded-service,stalled-rebuild"),
+        (415, "degraded-service,stalled-rebuild"),
         (418, "degraded-service"),
         (443, "degraded-service,stalled-rebuild"),
         (448, "degraded-service"),
-        (492, "degraded-service,stalled-rebuild"),
+        (491, "degraded-service,stalled-rebuild"),
         (494, "degraded-service"),
         (519, "degraded-service,stalled-rebuild"),
         (524, "degraded-service"),
-        (568, "degraded-service,stalled-rebuild"),
+        (567, "degraded-service,stalled-rebuild"),
         (573, ""),
     ],
     resends_arc: &[],
-    render_hash: 0xced61b6da4423598,
+    render_hash: 0xb95c09ffa88a1032,
     frame_hashes: &[
-        0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x7db6984a, 0x1a94ea36,
-        0x7aa4dd97, 0x0783cb97, 0xbdd097f0, 0x2f5051dc, 0x08c37c67, 0xc5284c3b, 0x268e1f08,
-        0xc26104e6, 0xea2edc94, 0xbdd98d82, 0x3e4743d8, 0xbeaac9f2, 0x2765e840, 0xd4531bdb,
-        0x4d27cc8d, 0xeee9b2d1, 0x276bc4ea, 0x0c8986bf, 0xa80f4846, 0x64133616, 0xca4d50c8,
-        0xf44fa22c, 0xcb73a81e, 0x0d283472, 0xe86d5da1, 0x0064e504, 0x6cd7a35d, 0x79362215,
-        0x663143f3, 0x1b09560f, 0x117f9746, 0x5101ede1, 0x8d0bd060, 0xeb248369, 0x49aeeaaf,
-        0x8b40c05e, 0x8299c5af, 0x59fc9bfd, 0xae8cf00d, 0x73a5f4d1, 0x896dc3dc, 0x14b93939,
-        0x041a00a4, 0x3544837e, 0xbf8f6388, 0x8ee41360, 0x87056090, 0x5029c027, 0xd3fc67da,
-        0x20b27e73, 0x9f743e86, 0x06f49564, 0x26216c70, 0x83f5ab09, 0x71a47215, 0xd03977ad,
-        0xc4149d4f, 0xa84b8b91, 0x6daa7bc0, 0xa9d68675, 0xd1bfc9b7, 0x9a6253ef, 0x05f6f0f9,
-        0xa2ebf2ad, 0x44c2e0cd, 0x6929615d, 0xae93c084, 0x224bc771, 0x638a6f0f, 0xe1c7b480,
-        0x6c554f1b, 0xffdfddc1, 0xc5ccf73b, 0xccf76298, 0x175ebe5e, 0x77e5a0f2, 0x345fda32,
-        0x604e5184, 0xadf31e37, 0x14c8aff4, 0xc00c7591, 0xc16da3c1, 0xf61fb82b, 0x1609fdb9,
-        0xf380b46e, 0xe42d470d, 0x4acc3f89, 0xaa62eafc, 0x6d82f856, 0xca26add4, 0x7b903385,
-        0x016eccd3, 0xb63ff413, 0x1b30b2b8, 0xd02bca17, 0x8d286a59, 0x6d4bf55b, 0xf0fd4f55,
-        0xd48b6ff7, 0x1feb52aa, 0xb7ff3f42, 0x444cc3ff, 0xac2710b7, 0xc8dac651, 0x32885596,
-        0xf2a3b520, 0x52da8e83, 0xff855a56, 0x26a9f437, 0x27824ed3, 0xac7d5292, 0x1d30ab5d,
-        0xe47e244e, 0xaabb704a, 0x214f4549, 0x270e0f8e, 0x714f2f4f, 0x73b2fbef, 0x7ac3bcca,
-        0xcaab0ea7, 0x47853f95, 0xc00d8554, 0x4fd0e83d, 0x8c39761b, 0x514a6d0e, 0x5a72dfd4,
-        0x46e68d68, 0x875827ba, 0xf021ecaf, 0x44987e8d, 0x68bdad88, 0x93dc5787, 0x46075db6,
-        0x0a8d4e4b, 0xbca15886, 0xdc0f7ec7, 0x60b690e9, 0x5922afd2, 0xbc87ab3c, 0x10af9573,
-        0x0764b647, 0x0dc971ae, 0xff26abdf, 0x223aa9d6, 0x10c2dae4, 0x9d8bc72d, 0xcecba555,
-        0x2b84a6b6, 0xb22231b1, 0x3cd73372, 0x9d8ee2c6, 0xd9490cd7, 0x5d101ecb, 0xe81c0ae3,
-        0xd31c08b0, 0xdccfde0d, 0x0a8c7cc7, 0xac77336f, 0xf8979c99, 0xd6d905b6, 0x899ad806,
-        0x9bee099e, 0xfe6f7556, 0xae531cde, 0xc37bdf6d, 0xacf2bec0, 0xa4b58746, 0xce88c0d3,
-        0x76a52775, 0x65217daf, 0x4ca7a300, 0x07b21c4e, 0x49e671ff, 0x887aab92, 0xc8044149,
-        0x88ec2224, 0xcd6ea0b2, 0x993c2238, 0x332cd4c2, 0x7973b43b, 0xa194f6a3, 0xf48b48cb,
-        0x881632b3, 0x11e5c4d9, 0x2224c8c5, 0xf2fad964, 0x0443ab27, 0xf2128515, 0x3d33c693,
-        0xb7f40e8b, 0x3abbe503, 0x273867ef, 0x1fa70e89, 0x5222d36c, 0x2b5f6b51, 0xb3059dc2,
-        0xc960cfee, 0x1ebfb52a, 0xe7d787f3, 0x98b47e3b, 0x1639ab42, 0xc6d9ba9b, 0x85cad5d6,
-        0xc49d23b6, 0xcfd354aa, 0x405482cd, 0xc9440c72, 0xcce1d78f, 0x87b3b7a7, 0xb8531161,
-        0x1d2f06a8, 0xe657495a, 0x8a746c3d, 0xfb19c685, 0xdde02169, 0x40ca64f6, 0x02201571,
-        0x6e981587, 0x80496982, 0xbaaea5a0, 0x42b8ad58, 0xb10d4dbd, 0x82005be4, 0x5d0e6bad,
-        0xa241e1e7, 0xe36b0349, 0x031dfb1a, 0x38cd59f8, 0xc21fc400, 0x13e50a57, 0x02ea43d2,
-        0x45e7aee2, 0x92f2b53e, 0xb11dd173, 0x9f8e2ebd, 0x5b3f27fe, 0x16b74d5c, 0xe7e213f9,
-        0x08afbf41, 0xf152c503, 0xf69699a2, 0x9022feca, 0xe4a780f7, 0x9de1ee33, 0x47a9e3bf,
-        0x86c819dd, 0xb8abef75, 0x92a2d3fc, 0xa866380d, 0x74e3de4f, 0xff307944, 0x493b62e9,
-        0x9ceddc1d, 0x9b8dae74, 0x54654cf2, 0x0c6413fd, 0x3e6ab606, 0xf192a24e, 0xa703cb31,
-        0x55a29535, 0xd87b4494, 0xc8b49991, 0x89961d94, 0xd2684aa1, 0x7006d561, 0x6e7d2736,
-        0x25d1967d, 0x39f2b958, 0x114fef1e, 0xcd3b8a84, 0x016c8f72, 0x79015669, 0xca30371c,
-        0x066f92d0, 0xce02d8e0, 0xf7eebc15, 0x1e1e9102, 0x22bc89a2, 0x20eee32c, 0x064d1b6d,
-        0x646c4eda, 0x5c84ab34, 0x0d5f325e, 0x17f23dd8, 0x3be7b28d, 0xf8ee5787, 0x1354693c,
-        0x47e95ba1, 0xa31bed1e, 0xeac5b3a4, 0x772ef78c, 0xe2dbc0c7, 0xec26a2ae, 0x6ec1de34,
-        0xc114369c, 0x993f9c8f, 0x5e7f0070, 0x43a9920a, 0x3ea7b4bd, 0x98a2b823, 0x46569cb9,
-        0x332aa106, 0x04402639, 0xd6ee6e3a, 0x031936ef, 0x0ec5de0a, 0xf2a1381a, 0x499a9ab0,
-        0xce620186, 0xce2dc11e, 0xee19a10a, 0xed3946b1, 0x3df94dcc, 0x126b5a5c, 0xfc227804,
-        0x44927b99, 0xf6120d1b, 0x163da318, 0x1a21d179, 0x3c972882, 0x1d150e0f, 0x0f00a875,
-        0xceaea25a, 0xf59fb942, 0xd0fe18e7, 0x38967cd9, 0x6b64cd47, 0x1fbf3452, 0xee4e9307,
-        0x477a7e73, 0x06515277, 0xf977d947, 0x32318f56, 0xbff35ae1, 0x499364a8, 0x8c9e099b,
-        0x9886e16c, 0xc1a62814, 0xac87bb30, 0x272a5ae5, 0x01e98f39, 0x3cfbbfa6, 0x5e0024ff,
-        0xe0ee2067, 0xfe778e1c, 0xfa0c3040, 0x087bbc64, 0x40190ec6, 0x8110d130, 0x7b5f0dd4,
-        0xc560c281, 0x29177223, 0x8821ca74, 0xee87fdf7, 0x589ba4b1, 0xba90e5b2, 0xf417431f,
-        0xca61a84a, 0xd41c528a, 0xc047a914, 0x4d029b8d, 0x3c2572a3, 0x347b0d0e, 0x15d6b5d0,
-        0xd22099cc, 0xbccf6696, 0xc0204c3d, 0x277c53df, 0xeba7076e, 0xaeb10570, 0xb4637f0a,
-        0x0432309a, 0xd1fc098e, 0x409f26cf, 0xc93322d5, 0x17c7aa37, 0xedce39f8, 0xfac20050,
-        0x08cb2c09, 0x2b643e40, 0xffe035d6, 0xe988990f, 0xde207e65, 0xa3ff96e6, 0x2034e22a,
-        0x38692de4, 0xa2d0ba13, 0x7b0debd9, 0xe14cadff, 0xa03e6d79, 0x946738d8, 0xcbfff0d5,
-        0xf1802f6f, 0xf1194632, 0xa8d4e8cc, 0x9009e280, 0x955350a0, 0x9324bf09, 0x29de7b73,
-        0xf5577173, 0x12c8947a, 0x1309444d, 0x2c31d61b, 0x04e77c7f, 0x15ba11dc, 0x431f0508,
-        0xbfced945, 0xb914fd21, 0xb602c2d6, 0x6dddf315, 0xcfc57b54, 0xf0b93118, 0x0553495c,
-        0x9e675152, 0xaea0872f, 0x678ac7a7, 0x34bf6d3a, 0x959d6c0f, 0xf03b6f97, 0xbadbee47,
-        0x059a542d, 0xa2af224b, 0xdc5950be, 0x07587a97, 0x9b8a6dde, 0x84ccb789, 0xcd31ca17,
-        0x32ec282b, 0x66da6215, 0x496422b1, 0xb60d8ec4, 0xc31fd8db, 0xd9e9e87d, 0xafab7d1f,
-        0x6cab77a9, 0xd3d609c8, 0x4f02a54b, 0x25ca2fe5, 0xd009ccf4, 0xabecc99a, 0x0b037b36,
-        0xde233c7a, 0x9ae20c90, 0xcb58be86, 0x986ae855, 0x1e3e6344, 0x2d29b738, 0xfbbef151,
-        0x6ad47eaf, 0x14532c68, 0x1ce9a24a, 0xf2490a75, 0x2eb95e21, 0x982bcd1a, 0x00f39d63,
-        0x8745a325, 0x95067142, 0x3a40e05c, 0xc4a5a72f, 0x3a93174c, 0x08f23b2f, 0x942f9668,
-        0xf3262d91, 0x5d3bb695, 0x27b1c0f6, 0x5ac40b8f, 0x5a68c589, 0x7b04de72, 0x1df1cd59,
-        0x9e9b0547, 0x5e8b170b, 0x6304fb62, 0x80344c99, 0x4ff1cc3d, 0x5b4ba7be, 0xb576ef26,
-        0xa11b539f, 0x691d56fa, 0x69f56f81, 0x48c02ac7, 0x60cc29f7, 0x30278172, 0xd7cf98be,
-        0xfdacebe8, 0x188865c3, 0x4f37ffa1, 0x447b95d8, 0xf9c1a772, 0x4fd3dd2f, 0xaf33e8d1,
-        0xff4deb72, 0x52c3704d, 0x251300ed, 0x6af4fcc9, 0x09c24723, 0x7b70c00b, 0xe50ec68b,
-        0x897bf49c, 0x5045b7a1, 0x61a90526, 0x27e78bd7, 0xfc5f293d, 0x15ac9f5b, 0xc45a00de,
-        0x51157914, 0x3574cb98, 0x4782e959, 0xdf90c560, 0x9095381b, 0xd6c0e028, 0xd86124a7,
-        0xb5307237, 0xbe2b7ab7, 0x0b22cf40, 0xb78e945d, 0x83053312, 0xd3ef7238, 0x6eefe91c,
-        0x9ea32fda, 0x2ad8ec9f, 0xdd4c757e, 0x9d9422f2, 0x272e910b, 0x0ad950ea, 0xdae320b7,
-        0x7e8a50d4, 0xbdd7f7fe, 0xe2a93df6, 0x06793ce7, 0xee069344, 0x2a20f693, 0x9bdd1ed4,
-        0x19eedd83, 0xab8e8039, 0x575ff09e, 0x8ed831be, 0x2450b042, 0x8dd33f0d, 0x757ff334,
-        0x338f1e1b, 0x7896934b, 0x06f902ce, 0xe449e604, 0x6f62ed86, 0xabc31ed1, 0x7c9e56fb,
-        0x7786df26, 0x272d9076, 0xb4c8d614, 0x3003242a, 0x924f431b, 0xffd5b100, 0xc6d1114a,
-        0x8fe7b71f, 0xa504799f, 0x2b7a8600, 0x1c03316c, 0x7b0ccbf3, 0xc6934a1e, 0x83e84368,
-        0x822a263c, 0x9a0eef49, 0xf60ed55a, 0x79e14af8, 0xf085d950, 0x2849a05c, 0x7b96cc59,
-        0x250c8ee7, 0xdbdd6d8a, 0xbb1e35b4, 0x53387f6b, 0x164990b2, 0x5a71e4a3, 0x9d042da7,
-        0x209e46c0, 0x39f70aee, 0x9c3f313d, 0x3384dc49, 0x50939d01, 0xe19da352, 0x7a114ed0,
-        0xea93d7c1, 0x9a9cf95a, 0xdcb248f1, 0x05f419d9, 0x60161e4f, 0x2dc2f169, 0x0c051757,
-        0xd5a17298, 0x7d5db150, 0x2f1bf27b, 0x582e3283, 0xada988b8, 0xd0e1a92f, 0x6ad01a4e,
-        0x18fd6aa4, 0x8ce5f057, 0x505c85be, 0xdd3bbd59, 0x34d7a2f5, 0xbd16e75b, 0xd386accf,
-        0xc9f45c58, 0x0d63ebf8, 0x4ab19b83, 0xcd24f2d5, 0x2aeef45f, 0x701acec4, 0x82887e7f,
-        0x7ec1d4d5, 0xfc7922b3, 0xc7519fe7, 0xb1acd8e5, 0x70f19e95, 0x5ec8ed69,
+        0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x0d3a6c87, 0x1a94ea36,
+        0x7aa4dd97, 0x471e62de, 0xbdd097f0, 0xb3a10a62, 0xdd58e97b, 0xf2e2f753, 0x09960f56,
+        0xe47f8540, 0xc7fd25de, 0x127aec2a, 0x8e5ced93, 0xdfe5cc4e, 0x511a2cf6, 0xc4ae7a67,
+        0xb49e8e6b, 0x301fcec6, 0x19e65a5d, 0x4222327a, 0x32d4b40a, 0x0d3ffa3a, 0x6177479c,
+        0xaf4f4173, 0xd0c1d037, 0xca59940c, 0xf1ce58f8, 0xb69ff754, 0xe8a4d808, 0x9623ba19,
+        0xe64f50a0, 0x51677cba, 0x6c2472b3, 0xfae933e1, 0x41b577fe, 0x248a3852, 0x0f774b81,
+        0xae79ef22, 0xf5bfe8a8, 0x92e8c518, 0x4b8eac71, 0x6367106c, 0xfa87b716, 0x9ac3f08a,
+        0x8e739025, 0xa084f6b6, 0x76c68a0b, 0xd7320f44, 0x522d688f, 0x894157a8, 0xad5b5d1d,
+        0x23b5ff91, 0x85e0e68e, 0x0e1ade84, 0xa2b8abc1, 0x822ec52d, 0x98031a96, 0xc40f7dad,
+        0x334aa941, 0xd01e0e30, 0x0ec6da40, 0x76fad655, 0x107fa2f3, 0x65ab09ef, 0x960d5a52,
+        0xb6ac6063, 0x4a8e372b, 0xe00ba16d, 0xa7d23c8b, 0xadd697d7, 0xa8172660, 0xb0c245ed,
+        0x8de7f15f, 0xa564c4d1, 0xc212517a, 0x49418036, 0x042c2d15, 0xeeeb8b21, 0x2033bcbc,
+        0x428403a1, 0x097470c6, 0xfc9e43e8, 0xd2f1b614, 0x59b52a25, 0x0f311df7, 0x8e46a45e,
+        0xde36410e, 0xc42aebb1, 0x6d59702e, 0x6bc575df, 0x8e9cabb2, 0x663fc5f0, 0x1ee08036,
+        0x099b084a, 0x339735d1, 0xb4883a08, 0xdf98cf57, 0x39f83926, 0x33f57a5c, 0x59427f5f,
+        0xc9bda40c, 0x0264dded, 0x30cfb011, 0x9df09eb9, 0xe3069d15, 0x8c6a5b40, 0x0e35ce56,
+        0xd48c398b, 0xcc6103e7, 0xaa9d4eb5, 0xb82a3976, 0xf8a3bc57, 0x3adbc428, 0x657fd2bc,
+        0xf363aa99, 0xa4076a9f, 0x84b6b00d, 0xf92a64dc, 0x28577f5c, 0x1fd2e3c8, 0x31afeb9a,
+        0xbbb2914f, 0x6274cf6c, 0x6758d52e, 0x10220bbd, 0x3cfbc01c, 0xb85bdbcb, 0xe501fc00,
+        0x026c5b0c, 0xdbc0ce42, 0x1a336712, 0x7fdf9d3f, 0xd9333d08, 0xc2ad14fc, 0x58697c84,
+        0xcb463bba, 0x25e53fc2, 0xe0e4a207, 0x6a097098, 0x6e2984d1, 0xa2a84c2e, 0x68c19a04,
+        0xc56a18a1, 0x5837dc8b, 0xab83e2cd, 0xe2b57311, 0x76de11c1, 0x279d1219, 0xcf3b1c5f,
+        0x466d736c, 0xe930b54d, 0xf13b8a8f, 0x71c99688, 0x7e3550b3, 0x942f2920, 0x65db4393,
+        0x2fd96381, 0x42052f14, 0x995ed97e, 0xcf5e1c1f, 0x5dc7d12e, 0x430748a9, 0x62628a91,
+        0x3613f5d3, 0x490e2855, 0x1ce42ef8, 0x88bf9d75, 0x2e257f00, 0x304b655f, 0xa6386269,
+        0x6587577f, 0x114cac09, 0x53b90f9f, 0xdf23f2a5, 0x716556a2, 0x256617f4, 0x97972b19,
+        0x98d4506d, 0x31294107, 0xf848b001, 0x7982f463, 0xa2910396, 0x764aa86b, 0xf4d369c3,
+        0x683ac0b4, 0x6880e93d, 0x1cfc4644, 0xdd71de61, 0xe1d8acac, 0xad33d8c2, 0xa2916784,
+        0xdaef50bc, 0x950f0c50, 0xa8805d00, 0xf8bace97, 0x2a75c492, 0x49047d47, 0x6ee9eddf,
+        0x0641c793, 0x2eb352f2, 0x773d9b5f, 0x47b4a237, 0xcdf6513f, 0xd1a1439a, 0x02e39133,
+        0xd979b878, 0xb5e9102c, 0x526a0ca9, 0x01db5529, 0xacd3035d, 0xc6e5b9b4, 0x391b758c,
+        0x3b01d69d, 0xded5f99b, 0xec12b373, 0xe767e1e1, 0x2a8ec4b3, 0xd3e5a1be, 0x3bc75c36,
+        0xc1387d16, 0x24bb7ed7, 0x46ba485f, 0x9362dafd, 0xf3b4ccae, 0xc38f01f0, 0xb7ef7f8c,
+        0xb4da4e89, 0x6539208c, 0xbd2e2f2d, 0xb2485d43, 0xd470217e, 0xa0b49598, 0xe9028375,
+        0x0a54af0c, 0x9577837d, 0xb704f05c, 0xd3f48f09, 0x4539dab4, 0xf11f3f42, 0xe6bef33f,
+        0x301ae4fb, 0x3dc66dfa, 0x9025d93c, 0x49b0ce7e, 0x55149562, 0xb16fc7e1, 0x1b65d52e,
+        0x62d6e5ed, 0xcb0c60f0, 0x9b9e6ae3, 0xe66fc7c1, 0x94f5ca5d, 0x5b334490, 0x3de0e7fb,
+        0x70e87b5c, 0x3c0e186b, 0xc8b4c9bc, 0xfec4dac1, 0xadc23e14, 0x9606dad8, 0xaf686955,
+        0xc8c92b2f, 0xe2f676f0, 0xe190377a, 0x6e35bcbc, 0xc2ff64b8, 0xbed31f09, 0x9dd51cfb,
+        0x34774b3e, 0xa8d93023, 0x975f0a71, 0x1b0e5979, 0xdee54cdf, 0xfe2ec4c0, 0x5505754e,
+        0x5b12cc11, 0x7e9469b6, 0xf2c77d28, 0xe71b0faa, 0x1120c2f0, 0xa753c200, 0x04165c70,
+        0x608c6fc8, 0xbe6b0bae, 0x35707abb, 0xe5bc3dad, 0x16102f5f, 0x98d68d43, 0x34f7287c,
+        0xb02e655a, 0xbf1af906, 0xe5c674a8, 0x6b3ddd17, 0x9b8a7363, 0xe59a32aa, 0x3239c84a,
+        0xde08744f, 0x1759d11c, 0x898a959e, 0x7ab58c7e, 0xb57564cd, 0xca3bb959, 0x37d39edf,
+        0x3630363a, 0x7eb55d9c, 0xce5b09a5, 0x4f3aec2d, 0x8acd7244, 0x0bda7ddc, 0x5f7c676c,
+        0xa359dfc1, 0x75c6a7b4, 0xd99bc458, 0xa77f2e56, 0x249b95ab, 0x26fb34e3, 0x6623b7e0,
+        0xfbb8d2e8, 0xa7aafc06, 0xc7e242a2, 0x21a362b0, 0x4d8fd30a, 0xc519b7d0, 0xd2913d56,
+        0x921eea3d, 0x1ee311a7, 0x42a94b5d, 0x3ad3bcb7, 0xcf651117, 0xe84c57dd, 0x8544e826,
+        0x6bfdf5b6, 0x1ba55d3e, 0xa605ce8a, 0x1be431b1, 0xadb1229b, 0x030b1939, 0xfd8c35ad,
+        0x12891b3e, 0xa3b76f33, 0xe32d31cb, 0x8e1440f7, 0xe00fa63d, 0xfe5a958d, 0x148d90bd,
+        0x247a4803, 0x58526673, 0x49301b9b, 0xc48b796c, 0xcefe185a, 0xb334a591, 0xba9835fa,
+        0x1497ae40, 0xf0e9d6c7, 0xa1af25fe, 0xe898ab37, 0xf2a7300c, 0x326bc2c9, 0xf7ef55f4,
+        0xb94df7d7, 0x4801ecfc, 0x83cb8b7a, 0x915737a5, 0x550bc119, 0xcb5a525e, 0xee64ef24,
+        0x4b5a1d17, 0xc6106b2c, 0xe8be93a2, 0x8de2aa33, 0x0ae8f2be, 0xb5fb9ad1, 0xbcdb488e,
+        0xb6eb59a1, 0x61c23104, 0xdf4892a7, 0x3c6757cf, 0x522848a2, 0x57b8da33, 0xf1df8e03,
+        0x7c850ec9, 0xd09497de, 0x00999247, 0x437ccb70, 0xb6d1c2f4, 0x5cf5cd96, 0xf45c533c,
+        0xe6b2676d, 0x99153ad1, 0x86b69573, 0x31dd47d6, 0x260deb98, 0xd0655bba, 0xfd019a5e,
+        0x881ceb5a, 0x7a64e560, 0x82f88f49, 0x45b35b04, 0xbec5955e, 0xc4819416, 0xb3c324c0,
+        0x97cdf01f, 0xca41389b, 0xe3ab126a, 0x599b20ba, 0xfc413177, 0xacbcfe69, 0x42ff125f,
+        0x5c66163b, 0xfd534129, 0xf8c2be73, 0x3c39bd49, 0xdee4e23c, 0xa1136c41, 0x3ec6235b,
+        0x17d31fae, 0x5aea0692, 0xa4b1f816, 0x69e74464, 0x2b9730bc, 0x4c8db542, 0x72a125cb,
+        0xaf50700d, 0x8b504d71, 0x0c4c99e2, 0x4e4d69b4, 0x0c92b3c9, 0x60e48908, 0xffc1aec3,
+        0xbee01eab, 0x45844993, 0x5b48f482, 0x150d7652, 0x61991bcb, 0xbfbfd4b3, 0x1d580349,
+        0x09ab5487, 0x0435ba38, 0x71004e7d, 0x57373043, 0x24a0646e, 0x10bc1742, 0xdbda7c03,
+        0x0728341f, 0x4f91ace8, 0x8dacae8a, 0x1b9b04d9, 0xa87be1e1, 0xda11d905, 0x8ba43ae2,
+        0x6f3b54cc, 0xcee525cb, 0xbc3f3574, 0x4e79e281, 0x18fd511c, 0x5039db57, 0x2c4e5140,
+        0xc20476c0, 0xe2d05394, 0x4596c130, 0x63dc4a0f, 0x13b5f4ef, 0x89d5e590, 0x7cdce5e0,
+        0x1d94b015, 0xa3c1d3b7, 0x25e9b147, 0xad4281b9, 0xe63ad514, 0xe3fe0d03, 0xdf9be94f,
+        0x23c18dd5, 0xcf334321, 0xe4db291d, 0x885852d3, 0xbd0dc66f, 0xf5273887, 0x267c9d15,
+        0x5e578540, 0x5453d08c, 0x30d43ddc, 0x3d50390a, 0x81981ea5, 0xe1c6226b, 0xcae46621,
+        0x107d2b9e, 0x98b495e5, 0x55ba3ad0, 0xf12e5fe0, 0x42912f79, 0xcf7ad325, 0x9a5e6dc0,
+        0x3553e814, 0x30c818bd, 0xb58df72a, 0x37662aa1, 0xc82891fe, 0x3471feaf, 0x70196ccd,
+        0x037f17da, 0x17ca31c5, 0x3f0def01, 0x6bd2a9ab, 0x5eea9f3c, 0xf9e06b68, 0x3673e38b,
+        0xa1396fa4, 0xebfd4d0e, 0xa18ea420, 0xd087d7ee, 0xe631b1fb, 0xa71204b9, 0x80babfc1,
+        0x8a420663, 0x1e2fa36e, 0xeb8522b8, 0x3fe88cdd, 0x35489f56, 0x15e29eb9, 0x0d996757,
+        0xd350fe93, 0x8e2e5c9e, 0x7c3dc9aa, 0x100a7809, 0x553fb761, 0xaa70e5b0, 0x4d7afb28,
+        0xb101dc45, 0xb927266d, 0xb2dd8bc1, 0x0a7cd27a, 0x1a44698c, 0x10b27d00, 0x9d811792,
+        0xd43232b2, 0xe298ff0a, 0xaaad2277, 0x184652ef, 0xe8d1254b, 0x2108f2a0, 0x4bc894a8,
+        0x37cb892f, 0xee06cf8f, 0x6ab81e8a, 0x136e89fe, 0x4f62830b, 0x8a7bf581, 0x2c6ce0de,
+        0x7ab8c27c, 0xc275d54d, 0x81f61c6b, 0x301c7a7d, 0xcafdaca8, 0xdbca37d9, 0x38c3a5c0,
+        0xa5e3fc69, 0xf792ebe8, 0xdef08016, 0x44acb05d, 0xde3377db, 0x3d567a1e, 0x4cc45723,
+        0x17da8b42, 0x3d4b05e2, 0xcc52855a, 0x71379ede, 0xc48f6561, 0x292ec360, 0xb3dd4d94,
+        0x7390a948, 0x4a52952a, 0xe6e058bb, 0xf9ac2fa9, 0xe544848f, 0xd551155f, 0xf22c03e4,
+        0x78be553d, 0x10a4e995, 0x775cdd8c, 0x870d0ebb, 0xb7f91566, 0x9867a377, 0x3807ef81,
+        0x3d689ae0, 0xae7946c2, 0x721f0a2f, 0xf600ce9b, 0x804dac44, 0x6f31b666, 0xb9827ad9,
+        0x73d98825, 0x9463fa96, 0x5c653be0, 0xa862ec3a, 0x303d7c64, 0x24289066, 0xef06aae9,
+        0x82f95201, 0xd26c485d, 0x0c96362f, 0x72897aaf, 0x2ecc60e2, 0x3af0552c, 0x3739811b,
+        0xc08eb4df, 0x31b8d244, 0xc4e19bea, 0xe8f0f843, 0xf8215301, 0xf0bd465b, 0xbb95be3b,
+        0x6af42d09, 0x1e592c2e, 0x9656b9db, 0xdef070fa, 0x7d3da05f,
     ],
 };
 
@@ -637,7 +637,7 @@ const CONTROL: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 1,
             queue_waits: 116,
-            queue_wait_nanos: 650924300,
+            queue_wait_nanos: 654835300,
             service_count: 116,
             service_p99_ns: 29360128,
         },
@@ -668,7 +668,7 @@ const CONTROL: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 1,
             queue_waits: 110,
-            queue_wait_nanos: 425501000,
+            queue_wait_nanos: 427764800,
             service_count: 110,
             service_p99_ns: 29360128,
         },
@@ -699,7 +699,7 @@ const CONTROL: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 1,
             queue_waits: 108,
-            queue_wait_nanos: 371909000,
+            queue_wait_nanos: 373968000,
             service_count: 108,
             service_p99_ns: 29360128,
         },
@@ -730,7 +730,7 @@ const CONTROL: Pinned = Pinned {
             queue_depth: 0,
             queue_depth_peak: 1,
             queue_waits: 108,
-            queue_wait_nanos: 709610250,
+            queue_wait_nanos: 712698750,
             service_count: 108,
             service_p99_ns: 29360128,
         },
@@ -746,76 +746,76 @@ const CONTROL: Pinned = Pinned {
         syscalls: 4531,
         wakes_elided: 0,
         ready_peak: 10,
-        end_time: SimTime::from_nanos(8829342650),
+        end_time: SimTime::from_nanos(8827077750),
     },
     events: &[],
     alert_arc: &[],
     resends_arc: &[],
-    render_hash: 0xb620d9e41c9091e4,
+    render_hash: 0xcc512bed7d261b3e,
     frame_hashes: &[
-        0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x7db6984a, 0x1a94ea36,
-        0x7aa4dd97, 0x0783cb97, 0xbdd097f0, 0x2f5051dc, 0x08c37c67, 0xc314f426, 0x9ac1dcbf,
-        0x96d82b0a, 0x240c1789, 0x4dd2c235, 0x67cf117c, 0x292b72d5, 0xda28a23f, 0x05e05a12,
-        0x82e9a325, 0x1e8f093c, 0x37a1e3db, 0xe1c6eaa7, 0xa25cbf37, 0x261d61a3, 0xd7e30195,
-        0x7f812e8f, 0xca33e55f, 0x0050b43b, 0x8dea7c01, 0x8eb3529f, 0xd14fffe6, 0x11f19da2,
-        0xdd51ad05, 0x314e43e6, 0xe462a77e, 0xf0d0ac6c, 0x7c24f3d1, 0x021e0c30, 0x1884a6e7,
-        0xdf07e045, 0x05496451, 0x2a36ba88, 0xdc620cd5, 0x70bbd11d, 0x627ccd34, 0xa34dde9c,
-        0x82e91a88, 0xdbd50337, 0x7da6c05d, 0x9a6782d8, 0x755caa1a, 0xc1952c4c, 0x3a3e79cc,
-        0xce542207, 0xd70aa51e, 0x08016c45, 0xcc8857a2, 0x517492aa, 0x99488864, 0x9a5711f0,
-        0x39546083, 0xb73e0736, 0xd22d2f79, 0x60b8eff8, 0x4d241ff6, 0xdb81f1da, 0x46cc4d2e,
-        0x7c96a543, 0xe34db107, 0xe4d7803a, 0x4e005826, 0xf3506384, 0x63fc6d3f, 0x9b8970ee,
-        0x9bb76922, 0x4cc098eb, 0xb4372229, 0x2fe610fa, 0x8e61fc10, 0xfe0ad7e4, 0x5fc2022c,
-        0x820d1979, 0x5e72df21, 0x3f79f2c6, 0x51d864ba, 0xa7afd309, 0x9a837b31, 0xee40f3d3,
-        0x359a6e5e, 0xd54d4d5c, 0x4ec1372c, 0x1a5c0424, 0x9451598f, 0x78256e76, 0x73718571,
-        0x0e4dc17a, 0x491b6068, 0xf076adcf, 0xd7a8d7b7, 0xd50a1a1e, 0x0234f93c, 0xbcb496fb,
-        0xbb13da82, 0xccb0a3e4, 0xad23371d, 0xf4fcfa20, 0x5af37aac, 0x45724347, 0x98c33f23,
-        0x53be740b, 0xa86e61db, 0x380639d9, 0x3a0c3114, 0x1c34f26d, 0x1aa6e2a0, 0xcffc556d,
-        0x4e9973f4, 0xb9067a56, 0x6f553704, 0xb5c2a48c, 0xe09afc53, 0x10d4b754, 0x90ff06a1,
-        0x88a8eebb, 0x53bdb0eb, 0x469c6d36, 0x1e594222, 0xb7bb53e1, 0x6d05c40b, 0xb079bf94,
-        0xf9f4cebc, 0x72ea8a6e, 0xd6cb9ad8, 0x94f6f458, 0xfcd4eb34, 0x2c548f33, 0xfabd30a0,
-        0x0d3bfe6b, 0x530002eb, 0x16fd9ece, 0xc1dd315c, 0xe75b9338, 0xf597e033, 0x6f987bff,
-        0x2755d269, 0x7ef0051d, 0xe2bab3f6, 0xd36d6c13, 0xa0a52e6a, 0xa2c9ab8a, 0x4efef74b,
-        0x1e4ec825, 0x14234b68, 0x3431a7e1, 0x689f2c72, 0x69d7317a, 0x55191567, 0xd4eef77a,
-        0xab197705, 0xf13ad434, 0x38078a97, 0x0b6db310, 0x3688d8d7, 0xeebee0d1, 0xa31b7d0c,
-        0xd35d4cd5, 0xbab07644, 0x3b4a0f2b, 0x173625b8, 0xa4f50888, 0x183aa784, 0x385441bf,
-        0xfd0fa79a, 0x1aa7f64b, 0xfd35c765, 0x1335d15b, 0x7b92a957, 0x655f647a, 0x436b8f35,
-        0x98746271, 0x36bae521, 0xf32fda0d, 0xf06528bb, 0xd6828500, 0x73f94caf, 0xabe1ec5a,
-        0x57f48b07, 0x619e55af, 0x2f738408, 0x9ec6c564, 0x443babb6, 0x7ebe3f96, 0x69a7ccfe,
-        0x2914c829, 0xa8165b26, 0xf59b7f08, 0x2a1462e5, 0x764f80ea, 0xf828d307, 0x357e6832,
-        0x251efe10, 0x1a13df88, 0x6d42162a, 0xdf509c38, 0x3505cf57, 0xc1d21b17, 0xf3f019d5,
-        0x30affe8b, 0xddeb475a, 0x03c88f17, 0x1c9eb3d5, 0x173680d1, 0xced55036, 0xfffb2694,
-        0x084aedab, 0x90985dea, 0xf42141bf, 0xb70c2989, 0x9e8bac51, 0xb90d9625, 0x1eec07ad,
-        0xa2998614, 0x87ca7035, 0x8dee163a, 0x57d111b1, 0x7b4c7469, 0x0e014b2b, 0x64a3441b,
-        0xb62e2fb8, 0xe387e671, 0x8c7b0f9a, 0xbd18ba90, 0x51f97e73, 0x7d1f5985, 0xd3a63ab7,
-        0x30209dd4, 0x4359ae09, 0x1276f24a, 0x66ccec46, 0x7cef4051, 0xdbcf619f, 0xa22f4f8b,
-        0x54e81974, 0xb19836fc, 0xad33b0d8, 0x225045f8, 0x5a097ac3, 0xd96b502d, 0x24b94f08,
-        0x241c3241, 0x37b250bc, 0x7594aed9, 0x85d61336, 0x600ff1d5, 0xb9e0c46b, 0x731a9504,
-        0x8afdbded, 0xf79319d9, 0x6e2e6a38, 0xf2f44efe, 0xe0b027ac, 0xb701069b, 0x25ab1d6e,
-        0x6c6c0a16, 0xc8682bbb, 0x0c9c739c, 0xde20e7a4, 0x78a73cc7, 0x3eb701f3, 0x559cad54,
-        0x6766ce7e, 0x2d7746e2, 0xc584e3ce, 0xfbe8748f, 0x21a4eec2, 0x59451c41, 0x1a022136,
-        0x49fdc491, 0x527ca45f, 0x5705560f, 0x42d02aa5, 0x6c04a589, 0xfb4c8e9f, 0x019e2d01,
-        0x281c1917, 0x0079207c, 0x79ba6797, 0x0eafc4f8, 0x997fc01c, 0x21d6d67e, 0xadbf92d5,
-        0x229731fc, 0xc701989e, 0x56cd8168, 0x4779e321, 0xe46fad74, 0xbcde35cf, 0x1ee34b58,
-        0x7cb6ab58, 0x844c1fa2, 0x05aedb47, 0xb026e6b4, 0x45cf4e9d, 0xf2c4f9d4, 0x2940d84b,
-        0x3b0f2427, 0x24c5007b, 0xb796e1d0, 0x30c4b3fa, 0xaa510477, 0x88c33d18, 0xe0114a93,
-        0x8f1dd719, 0x63e21114, 0xb9e21a4d, 0x661db414, 0x1426bf80, 0xc679833c, 0x2dfea324,
-        0x8ca8e7d1, 0x092980ee, 0x795bcb8f, 0xcc53c8b2, 0x29b17aca, 0xc0421ab5, 0x4ea581bd,
-        0x2fb65a58, 0x6bcaa362, 0x5ce8c38a, 0x61c11964, 0xd48b4992, 0xc43ef8d5, 0x6b851763,
-        0x84936807, 0xe3a0b55f, 0xbb49e1c5, 0x4dff3c51, 0x40391e72, 0x0c05bd7c, 0xe5ac1adf,
-        0x5da4ae5a, 0xd9baf41c, 0xbacac5f4, 0xb8285035, 0x428f4ca0, 0xf869f6c9, 0x270f6df2,
-        0x0f8b824f, 0xd52bd5c0, 0x7dbdab4a, 0xe93e8f44, 0xbf46e50f, 0x3c7a7b54, 0x1d45eb41,
-        0x25c5b5e8, 0x4e68e2f0, 0x179a68ea, 0xbb75ceaf, 0x80f0aea9, 0xffddc33d, 0x727844ef,
-        0x3cd90144, 0x347fed0d, 0xf386142c, 0xe4382633, 0x039b293e, 0xf78520b5, 0xf345b3bd,
-        0xb804c976, 0x4585c12c, 0x5d550333, 0x521b0886, 0x7ae2c460, 0x009b1d91, 0xf69719fb,
-        0x23890b16, 0x5fd4a2e6, 0x17b809a0, 0x72e6e591, 0xbcfbdb79, 0xc008adea, 0xc070deaa,
-        0xfbbe9708, 0xa6f0ed13, 0x16b82d06, 0xf1d7350e, 0xf375bb87, 0xa176ca8e, 0xc7c68d73,
-        0x08f3d993, 0x50aa674d, 0xcffe905b, 0x2cc34d14, 0xcaf253a6, 0xb387b0a6, 0x5e05a0c3,
-        0xa43f5160, 0x1c8ab915, 0xd06ca5c6, 0xae10670f, 0x59014ff8, 0x407cb13e, 0x3a6adac0,
-        0xb2a67aa2, 0x6a84e367, 0xd02ebc79, 0x55aea16e, 0xb9c181ce, 0x3887d11a, 0xedafce71,
-        0x9fc0f3d8, 0xab55a76c, 0x8330826c, 0xbc0dd12b, 0x9e307d9b, 0x3f6cbc6e, 0xe8687ff2,
-        0x88f4eb8c, 0xd4cb69f4, 0x42acf88c, 0xd1616416, 0xfbaeaceb, 0x263789e5, 0x445039f1,
-        0xc11bd8c0, 0xdfa82265, 0x9728d2ce, 0x8d6bb951, 0x5f1ff594, 0x4031ae6d, 0xcb7b3e18,
-        0x4801e592, 0x3c4575eb, 0x333c7f54, 0x134fff77, 0xf406e819, 0xbe40f953, 0x91310b6e,
-        0x08f9069f,
+        0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x0d3a6c87, 0x1a94ea36,
+        0x7aa4dd97, 0x471e62de, 0xbdd097f0, 0xb3a10a62, 0xdd58e97b, 0xd58e4619, 0x9a30373a,
+        0x4065269c, 0xd78f655a, 0x5541f6a7, 0xbda2b40d, 0xba52f93a, 0xacf6eba4, 0x43ce8b56,
+        0xf44bc44c, 0x7b2f675c, 0xb732cd55, 0x985fef5b, 0x62374087, 0xa3c9030e, 0x6a73c93d,
+        0x3d4b7f7e, 0xe5d2d022, 0xfe03e481, 0xf91a7348, 0xc3234b35, 0x0e877b62, 0x87c9d67e,
+        0xfb5511be, 0x9b7e85ef, 0xca65f29b, 0x06d73fe1, 0xb6174bd3, 0x823b0aa9, 0xf7e54099,
+        0x26105700, 0x3e3195da, 0x8c1b9c5a, 0x7c7c8acd, 0xc0e629c8, 0xfffe50b1, 0x4b7aa671,
+        0x065adf05, 0x010b26bb, 0x3899b2d7, 0xeef573cd, 0xf58d57d3, 0xeb4f67b7, 0x621ba9ff,
+        0xbc8ec364, 0xa52a872f, 0x14f4cf91, 0x2a6db9ab, 0x0efd393d, 0x596b78f7, 0x68d418db,
+        0xf5a7c728, 0x9370da0f, 0xad284f46, 0xe828f8f0, 0x07a2f93c, 0xb2ebb797, 0x1410db8b,
+        0xd95df69c, 0xfa381866, 0x65934eb9, 0x5c968b87, 0xe6180c5a, 0x0836220a, 0xfc423525,
+        0x434b6f4c, 0xd53bf641, 0xded9b0eb, 0x6dde157c, 0x1aea98cd, 0xe96ffdcb, 0x4c42b732,
+        0x18c0c07e, 0x32432270, 0x9ac9428b, 0xf20ba176, 0x46af05d8, 0x39d4990c, 0x99576260,
+        0x0aa1554e, 0xdf5a452f, 0xae54076a, 0xb810c4c6, 0x49ccaca1, 0x971edfca, 0xc2b1579b,
+        0xe8f5ad8a, 0xdbe4db75, 0x75dcce79, 0x702136cc, 0xd7e82db3, 0x873700c0, 0x768bc47e,
+        0x4e3da019, 0xb212430d, 0xbd270815, 0x4e192e33, 0xdb3386f6, 0x84a45bf9, 0x1aac588c,
+        0x6732375c, 0xa6ca22ec, 0x722a2b39, 0x6361b5f3, 0xe5322cc6, 0xdeacbb42, 0x4d0ed82f,
+        0x83ebd97b, 0xd3940d23, 0xf83d97ec, 0xfa3a9791, 0x6f991f19, 0x736dfde9, 0x74bf5d2f,
+        0x1d7e4264, 0x969714e5, 0xd0d11273, 0xcbd187bb, 0xa4973f6f, 0x085a9717, 0x5e75e7fa,
+        0xe899b53b, 0xd9d10e28, 0x780341c9, 0x38393ea2, 0xb8bdbb77, 0xd01ca5ef, 0x0855874e,
+        0x3a880ec7, 0x3b46ee2c, 0x6650d566, 0x4fe99339, 0x4acec119, 0x929889f6, 0x4532ed57,
+        0x51539d97, 0xeb17a5f9, 0xef4c10fe, 0xe217f1dd, 0x6bf99ab4, 0xd2e6a3d4, 0x1a6be199,
+        0xfb2dbc0a, 0xc8131555, 0x6552a3b3, 0x45e95437, 0x95051054, 0xb9978b02, 0x5a1e7c58,
+        0x5283dfd7, 0x9a796e95, 0xea93f5f4, 0x4dd3b21d, 0x3ad9f799, 0x52316b0f, 0xe95d5f11,
+        0xb73108cd, 0x996291be, 0xfadd318b, 0x841e711f, 0x4ffe99a6, 0xe87ddb38, 0x1ea7b250,
+        0x2000d593, 0x683f2bb5, 0x37687ec0, 0xb2bb1937, 0x154cde74, 0x1b23d9ba, 0xa9c96842,
+        0x7333b799, 0x44049ab1, 0xe2ac6b06, 0x2b3bde13, 0xae7948f9, 0x6ca3569f, 0x76117fcc,
+        0x74cbb767, 0x960ee59d, 0x45365cfa, 0xfa23f82d, 0x5da09b06, 0x7449d27c, 0x64e2a1bc,
+        0x69b8e5e7, 0x8996d90b, 0x8abea0fe, 0x43be7d8a, 0x69742640, 0x83242c6e, 0x2550f17e,
+        0xde69a4fe, 0x0eef228e, 0xda3695f9, 0x90b656c4, 0x5624e5e3, 0xc7dc69df, 0x8d19b917,
+        0x9ce78573, 0xf82c7672, 0xc594656b, 0x3ba5804d, 0x63ebae27, 0x0356c7d4, 0xd2064676,
+        0x081bbb60, 0x34212690, 0x8aded7d5, 0x1f89fbed, 0x012dc978, 0xf8944735, 0x275360fe,
+        0x824c04a9, 0x072a7b50, 0x4cf7b53e, 0x1096eae2, 0x35d18deb, 0xca2ceb49, 0x5839b00c,
+        0x3cff2f3f, 0xda4fccd0, 0x5342cda7, 0xca6c0fea, 0x27b4f22b, 0xd5fd1739, 0x31b9f856,
+        0x5b550a7d, 0x18f276ed, 0x4371d075, 0x6ffbf047, 0x9bcb67a2, 0xed21d546, 0xc27e94ac,
+        0x73700601, 0x87168174, 0xfde03971, 0xaf8c4605, 0x5fa1d015, 0x115ddbe8, 0x805417aa,
+        0x638c6312, 0xd090bb66, 0x4d66e1ac, 0x412574ad, 0x3dfdef76, 0x6981276d, 0x629ac60f,
+        0xa4410968, 0xf5f8bcfa, 0xaa909b07, 0x9bf37242, 0xc2559671, 0x6f617d3d, 0xdaf5c941,
+        0x38526871, 0x441c1ac7, 0x43b870f3, 0x98b68d36, 0xbe97aad4, 0x2604a0f1, 0xf6cb9230,
+        0x4df43abb, 0xa7b5ba84, 0x9929dd5e, 0x3ef03cc6, 0x7d266349, 0x804f4bd7, 0x6432f427,
+        0xcbb35d2a, 0x944db982, 0x47d25cd4, 0x35c0b918, 0x67618124, 0x3695053c, 0x0e4398ec,
+        0xad65e94c, 0x6291cb74, 0xbf07e295, 0x12943ccc, 0x98d3cd71, 0xacf2e24b, 0xe611a8d5,
+        0x69684c12, 0xddc68a21, 0x86f3f405, 0x91317eae, 0x0d165c5d, 0xc0c88af6, 0x82ec6cb3,
+        0xa268f102, 0xc6b39c92, 0x967424c1, 0x7a0f2d1c, 0xf295b778, 0xb66ff426, 0xf9c7baa8,
+        0xad14681a, 0x2f559cb6, 0x5c4f41d5, 0xa68d727e, 0xe10c3cf8, 0x7a7bdf74, 0x405fa130,
+        0xbfa88b69, 0xb7d6fcdf, 0x6a0cb35b, 0x4faff406, 0xd8a01052, 0xb294d2f7, 0xb752b7db,
+        0x7c8aa6b6, 0xd89a934a, 0x1f6b0483, 0xce316dba, 0xbf37460d, 0x651cb8a2, 0x28c284a7,
+        0xce210e58, 0x2f09c201, 0xde4605b3, 0x78e33f01, 0xd28fe14e, 0x45522670, 0x13f2b191,
+        0x1d35e89c, 0x3ecce3db, 0x00fde656, 0x38b343a6, 0x493592b4, 0x47fa3418, 0xd1279bc5,
+        0xf643c594, 0xd625d3b7, 0xf23e9597, 0x0b6e6a07, 0xb3b3bf0b, 0x44968280, 0x92b879e0,
+        0xaa107874, 0xa452c985, 0xf2d32ab9, 0x4779dbda, 0x61671e32, 0x181aa654, 0xe4c96aa3,
+        0x22f1b714, 0x45f09a5c, 0xc6702ab2, 0x45c4805d, 0x1a685840, 0xc7b86812, 0x8119752f,
+        0x31c2c1e0, 0x8f5d23a9, 0x5848d610, 0x919ecabc, 0x574d4c98, 0xf498ba21, 0x08523d62,
+        0xc3234452, 0x9083712c, 0xf0228307, 0xacdb9714, 0x4162ca51, 0x3ea815a0, 0xb5f781c1,
+        0x3e43287d, 0x1351aeff, 0x439dd924, 0x3e486635, 0xffdd0101, 0xf230a023, 0xdcc6724e,
+        0x9d7b9cae, 0x7e39ef66, 0x96ebeb92, 0x36404911, 0x8aea3d13, 0x7ee21916, 0x548cdbbd,
+        0x13060ca4, 0x554f0eb1, 0x236bf0c0, 0x75864b44, 0x810a47f8, 0xbcf3b5ca, 0x1ada2c48,
+        0x16ad9158, 0x472e10e4, 0xf59d8ca2, 0x6c455b41, 0x3bbda281, 0x037d4b4d, 0xa8902350,
+        0xe3a708ab, 0xc1033062, 0x556d998c, 0x66385adb, 0x6c78021c, 0x148ac5a3, 0xd4a0a6e7,
+        0xf37ed807, 0x1eec11ae, 0x78439032, 0x4d4cc728, 0x9ec532f5, 0xd6901186, 0x2bf89b0a,
+        0x0c97afb5, 0x92e491c4, 0xf64b792e, 0xa3307164, 0x20f9525b, 0x06c97422, 0x87e2901e,
+        0x641fc946, 0x4cf156eb, 0xddf9beec, 0x7ecaa44f, 0x6d5e74c4, 0x730a75a8, 0xe1881b4a,
+        0xd645a28c, 0x44cc4590, 0xca619d9a, 0x89e6333f, 0x9249ee75, 0x62a69be8, 0x29bb07b0,
+        0x4e5dfa35,
     ],
 };
