@@ -8,9 +8,11 @@
 //! is one `Read`/`Write`; at depth `d > 1` it is one `ReadRun`/`WriteRun`.
 //! Blocks read *together* — a commit group's read round, whatever files
 //! they belong to — skip the lock step: every read is sent before the
-//! first reply is awaited ([`Server::read_together`]).
+//! first reply is awaited ([`Server::read_together`]), and the round may
+//! stay on the wire while the server does other work
+//! ([`Server::send_reads`], [`Server::take_reads`]).
 
-use super::agent::{self, Shape};
+use super::agent::{self, Fan, Shape};
 use super::directory::FileMeta;
 use super::Server;
 use crate::error::BridgeError;
@@ -107,6 +109,13 @@ fn plan_runs(blocks: impl Iterator<Item = (Target, GlobalPtr)>, depth: u32) -> V
         }
     }
     runs
+}
+
+/// A read round on the wire ([`Server::send_reads`]): its sends, and
+/// the block each answers for.
+pub(super) struct ReadRound {
+    pub fan: Fan,
+    pub blocks: Vec<(Target, GlobalPtr)>,
 }
 
 type LfsResult = Result<LfsData, EfsError>;
@@ -245,14 +254,23 @@ impl Server {
     /// a machine pointer into it, of any Bridge files — every request in
     /// flight before the first reply is awaited: blocks on different
     /// nodes cost one round trip between them, not one each. Returns each
-    /// block's raw payload or the error that failed it, in order. A reply
-    /// of the wrong shape is a protocol violation that fails the lot —
-    /// reported once every reply is taken, so none is stranded.
+    /// block's raw payload or the error that failed it, in order.
     pub(super) fn read_together(
         &mut self,
         ctx: &mut Ctx,
         blocks: &[(Target, GlobalPtr)],
     ) -> Result<Vec<BlockResult>, BridgeError> {
+        let round = self.send_reads(ctx, blocks.to_vec());
+        self.take_reads(ctx, round)
+    }
+
+    /// Sends the reads of [`Server::read_together`] and returns them in
+    /// flight, to be taken by [`Server::take_reads`].
+    pub(super) fn send_reads(
+        &mut self,
+        ctx: &mut Ctx,
+        blocks: Vec<(Target, GlobalPtr)>,
+    ) -> ReadRound {
         let ops: Vec<LfsOp> = (blocks.iter())
             .map(|&(to, ptr)| {
                 let hints = &self.files[&to.file].hints;
@@ -266,6 +284,18 @@ impl Server {
             .collect();
         let targets = blocks.iter().map(|&(_, ptr)| (ptr.lfs.0, false, 1));
         let fan = self.send_round(ctx, Shape::Direct, targets, ops.into_iter());
+        ReadRound { fan, blocks }
+    }
+
+    /// Takes every reply of `round`, in order. A reply of the wrong shape
+    /// is a protocol violation that fails the lot — reported once every
+    /// reply is taken, so none is stranded.
+    pub(super) fn take_reads(
+        &mut self,
+        ctx: &mut Ctx,
+        round: ReadRound,
+    ) -> Result<Vec<BlockResult>, BridgeError> {
+        let ReadRound { fan, blocks } = round;
         // Each block keeps its own answer, so the round's fold is not its
         // verdict; every slot is overwritten by its reply.
         let mut out: Vec<BlockResult> = vec![Err(EfsError::NodeFailed); blocks.len()];

@@ -152,6 +152,9 @@ struct Server {
     txlog: Option<TxLog>,
     /// The last commit group's DECIDE round while its acks are out.
     parked: Option<txn::Parked>,
+    /// The read round of the next commit group, sent under the last
+    /// one's COMMIT force and not yet taken.
+    carried: Option<blockio::ReadRound>,
     /// Next transaction id. Monotonic across the server's life — a
     /// modeling shortcut: the real coordinator would recover the high
     /// txn from its log, and [`TxLog::reseat`] shows where it would.
@@ -198,6 +201,7 @@ pub fn spawn_bridge_server(
             client: RpcClient::with_retry(config.lfs_retry),
             txlog,
             parked: None,
+            carried: None,
             next_txn: 1,
             telemetry,
         };

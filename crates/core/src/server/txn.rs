@@ -61,6 +61,11 @@ pub(super) struct Parked {
     pub files: Vec<BridgeFileId>,
 }
 
+/// Sends the read round of the requests that queued under a commit
+/// group, once the group's votes are in and before its COMMIT force
+/// ([`Server::vote`]), leaving it in [`Server::carried`].
+pub(super) type Carry<'c> = &'c mut dyn FnMut(&mut Server, &mut Ctx);
+
 /// A decision to fan out to a transaction's participants.
 struct Decision<'t> {
     txn: u64,
@@ -176,10 +181,11 @@ impl Server {
     /// Create's relayed at `create_arity` and charged as the paper's
     /// Create is, the rest straight to each participant. Nothing is
     /// undone, so a participant that fails where it is not tolerated
-    /// fails its transaction with whatever the others did left standing.
-    pub(super) fn commit(&mut self, ctx: &mut Ctx, txns: &[Txn]) -> Vec<Outcome> {
+    /// fails its transaction with whatever the others did left standing;
+    /// and nothing is carried.
+    pub(super) fn commit(&mut self, ctx: &mut Ctx, txns: &[Txn], carry: Carry) -> Vec<Outcome> {
         if self.txlog.is_some() {
-            return self.run_2pc(ctx, txns);
+            return self.run_2pc(ctx, txns, carry);
         }
         let rounds: Vec<Fan> = (txns.iter())
             .map(|t| {
@@ -204,10 +210,11 @@ impl Server {
     /// BEGINs of their own, each once the one before it is decided, so at
     /// most one group is ever in doubt. A transaction too wide to fit even
     /// alone is refused with [`BridgeError::TxnTooLarge`] before any
-    /// PREPARE is sent.
+    /// PREPARE is sent. Only a group under one BEGIN runs `carry`, so a
+    /// carried read is never in flight across a BEGIN.
     ///
     /// [`TxLog::admit`]: crate::txlog::TxLog::admit
-    fn run_2pc(&mut self, ctx: &mut Ctx, txns: &[Txn]) -> Vec<Outcome> {
+    fn run_2pc(&mut self, ctx: &mut Ctx, txns: &[Txn], carry: Carry) -> Vec<Outcome> {
         let mut outcomes = Vec::with_capacity(txns.len());
         let mut rest = txns;
         while !rest.is_empty() {
@@ -226,7 +233,9 @@ impl Server {
                 rest = &rest[1..];
                 continue;
             }
-            outcomes.extend(self.commit_group(ctx, &rest[..n]));
+            let mut none = |_: &mut Server, _: &mut Ctx| {};
+            let carry: Carry = if n == txns.len() { carry } else { &mut none };
+            outcomes.extend(self.commit_group(ctx, &rest[..n], carry));
             rest = &rest[n..];
         }
         outcomes
@@ -245,7 +254,11 @@ impl Server {
     /// parked: each outcome is returned at once — a committed
     /// transaction's at its COMMIT, a vetoed one's at its vote — and the
     /// acks are taken before the next group's first PREPARE, so every
-    /// decision-log write happens with no decision in flight. The server's
+    /// decision-log write happens with no decision in flight. Between the
+    /// votes and the COMMIT force `carry` runs once: the read round of the
+    /// requests that queued meanwhile goes out under the force, ahead of
+    /// the decisions, and the caller takes it once it has answered the
+    /// group. The server's
     /// only elementary disk writes are the two log forces (a BEGIN of
     /// several frames is one device run, each frame a write), so a crash
     /// schedule against [`parsim::SERVER_DISK`] kills the coordinator at
@@ -257,7 +270,8 @@ impl Server {
     ///   again under fresh txns.
     /// * killed on COMMIT — the decision is durable. Recovery aborts the
     ///   group's vetoed transactions, and phase 2 then redoes every
-    ///   decision; participants apply them idempotently.
+    ///   decision; participants apply them idempotently. A carried read
+    ///   round is forgotten with the old incarnation and sent again.
     ///
     /// A no-vote (any hard error, or `NodeFailed` where the participant
     /// is not tolerant) aborts that transaction alone, and costs no log
@@ -281,7 +295,7 @@ impl Server {
     /// spare not yet rebuilt) and were carried anyway. Redundant-write
     /// callers use the count to tell a degraded-but-landed write from one
     /// that landed nowhere.
-    fn commit_group(&mut self, ctx: &mut Ctx, txns: &[Txn]) -> Vec<Outcome> {
+    fn commit_group(&mut self, ctx: &mut Ctx, txns: &[Txn], carry: Carry) -> Vec<Outcome> {
         self.settle_decisions(ctx);
         let (ids, verdicts) = loop {
             let ids: Vec<u64> = txns
@@ -324,7 +338,7 @@ impl Server {
                 }
                 continue;
             }
-            match self.vote(ctx, &ids, ballots) {
+            match self.vote(ctx, &ids, ballots, carry) {
                 Ok(verdicts) => break (ids, verdicts),
                 Err(e) => return vec![Err(e); txns.len()],
             }
@@ -350,13 +364,14 @@ impl Server {
 
     /// Collects every transaction's votes, in order — per transaction its
     /// tolerated lost columns and the blocks it frees, or the veto that
-    /// aborts it — and forces the COMMIT. A relayed transaction's votes
-    /// come folded, a reply per subtree.
+    /// aborts it — runs `carry`, and forces the COMMIT. A relayed
+    /// transaction's votes come folded, a reply per subtree.
     fn vote(
         &mut self,
         ctx: &mut Ctx,
         ids: &[u64],
         ballots: Vec<Fan>,
+        carry: Carry,
     ) -> Result<Vec<Result<Tally, EfsError>>, BridgeError> {
         // A tolerant participant's column is already lost with its node
         // (or sits on a spare that has not been rebuilt yet); the
@@ -365,6 +380,7 @@ impl Server {
         let verdicts: Vec<Result<Tally, EfsError>> = (ballots.into_iter())
             .map(|fan| agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {}))
             .collect();
+        carry(self, ctx);
         // The commit point, for every transaction nobody vetoed. A vetoed
         // one is presumed aborted: no log write. Participants that never
         // prepared (its vetoer included) apply the abort intent
@@ -381,7 +397,14 @@ impl Server {
                 ctx.trace_instant("2pc", "2pc.commit", &args);
             }
             if txlog.crash_down().is_some() {
-                self.server_crash_recover(ctx, &committed, &[])?;
+                let carried: Vec<u64> = self.carried.iter().flat_map(|r| r.fan.ids()).collect();
+                let recovered = self.server_crash_recover(ctx, &committed, &carried);
+                // The carried reads died with the old incarnation; reads
+                // are idempotent, so they go out again.
+                if let Some(round) = self.carried.take() {
+                    self.carried = Some(self.send_reads(ctx, round.blocks));
+                }
+                recovered?;
             }
         }
         for verdict in &verdicts {

@@ -13,15 +13,17 @@
 //!   under-count the survivors; an intolerable loss (a `None` file
 //!   placed on the dead node) errors — and under 2PC removes nothing.
 //!
-//! And one of timing: a transaction is answered at its COMMIT, and the
-//! next request on its file waits for its DECIDE acks.
+//! And two of timing: a transaction is answered at its COMMIT, and the
+//! next request on its file waits for its DECIDE acks; a request that
+//! queues while a group votes has its read round served under the
+//! group's COMMIT force.
 
 use bridge_core::{
     BridgeClient, BridgeConfig, BridgeError, BridgeFileId, BridgeMachine, CreateSpec, Redundancy,
 };
 use bridge_efs::{set_failed, EfsError, LfsClient, LfsData, LfsFileId, LfsOp};
 use bridge_trace::TraceCollector;
-use parsim::{Ctx, ProcId};
+use parsim::{Ctx, ProcId, SimDuration};
 
 /// Companion-id bit for mirrored columns (mirrors `core::server`).
 const MIRROR_BIT: u32 = 0x4000_0000;
@@ -267,5 +269,63 @@ fn a_reply_leaves_before_its_decide_acks() {
     assert!(
         first_read >= decided,
         "read the LFS at {first_read:?}, before the DECIDE acks at {decided:?}"
+    );
+}
+
+/// A read that queues while a parity overwrite's commit group votes is
+/// carried: its `lfs.read` starts before the overwrite's reply reaches
+/// its client, so the read round runs under the group's COMMIT force
+/// rather than after the group's replies and DECIDE round.
+#[test]
+fn a_queued_read_is_served_under_the_commit() {
+    let collector = TraceCollector::install();
+    let mut config = BridgeConfig::paper(4)
+        .with_2pc()
+        .with_redundancy(Redundancy::parity());
+    config.disk_geometry.tracks = 256;
+    config.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let (server, frontend) = (machine.server, machine.frontend);
+    sim.block_on(frontend, "controller", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let a = write_file(ctx, &mut bridge, 1, 6, CreateSpec::default());
+        let b = write_file(ctx, &mut bridge, 2, 6, CreateSpec::default());
+        // Served alone, so the last append's DECIDE acks are taken.
+        bridge.open(ctx, a).unwrap();
+        let me = ctx.me();
+        ctx.spawn(frontend, "writer", move |ctx| {
+            let mut bridge = BridgeClient::new(server);
+            bridge.rand_write(ctx, a, 4, record(3, 4)).unwrap();
+            ctx.send(me, ());
+        });
+        ctx.spawn(frontend, "reader", move |ctx| {
+            ctx.delay(SimDuration::from_millis(40));
+            let read = BridgeClient::new(server).rand_read(ctx, b, 3).unwrap();
+            assert_eq!(&read[..80], &record(2, 3)[..], "the read sees b's block");
+            ctx.send(me, ());
+        });
+        for _ in 0..2 {
+            ctx.recv_as::<()>();
+        }
+    });
+    let data = collector.take();
+    let span = |name: &str| {
+        (data.spans.iter())
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("no {name} span"))
+    };
+    let (write, read) = (
+        span("client.bridge.rand_write"),
+        span("client.bridge.rand_read"),
+    );
+    let first_read = (data.spans.iter())
+        .filter(|s| s.name == "lfs.read" && s.start >= read.start)
+        .map(|s| s.start)
+        .min()
+        .expect("the read's LFS read");
+    assert!(
+        first_read < write.end,
+        "read the LFS at {first_read:?}, after the overwrite's reply at {:?}",
+        write.end
     );
 }

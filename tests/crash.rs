@@ -43,7 +43,7 @@ use bridge_repro::parsim::{
 };
 use bridge_repro::simdisk::{DiskGeometry, DiskProfile, SimDisk};
 use bridge_repro::tools::{machine_check, pfsck, FsckOptions, FsckVerdict, MachineFinding};
-use bridge_repro::trace::TraceCollector;
+use bridge_repro::trace::{TraceCollector, TraceData};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -285,6 +285,31 @@ fn group_workload(config: &BridgeConfig) -> Run {
     })
 }
 
+/// Whether one of `server`'s decision-log writes lies inside one of its
+/// `client.lfs.read` spans: a COMMIT forced while the next group's carried
+/// read round is in flight, so that some kill ordinal of a sweep makes
+/// recovery send the carried round again. On instant disks neither span
+/// need take time, so "inside" is judged by order: a read taken after the
+/// write (the server is one process, and records a span as it closes)
+/// and sent before the DECIDE round that follows it (request ids rise in
+/// send order).
+fn forced_under_a_carried_read(data: &TraceData, server: Option<usize>) -> bool {
+    let spans: Vec<_> = (data.spans.iter())
+        .filter(|s| Some(s.pid) == server)
+        .collect();
+    let ids = |after: usize, name: &'static str| {
+        (spans[after + 1..].iter())
+            .filter(move |s| s.name == name)
+            .filter_map(|s| s.arg("id"))
+    };
+    (spans.iter().enumerate())
+        .filter(|(_, force)| force.cat == "disk")
+        .any(|(at, _)| {
+            let decided = ids(at, "client.lfs.decide").min().unwrap_or(u64::MAX);
+            ids(at, "client.lfs.read").any(|read| read < decided)
+        })
+}
+
 /// The coordinator-kill sweep with concurrent clients: their writes commit
 /// in groups — one BEGIN naming several transactions, two frames long and
 /// so two elementary writes, one COMMIT naming the committed — and a kill
@@ -316,6 +341,10 @@ fn server_kill_at_every_write_of_a_group_preserves_atomicity() {
     assert!(
         forces.iter().any(|&frames| frames >= 2),
         "a group BEGIN took several frames: {forces:?}"
+    );
+    assert!(
+        forced_under_a_carried_read(&data, server),
+        "no COMMIT was forced under a carried read round"
     );
     let writes: u64 = forces.iter().sum();
     for k in 1..=writes + 1 {
@@ -407,6 +436,10 @@ fn server_kill_at_every_write_of_a_group_with_creates_and_deletes_preserves_atom
     assert!(
         forces.iter().any(|&frames| frames >= 2),
         "a group BEGIN took several frames: {forces:?}"
+    );
+    assert!(
+        forced_under_a_carried_read(&data, server),
+        "no COMMIT was forced under a carried read round"
     );
     let writes: u64 = forces.iter().sum();
     for k in 1..=writes + 1 {
