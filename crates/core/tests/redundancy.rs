@@ -3,10 +3,11 @@
 //! survives it at 2× capacity; rotating parity survives it at p/(p−1).
 
 use bridge_core::{
-    BridgeClient, BridgeConfig, BridgeError, BridgeFileId, BridgeMachine, CreateSpec, JobDeliver,
-    PlacementKind, PlacementSpec, Redundancy,
+    BatchPolicy, BridgeClient, BridgeConfig, BridgeError, BridgeFileId, BridgeMachine, CreateSpec,
+    JobDeliver, JobRequest, JobSupply, PlacementKind, PlacementSpec, Redundancy,
 };
 use bridge_efs::{EfsError, LfsData, LfsOp};
+use bytes::Bytes;
 use parsim::{Ctx, ProcId, SimDuration};
 
 fn record(tag: u32, block: u64) -> Vec<u8> {
@@ -307,51 +308,72 @@ fn parallel_open_reads_survive_failure() {
     });
 }
 
-/// A lock-step round over an unprotected file with block 0's column
-/// fail-stopped reports `NodeFailed` only after taking the rest of its
-/// wave: the server's next dispatch finds nothing set aside in its mailbox.
+/// A job round over an unprotected file with its first block's column
+/// fail-stopped — a read round and a write round, each a lock-step wave
+/// and one wave of runs — reports `NodeFailed` only after taking the rest
+/// of its wave: the server's next dispatch finds nothing set aside in its
+/// mailbox.
 #[test]
 fn a_failed_job_round_strands_no_reply() {
-    let collector = bridge_trace::TraceCollector::install();
-    let mut config = BridgeConfig::paper(8);
-    config.tracer = Some(collector.as_tracer());
-    let (mut sim, machine) = BridgeMachine::build(&config);
-    let server = machine.server;
-    let wnode = machine.frontend;
-    sim.block_on(machine.frontend, "controller", move |ctx| {
-        let mut bridge = BridgeClient::new(server);
-        let file = write_redundant(ctx, &mut bridge, Redundancy::None, 8);
-        let info = bridge.open(ctx, file).unwrap();
-        let PlacementKind::RoundRobin { start } = info.placement else {
-            panic!("round-robin file: {:?}", info.placement);
-        };
-        let workers = (0..8)
-            .map(|i| {
-                ctx.spawn(wnode, format!("w{i}"), |c: &mut Ctx| loop {
-                    c.recv();
-                })
-            })
-            .collect();
-        let job = bridge.parallel_open(ctx, file, workers).unwrap();
-        fail_node(ctx, info.nodes[start as usize].proc, true);
-        let err = bridge.job_read(ctx, job).unwrap_err();
-        assert_eq!(err, BridgeError::Lfs(EfsError::NodeFailed));
-        // Long enough for every other column's reply to have landed.
-        ctx.delay(SimDuration::from_secs(1));
-        bridge.job_close(ctx, job).unwrap();
-    });
-    let trace = collector.snapshot();
-    let close = trace
-        .spans_in("bridge")
-        .filter(|s| s.pid == server.index())
-        .last()
-        .expect("the server traced its dispatches");
-    assert_eq!(close.name, "bridge.job_close");
-    assert_eq!(
-        close.arg("stashed"),
-        Some(0),
-        "the failed round stranded replies"
-    );
+    for batch in [BatchPolicy::Off, BatchPolicy::Runs(8)] {
+        for write in [false, true] {
+            let collector = bridge_trace::TraceCollector::install();
+            let mut config = BridgeConfig::paper(8);
+            config.server.batch = batch;
+            config.tracer = Some(collector.as_tracer());
+            let (mut sim, machine) = BridgeMachine::build(&config);
+            let server = machine.server;
+            let wnode = machine.frontend;
+            sim.block_on(machine.frontend, "controller", move |ctx| {
+                let mut bridge = BridgeClient::new(server);
+                let file = write_redundant(ctx, &mut bridge, Redundancy::None, 8);
+                let info = bridge.open(ctx, file).unwrap();
+                let PlacementKind::RoundRobin { start } = info.placement else {
+                    panic!("round-robin file: {:?}", info.placement);
+                };
+                // A reader drops its deliveries; a writer supplies a block
+                // per poll. Either way block 0 of the round — global 0 of
+                // a read, global 8 of an append — lands on `start`.
+                let workers = (0..8)
+                    .map(|i| {
+                        ctx.spawn(wnode, format!("w{i}"), move |c: &mut Ctx| loop {
+                            if !write {
+                                c.recv();
+                                continue;
+                            }
+                            let (from, req) = c.recv_as::<JobRequest>();
+                            let data = Some(Bytes::from(record(0, req.block)));
+                            let (job, block) = (req.job, req.block);
+                            c.send(from, JobSupply { job, block, data });
+                        })
+                    })
+                    .collect();
+                let job = bridge.parallel_open(ctx, file, workers).unwrap();
+                fail_node(ctx, info.nodes[start as usize].proc, true);
+                let err = match write {
+                    false => bridge.job_read(ctx, job).map(|_| ()),
+                    true => bridge.job_write(ctx, job).map(|_| ()),
+                };
+                let failed = BridgeError::Lfs(EfsError::NodeFailed);
+                assert_eq!(err, Err(failed), "{batch:?} write={write}");
+                // Long enough for every other column's reply to have landed.
+                ctx.delay(SimDuration::from_secs(1));
+                bridge.job_close(ctx, job).unwrap();
+            });
+            let trace = collector.snapshot();
+            let close = trace
+                .spans_in("bridge")
+                .filter(|s| s.pid == server.index())
+                .last()
+                .expect("the server traced its dispatches");
+            assert_eq!(close.name, "bridge.job_close");
+            assert_eq!(
+                close.arg("stashed"),
+                Some(0),
+                "{batch:?} write={write}: the failed round stranded replies"
+            );
+        }
+    }
 }
 
 /// The small-write read-modify-write reads its two old blocks — the
