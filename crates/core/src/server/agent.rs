@@ -99,6 +99,27 @@ impl Fan {
         (self.slots).extend(other.slots.into_iter().map(|(_, tolerant)| (pos, tolerant)));
     }
 
+    /// Takes the next reply as it arrives: the position it answers for,
+    /// whether a lost column there is tolerated, and the reply; `None`
+    /// once every reply is in. A charged round costs `create_ack_cpu` per
+    /// reply. Between replies the caller is free to do other work,
+    /// further rounds included.
+    pub fn next(
+        &mut self,
+        ctx: &mut Ctx,
+        client: &mut RpcClient<TierRpc>,
+        config: &BridgeServerConfig,
+    ) -> Option<(usize, bool, Result<LfsData, EfsError>)> {
+        let (at, reply) =
+            (!self.waiting.is_empty()).then(|| client.wait_any(ctx, &self.waiting))?;
+        self.waiting.remove(at);
+        let (pos, tolerant) = self.slots.remove(at);
+        if self.charged {
+            ctx.delay(config.create_ack_cpu);
+        }
+        Some((pos, tolerant, reply))
+    }
+
     /// Sends `ops` straight to `target`'s LFS, answering for position
     /// `pos`; a charged round pays `create_init_cpu` for the group.
     fn leaf(
@@ -176,12 +197,12 @@ pub(super) fn fan_out(
     fan
 }
 
-/// Takes every reply `fan` waits on, as it arrives, hands it to `each`
-/// with the position of the target it answers for, and folds them: a
-/// charged round costs `create_ack_cpu` per reply. The fold sums the lost
-/// columns its tolerant targets report and the blocks freed, and keeps
-/// the veto of the earliest target — each hop knows whose it is, since
-/// every group it sends to is a contiguous run of its targets.
+/// Takes every reply `fan` waits on ([`Fan::next`]), hands it to `each`
+/// with the position of the target it answers for, and folds them. The
+/// fold sums the lost columns its tolerant targets report and the blocks
+/// freed, and keeps the veto of the earliest target — each hop knows
+/// whose it is, since every group it sends to is a contiguous run of its
+/// targets.
 ///
 /// # Errors
 ///
@@ -197,13 +218,7 @@ pub(super) fn gather(
 ) -> Result<Tally, EfsError> {
     let mut tally = Tally::default();
     let mut veto: Option<(usize, EfsError)> = None;
-    while !fan.waiting.is_empty() {
-        let (at, reply) = client.wait_any(ctx, &fan.waiting);
-        fan.waiting.remove(at);
-        let (pos, tolerant) = fan.slots.remove(at);
-        if fan.charged {
-            ctx.delay(config.create_ack_cpu);
-        }
+    while let Some((pos, tolerant, reply)) = fan.next(ctx, client, config) {
         match &reply {
             Ok(LfsData::Tally { lost, freed }) => {
                 tally.lost += lost;

@@ -1,24 +1,23 @@
-//! Block I/O: the one pipelined read primitive and the one pipelined
-//! write primitive every data path of the server goes through. Both take
-//! a list of machine pointers into a constituent LFS file (a single block
-//! is a list of one; a read names the file per block, since the parity
-//! read-modify-write's two old blocks live in two) and group it into
-//! per-LFS runs of at most `depth` consecutive locals. At depth 1 —
-//! `BatchPolicy::Off`, and every inherently single-block access — a run
-//! is one `Read`/`Write`; at depth `d > 1` it is one `ReadRun`/`WriteRun`.
-//! Blocks read *together* — a commit group's read round, whatever files
-//! they belong to — skip the lock step: every read is sent before the
-//! first reply is awaited ([`Server::read_together`]), and the round may
-//! stay on the wire while the server does other work
-//! ([`Server::send_reads`], [`Server::take_reads`]).
+//! Block I/O: the one read primitive and the one write primitive every
+//! data path of the server goes through. Both take a list of machine
+//! pointers into a constituent LFS file (a single block is a list of one;
+//! a read names the file per block, since the parity read-modify-write's
+//! two old blocks live in two) and group it into per-LFS runs of at most
+//! `depth` consecutive locals. At depth 1 — `BatchPolicy::Off`, and every
+//! inherently single-block access — a run is one `Read`/`Write`; at depth
+//! `d > 1` it is one `ReadRun`/`WriteRun`. Every wave of runs is a round
+//! of the server's one round routine ([`Server::send_runs`]), its replies
+//! taken as they arrive ([`Server::take_runs`]). Blocks read *together* —
+//! a commit group's read round, whatever files they belong to — are one
+//! wave of depth-1 runs, which may stay on the wire while the server does
+//! other work ([`Server::send_reads`], [`Server::take_reads`]).
 
-use super::agent::{self, Fan, Shape};
+use super::agent::{Fan, Shape};
 use super::directory::FileMeta;
 use super::Server;
 use crate::error::BridgeError;
 use crate::header::{decode_payload, BridgeHeader, GlobalPtr};
 use crate::ids::{BridgeFileId, LfsIndex};
-use crate::protocol::TierCmd;
 use bridge_efs::{EfsError, LfsData, LfsFileId, LfsOp};
 use bytes::Bytes;
 use parsim::{Ctx, FixedMap};
@@ -55,7 +54,7 @@ impl Target {
 
 /// A planned run: blocks of one constituent file on one LFS with
 /// consecutive local numbers.
-struct RunPlan {
+pub(super) struct RunPlan {
     to: Target,
     lfs: LfsIndex,
     first: u32,
@@ -63,8 +62,6 @@ struct RunPlan {
     /// then the rest (so a run of one allocates nothing).
     head: usize,
     tail: Vec<usize>,
-    /// The run's request id once it is on the wire.
-    id: u64,
 }
 
 impl RunPlan {
@@ -103,7 +100,6 @@ fn plan_runs(blocks: impl Iterator<Item = (Target, GlobalPtr)>, depth: u32) -> V
                     first: ptr.local,
                     head: i,
                     tail: Vec::new(),
-                    id: 0,
                 });
             }
         }
@@ -112,11 +108,8 @@ fn plan_runs(blocks: impl Iterator<Item = (Target, GlobalPtr)>, depth: u32) -> V
 }
 
 /// A read round on the wire ([`Server::send_reads`]): its sends, and
-/// the block each answers for.
-pub(super) struct ReadRound {
-    pub fan: Fan,
-    pub blocks: Vec<(Target, GlobalPtr)>,
-}
+/// the runs they answer for.
+pub(super) struct ReadRound(pub Fan, pub Vec<RunPlan>);
 
 type LfsResult = Result<LfsData, EfsError>;
 type Files = FixedMap<BridgeFileId, FileMeta>;
@@ -139,6 +132,43 @@ pub(super) fn check_header(
     Ok((header, body))
 }
 
+/// Hands each block of a read run's reply — its raw payload, or the
+/// error that failed the run — to `sink` with the block's index in the
+/// planned list, noting where the block was found. A reply of the wrong
+/// shape is a protocol violation.
+fn read_reply(
+    depth: u32,
+    mut sink: impl FnMut(&mut Server, &mut Ctx, usize, BlockResult) -> Result<(), BridgeError>,
+) -> impl FnMut(&mut Server, &mut Ctx, &RunPlan, LfsResult) -> Result<(), BridgeError> {
+    move |server, ctx, run, result| {
+        let blocks = match result {
+            Err(e) => {
+                return run
+                    .members()
+                    .try_for_each(|i| sink(server, ctx, i, Err(e.clone())));
+            }
+            Ok(data) if depth == 1 => {
+                let (payload, addr) = data.into_block()?;
+                note_hint(&mut server.files, run.to, run.lfs, addr);
+                return sink(server, ctx, run.head, Ok(payload));
+            }
+            Ok(data) => data.into_run()?,
+        };
+        if blocks.len() != run.len() {
+            return Err(BridgeError::Corrupt(format!(
+                "run of {} blocks answered with {}",
+                run.len(),
+                blocks.len()
+            )));
+        }
+        for (i, (payload, addr)) in run.members().zip(blocks) {
+            note_hint(&mut server.files, run.to, run.lfs, addr);
+            sink(server, ctx, i, Ok(payload))?;
+        }
+        Ok(())
+    }
+}
+
 /// The one hint update: where `lfs` last touched the file.
 fn note_hint(files: &mut Files, to: Target, lfs: LfsIndex, addr: BlockAddr) {
     if to.hinted {
@@ -147,39 +177,95 @@ fn note_hint(files: &mut Files, to: Target, lfs: LfsIndex, addr: BlockAddr) {
 }
 
 impl Server {
-    /// The pipeline under both primitives: plan `blocks` (all of one
-    /// Bridge file) into runs, then — wave by wave — send every run's `op`
-    /// and hand each reply to `reply` in send order. At depth 1 a wave is
-    /// the prototype's lock step ("the server will perform groups of p
-    /// disk accesses in parallel"); batched runs all go out at once. The
-    /// first error `reply` returns ends the pipeline only once the rest of
-    /// its wave is taken, so a failed wave strands no reply.
-    fn pipeline(
+    /// Sends one round of `runs`: each run's read — or, given `writes`,
+    /// the planned blocks' pointers and payloads, its write — as one op
+    /// at depth 1 and one run op above it, carrying the disk-address hint
+    /// where its target rides the file's hints. The one place a hinted
+    /// LFS data request is built.
+    pub(super) fn send_runs(
+        &mut self,
+        ctx: &mut Ctx,
+        runs: &[RunPlan],
+        depth: u32,
+        writes: Option<&[(GlobalPtr, Bytes)]>,
+    ) -> Fan {
+        let ops: Vec<LfsOp> = (runs.iter())
+            .map(|run| {
+                let hints = &self.files[&run.to.file].hints;
+                let hint = run.to.hinted.then(|| hints[run.lfs.index()]).flatten();
+                let (file, first) = (run.to.lfs_file, run.first);
+                match (writes, depth) {
+                    (None, 1) => LfsOp::Read {
+                        file,
+                        block: first,
+                        hint,
+                    },
+                    (None, _) => LfsOp::ReadRun {
+                        file,
+                        first,
+                        count: run.len() as u32,
+                        hint,
+                    },
+                    (Some(blocks), 1) => LfsOp::Write {
+                        file,
+                        block: first,
+                        data: blocks[run.head].1.clone(),
+                        hint,
+                    },
+                    (Some(blocks), _) => LfsOp::WriteRun {
+                        file,
+                        first,
+                        data: run.members().map(|i| blocks[i].1.clone()).collect(),
+                        hint,
+                    },
+                }
+            })
+            .collect();
+        let targets = runs.iter().map(|run| (run.lfs.0, false, 1));
+        self.send_round(ctx, Shape::Direct, targets, ops.into_iter())
+    }
+
+    /// Takes every reply of `fan`, a round of `runs`, as it arrives and
+    /// hands it to `reply` with the run it answers for; `reply` may itself
+    /// do I/O. The first error `reply` returns is kept — no later reply
+    /// is handed on — and returned once every reply is in, so a failed
+    /// round strands none.
+    fn take_runs(
+        &mut self,
+        ctx: &mut Ctx,
+        runs: &[RunPlan],
+        mut fan: Fan,
+        mut reply: impl FnMut(&mut Server, &mut Ctx, &RunPlan, LfsResult) -> Result<(), BridgeError>,
+    ) -> Result<(), BridgeError> {
+        let mut outcome = Ok(());
+        while let Some((i, _, result)) = fan.next(ctx, &mut self.client, &self.config) {
+            outcome = outcome.and_then(|()| reply(self, ctx, &runs[i], result));
+        }
+        outcome
+    }
+
+    /// Plans `blocks` (all of one Bridge file) into runs and sends them
+    /// wave by wave, each wave one round, taken before the next is sent.
+    /// At depth 1 a wave is the prototype's lock step ("the server will
+    /// perform groups of p disk accesses in parallel"); batched runs all
+    /// go out at once. `writes` is as for [`Server::send_runs`]. A wave's
+    /// first error ends the waves.
+    fn waves(
         &mut self,
         ctx: &mut Ctx,
         blocks: impl Iterator<Item = (Target, GlobalPtr)>,
         depth: u32,
-        op: impl Fn(&RunPlan, Option<BlockAddr>) -> LfsOp,
+        writes: Option<&[(GlobalPtr, Bytes)]>,
         mut reply: impl FnMut(&mut Server, &mut Ctx, &RunPlan, LfsResult) -> Result<(), BridgeError>,
     ) -> Result<(), BridgeError> {
-        let mut runs = plan_runs(blocks, depth);
+        let runs = plan_runs(blocks, depth);
         let width = match (depth, runs.first()) {
             (1, Some(run)) => self.files[&run.to.file].placement.breadth() as usize,
             _ => runs.len().max(1),
         };
-        for wave in runs.chunks_mut(width) {
-            for run in wave.iter_mut() {
-                let hints = &self.files[&run.to.file].hints;
-                let hint = run.to.hinted.then(|| hints[run.lfs.index()]).flatten();
-                let cmd = TierCmd::Lfs(op(run, hint));
-                run.id = self.client.send(ctx, self.lfs_proc(run.lfs), cmd);
-            }
-            let mut outcome = Ok(());
-            for run in wave.iter() {
-                let result = self.client.wait(ctx, self.lfs_proc(run.lfs), run.id);
-                outcome = outcome.and_then(|()| reply(self, ctx, run, result));
-            }
-            outcome?;
+        for wave in runs.chunks(width) {
+            let fan = self.send_runs(ctx, wave, depth, writes);
+            self.take_runs(ctx, wave, fan, &mut reply)?;
         }
         Ok(())
     }
@@ -195,48 +281,9 @@ impl Server {
         ctx: &mut Ctx,
         blocks: impl Iterator<Item = (Target, GlobalPtr)>,
         depth: u32,
-        mut sink: impl FnMut(&mut Server, &mut Ctx, usize, BlockResult) -> Result<(), BridgeError>,
+        sink: impl FnMut(&mut Server, &mut Ctx, usize, BlockResult) -> Result<(), BridgeError>,
     ) -> Result<(), BridgeError> {
-        let op = |run: &RunPlan, hint| match depth {
-            1 => LfsOp::Read {
-                file: run.to.lfs_file,
-                block: run.first,
-                hint,
-            },
-            _ => LfsOp::ReadRun {
-                file: run.to.lfs_file,
-                first: run.first,
-                count: run.len() as u32,
-                hint,
-            },
-        };
-        self.pipeline(ctx, blocks, depth, op, |server, ctx, run, result| {
-            let blocks = match result {
-                Err(e) => {
-                    return run
-                        .members()
-                        .try_for_each(|i| sink(server, ctx, i, Err(e.clone())));
-                }
-                Ok(data) if depth == 1 => {
-                    let (payload, addr) = data.into_block()?;
-                    note_hint(&mut server.files, run.to, run.lfs, addr);
-                    return sink(server, ctx, run.head, Ok(payload));
-                }
-                Ok(data) => data.into_run()?,
-            };
-            if blocks.len() != run.len() {
-                return Err(BridgeError::Corrupt(format!(
-                    "run of {} blocks answered with {}",
-                    run.len(),
-                    blocks.len()
-                )));
-            }
-            for (i, (payload, addr)) in run.members().zip(blocks) {
-                note_hint(&mut server.files, run.to, run.lfs, addr);
-                sink(server, ctx, i, Ok(payload))?;
-            }
-            Ok(())
-        })
+        self.waves(ctx, blocks, depth, None, read_reply(depth, sink))
     }
 
     /// Reads one block of `from`, returning its raw payload.
@@ -246,48 +293,27 @@ impl Server {
         from: Target,
         ptr: GlobalPtr,
     ) -> Result<Bytes, BridgeError> {
-        let mut read = self.read_together(ctx, &[(from, ptr)])?;
+        let round = self.send_reads(ctx, vec![(from, ptr)]);
+        let mut read = self.take_reads(ctx, round)?;
         Ok(read.pop().expect("one block, one reply")?)
     }
 
-    /// Reads one block for each of `blocks` — each a constituent file and
-    /// a machine pointer into it, of any Bridge files — every request in
-    /// flight before the first reply is awaited: blocks on different
-    /// nodes cost one round trip between them, not one each. Returns each
-    /// block's raw payload or the error that failed it, in order.
-    pub(super) fn read_together(
-        &mut self,
-        ctx: &mut Ctx,
-        blocks: &[(Target, GlobalPtr)],
-    ) -> Result<Vec<BlockResult>, BridgeError> {
-        let round = self.send_reads(ctx, blocks.to_vec());
-        self.take_reads(ctx, round)
-    }
-
-    /// Sends the reads of [`Server::read_together`] and returns them in
-    /// flight, to be taken by [`Server::take_reads`].
+    /// Sends a read of each of `blocks` — each a constituent file and a
+    /// machine pointer into it, of any Bridge files — in one round, and
+    /// returns it in flight, to be taken by [`Server::take_reads`]: blocks
+    /// on different nodes cost one round trip between them, not one each.
     pub(super) fn send_reads(
         &mut self,
         ctx: &mut Ctx,
         blocks: Vec<(Target, GlobalPtr)>,
     ) -> ReadRound {
-        let ops: Vec<LfsOp> = (blocks.iter())
-            .map(|&(to, ptr)| {
-                let hints = &self.files[&to.file].hints;
-                let hint = to.hinted.then(|| hints[ptr.lfs.index()]).flatten();
-                LfsOp::Read {
-                    file: to.lfs_file,
-                    block: ptr.local,
-                    hint,
-                }
-            })
-            .collect();
-        let targets = blocks.iter().map(|&(_, ptr)| (ptr.lfs.0, false, 1));
-        let fan = self.send_round(ctx, Shape::Direct, targets, ops.into_iter());
-        ReadRound { fan, blocks }
+        let runs = plan_runs(blocks.into_iter(), 1);
+        let fan = self.send_runs(ctx, &runs, 1, None);
+        ReadRound(fan, runs)
     }
 
-    /// Takes every reply of `round`, in order. A reply of the wrong shape
+    /// Takes every reply of `round` and returns each block's raw payload
+    /// or the error that failed it, in order. A reply of the wrong shape
     /// is a protocol violation that fails the lot — reported once every
     /// reply is taken, so none is stranded.
     pub(super) fn take_reads(
@@ -295,27 +321,15 @@ impl Server {
         ctx: &mut Ctx,
         round: ReadRound,
     ) -> Result<Vec<BlockResult>, BridgeError> {
-        let ReadRound { fan, blocks } = round;
-        // Each block keeps its own answer, so the round's fold is not its
-        // verdict; every slot is overwritten by its reply.
-        let mut out: Vec<BlockResult> = vec![Err(EfsError::NodeFailed); blocks.len()];
-        let mut violation = None;
-        let files = &mut self.files;
-        let _ = agent::gather(ctx, &mut self.client, &self.config, fan, |pos, read| {
-            let (to, ptr) = blocks[pos];
-            out[pos] = match read.map(LfsData::into_block) {
-                Err(e) => Err(e),
-                Ok(Ok((payload, addr))) => {
-                    note_hint(files, to, ptr.lfs, addr);
-                    Ok(payload)
-                }
-                Ok(Err(e)) => Err(violation.get_or_insert(e).clone()),
-            };
-        });
-        match violation {
-            Some(e) => Err(BridgeError::Lfs(e)),
-            None => Ok(out),
-        }
+        let ReadRound(fan, runs) = round;
+        // Every slot is overwritten by its block's reply.
+        let mut out: Vec<BlockResult> = vec![Err(EfsError::NodeFailed); runs.len()];
+        let sink = |_: &mut Server, _: &mut Ctx, i: usize, read| {
+            out[i] = read;
+            Ok(())
+        };
+        self.take_runs(ctx, &runs, fan, read_reply(1, sink))?;
+        Ok(out)
     }
 
     /// Writes `blocks` (machine pointer and encoded payload each) to
@@ -327,23 +341,8 @@ impl Server {
         blocks: &[(GlobalPtr, Bytes)],
         depth: u32,
     ) -> Result<(), BridgeError> {
-        let file = to.lfs_file;
-        let op = |run: &RunPlan, hint| match depth {
-            1 => LfsOp::Write {
-                file,
-                block: run.first,
-                data: blocks[run.head].1.clone(),
-                hint,
-            },
-            _ => LfsOp::WriteRun {
-                file,
-                first: run.first,
-                data: run.members().map(|i| blocks[i].1.clone()).collect(),
-                hint,
-            },
-        };
         let ptrs = blocks.iter().map(|b| (to, b.0));
-        self.pipeline(ctx, ptrs, depth, op, |server, _, run, result| {
+        self.waves(ctx, ptrs, depth, Some(blocks), |server, _, run, result| {
             let landed = match depth {
                 1 => Some(result?.into_written()?),
                 _ => result?.into_written_run()?.last().copied(),

@@ -27,7 +27,7 @@ mod txn;
 pub use agent::{fan_groups, spawn_bridge_agent};
 
 use crate::error::BridgeError;
-use crate::ids::{BridgeFileId, JobId, LfsIndex};
+use crate::ids::{BridgeFileId, JobId};
 use crate::placement::PlacementKind;
 use crate::protocol::{
     reply_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest, MachineInfo,
@@ -387,10 +387,6 @@ impl Server {
 
     fn breadth(&self) -> u32 {
         self.lfs.len() as u32
-    }
-
-    fn lfs_proc(&self, machine_index: LfsIndex) -> ProcId {
-        self.lfs[machine_index.index()].0
     }
 
     /// Maximum blocks per LFS message under the machine's batch policy.

@@ -7,6 +7,7 @@
 //! plain LFS ops per transaction.
 
 use super::agent::{self, Fan, Shape, Tally};
+use super::blockio::ReadRound;
 use super::directory::FileMeta;
 use super::Server;
 use crate::error::BridgeError;
@@ -397,12 +398,13 @@ impl Server {
                 ctx.trace_instant("2pc", "2pc.commit", &args);
             }
             if txlog.crash_down().is_some() {
-                let carried: Vec<u64> = self.carried.iter().flat_map(|r| r.fan.ids()).collect();
+                let carried: Vec<u64> = self.carried.iter().flat_map(|r| r.0.ids()).collect();
                 let recovered = self.server_crash_recover(ctx, &committed, &carried);
                 // The carried reads died with the old incarnation; reads
                 // are idempotent, so they go out again.
-                if let Some(round) = self.carried.take() {
-                    self.carried = Some(self.send_reads(ctx, round.blocks));
+                if let Some(ReadRound(_, runs)) = self.carried.take() {
+                    let fan = self.send_runs(ctx, &runs, 1, None);
+                    self.carried = Some(ReadRound(fan, runs));
                 }
                 recovered?;
             }

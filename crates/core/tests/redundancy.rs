@@ -376,6 +376,60 @@ fn a_failed_job_round_strands_no_reply() {
     }
 }
 
+/// A lock-step read wave over a mirrored file takes its replies as they
+/// arrive, so a sink that does I/O does not wait on the rest of its wave:
+/// with the node of the wave's last-sent block fail-stopped, that block's
+/// recovery from its mirror starts before the wave's last healthy reply
+/// is taken, not after every reply sent before its own.
+#[test]
+fn a_lost_column_is_recovered_before_its_wave_is_taken() {
+    let collector = bridge_trace::TraceCollector::install();
+    let mut config = BridgeConfig::paper(8);
+    config.tracer = Some(collector.as_tracer());
+    let (mut sim, machine) = BridgeMachine::build(&config);
+    let server = machine.server;
+    let wnode = machine.frontend;
+    let asked = sim.block_on(machine.frontend, "controller", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let file = write_redundant(ctx, &mut bridge, Redundancy::Mirror, 8);
+        let info = bridge.open(ctx, file).unwrap();
+        let PlacementKind::RoundRobin { start } = info.placement else {
+            panic!("round-robin file: {:?}", info.placement);
+        };
+        let workers = (0..8)
+            .map(|i| {
+                ctx.spawn(wnode, format!("w{i}"), |c: &mut Ctx| loop {
+                    c.recv();
+                })
+            })
+            .collect();
+        let job = bridge.parallel_open(ctx, file, workers).unwrap();
+        fail_node(ctx, info.nodes[(start as usize + 7) % 8].proc, true);
+        let asked = ctx.now();
+        assert_eq!(bridge.job_read(ctx, job).unwrap().0, 8);
+        bridge.job_close(ctx, job).unwrap();
+        asked
+    });
+    let trace = collector.snapshot();
+    let recovered = (trace.instants.iter())
+        .find(|i| i.name == "redundancy.degraded_read")
+        .expect("block 7 was recovered");
+    assert_eq!(recovered.arg("block"), Some(7));
+    // The wave: the server's eight reads sent at one instant, before the
+    // recovery's own read.
+    let wave: Vec<_> = (trace.spans_in("client"))
+        .filter(|s| s.pid == server.index() && s.start >= asked && s.start < recovered.at)
+        .collect();
+    assert_eq!(wave.len(), 8);
+    assert!(wave.iter().all(|s| s.start == wave[0].start), "one wave");
+    let last = wave.iter().map(|s| s.end).max().unwrap();
+    assert!(
+        recovered.at < last,
+        "recovery at {:?} waited for the wave's last reply at {last:?}",
+        recovered.at
+    );
+}
+
 /// The small-write read-modify-write reads its two old blocks — the
 /// stripe's parity and the data block, on different nodes — together:
 /// both requests are in service at the same virtual instant.
