@@ -389,10 +389,10 @@ fn degraded_read_counters_are_pinned() {
 /// sequential read, two in the round).
 #[rustfmt::skip]
 const DEGRADED: &[(&str, Golden)] = &[
-    ("degraded/off/mirror", Golden { events: 662, messages: 284, bytes_sent: 107088, phase_nanos: &[995833600, 1286596000, 1337281800] }),
-    ("degraded/off/parity", Golden { events: 766, messages: 336, bytes_sent: 134960, phase_nanos: &[923130400, 1138175200, 1191621800] }),
-    ("degraded/runs8/mirror", Golden { events: 611, messages: 260, bytes_sent: 106632, phase_nanos: &[995833600, 1168335600, 1213819800] }),
-    ("degraded/runs8/parity", Golden { events: 715, messages: 312, bytes_sent: 134504, phase_nanos: &[923130400, 1063914800, 1112107800] }),
+    ("degraded/off/mirror", Golden { events: 662, messages: 284, bytes_sent: 107088, phase_nanos: &[995833600, 1286596000, 1336774600] }),
+    ("degraded/off/parity", Golden { events: 766, messages: 336, bytes_sent: 134960, phase_nanos: &[923130400, 1138175200, 1191368200] }),
+    ("degraded/runs8/mirror", Golden { events: 611, messages: 260, bytes_sent: 106632, phase_nanos: &[995833600, 1167776000, 1212954600] }),
+    ("degraded/runs8/parity", Golden { events: 715, messages: 312, bytes_sent: 134504, phase_nanos: &[923130400, 1063355200, 1111548200] }),
 ];
 
 /// A spare racked into LFS 1 wipes its columns; one `rebuild_range` over
