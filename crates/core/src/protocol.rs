@@ -377,7 +377,7 @@ pub struct JobSupply {
 /// Server/agent → agent: one relayed round of LFS ops over `targets`.
 /// The receiver is `targets[0]`, which sends its own ops to its own LFS,
 /// splits the rest among its children, and answers for its whole subtree
-/// with one reply: an [`LfsData::Tally`](bridge_efs::LfsData::Tally) of
+/// with one reply: an [`LfsData::Tally`] of
 /// the lost columns its tolerant targets report and the blocks freed, or
 /// else the earliest target's veto. At an arity of 2 the hops form the
 /// "embedded binary tree" the paper's §4.5 suggests for removing Create's

@@ -10,11 +10,11 @@
 //!
 //! Provided tools:
 //!
-//! * [`copy`] / [`copy_with`] — the §5.1 copy tool and its one-to-one
+//! * [`copy`](fn@copy) / [`copy_with`] — the §5.1 copy tool and its one-to-one
 //!   filter family ([`transforms`]): O(n/p + log p).
 //! * [`grep`] / [`summarize`] — sequential search and summary tools that
 //!   return "a small amount of information at completion time".
-//! * [`sort`] — the §5.2 two-phase merge sort: local external sorts, then
+//! * [`sort`](fn@sort) — the §5.2 two-phase merge sort: local external sorts, then
 //!   log(p) passes of the Figure-4 token-passing parallel merge.
 //! * [`pfsck`] — whole-machine consistency check and repair, auditing all
 //!   `p` LFS instances in parallel (with a serial baseline mode).
