@@ -110,8 +110,10 @@ impl Fan {
         client: &mut RpcClient<TierRpc>,
         config: &BridgeServerConfig,
     ) -> Option<(usize, bool, Result<LfsData, EfsError>)> {
-        let (at, reply) =
-            (!self.waiting.is_empty()).then(|| client.wait_any(ctx, &self.waiting))?;
+        if self.waiting.is_empty() {
+            return None;
+        }
+        let (at, reply) = client.wait_any(ctx, &self.waiting);
         self.waiting.remove(at);
         let (pos, tolerant) = self.slots.remove(at);
         if self.charged {
