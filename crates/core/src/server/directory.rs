@@ -3,7 +3,7 @@
 //! Create and Delete, planned here and landed in the commit-group rounds
 //! (`group`), and Open.
 
-use super::agent::{self, Shape, Tally};
+use super::agent::{Shape, Tally};
 use super::cursor::Cursor;
 use super::Server;
 use crate::error::BridgeError;
@@ -310,10 +310,10 @@ impl Server {
         let redundant = meta.redundancy != Redundancy::None;
         let targets = nodes.iter().map(|&n| (n, redundant, 1));
         let ops = nodes.iter().map(|_| LfsOp::Stat { file: lfs_file });
-        let fan = self.send_round(ctx, Shape::Direct, targets, ops);
+        let fan = self.tier.send_round(ctx, Shape::Direct, targets, ops);
 
         let meta = self.files.get_mut(&file).expect("checked above");
-        let lfs = &self.lfs;
+        let lfs = &self.tier.lfs;
         let mut slices: Vec<LfsSlice> = (nodes.iter())
             .map(|&n| LfsSlice {
                 index: LfsIndex(n),
@@ -333,7 +333,7 @@ impl Server {
             Ok(other) => strange = Some(other),
             Err(_) => {}
         };
-        let Tally { lost, .. } = agent::gather(ctx, &mut self.client, &self.config, fan, each)?;
+        let Tally { lost, .. } = self.tier.gather(ctx, fan, each)?;
         if let Some(other) = strange {
             return Err(BridgeError::Corrupt(format!(
                 "stat of {lfs_file} answered {other:?}"

@@ -310,7 +310,7 @@ impl Server {
                 if !joined.is_empty() {
                     let ops = server.plan_all(ctx, cmds);
                     let wanted = ops.iter().flatten().flat_map(Op::reads).copied();
-                    server.carried = Some(server.send_reads(ctx, wanted.collect()));
+                    server.carried = Some(server.send_reads(ctx, wanted));
                     next = Some((joined, ops));
                 }
             };
@@ -360,7 +360,7 @@ impl Server {
                         self.settle_decisions(ctx);
                     }
                     let wanted = ops.iter().flatten().flat_map(Op::reads).copied();
-                    self.send_reads(ctx, wanted.collect())
+                    self.send_reads(ctx, wanted)
                 }
             };
             let mut read = match self.take_reads(ctx, round) {

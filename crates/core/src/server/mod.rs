@@ -31,11 +31,11 @@ use crate::ids::{BridgeFileId, JobId};
 use crate::placement::PlacementKind;
 use crate::protocol::{
     reply_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest, MachineInfo,
-    MachineManifest, ManifestEntry, TierRpc,
+    MachineManifest, ManifestEntry,
 };
 use crate::redundancy::Redundancy;
 use crate::txlog::TxLog;
-use bridge_efs::{DedupWindow, RetryPolicy, RpcClient};
+use bridge_efs::{DedupWindow, RetryPolicy};
 use bridge_trace::{HealthEvent, HealthSnapshot, ServerTelemetry, TelemetryRegistry};
 use cursor::{Cursor, Job, PendingAppends};
 use directory::FileMeta;
@@ -128,9 +128,10 @@ impl Default for BridgeServerConfig {
 }
 
 struct Server {
-    lfs: Vec<(ProcId, NodeId)>,
-    /// Per-node fan-out agents (parallel to `lfs`).
-    agents: Vec<ProcId>,
+    /// The round routine's wiring: each node's LFS and fan-out agent, and
+    /// the server's one client to the LFS tier, which every LFS operation
+    /// and Create's relay hops to the agents go through.
+    tier: agent::Tier,
     my_node: NodeId,
     config: BridgeServerConfig,
     /// The request-scheduling policy the machine's LFS instances run
@@ -143,9 +144,6 @@ struct Server {
     next_job: u64,
     next_start: u32,
     pending: Option<PendingAppends>,
-    /// The server's one client to the LFS tier: every LFS operation, and
-    /// Create's relay hops to the agents.
-    client: RpcClient<TierRpc>,
     /// The presumed-abort decision log; `Some` lands every transaction —
     /// a Create, a Delete/DeleteMany, a redundant block write — by
     /// two-phase commit ([`Server::commit`]).
@@ -186,8 +184,7 @@ pub fn spawn_bridge_server(
     assert_eq!(agents.len(), lfs.len(), "agents must be one per LFS");
     sim.spawn(node, name, move |ctx| {
         let mut server = Server {
-            lfs,
-            agents,
+            tier: agent::Tier::new(lfs, agents, config),
             my_node: ctx.node(),
             config,
             sched,
@@ -198,7 +195,6 @@ pub fn spawn_bridge_server(
             next_job: 1,
             next_start: 0,
             pending: None,
-            client: RpcClient::with_retry(config.lfs_retry),
             txlog,
             parked: None,
             carried: None,
@@ -295,7 +291,7 @@ impl Host for Front {
         let reply = BridgeReply { id, result };
         self.dedup.answer(ctx, from, reply, reply_wire_size);
         let occupancy = self.dedup.len() as u64;
-        server.tally(|s| s.note_request(occupancy, server.client.resends()));
+        server.tally(|s| s.note_request(occupancy, server.tier.client.resends()));
     }
 
     /// Takes the stashed requests in arrival order, each joining while it
@@ -386,7 +382,7 @@ impl Server {
     }
 
     fn breadth(&self) -> u32 {
-        self.lfs.len() as u32
+        self.tier.lfs.len() as u32
     }
 
     /// Maximum blocks per LFS message under the machine's batch policy.
@@ -442,7 +438,7 @@ impl Server {
             }
             BridgeCmd::GetInfo => Ok(BridgeData::Info(MachineInfo {
                 breadth: self.breadth(),
-                lfs: self.lfs.clone(),
+                lfs: self.tier.lfs.clone(),
                 server_node: self.my_node,
                 sched: self.sched,
             })),
@@ -459,7 +455,7 @@ impl Server {
     fn health_snapshot(&self, ctx: &Ctx) -> HealthSnapshot {
         match &self.telemetry {
             Some(reg) => {
-                reg.server().lfs_resends = self.client.resends();
+                reg.server().lfs_resends = self.tier.client.resends();
                 reg.snapshot(ctx.now(), None)
             }
             None => HealthSnapshot::empty(ctx.now()),

@@ -1,7 +1,7 @@
 //! Rebuild: repairing a redundant file's columns after node failures or
 //! onto a freshly installed spare.
 
-use super::agent::{self, Shape};
+use super::agent::Shape;
 use super::blockio::Target;
 use super::Server;
 use crate::error::BridgeError;
@@ -176,13 +176,11 @@ impl Server {
             .collect();
         let targets = columns.iter().map(|&(n, _)| (n, false, 1));
         let ops = columns.iter().map(|&(_, file)| LfsOp::Stat { file });
-        let fan = self.send_round(ctx, Shape::Direct, targets, ops);
+        let fan = self.tier.send_round(ctx, Shape::Direct, targets, ops);
         // Each column keeps its own answer: a missing file is what this
         // round looks for, not a veto.
         let mut stats = vec![Ok(LfsData::Done); columns.len()];
-        let _ = agent::gather(ctx, &mut self.client, &self.config, fan, |at, r| {
-            stats[at] = r
-        });
+        let _ = self.tier.gather(ctx, fan, |at, r| stats[at] = r);
         let mut missing = Vec::new();
         for (&column, stat) in columns.iter().zip(stats) {
             match stat {
@@ -193,8 +191,8 @@ impl Server {
         }
         let targets = missing.iter().map(|&(n, _)| (n, false, 1));
         let ops = missing.iter().map(|&(_, file)| LfsOp::Create { file });
-        let fan = self.send_round(ctx, Shape::Direct, targets, ops);
-        agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {})?;
+        let fan = self.tier.send_round(ctx, Shape::Direct, targets, ops);
+        self.tier.gather(ctx, fan, |_, _| {})?;
         Ok(())
     }
 }

@@ -6,7 +6,7 @@
 //! coordinator's own fail-stop recovery; without it, one direct round of
 //! plain LFS ops per transaction.
 
-use super::agent::{self, Fan, Shape, Tally};
+use super::agent::{Fan, Shape, Tally};
 use super::blockio::ReadRound;
 use super::directory::FileMeta;
 use super::Server;
@@ -193,14 +193,11 @@ impl Server {
                 let targets = (t.participants.iter().zip(&t.tolerant))
                     .map(|(p, &tolerant)| (p.node, tolerant, plain_ops(&p.intent).count() as u32));
                 let ops = (t.participants.iter()).flat_map(|p| plain_ops(&p.intent));
-                self.send_round(ctx, t.shape(true), targets, ops)
+                self.tier.send_round(ctx, t.shape(true), targets, ops)
             })
             .collect();
         (rounds.into_iter())
-            .map(|fan| {
-                let tally = agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {});
-                tally.map_err(BridgeError::Lfs)
-            })
+            .map(|fan| Ok(self.tier.gather(ctx, fan, |_, _| {})?))
             .collect()
     }
 
@@ -318,7 +315,7 @@ impl Server {
                         txn,
                         intent: p.intent.clone(),
                     });
-                    self.send_round(ctx, t.shape(true), targets, ops)
+                    self.tier.send_round(ctx, t.shape(true), targets, ops)
                 })
                 .collect();
             // Force BEGIN while the prepares are in flight, so a kill on
@@ -379,7 +376,7 @@ impl Server {
         // transaction proceeds without it — the decision is still sent,
         // and its failure ack is tolerated there too.
         let verdicts: Vec<Result<Tally, EfsError>> = (ballots.into_iter())
-            .map(|fan| agent::gather(ctx, &mut self.client, &self.config, fan, |_, _| {}))
+            .map(|fan| self.tier.gather(ctx, fan, |_, _| {}))
             .collect();
         carry(self, ctx);
         // The commit point, for every transaction nobody vetoed. A vetoed
@@ -427,7 +424,7 @@ impl Server {
                 commit: d.commit,
                 intent: p.intent.clone(),
             });
-            let sent = self.send_round(ctx, d.shape, targets, ops);
+            let sent = self.tier.send_round(ctx, d.shape, targets, ops);
             round.join(sent, i);
         }
         round
@@ -447,7 +444,7 @@ impl Server {
     /// left orphaned in flight.
     fn acks(&mut self, ctx: &mut Ctx, txns: &[u64], round: Fan) -> Vec<Result<(), EfsError>> {
         let mut acks = vec![(0, Ok(())); txns.len()];
-        let _ = agent::gather(ctx, &mut self.client, &self.config, round, |i, ack| {
+        let _ = self.tier.gather(ctx, round, |i, ack| {
             let (lost, applied) = &mut acks[i];
             match ack {
                 Ok(LfsData::Tally { lost: more, .. }) => *lost += more,
@@ -523,7 +520,7 @@ impl Server {
             );
         }
         for &id in pending {
-            self.client.forget(ctx, id);
+            self.tier.client.forget(ctx, id);
         }
         ctx.delay(down);
         // Everything delivered while the node was down is lost.

@@ -270,13 +270,14 @@ impl<P: RpcProtocol> RpcClient<P> {
     /// [`RpcProtocol::timed_out`] when the retry budget is spent without
     /// a reply.
     pub fn wait(&mut self, ctx: &mut Ctx, server: ProcId, id: u64) -> Result<P::Data, P::Error> {
-        self.wait_any(ctx, &[(server, id)]).1
+        self.wait_any(ctx, &[(server, id)], |&sent| sent).1
     }
 
-    /// Waits for whichever of `waiting` — `(server, id)` pairs this client
-    /// sent — is answered first, and returns its position in `waiting`
-    /// with its reply: replies are taken in arrival order, so a caller
-    /// that reduces them never sits on one while another is ready.
+    /// Waits for whichever of `waiting` — entries each naming, through
+    /// `sent`, a `(server, id)` pair this client sent — is answered first,
+    /// and returns its position in `waiting` with its reply: replies are
+    /// taken in arrival order, so a caller that reduces them never sits on
+    /// one while another is ready.
     ///
     /// Under a retry policy each request keeps its own attempt count and
     /// deadline, and its clock starts at the first wait that names it (as
@@ -289,15 +290,16 @@ impl<P: RpcProtocol> RpcClient<P> {
     /// # Panics
     ///
     /// If `waiting` is empty.
-    pub fn wait_any(
+    pub fn wait_any<W>(
         &mut self,
         ctx: &mut Ctx,
-        waiting: &[(ProcId, u64)],
+        waiting: &[W],
+        sent: impl Fn(&W) -> (ProcId, u64),
     ) -> (usize, Result<P::Data, P::Error>) {
         assert!(!waiting.is_empty(), "a wait needs a request to wait on");
         let answered = |e: &parsim::Envelope| {
             let id = e.downcast_ref::<ReplyOf<P>>()?.id;
-            waiting.iter().position(|&w| w == (e.from(), id))
+            waiting.iter().position(|w| sent(w) == (e.from(), id))
         };
         let retry = self.retry;
         loop {
@@ -305,7 +307,7 @@ impl<P: RpcProtocol> RpcClient<P> {
             let deadline = self
                 .pending
                 .iter_mut()
-                .filter(|p| waiting.iter().any(|&(_, id)| id == p.id))
+                .filter(|p| waiting.iter().any(|w| sent(w).1 == p.id))
                 .map(|p| p.clock.get_or_insert((now, now + retry.wait_for(0))).1)
                 .min();
             let env = match deadline {
@@ -317,7 +319,7 @@ impl<P: RpcProtocol> RpcClient<P> {
             };
             if let Some(env) = env {
                 let at = answered(&env).expect("matched a waiting request");
-                let (server, id) = waiting[at];
+                let (server, id) = sent(&waiting[at]);
                 ctx.close_id(id);
                 if let Some(slot) = self.pending.iter().position(|p| p.id == id) {
                     let done = self.pending.swap_remove(slot);
@@ -342,7 +344,7 @@ impl<P: RpcProtocol> RpcClient<P> {
                 return (at, self.open(ctx, id, env));
             }
             let now = ctx.now();
-            for (at, &(server, id)) in waiting.iter().enumerate() {
+            for (at, (server, id)) in waiting.iter().map(&sent).enumerate() {
                 let Some(slot) = self
                     .pending
                     .iter()
@@ -577,6 +579,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::{HashMap, HashSet};
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     fn pid(n: usize) -> ProcId {
         ProcId::from_index(n)
@@ -627,6 +631,28 @@ mod tests {
         }
     }
 
+    /// Adds three echo servers to `sim`, server i on node 1 + i (node 0
+    /// is left for the client), each counting in `served[i]` the requests
+    /// it answers.
+    fn echo_servers(sim: &mut parsim::Simulation, served: &Arc<[AtomicU32; 3]>) -> Vec<ProcId> {
+        (0..3)
+            .map(|i| {
+                let node = sim.add_node(format!("s{i}"));
+                let served = Arc::clone(served);
+                sim.spawn(node, format!("echo{i}"), move |ctx| loop {
+                    let (from, req) = ctx.recv_as::<Request<u64>>();
+                    served[i].fetch_add(1, Ordering::Relaxed);
+                    ctx.delay(SimDuration::from_millis(req.cmd));
+                    let reply: Reply<(), u32> = Reply {
+                        id: req.id,
+                        result: Ok(()),
+                    };
+                    ctx.send_sized_cloneable(from, reply, 0);
+                })
+            })
+            .collect()
+    }
+
     /// Under a drop plan — a Down window that loses the first copy of the
     /// request to echo server 1 — the wait hands replies back as they land,
     /// and a timeout resends only the request whose own deadline passed:
@@ -635,10 +661,7 @@ mod tests {
     #[test]
     fn wait_any_takes_replies_in_arrival_order_and_resends_only_the_overdue() {
         use parsim::{FaultPlan, NodeId, Outage, OutageKind, SimConfig, Simulation};
-        use std::sync::atomic::{AtomicU32, Ordering};
-        use std::sync::Arc;
 
-        // Node 0 is the client's, node 1 + i echo server i's.
         let plan = FaultPlan {
             outages: vec![Outage {
                 node: NodeId::from_index(2),
@@ -654,22 +677,7 @@ mod tests {
         });
         let client_node = sim.add_node("client");
         let served: Arc<[AtomicU32; 3]> = Arc::default();
-        let servers: Vec<ProcId> = (0..3)
-            .map(|i| {
-                let node = sim.add_node(format!("s{i}"));
-                let served = Arc::clone(&served);
-                sim.spawn(node, format!("echo{i}"), move |ctx| loop {
-                    let (from, req) = ctx.recv_as::<Request<u64>>();
-                    served[i].fetch_add(1, Ordering::Relaxed);
-                    ctx.delay(SimDuration::from_millis(req.cmd));
-                    let reply: Reply<(), u32> = Reply {
-                        id: req.id,
-                        result: Ok(()),
-                    };
-                    ctx.send_sized_cloneable(from, reply, 0);
-                })
-            })
-            .collect();
+        let servers = echo_servers(&mut sim, &served);
         let retry = RetryPolicy {
             timeout: SimDuration::from_millis(100),
             backoff_cap: SimDuration::from_secs(1),
@@ -679,7 +687,7 @@ mod tests {
             let mut client: RpcClient<Echo> = RpcClient::with_retry(retry);
             let mut landed = Vec::new();
             let mut wait = |ctx: &mut Ctx, client: &mut RpcClient<Echo>, waiting: &mut Vec<_>| {
-                let (at, reply) = client.wait_any(ctx, waiting);
+                let (at, reply) = client.wait_any(ctx, waiting, |&sent| sent);
                 assert_eq!(reply, Ok(()));
                 let (server, _) = waiting.remove(at);
                 let index = servers.iter().position(|&s| s == server).unwrap();
@@ -709,6 +717,45 @@ mod tests {
         assert_eq!(resends, 1, "only the overdue request was resent");
         let served = served.each_ref().map(|n| n.load(Ordering::Relaxed));
         assert_eq!(served, [1, 1, 1], "server 1 saw the resend only");
+    }
+
+    /// The waited-on entries may carry more than the `(server, id)` pair
+    /// their projection names: the position returned indexes the caller's
+    /// own list, whatever its entries hold.
+    #[test]
+    fn wait_any_reads_each_entry_through_its_projection() {
+        use parsim::{SimConfig, Simulation};
+
+        struct Sent {
+            tag: char,
+            to: ProcId,
+            id: u64,
+        }
+        let mut sim = Simulation::new(SimConfig::default());
+        let client_node = sim.add_node("client");
+        let served: Arc<[AtomicU32; 3]> = Arc::default();
+        let servers = echo_servers(&mut sim, &served);
+        let tags = sim.block_on(client_node, "client", move |ctx| {
+            let mut client: RpcClient<Echo> = RpcClient::new();
+            let mut waiting: Vec<Sent> = (servers.iter().zip(['a', 'b', 'c']))
+                .zip([30, 10, 20])
+                .map(|((&to, tag), millis)| Sent {
+                    tag,
+                    to,
+                    id: client.send(ctx, to, millis),
+                })
+                .collect();
+            let mut tags = Vec::new();
+            while !waiting.is_empty() {
+                let (at, reply) = client.wait_any(ctx, &waiting, |s| (s.to, s.id));
+                assert_eq!(reply, Ok(()));
+                tags.push(waiting.remove(at).tag);
+            }
+            tags
+        });
+        assert_eq!(tags, ['b', 'c', 'a'], "taken as they landed");
+        let served = served.each_ref().map(|n| n.load(Ordering::Relaxed));
+        assert_eq!(served, [1, 1, 1]);
     }
 
     #[test]
