@@ -294,3 +294,158 @@ fn parity_audit_turns_the_layout_by_the_start() {
         assert!(check(ctx, &pairs, server, false).clean());
     });
 }
+
+/// Writes `blocks` records into a fresh file of `redundancy` whose
+/// round-robin placement starts at `start`.
+fn write_at(
+    ctx: &mut Ctx,
+    bridge: &mut BridgeClient,
+    redundancy: Redundancy,
+    start: u32,
+    blocks: u64,
+) -> BridgeFileId {
+    let spec = CreateSpec {
+        redundancy,
+        placement: PlacementSpec::RoundRobinAt { start },
+        ..CreateSpec::default()
+    };
+    let file = bridge.create(ctx, spec).unwrap();
+    for b in 0..blocks {
+        bridge
+            .seq_write(ctx, file, record(redundancy.tag(), b))
+            .unwrap();
+    }
+    file
+}
+
+/// One pass's machine-wide outcome: findings, repaired, reconstructed.
+fn machine_outcome(verdict: &bridge_tools::FsckVerdict) -> (Vec<MachineFinding>, u32, u64) {
+    let m = verdict.machine.as_ref().expect("machine pass ran");
+    (m.findings.clone(), m.repaired, m.reconstructed)
+}
+
+/// The exact findings, repaired and reconstructed counts of the machine
+/// pass at p = 8 over three redundant files — grouped parity at start 0,
+/// grouped parity turned to start 3, and a mirror at start 5 — with one
+/// parity block and one mirror copy scribbled and the node holding a
+/// data block fail-stopped; then with a second node down, where stripes
+/// lose two members; then the repaired count of a paced rebuild onto a
+/// spare, whose empty columns are read past their end and whose chunks
+/// end inside a stripe.
+#[test]
+fn scrub_findings_and_repairs_are_pinned() {
+    const GROUP: Redundancy = Redundancy::Parity { group: 4 };
+    let (mut sim, machine) = BridgeMachine::build(&BridgeConfig::instant(8));
+    let server = machine.server;
+    let pairs = pairs(&machine);
+    let procs = machine.lfs.clone();
+    sim.block_on(machine.frontend, "tool", move |ctx| {
+        let mut bridge = BridgeClient::new(server);
+        let p0 = write_at(ctx, &mut bridge, GROUP, 0, 13);
+        let p3 = write_at(ctx, &mut bridge, GROUP, 3, 13);
+        let m5 = write_at(ctx, &mut bridge, Redundancy::Mirror, 5, 13);
+        let healthy = check(ctx, &pairs, server, false);
+        assert!(healthy.clean(), "healthy start: {:?}", healthy.errors());
+        assert_eq!(machine_outcome(&healthy), (vec![], 0, 0));
+
+        let mut lfs = LfsClient::new();
+        // Stripe 1 of the turned file lies in the group away from the
+        // node about to fail: its parity sits on node 7.
+        let (companion, nodes, start) = manifest_entry(ctx, &mut bridge, p3);
+        let layout = ParityLayout::grouped(8, 4).starting_at(start);
+        let pnode = nodes[layout.parity_position(1) as usize];
+        assert_eq!(pnode, 7);
+        lfs.call(
+            ctx,
+            pairs[pnode as usize].0,
+            LfsOp::Write {
+                file: companion,
+                block: layout.parity_local(1),
+                data: Bytes::from_static(b"scribble"),
+                hint: None,
+            },
+        )
+        .unwrap();
+        // Block 5 of the mirror lives on node 2, its copy on node 3.
+        let (companion, nodes, start) = manifest_entry(ctx, &mut bridge, m5);
+        let pos = ((5 + u64::from(start)) % 8) as usize;
+        let mnode = nodes[(pos + 1) % 8];
+        assert_eq!(mnode, 3);
+        lfs.call(
+            ctx,
+            pairs[mnode as usize].0,
+            LfsOp::Write {
+                file: companion,
+                block: 0,
+                data: Bytes::from_static(b"divergent"),
+                hint: None,
+            },
+        )
+        .unwrap();
+        // Block 4 of the start-0 file is on node 6.
+        let down = ParityLayout::grouped(8, 4).data_position(4);
+        assert_eq!(down, 6);
+        bridge_efs::set_failed(ctx, procs[down as usize], true);
+
+        let stale = MachineFinding::StaleParity {
+            file: p3,
+            stripe: 1,
+            node: 7,
+        };
+        let mismatch = MachineFinding::MirrorMismatch {
+            file: m5,
+            block: 5,
+            node: 3,
+        };
+        let checked = check(ctx, &pairs, server, false);
+        assert_eq!(machine_outcome(&checked), (vec![stale, mismatch], 0, 8));
+        // A rebuild must write to the down node, so it fails; pfsck's
+        // repair rewrites what it can reach and does not fail.
+        assert!(bridge.rebuild(ctx, p0).is_err());
+        let repaired = check(ctx, &pairs, server, true);
+        assert_eq!(machine_outcome(&repaired), (vec![], 2, 8));
+        assert_eq!(repaired.repaired, 2);
+        let again = check(ctx, &pairs, server, false);
+        assert!(again.clean(), "{:?}", again.errors());
+        assert_eq!(machine_outcome(&again), (vec![], 0, 8));
+
+        // A second node down in the same groups: stripes and mirror
+        // blocks that lose two members are unrecoverable.
+        bridge_efs::set_failed(ctx, procs[7], true);
+        let double = check(ctx, &pairs, server, false);
+        let lost = |file: BridgeFileId, blocks: Vec<u64>| {
+            blocks
+                .into_iter()
+                .map(move |block| MachineFinding::UnrecoverableBlock { file, block })
+        };
+        let expected: Vec<MachineFinding> = lost(p0, vec![4, 5, 10, 11])
+            .chain(lost(p3, vec![]))
+            .chain(lost(m5, vec![1, 9]))
+            .collect();
+        assert_eq!(machine_outcome(&double), (expected, 0, 8));
+        bridge_efs::set_failed(ctx, procs[7], false);
+        bridge_efs::set_failed(ctx, procs[6], false);
+
+        // A spare on node 2, rebuilt in chunks of five blocks: a chunk
+        // ends inside a three-block stripe, and every chunk reads the
+        // spare's columns past their end.
+        assert!(bridge_efs::install_spare(ctx, procs[2]), "spare racked in");
+        let repaired: Vec<u64> = [p0, p3, m5]
+            .into_iter()
+            .map(|file| {
+                bridge
+                    .rebuild_paced(ctx, file, 5, parsim::SimDuration::ZERO)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(repaired, vec![3, 2, 3]);
+        let rebuilt = check(ctx, &pairs, server, false);
+        assert!(rebuilt.clean(), "{:?}", rebuilt.errors());
+        assert_eq!(machine_outcome(&rebuilt), (vec![], 0, 0));
+        assert_eq!(
+            bridge.rebuild(ctx, m5).unwrap(),
+            0,
+            "nothing left to repair"
+        );
+    });
+}
