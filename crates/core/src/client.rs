@@ -5,7 +5,7 @@ use crate::error::BridgeError;
 use crate::ids::{BridgeFileId, JobId};
 use crate::protocol::{
     request_wire_size, BridgeCmd, BridgeData, CreateSpec, JobDeliver, JobRequest, JobSupply,
-    MachineInfo, MachineManifest, OpenInfo,
+    MachineInfo, MachineManifest, OpenInfo, ScrubReport,
 };
 use bridge_efs::{RetryPolicy, RpcClient, RpcProtocol};
 use bytes::Bytes;
@@ -322,6 +322,24 @@ impl BridgeClient {
         match self.call(ctx, BridgeCmd::RebuildRange { file, first, count })? {
             BridgeData::Rebuilt { repaired } => Ok(repaired),
             other => Err(unexpected("Rebuilt", &other)),
+        }
+    }
+
+    /// Scrubs a redundant file: every stripe's companion checked against
+    /// its data, and with `repair` the stale ones rewritten.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the server-side [`BridgeError`].
+    pub fn scrub(
+        &mut self,
+        ctx: &mut Ctx,
+        file: BridgeFileId,
+        repair: bool,
+    ) -> Result<ScrubReport, BridgeError> {
+        match self.call(ctx, BridgeCmd::Scrub { file, repair })? {
+            BridgeData::Scrubbed(report) => Ok(report),
+            other => Err(unexpected("Scrubbed", &other)),
         }
     }
 

@@ -64,7 +64,8 @@ pub use placement::{Placement, PlacementCursor, PlacementKind};
 pub use protocol::{
     reply_wire_size, request_wire_size, BridgeCmd, BridgeData, BridgeReply, BridgeRequest,
     CreateSpec, JobDeliver, JobRequest, JobSupply, LfsSlice, MachineInfo, MachineManifest,
-    ManifestEntry, OpenInfo, PlacementSpec, RelayRequest, RelayTarget, Round, TierCmd, TierRpc,
+    ManifestEntry, OpenInfo, PlacementSpec, RelayRequest, RelayTarget, Round, ScrubFinding,
+    ScrubReport, TierCmd, TierRpc,
 };
 pub use redundancy::{xor_into, ParityLayout, Redundancy};
 pub use server::{

@@ -157,6 +157,17 @@ pub enum BridgeCmd {
         /// Number of global blocks (clipped at the file size).
         count: u64,
     },
+    /// Check a redundant file's companions — its mirror copies or its
+    /// stripes' parity — against its data, every stripe in one pass,
+    /// and with `repair` rewrite the companions found stale. Blocks that
+    /// cannot be read are recovered from their stripe and counted, never
+    /// rewritten: that is [`BridgeCmd::Rebuild`]'s job.
+    Scrub {
+        /// File to scrub.
+        file: BridgeFileId,
+        /// Rewrite stale companions; `false` only reports.
+        repair: bool,
+    },
     /// Structural information for tools.
     GetInfo,
     /// Machine-wide health: the live telemetry snapshot
@@ -189,6 +200,7 @@ impl BridgeCmd {
             BridgeCmd::JobClose { .. } => "bridge.job_close",
             BridgeCmd::Rebuild { .. } => "bridge.rebuild",
             BridgeCmd::RebuildRange { .. } => "bridge.rebuild_range",
+            BridgeCmd::Scrub { .. } => "bridge.scrub",
             BridgeCmd::GetInfo => "bridge.get_info",
             BridgeCmd::GetHealth => "bridge.get_health",
             BridgeCmd::GetManifest => "bridge.get_manifest",
@@ -242,6 +254,8 @@ pub enum BridgeData {
         /// rewritten.
         repaired: u64,
     },
+    /// `Scrub` finished.
+    Scrubbed(ScrubReport),
     /// `GetInfo` result.
     Info(MachineInfo),
     /// `GetHealth` result: the machine-wide telemetry snapshot.
@@ -286,6 +300,46 @@ pub struct LfsSlice {
     pub local_size: u32,
 }
 
+/// What a scrub found wrong with one redundant file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScrubFinding {
+    /// Stripe `stripe`'s parity block, on machine index `node`, is not
+    /// the XOR of the stripe's data blocks.
+    StaleParity {
+        /// The inconsistent stripe.
+        stripe: u64,
+        /// The machine index holding its parity block.
+        node: u32,
+    },
+    /// Block `block`'s mirror copy, on machine index `node`, differs from
+    /// its primary.
+    MirrorMismatch {
+        /// The disagreeing global block.
+        block: u64,
+        /// The machine index holding the copy.
+        node: u32,
+    },
+    /// Block `block` is unreadable and so is another member of its
+    /// stripe (or its copy): nothing left can recover it.
+    Unrecoverable {
+        /// The lost global block.
+        block: u64,
+    },
+}
+
+/// `Scrub` result.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ScrubReport {
+    /// What is wrong, stripe by stripe in file order; a stale companion
+    /// the scrub rewrote is not listed.
+    pub findings: Vec<ScrubFinding>,
+    /// Blocks rewritten.
+    pub repaired: u64,
+    /// Stripes with exactly one unreadable member, recovered from the
+    /// others (for a mirror, blocks with one unreadable copy).
+    pub reconstructed: u64,
+}
+
 /// Machine-level structural information (`GetInfo`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineInfo {
@@ -309,14 +363,16 @@ pub struct ManifestEntry {
     pub lfs_file: LfsFileId,
     /// The redundancy companion's local name (mirror/parity), if any.
     pub companion: Option<LfsFileId>,
-    /// The file's redundancy mode (drives `pfsck`'s parity audit).
+    /// The file's redundancy mode: `pfsck` asks the server to scrub the
+    /// redundant ones.
     pub redundancy: Redundancy,
-    /// The server's cached global size in blocks — the stripe extent the
-    /// parity audit recomputes.
+    /// The server's cached global size in blocks (`pfsck` scrubs no
+    /// empty file).
     pub size: u64,
     /// Round-robin start rotation: block 0's position within `nodes`.
-    /// The mirror audit needs it to map blocks to columns, and the parity
-    /// audit turns the file's parity layout by it
+    /// A tool that finds a redundant file's blocks on its columns needs
+    /// it: a mirror's blocks start there, and a parity file's layout
+    /// turns by it
     /// ([`ParityLayout::starting_at`](crate::ParityLayout::starting_at)).
     pub start: u32,
     /// Machine indexes of the LFS instances holding its columns. Entries
@@ -493,6 +549,7 @@ pub fn reply_wire_size(reply: &BridgeReply) -> usize {
         Ok(BridgeData::Block(data)) => 48 + data.len(),
         Ok(BridgeData::Opened(info)) => 64 + info.nodes.len() * 24,
         Ok(BridgeData::Info(info)) => 48 + info.lfs.len() * 16,
+        Ok(BridgeData::Scrubbed(report)) => 48 + report.findings.len() * 16,
         Ok(BridgeData::Health(h)) => 256 + h.lfs.len() * 128 + h.events.len() * 24,
         Ok(BridgeData::Manifest(m)) => {
             48 + m

@@ -436,6 +436,7 @@ impl Server {
             BridgeCmd::RebuildRange { file, first, count } => {
                 self.rebuild_range(ctx, file, first, count)
             }
+            BridgeCmd::Scrub { file, repair } => self.scrub_file(ctx, file, repair),
             BridgeCmd::GetInfo => Ok(BridgeData::Info(MachineInfo {
                 breadth: self.breadth(),
                 lfs: self.tier.lfs.clone(),

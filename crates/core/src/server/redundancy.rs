@@ -85,6 +85,18 @@ impl WritePlan {
     }
 }
 
+/// The XOR of `blocks`: a stripe's parity from its data blocks, or any
+/// one member of a stripe from all the others — the one fold a degraded
+/// read and the scrub share. A mirror's stripe is a block and its copy,
+/// so the fold of one member is that member.
+pub(super) fn xor_fold<'a>(blocks: impl IntoIterator<Item = &'a Bytes>) -> Bytes {
+    let mut acc = Vec::new();
+    for block in blocks {
+        xor_into(&mut acc, block);
+    }
+    acc.into()
+}
+
 impl Server {
     /// Reads `count` consecutive strictly placed globals from `first` at
     /// `depth`, handing each block's data to `sink` as its reply is
@@ -164,7 +176,7 @@ impl Server {
 
     /// What the redundancy says strictly placed `block` holds: its mirror
     /// copy, or the stripe's parity XORed with its surviving peers.
-    pub(super) fn redundant_payload(
+    fn redundant_payload(
         &mut self,
         ctx: &mut Ctx,
         file: BridgeFileId,
@@ -202,20 +214,6 @@ impl Server {
             xor_into(&mut acc, &payload);
         }
         Ok(acc.into())
-    }
-
-    /// A data block's raw payload, reconstructed from parity if its
-    /// column is gone.
-    pub(super) fn data_payload(
-        &mut self,
-        ctx: &mut Ctx,
-        file: BridgeFileId,
-        block: u64,
-    ) -> Result<Bytes, BridgeError> {
-        let meta = self.file_mut(file);
-        let (ptr, data_file) = (meta.locate(block)?, meta.lfs_file);
-        let read = self.read_one(ctx, Target::raw(file, data_file), ptr);
-        self.or_reconstruct(ctx, file, block, read)
     }
 
     /// What a read of data block `block` answered, or — its column gone —

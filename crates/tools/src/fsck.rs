@@ -23,28 +23,28 @@
 //! node never heard about — is resolved the way the decision says:
 //! the column is deleted.
 //!
-//! The machine-wide pass also runs a **redundancy audit** over every
-//! mirrored or parity-protected file: each stripe's parity is recomputed
-//! from its data blocks and checked against the stored parity block
-//! ([`MachineFinding::StaleParity`]; `repair` rewrites it), mirror copies
-//! are compared ([`MachineFinding::MirrorMismatch`]; `repair` rewrites
-//! the mirror from the primary), and a *down* node's columns — unknowable
-//! for a plain file — are instead reconstructed from the surviving group
-//! members and counted in [`MachineReport::reconstructed`]; only blocks
-//! no surviving member can recover are reported
-//! ([`MachineFinding::UnrecoverableBlock`]).
+//! The machine-wide pass also audits every mirrored or parity-protected
+//! file, and the audit is the Bridge Server's scrub (`BridgeCmd::Scrub`):
+//! the tool asks, the server reads each stripe's members in rounds where
+//! they live and answers with what it found. Each stripe's parity is
+//! recomputed from its data blocks and checked against the stored parity
+//! block ([`MachineFinding::StaleParity`]; `repair` rewrites it), mirror
+//! copies are compared ([`MachineFinding::MirrorMismatch`]; `repair`
+//! rewrites the mirror from the primary), and a *down* node's columns —
+//! unknowable for a plain file — are instead reconstructed from the
+//! surviving group members and counted in
+//! [`MachineReport::reconstructed`]; only blocks no surviving member can
+//! recover are reported ([`MachineFinding::UnrecoverableBlock`]).
 
 use crate::error::ToolError;
 use crate::options::ToolOptions;
 use crate::toolkit::{run_workers, WorkerSpec};
 use bridge_core::{
-    xor_into, BridgeClient, BridgeFileId, LoggedDecision, MachineManifest, ManifestEntry,
-    ParityLayout, Redundancy,
+    BridgeClient, BridgeFileId, LoggedDecision, MachineManifest, Redundancy, ScrubFinding,
 };
 use bridge_efs::{
     FileInfo, FsckReport, LfsClient, LfsData, LfsFileId, LfsOp, PrepareIntent, RetryPolicy,
 };
-use bytes::Bytes;
 use parsim::{Ctx, NodeId, ProcId, SimDuration};
 use std::collections::BTreeSet;
 
@@ -496,6 +496,8 @@ fn machine_pass(
         }
         findings = kept;
     }
+    // The redundancy audit is the server's scrub, one request per
+    // redundant file, repairing under `repair`.
     let mut reconstructed = 0u64;
     for entry in &manifest.files {
         if entry.redundancy == Redundancy::None
@@ -504,221 +506,29 @@ fn machine_pass(
         {
             continue;
         }
-        let audit = audit_entry(ctx, &mut client, lfs, &down, entry, opts.repair)?;
-        findings.extend(audit.findings);
-        repaired += audit.repaired;
-        reconstructed += audit.reconstructed;
+        let file = entry.file;
+        let scrub = bridge
+            .scrub(ctx, file, opts.repair)
+            .map_err(|e| ToolError::Protocol(format!("scrub of {file:?} failed: {e}")))?;
+        findings.extend(scrub.findings.into_iter().map(|f| match f {
+            ScrubFinding::StaleParity { stripe, node } => {
+                MachineFinding::StaleParity { file, stripe, node }
+            }
+            ScrubFinding::MirrorMismatch { block, node } => {
+                MachineFinding::MirrorMismatch { file, block, node }
+            }
+            ScrubFinding::Unrecoverable { block } => {
+                MachineFinding::UnrecoverableBlock { file, block }
+            }
+        }));
+        repaired += scrub.repaired as u32;
+        reconstructed += scrub.reconstructed;
     }
     Ok(MachineReport {
         findings,
         repaired,
         reconstructed,
     })
-}
-
-/// One manifest entry's worth of redundancy auditing.
-struct EntryAudit {
-    findings: Vec<MachineFinding>,
-    repaired: u32,
-    reconstructed: u64,
-}
-
-/// Reads one local block's payload; `Ok(None)` means the column is
-/// unavailable (its node failed, or the instance no longer holds the
-/// file) — the degraded case the audit reconstructs through.
-fn read_payload(
-    ctx: &mut Ctx,
-    client: &mut LfsClient,
-    proc: ProcId,
-    file: LfsFileId,
-    block: u32,
-) -> Result<Option<Bytes>, ToolError> {
-    match client.call(
-        ctx,
-        proc,
-        LfsOp::Read {
-            file,
-            block,
-            hint: None,
-        },
-    ) {
-        Ok(reply) => Ok(Some(reply.into_block()?.0)),
-        Err(e) if e.column_lost() => Ok(None),
-        Err(e) => Err(ToolError::Lfs(e)),
-    }
-}
-
-/// Rewrites one local block; `Ok(false)` when the target column is
-/// unavailable (the repair stands as a finding until the node returns).
-fn write_payload(
-    ctx: &mut Ctx,
-    client: &mut LfsClient,
-    proc: ProcId,
-    file: LfsFileId,
-    block: u32,
-    data: Bytes,
-) -> Result<bool, ToolError> {
-    match client.call(
-        ctx,
-        proc,
-        LfsOp::Write {
-            file,
-            block,
-            data,
-            hint: None,
-        },
-    ) {
-        Ok(_) => Ok(true),
-        Err(e) if e.column_lost() => Ok(false),
-        Err(e) => Err(ToolError::Lfs(e)),
-    }
-}
-
-/// The redundancy audit for one manifest entry.
-///
-/// * **Mirror** — every global block's two copies are read; disagreeing
-///   copies are a [`MachineFinding::MirrorMismatch`] (repair rewrites the
-///   mirror from the primary), one unavailable copy counts as a verified
-///   reconstruction, two is an [`MachineFinding::UnrecoverableBlock`].
-/// * **Parity** — every stripe's parity is recomputed from its data
-///   blocks: with all members present a mismatch is a
-///   [`MachineFinding::StaleParity`] (repair rewrites the parity block);
-///   with exactly one member unavailable the stripe reconstructs the
-///   missing column from the survivors; with more than one its data
-///   blocks are unrecoverable.
-fn audit_entry(
-    ctx: &mut Ctx,
-    client: &mut LfsClient,
-    lfs: &[(ProcId, NodeId)],
-    down: &[bool],
-    entry: &ManifestEntry,
-    repair: bool,
-) -> Result<EntryAudit, ToolError> {
-    let mut audit = EntryAudit {
-        findings: Vec::new(),
-        repaired: 0,
-        reconstructed: 0,
-    };
-    let breadth = entry.nodes.len() as u32;
-    let companion = entry
-        .companion
-        .expect("redundant files always have a companion");
-    // Reads a column's payload unless its node is already known down
-    // (skipping the call keeps the audit from burning the retry budget on
-    // a node the listing round has already sentenced).
-    let column = |ctx: &mut Ctx,
-                  client: &mut LfsClient,
-                  pos: u32,
-                  file: LfsFileId,
-                  local: u32|
-     -> Result<Option<Bytes>, ToolError> {
-        let node = entry.nodes[pos as usize] as usize;
-        if down[node] {
-            return Ok(None);
-        }
-        read_payload(ctx, client, lfs[node].0, file, local)
-    };
-    match entry.redundancy {
-        Redundancy::None => {}
-        Redundancy::Mirror => {
-            for block in 0..entry.size {
-                let pos = ((block + u64::from(entry.start)) % u64::from(breadth)) as u32;
-                let local = (block / u64::from(breadth)) as u32;
-                let mpos = (pos + 1) % breadth;
-                let primary = column(ctx, client, pos, entry.lfs_file, local)?;
-                let mirror = column(ctx, client, mpos, companion, local)?;
-                match (primary, mirror) {
-                    (Some(p), Some(m)) => {
-                        if p != m {
-                            let node = entry.nodes[mpos as usize];
-                            let fixed = repair
-                                && write_payload(
-                                    ctx,
-                                    client,
-                                    lfs[node as usize].0,
-                                    companion,
-                                    local,
-                                    p,
-                                )?;
-                            if fixed {
-                                audit.repaired += 1;
-                            } else {
-                                audit.findings.push(MachineFinding::MirrorMismatch {
-                                    file: entry.file,
-                                    block,
-                                    node,
-                                });
-                            }
-                        }
-                    }
-                    (Some(_), None) | (None, Some(_)) => audit.reconstructed += 1,
-                    (None, None) => audit.findings.push(MachineFinding::UnrecoverableBlock {
-                        file: entry.file,
-                        block,
-                    }),
-                }
-            }
-        }
-        Redundancy::Parity { group } => {
-            let layout = ParityLayout::grouped(breadth, group).starting_at(entry.start);
-            let width = layout.stripe_width();
-            for stripe in 0..entry.size.div_ceil(width) {
-                let lo = stripe * width;
-                let hi = ((stripe + 1) * width).min(entry.size);
-                let mut lost_data: Vec<u64> = Vec::new();
-                let mut acc: Vec<u8> = Vec::new();
-                for block in lo..hi {
-                    let ptr = layout.locate(block);
-                    match column(ctx, client, ptr.lfs.0, entry.lfs_file, ptr.local)? {
-                        Some(p) => xor_into(&mut acc, &p),
-                        None => lost_data.push(block),
-                    }
-                }
-                let ppos = layout.parity_position(stripe);
-                let plocal = layout.parity_local(stripe);
-                let parity = column(ctx, client, ppos, companion, plocal)?;
-                let lost = lost_data.len() + usize::from(parity.is_none());
-                match (lost, parity) {
-                    (0, Some(stored)) => {
-                        acc.resize(stored.len(), 0);
-                        if acc != stored {
-                            let node = entry.nodes[ppos as usize];
-                            let fixed = repair
-                                && write_payload(
-                                    ctx,
-                                    client,
-                                    lfs[node as usize].0,
-                                    companion,
-                                    plocal,
-                                    Bytes::from(acc),
-                                )?;
-                            if fixed {
-                                audit.repaired += 1;
-                            } else {
-                                audit.findings.push(MachineFinding::StaleParity {
-                                    file: entry.file,
-                                    stripe,
-                                    node,
-                                });
-                            }
-                        }
-                    }
-                    // Exactly one member gone: the survivors XOR back to
-                    // the missing column — reconstructed and verified.
-                    (1, _) => audit.reconstructed += 1,
-                    (_, _) => {
-                        for block in lost_data {
-                            audit.findings.push(MachineFinding::UnrecoverableBlock {
-                                file: entry.file,
-                                block,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(audit)
 }
 
 /// One instance's check. A failed instance answers `NodeFailed` to
