@@ -195,7 +195,7 @@ impl Server {
     }
 
     /// Rebuilds a lost data block's payload from its stripe peers and the
-    /// stripe's parity block.
+    /// stripe's parity block, read as one round.
     fn reconstruct_payload(
         &mut self,
         ctx: &mut Ctx,
@@ -203,17 +203,18 @@ impl Server {
         block: u64,
     ) -> Result<Bytes, BridgeError> {
         let meta = &self.files[&file];
-        let (layout, size, data_file) = (meta.parity_layout(), meta.size, meta.lfs_file);
-        let (parity_file, p) = meta.parity_ptr(layout.stripe_of(block));
-        let mut acc = self
-            .read_one(ctx, Target::raw(file, parity_file), p)?
-            .to_vec();
-        for peer in layout.stripe_peers(block, size) {
-            let ptr = self.files[&file].to_machine(layout.locate(peer));
-            let payload = self.read_one(ctx, Target::raw(file, data_file), ptr)?;
-            xor_into(&mut acc, &payload);
-        }
-        Ok(acc.into())
+        let layout = meta.parity_layout();
+        let (parity_file, parity) = meta.parity_ptr(layout.stripe_of(block));
+        let data = Target::raw(file, meta.lfs_file);
+        let peers = layout.stripe_peers(block, meta.size).into_iter();
+        let members: Vec<(Target, GlobalPtr)> =
+            std::iter::once((Target::raw(file, parity_file), parity))
+                .chain(peers.map(|peer| (data, meta.to_machine(layout.locate(peer)))))
+                .collect();
+        let round = self.send_reads(ctx, members.into_iter());
+        let reads = self.take_reads(ctx, round)?;
+        let reads = reads.into_iter().collect::<Result<Vec<_>, _>>()?;
+        Ok(xor_fold(&reads))
     }
 
     /// What a read of data block `block` answered, or — its column gone —
