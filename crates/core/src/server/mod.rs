@@ -27,6 +27,7 @@ mod txn;
 pub use agent::{fan_groups, spawn_bridge_agent};
 
 use crate::error::BridgeError;
+use crate::header::GlobalPtr;
 use crate::ids::{BridgeFileId, JobId};
 use crate::placement::PlacementKind;
 use crate::protocol::{
@@ -157,6 +158,9 @@ struct Server {
     /// modeling shortcut: the real coordinator would recover the high
     /// txn from its log, and [`TxLog::reseat`] shows where it would.
     next_txn: u64,
+    /// Scratch for [`Server::read_strict`]'s block pointers, kept
+    /// between requests so that a read allocates none for them.
+    located: Vec<GlobalPtr>,
     /// The machine's live-telemetry registry (`None` = unarmed). Counter
     /// updates are host-side only and never touch virtual time.
     telemetry: Option<Arc<TelemetryRegistry>>,
@@ -199,6 +203,7 @@ pub fn spawn_bridge_server(
             parked: None,
             carried: None,
             next_txn: 1,
+            located: Vec::new(),
             telemetry,
         };
         let mut front = Front::default();

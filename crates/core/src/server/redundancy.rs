@@ -110,18 +110,22 @@ impl Server {
         depth: u32,
         mut sink: impl FnMut(&mut Ctx, u64, Bytes),
     ) -> Result<(), BridgeError> {
+        let mut ptrs = std::mem::take(&mut self.located);
+        ptrs.clear();
         let meta = self.meta(file)?;
         let target = Target::hinted(file, meta.lfs_file);
-        let ptrs = (first..first + count)
-            .map(|block| meta.locate(block))
-            .collect::<Result<Vec<_>, _>>()?;
-        let blocks = ptrs.into_iter().map(|ptr| (target, ptr));
-        self.read_blocks(ctx, blocks, depth, |server, ctx, i, read| {
+        for block in first..first + count {
+            ptrs.push(meta.locate(block)?);
+        }
+        let blocks = ptrs.iter().map(|&ptr| (target, ptr));
+        let read = self.read_blocks(ctx, blocks, depth, |server, ctx, i, read| {
             let block = first + i as u64;
             let body = server.strict_body(ctx, file, block, read)?;
             sink(ctx, block, body);
             Ok(())
-        })
+        });
+        self.located = ptrs;
+        read
     }
 
     /// The body of strictly placed `block` of `file` as its read answered,
