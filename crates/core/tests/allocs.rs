@@ -75,9 +75,9 @@ const WARM: u64 = 256;
 const BLOCKS: u64 = 256;
 
 /// At most this many allocations for the `BLOCKS` counted `SeqWrite`s
-/// (15.03 a block) and `SeqRead`s (8.0 a block).
+/// (15.03 a block) and `SeqRead`s (7.0 a block).
 const WRITE_CAP: u64 = 3_848;
-const READ_CAP: u64 = 2_048;
+const READ_CAP: u64 = 1_792;
 
 #[test]
 fn a_naive_block_allocates_no_more_than_it_did() {
