@@ -189,7 +189,7 @@ fn rounds_are_pinned() {
                     assert!(bridge.rebuild(ctx, file).unwrap() > 0);
                 })
             }),
-            [526_894_650, 791, 302, 108_576, 791],
+            [259_865_850, 671, 254, 82_848, 671],
         ),
     ];
     let mut drifted = false;
