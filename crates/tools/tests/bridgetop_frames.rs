@@ -312,7 +312,7 @@ fn control_scenario_frames_are_pinned() {
 const FAULTED: Pinned = Pinned {
     server: ServerTelemetry {
         ops: 206,
-        replays: 8,
+        replays: 5,
         dedup_occupancy: 1,
         dedup_peak: 1,
         txns_begun: 65,
@@ -330,13 +330,13 @@ const FAULTED: Pinned = Pinned {
     lfs: &[
         LfsRow {
             disk: DiskTelemetry {
-                reads: 135,
+                reads: 108,
                 writes: 188,
-                buffer_hits: 81,
-                track_loads: 54,
+                buffer_hits: 64,
+                track_loads: 44,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 3551000000,
+                busy_nanos: 3304000000,
                 lost: false,
             },
             wal_enabled: true,
@@ -348,26 +348,26 @@ const FAULTED: Pinned = Pinned {
             free_blocks: 65313,
             media_lost: false,
             crash_down: false,
-            ops_served: 203,
-            batches: 195,
-            batched_ops: 203,
+            ops_served: 176,
+            batches: 168,
+            batched_ops: 176,
             batch_max: 2,
             queue_depth: 0,
             queue_depth_peak: 2,
-            queue_waits: 203,
+            queue_waits: 176,
             queue_wait_nanos: 694835300,
-            service_count: 203,
+            service_count: 176,
             service_p99_ns: 29360128,
         },
         LfsRow {
             disk: DiskTelemetry {
-                reads: 53,
+                reads: 40,
                 writes: 65,
-                buffer_hits: 26,
-                track_loads: 27,
+                buffer_hits: 16,
+                track_loads: 24,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 1687000000,
+                busy_nanos: 1608000000,
                 lost: false,
             },
             wal_enabled: true,
@@ -379,26 +379,26 @@ const FAULTED: Pinned = Pinned {
             free_blocks: 65313,
             media_lost: false,
             crash_down: false,
-            ops_served: 114,
-            batches: 105,
-            batched_ops: 114,
+            ops_served: 103,
+            batches: 94,
+            batched_ops: 103,
             batch_max: 2,
             queue_depth: 0,
             queue_depth_peak: 2,
-            queue_waits: 114,
+            queue_waits: 103,
             queue_wait_nanos: 74593600,
-            service_count: 114,
+            service_count: 103,
             service_p99_ns: 62914560,
         },
         LfsRow {
             disk: DiskTelemetry {
-                reads: 131,
+                reads: 104,
                 writes: 175,
-                buffer_hits: 79,
-                track_loads: 52,
+                buffer_hits: 62,
+                track_loads: 42,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 3340000000,
+                busy_nanos: 3093000000,
                 lost: false,
             },
             wal_enabled: true,
@@ -410,26 +410,26 @@ const FAULTED: Pinned = Pinned {
             free_blocks: 65314,
             media_lost: false,
             crash_down: false,
-            ops_served: 194,
-            batches: 186,
-            batched_ops: 194,
+            ops_served: 167,
+            batches: 159,
+            batched_ops: 167,
             batch_max: 2,
             queue_depth: 0,
             queue_depth_peak: 2,
-            queue_waits: 194,
+            queue_waits: 167,
             queue_wait_nanos: 413968000,
-            service_count: 194,
+            service_count: 167,
             service_p99_ns: 29360128,
         },
         LfsRow {
             disk: DiskTelemetry {
-                reads: 131,
+                reads: 104,
                 writes: 175,
-                buffer_hits: 78,
-                track_loads: 53,
+                buffer_hits: 61,
+                track_loads: 43,
                 head_travel: 0,
                 transient_faults: 0,
-                busy_nanos: 3362000000,
+                busy_nanos: 3115000000,
                 lost: false,
             },
             wal_enabled: true,
@@ -441,30 +441,30 @@ const FAULTED: Pinned = Pinned {
             free_blocks: 65314,
             media_lost: false,
             crash_down: false,
-            ops_served: 194,
-            batches: 186,
-            batched_ops: 194,
+            ops_served: 167,
+            batches: 159,
+            batched_ops: 167,
             batch_max: 2,
             queue_depth: 0,
             queue_depth_peak: 2,
-            queue_waits: 194,
+            queue_waits: 167,
             queue_wait_nanos: 752698750,
-            service_count: 194,
+            service_count: 167,
             service_p99_ns: 29360128,
         },
     ],
     events_dropped: 0,
     kernel: RunStats {
-        events: 4627,
-        messages: 1958,
+        events: 4153,
+        messages: 1768,
         spawned: 10,
-        bytes_sent: 832280,
+        bytes_sent: 731352,
         queue_high_water: 10,
-        dispatches: 4627,
-        syscalls: 6585,
-        wakes_elided: 1067,
+        dispatches: 4153,
+        syscalls: 5921,
+        wakes_elided: 969,
         ready_peak: 12,
-        end_time: SimTime::from_nanos(12419784950),
+        end_time: SimTime::from_nanos(10027627350),
     },
     events: &[
         "disk.lost",
@@ -483,21 +483,12 @@ const FAULTED: Pinned = Pinned {
     ],
     alert_arc: &[
         (58, "degraded-service"),
-        (368, ""),
-        (370, "degraded-service"),
-        (415, "degraded-service,stalled-rebuild"),
-        (418, "degraded-service"),
-        (443, "degraded-service,stalled-rebuild"),
-        (448, "degraded-service"),
-        (491, "degraded-service,stalled-rebuild"),
-        (494, "degraded-service"),
-        (519, "degraded-service,stalled-rebuild"),
-        (524, "degraded-service"),
-        (567, "degraded-service,stalled-rebuild"),
-        (573, ""),
+        (351, ""),
+        (352, "degraded-service"),
+        (453, ""),
     ],
     resends_arc: &[],
-    render_hash: 0xb95c09ffa88a1032,
+    render_hash: 0x50419fea170d5343,
     frame_hashes: &[
         0xa3bf9c4a, 0xf26c3ab4, 0xfb3f8d99, 0x5989e2d7, 0xa91aaa8b, 0x0d3a6c87, 0x1a94ea36,
         0x7aa4dd97, 0x471e62de, 0xbdd097f0, 0xb3a10a62, 0xdd58e97b, 0xf2e2f753, 0x09960f56,
@@ -543,51 +534,34 @@ const FAULTED: Pinned = Pinned {
         0x608c6fc8, 0xbe6b0bae, 0x35707abb, 0xe5bc3dad, 0x16102f5f, 0x98d68d43, 0x34f7287c,
         0xb02e655a, 0xbf1af906, 0xe5c674a8, 0x6b3ddd17, 0x9b8a7363, 0xe59a32aa, 0x3239c84a,
         0xde08744f, 0x1759d11c, 0x898a959e, 0x7ab58c7e, 0xb57564cd, 0xca3bb959, 0x37d39edf,
-        0x3630363a, 0x7eb55d9c, 0xce5b09a5, 0x4f3aec2d, 0x8acd7244, 0x0bda7ddc, 0x5f7c676c,
-        0xa359dfc1, 0x75c6a7b4, 0xd99bc458, 0xa77f2e56, 0x249b95ab, 0x26fb34e3, 0x6623b7e0,
-        0xfbb8d2e8, 0xa7aafc06, 0xc7e242a2, 0x21a362b0, 0x4d8fd30a, 0xc519b7d0, 0xd2913d56,
-        0x921eea3d, 0x1ee311a7, 0x42a94b5d, 0x3ad3bcb7, 0xcf651117, 0xe84c57dd, 0x8544e826,
-        0x6bfdf5b6, 0x1ba55d3e, 0xa605ce8a, 0x1be431b1, 0xadb1229b, 0x030b1939, 0xfd8c35ad,
-        0x12891b3e, 0xa3b76f33, 0xe32d31cb, 0x8e1440f7, 0xe00fa63d, 0xfe5a958d, 0x148d90bd,
-        0x247a4803, 0x58526673, 0x49301b9b, 0xc48b796c, 0xcefe185a, 0xb334a591, 0xba9835fa,
-        0x1497ae40, 0xf0e9d6c7, 0xa1af25fe, 0xe898ab37, 0xf2a7300c, 0x326bc2c9, 0xf7ef55f4,
-        0xb94df7d7, 0x4801ecfc, 0x83cb8b7a, 0x915737a5, 0x550bc119, 0xcb5a525e, 0xee64ef24,
-        0x4b5a1d17, 0xc6106b2c, 0xe8be93a2, 0x8de2aa33, 0x0ae8f2be, 0xb5fb9ad1, 0xbcdb488e,
-        0xb6eb59a1, 0x61c23104, 0xdf4892a7, 0x3c6757cf, 0x522848a2, 0x57b8da33, 0xf1df8e03,
-        0x7c850ec9, 0xd09497de, 0x00999247, 0x437ccb70, 0xb6d1c2f4, 0x5cf5cd96, 0xf45c533c,
-        0xe6b2676d, 0x99153ad1, 0x86b69573, 0x31dd47d6, 0x260deb98, 0xd0655bba, 0xfd019a5e,
-        0x881ceb5a, 0x7a64e560, 0x82f88f49, 0x45b35b04, 0xbec5955e, 0xc4819416, 0xb3c324c0,
-        0x97cdf01f, 0xca41389b, 0xe3ab126a, 0x599b20ba, 0xfc413177, 0xacbcfe69, 0x42ff125f,
-        0x5c66163b, 0xfd534129, 0xf8c2be73, 0x3c39bd49, 0xdee4e23c, 0xa1136c41, 0x3ec6235b,
-        0x17d31fae, 0x5aea0692, 0xa4b1f816, 0x69e74464, 0x2b9730bc, 0x4c8db542, 0x72a125cb,
-        0xaf50700d, 0x8b504d71, 0x0c4c99e2, 0x4e4d69b4, 0x0c92b3c9, 0x60e48908, 0xffc1aec3,
-        0xbee01eab, 0x45844993, 0x5b48f482, 0x150d7652, 0x61991bcb, 0xbfbfd4b3, 0x1d580349,
-        0x09ab5487, 0x0435ba38, 0x71004e7d, 0x57373043, 0x24a0646e, 0x10bc1742, 0xdbda7c03,
-        0x0728341f, 0x4f91ace8, 0x8dacae8a, 0x1b9b04d9, 0xa87be1e1, 0xda11d905, 0x8ba43ae2,
-        0x6f3b54cc, 0xcee525cb, 0xbc3f3574, 0x4e79e281, 0x18fd511c, 0x5039db57, 0x2c4e5140,
-        0xc20476c0, 0xe2d05394, 0x4596c130, 0x63dc4a0f, 0x13b5f4ef, 0x89d5e590, 0x7cdce5e0,
-        0x1d94b015, 0xa3c1d3b7, 0x25e9b147, 0xad4281b9, 0xe63ad514, 0xe3fe0d03, 0xdf9be94f,
-        0x23c18dd5, 0xcf334321, 0xe4db291d, 0x885852d3, 0xbd0dc66f, 0xf5273887, 0x267c9d15,
-        0x5e578540, 0x5453d08c, 0x30d43ddc, 0x3d50390a, 0x81981ea5, 0xe1c6226b, 0xcae46621,
-        0x107d2b9e, 0x98b495e5, 0x55ba3ad0, 0xf12e5fe0, 0x42912f79, 0xcf7ad325, 0x9a5e6dc0,
-        0x3553e814, 0x30c818bd, 0xb58df72a, 0x37662aa1, 0xc82891fe, 0x3471feaf, 0x70196ccd,
-        0x037f17da, 0x17ca31c5, 0x3f0def01, 0x6bd2a9ab, 0x5eea9f3c, 0xf9e06b68, 0x3673e38b,
-        0xa1396fa4, 0xebfd4d0e, 0xa18ea420, 0xd087d7ee, 0xe631b1fb, 0xa71204b9, 0x80babfc1,
-        0x8a420663, 0x1e2fa36e, 0xeb8522b8, 0x3fe88cdd, 0x35489f56, 0x15e29eb9, 0x0d996757,
-        0xd350fe93, 0x8e2e5c9e, 0x7c3dc9aa, 0x100a7809, 0x553fb761, 0xaa70e5b0, 0x4d7afb28,
-        0xb101dc45, 0xb927266d, 0xb2dd8bc1, 0x0a7cd27a, 0x1a44698c, 0x10b27d00, 0x9d811792,
-        0xd43232b2, 0xe298ff0a, 0xaaad2277, 0x184652ef, 0xe8d1254b, 0x2108f2a0, 0x4bc894a8,
-        0x37cb892f, 0xee06cf8f, 0x6ab81e8a, 0x136e89fe, 0x4f62830b, 0x8a7bf581, 0x2c6ce0de,
-        0x7ab8c27c, 0xc275d54d, 0x81f61c6b, 0x301c7a7d, 0xcafdaca8, 0xdbca37d9, 0x38c3a5c0,
-        0xa5e3fc69, 0xf792ebe8, 0xdef08016, 0x44acb05d, 0xde3377db, 0x3d567a1e, 0x4cc45723,
-        0x17da8b42, 0x3d4b05e2, 0xcc52855a, 0x71379ede, 0xc48f6561, 0x292ec360, 0xb3dd4d94,
-        0x7390a948, 0x4a52952a, 0xe6e058bb, 0xf9ac2fa9, 0xe544848f, 0xd551155f, 0xf22c03e4,
-        0x78be553d, 0x10a4e995, 0x775cdd8c, 0x870d0ebb, 0xb7f91566, 0x9867a377, 0x3807ef81,
-        0x3d689ae0, 0xae7946c2, 0x721f0a2f, 0xf600ce9b, 0x804dac44, 0x6f31b666, 0xb9827ad9,
-        0x73d98825, 0x9463fa96, 0x5c653be0, 0xa862ec3a, 0x303d7c64, 0x24289066, 0xef06aae9,
-        0x82f95201, 0xd26c485d, 0x0c96362f, 0x72897aaf, 0x2ecc60e2, 0x3af0552c, 0x3739811b,
-        0xc08eb4df, 0x31b8d244, 0xc4e19bea, 0xe8f0f843, 0xf8215301, 0xf0bd465b, 0xbb95be3b,
-        0x6af42d09, 0x1e592c2e, 0x9656b9db, 0xdef070fa, 0x7d3da05f,
+        0x3630363a, 0x7eb55d9c, 0xce5b09a5, 0x4f3aec2d, 0x8acd7244, 0x0bda7ddc, 0x9f105247,
+        0x2b06db03, 0x9d90ca4d, 0x0046afd3, 0x8a8ed67d, 0x2351288b, 0xe8e0bfbf, 0x28d104ee,
+        0x97ea6706, 0x957b893f, 0x8d23e917, 0xb47a25fd, 0x1994220c, 0x25caa886, 0x06ecb71a,
+        0x75e61541, 0xf9ed5fe6, 0xc17ef245, 0xce82916c, 0x40f4ebf7, 0xe1248b58, 0x60e237d3,
+        0x3e9e722a, 0xd4e289cb, 0x0caff2f8, 0x8e7c07d7, 0x0fe05955, 0xcb245893, 0x22f72051,
+        0xc86e2be6, 0xb082fc26, 0x40fc62ce, 0xd6c8dd91, 0x664961f2, 0x1a8fa7cb, 0x6f42e038,
+        0x7883276a, 0x1daebeb2, 0xa022f750, 0xd84f0d2d, 0xd392b0f7, 0x72e6f6e0, 0x0cf15aff,
+        0xccacd508, 0x9a30a5a9, 0xbf6ca63a, 0x8f688669, 0xd378b432, 0x0973c629, 0xfb7d6496,
+        0x71fe64e1, 0x892dfc19, 0xcd78d8e9, 0xe769fda8, 0x89dfa757, 0x96bd64c7, 0x3c38966f,
+        0x9245401e, 0xedc3d8ca, 0xd12e0a41, 0xfec833a5, 0xa821eb6f, 0x059ffe3c, 0xa72f08e6,
+        0x7cb8cde2, 0x5eead181, 0x85724bbb, 0xc8453ab3, 0xb9d421f7, 0x9da859e8, 0x4f8b9b62,
+        0x2ec8d2a9, 0xd1ecb61c, 0x8104611d, 0xc1f37b5c, 0x83024d0e, 0xc5ba5c0f, 0x44537eaf,
+        0x04597821, 0x515da8a5, 0xd2054bbc, 0x906ce72a, 0xf2f4fd58, 0xc58c0d75, 0x0f15da98,
+        0x0e6b64e2, 0x75b83b7e, 0xde628fa2, 0x8da06d50, 0xe5e248dc, 0x7ce06c6f, 0x43fc2dca,
+        0x45a88860, 0xabe29416, 0xc0c75b22, 0xbdbb32aa, 0xdc9816fb, 0xa084cb9b, 0xde7a5894,
+        0x922497a8, 0x6753a786, 0x48b8b99a, 0x64d5868c, 0x05518493, 0x66490c29, 0x32a3b8e5,
+        0xf06c6c07, 0xbaedfbb9, 0x39052e58, 0x7bc1f72c, 0x11411ee5, 0xba0e17b7, 0xef13392c,
+        0xb463317b, 0x1c27bfa1, 0x642dc54c, 0xe1769190, 0xd6b38f00, 0x06537ddb, 0x6e0e752d,
+        0x982e41fd, 0x913abc13, 0xe9057eb5, 0xd64d576d, 0xfa92d4d0, 0x338d17aa, 0x2fe3d9f7,
+        0x71bcc3c6, 0x8f8af011, 0xbcffe233, 0x95a97ef7, 0xdaf31083, 0x82d1ef02, 0x772b5526,
+        0x1fe23b7c, 0x896e2198, 0x6bf9c949, 0xe1d268e5, 0x4c7147cd, 0x57a0db27, 0x2dacae12,
+        0x24fc357c, 0xd912c21d, 0x35012e21, 0x51eb6696, 0x2fd1f985, 0xe6866180, 0x9fb01e00,
+        0xdeea6faa, 0x9b843e56, 0xd4927544, 0x2be113ab, 0x5abd5886, 0xc72a4142, 0x93a6a456,
+        0x60824eda, 0xe522b6e8, 0xbf9b048b, 0x5c9e08eb, 0x46202e2d, 0x87d562ae, 0x800c582b,
+        0x8e90307a, 0x9734e70d, 0x62e9d4f5, 0x16926e11, 0xfd20b012, 0x86ae6261, 0x206831fa,
+        0x5bd13ba1, 0x577a9827, 0x76731cec, 0xbab70ff1, 0xfb1b5aaa, 0x27277261, 0x4cd94556,
+        0x7ca65fde, 0x5cbc1249, 0xa6365a92, 0x2ce00afe, 0x3112a619, 0x3b398b29, 0x1bfadbb7,
+        0x1b765993, 0xbed205c4, 0x31bf5097, 0xebd72543, 0x15124636,
     ],
 };
 
