@@ -315,7 +315,7 @@ proptest! {
 fn references_and_plans_are_pinned() {
     use support::{assert_pinned, assert_plans_pinned, Pin};
     #[rustfmt::skip]
-    assert_pinned("avail", &run_workload(&avail_config()), Pin { transcript: 0x1608c1abb0cd4797, lines: 76, events: 2163, messages: 1572, bytes_sent: 729652, dispatches: 2163, end_ns: 12000000, disk_writes: &[177, 177, 159, 167] });
+    assert_pinned("avail", &run_workload(&avail_config()), Pin { transcript: 0x1608c1abb0cd4797, lines: 76, events: 2167, messages: 1576, bytes_sent: 729844, dispatches: 2167, end_ns: 12000000, disk_writes: &[177, 177, 159, 167] });
     // Corpus seeds (`initial.lossseed`), then the first 8 default soak seeds.
     #[rustfmt::skip]
     assert_plans_pinned("loss_plan_from_seed", loss_plan_from_seed, &[
