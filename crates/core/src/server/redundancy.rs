@@ -175,17 +175,8 @@ impl Server {
                 &[("file", u64::from(file.0)), ("block", block)],
             );
         }
-        self.redundant_payload(ctx, file, block)
-    }
-
-    /// What the redundancy says strictly placed `block` holds: its mirror
-    /// copy, or the stripe's parity XORed with its surviving peers.
-    fn redundant_payload(
-        &mut self,
-        ctx: &mut Ctx,
-        file: BridgeFileId,
-        block: u64,
-    ) -> Result<Bytes, BridgeError> {
+        // What the redundancy says the block holds: its mirror copy, or
+        // the stripe's parity XORed with its surviving peers.
         let meta = self.file_mut(file);
         match meta.redundancy {
             Redundancy::None => unreachable!("only redundant files recover"),
@@ -219,23 +210,6 @@ impl Server {
         let reads = self.take_reads(ctx, round)?;
         let reads = reads.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(xor_fold(&reads))
-    }
-
-    /// What a read of data block `block` answered, or — its column gone —
-    /// what the stripe's parity and peers say it holds.
-    fn or_reconstruct(
-        &mut self,
-        ctx: &mut Ctx,
-        file: BridgeFileId,
-        block: u64,
-        read: Result<Bytes, BridgeError>,
-    ) -> Result<Bytes, BridgeError> {
-        match read {
-            Err(BridgeError::Lfs(e)) if e.column_lost() => {
-                self.reconstruct_payload(ctx, file, block)
-            }
-            other => other,
-        }
     }
 
     /// Writes `data` at `block` of strictly placed `file` as a commit
@@ -341,8 +315,14 @@ impl Server {
             Err(e) => return Err(BridgeError::Lfs(e)),
         };
         if let Some(read) = reads.next() {
-            let read = read.map_err(BridgeError::Lfs);
-            let old = self.or_reconstruct(ctx, plan.file, plan.block, read)?;
+            // The old data block, or — its column gone — what the
+            // stripe's parity and peers say it held.
+            let old = match read {
+                Err(e) if e.column_lost() => {
+                    self.reconstruct_payload(ctx, plan.file, plan.block)?
+                }
+                read => read?,
+            };
             xor_into(&mut acc, &old);
         }
         xor_into(&mut acc, &plan.columns[0].2);
